@@ -383,6 +383,16 @@ def cmd_contraction(cp, out, seed):
         n_pairs = _get(cp, "contraction", "n_pairs", int, 20)
         target = _get(cp, "contraction", "target_ratio", float, 0.5)
         n_steps = _get(cp, "contraction", "n_steps", int, 20)
+        # reject what would measure nothing before any table is built
+        if n_pairs < 1:
+            raise ConfigError("key 'n_pairs' in [contraction] must be at "
+                              f"least 1, got {n_pairs}")
+        if n_steps < 0:
+            raise ConfigError("key 'n_steps' in [contraction] must be "
+                              f"nonnegative, got {n_steps}")
+        if not target > 0:
+            raise ConfigError("key 'target_ratio' in [contraction] must be "
+                              f"positive, got {target}")
         data_k = _get(cp, "data", "k", float, 1.0)
         quad = _quad(cp)
     except DomainError as exc:

@@ -15,7 +15,10 @@ computes the guaranteed local existence window.
 
 Heavy objects (the gridded propagation table, the linear data evolution,
 and the empirical N_h) are cached per grid and quadrature configuration,
-so repeated probes at different eps share one table build.
+so repeated probes at different eps share one table build. A threshold
+search draws its random pair shapes once and only rescales them per eps,
+and every probe evaluates all of its pairs with one stacked Duhamel call
+on the differences F(u) - F(v), which linearity allows.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .meanprop import (
     SpaceTimeField,
     W_evaluator,
     _as_profile,
+    leggauss,
     linear_field,
 )
 from .nonlin import NonlinearitySpec, nonlinearity
@@ -176,8 +180,11 @@ _NH_CACHE = {}
 
 
 def clear_caches():
+    """Empty every cache, the Gauss-Legendre rules of meanprop included,
+    so that the next call pays what a fresh process pays."""
     _TABLE_CACHE.clear()
     _NH_CACHE.clear()
+    leggauss.cache_clear()
 
 
 def _grid_key(cfg: SolverConfig, q: QuadratureConfig):
@@ -290,10 +297,8 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0,
 # contraction measurement
 
 
-def _random_ball_field(rng, t_grid, r_grid, phi, radius, n_features=6):
-    """A smooth random field with weighted norm exactly radius: tensor
-    random Fourier features, normalized to sup 1, divided by the weight."""
-    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
+def _unit_shape(rng, T, R, n_features=6):
+    """A smooth random field of sup 1: tensor random Fourier features."""
     xi = np.zeros_like(T)
     amps = rng.standard_normal(n_features)
     w_t = rng.uniform(0.0, 1.5, n_features)
@@ -305,29 +310,44 @@ def _random_ball_field(rng, t_grid, r_grid, phi, radius, n_features=6):
     if sup == 0.0:
         xi[:] = 1.0
         sup = 1.0
-    return radius * (xi / sup) / phi
+    return xi / sup
+
+
+def _random_ball_field(rng, t_grid, r_grid, phi, radius, n_features=6):
+    """A smooth random field with weighted norm exactly radius: a unit
+    shape divided by the weight."""
+    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
+    return radius * _unit_shape(rng, T, R, n_features) / phi
+
+
+def _pair_shapes(rng_seed, n_pairs, t_grid, r_grid):
+    """The unit shapes of n_pairs pairs (u, v), shape (n_pairs, 2, n_t, n_r),
+    drawn in the order u, v, u, v, ... from one generator."""
+    if n_pairs < 1:
+        raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
+    rng = np.random.default_rng(rng_seed)
+    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
+    return np.array([[_unit_shape(rng, T, R), _unit_shape(rng, T, R)]
+                     for _ in range(n_pairs)])
+
+
+def _pair_ratios(table, F, phi, U, V):
+    """||L F(u) - L F(v)|| / ||u - v|| in the Phi norm for stacks of pairs,
+    None where u = v. L is linear, so one Duhamel call on the stacked
+    differences F(u) - F(v) serves every pair."""
+    denom = np.max(phi * np.abs(U - V), axis=(1, 2))
+    num = np.max(phi * np.abs(table.duhamel_field(F(U) - F(V))), axis=(1, 2))
+    return [float(n) / float(d) if d != 0.0 else None
+            for n, d in zip(num, denom)]
 
 
 def _contraction_ratio(table, F, phi, u, v):
     """||L F(u) - L F(v)|| / ||u - v|| in the Phi norm; None if u = v."""
-    denom = float(np.max(phi * np.abs(u - v)))
-    if denom == 0.0:
-        return None
-    lu = table.duhamel_field(F(u))
-    lv = table.duhamel_field(F(v))
-    return float(np.max(phi * np.abs(lu - lv))) / denom
+    return _pair_ratios(table, F, phi, u[None], v[None])[0]
 
 
-def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
-                      rng_seed=0, data_k=1.0, q=QuadratureConfig()):
-    """Empirical contraction factor of u -> duhamel(F(u)) on the ball.
-
-    Samples n_pairs independent pairs (u, v) with weighted norm equal to
-    the ball radius 2 eps N_h and reports the largest ratio
-    ||L F(u) - L F(v)|| / ||u - v|| in the Phi_h norm. Degenerate pairs
-    (u = v) are skipped.
-    """
-    rng = np.random.default_rng(rng_seed)
+def _probe(spec, cfg, units, data_k, q):
+    """contraction_probe on given unit pair shapes (see _pair_shapes)."""
     table = _get_table(cfg, q)
     F = nonlinearity(spec)
     phi = phi_weight_grid(cfg.t_grid, cfg.r_grid, cfg.h)
@@ -336,16 +356,25 @@ def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
         raise EscapeError(
             f"ball radius 2 eps N_h = {radius:.4g} exceeds 1/A = "
             f"{1.0 / spec.A:.4g}; the envelope does not apply")
-    ratios = []
-    for _ in range(n_pairs):
-        u = _random_ball_field(rng, cfg.t_grid, cfg.r_grid, phi, radius)
-        v = _random_ball_field(rng, cfg.t_grid, cfg.r_grid, phi, radius)
-        ratio = _contraction_ratio(table, F, phi, u, v)
-        if ratio is not None:
-            ratios.append(ratio)
+    U = radius * units[:, 0] / phi
+    V = radius * units[:, 1] / phi
+    ratios = [r for r in _pair_ratios(table, F, phi, U, V) if r is not None]
     max_ratio = max(ratios) if ratios else 0.0
     return ContractionReport(epsilon=cfg.epsilon, sampled_pairs=len(ratios),
                              max_ratio=max_ratio, ratios=tuple(ratios))
+
+
+def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
+                      rng_seed=0, data_k=1.0, q=QuadratureConfig()):
+    """Empirical contraction factor of u -> duhamel(F(u)) on the ball.
+
+    Samples n_pairs >= 1 independent pairs (u, v) with weighted norm equal
+    to the ball radius 2 eps N_h and reports the largest ratio
+    ||L F(u) - L F(v)|| / ||u - v|| in the Phi_h norm. Degenerate pairs
+    (u = v) are skipped. All pairs share one stacked Duhamel call.
+    """
+    units = _pair_shapes(rng_seed, n_pairs, cfg.t_grid, cfg.r_grid)
+    return _probe(spec, cfg, units, data_k, q)
 
 
 def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
@@ -353,21 +382,28 @@ def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
                       n_pairs=20, n_steps=20, q=QuadratureConfig()):
     """Largest probed eps whose contraction factor stays below target_ratio.
 
-    Bisection with n_steps steps on [1e-12, 1]; the returned value is the
-    lower bracket end, so it is itself admissible: a contraction_probe at
-    the result with the same rng_seed and n_pairs reproduces a max_ratio
-    within target_ratio, because the sampled pair shapes do not depend on
-    eps (only the ball radius scales). Deterministic for a fixed rng_seed.
-    Raises ConvergenceError when even the floor 1e-12 fails the probe.
+    Bisection with n_steps >= 0 steps on [1e-12, 1]; the returned value is
+    the lower bracket end, so it is itself admissible: a contraction_probe
+    at the result with the same rng_seed and n_pairs reproduces a
+    max_ratio within target_ratio, because the sampled pair shapes do not
+    depend on eps (only the ball radius scales). The shapes are therefore
+    drawn once, and each probe costs one stacked Duhamel call.
+    Deterministic for a fixed rng_seed. Raises DomainError for
+    n_pairs < 1, n_steps < 0 or target_ratio <= 0, and ConvergenceError
+    when even the floor 1e-12 fails the probe.
     """
+    if n_steps < 0:
+        raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
+    if not target_ratio > 0:
+        raise DomainError(f"target_ratio must be positive, got {target_ratio}")
+    units = _pair_shapes(rng_seed, n_pairs, cfg.t_grid, cfg.r_grid)
 
     def ratio_at(eps):
         probe_cfg = SolverConfig(p=cfg.p, h=cfg.h, epsilon=eps, grid=cfg.grid,
                                  max_iters=cfg.max_iters,
                                  fixed_point_tol=cfg.fixed_point_tol)
         try:
-            rep = contraction_probe(spec, probe_cfg, n_pairs=n_pairs,
-                                    rng_seed=rng_seed, data_k=data_k, q=q)
+            rep = _probe(spec, probe_cfg, units, data_k, q)
         except EscapeError:
             return np.inf
         return rep.max_ratio

@@ -28,9 +28,10 @@ All operations are pure; grid sweeps share no mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator, interp1d
 from scipy.special import ellipk
@@ -59,6 +60,18 @@ __all__ = [
 
 _PANEL_RATIO = 3.0  # growth factor of the cosh(lam) panel breakpoints
 _DEGENERATE_REL = 1e-13
+
+
+@lru_cache
+def leggauss(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    Every caller shares the returned arrays, so they are read-only.
+    """
+    x, w = legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 class QuadratureError(RuntimeError):
@@ -447,6 +460,26 @@ def _time_weights(i):
     return w
 
 
+def _lag_weights(n_t):
+    """Time weights (units of dt) of the Duhamel convolution on n_t rows.
+
+    Entry [c, k] weighs source row k in output row i = k + d, with c = d
+    for the lags d = 1, 2, 3 and c = 0 for d >= 4, so that it equals
+    _time_weights(i)[k] for every k < i (the lag-0 propagator vanishes).
+    Row 0 is the Simpson weight b(k); rows 1..3 add the end corrections
+    of the trapezoid row i = 1 and of the 3/8 tail on odd rows i >= 3.
+    """
+    b = np.full(n_t, 2.0 / 3.0)
+    b[1::2] = 4.0 / 3.0
+    b[0] = 1.0 / 3.0
+    w = np.tile(b, (4, 1))
+    w[1, 0] += 1.0 / 6.0
+    w[1, 2::2] += 11.0 / 24.0
+    w[2, 1::2] -= 5.0 / 24.0
+    w[3, 0::2] += 1.0 / 24.0
+    return w
+
+
 def duhamel(F, t, r, q=QuadratureConfig()):
     """int_0^t I(t - tau, r, F(tau, .)) dtau for a gridded source F.
 
@@ -487,9 +520,10 @@ class PropagatorTable:
     interpolation) inside the triangle t + r <= r_max and truncated
     outside it.
 
-    apply_linear contracts the table against a sampled data profile;
-    duhamel_field combines it with the Simpson prefix weights in time to
-    evaluate the source integral on the whole grid at once.
+    apply_linear contracts the table against a sampled data profile.
+    duhamel_field evaluates the source integral on the whole grid, for one
+    source or a stack of them, as a causal convolution in time: Simpson
+    weights with end corrections, one matrix product per lag.
     """
 
     def __init__(self, t_grid, r_grid, q=QuadratureConfig()):
@@ -514,9 +548,6 @@ class PropagatorTable:
         for d in range(1, n_t):
             A[d] = self._lag_matrix(d * dt, n_gl)
         self._A = A
-        self._prefix = np.zeros((n_t, n_t))
-        for i in range(n_t):
-            self._prefix[i, : i + 1] = _time_weights(i) * dt
 
     def _lag_matrix(self, t, n_gl):
         n_r = self.r_grid.size
@@ -552,19 +583,33 @@ class PropagatorTable:
     def duhamel_field(self, source_values):
         """int_0^{t_i} I(t_i - tau, r_j, F(tau, .)) dtau for all (i, j).
 
-        source_values has shape (n_t, n_r), the source sampled on the grid.
+        source_values is the source sampled on the grid, shape (n_t, n_r),
+        or a stack of m sources, shape (m, n_t, n_r), whose m fields come
+        back stacked the same way. The time integral is the causal
+        convolution out[i] = dt sum_{d=1..i} A[d] (w_d F)[i - d]: one
+        matrix product per lag d over all rows and sources. w_d is the
+        Simpson weight b(k), with the end corrections of the trapezoid
+        row i = 1 and of the 3/8 tail on odd rows i >= 3 carried by the
+        lags 1..3 (_lag_weights), so every row gets the _time_weights(i)
+        rule.
         """
         F = np.asarray(source_values, dtype=float)
         n_t, n_r = self.t_grid.size, self.r_grid.size
-        if F.shape != (n_t, n_r):
-            raise DomainError("source must be sampled on the table's grid")
-        # P[d, j, k] = I(d*dt, r_j, F(t_k, .))
-        P = np.tensordot(self._A, F, axes=([2], [1]))
-        out = np.zeros((n_t, n_r))
-        for k in range(n_t):
-            rows = np.arange(k, n_t)
-            out[rows] += self._prefix[rows, k][:, None] * P[rows - k, :, k]
-        return out
+        if F.ndim not in (2, 3) or F.shape[-2:] != (n_t, n_r):
+            raise DomainError(
+                f"source must be sampled on the table's grid: shape "
+                f"({n_t}, {n_r}) or (m, {n_t}, {n_r}), got {F.shape}")
+        # time-major, so the rows of all sources at one lag form one matrix
+        src = np.moveaxis(F.reshape(-1, n_t, n_r), 1, 0)
+        m = src.shape[1]
+        w = (_lag_weights(n_t) * self.dt)[:, :, None, None]
+        simpson = w[0] * src
+        out = np.zeros((n_t, m, n_r))
+        for d in range(1, n_t):
+            rows = n_t - d
+            g = simpson[:rows] if d >= 4 else w[d, :rows] * src[:rows]
+            out[d:] += (g.reshape(-1, n_r) @ self._A[d].T).reshape(rows, m, n_r)
+        return np.moveaxis(out, 1, 0).reshape(F.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,31 @@ class TestContraction:
         assert (out_a / "ratios.csv").read_bytes() \
             != (out_b / "ratios.csv").read_bytes()
 
+    @pytest.mark.parametrize("mode, lines, message", [
+        ("probe", "n_pairs = 0", "'n_pairs' in [contraction] must be at "
+                                 "least 1, got 0"),
+        ("threshold", "n_pairs = 4\nn_steps = -4",
+         "'n_steps' in [contraction] must be nonnegative, got -4"),
+        ("threshold", "n_pairs = 4\ntarget_ratio = 0",
+         "'target_ratio' in [contraction] must be positive, got 0.0"),
+    ])
+    def test_unmeasurable_config_is_config_error(self, tmp_path, capsys,
+                                                 monkeypatch, mode, lines,
+                                                 message):
+        from hypwave import globalsolver, meanprop
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built before validation")
+
+        globalsolver.clear_caches()
+        monkeypatch.setattr(meanprop.PropagatorTable, "__init__", no_table)
+        body = CONTRACTION_BODY.replace("mode = probe", f"mode = {mode}") \
+            .replace("n_pairs = 4", lines)
+        code, out = run_cli(tmp_path, "contraction", body)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_threshold_mode(self, tmp_path):
         body = CONTRACTION_BODY.replace("mode = probe", "mode = threshold") \
             .replace("n_pairs = 4", "n_pairs = 2\nn_steps = 6")

@@ -246,6 +246,33 @@ class TestContraction:
         with pytest.raises(gs.EscapeError, match="1/A"):
             gs.contraction_probe(SPEC, with_eps(coarse_cfg, 0.5), n_pairs=2)
 
+    def test_no_pairs_rejected(self, coarse_cfg):
+        with pytest.raises(DomainError, match="n_pairs"):
+            gs.contraction_probe(SPEC, coarse_cfg, n_pairs=0)
+
+    def test_batched_pairs_are_the_ball_draws(self, coarse_cfg, monkeypatch):
+        seen = []
+        pair_ratios = gs._pair_ratios
+
+        def spy(table, F, phi, U, V):
+            seen.append((U, V))
+            return pair_ratios(table, F, phi, U, V)
+
+        monkeypatch.setattr(gs, "_pair_ratios", spy)
+        gs.contraction_probe(SPEC, coarse_cfg, n_pairs=3, rng_seed=5)
+        (U, V), = seen
+        phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid, 1.2)
+        radius = 2.0 * coarse_cfg.epsilon * gs.estimate_N_h(
+            1.0, 1.2, coarse_cfg, Q)
+        rng = np.random.default_rng(5)
+        for u_batch, v_batch in zip(U, V):
+            u = gs._random_ball_field(rng, coarse_cfg.t_grid,
+                                      coarse_cfg.r_grid, phi, radius)
+            v = gs._random_ball_field(rng, coarse_cfg.t_grid,
+                                      coarse_cfg.r_grid, phi, radius)
+            assert np.array_equal(u_batch, u)
+            assert np.array_equal(v_batch, v)
+
 
 class TestThreshold:
     def test_threshold_exists_and_reprobes_admissibly(self, coarse_cfg):
@@ -263,8 +290,40 @@ class TestThreshold:
 
     def test_impossible_target_fails(self, coarse_cfg):
         with pytest.raises(gs.ConvergenceError, match="no admissible"):
-            gs.epsilon_threshold(SPEC, coarse_cfg, target_ratio=0.0,
+            gs.epsilon_threshold(SPEC, coarse_cfg, target_ratio=1e-12,
                                  rng_seed=2, n_pairs=2, n_steps=4)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        ({"n_pairs": 0}, "n_pairs"),
+        ({"n_steps": -4}, "n_steps"),
+        ({"target_ratio": 0.0}, "target_ratio"),
+        ({"target_ratio": -0.5}, "target_ratio"),
+    ])
+    def test_unmeasurable_search_rejected(self, coarse_cfg, kwargs, key):
+        with pytest.raises(DomainError, match=key):
+            gs.epsilon_threshold(SPEC, coarse_cfg, **kwargs)
+
+    def test_shared_shapes_match_independent_probes(self, coarse_cfg):
+        # the bisection of epsilon_threshold, redone with a fresh
+        # contraction_probe (and a fresh draw) at every eps
+        def ratio_at(eps):
+            try:
+                return gs.contraction_probe(SPEC, with_eps(coarse_cfg, eps),
+                                            n_pairs=3, rng_seed=21).max_ratio
+            except gs.EscapeError:
+                return np.inf
+
+        lo, hi = 1e-12, 1.0
+        assert ratio_at(lo) <= 0.5
+        for _ in range(8):
+            mid = 0.5 * (lo + hi)
+            if ratio_at(mid) <= 0.5:
+                lo = mid
+            else:
+                hi = mid
+        assert lo > 1e-3  # the search accepted some eps and rejected others
+        assert gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21, n_pairs=3,
+                                    n_steps=8) == lo
 
 
 class TestClaimBound:

@@ -20,12 +20,15 @@ from hypwave.meanprop import (
     RadialProfile,
     SpaceTimeField,
     W_evaluator,
+    _lag_weights,
+    _time_weights,
     _w_inner,
     beta_identity_check,
     default_C0,
     dt_r_bound_check,
     duhamel,
     kernel_lower_integral,
+    leggauss,
     linear_field,
     lower_bound_I,
     r_operator,
@@ -360,6 +363,72 @@ class TestPropagatorTable:
             table.apply_linear(np.zeros(7))
         with pytest.raises(DomainError):
             table.duhamel_field(np.zeros((3, 81)))
+
+    @pytest.mark.parametrize("shape", [(41, 80), (2, 41, 80), (2, 40, 81),
+                                       (81,), (1, 1, 41, 81)])
+    def test_wrong_source_shape_rejected(self, table, shape):
+        with pytest.raises(DomainError, match="table's grid"):
+            table.duhamel_field(np.zeros(shape))
+
+
+def duhamel_by_prefix(table, F):
+    """The former per-row Duhamel: full Simpson/3-8 prefix matrix, every
+    lag applied to every source time, then one pass per source time."""
+    n_t, n_r = F.shape
+    prefix = np.zeros((n_t, n_t))
+    for i in range(n_t):
+        prefix[i, : i + 1] = _time_weights(i) * table.dt
+    P = np.tensordot(table._A, F, axes=([2], [1]))
+    out = np.zeros((n_t, n_r))
+    for k in range(n_t):
+        rows = np.arange(k, n_t)
+        out[rows] += prefix[rows, k][:, None] * P[rows - k, :, k]
+    return out
+
+
+class TestDuhamelConvolution:
+    # n_t = 2 is the trapezoid row alone, 3 adds a Simpson row, 4 the
+    # 3/8-only row i = 3, 5 and 41 the corrected odd rows i >= 5
+    @pytest.mark.parametrize("n_t", [2, 3, 4, 5, 41])
+    def test_matches_prefix_formula(self, n_t):
+        tab = PropagatorTable(np.linspace(0.0, 0.1 * (n_t - 1), n_t),
+                              np.linspace(0.0, 4.0, 21))
+        rng = np.random.default_rng(n_t)
+        src = rng.standard_normal((n_t, 21))
+        want = duhamel_by_prefix(tab, src)
+        got = tab.duhamel_field(src)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_stack_equals_single_calls(self, table):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((4, 41, 81))
+        out = table.duhamel_field(stack)
+        assert out.shape == stack.shape
+        for src, got in zip(stack, out):
+            want = table.duhamel_field(src)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_lag_weights_reproduce_time_weights(self):
+        # row k = i multiplies the vanishing lag-0 propagator, so only k < i
+        for i in range(201):
+            w = _lag_weights(i + 1)
+            want = _time_weights(i)
+            for k in range(i):
+                d = i - k
+                assert abs(w[d if d < 4 else 0, k] - want[k]) <= 1e-15
+
+
+class TestLeggaussCache:
+    @pytest.mark.parametrize("n", [6, 10, 32])
+    def test_matches_numpy_and_is_read_only(self, n):
+        x, w = leggauss(n)
+        x_np, w_np = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, x_np) and np.array_equal(w, w_np)
+        assert leggauss(n)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
