@@ -1,94 +1,75 @@
 #!/usr/bin/env python3
 """Build a blow-up certificate and watch the simulated solution confirm it.
 
-The run constructs the full certificate chain for p = 2, q = 2 bump data
-(first-iterate constant, boost ladder, doubling recursion, detachment
-time T), then cross-checks it two ways:
+For p = 2, q = 2 bump data at eps = EPSILON, every other setting at
+wavecli's defaults:
 
-  1. a finite-difference simulation on a window that stops just short of
-     the numerical blow-up near t = 5.24, verified pointwise against the
-     certificate's first-iterate lower bound on the region S;
-  2. an escape detector that reports when sup_r u crosses ten times the
-     initial amplitude (for eps = 1 this lands near t = 2.8).
+  1. `wavecli blowup` builds the certificate chain (first-iterate
+     constant, boost ladder, doubling recursion, detachment time T) and
+     reports when sup_r u crosses ten times the initial amplitude (for
+     eps = 1 this lands near t = 2.8);
+  2. `wavecli certify` checks a finite-difference simulation, on a window
+     that stops just short of the numerical blow-up near t = 5.24,
+     pointwise against the certificate's first-iterate lower bound on
+     the region S.
 
-Writes blowup_demo.csv with the per-stage sequence data and prints the
-certificate summary. A quick look at the escape history:
+Both write into blowup_demo/ (the sequences in sequences.csv, the sup
+history in escape_history.csv), and the certificate summary is printed.
+A quick look at the escape history:
 
-    python3 -c "import pandas as pd; d = pd.read_csv('runs/escape_history.csv'); print(d.tail())"
+    python3 -c "import pandas as pd; d = pd.read_csv('runs/blowup_demo/escape_history.csv'); print(d.tail())"
 """
 
+import configparser
 import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from hypwave.blowlab import (BlowupParams, build_certificate, bump_profile,
-                             certificate_verify, escape_detector)
-from hypwave.fdoracle import FDConfig, fd_solve
-from hypwave.meanprop import RadialProfile, default_C0
-from hypwave.nonlin import NonlinearitySpec, nonlinearity
+from hypwave.cli import main as wavecli
 
 TAU0 = 1.0
 EPSILON = 0.5
 
 
-def main(out_dir="runs"):
-    out = Path(out_dir)
+def run(command, config, out, *args):
+    """wavecli <command> [args] on config (INI sections as dicts) into out."""
     out.mkdir(parents=True, exist_ok=True)
+    cp = configparser.ConfigParser()
+    cp.read_dict(config)
+    with open(out / f"{command}.ini", "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return wavecli([command, "--config", fh.name, "--out", str(out), *args])
 
-    params = BlowupParams(p=2.0, q=2.0, tau0=TAU0, epsilon=EPSILON,
-                          delta0=0.45, C0=default_C0(TAU0), c0=0.1)
-    bump = bump_profile(TAU0)
-    cert = build_certificate(bump, params)
-    print(f"certificate: l0 = {cert.boost.l0}, A0 = {cert.boost.A0}, "
-          f"E = {cert.john.E:.4f}, T = {cert.T:.6g}")
 
-    spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
-                            kind="piecewise_generic")
-    data = RadialProfile(lambda lam: EPSILON * bump(lam),
-                         kind="closed_form",
-                         support_radius=bump.support_radius,
-                         knots=bump.knots)
-    zero = RadialProfile.constant(0.0)
-    sim_cfg = FDConfig(dr=0.05, dt=0.04, r_max=9.0, t_max=5.0,
-                       snapshot_every=5)
-    field = fd_solve(zero, data, nonlinearity(spec), sim_cfg)
-    report = certificate_verify(cert, field)
-    print(f"dominance: {report.first_checked} points of S checked, "
-          f"{len(report.first_violations)} violations, "
-          f"min margin {report.first_min_margin:.4f}")
+def first_row(path):
+    with open(path, encoding="utf-8") as fh:
+        return next(csv.DictReader(fh))
 
-    esc_cfg = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=40.0)
-    r_grid = np.linspace(0.0, esc_cfg.r_max,
-                         round(esc_cfg.r_max / esc_cfg.dr) + 1)
-    threshold = 10.0 * float(np.max(np.abs(data(r_grid))))
-    esc = escape_detector(zero, data, nonlinearity(spec), esc_cfg, threshold)
-    if esc.escaped:
-        print(f"escape: sup_r u crossed {threshold:.3g} at t = "
-              f"{esc.t_escape:.3f}")
+
+def main(out_dir="runs"):
+    out = Path(out_dir) / "blowup_demo"
+    config = {"blowup": {"p": 2.0, "tau0": TAU0, "epsilon": EPSILON}}
+    if run("blowup", config, out):
+        raise SystemExit("wavecli blowup failed")
+    cert = first_row(out / "certificate.csv")
+    print(f"certificate: l0 = {cert['l0']}, A0 = {float(cert['A0'])}, "
+          f"E = {float(cert['E']):.4f}, T = {float(cert['T']):.6g}")
+
+    # exit 4 means violations, which the summary reports
+    if run("certify", config, out) not in (0, 4):
+        raise SystemExit("wavecli certify failed")
+    report = first_row(out / "verify.csv")
+    print(f"dominance: {report['first_checked']} points of S checked, "
+          f"{report['first_violations']} violations, "
+          f"min margin {float(report['first_min_margin']):.4f}")
+
+    esc = first_row(out / "escape.csv")
+    if esc["escaped"] == "true":
+        print(f"escape: sup_r u crossed {float(esc['threshold']):.3g} at "
+              f"t = {float(esc['t_escape']):.3f}")
     else:
-        print(f"no escape before t = {esc_cfg.t_max}")
-
-    with open(out / "blowup_demo.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("sequence", "index", "x1", "x2", "x3"))
-        writer.writerow(("meta", 0, cert.boost.l0,
-                         f"{cert.boost.A0:.17g}", f"{cert.T:.17g}"))
-        for l, a, b, c in cert.boost.entries:
-            writer.writerow(("boost", l, f"{a:.17g}", f"{b:.17g}",
-                             f"{c:.17g}"))
-        for m, A, B, logD in cert.john.entries:
-            writer.writerow(("john", m, f"{A:.17g}", f"{B:.17g}",
-                             f"{logD:.17g}"))
-    with open(out / "escape_history.csv", "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("t", "sup"))
-        for t, sup in zip(esc.t_history, esc.sup_history):
-            writer.writerow((f"{t:.17g}", f"{sup:.17g}"))
-    print(f"wrote {out / 'blowup_demo.csv'} and {out / 'escape_history.csv'}")
+        print("no escape within the escape window")
+    print(f"wrote the CSVs of wavecli blowup and certify into {out}")
 
 
 if __name__ == "__main__":

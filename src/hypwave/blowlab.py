@@ -33,7 +33,7 @@ import numpy as np
 
 from .hypgeo import DomainError, QuadratureConfig, log_sinh
 from .meanprop import RadialProfile, SpaceTimeField, _as_profile, lower_bound_I
-from .fdoracle import FDConfig, _apply_operator, _check_support
+from .fdoracle import FDConfig, leapfrog
 
 __all__ = [
     "BlowupParams", "BoostSequence", "JohnSequence", "BlowupCertificate",
@@ -743,12 +743,12 @@ class EscapeReport:
 def escape_detector(u0, u1, F, cfg: FDConfig, threshold):
     """Step the finite-difference scheme, watching for sup_r u > threshold.
 
-    Uses exactly the leapfrog stencil of fd_solve (shared origin/boundary
-    handling, same support guard) but records only the signed spatial max
-    per step and stops early at the first crossing. A non-finite value
-    before the crossing is reported as an escape at that time with the
-    instability flag raised, since a genuine blow-up drives the explicit
-    scheme through overflow; the flag keeps the two causes separable.
+    Runs fdoracle.leapfrog, the stepper of fd_solve, but records only the
+    signed spatial max per step and stops early at the first crossing. A
+    non-finite value before the crossing is reported as an escape at that
+    time with the instability flag raised, since a genuine blow-up drives
+    the explicit scheme through overflow; the flag keeps the two causes
+    separable.
 
     F is a callable of u or None for the linear equation. The threshold is
     compared strictly; data already above it escape at t = 0.
@@ -756,53 +756,20 @@ def escape_detector(u0, u1, F, cfg: FDConfig, threshold):
     threshold = float(threshold)
     if not np.isfinite(threshold):
         raise DomainError("threshold must be finite")
-    u0 = _as_profile(u0)
-    u1 = _as_profile(u1)
-    _check_support(u0, u1, cfg)
-    r = cfg.r_grid
-    coth_r = np.cosh(r[1:-1]) / np.sinh(r[1:-1])
-    dr, dt = cfg.dr, cfg.dt
-
-    def rhs(u):
-        out = _apply_operator(u, coth_r, dr)
-        if F is not None:
-            out = out + F(u)
-            out[-1] = 0.0
-        return out
-
     times, sups = [], []
     t_escape, instability = None, False
-
-    def record(step, u):
-        nonlocal t_escape, instability
-        t = step * dt
-        times.append(t)
-        if not np.all(np.isfinite(u)):
-            sups.append(np.nan)
-            t_escape, instability = t, True
-            return True
-        sup = float(np.max(u))
-        sups.append(sup)
-        if sup > threshold:
-            t_escape = t
-            return True
-        return False
-
     with np.errstate(over="ignore", invalid="ignore"):
-        prev = u0(r)
-        prev[-1] = 0.0
-        done = record(0, prev)
-        if not done:
-            cur = prev + dt * u1(r) + 0.5 * dt**2 * rhs(prev)
-            cur[-1] = 0.0
-            done = record(1, cur)
-        if not done:
-            for n in range(1, cfg.n_steps):
-                nxt = 2.0 * cur - prev + dt**2 * rhs(cur)
-                nxt[-1] = 0.0
-                prev, cur = cur, nxt
-                if record(n + 1, cur):
-                    break
+        for n, u in enumerate(leapfrog(u0, u1, F, cfg)):
+            t = n * cfg.dt
+            times.append(t)
+            if not np.all(np.isfinite(u)):
+                sups.append(np.nan)
+                t_escape, instability = t, True
+                break
+            sups.append(float(np.max(u)))
+            if sups[-1] > threshold:
+                t_escape = t
+                break
 
     return EscapeReport(t_escape=t_escape, instability=instability,
                         threshold=threshold,

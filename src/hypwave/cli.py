@@ -154,6 +154,12 @@ def _data_profile(cp):
     return bump_profile(tau0)
 
 
+def _label_critical(p):
+    if p == 3.0:
+        print("wavecli: p = 3 is the critical exponent: "
+              "critical, no theory backs this run", file=sys.stderr)
+
+
 def _nonlin_spec(cp, p, default_kind="canonical_sinh_inverse"):
     """NonlinearitySpec from [nonlinearity], or None for kind = none."""
     from .nonlin import NonlinearitySpec
@@ -164,9 +170,7 @@ def _nonlin_spec(cp, p, default_kind="canonical_sinh_inverse"):
     if kind == "none":
         return None
     p = _get(cp, "nonlinearity", "p", float, p)
-    if p == 3.0:
-        print("wavecli: p = 3 is the critical exponent: "
-              "critical, no theory backs this run", file=sys.stderr)
+    _label_critical(p)
     return NonlinearitySpec(
         p=p,
         q=_get(cp, "nonlinearity", "q", float, 2.0),
@@ -180,9 +184,7 @@ def _blowup_params(cp):
     from .meanprop import default_C0
 
     p = _get(cp, "blowup", "p", float)
-    if p == 3.0:
-        print("wavecli: p = 3 is the critical exponent: "
-              "critical, no theory backs this run", file=sys.stderr)
+    _label_critical(p)
     tau0 = _get(cp, "blowup", "tau0", float, 1.0)
     epsilon = _get(cp, "blowup", "epsilon", float)
     delta0 = _get(cp, "blowup", "delta0", float, 0.45)
@@ -243,13 +245,15 @@ def _field_rows(field):
 def cmd_propagate(cp, out, seed):
     import numpy as np
     from .fdoracle import FDConfig, fd_solve
-    from .hypgeo import DomainError
+    from .hypgeo import DomainError, uniform_grid
     from .meanprop import RadialProfile, linear_field
 
     try:
         engine = _choice(cp, "propagate", "engine", ("kernel", "fd", "both"),
                          "kernel")
         t_max, r_max, dt, dr = _grid(cp)
+        t_grid = uniform_grid(t_max, dt, "t_max/dt")
+        r_grid = uniform_grid(r_max, dr, "r_max/dr")
         quad = _quad(cp)
         prof = _data_profile(cp)
         fd_cfg = None
@@ -257,9 +261,6 @@ def cmd_propagate(cp, out, seed):
             fd_cfg = FDConfig(dr=dr, dt=dt, r_max=r_max, t_max=t_max)
     except DomainError as exc:
         raise ConfigError(str(exc))
-
-    t_grid = np.linspace(0.0, t_max, round(t_max / dt) + 1)
-    r_grid = np.linspace(0.0, r_max, round(r_max / dr) + 1)
 
     kernel = None
     fd = None
@@ -332,13 +333,14 @@ def cmd_solve(cp, out, seed):
 
 
 def cmd_decay(cp, out, seed):
-    import numpy as np
     from .globalsolver import decay_fit
-    from .hypgeo import DomainError, EnvelopeParams, theta_k
+    from .hypgeo import DomainError, EnvelopeParams, theta_k, uniform_grid
     from .meanprop import RadialProfile, linear_field
 
     try:
         t_max, r_max, dt, dr = _grid(cp)
+        t_grid = uniform_grid(t_max, dt, "t_max/dt")
+        r_grid = uniform_grid(r_max, dr, "r_max/dr")
         k = _get(cp, "decay", "k", float, 1.0)
         ray_offset = _get(cp, "decay", "ray_offset", float, 1.0)
         min_r = _get(cp, "decay", "min_r", float, 1.0)
@@ -348,8 +350,6 @@ def cmd_decay(cp, out, seed):
         raise ConfigError(str(exc))
 
     prof = RadialProfile.from_function(lambda r: theta_k(r, params))
-    t_grid = np.linspace(0.0, t_max, round(t_max / dt) + 1)
-    r_grid = np.linspace(0.0, r_max, round(r_max / dr) + 1)
     field = linear_field(prof, t_grid, r_grid, quad)
     rep = decay_fit(field, k, ray_offset=ray_offset, min_r=min_r)
 
@@ -473,9 +473,7 @@ def cmd_blowup(cp, out, seed):
 
     if run_escape:
         scaled = _scaled_profile(bump, params.epsilon)
-        r_grid = np.linspace(0.0, esc_cfg.r_max,
-                             round(esc_cfg.r_max / esc_cfg.dr) + 1)
-        threshold = factor * float(np.max(np.abs(scaled(r_grid))))
+        threshold = factor * float(np.max(np.abs(scaled(esc_cfg.r_grid))))
         F = nonlinearity(spec) if spec is not None else None
         rep = escape_detector(RadialProfile.constant(0.0), scaled, F,
                               esc_cfg, threshold)

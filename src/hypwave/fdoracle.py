@@ -10,6 +10,9 @@ uniform in r and t, the origin uses the even extension (the radial first
 derivative vanishes there and coth(r) u_r tends to u_rr, doubling the
 second difference), and the outer boundary is homogeneous Dirichlet placed
 far enough out that signals never return from it.
+
+One generator, leapfrog, steps the scheme for both fd_solve and
+blowlab.escape_detector.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypgeo import DomainError
+from .hypgeo import DomainError, uniform_grid
 from .meanprop import RadialProfile, SpaceTimeField, _as_profile
 
-__all__ = ["FDConfig", "InstabilityError", "fd_solve", "convergence_order",
-           "ConvergenceReport"]
+__all__ = ["FDConfig", "InstabilityError", "leapfrog", "fd_solve",
+           "convergence_order", "ConvergenceReport"]
 
 _CFL_LIMIT = 0.9
 
@@ -49,26 +52,21 @@ class FDConfig:
     cfl: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("dr", "dt", "r_max", "t_max"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive")
+        uniform_grid(self.r_max, self.dr, "r_max/dr")
+        uniform_grid(self.t_max, self.dt, "t_max/dt")
         object.__setattr__(self, "cfl", self.dt / self.dr)
         if self.cfl > _CFL_LIMIT + 1e-12:
             raise DomainError(
                 f"cfl = dt/dr = {self.cfl:.4g} exceeds the stability margin "
                 f"{_CFL_LIMIT}")
-        for span, step, name in ((self.r_max, self.dr, "r_max/dr"),
-                                 (self.t_max, self.dt, "t_max/dt")):
-            if abs(span / step - round(span / step)) > 1e-9:
-                raise DomainError(f"{name} must be an integer")
         if self.snapshot_every < 1:
             raise DomainError("snapshot_every must be at least 1")
-        if round(self.t_max / self.dt) % self.snapshot_every != 0:
+        if self.n_steps % self.snapshot_every != 0:
             raise DomainError("snapshot_every must divide the step count")
 
     @property
     def r_grid(self):
-        return np.linspace(0.0, self.r_max, round(self.r_max / self.dr) + 1)
+        return uniform_grid(self.r_max, self.dr, "r_max/dr")
 
     @property
     def n_steps(self):
@@ -97,16 +95,16 @@ def _apply_operator(u, coth_r, dr):
     return out
 
 
-def fd_solve(u0, u1, F, cfg: FDConfig):
-    """Leapfrog evolution from data (u(0), u_t(0)) = (u0, u1).
+def leapfrog(u0, u1, F, cfg: FDConfig):
+    """Yield the leapfrog states on cfg.r_grid for n = 0, ..., cfg.n_steps.
 
-    F is the nonlinearity as a callable of u, or None for the linear
-    equation. Profiles with a declared support radius must fit inside
-    r_max - t_max, so the Dirichlet boundary stays causally invisible;
-    undeclared supports are the caller's responsibility.
-
-    Raises InstabilityError with the first offending (t, r) if the scheme
-    produces a non-finite value.
+    Data are (u(0), u_t(0)) = (u0, u1); F is the nonlinearity as a
+    callable of u, or None for the linear equation. Profiles with a
+    declared support radius must fit inside r_max - t_max, so the Dirichlet
+    boundary stays causally invisible; undeclared supports are the
+    caller's responsibility. Non-finite states are yielded unchecked, for
+    the caller to judge under its own np.errstate. Callers may keep the
+    yielded arrays but must not write to them: they are the stepper's state.
     """
     u0 = _as_profile(u0)
     u1 = _as_profile(u1)
@@ -114,7 +112,6 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
     r = cfg.r_grid
     coth_r = np.cosh(r[1:-1]) / np.sinh(r[1:-1])
     dr, dt = cfg.dr, cfg.dt
-    n_steps = cfg.n_steps
 
     def rhs(u):
         out = _apply_operator(u, coth_r, dr)
@@ -125,26 +122,38 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
 
     prev = u0(r)
     prev[-1] = 0.0
+    yield prev
     cur = prev + dt * u1(r) + 0.5 * dt**2 * rhs(prev)
     cur[-1] = 0.0
+    yield cur
+    for _ in range(1, cfg.n_steps):
+        prev, cur = cur, 2.0 * cur - prev + dt**2 * rhs(cur)
+        cur[-1] = 0.0
+        yield cur
 
-    keep = cfg.snapshot_every
-    stored = [prev.copy()]
-    if keep == 1:
-        stored.append(cur.copy())
+
+def fd_solve(u0, u1, F, cfg: FDConfig):
+    """Leapfrog evolution from data (u(0), u_t(0)) = (u0, u1).
+
+    F is the nonlinearity as a callable of u, or None for the linear
+    equation; the support rule for the data is leapfrog's. Every
+    snapshot_every-th state is kept.
+
+    Raises InstabilityError with the first offending (t, r) if the scheme
+    produces a non-finite value.
+    """
+    r = cfg.r_grid
+    stored = []
     # overflow on the way to a detected instability is expected; the
     # non-finite check below is the real guard
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps):
-            nxt = 2.0 * cur - prev + dt**2 * rhs(cur)
-            nxt[-1] = 0.0
-            if not np.all(np.isfinite(nxt)):
-                bad = np.flatnonzero(~np.isfinite(nxt))[0]
+        for n, u in enumerate(leapfrog(u0, u1, F, cfg)):
+            if not np.all(np.isfinite(u)):
+                bad = np.flatnonzero(~np.isfinite(u))[0]
                 raise InstabilityError(
-                    f"non-finite value at t = {(n + 1) * dt:.6g}, r = {r[bad]:.6g}")
-            prev, cur = cur, nxt
-            if (n + 1) % keep == 0:
-                stored.append(cur.copy())
+                    f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}")
+            if n % cfg.snapshot_every == 0:
+                stored.append(u)
     t_grid = np.linspace(0.0, cfg.t_max, len(stored))
     return SpaceTimeField(t_grid, r, np.asarray(stored))
 

@@ -37,6 +37,7 @@ from .hypgeo import (
     bracket,
     phi_weight,
     theta_k,
+    uniform_grid,
 )
 from .meanprop import (
     MonotoneWeight,
@@ -104,13 +105,8 @@ class SolverConfig:
         if self.epsilon < 0:
             raise DomainError("epsilon must be nonnegative")
         t_max, r_max, dt, dr = self.grid
-        if min(t_max, r_max, dt, dr) <= 0:
-            raise DomainError("grid entries must be positive")
-        if t_max < dt:
-            raise DomainError("t_max must be at least dt")
-        for span, step, name in ((t_max, dt, "t_max/dt"), (r_max, dr, "r_max/dr")):
-            if abs(span / step - round(span / step)) > 1e-9:
-                raise DomainError(f"{name} must be an integer")
+        uniform_grid(t_max, dt, "t_max/dt")
+        uniform_grid(r_max, dr, "r_max/dr")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
         if not self.fixed_point_tol > 0:
@@ -119,12 +115,12 @@ class SolverConfig:
     @property
     def t_grid(self):
         t_max, _, dt, _ = self.grid
-        return np.linspace(0.0, t_max, round(t_max / dt) + 1)
+        return uniform_grid(t_max, dt, "t_max/dt")
 
     @property
     def r_grid(self):
         _, r_max, _, dr = self.grid
-        return np.linspace(0.0, r_max, round(r_max / dr) + 1)
+        return uniform_grid(r_max, dr, "r_max/dr")
 
 
 @dataclass(frozen=True)

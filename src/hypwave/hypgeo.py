@@ -1,4 +1,4 @@
-"""Scalar kernels, envelopes, weights and singular-quadrature nodes.
+"""Scalar kernels, envelopes, weights, singular-quadrature nodes and grids.
 
 Everything in this module is a pure function of its arguments.  The
 conventions are those of the radial wave problem on the hyperbolic plane
@@ -18,6 +18,9 @@ integrals carrying the paired endpoint weight ((c_hi-x)(x-c_lo))^(-1/2);
 this is the rule that removes the inverse-square-root singularities of
 the radial spherical-mean kernel after the substitution
 cosh(lambda) = midpoint + halfwidth*cos(theta).
+
+``uniform_grid`` is the one validated constructor of the uniform t and r
+grids that every solver and command runs on.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "log_sinh",
     "sinhc",
     "cg_nodes",
+    "uniform_grid",
 ]
 
 _LOG2 = float(np.log(2.0))
@@ -219,3 +223,21 @@ def cg_nodes(n: int, c_lo: float, c_hi: float):
     nodes = mid + half * np.cos(theta)
     weights = np.full(n, np.pi / n)
     return nodes, weights
+
+
+def uniform_grid(span, step, name):
+    """The grid 0, step, ..., span, for a span that is a whole number of steps.
+
+    name labels the ratio span/step in errors (e.g. "t_max/dt"). Both
+    values must be positive and finite, the ratio an integer to within
+    1e-9, and the grid at least one step long.
+    """
+    if not (0 < span < np.inf and 0 < step < np.inf):
+        raise DomainError(
+            f"{name} needs positive finite entries, got {span!r}/{step!r}")
+    n = span / step
+    if abs(n - round(n)) > 1e-9:
+        raise DomainError(f"{name} must be an integer, got {n:.6g}")
+    if round(n) < 1:
+        raise DomainError(f"{name} must be at least 1, got {n:.6g}")
+    return np.linspace(0.0, span, round(n) + 1)

@@ -582,6 +582,22 @@ class TestEscapeDetector:
         assert report.t_escape is None
         assert np.max(report.sup_history) < 10.0 * eps
 
+    @pytest.mark.parametrize("kind", ["none", "piecewise_generic"])
+    def test_history_is_fd_solve_row_max(self, kind):
+        # the detector and fd_solve step one scheme: every recorded sup is
+        # the FD field's row max, bit for bit, up to the escape step
+        F = None if kind == "none" else nonlinearity(NonlinearitySpec(
+            p=2.0, q=2.0, delta0=0.45, A=2.0, kind=kind))
+        cfg = FDConfig(dr=0.05, dt=0.04, r_max=7.6, t_max=4.0)
+        field = fd_solve(zero_profile, bump_profile(TAU0), F, cfg)
+        report = escape_detector(zero_profile, bump_profile(TAU0), F, cfg, 10.0)
+        n = len(report.sup_history)
+        assert report.escaped == (F is not None)
+        assert n == (cfg.n_steps + 1 if F is None else 71)
+        np.testing.assert_array_equal(report.sup_history,
+                                      field.values[:n].max(axis=1))
+        np.testing.assert_array_equal(report.t_history, field.t_grid[:n])
+
     def test_immediate_escape_at_zero(self):
         cfg = FDConfig(dr=0.1, dt=0.05, r_max=8.0, t_max=1.0)
         report = escape_detector(lambda r: np.exp(-np.asarray(r) ** 2),

@@ -121,6 +121,34 @@ engine = both
         assert "propagate failed" in capsys.readouterr().err
 
 
+BAD_GRID = """
+[grid]
+t_max = {t_max}
+r_max = 2.0
+dt = {dt}
+dr = 0.1
+
+[data]
+kind = constant
+"""
+
+
+@pytest.mark.parametrize("command, t_max, dt, written", [
+    ("propagate", 1.0, 0.0, "field.csv"),
+    ("propagate", 1.0, -0.1, "field.csv"),
+    ("propagate", 1.0, 0.3, "field.csv"),
+    ("decay", 2.0, 0.3, "decay.csv"),
+])
+def test_bad_time_grid_is_config_error(tmp_path, capsys, command, t_max, dt,
+                                       written):
+    code, out = run_cli(tmp_path, command,
+                        BAD_GRID.format(t_max=t_max, dt=dt))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "t_max/dt" in err
+    assert not (out / written).exists()
+
+
 class TestSolve:
     def test_epsilon_zero_converges_first_sweep(self, tmp_path):
         code, out = run_cli(tmp_path, "solve", SOLVER_35)

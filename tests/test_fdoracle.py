@@ -49,6 +49,10 @@ class TestFDConfig:
         with pytest.raises(DomainError):
             FDConfig(dr=-0.02, dt=0.018, r_max=1.0, t_max=0.9)
 
+    def test_zero_step_grid_rejected(self):
+        with pytest.raises(DomainError, match="t_max/dt must be at least 1"):
+            FDConfig(dr=0.05, dt=0.04, r_max=1.0, t_max=1e-12)
+
     def test_snapshot_divisibility(self):
         with pytest.raises(DomainError, match="snapshot"):
             FDConfig(dr=0.02, dt=0.018, r_max=1.0, t_max=0.9, snapshot_every=7)

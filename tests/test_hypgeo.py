@@ -17,6 +17,7 @@ from hypwave.hypgeo import (
     phi_weight,
     sinhc,
     theta_k,
+    uniform_grid,
 )
 
 
@@ -204,3 +205,30 @@ class TestQuadratureConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureConfig(**kwargs)
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize("span, step", [
+        (1.0, 0.1), (8.0, 0.05), (4.0, 0.04), (43.6, 0.05), (2.0, 2.0),
+        (0.9, 0.3)])
+    def test_exact_linspace_bytes(self, span, step):
+        expected = np.linspace(0.0, span, round(span / step) + 1)
+        assert uniform_grid(span, step, "x").tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("span, step", [
+        (1.0, 0.0), (1.0, -0.1), (-1.0, 0.1), (0.0, 0.1), (np.nan, 0.1),
+        (np.inf, 0.1), (1.0, np.inf)])
+    def test_nonpositive_or_nonfinite_rejected(self, span, step):
+        with pytest.raises(DomainError, match=r"t_max/dt needs positive"):
+            uniform_grid(span, step, "t_max/dt")
+
+    def test_noninteger_ratio_rejected(self):
+        with pytest.raises(DomainError, match="r_max/dr must be an integer"):
+            uniform_grid(1.0, 0.3, "r_max/dr")
+
+    def test_fewer_than_one_step_rejected(self):
+        # 1e-12/0.04 is within the 1e-9 integer slack of 0 steps
+        with pytest.raises(DomainError, match="t_max/dt must be at least 1"):
+            uniform_grid(1e-12, 0.04, "t_max/dt")
+        with pytest.raises(DomainError, match="t_max/dt"):
+            uniform_grid(0.049, 0.1, "t_max/dt")

@@ -1,0 +1,66 @@
+"""Smoke tests of the experiment scripts in scripts/.
+
+Each script is a thin loop over wavecli. These runs shrink its module
+constants to a tiny grid (or one k, one eps) so that a case takes a
+second or two, then check that main returns and writes its CSVs.
+"""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_decay_sweep(tmp_path):
+    script = load("decay_sweep")
+    script.K_VALUES = (1.0,)
+    script.STEPS = (0.5, 0.25)
+    script.HORIZON = 6.0
+    script.main(tmp_path)
+    header, *rows = read_csv(tmp_path / "decay_sweep.csv")
+    assert header == ["k", "step", "slope_r", "slope_tr", "sup_weighted"]
+    assert [row[:2] for row in rows] == [["1", "0.5"], ["1", "0.25"]]
+    assert all(float(row[2]) < 0.0 for row in rows)
+    for step in script.STEPS:
+        assert (tmp_path / "decay_sweep" / f"k1.0_step{step}"
+                / "decay.csv").exists()
+
+
+def test_contraction_scan(tmp_path, capsys):
+    script = load("contraction_scan")
+    script.EPS_RANGE = (0.01, 50.0)
+    script.N_PAIRS = 4
+    script.GRID = {"t_max": 1.0, "r_max": 2.0, "dt": 0.1, "dr": 0.1}
+    script.main(tmp_path)
+    header, *rows = read_csv(tmp_path / "contraction_scan.csv")
+    assert header == ["epsilon", "max_ratio", "note"]
+    assert [row[2] for row in rows] == ["", "failed", "threshold"]
+    assert float(rows[0][1]) >= 0.0
+    assert float(rows[2][0]) > 0.0
+    assert "contraction failed" in capsys.readouterr().err
+    assert (tmp_path / "contraction_scan" / "threshold"
+            / "threshold.csv").exists()
+
+
+def test_blowup_demo(tmp_path, capsys):
+    load("blowup_demo").main(tmp_path)
+    out = tmp_path / "blowup_demo"
+    for name in ("sequences.csv", "certificate.csv", "escape.csv",
+                 "escape_history.csv", "verify.csv", "violations.csv"):
+        assert (out / name).exists(), name
+    summary = capsys.readouterr().out
+    assert "0 violations" in summary
+    assert "escape: sup_r u crossed" in summary
