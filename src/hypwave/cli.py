@@ -117,12 +117,15 @@ def _choice(cp, section, key, allowed, default):
     return val
 
 
-def _grid(cp):
-    """(t_max, r_max, dt, dr) from [grid], with joint-friendly defaults."""
-    return (_get(cp, "grid", "t_max", float, 4.0),
-            _get(cp, "grid", "r_max", float, 8.0),
-            _get(cp, "grid", "dt", float, 0.04),
-            _get(cp, "grid", "dr", float, 0.05))
+# propagate and decay default to a grid the FD oracle can also run on
+# (cfl = dt/dr = 0.8 <= 0.9); solve and contraction use SolverConfig's
+_FD_GRID = (4.0, 8.0, 0.04, 0.05)
+
+
+def _grid(cp, default):
+    """(t_max, r_max, dt, dr) from [grid]; each missing key from default."""
+    return tuple(_get(cp, "grid", key, float, value)
+                 for key, value in zip(("t_max", "r_max", "dt", "dr"), default))
 
 
 def _quad(cp):
@@ -251,7 +254,7 @@ def cmd_propagate(cp, out, seed):
     try:
         engine = _choice(cp, "propagate", "engine", ("kernel", "fd", "both"),
                          "kernel")
-        t_max, r_max, dt, dr = _grid(cp)
+        t_max, r_max, dt, dr = _grid(cp, _FD_GRID)
         t_grid = uniform_grid(t_max, dt, "t_max/dt")
         r_grid = uniform_grid(r_max, dr, "r_max/dr")
         quad = _quad(cp)
@@ -299,7 +302,7 @@ def cmd_solve(cp, out, seed):
             p=p,
             h=_get(cp, "solver", "h", float),
             epsilon=_get(cp, "solver", "epsilon", float),
-            grid=_grid(cp),
+            grid=_grid(cp, SolverConfig.grid),
             max_iters=_get(cp, "solver", "max_iters", int, 40),
             fixed_point_tol=_get(cp, "solver", "fixed_point_tol", float,
                                  1e-10))
@@ -338,7 +341,7 @@ def cmd_decay(cp, out, seed):
     from .meanprop import RadialProfile, linear_field
 
     try:
-        t_max, r_max, dt, dr = _grid(cp)
+        t_max, r_max, dt, dr = _grid(cp, _FD_GRID)
         t_grid = uniform_grid(t_max, dt, "t_max/dt")
         r_grid = uniform_grid(r_max, dr, "r_max/dr")
         k = _get(cp, "decay", "k", float, 1.0)
@@ -372,7 +375,7 @@ def cmd_contraction(cp, out, seed):
             p=p,
             h=_get(cp, "solver", "h", float),
             epsilon=_get(cp, "solver", "epsilon", float, 0.1),
-            grid=_grid(cp))
+            grid=_grid(cp, SolverConfig.grid))
         spec = _nonlin_spec(cp, p)
         if spec is None:
             raise ConfigError(

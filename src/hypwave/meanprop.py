@@ -22,6 +22,16 @@ O(log cosh(t+r)) panels. The outer s integral uses unit-width panels away
 from s = t and the substitution sigma^2 = 2 cosh t - 2 cosh s on the last
 panel, which removes the endpoint singularity there as well.
 
+Grid sweeps (linear_field and the PropagatorTable) evaluate one time level
+at a time from a flat panel list: the breakpoints of every (s-node, radius)
+pair in one pass, only the live panels kept, expanded to Gauss nodes in
+bounded chunks (_level_nodes). linear_field sums the weighted profile
+values of the nodes to their radii; the table scatters each node's weight
+to the cubic-interpolation cell it falls in as four moments w xi^p, then
+turns the moments into stencil entries with the stencil's monomial
+coefficients. The pointwise functions (spherical_mean, sine_propagator)
+build their nodes one point at a time and serve as the reference.
+
 All operations are pure; grid sweeps share no mutable state.
 """
 
@@ -60,6 +70,7 @@ __all__ = [
 
 _PANEL_RATIO = 3.0  # growth factor of the cosh(lam) panel breakpoints
 _DEGENERATE_REL = 1e-13
+_NODE_CHUNK = 1 << 14  # Gauss nodes _level_nodes expands at a time
 
 
 @lru_cache
@@ -249,63 +260,17 @@ def _as_profile(f):
 # the spherical mean
 
 
-def _mean_nodes_batch(t, r, n_gl, ratio=_PANEL_RATIO):
-    """Quadrature nodes for M^t f(r) at one time and a vector of radii.
+def _mean_nodes_point(t, r, n_gl, knots=None, ratio=_PANEL_RATIO):
+    """Quadrature nodes (lam, w) for M^t f(r) at one point, with
+    sum_k w[k] f(lam[k]) approximating the mean.
 
-    Returns (lam, w) of shape (n_r, n_nodes) with sum_k w[j,k] f(lam[j,k])
-    approximating the mean at r[j]; the weights of each row sum to 1
-    exactly. Panels are geometric in y = cosh(lam) between cosh(r-t) and
+    Panels are geometric in y = cosh(lam) between cosh(r-t) and
     cosh(r+t); nodes come from Gauss-Legendre in the substituted angle.
     lam is recovered through log1p on delta = y - 1 assembled from exact
     nonnegative pieces, which keeps nodes accurate near lam = 0 even when
-    cosh(r+t) is ~1e10.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    c_lo = np.cosh(r - t)
-    c_hi = np.cosh(r + t)
-    degenerate = (c_hi - c_lo) <= _DEGENERATE_REL * c_hi
-
-    span = np.log(np.maximum(c_hi / c_lo, 1.0 + 1e-300))
-    n_pan = np.maximum(np.ceil(span / np.log(ratio)).astype(int), 1)
-    p_max = int(n_pan.max())
-
-    # breakpoints in y, clamped to c_hi beyond each row's own panel count
-    # so that surplus panels collapse to zero width (weight 0)
-    p_idx = np.arange(p_max + 1)
-    expo = np.minimum(p_idx[None, :] / n_pan[:, None], 1.0)
-    y = c_lo[:, None] * np.exp(span[:, None] * expo)
-
-    mbar = 0.5 * (c_hi + c_lo)
-    hbar = np.maximum(0.5 * (c_hi - c_lo), 1e-300)
-    u = np.clip((y - mbar[:, None]) / hbar[:, None], -1.0, 1.0)
-    th = np.arccos(u)
-    th[:, 0] = np.pi  # the arccos endpoint must not lose the boundary panel
-
-    xg, wg = leggauss(n_gl)
-    lo_th = th[:, 1:]  # theta decreases with y
-    hi_th = th[:, :-1]
-    mid = 0.5 * (hi_th + lo_th)
-    half = 0.5 * (hi_th - lo_th)
-    theta = mid[:, :, None] + half[:, :, None] * xg[None, None, :]
-    w = (half[:, :, None] * wg[None, None, :]) / np.pi
-
-    delta = (c_lo - 1.0)[:, None, None] + 2.0 * hbar[:, None, None] * np.cos(theta / 2.0) ** 2
-    lam = np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
-
-    n_r = r.size
-    lam = lam.reshape(n_r, -1)
-    w = w.reshape(n_r, -1)
-    if np.any(degenerate):
-        lam[degenerate, :] = np.maximum(r[degenerate], t)[:, None]
-        w[degenerate, :] = 0.0
-        w[degenerate, 0] = 1.0
-    return lam, w
-
-
-def _mean_nodes_point(t, r, n_gl, knots=None, ratio=_PANEL_RATIO):
-    """Single-point variant of _mean_nodes_batch with optional extra panel
-    breaks at the profile's knots, so that piecewise-polynomial profiles are
-    integrated panel-per-piece and the rule stays spectrally accurate."""
+    cosh(r+t) is ~1e10. Optional extra panel breaks at the profile's knots
+    make piecewise-polynomial profiles integrate panel-per-piece, so the
+    rule stays spectrally accurate."""
     c_lo = np.cosh(r - t)
     c_hi = np.cosh(r + t)
     if c_hi - c_lo <= _DEGENERATE_REL * c_hi:
@@ -413,26 +378,93 @@ def sine_propagator(phi, t, r, q=QuadratureConfig()):
     return float(total)
 
 
-def linear_field(phi, t_grid, r_grid, q=QuadratureConfig()):
-    """sine_propagator evaluated on a full (t, r) grid, vectorized over r.
+def _live_panels(s, r_grid):
+    """The panels of the spherical means M^{s_k} at every radius r_j.
 
-    Equivalent to calling sine_propagator pointwise (same rules, single
-    level) but batched so that large grids stay affordable.
+    Panels are geometric in y = cosh(lam) between cosh(r_j - s_k) and
+    cosh(r_j + s_k), mapped to the angle of the substitution. The
+    breakpoints of the whole (r, s) block come out of one pass, every pair
+    padded to the widest pair's panel count with breakpoints clamped to its
+    upper end. The padding has angular width exactly 0, so only the live
+    panels (nonzero width) of nondegenerate pairs are returned, as flat
+    arrays (j, k, mid, half, c_lo - 1, halfwidth in y) in row-major (j, k)
+    order, together with the (n_r, S) mask of the degenerate pairs.
+    """
+    c_lo = np.cosh(r_grid[:, None] - s[None, :])
+    c_hi = np.cosh(r_grid[:, None] + s[None, :])
+    degenerate = (c_hi - c_lo) <= _DEGENERATE_REL * c_hi
+
+    span = np.log(np.maximum(c_hi / c_lo, 1.0 + 1e-300))
+    n_pan = np.maximum(np.ceil(span / np.log(_PANEL_RATIO)).astype(int), 1)
+    mbar = 0.5 * (c_hi + c_lo)
+    hbar = np.maximum(0.5 * (c_hi - c_lo), 1e-300)
+
+    # th = arccos((y - mbar) / hbar) at the breakpoints
+    # y = c_lo exp(span min(p / n_pan, 1)), in place on one (n_r, S, P + 1) block
+    th = np.arange(n_pan.max() + 1) / n_pan[..., None]
+    np.minimum(th, 1.0, out=th)
+    th *= span[..., None]
+    np.exp(th, out=th)
+    th *= c_lo[..., None]
+    th -= mbar[..., None]
+    th /= hbar[..., None]
+    np.clip(th, -1.0, 1.0, out=th)
+    np.arccos(th, out=th)
+    th[..., 0] = np.pi  # the arccos endpoint must not lose the boundary panel
+    half = 0.5 * (th[..., :-1] - th[..., 1:])  # theta decreases with y
+    j, k, p = np.nonzero((half != 0.0) & ~degenerate[..., None])
+    mid = 0.5 * (th[j, k, p] + th[j, k, p + 1])
+    return j, k, mid, half[j, k, p], (c_lo - 1.0)[j, k], hbar[j, k], degenerate
+
+
+def _level_nodes(t, r_grid, q):
+    """The flat node list of I(t, r_j, .) for every radius r_j at once.
+
+    Yields chunks (row, lam, w) of flat arrays, rows ascending within each
+    chunk, such that I(t, r_j, f) ~= sum over the nodes with row == j of
+    w f(lam). The rule
+    is a single Gauss level of sine_propagator: the outer s-nodes of
+    _propagator_nodes and, for each pair (s_k, r_j), the live panels of
+    _live_panels with n_gl Gauss nodes in the substituted angle; w is the
+    outer weight times the inner one. Panels are expanded to at most
+    _NODE_CHUNK nodes at a time, so memory stays bounded on large grids.
+    A degenerate pair (s_k or r_j ~ 0) is one unit-weight node at
+    max(r_j, s_k); those come in the last chunk.
+    """
+    s, ws = _propagator_nodes(t, q)
+    n_gl = max(6, q.nodes_inner // 5) + 4
+    xg, wg = leggauss(n_gl)
+    j, k, mid, half, c_lo1, hbar, degenerate = _live_panels(s, r_grid)
+    per = max(_NODE_CHUNK // n_gl, 1)
+    for a in range(0, j.size, per):
+        b = slice(a, a + per)
+        theta = mid[b, None] + half[b, None] * xg
+        w = ws[k[b], None] * ((half[b, None] * wg) / np.pi)
+        delta = c_lo1[b, None] + 2.0 * hbar[b, None] * np.cos(theta / 2.0) ** 2
+        lam = np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
+        yield np.repeat(j[b], n_gl), lam.ravel(), w.ravel()
+    if degenerate.any():
+        j, k = np.nonzero(degenerate)
+        yield j, np.maximum(r_grid[j], s[k]), ws[k]
+
+
+def linear_field(phi, t_grid, r_grid, q=QuadratureConfig()):
+    """sine_propagator evaluated on a full (t, r) grid.
+
+    The same rule as a single level of sine_propagator, evaluated per time
+    level from _level_nodes' flat panel list: the profile is evaluated on
+    each chunk of nodes, and the weighted values are summed to their radii
+    with one bincount.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     prof = _as_profile(phi)
-    n_gl = max(6, q.nodes_inner // 5) + 4
     out = np.zeros((t_grid.size, r_grid.size))
     for i, t in enumerate(t_grid):
         if t <= 0.0:
             continue
-        s_nodes, s_w = _propagator_nodes(t, q)
-        row = np.zeros(r_grid.size)
-        for s_k, w_k in zip(s_nodes, s_w):
-            lam, w = _mean_nodes_batch(s_k, r_grid, n_gl)
-            row += w_k * np.einsum("jk,jk->j", w, prof(lam))
-        out[i] = row
+        for row, lam, w in _level_nodes(t, r_grid, q):
+            out[i] += np.bincount(row, weights=w * prof(lam), minlength=r_grid.size)
     return SpaceTimeField(t_grid, r_grid, out)
 
 
@@ -508,6 +540,14 @@ def duhamel(F, t, r, q=QuadratureConfig()):
     return float(total)
 
 
+# The 4-point Lagrange stencil on l0-1 .. l0+2 at xi = lam/dr - l0 in
+# monomial form: row o (offset o - 1) holds the coefficients of xi^0 .. xi^3.
+_STENCIL = np.array([[0.0, -1.0 / 3.0, 0.5, -1.0 / 6.0],
+                     [1.0, -0.5, -1.0, 0.5],
+                     [0.0, 1.0, 0.5, -0.5],
+                     [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0]])
+
+
 class PropagatorTable:
     """Precomputed linear propagation on a fixed rectangular grid.
 
@@ -518,7 +558,15 @@ class PropagatorTable:
     reflection through the origin. Sources are treated as zero beyond the
     last grid radius, so Duhamel values are exact (up to quadrature and
     interpolation) inside the triangle t + r <= r_max and truncated
-    outside it.
+    outside it. The time grid starts at 0, so that row i is lag i.
+
+    A[d] is built from the flat panel list of _level_nodes at t = d*dt by
+    cell moments: a node at lam = dr (l0 + xi), 0 <= xi < 1, adds w xi^p
+    (p = 0..3) to the moments of its cell (j, l0), four bincounts over one
+    flat index; nodes past the grid share one dump cell. The stencil's
+    monomial coefficients then turn the moments of cell l0 into the
+    entries l0-1 .. l0+2 of row j, the entry -1 folds onto 1 (the even
+    reflection) and the columns >= n_r are dropped.
 
     apply_linear contracts the table against a sampled data profile.
     duhamel_field evaluates the source integral on the whole grid, for one
@@ -533,8 +581,8 @@ class PropagatorTable:
             raise DomainError("PropagatorTable needs at least a 2x2 grid")
         dt = t_grid[1] - t_grid[0]
         dr = r_grid[1] - r_grid[0]
-        if not np.allclose(np.diff(t_grid), dt, rtol=1e-9):
-            raise DomainError("PropagatorTable requires a uniform time grid")
+        if not np.allclose(np.diff(t_grid), dt, rtol=1e-9) or t_grid[0] != 0.0:
+            raise DomainError("PropagatorTable requires a uniform time grid from 0")
         if not np.allclose(np.diff(r_grid), dr, rtol=1e-9) or r_grid[0] != 0.0:
             raise DomainError("PropagatorTable requires a uniform radius grid from 0")
         self.t_grid = t_grid
@@ -543,35 +591,36 @@ class PropagatorTable:
         self.dr = dr
         self.quad = q
         n_t, n_r = t_grid.size, r_grid.size
-        n_gl = max(6, q.nodes_inner // 5) + 4
         A = np.zeros((n_t, n_r, n_r))
         for d in range(1, n_t):
-            A[d] = self._lag_matrix(d * dt, n_gl)
+            A[d] = self._lag_matrix(d * dt)
         self._A = A
 
-    def _lag_matrix(self, t, n_gl):
+    def _lag_matrix(self, t):
         n_r = self.r_grid.size
-        M = np.zeros((n_r, n_r))
-        s_nodes, s_w = _propagator_nodes(t, self.quad)
+        width = n_r + 2  # cells l0 = 0 .. n_r, then the dump cell
+        mom = np.zeros((4, n_r * width))
         inv_dr = 1.0 / self.dr
-        for s_k, w_k in zip(s_nodes, s_w):
-            lam, w = _mean_nodes_batch(s_k, self.r_grid, n_gl)
+        for row, lam, w in _level_nodes(t, self.r_grid, self.quad):
             pos = lam * inv_dr
-            l0 = np.floor(pos).astype(int)
+            l0 = np.floor(pos)
             xi = pos - l0
-            # 4-point Lagrange stencil on l0-1 .. l0+2
-            cm1 = -xi * (xi - 1.0) * (xi - 2.0) / 6.0
-            c0 = (xi * xi - 1.0) * (xi - 2.0) / 2.0
-            c1 = -xi * (xi + 1.0) * (xi - 2.0) / 2.0
-            c2 = xi * (xi * xi - 1.0) / 6.0
-            rows = np.broadcast_to(np.arange(n_r)[:, None], lam.shape)
-            for off, c in ((-1, cm1), (0, c0), (1, c1), (2, c2)):
-                idx = np.abs(l0 + off)  # even reflection through r = 0
-                keep = idx < n_r  # beyond the grid the profile is taken as 0
-                flat = rows[keep] * n_r + idx[keep]
-                M_flat = np.bincount(flat, weights=(w_k * w * c)[keep], minlength=n_r * n_r)
-                M += M_flat.reshape(n_r, n_r)
-        return M
+            # from l0 = n_r + 1 on, the whole stencil lies past the grid
+            cell = np.minimum(l0, n_r + 1).astype(np.intp)
+            # rows ascend, so a chunk touches the moments of rows lo..hi-1
+            lo, hi = row[0], row[-1] + 1
+            flat = (row - lo) * width + cell
+            part = mom[:, lo * width:hi * width]
+            for p in range(4):
+                part[p] += np.bincount(flat, weights=w, minlength=part.shape[1])
+                w = w * xi
+        # entry l0 + o - 1 of row j gets sum_p _STENCIL[o, p] mom[p, j, l0]
+        coef = np.tensordot(_STENCIL, mom.reshape(4, n_r, width), axes=1)
+        M = np.zeros((n_r, width + 3))
+        for o in range(4):
+            M[:, o:o + width] += coef[o]
+        M[:, 2] += M[:, 0]  # even reflection through r = 0: entry -1 is entry 1
+        return M[:, 1:n_r + 1]
 
     def apply_linear(self, data_values):
         """Field of I(t_i, r_j, f) for f sampled on the r grid (zero beyond)."""

@@ -8,6 +8,7 @@ of blowlab and are pinned here only loosely.
 """
 
 import csv
+import importlib
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+import hypwave
 from hypwave.cli import _apply_thread_cap, _fmt, main
 
 
@@ -147,6 +149,43 @@ def test_bad_time_grid_is_config_error(tmp_path, capsys, command, t_max, dt,
     err = capsys.readouterr().err
     assert "config error" in err and "t_max/dt" in err
     assert not (out / written).exists()
+
+
+class GridSeen(Exception):
+    """Raised by a stubbed engine call with the grid it was given."""
+
+
+@pytest.mark.parametrize("command, module, engine, body, want", [
+    ("solve", "globalsolver", "picard_solve",
+     "[solver]\np = 3.5\nh = 1.2\nepsilon = 0.0\n", (8.0, 8.0, 0.05, 0.05)),
+    ("contraction", "globalsolver", "contraction_probe",
+     "[solver]\np = 3.5\nh = 1.2\n", (8.0, 8.0, 0.05, 0.05)),
+    ("solve", "globalsolver", "picard_solve",
+     "[grid]\nt_max = 2.0\n[solver]\np = 3.5\nh = 1.2\nepsilon = 0.0\n",
+     (2.0, 8.0, 0.05, 0.05)),
+    ("propagate", "meanprop", "linear_field", "[data]\nkind = constant\n",
+     (4.0, 8.0, 0.04, 0.05)),
+    ("decay", "meanprop", "linear_field", "", (4.0, 8.0, 0.04, 0.05)),
+], ids=["solve", "contraction", "solve-t_max-only", "propagate", "decay"])
+def test_default_grid(tmp_path, monkeypatch, command, module, engine, body,
+                      want):
+    # solve and contraction default to the library's SolverConfig grid,
+    # propagate and decay to the FD-stable one; stubs stop before compute
+    from hypwave.globalsolver import SolverConfig
+
+    def stub(*args, **kwargs):
+        cfg = next((a for a in args if isinstance(a, SolverConfig)), None)
+        if cfg is not None:
+            raise GridSeen(cfg.grid)
+        t_grid, r_grid = args[1], args[2]
+        raise GridSeen((t_grid[-1], r_grid[-1], t_grid[1] - t_grid[0],
+                        r_grid[1] - r_grid[0]))
+
+    monkeypatch.setattr(importlib.import_module(f"hypwave.{module}"), engine,
+                        stub)
+    with pytest.raises(GridSeen) as seen:
+        run_cli(tmp_path, command, body)
+    assert seen.value.args[0] == pytest.approx(want, rel=1e-12)
 
 
 class TestSolve:
@@ -437,9 +476,14 @@ class TestEntryPoint:
         cfg = tmp_path / "run.ini"
         cfg.write_text(SMALL_GRID + "[data]\nkind = zero\n",
                        encoding="utf-8")
+        # the child imports the same hypwave as this process, installed
+        # or not
+        src = os.path.dirname(os.path.dirname(hypwave.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "hypwave.cli", "propagate",
              "--config", str(cfg), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert (tmp_path / "out" / "field.csv").exists()

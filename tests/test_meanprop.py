@@ -20,7 +20,9 @@ from hypwave.meanprop import (
     RadialProfile,
     SpaceTimeField,
     W_evaluator,
+    _DEGENERATE_REL,
     _lag_weights,
+    _propagator_nodes,
     _time_weights,
     _w_inner,
     beta_identity_check,
@@ -417,6 +419,130 @@ class TestDuhamelConvolution:
             for k in range(i):
                 d = i - k
                 assert abs(w[d if d < 4 else 0, k] - want[k]) <= 1e-15
+
+
+def mean_nodes_batch(t, r, n_gl, ratio=3.0):
+    """The former per-s-node builder of the mean's nodes at every radius:
+    rows padded to the widest row's panel count, the padding at weight 0,
+    degenerate rows one unit-weight node at max(r, t)."""
+    c_lo = np.cosh(r - t)
+    c_hi = np.cosh(r + t)
+    degenerate = (c_hi - c_lo) <= _DEGENERATE_REL * c_hi
+    span = np.log(np.maximum(c_hi / c_lo, 1.0 + 1e-300))
+    n_pan = np.maximum(np.ceil(span / np.log(ratio)).astype(int), 1)
+    p_idx = np.arange(int(n_pan.max()) + 1)
+    expo = np.minimum(p_idx[None, :] / n_pan[:, None], 1.0)
+    y = c_lo[:, None] * np.exp(span[:, None] * expo)
+    mbar = 0.5 * (c_hi + c_lo)
+    hbar = np.maximum(0.5 * (c_hi - c_lo), 1e-300)
+    th = np.arccos(np.clip((y - mbar[:, None]) / hbar[:, None], -1.0, 1.0))
+    th[:, 0] = np.pi
+    xg, wg = leggauss(n_gl)
+    mid = 0.5 * (th[:, :-1] + th[:, 1:])
+    half = 0.5 * (th[:, :-1] - th[:, 1:])
+    theta = mid[:, :, None] + half[:, :, None] * xg
+    w = (half[:, :, None] * wg) / np.pi
+    delta = (c_lo - 1.0)[:, None, None] + 2.0 * hbar[:, None, None] * np.cos(theta / 2.0) ** 2
+    lam = np.log1p(delta + np.sqrt(delta * (delta + 2.0))).reshape(r.size, -1)
+    w = w.reshape(r.size, -1)
+    lam[degenerate, :] = np.maximum(r[degenerate], t)[:, None]
+    w[degenerate, :] = 0.0
+    w[degenerate, 0] = 1.0
+    return lam, w
+
+
+def lag_matrix_by_s_node(r_grid, t, q=QuadratureConfig()):
+    """The former lag matrix: per outer s-node, the stencil weights of
+    every node scattered with four masked bincounts into a dense matrix."""
+    n_r = r_grid.size
+    n_gl = max(6, q.nodes_inner // 5) + 4
+    M = np.zeros((n_r, n_r))
+    s_nodes, s_w = _propagator_nodes(t, q)
+    inv_dr = 1.0 / (r_grid[1] - r_grid[0])
+    for s_k, w_k in zip(s_nodes, s_w):
+        lam, w = mean_nodes_batch(s_k, r_grid, n_gl)
+        pos = lam * inv_dr
+        l0 = np.floor(pos).astype(int)
+        xi = pos - l0
+        cm1 = -xi * (xi - 1.0) * (xi - 2.0) / 6.0
+        c0 = (xi * xi - 1.0) * (xi - 2.0) / 2.0
+        c1 = -xi * (xi + 1.0) * (xi - 2.0) / 2.0
+        c2 = xi * (xi * xi - 1.0) / 6.0
+        rows = np.broadcast_to(np.arange(n_r)[:, None], lam.shape)
+        for off, c in ((-1, cm1), (0, c0), (1, c1), (2, c2)):
+            idx = np.abs(l0 + off)
+            keep = idx < n_r
+            flat = rows[keep] * n_r + idx[keep]
+            M += np.bincount(flat, weights=(w_k * w * c)[keep],
+                             minlength=n_r * n_r).reshape(n_r, n_r)
+    return M
+
+
+def linear_field_by_s_node(phi, t_grid, r_grid, q=QuadratureConfig()):
+    """The former linear_field: one padded node batch per outer s-node."""
+    n_gl = max(6, q.nodes_inner // 5) + 4
+    out = np.zeros((t_grid.size, r_grid.size))
+    for i, t in enumerate(t_grid):
+        if t <= 0.0:
+            continue
+        s_nodes, s_w = _propagator_nodes(t, q)
+        for s_k, w_k in zip(s_nodes, s_w):
+            lam, w = mean_nodes_batch(s_k, r_grid, n_gl)
+            out[i] += w_k * np.einsum("jk,jk->j", w, phi(lam))
+    return out
+
+
+def assert_rows_close(got, want, rel=1e-13):
+    scale = np.max(np.abs(want), axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+class TestFlatPanelList:
+    # (t grid, r grid, quadrature): t_max > r_max sends nodes past the grid
+    # into the dump cell; n_t = 2 is a single lag; every grid has the
+    # degenerate r = 0 row
+    @pytest.mark.parametrize("t_grid, r_grid, q", [
+        (np.linspace(0.0, 3.0, 13), np.linspace(0.0, 2.0, 11), QuadratureConfig()),
+        (np.linspace(0.0, 0.1, 2), np.linspace(0.0, 4.0, 21), QuadratureConfig()),
+        (np.linspace(0.0, 1.5, 7), np.linspace(0.0, 3.0, 16),
+         QuadratureConfig(nodes_inner=20)),
+    ], ids=["t_max>r_max", "n_t=2", "nodes_inner=20"])
+    def test_table_matches_per_s_node_loop(self, t_grid, r_grid, q):
+        tab = PropagatorTable(t_grid, r_grid, q)
+        assert np.all(tab._A[0] == 0.0)
+        for d in range(1, t_grid.size):
+            want = lag_matrix_by_s_node(r_grid, d * tab.dt, q)
+            assert np.any(want[0] != 0.0)  # the degenerate r = 0 row
+            assert_rows_close(tab._A[d], want)
+
+    def test_single_lag_with_many_panels(self):
+        # t = 8 on 161 radii: up to ~15 panels per (s, r) pair; the two-row
+        # time grid builds this one lag only
+        r_grid = np.linspace(0.0, 8.0, 161)
+        tab = PropagatorTable([0.0, 8.0], r_grid)
+        assert_rows_close(tab._A[1], lag_matrix_by_s_node(r_grid, 8.0))
+
+    @pytest.mark.parametrize("t_grid, r_grid, q", [
+        (np.linspace(0.0, 3.0, 7), np.linspace(0.0, 2.0, 9), QuadratureConfig()),
+        (np.linspace(0.05, 2.05, 5), np.linspace(0.0, 3.0, 13),
+         QuadratureConfig(nodes_inner=20)),
+        (np.array([0.0, 8.0]), np.linspace(0.0, 8.0, 161), QuadratureConfig()),
+    ], ids=["t_max>r_max", "off-zero-t,nodes_inner=20", "t=8,161-radii"])
+    @pytest.mark.parametrize("phi", [
+        theta1,
+        RadialProfile.from_samples(np.linspace(0.0, 3.0, 13),
+                                   np.cos(np.linspace(0.0, 3.0, 13)) ** 2),
+    ], ids=["theta1", "sampled"])
+    def test_linear_field_matches_per_s_node_loop(self, t_grid, r_grid, q, phi):
+        got = linear_field(phi, t_grid, r_grid, q).values
+        want = linear_field_by_s_node(phi, t_grid, r_grid, q)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_time_grid_must_start_at_zero(self):
+        # row i is the lag i * dt; a grid from t = 1 would put I(0.5) on the
+        # t = 1.5 row
+        with pytest.raises(DomainError, match="time grid from 0"):
+            PropagatorTable([1.0, 1.25, 1.5], np.linspace(0.0, 4.0, 17))
 
 
 class TestLeggaussCache:
