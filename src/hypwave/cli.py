@@ -309,6 +309,7 @@ def cmd_solve(cp, out, seed):
         spec = _nonlin_spec(cp, p)
         data_k = _get(cp, "data", "k", float, 1.0)
         params = EnvelopeParams(k=data_k)
+        quad = _quad(cp)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
@@ -318,7 +319,7 @@ def cmd_solve(cp, out, seed):
     # not a crash; escape and quadrature trouble still exit with code 3.
     try:
         field, history = picard_solve(u0, u1, spec, cfg, data_k=data_k,
-                                      q=_quad(cp))
+                                      q=quad)
         converged = True
     except ConvergenceError as exc:
         field, history, converged = None, exc.history, False

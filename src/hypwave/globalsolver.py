@@ -23,7 +23,7 @@ on the differences F(u) - F(v), which linearity allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -395,11 +395,8 @@ def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
     units = _pair_shapes(rng_seed, n_pairs, cfg.t_grid, cfg.r_grid)
 
     def ratio_at(eps):
-        probe_cfg = SolverConfig(p=cfg.p, h=cfg.h, epsilon=eps, grid=cfg.grid,
-                                 max_iters=cfg.max_iters,
-                                 fixed_point_tol=cfg.fixed_point_tol)
         try:
-            rep = _probe(spec, probe_cfg, units, data_k, q)
+            rep = _probe(spec, replace(cfg, epsilon=eps), units, data_k, q)
         except EscapeError:
             return np.inf
         return rep.max_ratio

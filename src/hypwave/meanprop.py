@@ -22,15 +22,18 @@ O(log cosh(t+r)) panels. The outer s integral uses unit-width panels away
 from s = t and the substitution sigma^2 = 2 cosh t - 2 cosh s on the last
 panel, which removes the endpoint singularity there as well.
 
-Grid sweeps (linear_field and the PropagatorTable) evaluate one time level
-at a time from a flat panel list: the breakpoints of every (s-node, radius)
-pair in one pass, only the live panels kept, expanded to Gauss nodes in
-bounded chunks (_level_nodes). linear_field sums the weighted profile
-values of the nodes to their radii; the table scatters each node's weight
-to the cubic-interpolation cell it falls in as four moments w xi^p, then
-turns the moments into stencil entries with the stencil's monomial
-coefficients. The pointwise functions (spherical_mean, sine_propagator)
-build their nodes one point at a time and serve as the reference.
+One node builder (_mean_nodes) serves every evaluation of the mean: it
+lists the nodes of sum_k ws_k M^{s_k} f(r_j) for all pairs (s_k, r_j) in
+one flat panel list, breakpoints from one pass with both angular ends
+pinned, panels broken at the profile's knots, expanded to Gauss nodes in
+bounded chunks. spherical_mean is the list of one pair; sine_propagator
+is the outer s-rule at one radius; both settle over the angular levels
+(n, n + 4), n = n0, 2 n0, 4 n0 (_settle). The grid sweeps take the first
+level n0 + 4 at every time level: linear_field sums the weighted profile
+values of the nodes to their radii, with the profile's knots; the table,
+without knots, scatters each node's weight to the cubic-interpolation
+cell it falls in as four moments w xi^p, then turns the moments into
+stencil entries with the stencil's monomial coefficients.
 
 All operations are pure; grid sweeps share no mutable state.
 """
@@ -70,7 +73,7 @@ __all__ = [
 
 _PANEL_RATIO = 3.0  # growth factor of the cosh(lam) panel breakpoints
 _DEGENERATE_REL = 1e-13
-_NODE_CHUNK = 1 << 14  # Gauss nodes _level_nodes expands at a time
+_NODE_CHUNK = 1 << 14  # Gauss nodes _mean_nodes expands at a time
 
 
 @lru_cache
@@ -260,74 +263,124 @@ def _as_profile(f):
 # the spherical mean
 
 
-def _mean_nodes_point(t, r, n_gl, knots=None, ratio=_PANEL_RATIO):
-    """Quadrature nodes (lam, w) for M^t f(r) at one point, with
-    sum_k w[k] f(lam[k]) approximating the mean.
+def _mean_nodes(s, ws, r, n_gl, knots=None):
+    """The flat node list of sum_k ws_k M^{s_k} f(r_j) for every radius r_j.
 
-    Panels are geometric in y = cosh(lam) between cosh(r-t) and
-    cosh(r+t); nodes come from Gauss-Legendre in the substituted angle.
-    lam is recovered through log1p on delta = y - 1 assembled from exact
-    nonnegative pieces, which keeps nodes accurate near lam = 0 even when
-    cosh(r+t) is ~1e10. Optional extra panel breaks at the profile's knots
-    make piecewise-polynomial profiles integrate panel-per-piece, so the
-    rule stays spectrally accurate."""
-    c_lo = np.cosh(r - t)
-    c_hi = np.cosh(r + t)
-    if c_hi - c_lo <= _DEGENERATE_REL * c_hi:
-        return np.asarray([max(r, t)]), np.asarray([1.0])
-
-    n_pan = max(int(np.ceil(np.log(c_hi / c_lo) / np.log(ratio))), 1)
-    y = np.geomspace(c_lo, c_hi, n_pan + 1)
-    if knots is not None:
-        kn = np.asarray(knots, dtype=float)
-        kn = kn[(kn > abs(r - t)) & (kn < r + t)]
-        if kn.size:
-            y = np.unique(np.concatenate([y, np.cosh(kn)]))
-            y = np.concatenate([y[:1], y[1:][np.diff(y) > 1e-14 * c_hi]])
-            y[-1] = c_hi
-
+    Yields chunks (row, lam, w) of flat arrays, rows ascending within each
+    chunk, such that sum_k ws_k M^{s_k} f(r_j) ~= sum over the nodes with
+    row == j of w f(lam). Each pair (s_k, r_j) gets panels geometric in
+    y = cosh(lam) between cosh(r_j - s_k) and cosh(r_j + s_k), broken also
+    at the knots inside that range, with n_gl Gauss nodes per panel in the
+    substituted angle. All breakpoints come out of one in-place pass over
+    their fractions of the log span, padded to the widest pair with the
+    fraction 1 and with the knots clamped into range; both angular ends
+    are set exactly, so each pair's weights sum to ws_k, and the
+    zero-width panels are dropped. lam is recovered through log1p on
+    delta = y - 1 assembled from exact nonnegative pieces, which keeps
+    nodes accurate near lam = 0 even when cosh(r + s) is ~1e10. Panels
+    are expanded at most _NODE_CHUNK nodes at a time. A degenerate pair
+    (s_k or r_j ~ 0) is one node of weight ws_k at max(r_j, s_k); those
+    come in the last chunk.
+    """
+    c_lo = np.cosh(r[:, None] - s)
+    c_hi = np.cosh(r[:, None] + s)
+    degenerate = (c_hi - c_lo) <= _DEGENERATE_REL * c_hi
+    j, k = np.nonzero(~degenerate)
+    c_lo, c_hi = c_lo[j, k], c_hi[j, k]
+    span = np.log(c_hi / c_lo)
+    n_pan = np.ceil(span / np.log(_PANEL_RATIO)).astype(int)
     mbar = 0.5 * (c_hi + c_lo)
     hbar = 0.5 * (c_hi - c_lo)
-    th = np.arccos(np.clip((y - mbar) / hbar, -1.0, 1.0))
-    th[0] = np.pi  # the arccos endpoints must not lose the boundary panels
-    th[-1] = 0.0
+
+    th = np.arange(n_pan.max(initial=1) + 1) / n_pan[:, None]
+    np.minimum(th, 1.0, out=th)
+    if knots is not None:
+        f_knot = (log_cosh(np.asarray(knots, dtype=float))
+                  - np.log(c_lo)[:, None]) / span[:, None]
+        th = np.sort(np.concatenate([th, np.clip(f_knot, 0.0, 1.0)], axis=1),
+                     axis=1)
+    bottom, top = th == 0.0, th == 1.0
+    # th = arccos((y - mbar) / hbar) at y = c_lo exp(span f), in place
+    th *= span[:, None]
+    np.exp(th, out=th)
+    th *= c_lo[:, None]
+    th -= mbar[:, None]
+    th /= hbar[:, None]
+    np.clip(th, -1.0, 1.0, out=th)
+    np.arccos(th, out=th)
+    # near +-1 arccos turns the rounding of its argument into angle errors
+    # up to ~1e-7, a weight lost at the end panels: set both ends exactly
+    th[bottom] = np.pi  # theta decreases with y
+    th[top] = 0.0
+    half = 0.5 * (th[:, :-1] - th[:, 1:])
+    pair, p = np.nonzero(half)
+    mid = 0.5 * (th[pair, p] + th[pair, p + 1])
+    half = half[pair, p]
+    j, k, c_lo1, hbar = j[pair], k[pair], c_lo[pair] - 1.0, hbar[pair]
 
     xg, wg = leggauss(n_gl)
-    mid = 0.5 * (th[:-1] + th[1:])
-    half = 0.5 * (th[:-1] - th[1:])
-    theta = mid[:, None] + half[:, None] * xg[None, :]
-    w = (half[:, None] * wg[None, :]).ravel() / np.pi
+    per = max(_NODE_CHUNK // n_gl, 1)
+    for a in range(0, pair.size, per):
+        b = slice(a, a + per)
+        theta = mid[b, None] + half[b, None] * xg
+        w = ws[k[b], None] * ((half[b, None] * wg) / np.pi)
+        delta = c_lo1[b, None] + 2.0 * hbar[b, None] * np.cos(theta / 2.0) ** 2
+        lam = np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
+        yield np.repeat(j[b], n_gl), lam.ravel(), w.ravel()
+    if degenerate.any():
+        j, k = np.nonzero(degenerate)
+        yield j, np.maximum(r[j], s[k]), ws[k]
 
-    delta = (c_lo - 1.0) + 2.0 * hbar * np.cos(theta.ravel() / 2.0) ** 2
-    lam = np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
-    return lam, w
+
+def _mean_sum(prof, s, ws, r, n_gl):
+    """sum_k ws_k M^{s_k} prof(r_j) for every radius r_j, from _mean_nodes
+    with panels broken at the profile's knots."""
+    out = np.zeros(r.size)
+    for row, lam, w in _mean_nodes(s, ws, r, n_gl, prof.knots):
+        out += np.bincount(row, weights=w * prof(lam), minlength=r.size)
+    return out
+
+
+def _first_level(q):
+    """n0, the smallest angular Gauss level of the mean's rule."""
+    return max(6, q.nodes_inner // 5)
+
+
+def _settle(prof, s, ws, r, q, what):
+    """sum_k ws_k M^{s_k} prof(r) at one radius r, settled over the angular
+    levels (n, n + 4) for n = n0, 2 n0, 4 n0.
+
+    Returns the value at n + 4 for the first pair of levels that agrees
+    within the configured tolerances and raises QuadratureError when even
+    the finest pair disagrees.
+    """
+    rr = np.asarray([r])
+    n0 = _first_level(q)
+    for n in (n0, 2 * n0, 4 * n0):
+        coarse, fine = (float(_mean_sum(prof, s, ws, rr, m)[0]) for m in (n, n + 4))
+        err = abs(fine - coarse)
+        if err <= max(q.abs_tol, q.rel_tol * max(abs(coarse), abs(fine))):
+            return fine
+    raise QuadratureError(
+        f"{what} did not settle: the finest refinement still moved the "
+        f"value by {err:.3e}")
 
 
 def spherical_mean(f, t, r, q=QuadratureConfig()):
     """The mean of a radial profile over the geodesic sphere of radius t at r.
 
-    Evaluates the graded-panel rule at two node counts (escalating once the
-    levels disagree) and raises QuadratureError when even the finest pair
-    disagrees beyond the configured tolerances. t = 0 returns f(r) exactly.
+    Evaluates the graded-panel rule of _mean_nodes at two node counts
+    (escalating once the levels disagree) and raises QuadratureError when
+    even the finest pair disagrees beyond the configured tolerances. t = 0
+    returns f(r) exactly.
     """
     if t < 0 or r < 0:
         raise DomainError("spherical_mean needs t >= 0 and r >= 0")
     prof = _as_profile(f)
     if t == 0.0:
         return float(prof(np.asarray([r]))[0])
-    n_gl = max(6, q.nodes_inner // 5)
-    err = np.inf
-    for n in (n_gl, 2 * n_gl, 4 * n_gl):
-        vals = []
-        for m in (n, n + 4):
-            lam, w = _mean_nodes_point(t, r, m, knots=prof.knots)
-            vals.append(float(np.dot(w, prof(lam))))
-        err = abs(vals[1] - vals[0])
-        if err <= max(q.abs_tol, q.rel_tol * max(abs(vals[0]), abs(vals[1]))):
-            return vals[1]
-    raise QuadratureError(
-        f"spherical mean at (t={t}, r={r}) did not settle: the finest "
-        f"refinement still moved the value by {err:.3e}")
+    return _settle(prof, np.asarray([t]), np.ones(1), r, q,
+                   f"spherical mean at (t={t}, r={r})")
 
 
 # ---------------------------------------------------------------------------
@@ -365,106 +418,38 @@ def _propagator_nodes(t, q):
 
 
 def sine_propagator(phi, t, r, q=QuadratureConfig()):
-    """Solution at (t, r) of the shifted linear wave equation with data (0, phi)."""
+    """Solution at (t, r) of the shifted linear wave equation with data (0, phi).
+
+    The outer s-rule of _propagator_nodes with the spherical means of all
+    its nodes in one _mean_nodes list, at the settled angular level.
+    """
     if t < 0 or r < 0:
         raise DomainError("sine_propagator needs t >= 0 and r >= 0")
     if t == 0.0:
         return 0.0
     prof = _as_profile(phi)
-    s_nodes, s_w = _propagator_nodes(t, q)
-    total = 0.0
-    for s_k, w_k in zip(s_nodes, s_w):
-        total += w_k * spherical_mean(prof, s_k, r, q)
-    return float(total)
-
-
-def _live_panels(s, r_grid):
-    """The panels of the spherical means M^{s_k} at every radius r_j.
-
-    Panels are geometric in y = cosh(lam) between cosh(r_j - s_k) and
-    cosh(r_j + s_k), mapped to the angle of the substitution. The
-    breakpoints of the whole (r, s) block come out of one pass, every pair
-    padded to the widest pair's panel count with breakpoints clamped to its
-    upper end. The padding has angular width exactly 0, so only the live
-    panels (nonzero width) of nondegenerate pairs are returned, as flat
-    arrays (j, k, mid, half, c_lo - 1, halfwidth in y) in row-major (j, k)
-    order, together with the (n_r, S) mask of the degenerate pairs.
-    """
-    c_lo = np.cosh(r_grid[:, None] - s[None, :])
-    c_hi = np.cosh(r_grid[:, None] + s[None, :])
-    degenerate = (c_hi - c_lo) <= _DEGENERATE_REL * c_hi
-
-    span = np.log(np.maximum(c_hi / c_lo, 1.0 + 1e-300))
-    n_pan = np.maximum(np.ceil(span / np.log(_PANEL_RATIO)).astype(int), 1)
-    mbar = 0.5 * (c_hi + c_lo)
-    hbar = np.maximum(0.5 * (c_hi - c_lo), 1e-300)
-
-    # th = arccos((y - mbar) / hbar) at the breakpoints
-    # y = c_lo exp(span min(p / n_pan, 1)), in place on one (n_r, S, P + 1) block
-    th = np.arange(n_pan.max() + 1) / n_pan[..., None]
-    np.minimum(th, 1.0, out=th)
-    th *= span[..., None]
-    np.exp(th, out=th)
-    th *= c_lo[..., None]
-    th -= mbar[..., None]
-    th /= hbar[..., None]
-    np.clip(th, -1.0, 1.0, out=th)
-    np.arccos(th, out=th)
-    th[..., 0] = np.pi  # the arccos endpoint must not lose the boundary panel
-    half = 0.5 * (th[..., :-1] - th[..., 1:])  # theta decreases with y
-    j, k, p = np.nonzero((half != 0.0) & ~degenerate[..., None])
-    mid = 0.5 * (th[j, k, p] + th[j, k, p + 1])
-    return j, k, mid, half[j, k, p], (c_lo - 1.0)[j, k], hbar[j, k], degenerate
-
-
-def _level_nodes(t, r_grid, q):
-    """The flat node list of I(t, r_j, .) for every radius r_j at once.
-
-    Yields chunks (row, lam, w) of flat arrays, rows ascending within each
-    chunk, such that I(t, r_j, f) ~= sum over the nodes with row == j of
-    w f(lam). The rule
-    is a single Gauss level of sine_propagator: the outer s-nodes of
-    _propagator_nodes and, for each pair (s_k, r_j), the live panels of
-    _live_panels with n_gl Gauss nodes in the substituted angle; w is the
-    outer weight times the inner one. Panels are expanded to at most
-    _NODE_CHUNK nodes at a time, so memory stays bounded on large grids.
-    A degenerate pair (s_k or r_j ~ 0) is one unit-weight node at
-    max(r_j, s_k); those come in the last chunk.
-    """
     s, ws = _propagator_nodes(t, q)
-    n_gl = max(6, q.nodes_inner // 5) + 4
-    xg, wg = leggauss(n_gl)
-    j, k, mid, half, c_lo1, hbar, degenerate = _live_panels(s, r_grid)
-    per = max(_NODE_CHUNK // n_gl, 1)
-    for a in range(0, j.size, per):
-        b = slice(a, a + per)
-        theta = mid[b, None] + half[b, None] * xg
-        w = ws[k[b], None] * ((half[b, None] * wg) / np.pi)
-        delta = c_lo1[b, None] + 2.0 * hbar[b, None] * np.cos(theta / 2.0) ** 2
-        lam = np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
-        yield np.repeat(j[b], n_gl), lam.ravel(), w.ravel()
-    if degenerate.any():
-        j, k = np.nonzero(degenerate)
-        yield j, np.maximum(r_grid[j], s[k]), ws[k]
+    return _settle(prof, s, ws, r, q, f"sine propagator at (t={t}, r={r})")
 
 
 def linear_field(phi, t_grid, r_grid, q=QuadratureConfig()):
     """sine_propagator evaluated on a full (t, r) grid.
 
-    The same rule as a single level of sine_propagator, evaluated per time
-    level from _level_nodes' flat panel list: the profile is evaluated on
-    each chunk of nodes, and the weighted values are summed to their radii
-    with one bincount.
+    Each time level is the first level of sine_propagator's rule (n0 + 4
+    angular nodes, panels broken at the profile's knots): the nodes of
+    every (s-node, radius) pair come from one _mean_nodes list, the profile
+    is evaluated on each chunk of nodes, and the weighted values are summed
+    to their radii with one bincount.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     prof = _as_profile(phi)
+    n_gl = _first_level(q) + 4
     out = np.zeros((t_grid.size, r_grid.size))
     for i, t in enumerate(t_grid):
-        if t <= 0.0:
-            continue
-        for row, lam, w in _level_nodes(t, r_grid, q):
-            out[i] += np.bincount(row, weights=w * prof(lam), minlength=r_grid.size)
+        if t > 0.0:
+            s, ws = _propagator_nodes(t, q)
+            out[i] = _mean_sum(prof, s, ws, r_grid, n_gl)
     return SpaceTimeField(t_grid, r_grid, out)
 
 
@@ -560,7 +545,9 @@ class PropagatorTable:
     interpolation) inside the triangle t + r <= r_max and truncated
     outside it. The time grid starts at 0, so that row i is lag i.
 
-    A[d] is built from the flat panel list of _level_nodes at t = d*dt by
+    A[d] is built from the first level of sine_propagator's rule at
+    t = d*dt (n0 + 4 angular nodes, both angular ends pinned, no knots:
+    the data are grid samples), from _mean_nodes' flat panel list, by
     cell moments: a node at lam = dr (l0 + xi), 0 <= xi < 1, adds w xi^p
     (p = 0..3) to the moments of its cell (j, l0), four bincounts over one
     flat index; nodes past the grid share one dump cell. The stencil's
@@ -601,7 +588,9 @@ class PropagatorTable:
         width = n_r + 2  # cells l0 = 0 .. n_r, then the dump cell
         mom = np.zeros((4, n_r * width))
         inv_dr = 1.0 / self.dr
-        for row, lam, w in _level_nodes(t, self.r_grid, self.quad):
+        s, ws = _propagator_nodes(t, self.quad)
+        n_gl = _first_level(self.quad) + 4
+        for row, lam, w in _mean_nodes(s, ws, self.r_grid, n_gl):
             pos = lam * inv_dr
             l0 = np.floor(pos)
             xi = pos - l0

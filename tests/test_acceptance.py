@@ -118,7 +118,6 @@ def test_03_mean_identities_on_grid():
     assert worst_one < 1e-8
 
 
-@pytest.mark.slow
 def test_04_cross_oracle_agreement():
     """Kernel engine vs fd at dr = 2e-3 within 5e-3 relative on t, r <= 4.
 

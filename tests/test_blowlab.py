@@ -184,7 +184,6 @@ class TestFirstIterate:
         expect = c0 * params.epsilon * np.exp(-0.5 * log_sinh(r))
         assert np.allclose(handle(7.0, r), expect, rtol=1e-15)
 
-    @pytest.mark.slow
     def test_propagator_dominates_constant(self):
         # the true first iterate should exceed c0 throughout S; the kernel
         # constant C0 is conservative by a wide factor, which covers the

@@ -151,6 +151,30 @@ def test_bad_time_grid_is_config_error(tmp_path, capsys, command, t_max, dt,
     assert not (out / written).exists()
 
 
+QUADRATURE_READERS = {
+    "propagate": SMALL_GRID + "[data]\nkind = constant\n",
+    "solve": SOLVER_35,
+    "decay": SMALL_GRID,
+    "contraction": SMALL_GRID + "[solver]\np = 3.5\nh = 1.2\n",
+    "blowup": BLOWUP_BASE,
+    "certify": BLOWUP_BASE,
+}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("nodes_inner = 2", "node counts must be at least 4"),
+    ("rel_tol = 2.0", "rel_tol must lie in (0, 1)"),
+], ids=["nodes_inner", "rel_tol"])
+@pytest.mark.parametrize("command", list(QUADRATURE_READERS))
+def test_bad_quadrature_is_config_error(tmp_path, capsys, command, line,
+                                        message):
+    body = QUADRATURE_READERS[command] + "[quadrature]\n" + line + "\n"
+    code, _ = run_cli(tmp_path, command, body)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
 class GridSeen(Exception):
     """Raised by a stubbed engine call with the grid it was given."""
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from hypwave.blowlab import bump_profile
 from hypwave.hypgeo import DomainError, EnvelopeParams, QuadratureConfig, theta_k
 from hypwave.meanprop import (
     MonotoneWeight,
@@ -22,6 +23,7 @@ from hypwave.meanprop import (
     W_evaluator,
     _DEGENERATE_REL,
     _lag_weights,
+    _mean_nodes,
     _propagator_nodes,
     _time_weights,
     _w_inner,
@@ -283,13 +285,26 @@ class TestSinePropagator:
 
 class TestLinearField:
     def test_matches_pointwise(self):
+        # the sampled profile jumps to 0 past its last sample and the bump
+        # has four knots: linear_field breaks its panels there too
+        lam = np.linspace(0.0, 6.0, 25)
+        sampled = RadialProfile.from_samples(lam, np.cos(lam) ** 2)
         tg = np.linspace(0, 4, 9)
         rg = np.linspace(0, 6, 13)
-        fld = linear_field(theta1, tg, rg)
-        for i in (0, 2, 5, 8):
-            for j in (0, 4, 9):
-                want = sine_propagator(theta1, tg[i], rg[j])
-                assert_allclose(fld.values[i, j], want, rtol=1e-7, atol=1e-14)
+        for phi in (theta1, sampled, bump_profile(1.0)):
+            fld = linear_field(phi, tg, rg)
+            for i in (0, 2, 5, 8):
+                for j in (0, 4, 9):
+                    want = sine_propagator(phi, tg[i], rg[j])
+                    assert_allclose(fld.values[i, j], want, rtol=1e-7, atol=1e-14)
+
+    def test_constant_data_identity(self):
+        # every pair's weights sum to its outer weight, so phi = 1 gives
+        # I = 2 sinh(t/2) to rounding
+        g = np.linspace(0.0, 8.0, 41)
+        fld = linear_field(1.0, g, g)
+        want = np.broadcast_to(2.0 * np.sinh(g / 2.0)[:, None], fld.values.shape)
+        assert_allclose(fld.values, want, rtol=1e-12)
 
     def test_zero_data(self):
         fld = linear_field(lambda lam: np.zeros_like(lam), np.linspace(0, 2, 5),
@@ -424,7 +439,8 @@ class TestDuhamelConvolution:
 def mean_nodes_batch(t, r, n_gl, ratio=3.0):
     """The former per-s-node builder of the mean's nodes at every radius:
     rows padded to the widest row's panel count, the padding at weight 0,
-    degenerate rows one unit-weight node at max(r, t)."""
+    both angular ends pinned, degenerate rows one unit-weight node at
+    max(r, t)."""
     c_lo = np.cosh(r - t)
     c_hi = np.cosh(r + t)
     degenerate = (c_hi - c_lo) <= _DEGENERATE_REL * c_hi
@@ -437,6 +453,7 @@ def mean_nodes_batch(t, r, n_gl, ratio=3.0):
     hbar = np.maximum(0.5 * (c_hi - c_lo), 1e-300)
     th = np.arccos(np.clip((y - mbar[:, None]) / hbar[:, None], -1.0, 1.0))
     th[:, 0] = np.pi
+    th[expo == 1.0] = 0.0
     xg, wg = leggauss(n_gl)
     mid = 0.5 * (th[:, :-1] + th[:, 1:])
     half = 0.5 * (th[:, :-1] - th[:, 1:])
@@ -528,15 +545,21 @@ class TestFlatPanelList:
          QuadratureConfig(nodes_inner=20)),
         (np.array([0.0, 8.0]), np.linspace(0.0, 8.0, 161), QuadratureConfig()),
     ], ids=["t_max>r_max", "off-zero-t,nodes_inner=20", "t=8,161-radii"])
-    @pytest.mark.parametrize("phi", [
-        theta1,
-        RadialProfile.from_samples(np.linspace(0.0, 3.0, 13),
-                                   np.cos(np.linspace(0.0, 3.0, 13)) ** 2),
-    ], ids=["theta1", "sampled"])
+    @pytest.mark.parametrize("phi", [theta1], ids=["theta1"])
     def test_linear_field_matches_per_s_node_loop(self, t_grid, r_grid, q, phi):
         got = linear_field(phi, t_grid, r_grid, q).values
         want = linear_field_by_s_node(phi, t_grid, r_grid, q)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @given(s=st.floats(1e-3, 14.0), r=st.floats(0.0, 14.0))
+    @settings(max_examples=200, deadline=None)
+    def test_weights_of_each_pair_sum_to_one(self, s, r):
+        # both angular ends are pinned, so no pair loses weight at the top
+        # breakpoint, however large cosh(r + s) is against its halfwidth
+        for knots in (None, np.array([0.5, 3.0, 9.0])):
+            total = sum(w.sum() for _, _, w in _mean_nodes(
+                np.array([s]), np.ones(1), np.array([r]), 16, knots))
+            assert abs(total - 1.0) <= 1e-13
 
     def test_time_grid_must_start_at_zero(self):
         # row i is the lag i * dt; a grid from t = 1 would put I(0.5) on the
