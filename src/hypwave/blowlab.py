@@ -225,16 +225,15 @@ def first_iterate_bound(u1, params, n_width=15, q=QuadratureConfig()):
     # radial offsets above the corner r = (3*tau0 - w)/2, in units of tau0
     offsets = np.array([0.0, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5,
                         0.75, 1.0, 1.5, 2.5, 5.0])
-    values = []
-    for w in widths:
-        r_corner = 0.5 * (3.0 * tau0 - w)
-        for off in offsets:
-            r = r_corner * (1.0 + 1e-6) + off * tau0
-            t = r + w
-            _, small = lower_bound_I(prof, t, r, tau0, params.C0, q)
-            if small is None:
-                continue
-            values.append(math.exp(0.5 * log_sinh(r)) * small)
+    r_corner = 0.5 * (3.0 * tau0 - widths)
+    r = (r_corner[:, None] * (1.0 + 1e-6) + offsets * tau0).ravel()
+    t = r + np.repeat(widths, offsets.size)
+    _, small = lower_bound_I(prof, t, r, tau0, params.C0, q)
+    keep = ~np.isnan(small)
+    # math.exp keeps c0's bits: np.exp's vector kernel can round the last
+    # bit differently
+    values = [math.exp(0.5 * ls) * s
+              for ls, s in zip(log_sinh(r[keep]).tolist(), small[keep])]
     if not values:
         raise DomainError("empty effective sample of S; tau0 may be degenerate")
     c0 = min(values)
@@ -634,6 +633,18 @@ class VerifyReport:
             raise DomainError("more boost violations than checked points")
 
 
+def _scalar_pow(base, expo):
+    """base ** expo per element through numpy's scalar power, whose last
+    bit can differ from the vectorised ufunc's."""
+    return np.array([b ** expo for b in base])
+
+
+def _first_min(margins):
+    """The smallest margin, its first occurrence as min() picks it; None
+    if there is none."""
+    return margins[np.argmin(margins)] if margins.size else None
+
+
 def certificate_verify(cert, u_sim):
     """Check a simulated solution against the certificate's lower bounds.
 
@@ -655,22 +666,21 @@ def certificate_verify(cert, u_sim):
     tau0, eps, p, l0 = params.tau0, params.epsilon, params.p, boost.l0
     T, R = np.meshgrid(u_sim.t_grid, u_sim.r_grid, indexing="ij")
     U = u_sim.values
+    # (sinh r)^{-1/2} per grid radius, by math.exp as in first_iterate_bound
+    decay = np.array([math.exp(-0.5 * x)
+                      for x in log_sinh(u_sim.r_grid).tolist()])
 
     warnings = []
 
     # first-iterate bound on S: (lam, tau) read as (r, t)
-    s_idx = np.where(_mask_S(R, T, tau0))
-    first_violations, first_margins, passing = [], [], []
-    for ti, ri in zip(*s_idx):
-        t, r, val = T[ti, ri], R[ti, ri], U[ti, ri]
-        bound = params.c0 * eps * math.exp(-0.5 * log_sinh(r))
-        margin = val - bound
-        first_margins.append(margin)
-        if margin < 0.0:
-            first_violations.append((t, r, bound, val))
-        else:
-            passing.append((t, r, bound, val))
-    if not first_margins:
+    in_s = _mask_S(R, T, tau0)
+    t, r, val = T[in_s], R[in_s], U[in_s]
+    bound = params.c0 * eps * decay[np.nonzero(in_s)[1]]
+    first_margins = val - bound
+    fail, ok = first_margins < 0.0, first_margins >= 0.0
+    first_violations = list(zip(t[fail], r[fail], bound[fail], val[fail]))
+    passing = list(zip(t[ok], r[ok], bound[ok], val[ok]))
+    if not first_margins.size:
         warnings.append(
             f"grid covers no point of S (needs {tau0} < t - r < {2 * tau0} "
             f"and t + r > {3 * tau0})")
@@ -678,18 +688,15 @@ def certificate_verify(cert, u_sim):
     # boosted bound on Sigma_{l0}, reported only
     c_top = boost.entries[-1][3]
     L = -math.log(c_top * eps)
-    b_idx = np.where(_mask_sigma(R, T, tau0, l0))
-    boost_violations, boost_margins = [], []
-    for ti, ri in zip(*b_idx):
-        t, r, val = T[ti, ri], R[ti, ri], U[ti, ri]
-        bound = (c_top * eps * r * math.exp(-0.5 * log_sinh(r))
-                 * (t + r + L) ** (-l0 * (p - 1.0))
-                 * (t - r) ** (2.0 * l0 - 2.0))
-        margin = val - bound
-        boost_margins.append(margin)
-        if margin < 0.0:
-            boost_violations.append((t, r, bound, val))
-    if not boost_margins:
+    in_sigma = _mask_sigma(R, T, tau0, l0)
+    t, r, val = T[in_sigma], R[in_sigma], U[in_sigma]
+    bound = (c_top * eps * r * decay[np.nonzero(in_sigma)[1]]
+             * _scalar_pow(t + r + L, -l0 * (p - 1.0))
+             * _scalar_pow(t - r, 2.0 * l0 - 2.0))
+    boost_margins = val - bound
+    fail = boost_margins < 0.0
+    boost_violations = list(zip(t[fail], r[fail], bound[fail], val[fail]))
+    if not boost_margins.size:
         warnings.append(
             f"grid covers no point of Sigma_{l0} (needs t - r > "
             f"{6 * l0 * tau0:g} and r > {0.5 * tau0:g})")
@@ -698,10 +705,10 @@ def certificate_verify(cert, u_sim):
     return VerifyReport(
         first_checked=len(first_margins),
         first_violations=tuple(first_violations),
-        first_min_margin=min(first_margins) if first_margins else None,
+        first_min_margin=_first_min(first_margins),
         boost_checked=len(boost_margins),
         boost_violations=tuple(boost_violations),
-        boost_min_margin=min(boost_margins) if boost_margins else None,
+        boost_min_margin=_first_min(boost_margins),
         coverage_warning="; ".join(warnings) if warnings else None,
         passed_points=tuple(passing[::stride][:200]),
     )

@@ -45,9 +45,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator, interp1d
-from scipy.special import ellipk
 
 from .hypgeo import DomainError, QuadratureConfig, cg_nodes, log_cosh, log_sinh, sinhc
 
@@ -134,6 +131,8 @@ class RadialProfile:
             raise DomainError("sample abscissae must be nonnegative and strictly increasing")
         if not np.all(np.isfinite(values)):
             raise DomainError("sample values must be finite")
+        from scipy.interpolate import PchipInterpolator, interp1d
+
         if interp == "cubic":
             core = PchipInterpolator(lam, values, extrapolate=False)
         elif interp == "linear":
@@ -688,6 +687,8 @@ def _w_inner(t, r, lam, a, q, kappa_switch=0.75):
     amb = a.a(M) - a.a(b)
     kap = (a.a(c) - a.a(b)) / amb
     if kap > kappa_switch:
+        from scipy.special import ellipk
+
         return 2.0 * ellipk(min(kap, 1.0 - 1e-16)) / np.sqrt(amb)
     x, w = cg_nodes(q.nodes_inner, b * b, c * c)
     s = np.sqrt(x)
@@ -703,15 +704,20 @@ def W_evaluator(t, r, f, a, q=QuadratureConfig()):
     Fubini order: lam outside, s inside. The inner integral is Beta-type
     and evaluated by _w_inner; the outer integral is adaptive, split at
     lam = |t - r| where (for t > r) the inner value has a logarithmic
-    singularity.
+    singularity. At r = 0 the s-interval shrinks to the point lam and the
+    inner value to pi (a(t) - a(lam))^{-1/2}, so W is the single integral
+    pi int_0^t f(lam) (a(t) - a(lam))^{-1/2} dlam, signed as f.
     """
     if t < 0 or r < 0:
         raise DomainError("W_evaluator needs t >= 0 and r >= 0")
     prof = _as_profile(f)
     lo = max(r - t, 0.0)
     hi = r + t
-    if hi <= lo or r == 0.0 or t == 0.0:
+    if hi <= lo or t == 0.0:
         return 0.0
+    if r == 0.0:
+        return _line_integral(t, r, prof, a, q, signed=True)
+    from scipy.integrate import quad
 
     def g(lam):
         return float(prof(np.asarray([lam]))[0]) * _w_inner(t, r, lam, a, q)
@@ -731,20 +737,17 @@ def W_evaluator(t, r, f, a, q=QuadratureConfig()):
     return total
 
 
-def w_majorant(t, r, f, a, q=QuadratureConfig()):
-    """The single-integral bound on |W| from the appendix lemma.
-
-    r >= t:  pi int_{r-t}^{r+t} |f| (a(r+lam) - a(t))^{-1/2} dlam;
-    t > r:   pi int_0^{t+r} |f| |a(r+lam) - a(t)|^{-1/2} dlam,
-    the latter with an integrable singularity at lam = t - r.
-    """
-    prof = _as_profile(f)
+def _line_integral(t, r, prof, a, q, signed):
+    """pi int f(lam) |a(r+lam) - a(t)|^{-1/2} dlam over [r - t, r + t]
+    (r >= t) or [0, t + r] (t > r), with |f| unless signed."""
+    from scipy.integrate import quad
 
     def g(lam):
         d = abs(a.a(r + lam) - a.a(t))
         if d == 0.0:
             return 0.0
-        return abs(float(prof(np.asarray([lam]))[0])) / np.sqrt(d)
+        v = float(prof(np.asarray([lam]))[0])
+        return (v if signed else abs(v)) / np.sqrt(d)
 
     if r >= t:
         lo, hi, pts = r - t, r + t, []
@@ -756,6 +759,16 @@ def w_majorant(t, r, f, a, q=QuadratureConfig()):
         val, _ = quad(g, aa, bb, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=200)
         total += val
     return np.pi * total
+
+
+def w_majorant(t, r, f, a, q=QuadratureConfig()):
+    """The single-integral bound on |W| from the appendix lemma.
+
+    r >= t:  pi int_{r-t}^{r+t} |f| (a(r+lam) - a(t))^{-1/2} dlam;
+    t > r:   pi int_0^{t+r} |f| |a(r+lam) - a(t)|^{-1/2} dlam,
+    the latter with an integrable singularity at lam = t - r.
+    """
+    return _line_integral(t, r, _as_profile(f), a, q, signed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -804,19 +817,35 @@ def dt_r_bound_check(v, dv, t, a, q=QuadratureConfig()):
 # explicit lower bounds for the propagator
 
 
-def _gl_integral(fn, lo, hi, q, per_unit=2.0):
-    """Composite Gauss-Legendre integral with ~unit-width panels."""
-    if hi <= lo:
-        return 0.0
-    n_panels = max(1, int(np.ceil((hi - lo) * per_unit)))
-    n_nodes = max(8, q.nodes_outer // 8)
-    xg, wg = leggauss(n_nodes)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    s = (mids[:, None] + halfs[:, None] * xg[None, :]).ravel()
-    w = (halfs[:, None] * wg[None, :]).ravel()
-    return float(np.dot(w, fn(s)))
+def _gl_integrals(fn, lo, hi, q, per_unit=2.0):
+    """Composite Gauss-Legendre integrals of fn over [lo_k, hi_k], each on
+    ~unit-width panels; 0 where hi_k <= lo_k.
+
+    The panels of [lo_k, hi_k] are those of np.linspace(lo_k, hi_k, n + 1):
+    edge i at lo_k + i (hi_k - lo_k)/n, the last one at hi_k. fn is
+    evaluated once, on the nodes of all intervals together, and each
+    integral is its own dot product over its own nodes and weights, so it
+    keeps the bits of a one-interval call.
+    """
+    xg, wg = leggauss(max(8, q.nodes_outer // 8))
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    live = hi > lo
+    width = np.where(live, hi - lo, 0.0)
+    n = np.where(live, np.maximum(1.0, np.ceil(width * per_unit)), 0.0)
+    n = n.astype(np.intp)
+    owner = np.repeat(np.arange(lo.size), n)
+    i = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    step = width[owner] / n[owner]
+    left = i * step + lo[owner]
+    right = np.where(i + 1 == n[owner], hi[owner], (i + 1) * step + lo[owner])
+    mids = 0.5 * (right + left)
+    halfs = 0.5 * (right - left)
+    w = (halfs[:, None] * wg).ravel()
+    vals = fn((mids[:, None] + halfs[:, None] * xg).ravel())
+    cuts = [0] + (np.cumsum(n) * xg.size).tolist()
+    return np.array([np.dot(w[a:b], vals[a:b])
+                     for a, b in zip(cuts[:-1], cuts[1:])])
 
 
 def kernel_lower_integral(phi, t, r, q=QuadratureConfig()):
@@ -835,7 +864,7 @@ def kernel_lower_integral(phi, t, r, q=QuadratureConfig()):
         log_kernel = log_sinh(lam) - half_log2 - 0.5 * log_cosh(r + lam)
         return prof(lam) * np.exp(log_kernel)
 
-    return _gl_integral(fn, abs(r - t), r + t, q)
+    return float(_gl_integrals(fn, [abs(r - t)], [r + t], q)[0])
 
 
 def default_C0(tau0):
@@ -854,23 +883,36 @@ def lower_bound_I(phi, t, r, tau0, C0=None, q=QuadratureConfig()):
     (sinh lam)^{1/2} from max(t, r) to t + r; bound_small lowers the limit
     to |t - r| and is present (not None) only when |t - r| > tau0/8. Both
     require r > tau0/2.
+
+    t and r may be arrays (they broadcast): then both bounds come back as
+    arrays of that shape, bound_small NaN where it is absent, and phi is
+    evaluated once on the nodes of every point's integrals.
     """
     if tau0 <= 0:
         raise DomainError("tau0 must be positive")
-    if r <= tau0 / 2.0:
-        raise DomainError(f"lower_bound_I needs r > tau0/2 = {tau0 / 2.0}")
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(r, dtype=float))
+    if np.any(r <= tau0 / 2.0):
+        raise DomainError(f"lower_bound_I needs r > tau0/2 = {tau0 / 2.0}; "
+                          f"got r = {r[r <= tau0 / 2.0].min()}")
     if C0 is None:
         C0 = default_C0(tau0)
     if not 0.0 < C0 <= 1.0:
         raise DomainError("C0 must lie in (0, 1]")
     prof = _as_profile(phi)
-    pref = C0 * np.exp(-0.5 * float(log_sinh(r)))
+    pref = C0 * np.exp(-0.5 * log_sinh(r))
 
     def fn(lam):
         return prof(lam) * np.exp(0.5 * log_sinh(lam))
 
-    bound_large = pref * _gl_integral(fn, max(t, r), t + r, q)
-    bound_small = None
-    if abs(t - r) > tau0 / 8.0:
-        bound_small = pref * _gl_integral(fn, abs(t - r), t + r, q)
+    hi = t + r
+    wide = np.abs(t - r) > tau0 / 8.0
+    ints = _gl_integrals(fn, np.concatenate([np.maximum(t, r).ravel(),
+                                             np.abs(t - r)[wide]]),
+                         np.concatenate([hi.ravel(), hi[wide]]), q)
+    bound_large = pref * ints[:hi.size].reshape(hi.shape)
+    bound_small = np.full(hi.shape, np.nan)
+    bound_small[wide] = pref[wide] * ints[hi.size:]
+    if hi.ndim == 0:
+        return bound_large[()], (bound_small[()] if wide else None)
     return bound_large, bound_small

@@ -128,23 +128,27 @@ def _hermite(x, xl, xr, gl, dgl, gr, dgr):
 
 
 def F_generic(u, spec: NonlinearitySpec):
-    """The piecewise nonlinearity described in the module docstring."""
+    """The piecewise nonlinearity described in the module docstring.
+
+    Each branch is evaluated only on the points it covers: 0 at u = 0, the
+    small branch on 0 < |u| <= delta0, the large one on |u| >= 1/delta0
+    and the blend on the rest, NaN included (a NaN stays NaN).
+    """
     if spec.kind != "piecewise_generic":
         raise DomainError("F_generic needs a spec of kind piecewise_generic")
     coeffs = _blend_coeffs(spec.p, spec.q, spec.delta0)
     u = np.asarray(u, dtype=float)
     au = np.abs(u)
-    safe = np.where(au > 0, au, 0.5)
-    x = np.log(safe)
-    log_base = np.where(x < 0, -x, 1.0)
-    small = spec.delta0 * log_base ** (1.0 - spec.p) * safe
-    large = spec.delta0 * safe**spec.q
-    blend = np.exp(_hermite(x, *coeffs))
-    out = np.select(
-        [au == 0.0, au <= spec.delta0, au >= 1.0 / spec.delta0],
-        [0.0, small, large],
-        default=blend,
-    )
+    below = au <= spec.delta0
+    large = au >= 1.0 / spec.delta0
+    small = below & (au > 0.0)
+    blend = ~(below | large)
+    out = np.zeros_like(au)
+    a = au[small]
+    # ln|u| < 0 on the small branch, since delta0 < 1
+    out[small] = spec.delta0 * (-np.log(a)) ** (1.0 - spec.p) * a
+    out[large] = spec.delta0 * au[large] ** spec.q
+    out[blend] = np.exp(_hermite(np.log(au[blend]), *coeffs))
     if out.ndim == 0:
         return float(out)
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -11,11 +12,13 @@ from hypwave.blowlab import (
     VerifyReport, area_lower_bound, blowup_time_bound, boost_sequence,
     build_certificate, bump_profile, certificate_verify, escape_detector,
     estimate_tilde_c, first_iterate_bound, john_recursion, region_membership,
-    _mask_T,
+    _mask_S, _mask_sigma, _mask_T,
 )
 from hypwave.fdoracle import FDConfig, fd_solve
-from hypwave.hypgeo import DomainError, EnvelopeParams, log_sinh, theta_k
-from hypwave.meanprop import (RadialProfile, SpaceTimeField, default_C0,
+from hypwave.hypgeo import (DomainError, EnvelopeParams, QuadratureConfig,
+                            log_sinh, theta_k)
+from hypwave.meanprop import (RadialProfile, SpaceTimeField, _as_profile,
+                              default_C0, leggauss, lower_bound_I,
                               sine_propagator)
 from hypwave.nonlin import F_canonical, NonlinearitySpec, nonlinearity
 
@@ -531,6 +534,225 @@ class TestCertificate:
                          first_min_margin=-1.0, boost_checked=0,
                          boost_violations=(), boost_min_margin=None,
                          coverage_warning=None, passed_points=())
+
+
+# ---------------------------------------------------------------------------
+# the per-point loops the vectorised certificate pipeline replaced, kept as
+# references: the batched code must reproduce them bit for bit
+
+
+def gl_integral_loop(fn, lo, hi, q, per_unit=2.0):
+    if hi <= lo:
+        return 0.0
+    n_panels = max(1, int(np.ceil((hi - lo) * per_unit)))
+    n_nodes = max(8, q.nodes_outer // 8)
+    xg, wg = leggauss(n_nodes)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halfs = 0.5 * (edges[1:] - edges[:-1])
+    s = (mids[:, None] + halfs[:, None] * xg[None, :]).ravel()
+    w = (halfs[:, None] * wg[None, :]).ravel()
+    return float(np.dot(w, fn(s)))
+
+
+def lower_bound_I_loop(phi, t, r, tau0, C0, q=QuadratureConfig()):
+    prof = _as_profile(phi)
+    pref = C0 * np.exp(-0.5 * float(log_sinh(r)))
+
+    def fn(lam):
+        return prof(lam) * np.exp(0.5 * log_sinh(lam))
+
+    bound_large = pref * gl_integral_loop(fn, max(t, r), t + r, q)
+    bound_small = None
+    if abs(t - r) > tau0 / 8.0:
+        bound_small = pref * gl_integral_loop(fn, abs(t - r), t + r, q)
+    return bound_large, bound_small
+
+
+def first_iterate_c0_loop(u1, params, n_width=15, q=QuadratureConfig()):
+    prof = _as_profile(u1)
+    tau0, eps = params.tau0, params.epsilon
+    widths = np.linspace(tau0 * (1.0 + 1e-6), 2.0 * tau0 * (1.0 - 1e-6), n_width)
+    offsets = np.array([0.0, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5,
+                        0.75, 1.0, 1.5, 2.5, 5.0])
+    values = []
+    for w in widths:
+        r_corner = 0.5 * (3.0 * tau0 - w)
+        for off in offsets:
+            r = r_corner * (1.0 + 1e-6) + off * tau0
+            t = r + w
+            _, small = lower_bound_I_loop(prof, t, r, tau0, params.C0, q)
+            if small is None:
+                continue
+            values.append(math.exp(0.5 * log_sinh(r)) * small)
+    cap = (1.0 - 1e-9) * params.delta0 * math.sqrt(math.sinh(0.5 * tau0)) / eps
+    return min(min(values), cap)
+
+
+def certificate_verify_loop(cert, u_sim):
+    params, boost = cert.params, cert.boost
+    tau0, eps, p, l0 = params.tau0, params.epsilon, params.p, boost.l0
+    T, R = np.meshgrid(u_sim.t_grid, u_sim.r_grid, indexing="ij")
+    U = u_sim.values
+    warnings = []
+    s_idx = np.where(_mask_S(R, T, tau0))
+    first_violations, first_margins, passing = [], [], []
+    for ti, ri in zip(*s_idx):
+        t, r, val = T[ti, ri], R[ti, ri], U[ti, ri]
+        bound = params.c0 * eps * math.exp(-0.5 * log_sinh(r))
+        margin = val - bound
+        first_margins.append(margin)
+        if margin < 0.0:
+            first_violations.append((t, r, bound, val))
+        else:
+            passing.append((t, r, bound, val))
+    if not first_margins:
+        warnings.append(
+            f"grid covers no point of S (needs {tau0} < t - r < {2 * tau0} "
+            f"and t + r > {3 * tau0})")
+    c_top = boost.entries[-1][3]
+    L = -math.log(c_top * eps)
+    b_idx = np.where(_mask_sigma(R, T, tau0, l0))
+    boost_violations, boost_margins = [], []
+    for ti, ri in zip(*b_idx):
+        t, r, val = T[ti, ri], R[ti, ri], U[ti, ri]
+        bound = (c_top * eps * r * math.exp(-0.5 * log_sinh(r))
+                 * (t + r + L) ** (-l0 * (p - 1.0))
+                 * (t - r) ** (2.0 * l0 - 2.0))
+        margin = val - bound
+        boost_margins.append(margin)
+        if margin < 0.0:
+            boost_violations.append((t, r, bound, val))
+    if not boost_margins:
+        warnings.append(
+            f"grid covers no point of Sigma_{l0} (needs t - r > "
+            f"{6 * l0 * tau0:g} and r > {0.5 * tau0:g})")
+    stride = max(1, len(passing) // 200)
+    return VerifyReport(
+        first_checked=len(first_margins),
+        first_violations=tuple(first_violations),
+        first_min_margin=min(first_margins) if first_margins else None,
+        boost_checked=len(boost_margins),
+        boost_violations=tuple(boost_violations),
+        boost_min_margin=min(boost_margins) if boost_margins else None,
+        coverage_warning="; ".join(warnings) if warnings else None,
+        passed_points=tuple(passing[::stride][:200]),
+    )
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same_report(got, want):
+    for field in dataclasses.fields(VerifyReport):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if b is None or isinstance(b, (int, str)):
+            assert a == b and type(a) is type(b), field.name
+        else:
+            assert np.shape(a) == np.shape(b), field.name
+            assert bits(a) == bits(b), field.name
+
+
+@pytest.fixture(scope="module")
+def sigma_cert():
+    """A tau0 = 1/4 certificate, whose Sigma_3 opens at t - r > 4.5."""
+    params = make_params(tau0=0.25, C0=default_C0(0.25), c0=1e-3)
+    return build_certificate(bump_profile(0.25), params)
+
+
+def synthetic_field(cert, scale=1.0):
+    """The first-iterate bound for t - r < 4 tau0 and the boosted one past
+    it, times a factor in [1.1, 2.1]: no violation at scale 1, some of
+    each kind at scale 1/2."""
+    params, boost = cert.params, cert.boost
+    tau0, eps, p, l0 = params.tau0, params.epsilon, params.p, boost.l0
+    t_grid = 0.05 * np.arange(161)
+    r_grid = 0.05 * np.arange(81)
+    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
+    Rs = np.maximum(R, 0.05)
+    decay = np.exp(-0.5 * log_sinh(Rs))
+    c_top = boost.entries[-1][3]
+    L = -math.log(c_top * eps)
+    first = params.c0 * eps * decay
+    boosted = (c_top * eps * Rs * decay * (T + Rs + L) ** (-l0 * (p - 1.0))
+               * np.maximum(T - R, tau0) ** (2.0 * l0 - 2.0))
+    base = np.where(T - R < 4.0 * tau0, first, boosted)
+    values = scale * base * (1.6 + 0.5 * np.sin(7.0 * T + 5.0 * R))
+    return SpaceTimeField(t_grid, r_grid, values)
+
+
+class TestAgainstPointLoops:
+    POINTS = [(1.7, 0.6), (3.0, 1.2), (2.05, 2.0), (0.3, 0.9), (6.0, 5.0),
+              (12.0, 30.0)]
+
+    @pytest.mark.parametrize("t, r", POINTS)
+    def test_lower_bound_I_scalar_bits(self, t, r):
+        bump = bump_profile(TAU0)
+        large, small = lower_bound_I(bump, t, r, TAU0, C0)
+        want_large, want_small = lower_bound_I_loop(bump, t, r, TAU0, C0)
+        assert type(large) is type(want_large) is np.float64
+        assert bits(large) == bits(want_large)
+        if want_small is None:
+            assert small is None
+        else:
+            assert type(small) is np.float64
+            assert bits(small) == bits(want_small)
+
+    def test_lower_bound_I_arrays(self):
+        t, r = (np.array(x) for x in zip(*self.POINTS))
+        large, small = lower_bound_I(bump_profile(TAU0), t, r, TAU0, C0)
+        assert large.shape == small.shape == t.shape
+        for k, (tk, rk) in enumerate(self.POINTS):
+            want_large, want_small = lower_bound_I_loop(
+                bump_profile(TAU0), tk, rk, TAU0, C0)
+            assert bits(large[k]) == bits(want_large)
+            if want_small is None:
+                assert np.isnan(small[k])
+            else:
+                assert bits(small[k]) == bits(want_small)
+
+    def test_lower_bound_I_arrays_keep_the_checks(self):
+        with pytest.raises(DomainError, match=r"tau0/2 = 0.5; got r = 0.4"):
+            lower_bound_I(bump_profile(TAU0), [2.0, 2.0], [1.0, 0.4], TAU0, C0)
+        with pytest.raises(DomainError, match="C0"):
+            lower_bound_I(bump_profile(TAU0), [2.0], [1.0], TAU0, 1.5)
+
+    # tau0 = 0.2 has an infimum whose factor np.exp and math.exp round apart
+    @pytest.mark.parametrize("tau0, eps", [(1.0, 0.1), (1.0, 0.5), (1.0, 2.0),
+                                           (0.2, 0.5), (0.25, 0.5), (3.0, 0.05)])
+    def test_first_iterate_c0_bits(self, tau0, eps):
+        params = make_params(tau0=tau0, epsilon=eps, C0=default_C0(tau0),
+                             c0=1e-3)
+        for prof in (bump_profile(tau0),
+                     lambda lam: np.exp(-((lam - 2.0 * tau0) ** 2))):
+            c0, _ = first_iterate_bound(prof, params)
+            assert bits(c0) == bits(first_iterate_c0_loop(prof, params))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_certificate_verify_fields(self, sigma_cert, scale):
+        field = synthetic_field(sigma_cert, scale)
+        got = certificate_verify(sigma_cert, field)
+        assert got.first_checked > 0 and got.boost_checked > 0
+        assert got.coverage_warning is None
+        if scale == 1.0:
+            assert not got.first_violations and not got.boost_violations
+        else:
+            assert got.first_violations and got.boost_violations
+        assert_same_report(got, certificate_verify_loop(sigma_cert, field))
+
+    def test_certificate_verify_uncovered(self, sigma_cert):
+        field = synthetic_field(sigma_cert)
+        short = SpaceTimeField(field.t_grid[:5], field.r_grid,
+                               field.values[:5])
+        got = certificate_verify(sigma_cert, short)
+        assert got.first_checked == got.boost_checked == 0
+        assert_same_report(got, certificate_verify_loop(sigma_cert, short))
+
+    def test_certificate_verify_reference_run(self, reference_run):
+        cert, field = reference_run
+        assert_same_report(certificate_verify(cert, field),
+                           certificate_verify_loop(cert, field))
 
 
 class TestEscapeDetector:

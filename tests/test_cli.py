@@ -511,3 +511,21 @@ class TestEntryPoint:
             env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert (tmp_path / "out" / "field.csv").exists()
+
+    def test_import_leaves_scipy_submodules_out(self):
+        # scipy's integrate, interpolate and special cost most of a
+        # command's start-up; only functions no command calls import them
+        src = os.path.dirname(os.path.dirname(hypwave.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "import hypwave.cli\n"
+            "from hypwave import (blowlab, cli, fdoracle, globalsolver, "
+            "hypgeo, meanprop, nonlin)\n"
+            "print(' '.join(m for m in ('scipy.integrate', "
+            "'scipy.interpolate', 'scipy.special') if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""

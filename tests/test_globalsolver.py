@@ -341,6 +341,22 @@ class TestClaimBound:
         expect = claim * np.sqrt(np.cosh(r)) * np.hypot(1.0, t - r) ** 1.2
         assert weighted == pytest.approx(expect, rel=1e-14)
 
+    @pytest.mark.parametrize("t", [0.7, 2.0, 3.3])
+    def test_tau_rule_is_simpson(self, monkeypatch, t):
+        # a smooth stand-in for W, so that only the tau rule is compared
+        from scipy.integrate import simpson
+
+        def fake_W(lag, r, f, a, q):
+            return float(np.exp(-lag) * np.cos(3.0 * lag) + r * lag**2)
+
+        monkeypatch.setattr(gs, "W_evaluator", fake_W)
+        claim, _ = gs.claim_bound_check(3.5, 1.2, 1e-2, t, 0.5)
+        n_tau = max(8, 2 * int(np.ceil(2.0 * t)))
+        taus = np.linspace(0.0, t, n_tau + 1)
+        want = simpson([fake_W(t - tau, 0.5, None, None, None) for tau in taus],
+                       x=taus)
+        assert claim == pytest.approx(want, rel=1e-14)
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(DomainError):
             gs.claim_bound_check(3.0, 1.2, 1e-3, 1.0, 1.0)

@@ -614,8 +614,21 @@ class TestWEvaluator:
         assert_allclose(W_evaluator(t, r, f_decay, weight), want, rtol=5e-8)
 
     def test_degenerate_zero(self, weight):
-        assert W_evaluator(1.0, 0.0, f_decay, weight) == 0.0
         assert W_evaluator(0.0, 1.0, f_decay, weight) == 0.0
+        assert W_evaluator(0.0, 0.0, f_decay, weight) == 0.0
+
+    def test_r_zero_is_the_limit(self, weight):
+        # at r = 0 the inner integral is pi (a(t) - a(lam))^{-1/2}, so W is
+        # the single integral w_majorant takes of |f| (f > 0 here)
+        at_zero = W_evaluator(2.0, 0.0, f_decay, weight)
+        assert_allclose(at_zero, W_evaluator(2.0, 1e-6, f_decay, weight), rtol=1e-5)
+        assert_allclose(at_zero, w_majorant(2.0, 0.0, f_decay, weight), rtol=1e-10)
+        if weight.name == "2cosh":
+            assert_allclose(at_zero, 1.73990396, rtol=1e-5)
+
+    def test_r_zero_keeps_the_sign(self, weight):
+        neg = W_evaluator(2.0, 0.0, lambda lam: -f_decay(lam), weight)
+        assert neg == -W_evaluator(2.0, 0.0, f_decay, weight)
 
     @pytest.mark.parametrize("t, r, lam", [(2.0, 0.5, 1.1), (3.0, 3.0, 2.0), (1.0, 4.0, 3.6)])
     def test_inner_paths_agree(self, weight, t, r, lam):

@@ -12,6 +12,8 @@ from hypwave.nonlin import (
     F_generic,
     G_envelope,
     NonlinearitySpec,
+    _blend_coeffs,
+    _hermite,
     fit_A,
     lipschitz_diff_bound,
     nonlinearity,
@@ -163,6 +165,64 @@ class TestFGeneric:
                                kind="piecewise_generic")
         with pytest.raises(DomainError, match="monotone"):
             F_generic(0.5, bad)
+
+
+def F_generic_all_branches(u, spec):
+    """The earlier F_generic, kept as the reference: all three branches on
+    every point, then np.select."""
+    coeffs = _blend_coeffs(spec.p, spec.q, spec.delta0)
+    u = np.asarray(u, dtype=float)
+    au = np.abs(u)
+    safe = np.where(au > 0, au, 0.5)
+    x = np.log(safe)
+    log_base = np.where(x < 0, -x, 1.0)
+    small = spec.delta0 * log_base ** (1.0 - spec.p) * safe
+    large = spec.delta0 * safe**spec.q
+    blend = np.exp(_hermite(x, *coeffs))
+    out = np.select(
+        [au == 0.0, au <= spec.delta0, au >= 1.0 / spec.delta0],
+        [0.0, small, large],
+        default=blend,
+    )
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+class TestFGenericBranchOnly:
+    """F_generic evaluates each branch only where it applies; every finite
+    or infinite input keeps its bits."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    def test_bitwise_equal_to_all_branches(self, p):
+        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, A=2.0,
+                                kind="piecewise_generic")
+        mag = np.geomspace(1e-300, 1e300, 60001)
+        d = spec.delta0
+        special = [0.0, d, 1.0 / d, np.nextafter(d, 1.0),
+                   np.nextafter(1.0 / d, 0.0), 5e-324, np.inf]
+        u = np.concatenate([mag, -mag, special, np.negative(special)])
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = F_generic(u, spec)
+            want = F_generic_all_branches(u, spec)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        for v in special + [-x for x in special]:
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                one = F_generic(v, spec)
+                ref = F_generic_all_branches(v, spec)
+            assert type(one) is float
+            assert np.float64(one).view(np.int64) == np.float64(ref).view(np.int64)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    def test_nan_maps_to_nan(self, p):
+        # the reference sends NaN to F(0.5) (its placeholder for u = 0 is
+        # picked by np.where(au > 0, ...)); the branch-only rule keeps NaN
+        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, A=2.0,
+                                kind="piecewise_generic")
+        assert np.isnan(F_generic(np.nan, spec))
+        out = F_generic(np.array([np.nan, 0.3, -np.nan]), spec)
+        assert np.isnan(out[0]) and np.isnan(out[2])
+        assert out[1] == F_generic_all_branches(0.3, spec)
 
 
 class TestGEnvelope:
