@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hypgeo import DomainError, QuadratureConfig, log_sinh
-from .meanprop import RadialProfile, SpaceTimeField, _as_profile, lower_bound_I
+from .meanprop import (RadialProfile, SpaceTimeField, _as_profile,
+                       _lower_bound_prefactor, _sqrt_sinh_integrals)
 from .fdoracle import FDConfig, leapfrog
 
 __all__ = [
@@ -228,12 +229,15 @@ def first_iterate_bound(u1, params, n_width=15, q=QuadratureConfig()):
     r_corner = 0.5 * (3.0 * tau0 - widths)
     r = (r_corner[:, None] * (1.0 + 1e-6) + offsets * tau0).ravel()
     t = r + np.repeat(widths, offsets.size)
-    _, small = lower_bound_I(prof, t, r, tau0, params.C0, q)
-    keep = ~np.isnan(small)
+    # lower_bound_I's bound_small alone
+    t, r, pref = _lower_bound_prefactor(t, r, tau0, params.C0)
+    keep = np.abs(t - r) > tau0 / 8.0
+    small = pref[keep] * _sqrt_sinh_integrals(prof, np.abs(t - r)[keep],
+                                              (t + r)[keep], q)
     # math.exp keeps c0's bits: np.exp's vector kernel can round the last
     # bit differently
     values = [math.exp(0.5 * ls) * s
-              for ls, s in zip(log_sinh(r[keep]).tolist(), small[keep])]
+              for ls, s in zip(log_sinh(r[keep]).tolist(), small)]
     if not values:
         raise DomainError("empty effective sample of S; tau0 may be degenerate")
     c0 = min(values)

@@ -8,32 +8,30 @@ solver layers need is built from four pieces:
                  [(cosh(r+t) - cosh lam)(cosh lam - cosh(r-t))]^{-1/2} dlam,
 * the sine-type propagator
       I(t, r, phi) = int_0^t sinh(s) (2 cosh t - 2 cosh s)^{-1/2} M^s phi(r) ds,
-  which solves the shifted linear wave equation with data (0, phi),
+  which solves the shifted linear wave equation with data (0, phi) and is
+  evaluated through its closed-form kernel in lam,
 * the Duhamel integral of a space-time source, and
 * the W double integral and the R smoothing operator for a general even
   monotone weight a(s), together with their closed-form companions
   (the Beta identity and the explicit propagator lower bounds).
 
-Both endpoint singularities of the mean are removed exactly by the
-substitution cosh(lam) = midpoint + halfwidth*cos(theta); the resulting
-theta integral is integrated on panels that are geometrically graded in
-cosh(lam) so that the enormous dynamic range at large t + r costs only
-O(log cosh(t+r)) panels. The outer s integral uses unit-width panels away
-from s = t and the substitution sigma^2 = 2 cosh t - 2 cosh s on the last
-panel, which removes the endpoint singularity there as well.
+The inner s-integral of W is a complete elliptic integral, so for every
+weight a, W(t, r, f) = int f(lam) 2 K(kappa) / sqrt(a(M) - a(b)) dlam
+over max(r - t, 0) < lam < r + t, with b = |r - lam|, c = min(t, r + lam),
+M = max(t, r + lam) and kappa = (a(c) - a(b)) / (a(M) - a(b)); and
+I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi. One node builder
+(_kernel_nodes) lists that lam-rule for every radius at one time: each
+side of the log singularity lam* = |t - r| is mapped by lam = lam* +- H u^2
+and graded geometrically toward u = 0, with panels on the table's grid
+cells (so each integrates one cubic of the interpolant) or on unit steps
+and the profile's knots. The table scatters the nodes to their cells as
+moments w xi^p; linear_field sums them to their radii; sine_propagator
+and W_evaluator settle over doubling node levels.
 
-One node builder (_mean_nodes) serves every evaluation of the mean: it
-lists the nodes of sum_k ws_k M^{s_k} f(r_j) for all pairs (s_k, r_j) in
-one flat panel list, breakpoints from one pass with both angular ends
-pinned, panels broken at the profile's knots, expanded to Gauss nodes in
-bounded chunks. spherical_mean is the list of one pair; sine_propagator
-is the outer s-rule at one radius; both settle over the angular levels
-(n, n + 4), n = n0, 2 n0, 4 n0 (_settle). The grid sweeps take the first
-level n0 + 4 at every time level: linear_field sums the weighted profile
-values of the nodes to their radii, with the profile's knots; the table,
-without knots, scatters each node's weight to the cubic-interpolation
-cell it falls in as four moments w xi^p, then turns the moments into
-stencil entries with the stencil's monomial coefficients.
+The spherical mean keeps a rule of its own, the independent check of its
+identities: cosh(lam) = midpoint + halfwidth*cos(theta) removes both
+endpoint singularities, on panels geometric in cosh(lam), so that the
+dynamic range at large t + r costs only O(log cosh(t+r)) panels.
 
 All operations are pure; grid sweeps share no mutable state.
 """
@@ -68,9 +66,11 @@ __all__ = [
     "lower_bound_I",
 ]
 
-_PANEL_RATIO = 3.0  # growth factor of the cosh(lam) panel breakpoints
+_PANEL_RATIO = 3.0  # growth factor of the mean's cosh(lam) panel breakpoints
 _DEGENERATE_REL = 1e-13
-_NODE_CHUNK = 1 << 14  # Gauss nodes _mean_nodes expands at a time
+_NODE_CHUNK = 1 << 14  # Gauss nodes _kernel_nodes expands at a time
+_GRADE_RATIO = 0.2  # ratio of the kernel rule's graded breaks in u
+_GRADE_DEPTH = 1e-4  # deepest graded break in u, lam* + 1e-8 of the side
 
 
 @lru_cache
@@ -262,101 +262,59 @@ def _as_profile(f):
 # the spherical mean
 
 
-def _mean_nodes(s, ws, r, n_gl, knots=None):
-    """The flat node list of sum_k ws_k M^{s_k} f(r_j) for every radius r_j.
+def _mean_nodes(t, r, knots=None):
+    """The mean's rule for M^t f(r): None when the sphere is degenerate (t
+    or r ~ 0, where the mean is f(max(r, t))), else nodes(n_gl) giving
+    (lam, w) with M^t f(r) ~= sum w f(lam).
 
-    Yields chunks (row, lam, w) of flat arrays, rows ascending within each
-    chunk, such that sum_k ws_k M^{s_k} f(r_j) ~= sum over the nodes with
-    row == j of w f(lam). Each pair (s_k, r_j) gets panels geometric in
-    y = cosh(lam) between cosh(r_j - s_k) and cosh(r_j + s_k), broken also
-    at the knots inside that range, with n_gl Gauss nodes per panel in the
-    substituted angle. All breakpoints come out of one in-place pass over
-    their fractions of the log span, padded to the widest pair with the
-    fraction 1 and with the knots clamped into range; both angular ends
-    are set exactly, so each pair's weights sum to ws_k, and the
-    zero-width panels are dropped. lam is recovered through log1p on
+    The panels are geometric in y = cosh(lam) between cosh(r - t) and
+    cosh(r + t), broken also at the knots inside that range, and built
+    once; nodes(n_gl) puts n_gl Gauss nodes on each in the substituted
+    angle theta = arccos((y - mbar) / hbar). Both angular ends are set
+    exactly, so the weights sum to one. lam is recovered through log1p on
     delta = y - 1 assembled from exact nonnegative pieces, which keeps
-    nodes accurate near lam = 0 even when cosh(r + s) is ~1e10. Panels
-    are expanded at most _NODE_CHUNK nodes at a time. A degenerate pair
-    (s_k or r_j ~ 0) is one node of weight ws_k at max(r_j, s_k); those
-    come in the last chunk.
+    nodes accurate near lam = 0 even when cosh(r + t) is ~1e10.
     """
-    c_lo = np.cosh(r[:, None] - s)
-    c_hi = np.cosh(r[:, None] + s)
-    degenerate = (c_hi - c_lo) <= _DEGENERATE_REL * c_hi
-    j, k = np.nonzero(~degenerate)
-    c_lo, c_hi = c_lo[j, k], c_hi[j, k]
+    c_lo = np.cosh(r - t)
+    c_hi = np.cosh(r + t)
+    if c_hi - c_lo <= _DEGENERATE_REL * c_hi:
+        return None
     span = np.log(c_hi / c_lo)
-    n_pan = np.ceil(span / np.log(_PANEL_RATIO)).astype(int)
+    n_pan = int(np.ceil(span / np.log(_PANEL_RATIO)))
     mbar = 0.5 * (c_hi + c_lo)
     hbar = 0.5 * (c_hi - c_lo)
-
-    th = np.arange(n_pan.max(initial=1) + 1) / n_pan[:, None]
-    np.minimum(th, 1.0, out=th)
+    th = np.arange(n_pan + 1) / n_pan
     if knots is not None:
-        f_knot = (log_cosh(np.asarray(knots, dtype=float))
-                  - np.log(c_lo)[:, None]) / span[:, None]
-        th = np.sort(np.concatenate([th, np.clip(f_knot, 0.0, 1.0)], axis=1),
-                     axis=1)
+        f_knot = (log_cosh(np.asarray(knots, dtype=float)) - np.log(c_lo)) / span
+        th = np.sort(np.concatenate([th, np.clip(f_knot, 0.0, 1.0)]))
     bottom, top = th == 0.0, th == 1.0
-    # th = arccos((y - mbar) / hbar) at y = c_lo exp(span f), in place
-    th *= span[:, None]
-    np.exp(th, out=th)
-    th *= c_lo[:, None]
-    th -= mbar[:, None]
-    th /= hbar[:, None]
-    np.clip(th, -1.0, 1.0, out=th)
-    np.arccos(th, out=th)
+    th = np.arccos(np.clip((np.exp(th * span) * c_lo - mbar) / hbar, -1.0, 1.0))
     # near +-1 arccos turns the rounding of its argument into angle errors
     # up to ~1e-7, a weight lost at the end panels: set both ends exactly
     th[bottom] = np.pi  # theta decreases with y
     th[top] = 0.0
-    half = 0.5 * (th[:, :-1] - th[:, 1:])
-    pair, p = np.nonzero(half)
-    mid = 0.5 * (th[pair, p] + th[pair, p + 1])
-    half = half[pair, p]
-    j, k, c_lo1, hbar = j[pair], k[pair], c_lo[pair] - 1.0, hbar[pair]
+    half = 0.5 * (th[:-1] - th[1:])
+    p = np.flatnonzero(half)
+    mid, half = 0.5 * (th[p] + th[p + 1]), half[p]
 
-    xg, wg = leggauss(n_gl)
-    per = max(_NODE_CHUNK // n_gl, 1)
-    for a in range(0, pair.size, per):
-        b = slice(a, a + per)
-        theta = mid[b, None] + half[b, None] * xg
-        w = ws[k[b], None] * ((half[b, None] * wg) / np.pi)
-        delta = c_lo1[b, None] + 2.0 * hbar[b, None] * np.cos(theta / 2.0) ** 2
+    def nodes(n_gl):
+        xg, wg = leggauss(n_gl)
+        theta = mid[:, None] + half[:, None] * xg
+        w = (half[:, None] * wg) / np.pi
+        delta = (c_lo - 1.0) + 2.0 * hbar * np.cos(theta / 2.0) ** 2
         lam = np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
-        yield np.repeat(j[b], n_gl), lam.ravel(), w.ravel()
-    if degenerate.any():
-        j, k = np.nonzero(degenerate)
-        yield j, np.maximum(r[j], s[k]), ws[k]
+        return lam.ravel(), w.ravel()
+
+    return nodes
 
 
-def _mean_sum(prof, s, ws, r, n_gl):
-    """sum_k ws_k M^{s_k} prof(r_j) for every radius r_j, from _mean_nodes
-    with panels broken at the profile's knots."""
-    out = np.zeros(r.size)
-    for row, lam, w in _mean_nodes(s, ws, r, n_gl, prof.knots):
-        out += np.bincount(row, weights=w * prof(lam), minlength=r.size)
-    return out
-
-
-def _first_level(q):
-    """n0, the smallest angular Gauss level of the mean's rule."""
-    return max(6, q.nodes_inner // 5)
-
-
-def _settle(prof, s, ws, r, q, what):
-    """sum_k ws_k M^{s_k} prof(r) at one radius r, settled over the angular
-    levels (n, n + 4) for n = n0, 2 n0, 4 n0.
-
-    Returns the value at n + 4 for the first pair of levels that agrees
-    within the configured tolerances and raises QuadratureError when even
-    the finest pair disagrees.
-    """
-    rr = np.asarray([r])
-    n0 = _first_level(q)
-    for n in (n0, 2 * n0, 4 * n0):
-        coarse, fine = (float(_mean_sum(prof, s, ws, rr, m)[0]) for m in (n, n + 4))
+def _settle(value, levels, q, what):
+    """value(n) at the fine level of the first pair of node levels (coarse,
+    fine) that agrees within the configured tolerances; QuadratureError
+    when even the last pair disagrees. Each level is evaluated once."""
+    value = lru_cache(value)
+    for coarse_n, fine_n in levels:
+        coarse, fine = value(coarse_n), value(fine_n)
         err = abs(fine - coarse)
         if err <= max(q.abs_tol, q.rel_tol * max(abs(coarse), abs(fine))):
             return fine
@@ -368,88 +326,182 @@ def _settle(prof, s, ws, r, q, what):
 def spherical_mean(f, t, r, q=QuadratureConfig()):
     """The mean of a radial profile over the geodesic sphere of radius t at r.
 
-    Evaluates the graded-panel rule of _mean_nodes at two node counts
-    (escalating once the levels disagree) and raises QuadratureError when
-    even the finest pair disagrees beyond the configured tolerances. t = 0
-    returns f(r) exactly.
+    The rule of _mean_nodes with the profile's knots, settled over the
+    angular levels (n, n + 4), n = n0, 2 n0, 4 n0; t = 0 returns f(r)
+    exactly. It shares nothing with the propagation kernel, so it checks
+    the mean's identities independently.
     """
     if t < 0 or r < 0:
         raise DomainError("spherical_mean needs t >= 0 and r >= 0")
     prof = _as_profile(f)
     if t == 0.0:
         return float(prof(np.asarray([r]))[0])
-    return _settle(prof, np.asarray([t]), np.ones(1), r, q,
+    nodes = _mean_nodes(t, r, prof.knots)
+    if nodes is None:
+        return float(prof(np.asarray([max(r, t)]))[0])
+
+    def value(n_gl):
+        lam, w = nodes(n_gl)
+        return float(np.cumsum(w * prof(lam))[-1])  # summed in node order
+
+    n0 = max(6, q.nodes_inner // 5)
+    return _settle(value, [(n, n + 4) for n in (n0, 2 * n0, 4 * n0)], q,
                    f"spherical mean at (t={t}, r={r})")
+
+
+# ---------------------------------------------------------------------------
+# the propagation kernel
+
+
+def _agm_K(m1):
+    """The complete elliptic integral K(kappa) from the complement
+    m1 = 1 - kappa in [0, 1]: pi / (2 AGM(1, sqrt(m1))) (DLMF 19.8.1).
+
+    Seven steps of the arithmetic-geometric mean settle it to 4e-16 for
+    m1 >= 1e-15; m1 = 0 gives a large finite value, never inf.
+    """
+    a, b = np.ones_like(m1), np.sqrt(m1)
+    for _ in range(7):
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    return np.pi / (a + b)
+
+
+def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
+    """The rule for int f(lam) k_a(t, r_j, lam) dlam at every radius r_j and
+    one time t > 0, k_a = 2 K(kappa) / sqrt(a(M) - a(b)), cut at lam_max.
+    Builds the panels once and returns nodes(n_gl), which yields chunks
+    (row, lam, w) of at most _NODE_CHUNK nodes, rows ascending within a
+    chunk, with the integral at r_j ~= sum of w f(lam) over row == j.
+
+    k_a has a log singularity at lam* = |t - r| and square-root branches
+    2r and |t - r| away from it. lam = lam* +- H u^2 (H the side's length)
+    makes a branch at lam* itself (r = 0, r = t) regular. In u the panels
+    break at 0.5 * _GRADE_RATIO^k down to _GRADE_DEPTH (deeper when a
+    branch is closer than H), at the multiples of step and at the knots.
+    A panel gets n_gl Gauss nodes; twice that when its centre lies within
+    two widths of u = 0, three quarters when it is narrower than 1/4 in
+    lam and eight widths or more away. 1 - kappa comes from the weight's
+    difference quotient and the exact gaps M - c and M - b, so K stays
+    accurate up to lam*.
+    """
+    r = np.asarray(r, dtype=float)
+    # two sides per radius: up from lam* to r + t, and (t > r) down to 0
+    H = np.stack([2.0 * np.minimum(r, t), np.maximum(t - r, 0.0)], axis=1).ravel()
+    side = np.flatnonzero(H > 0.0)
+    H, row, right = H[side], side // 2, side % 2 == 0
+    st, rr, sgn = np.abs(t - r[row]), r[row], np.where(right, 1.0, -1.0)
+    near = np.where(right, st, 2.0 * rr)  # lam* to the next branch
+    depth = _GRADE_DEPTH * np.where(near > 0.0, np.clip(np.sqrt(near / H), 1e-8, 1.0), 1.0)
+    n_grade = np.floor(np.log(2.0 * depth) / np.log(_GRADE_RATIO)) + 1
+    k = np.arange(n_grade.max(initial=0))
+    graded = np.where(k < n_grade[:, None], 0.5 * _GRADE_RATIO ** k, 0.0)
+    lam_b = step * np.arange(1.0, np.ceil(min(lam_max, t + r.max()) / step))
+    if knots is not None:
+        lam_b = np.concatenate([lam_b, knots])
+    # u of lam_max, then of the other breaks, on every side
+    u_b = np.sqrt(np.maximum(sgn[:, None] * (np.append(lam_max, lam_b) - st[:, None]),
+                             0.0) / H[:, None])
+    u_lo = np.where(right, 0.0, np.minimum(u_b[:, 0], 1.0))
+    u_hi = np.where(right, np.minimum(u_b[:, 0], 1.0), 1.0)
+    u = np.concatenate([u_lo[:, None], u_hi[:, None], graded, u_b[:, 1:]], axis=1)
+    u = np.sort(np.clip(u, u_lo[:, None], u_hi[:, None]), axis=1)
+    o, p = np.nonzero(u[:, 1:] > u[:, :-1])
+    mid, half = 0.5 * (u[o, p + 1] + u[o, p]), 0.5 * (u[o, p + 1] - u[o, p])
+
+    # M - c = d + gap_c and M - b = min(2r + d [left], lam* + lam + d [right])
+    gap_c, on_right = np.where(right, 2.0 * np.maximum(rr - t, 0.0), 0.0), right * 1.0
+    xi = mid / half  # the panel's centre in halfwidths from u = 0
+    close = xi < 4.0
+    far = (xi >= 16.0) & (H[o] * 4.0 * mid * half <= 0.25)
+    tiers = [(np.flatnonzero(close), 2.0), (np.flatnonzero(~close & ~far), 1.0),
+             (np.flatnonzero(far), 0.75)]
+
+    def nodes(n_gl):
+        for sel, times in tiers:
+            n = int(times * n_gl)
+            xg, wg = leggauss(n)
+            per = max(_NODE_CHUNK // n, 1)
+            for s in range(0, sel.size, per):
+                b = sel[s:s + per]
+                ob = o[b]
+                uu = mid[b, None] + half[b, None] * xg
+                Hb, stb, rb, fr = H[ob, None], st[ob, None], rr[ob, None], on_right[ob, None]
+                d = Hb * uu * uu
+                lam = stb + sgn[ob, None] * d
+                Mc = d + gap_c[ob, None]
+                Mb = np.minimum(2.0 * rb + (1.0 - fr) * d, stb + lam + fr * d)
+                M = np.maximum(t, rb + lam)
+                amb = a.dq(M, M - Mb) * Mb
+                m1 = np.minimum(a.dq(M, M - Mc) * Mc / amb, 1.0)
+                w = (half[b, None] * wg) * (2.0 * Hb * uu) * (
+                    2.0 * _agm_K(m1) / np.sqrt(amb))
+                yield np.repeat(row[ob], n), lam.ravel(), w.ravel()
+
+    return nodes
+
+
+def _kernel_level(q):
+    """n0, the Gauss nodes per panel of the kernel rule's first level."""
+    return max(8, q.nodes_inner // 8)
+
+
+def _kernel_value(t, r, prof, a, q, what):
+    """int prof k_a(t, r, .) at one point on unit panels and the profile's
+    knots, settled over the node levels n0, 2 n0, 4 n0, 8 n0."""
+    nodes = _kernel_nodes(t, np.asarray([float(r)]), a, 1.0, prof.knots)
+
+    def value(n_gl):
+        return float(sum(np.dot(w, prof(lam)) for _, lam, w in nodes(n_gl)))
+
+    n0 = _kernel_level(q)
+    return _settle(value, [(n0, 2 * n0), (2 * n0, 4 * n0), (4 * n0, 8 * n0)],
+                   q, what)
+
+
+_TWO_COSH = MonotoneWeight.two_cosh()
 
 
 # ---------------------------------------------------------------------------
 # the sine-type propagator
 
 
-def _propagator_nodes(t, q):
-    """Outer s-quadrature for I(t, r, .): nodes s_k and weights W_k with
-    I = sum_k W_k M^{s_k} phi(r). Unit panels on [0, t-1], then the
-    sigma-substituted endpoint panel on [max(t-1,0), t]."""
-    n_sigma = max(8, q.nodes_outer // 4)
-    n_reg = max(6, q.nodes_outer // 8)
-    xg, wg = leggauss(n_sigma)
-    t_break = max(t - 1.0, 0.0)
-
-    sig1 = np.sqrt(2.0 * np.cosh(t) - 2.0 * np.cosh(t_break))
-    sig = 0.5 * sig1 * (xg + 1.0)
-    w_end = 0.5 * sig1 * wg
-    delta = (np.cosh(t) - 1.0) - 0.5 * sig**2
-    delta = np.maximum(delta, 0.0)
-    s_end = np.log1p(delta + np.sqrt(delta * (delta + 2.0)))
-
-    if t_break == 0.0:
-        return s_end, w_end
-
-    xg2, wg2 = leggauss(n_reg)
-    n_panels = int(np.ceil(t_break))
-    edges = np.linspace(0.0, t_break, n_panels + 1)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    s_reg = (mids[:, None] + halfs[:, None] * xg2[None, :]).ravel()
-    w_reg = (halfs[:, None] * wg2[None, :]).ravel()
-    w_reg = w_reg * np.sinh(s_reg) / np.sqrt(2.0 * np.cosh(t) - 2.0 * np.cosh(s_reg))
-    return np.concatenate([s_reg, s_end]), np.concatenate([w_reg, w_end])
-
-
 def sine_propagator(phi, t, r, q=QuadratureConfig()):
     """Solution at (t, r) of the shifted linear wave equation with data (0, phi).
 
-    The outer s-rule of _propagator_nodes with the spherical means of all
-    its nodes in one _mean_nodes list, at the settled angular level.
+    I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi, the kernel rule settled
+    over doubling node levels (_kernel_value).
     """
     if t < 0 or r < 0:
         raise DomainError("sine_propagator needs t >= 0 and r >= 0")
     if t == 0.0:
         return 0.0
     prof = _as_profile(phi)
-    s, ws = _propagator_nodes(t, q)
-    return _settle(prof, s, ws, r, q, f"sine propagator at (t={t}, r={r})")
+    phi_sinh = RadialProfile(lambda lam: prof(lam) * np.sinh(lam), kind=prof.kind,
+                             knots=prof.knots)
+    return _kernel_value(t, r, phi_sinh, _TWO_COSH, q,
+                         f"sine propagator at (t={t}, r={r})") / np.pi
 
 
 def linear_field(phi, t_grid, r_grid, q=QuadratureConfig()):
     """sine_propagator evaluated on a full (t, r) grid.
 
-    Each time level is the first level of sine_propagator's rule (n0 + 4
-    angular nodes, panels broken at the profile's knots): the nodes of
-    every (s-node, radius) pair come from one _mean_nodes list, the profile
-    is evaluated on each chunk of nodes, and the weighted values are summed
-    to their radii with one bincount.
+    Each time level is the second level (2 n0 nodes per panel) of
+    sine_propagator's rule for every radius at once, the weighted values
+    summed to their radii with one bincount per chunk. The second level
+    keeps profiles that are smooth but not analytic at their knots
+    (bump_profile's ramps) within 1e-7 of the settled values.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     prof = _as_profile(phi)
-    n_gl = _first_level(q) + 4
     out = np.zeros((t_grid.size, r_grid.size))
     for i, t in enumerate(t_grid):
         if t > 0.0:
-            s, ws = _propagator_nodes(t, q)
-            out[i] = _mean_sum(prof, s, ws, r_grid, n_gl)
-    return SpaceTimeField(t_grid, r_grid, out)
+            nodes = _kernel_nodes(t, r_grid, _TWO_COSH, 1.0, prof.knots)
+            for row, lam, w in nodes(2 * _kernel_level(q)):
+                out[i] += np.bincount(row, weights=w * np.sinh(lam) * prof(lam),
+                                      minlength=r_grid.size)
+    return SpaceTimeField(t_grid, r_grid, out / np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +596,15 @@ class PropagatorTable:
     interpolation) inside the triangle t + r <= r_max and truncated
     outside it. The time grid starts at 0, so that row i is lag i.
 
-    A[d] is built from the first level of sine_propagator's rule at
-    t = d*dt (n0 + 4 angular nodes, both angular ends pinned, no knots:
-    the data are grid samples), from _mean_nodes' flat panel list, by
-    cell moments: a node at lam = dr (l0 + xi), 0 <= xi < 1, adds w xi^p
-    (p = 0..3) to the moments of its cell (j, l0), four bincounts over one
-    flat index; nodes past the grid share one dump cell. The stencil's
-    monomial coefficients then turn the moments of cell l0 into the
-    entries l0-1 .. l0+2 of row j, the entry -1 folds onto 1 (the even
-    reflection) and the columns >= n_r are dropped.
+    A[d] is the first level (n0 nodes per panel) of sine_propagator's
+    kernel rule at t = d*dt, with panels on the grid cells, where the
+    interpolant is one cubic, up to r_max + 2 dr, past which the stencil
+    misses the grid. A node at lam = dr (l0 + xi), 0 <= xi < 1, adds
+    w xi^p (p = 0..3) to the moments of its cell (j, l0), four bincounts
+    over one flat index (nodes past the grid would share a dump cell).
+    The stencil's monomial coefficients then turn the moments of cell l0
+    into the entries l0-1 .. l0+2 of row j, the entry -1 folds onto 1
+    (the even reflection) and the columns >= n_r are dropped.
 
     apply_linear contracts the table against a sampled data profile.
     duhamel_field evaluates the source integral on the whole grid, for one
@@ -587,13 +639,14 @@ class PropagatorTable:
         width = n_r + 2  # cells l0 = 0 .. n_r, then the dump cell
         mom = np.zeros((4, n_r * width))
         inv_dr = 1.0 / self.dr
-        s, ws = _propagator_nodes(t, self.quad)
-        n_gl = _first_level(self.quad) + 4
-        for row, lam, w in _mean_nodes(s, ws, self.r_grid, n_gl):
+        # from lam = (n_r + 1) dr on, the whole stencil lies past the grid
+        nodes = _kernel_nodes(t, self.r_grid, _TWO_COSH, self.dr,
+                              lam_max=(n_r + 1) * self.dr)
+        for row, lam, w in nodes(_kernel_level(self.quad)):
+            w = w * np.sinh(lam) / np.pi
             pos = lam * inv_dr
             l0 = np.floor(pos)
             xi = pos - l0
-            # from l0 = n_r + 1 on, the whole stencil lies past the grid
             cell = np.minimum(l0, n_r + 1).astype(np.intp)
             # rows ascend, so a chunk touches the moments of rows lo..hi-1
             lo, hi = row[0], row[-1] + 1
@@ -670,95 +723,19 @@ def beta_identity_check(b, c, a, q=QuadratureConfig()):
     return float(np.dot(w, g))
 
 
-def _w_inner(t, r, lam, a, q, kappa_switch=0.75):
-    """Inner s-integral of W at fixed lam, over s in [b, c] with the
-    remaining factor (a(M)-a(s))^{-1/2}; b = |r-lam|, {c, M} = {t, r+lam}.
-
-    Away from the singular line kappa -> 1 this is the Beta-type integral
-    on Chebyshev-Gauss nodes in x = s^2; near it the exact reduction to
-    the complete elliptic integral takes over:
-        inner = 2 K(kappa) / sqrt(a(M) - a(b)).
-    """
-    b = abs(r - lam)
-    c = min(t, r + lam)
-    M = max(t, r + lam)
-    if c <= b:
-        return 0.0
-    amb = a.a(M) - a.a(b)
-    kap = (a.a(c) - a.a(b)) / amb
-    if kap > kappa_switch:
-        from scipy.special import ellipk
-
-        return 2.0 * ellipk(min(kap, 1.0 - 1e-16)) / np.sqrt(amb)
-    x, w = cg_nodes(q.nodes_inner, b * b, c * c)
-    s = np.sqrt(x)
-    g = (a.da(s) / (2.0 * s)) / np.sqrt(
-        a.dq_of_squares(c * c, x) * a.dq_of_squares(x, b * b))
-    extra = 1.0 / np.sqrt(a.a(M) - a.a(s))
-    return float(np.dot(w, g * extra))
-
-
 def W_evaluator(t, r, f, a, q=QuadratureConfig()):
     """The double integral W(t, r, f) of the appendix lemma.
 
-    Fubini order: lam outside, s inside. The inner integral is Beta-type
-    and evaluated by _w_inner; the outer integral is adaptive, split at
-    lam = |t - r| where (for t > r) the inner value has a logarithmic
-    singularity. At r = 0 the s-interval shrinks to the point lam and the
-    inner value to pi (a(t) - a(lam))^{-1/2}, so W is the single integral
-    pi int_0^t f(lam) (a(t) - a(lam))^{-1/2} dlam, signed as f.
+    Fubini order: lam outside, s inside, where the inner integral is the
+    closed form k_a of _kernel_nodes; settled over doubling node levels
+    (_kernel_value). At r = 0, kappa = 0 and W = pi int_0^t f(lam)
+    (a(t) - a(lam))^{-1/2} dlam, which the rule approaches as r -> 0.
     """
     if t < 0 or r < 0:
         raise DomainError("W_evaluator needs t >= 0 and r >= 0")
-    prof = _as_profile(f)
-    lo = max(r - t, 0.0)
-    hi = r + t
-    if hi <= lo or t == 0.0:
+    if t == 0.0:
         return 0.0
-    if r == 0.0:
-        return _line_integral(t, r, prof, a, q, signed=True)
-    from scipy.integrate import quad
-
-    def g(lam):
-        return float(prof(np.asarray([lam]))[0]) * _w_inner(t, r, lam, a, q)
-
-    kink = abs(t - r)
-    edges = [lo, hi]
-    if lo < kink < hi:
-        edges = [lo, kink, hi]
-    total = 0.0
-    for aa, bb in zip(edges[:-1], edges[1:]):
-        res = quad(g, aa, bb, epsabs=q.abs_tol, epsrel=q.rel_tol,
-                   limit=200, full_output=1)
-        if len(res) > 3:
-            raise QuadratureError(
-                f"W outer integral on [{aa:.3g}, {bb:.3g}] at (t={t}, r={r}): {res[3]}")
-        total += res[0]
-    return total
-
-
-def _line_integral(t, r, prof, a, q, signed):
-    """pi int f(lam) |a(r+lam) - a(t)|^{-1/2} dlam over [r - t, r + t]
-    (r >= t) or [0, t + r] (t > r), with |f| unless signed."""
-    from scipy.integrate import quad
-
-    def g(lam):
-        d = abs(a.a(r + lam) - a.a(t))
-        if d == 0.0:
-            return 0.0
-        v = float(prof(np.asarray([lam]))[0])
-        return (v if signed else abs(v)) / np.sqrt(d)
-
-    if r >= t:
-        lo, hi, pts = r - t, r + t, []
-    else:
-        lo, hi, pts = 0.0, t + r, [t - r]
-    edges = [lo] + [p for p in pts if lo < p < hi] + [hi]
-    total = 0.0
-    for aa, bb in zip(edges[:-1], edges[1:]):
-        val, _ = quad(g, aa, bb, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=200)
-        total += val
-    return np.pi * total
+    return _kernel_value(t, r, _as_profile(f), a, q, f"W at (t={t}, r={r})")
 
 
 def w_majorant(t, r, f, a, q=QuadratureConfig()):
@@ -768,7 +745,19 @@ def w_majorant(t, r, f, a, q=QuadratureConfig()):
     t > r:   pi int_0^{t+r} |f| |a(r+lam) - a(t)|^{-1/2} dlam,
     the latter with an integrable singularity at lam = t - r.
     """
-    return _line_integral(t, r, _as_profile(f), a, q, signed=False)
+    from scipy.integrate import quad
+
+    prof = _as_profile(f)
+
+    def g(lam):
+        d = abs(a.a(r + lam) - a.a(t))
+        if d == 0.0:
+            return 0.0
+        return abs(float(prof(np.asarray([lam]))[0])) / np.sqrt(d)
+
+    edges = [r - t, r + t] if r >= t else [0.0, t - r, t + r]
+    return np.pi * sum(quad(g, aa, bb, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=200)[0]
+                       for aa, bb in zip(edges[:-1], edges[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -876,6 +865,26 @@ def default_C0(tau0):
     return min(1.0, 0.5 * np.sqrt(np.tanh(tau0 / 8.0) * np.tanh(tau0 / 2.0)))
 
 
+def _lower_bound_prefactor(t, r, tau0, C0):
+    """lower_bound_I's inputs checked and broadcast: (t, r, C0 (sinh r)^{-1/2})."""
+    if tau0 <= 0:
+        raise DomainError("tau0 must be positive")
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(r, dtype=float))
+    if np.any(r <= tau0 / 2.0):
+        raise DomainError(f"lower_bound_I needs r > tau0/2 = {tau0 / 2.0}; "
+                          f"got r = {r[r <= tau0 / 2.0].min()}")
+    C0 = default_C0(tau0) if C0 is None else C0
+    if not 0.0 < C0 <= 1.0:
+        raise DomainError("C0 must lie in (0, 1]")
+    return t, r, C0 * np.exp(-0.5 * log_sinh(r))
+
+
+def _sqrt_sinh_integrals(prof, lo, hi, q):
+    """int_{lo_k}^{hi_k} prof(lam) (sinh lam)^{1/2} dlam for every k."""
+    return _gl_integrals(lambda lam: prof(lam) * np.exp(0.5 * log_sinh(lam)), lo, hi, q)
+
+
 def lower_bound_I(phi, t, r, tau0, C0=None, q=QuadratureConfig()):
     """The two explicit propagator lower bounds at (t, r).
 
@@ -888,28 +897,13 @@ def lower_bound_I(phi, t, r, tau0, C0=None, q=QuadratureConfig()):
     arrays of that shape, bound_small NaN where it is absent, and phi is
     evaluated once on the nodes of every point's integrals.
     """
-    if tau0 <= 0:
-        raise DomainError("tau0 must be positive")
-    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
-                               np.asarray(r, dtype=float))
-    if np.any(r <= tau0 / 2.0):
-        raise DomainError(f"lower_bound_I needs r > tau0/2 = {tau0 / 2.0}; "
-                          f"got r = {r[r <= tau0 / 2.0].min()}")
-    if C0 is None:
-        C0 = default_C0(tau0)
-    if not 0.0 < C0 <= 1.0:
-        raise DomainError("C0 must lie in (0, 1]")
-    prof = _as_profile(phi)
-    pref = C0 * np.exp(-0.5 * log_sinh(r))
-
-    def fn(lam):
-        return prof(lam) * np.exp(0.5 * log_sinh(lam))
-
+    t, r, pref = _lower_bound_prefactor(t, r, tau0, C0)
     hi = t + r
     wide = np.abs(t - r) > tau0 / 8.0
-    ints = _gl_integrals(fn, np.concatenate([np.maximum(t, r).ravel(),
-                                             np.abs(t - r)[wide]]),
-                         np.concatenate([hi.ravel(), hi[wide]]), q)
+    ints = _sqrt_sinh_integrals(_as_profile(phi),
+                                np.concatenate([np.maximum(t, r).ravel(),
+                                                np.abs(t - r)[wide]]),
+                                np.concatenate([hi.ravel(), hi[wide]]), q)
     bound_large = pref * ints[:hi.size].reshape(hi.shape)
     bound_small = np.full(hi.shape, np.nan)
     bound_small[wide] = pref[wide] * ints[hi.size:]

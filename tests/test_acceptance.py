@@ -183,7 +183,6 @@ def test_07_picard_convergence(eps0):
     assert history[-1] <= 2.0 * cfg.fixed_point_tol
 
 
-@pytest.mark.slow
 def test_08_claim_bound_monotone_and_small():
     """Weighted claim value grows with eps at 10 sampled (t, r); the grid
     supremum at eps = 1e-4 stays below 1."""

@@ -30,7 +30,9 @@ def coarse_cfg():
 
 @pytest.fixture(scope="module")
 def coarse_table(coarse_cfg):
-    return gs._get_table(coarse_cfg, Q)
+    table = gs._get_table(coarse_cfg, Q)
+    assert np.all(np.isfinite(table._A))
+    return table
 
 
 def with_eps(cfg, eps):

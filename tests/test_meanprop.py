@@ -5,6 +5,7 @@ tanh-sinh quadrature at 30 significant digits on the defining integrals,
 with no code shared with the implementation under test.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from hypwave.blowlab import bump_profile
-from hypwave.hypgeo import DomainError, EnvelopeParams, QuadratureConfig, theta_k
+from hypwave.hypgeo import DomainError, EnvelopeParams, QuadratureConfig, cg_nodes, theta_k
 from hypwave.meanprop import (
     MonotoneWeight,
     PropagatorTable,
@@ -21,12 +22,11 @@ from hypwave.meanprop import (
     RadialProfile,
     SpaceTimeField,
     W_evaluator,
-    _DEGENERATE_REL,
+    _agm_K,
+    _kernel_level,
     _lag_weights,
     _mean_nodes,
-    _propagator_nodes,
     _time_weights,
-    _w_inner,
     beta_identity_check,
     default_C0,
     dt_r_bound_check,
@@ -282,6 +282,13 @@ class TestSinePropagator:
         with pytest.raises(DomainError):
             sine_propagator(theta1, 1.0, -0.1)
 
+    def test_unresolvable_profile_raises(self):
+        chirp = lambda lam: np.sin(40.0 * lam) * np.cos(37.0 * lam * lam)
+        with pytest.raises(QuadratureError, match="did not settle"):
+            sine_propagator(chirp, 6.0, 6.0)
+        with pytest.raises(QuadratureError, match="did not settle"):
+            W_evaluator(6.0, 6.0, chirp, MonotoneWeight.s_squared())
+
 
 class TestLinearField:
     def test_matches_pointwise(self):
@@ -341,9 +348,17 @@ class TestDuhamel:
             duhamel(F, 0.3, 1.0)
 
 
+def finite_table(t_grid, r_grid, q=QuadratureConfig()):
+    """A PropagatorTable, checked to hold only finite entries: a kernel node
+    on kappa = 1 would make one inf * 0 = NaN."""
+    tab = PropagatorTable(t_grid, r_grid, q)
+    assert np.all(np.isfinite(tab._A))
+    return tab
+
+
 @pytest.fixture(scope="module")
 def table():
-    return PropagatorTable(np.linspace(0, 2.0, 41), np.linspace(0, 8.0, 81))
+    return finite_table(np.linspace(0, 2.0, 41), np.linspace(0, 8.0, 81))
 
 
 class TestPropagatorTable:
@@ -408,8 +423,8 @@ class TestDuhamelConvolution:
     # 3/8-only row i = 3, 5 and 41 the corrected odd rows i >= 5
     @pytest.mark.parametrize("n_t", [2, 3, 4, 5, 41])
     def test_matches_prefix_formula(self, n_t):
-        tab = PropagatorTable(np.linspace(0.0, 0.1 * (n_t - 1), n_t),
-                              np.linspace(0.0, 4.0, 21))
+        tab = finite_table(np.linspace(0.0, 0.1 * (n_t - 1), n_t),
+                           np.linspace(0.0, 4.0, 21))
         rng = np.random.default_rng(n_t)
         src = rng.standard_normal((n_t, 21))
         want = duhamel_by_prefix(tab, src)
@@ -436,108 +451,55 @@ class TestDuhamelConvolution:
                 assert abs(w[d if d < 4 else 0, k] - want[k]) <= 1e-15
 
 
-def mean_nodes_batch(t, r, n_gl, ratio=3.0):
-    """The former per-s-node builder of the mean's nodes at every radius:
-    rows padded to the widest row's panel count, the padding at weight 0,
-    both angular ends pinned, degenerate rows one unit-weight node at
-    max(r, t)."""
-    c_lo = np.cosh(r - t)
-    c_hi = np.cosh(r + t)
-    degenerate = (c_hi - c_lo) <= _DEGENERATE_REL * c_hi
-    span = np.log(np.maximum(c_hi / c_lo, 1.0 + 1e-300))
-    n_pan = np.maximum(np.ceil(span / np.log(ratio)).astype(int), 1)
-    p_idx = np.arange(int(n_pan.max()) + 1)
-    expo = np.minimum(p_idx[None, :] / n_pan[:, None], 1.0)
-    y = c_lo[:, None] * np.exp(span[:, None] * expo)
-    mbar = 0.5 * (c_hi + c_lo)
-    hbar = np.maximum(0.5 * (c_hi - c_lo), 1e-300)
-    th = np.arccos(np.clip((y - mbar[:, None]) / hbar[:, None], -1.0, 1.0))
-    th[:, 0] = np.pi
-    th[expo == 1.0] = 0.0
-    xg, wg = leggauss(n_gl)
-    mid = 0.5 * (th[:, :-1] + th[:, 1:])
-    half = 0.5 * (th[:, :-1] - th[:, 1:])
-    theta = mid[:, :, None] + half[:, :, None] * xg
-    w = (half[:, :, None] * wg) / np.pi
-    delta = (c_lo - 1.0)[:, None, None] + 2.0 * hbar[:, None, None] * np.cos(theta / 2.0) ** 2
-    lam = np.log1p(delta + np.sqrt(delta * (delta + 2.0))).reshape(r.size, -1)
-    w = w.reshape(r.size, -1)
-    lam[degenerate, :] = np.maximum(r[degenerate], t)[:, None]
-    w[degenerate, :] = 0.0
-    w[degenerate, 0] = 1.0
-    return lam, w
-
-
-def lag_matrix_by_s_node(r_grid, t, q=QuadratureConfig()):
-    """The former lag matrix: per outer s-node, the stencil weights of
-    every node scattered with four masked bincounts into a dense matrix."""
-    n_r = r_grid.size
-    n_gl = max(6, q.nodes_inner // 5) + 4
-    M = np.zeros((n_r, n_r))
-    s_nodes, s_w = _propagator_nodes(t, q)
-    inv_dr = 1.0 / (r_grid[1] - r_grid[0])
-    for s_k, w_k in zip(s_nodes, s_w):
-        lam, w = mean_nodes_batch(s_k, r_grid, n_gl)
-        pos = lam * inv_dr
-        l0 = np.floor(pos).astype(int)
-        xi = pos - l0
-        cm1 = -xi * (xi - 1.0) * (xi - 2.0) / 6.0
-        c0 = (xi * xi - 1.0) * (xi - 2.0) / 2.0
-        c1 = -xi * (xi + 1.0) * (xi - 2.0) / 2.0
-        c2 = xi * (xi * xi - 1.0) / 6.0
-        rows = np.broadcast_to(np.arange(n_r)[:, None], lam.shape)
-        for off, c in ((-1, cm1), (0, c0), (1, c1), (2, c2)):
-            idx = np.abs(l0 + off)
-            keep = idx < n_r
-            flat = rows[keep] * n_r + idx[keep]
-            M += np.bincount(flat, weights=(w_k * w * c)[keep],
-                             minlength=n_r * n_r).reshape(n_r, n_r)
-    return M
-
-
-def linear_field_by_s_node(phi, t_grid, r_grid, q=QuadratureConfig()):
-    """The former linear_field: one padded node batch per outer s-node."""
-    n_gl = max(6, q.nodes_inner // 5) + 4
-    out = np.zeros((t_grid.size, r_grid.size))
-    for i, t in enumerate(t_grid):
-        if t <= 0.0:
-            continue
-        s_nodes, s_w = _propagator_nodes(t, q)
-        for s_k, w_k in zip(s_nodes, s_w):
-            lam, w = mean_nodes_batch(s_k, r_grid, n_gl)
-            out[i] += w_k * np.einsum("jk,jk->j", w, phi(lam))
-    return out
-
-
-def assert_rows_close(got, want, rel=1e-13):
+def assert_rows_close(got, want, rel):
     scale = np.max(np.abs(want), axis=-1, keepdims=True)
     assert np.all(np.abs(got - want) <= rel * scale)
 
 
+def doubled(q):
+    """q with twice the kernel rule's Gauss nodes per panel."""
+    return QuadratureConfig(nodes_inner=16 * _kernel_level(q))
+
+
+def assert_self_converges(t_grid, r_grid, q):
+    """The table's rule and the same rule at twice the nodes per panel
+    differ by at most 1e-10 of each row's largest entry."""
+    tab = finite_table(t_grid, r_grid, q)
+    fine = finite_table(t_grid, r_grid, doubled(q))
+    assert np.all(tab._A[0] == 0.0)
+    for d in range(1, t_grid.size):
+        assert np.any(tab._A[d, 0] != 0.0)  # the r = 0 row
+        assert_rows_close(tab._A[d], fine._A[d], 1e-10)
+
+
 class TestFlatPanelList:
-    # (t grid, r grid, quadrature): t_max > r_max sends nodes past the grid
-    # into the dump cell; n_t = 2 is a single lag; every grid has the
-    # degenerate r = 0 row
+    # (t grid, r grid, quadrature): t_max > r_max cuts the rule at
+    # r_max + 2 dr; n_t = 2 is a single lag; every grid has the r = 0 row
+    # and rows with t = r
     @pytest.mark.parametrize("t_grid, r_grid, q", [
         (np.linspace(0.0, 3.0, 13), np.linspace(0.0, 2.0, 11), QuadratureConfig()),
         (np.linspace(0.0, 0.1, 2), np.linspace(0.0, 4.0, 21), QuadratureConfig()),
         (np.linspace(0.0, 1.5, 7), np.linspace(0.0, 3.0, 16),
          QuadratureConfig(nodes_inner=20)),
     ], ids=["t_max>r_max", "n_t=2", "nodes_inner=20"])
-    def test_table_matches_per_s_node_loop(self, t_grid, r_grid, q):
-        tab = PropagatorTable(t_grid, r_grid, q)
-        assert np.all(tab._A[0] == 0.0)
-        for d in range(1, t_grid.size):
-            want = lag_matrix_by_s_node(r_grid, d * tab.dt, q)
-            assert np.any(want[0] != 0.0)  # the degenerate r = 0 row
-            assert_rows_close(tab._A[d], want)
+    def test_table_self_converges(self, t_grid, r_grid, q):
+        assert_self_converges(t_grid, r_grid, q)
 
     def test_single_lag_with_many_panels(self):
-        # t = 8 on 161 radii: up to ~15 panels per (s, r) pair; the two-row
-        # time grid builds this one lag only
-        r_grid = np.linspace(0.0, 8.0, 161)
-        tab = PropagatorTable([0.0, 8.0], r_grid)
-        assert_rows_close(tab._A[1], lag_matrix_by_s_node(r_grid, 8.0))
+        # t = 8 on 161 radii: rows with up to 320 cells; the two-row time
+        # grid builds this one lag only
+        assert_self_converges(np.array([0.0, 8.0]), np.linspace(0.0, 8.0, 161),
+                              QuadratureConfig())
+
+    def test_constant_data_exact_inside_the_triangle(self):
+        # on t + r <= r_max - dr every stencil stays on the grid, where the
+        # cubic interpolant of 1 is 1, so I(t, r, 1) = 2 sinh(t/2) up to the
+        # kernel rule's error
+        tab = finite_table(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 2.0, 41))
+        T, R = np.meshgrid(tab.t_grid, tab.r_grid, indexing="ij")
+        inside = T + R <= tab.r_grid[-2] + 1e-9
+        got = tab.apply_linear(np.ones(41))
+        assert_allclose(got[inside], 2.0 * np.sinh(T[inside] / 2.0), rtol=1e-12)
 
     @pytest.mark.parametrize("t_grid, r_grid, q", [
         (np.linspace(0.0, 3.0, 7), np.linspace(0.0, 2.0, 9), QuadratureConfig()),
@@ -546,26 +508,42 @@ class TestFlatPanelList:
         (np.array([0.0, 8.0]), np.linspace(0.0, 8.0, 161), QuadratureConfig()),
     ], ids=["t_max>r_max", "off-zero-t,nodes_inner=20", "t=8,161-radii"])
     @pytest.mark.parametrize("phi", [theta1], ids=["theta1"])
-    def test_linear_field_matches_per_s_node_loop(self, t_grid, r_grid, q, phi):
+    def test_linear_field_matches_pointwise_rule(self, t_grid, r_grid, q, phi):
+        # every radius at once, at the pointwise rule's settled level
         got = linear_field(phi, t_grid, r_grid, q).values
-        want = linear_field_by_s_node(phi, t_grid, r_grid, q)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        want = np.array([[sine_propagator(phi, t, r, q) for r in r_grid]
+                         for t in t_grid])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @given(s=st.floats(1e-3, 14.0), r=st.floats(0.0, 14.0))
     @settings(max_examples=200, deadline=None)
     def test_weights_of_each_pair_sum_to_one(self, s, r):
-        # both angular ends are pinned, so no pair loses weight at the top
-        # breakpoint, however large cosh(r + s) is against its halfwidth
+        # spherical_mean's rule at one pair (s, r): both angular ends are
+        # pinned, so it loses no weight at the top breakpoint, however large
+        # cosh(r + s) is against its halfwidth
         for knots in (None, np.array([0.5, 3.0, 9.0])):
-            total = sum(w.sum() for _, _, w in _mean_nodes(
-                np.array([s]), np.ones(1), np.array([r]), 16, knots))
-            assert abs(total - 1.0) <= 1e-13
+            nodes = _mean_nodes(s, r, knots)
+            if nodes is not None:
+                _, w = nodes(16)
+                assert abs(w.sum() - 1.0) <= 1e-13
 
     def test_time_grid_must_start_at_zero(self):
         # row i is the lag i * dt; a grid from t = 1 would put I(0.5) on the
         # t = 1.5 row
         with pytest.raises(DomainError, match="time grid from 0"):
             PropagatorTable([1.0, 1.25, 1.5], np.linspace(0.0, 4.0, 17))
+
+
+class TestEllipticK:
+    def test_agm_matches_mpmath(self):
+        m1 = np.logspace(-15.0, 0.0, 301)
+        got = _agm_K(m1)
+        with mp.workdps(30):
+            want = np.array([float(mp.ellipk(1 - mp.mpf(float(x)))) for x in m1])
+        assert np.max(np.abs(got - want) / want) <= 2e-15
+
+    def test_kappa_one_stays_finite(self):
+        assert np.isfinite(_agm_K(np.zeros(1))[0])
 
 
 class TestLeggaussCache:
@@ -632,11 +610,25 @@ class TestWEvaluator:
 
     @pytest.mark.parametrize("t, r, lam", [(2.0, 0.5, 1.1), (3.0, 3.0, 2.0), (1.0, 4.0, 3.6)])
     def test_inner_paths_agree(self, weight, t, r, lam):
-        # the Beta-type rule and the exact elliptic reduction must agree
-        # wherever both are applicable
-        via_cg = _w_inner(t, r, lam, weight, QuadratureConfig(), kappa_switch=2.0)
-        via_ek = _w_inner(t, r, lam, weight, QuadratureConfig(), kappa_switch=-1.0)
+        # the kernel's closed form 2 K(kappa) / sqrt(a(M) - a(b)) against the
+        # inner s-integral on Chebyshev-Gauss nodes in x = s^2
+        b, c, M = abs(r - lam), min(t, r + lam), max(t, r + lam)
+        x, w = cg_nodes(64, b * b, c * c)
+        s = np.sqrt(x)
+        g = (weight.da(s) / (2.0 * s)) / np.sqrt(
+            weight.dq_of_squares(c * c, x) * weight.dq_of_squares(x, b * b))
+        via_cg = np.dot(w, g / np.sqrt(weight.a(M) - weight.a(s)))
+        amb = weight.a(M) - weight.a(b)
+        via_ek = 2.0 * _agm_K(np.array([(weight.a(M) - weight.a(c)) / amb]))[0] / np.sqrt(amb)
         assert_allclose(via_cg, via_ek, rtol=1e-11)
+
+    @pytest.mark.parametrize("r", [1e-5, 1e-6, 1e-7, 1e-8, 1e-10])
+    def test_small_r_approaches_the_limit(self, r):
+        # W(2, r) - W(2, 0) is 6.8e-12 of W at r = 1e-5 (mpmath) and shrinks
+        # with r; the kernel's branch at scale 2r next to lam = t - r must
+        # neither stall the rule nor break it
+        a = MonotoneWeight.two_cosh()
+        assert_allclose(W_evaluator(2.0, r, f_decay, a), 1.73990395898505, rtol=1e-10)
 
     @pytest.mark.parametrize("t, r", [(2.0, 0.5), (0.8, 1.6), (3.0, 3.0), (1.0, 4.0)])
     def test_majorant_dominates(self, weight, t, r):
