@@ -117,7 +117,7 @@ def bump_profile(tau0):
         out = ramp((lam - half) / half) * ramp((3.5 * tau0 - lam) / half)
         return out if out.ndim else float(out)
 
-    return RadialProfile(bump, kind="closed_form", support_radius=3.5 * tau0,
+    return RadialProfile(bump, support_radius=3.5 * tau0,
                          knots=np.array([half, tau0, 3.0 * tau0, 3.5 * tau0]))
 
 
@@ -199,7 +199,10 @@ def region_membership(lam, tau, params, which, *, l=None, r=None, t=None, T=None
 # first-iterate bound on S
 # ---------------------------------------------------------------------------
 
-def first_iterate_bound(u1, params, n_width=15, q=QuadratureConfig()):
+_N_WIDTH = 15  # widths t - r at which first_iterate_bound samples S
+
+
+def first_iterate_bound(u1, params, q=QuadratureConfig()):
     """Machine-found constant c0 with u >= c0*eps*(sinh r)^{-1/2} on S.
 
     The first Duhamel iterate of velocity data eps*u1 dominates
@@ -209,7 +212,7 @@ def first_iterate_bound(u1, params, n_width=15, q=QuadratureConfig()):
     r > tau0/2. Since the nonlinearity is nonnegative on the relevant range
     and the propagation kernel is positive, the full solution inherits the
     bound. c0 is the infimum of (sinh r)^{1/2} * lower_bound_I over a dense
-    sample of S (n_width widths, a geometric ladder of radii per width,
+    sample of S (_N_WIDTH widths, a geometric ladder of radii per width,
     about 200 points total; the integrand is monotone towards the corner
     w -> 2*tau0, r -> tau0/2, so the corner is sampled tightly).
 
@@ -222,7 +225,7 @@ def first_iterate_bound(u1, params, n_width=15, q=QuadratureConfig()):
     """
     prof = _as_profile(u1)
     tau0, eps = params.tau0, params.epsilon
-    widths = np.linspace(tau0 * (1.0 + 1e-6), 2.0 * tau0 * (1.0 - 1e-6), n_width)
+    widths = np.linspace(tau0 * (1.0 + 1e-6), 2.0 * tau0 * (1.0 - 1e-6), _N_WIDTH)
     # radial offsets above the corner r = (3*tau0 - w)/2, in units of tau0
     offsets = np.array([0.0, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5,
                         0.75, 1.0, 1.5, 2.5, 5.0])

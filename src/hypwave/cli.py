@@ -117,9 +117,11 @@ def _choice(cp, section, key, allowed, default):
     return val
 
 
-# propagate and decay default to a grid the FD oracle can also run on
-# (cfl = dt/dr = 0.8 <= 0.9); solve and contraction use SolverConfig's
-_FD_GRID = (4.0, 8.0, 0.04, 0.05)
+def _fd_grid():
+    """FDConfig's default (t_max, r_max, dt, dr), the grid of propagate
+    and decay; solve and contraction default to SolverConfig's."""
+    from .fdoracle import FDConfig
+    return FDConfig.t_max, FDConfig.r_max, FDConfig.dt, FDConfig.dr
 
 
 def _grid(cp, default):
@@ -129,12 +131,12 @@ def _grid(cp, default):
 
 
 def _quad(cp):
+    """QuadratureConfig from [quadrature]; each missing key its default."""
+    from dataclasses import fields
     from .hypgeo import QuadratureConfig
-    return QuadratureConfig(
-        nodes_inner=_get(cp, "quadrature", "nodes_inner", int, 64),
-        nodes_outer=_get(cp, "quadrature", "nodes_outer", int, 128),
-        abs_tol=_get(cp, "quadrature", "abs_tol", float, 1e-10),
-        rel_tol=_get(cp, "quadrature", "rel_tol", float, 1e-8))
+    return QuadratureConfig(**{
+        f.name: _get(cp, "quadrature", f.name, type(f.default), f.default)
+        for f in fields(QuadratureConfig)})
 
 
 def _data_profile(cp):
@@ -187,13 +189,12 @@ def _blowup_params(cp):
     from .meanprop import default_C0
 
     p = _get(cp, "blowup", "p", float)
-    _label_critical(p)
     tau0 = _get(cp, "blowup", "tau0", float, 1.0)
     epsilon = _get(cp, "blowup", "epsilon", float)
     delta0 = _get(cp, "blowup", "delta0", float, 0.45)
-    # c0 is recomputed by build_certificate; the default placeholder just
-    # has to satisfy the smallness invariant of BlowupParams.
-    c0_default = 0.5 * delta0 * math.sqrt(math.sinh(0.5 * tau0)) / epsilon \
+    # c0 is recomputed by build_certificate; the placeholder just has to
+    # satisfy the smallness invariant of BlowupParams.
+    c0 = 0.5 * delta0 * math.sqrt(math.sinh(0.5 * tau0)) / epsilon \
         if epsilon > 0 else 0.1
     return BlowupParams(
         p=p,
@@ -202,13 +203,12 @@ def _blowup_params(cp):
         epsilon=epsilon,
         delta0=delta0,
         C0=_get(cp, "blowup", "C0", float, default_C0(tau0)),
-        c0=_get(cp, "blowup", "c0", float, c0_default))
+        c0=c0)
 
 
 def _scaled_profile(profile, factor):
     from .meanprop import RadialProfile
     return RadialProfile(lambda lam: factor * profile(lam),
-                         kind="closed_form",
                          support_radius=profile.support_radius,
                          knots=profile.knots)
 
@@ -254,7 +254,7 @@ def cmd_propagate(cp, out, seed):
     try:
         engine = _choice(cp, "propagate", "engine", ("kernel", "fd", "both"),
                          "kernel")
-        t_max, r_max, dt, dr = _grid(cp, _FD_GRID)
+        t_max, r_max, dt, dr = _grid(cp, _fd_grid())
         t_grid = uniform_grid(t_max, dt, "t_max/dt")
         r_grid = uniform_grid(r_max, dr, "r_max/dr")
         quad = _quad(cp)
@@ -303,9 +303,10 @@ def cmd_solve(cp, out, seed):
             h=_get(cp, "solver", "h", float),
             epsilon=_get(cp, "solver", "epsilon", float),
             grid=_grid(cp, SolverConfig.grid),
-            max_iters=_get(cp, "solver", "max_iters", int, 40),
+            max_iters=_get(cp, "solver", "max_iters", int,
+                           SolverConfig.max_iters),
             fixed_point_tol=_get(cp, "solver", "fixed_point_tol", float,
-                                 1e-10))
+                                 SolverConfig.fixed_point_tol))
         spec = _nonlin_spec(cp, p)
         data_k = _get(cp, "data", "k", float, 1.0)
         params = EnvelopeParams(k=data_k)
@@ -342,7 +343,7 @@ def cmd_decay(cp, out, seed):
     from .meanprop import RadialProfile, linear_field
 
     try:
-        t_max, r_max, dt, dr = _grid(cp, _FD_GRID)
+        t_max, r_max, dt, dr = _grid(cp, _fd_grid())
         t_grid = uniform_grid(t_max, dt, "t_max/dt")
         r_grid = uniform_grid(r_max, dr, "r_max/dr")
         k = _get(cp, "decay", "k", float, 1.0)
@@ -451,8 +452,8 @@ def cmd_blowup(cp, out, seed):
         if run_escape:
             t_max = _get(cp, "escape", "t_max", float, 40.0)
             esc_cfg = FDConfig(
-                dr=_get(cp, "escape", "dr", float, 0.05),
-                dt=_get(cp, "escape", "dt", float, 0.04),
+                dr=_get(cp, "escape", "dr", float, FDConfig.dr),
+                dt=_get(cp, "escape", "dt", float, FDConfig.dt),
                 r_max=_get(cp, "escape", "r_max", float,
                            t_max + 3.5 * params.tau0 + 0.1),
                 t_max=t_max)
@@ -508,8 +509,8 @@ def cmd_certify(cp, out, seed):
         m_max = _get(cp, "blowup", "m_max", int, 20)
         quad = _quad(cp)
         sim_cfg = FDConfig(
-            dr=_get(cp, "certify", "dr", float, 0.05),
-            dt=_get(cp, "certify", "dt", float, 0.04),
+            dr=_get(cp, "certify", "dr", float, FDConfig.dr),
+            dt=_get(cp, "certify", "dt", float, FDConfig.dt),
             r_max=_get(cp, "certify", "r_max", float, 9.0),
             t_max=_get(cp, "certify", "t_max", float, 5.0),
             snapshot_every=_get(cp, "certify", "snapshot_every", int, 5))

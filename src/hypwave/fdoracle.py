@@ -41,12 +41,13 @@ class FDConfig:
     cfl = dt/dr is derived, not passed. The stability margin cfl <= 0.9
     reflects the scheme's actual limit: the origin row of the update matrix
     pushes the spectral bound to about 0.909 regardless of resolution, so a
-    unit Courant number is genuinely unstable here.
+    unit Courant number is genuinely unstable here. The default grid
+    (cfl 0.8) is also wavecli's for propagate and decay.
     """
 
-    dr: float = 2e-3
-    dt: float = 2e-3
-    r_max: float = 10.0
+    dr: float = 0.05
+    dt: float = 0.04
+    r_max: float = 8.0
     t_max: float = 4.0
     snapshot_every: int = 1
     cfl: float = field(init=False)

@@ -71,6 +71,10 @@ __all__ = [
 ]
 
 
+_N_FEATURES = 6  # random Fourier features per contraction pair shape
+_TAU_PER_UNIT = 4  # Simpson nodes per unit time of the claim integral
+
+
 class ConvergenceError(RuntimeError):
     """Picard iteration exhausted max_iters; carries the history."""
 
@@ -293,13 +297,13 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0,
 # contraction measurement
 
 
-def _unit_shape(rng, T, R, n_features=6):
+def _unit_shape(rng, T, R):
     """A smooth random field of sup 1: tensor random Fourier features."""
     xi = np.zeros_like(T)
-    amps = rng.standard_normal(n_features)
-    w_t = rng.uniform(0.0, 1.5, n_features)
-    w_r = rng.uniform(0.0, 1.5, n_features)
-    phase = rng.uniform(0.0, 2.0 * np.pi, n_features)
+    amps = rng.standard_normal(_N_FEATURES)
+    w_t = rng.uniform(0.0, 1.5, _N_FEATURES)
+    w_r = rng.uniform(0.0, 1.5, _N_FEATURES)
+    phase = rng.uniform(0.0, 2.0 * np.pi, _N_FEATURES)
     for a, wt, wr, ph in zip(amps, w_t, w_r, phase):
         xi += a * np.cos(wt * T + wr * R + ph)
     sup = np.max(np.abs(xi))
@@ -309,11 +313,11 @@ def _unit_shape(rng, T, R, n_features=6):
     return xi / sup
 
 
-def _random_ball_field(rng, t_grid, r_grid, phi, radius, n_features=6):
+def _random_ball_field(rng, t_grid, r_grid, phi, radius):
     """A smooth random field with weighted norm exactly radius: a unit
     shape divided by the weight."""
     T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
-    return radius * _unit_shape(rng, T, R, n_features) / phi
+    return radius * _unit_shape(rng, T, R) / phi
 
 
 def _pair_shapes(rng_seed, n_pairs, t_grid, r_grid):
@@ -419,8 +423,7 @@ def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
 # the claim integral
 
 
-def claim_bound_check(p, h, epsilon, t, r, q=QuadratureConfig(),
-                      tau_per_unit=4):
+def claim_bound_check(p, h, epsilon, t, r, q=QuadratureConfig()):
     """The double integral controlling the contraction lemma.
 
     claim_value = int_0^t W(t - tau, r, f_tau) dtau with
@@ -451,7 +454,7 @@ def claim_bound_check(p, h, epsilon, t, r, q=QuadratureConfig(),
 
         return f
 
-    n_tau = max(8, 2 * int(np.ceil(0.5 * tau_per_unit * t)))
+    n_tau = max(8, 2 * int(np.ceil(0.5 * _TAU_PER_UNIT * t)))
     taus = np.linspace(0.0, t, n_tau + 1)
     vals = np.array([W_evaluator(t - tau, r, f_tau(tau), a, q) for tau in taus])
     # n_tau is even, so these are the composite Simpson weights

@@ -15,9 +15,8 @@ far beyond the ~700 overflow threshold of cosh.
 
 The quadrature helper ``cg_nodes`` builds the Chebyshev-Gauss rule for
 integrals carrying the paired endpoint weight ((c_hi-x)(x-c_lo))^(-1/2);
-this is the rule that removes the inverse-square-root singularities of
-the radial spherical-mean kernel after the substitution
-cosh(lambda) = midpoint + halfwidth*cos(theta).
+meanprop.beta_identity_check is its one user. (The spherical mean removes
+its endpoint singularities itself, with Gauss-Legendre nodes in theta.)
 
 ``uniform_grid`` is the one validated constructor of the uniform t and r
 grids that every solver and command runs on.
@@ -56,34 +55,24 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class EnvelopeParams:
-    """Decay index of the data envelope theta_k.
-
-    The spectral shift exponent rho is (n-1)/2 and the whole artifact is
-    two dimensional, so rho is frozen at 1/2.
-    """
+    """Decay index of the data envelope theta_k."""
 
     k: float
-    rho: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.k > 0:
             raise DomainError(f"envelope index k must be positive, got {self.k}")
-        if self.rho != 0.5:
-            raise DomainError("rho is fixed at 1/2 in two dimensions")
 
 
 @dataclass(frozen=True)
 class WeightParams:
-    """Exponent h and constant N_h of the weight N_h / Phi_h(t,r)."""
+    """Exponent h of the weight Phi_h(t,r)."""
 
     h: float
-    N_h: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.h > 0:
             raise DomainError(f"weight exponent h must be positive, got {self.h}")
-        if not self.N_h > 0:
-            raise DomainError(f"N_h must be positive, got {self.N_h}")
 
 
 @dataclass(frozen=True)
@@ -157,11 +146,15 @@ def theta_k(r, params: EnvelopeParams):
 
 
 def log_theta_k(r, params: EnvelopeParams):
-    """log theta_k; usable where the envelope itself underflows."""
+    """log theta_k; usable where the envelope itself underflows.
+
+    The 1/2 in the exponent is the spectral shift (n-1)/2 of the
+    hyperbolic plane, n = 2.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("theta_k is defined for r >= 0")
-    return -(params.k + params.rho) * log_cosh(r)
+    return -(params.k + 0.5) * log_cosh(r)
 
 
 def K_factor(s, k: float):
@@ -195,6 +188,8 @@ def log_phi_weight(t, r, params: WeightParams):
 
 def cg_nodes(n: int, c_lo: float, c_hi: float):
     """Chebyshev-Gauss rule for the weight ((c_hi-x)(x-c_lo))^(-1/2).
+
+    Its one user is meanprop.beta_identity_check.
 
     Parameters
     ----------

@@ -71,6 +71,7 @@ _DEGENERATE_REL = 1e-13
 _NODE_CHUNK = 1 << 14  # Gauss nodes _kernel_nodes expands at a time
 _GRADE_RATIO = 0.2  # ratio of the kernel rule's graded breaks in u
 _GRADE_DEPTH = 1e-4  # deepest graded break in u, lam* + 1e-8 of the side
+_GL_PER_UNIT = 2.0  # panels per unit length of the lower bounds' integrals
 
 
 @lru_cache
@@ -96,14 +97,13 @@ class QuadratureError(RuntimeError):
 class RadialProfile:
     """A radial function on [0, inf), either closed-form or sampled.
 
-    Sampled profiles interpolate monotone-cubically (PCHIP) by default and
-    return 0 beyond the last sample; a profile with ``support_radius`` set
-    returns 0 beyond that radius regardless of kind.
+    Sampled profiles interpolate monotone-cubically (PCHIP) and return 0
+    beyond the last sample; a profile with ``support_radius`` set returns
+    0 beyond that radius.
     """
 
-    def __init__(self, func, *, kind, support_radius=None, knots=None):
+    def __init__(self, func, *, support_radius=None, knots=None):
         self._func = func
-        self.kind = kind
         self.support_radius = support_radius
         # abscissae where the profile is merely C^1; quadrature rules align
         # their panels with these so convergence stays spectral
@@ -112,17 +112,15 @@ class RadialProfile:
     @classmethod
     def from_function(cls, func, support_radius=None):
         knots = None if support_radius is None else np.asarray([support_radius])
-        return cls(func, kind="closed_form", support_radius=support_radius,
-                   knots=knots)
+        return cls(func, support_radius=support_radius, knots=knots)
 
     @classmethod
     def constant(cls, value):
         v = float(value)
-        return cls(lambda lam: np.full_like(np.asarray(lam, dtype=float), v),
-                   kind="closed_form")
+        return cls(lambda lam: np.full_like(np.asarray(lam, dtype=float), v))
 
     @classmethod
-    def from_samples(cls, lam, values, interp="cubic", support_radius=None):
+    def from_samples(cls, lam, values, support_radius=None):
         lam = np.asarray(lam, dtype=float)
         values = np.asarray(values, dtype=float)
         if lam.ndim != 1 or lam.size < 2:
@@ -131,14 +129,8 @@ class RadialProfile:
             raise DomainError("sample abscissae must be nonnegative and strictly increasing")
         if not np.all(np.isfinite(values)):
             raise DomainError("sample values must be finite")
-        from scipy.interpolate import PchipInterpolator, interp1d
-
-        if interp == "cubic":
-            core = PchipInterpolator(lam, values, extrapolate=False)
-        elif interp == "linear":
-            core = interp1d(lam, values, kind="linear", bounds_error=False)
-        else:
-            raise DomainError(f"unknown interpolation kind {interp!r}")
+        from scipy.interpolate import PchipInterpolator
+        core = PchipInterpolator(lam, values, extrapolate=False)
         lo, hi = lam[0], lam[-1]
 
         def func(x):
@@ -148,8 +140,7 @@ class RadialProfile:
             return np.nan_to_num(out, nan=0.0)
 
         knots = lam if support_radius is None else np.append(lam, support_radius)
-        return cls(func, kind="sampled", support_radius=support_radius,
-                   knots=np.unique(knots))
+        return cls(func, support_radius=support_radius, knots=np.unique(knots))
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -181,9 +172,9 @@ class SpaceTimeField:
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
 
-    def slice_profile(self, i, interp="cubic"):
+    def slice_profile(self, i):
         """The time slice t = t_grid[i] as a RadialProfile."""
-        return RadialProfile.from_samples(self.r_grid, self.values[i], interp=interp)
+        return RadialProfile.from_samples(self.r_grid, self.values[i])
 
     def time_index(self, t, tol=1e-9):
         i = int(np.argmin(np.abs(self.t_grid - t)))
@@ -203,14 +194,13 @@ class MonotoneWeight:
     derivative quotient) on a sample grid.
     """
 
-    def __init__(self, name, a, da, inv, dq, _validate=True):
+    def __init__(self, name, a, da, inv, dq):
         self.name = name
         self.a = a
         self.da = da
         self.inv = inv
         self.dq = dq
-        if _validate:
-            self._check_conditions()
+        self._check_conditions()
 
     def _check_conditions(self):
         for t in (0.7, 1.7, 4.0):
@@ -476,8 +466,7 @@ def sine_propagator(phi, t, r, q=QuadratureConfig()):
     if t == 0.0:
         return 0.0
     prof = _as_profile(phi)
-    phi_sinh = RadialProfile(lambda lam: prof(lam) * np.sinh(lam), kind=prof.kind,
-                             knots=prof.knots)
+    phi_sinh = RadialProfile(lambda lam: prof(lam) * np.sinh(lam), knots=prof.knots)
     return _kernel_value(t, r, phi_sinh, _TWO_COSH, q,
                          f"sine propagator at (t={t}, r={r})") / np.pi
 
@@ -689,8 +678,9 @@ class PropagatorTable:
             raise DomainError(
                 f"source must be sampled on the table's grid: shape "
                 f"({n_t}, {n_r}) or (m, {n_t}, {n_r}), got {F.shape}")
-        # time-major, so the rows of all sources at one lag form one matrix
-        src = np.moveaxis(F.reshape(-1, n_t, n_r), 1, 0)
+        # time-major and C-ordered, so the rows of all sources at one lag
+        # form one matrix without a copy per lag
+        src = np.ascontiguousarray(np.moveaxis(F.reshape(-1, n_t, n_r), 1, 0))
         m = src.shape[1]
         w = (_lag_weights(n_t) * self.dt)[:, :, None, None]
         simpson = w[0] * src
@@ -806,9 +796,9 @@ def dt_r_bound_check(v, dv, t, a, q=QuadratureConfig()):
 # explicit lower bounds for the propagator
 
 
-def _gl_integrals(fn, lo, hi, q, per_unit=2.0):
+def _gl_integrals(fn, lo, hi, q):
     """Composite Gauss-Legendre integrals of fn over [lo_k, hi_k], each on
-    ~unit-width panels; 0 where hi_k <= lo_k.
+    panels of width at most 1/_GL_PER_UNIT; 0 where hi_k <= lo_k.
 
     The panels of [lo_k, hi_k] are those of np.linspace(lo_k, hi_k, n + 1):
     edge i at lo_k + i (hi_k - lo_k)/n, the last one at hi_k. fn is
@@ -821,7 +811,7 @@ def _gl_integrals(fn, lo, hi, q, per_unit=2.0):
     hi = np.asarray(hi, dtype=float)
     live = hi > lo
     width = np.where(live, hi - lo, 0.0)
-    n = np.where(live, np.maximum(1.0, np.ceil(width * per_unit)), 0.0)
+    n = np.where(live, np.maximum(1.0, np.ceil(width * _GL_PER_UNIT)), 0.0)
     n = n.astype(np.intp)
     owner = np.repeat(np.arange(lo.size), n)
     i = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)

@@ -238,7 +238,6 @@ def test_10_certificate_dominance():
     spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
                             kind="piecewise_generic")
     data = RadialProfile(lambda lam: params.epsilon * bump(lam),
-                         kind="closed_form",
                          support_radius=bump.support_radius,
                          knots=bump.knots)
     cfg = FDConfig(dr=0.05, dt=0.04, r_max=9.0, t_max=5.0, snapshot_every=5)

@@ -165,7 +165,7 @@ class TestFirstIterate:
     def test_linearity(self):
         params = make_params(epsilon=0.1)
         bump = bump_profile(TAU0)
-        doubled = RadialProfile(lambda lam: 2.0 * bump(lam), kind="closed_form",
+        doubled = RadialProfile(lambda lam: 2.0 * bump(lam),
                                 support_radius=bump.support_radius, knots=bump.knots)
         c_one, _ = first_iterate_bound(bump, params)
         c_two, _ = first_iterate_bound(doubled, params)
@@ -461,7 +461,6 @@ def reference_run():
     spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
                             kind="piecewise_generic")
     scaled = RadialProfile(lambda lam: params.epsilon * bump(lam),
-                           kind="closed_form",
                            support_radius=bump.support_radius, knots=bump.knots)
     cfg = FDConfig(dr=0.05, dt=0.04, r_max=9.0, t_max=5.0, snapshot_every=5)
     field = fd_solve(zero_profile, scaled, nonlinearity(spec), cfg)

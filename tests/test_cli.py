@@ -190,17 +190,29 @@ class GridSeen(Exception):
     ("propagate", "meanprop", "linear_field", "[data]\nkind = constant\n",
      (4.0, 8.0, 0.04, 0.05)),
     ("decay", "meanprop", "linear_field", "", (4.0, 8.0, 0.04, 0.05)),
-], ids=["solve", "contraction", "solve-t_max-only", "propagate", "decay"])
+    ("propagate", "fdoracle", "fd_solve",
+     "[data]\nkind = constant\n[propagate]\nengine = fd\n",
+     (4.0, 8.0, 0.04, 0.05)),
+    ("blowup", "blowlab", "escape_detector", BLOWUP_BASE,
+     (40.0, 43.6, 0.04, 0.05)),
+    ("certify", "fdoracle", "fd_solve", BLOWUP_BASE, (5.0, 9.0, 0.04, 0.05)),
+], ids=["solve", "contraction", "solve-t_max-only", "propagate", "decay",
+        "propagate-fd", "escape", "certify"])
 def test_default_grid(tmp_path, monkeypatch, command, module, engine, body,
                       want):
     # solve and contraction default to the library's SolverConfig grid,
-    # propagate and decay to the FD-stable one; stubs stop before compute
+    # propagate and decay to FDConfig's, escape and certify to FDConfig's
+    # steps; stubs stop before the grid's compute
+    from hypwave.fdoracle import FDConfig
     from hypwave.globalsolver import SolverConfig
 
     def stub(*args, **kwargs):
         cfg = next((a for a in args if isinstance(a, SolverConfig)), None)
         if cfg is not None:
             raise GridSeen(cfg.grid)
+        cfg = next((a for a in args if isinstance(a, FDConfig)), None)
+        if cfg is not None:
+            raise GridSeen((cfg.t_max, cfg.r_max, cfg.dt, cfg.dr))
         t_grid, r_grid = args[1], args[2]
         raise GridSeen((t_grid[-1], r_grid[-1], t_grid[1] - t_grid[0],
                         r_grid[1] - r_grid[0]))
@@ -422,6 +434,27 @@ r_max = 7.7
         body = BLOWUP_BASE.replace("p = 2.0", "p = 3.5")
         code, _ = run_cli(tmp_path, "blowup", body)
         assert code == 2
+
+    def test_critical_p_is_config_error_without_label(self, tmp_path,
+                                                      capsys):
+        body = BLOWUP_BASE.replace("p = 2.0", "p = 3.0")
+        code, _ = run_cli(tmp_path, "blowup", body)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "p must lie in (1, 3)" in err and "critical" not in err
+
+    def test_C0_sets_only_the_kernel_constant(self, tmp_path):
+        # configparser lowercases keys, so C0 must not double as c0, the
+        # first-iterate constant that build_certificate computes
+        body = BLOWUP_BASE.replace("epsilon = 0.5",
+                                   "epsilon = 1.0\nC0 = 0.9") \
+            + "[escape]\nenabled = false\n"
+        code, out = run_cli(tmp_path, "blowup", body)
+        assert code == 0
+        header, row = read_csv(out / "certificate.csv")
+        by_name = dict(zip(header, row))
+        assert by_name["C0"] == "0.90000000000000002"
+        assert 0.0 < float(by_name["c0"]) != 0.9
 
 
 class TestCertify:

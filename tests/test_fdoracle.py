@@ -57,6 +57,11 @@ class TestFDConfig:
         with pytest.raises(DomainError, match="snapshot"):
             FDConfig(dr=0.02, dt=0.018, r_max=1.0, t_max=0.9, snapshot_every=7)
 
+    def test_default_grid_constructs(self):
+        cfg = FDConfig()
+        assert (cfg.t_max, cfg.r_max, cfg.dt, cfg.dr) == (4.0, 8.0, 0.04, 0.05)
+        assert_allclose(cfg.cfl, 0.8)
+
     def test_grid_properties(self):
         cfg = FDConfig(dr=0.5, dt=0.25, r_max=2.0, t_max=1.0)
         assert_allclose(cfg.r_grid, [0.0, 0.5, 1.0, 1.5, 2.0])

@@ -54,10 +54,6 @@ class TestEnvelope:
         with pytest.raises(DomainError):
             EnvelopeParams(k=0.0)
 
-    def test_rho_fixed_at_half(self):
-        with pytest.raises(DomainError):
-            EnvelopeParams(k=1.0, rho=1.5)
-
 
 class TestLogHyperbolics:
     @given(st.floats(-20.0, 20.0))

@@ -72,11 +72,6 @@ class TestRadialProfile:
         assert_allclose(p(x), np.exp(-x), rtol=1e-5)
         assert p(np.array([5.7]))[0] == 0.0
 
-    def test_linear_interpolation_option(self):
-        lam = np.array([0.0, 1.0, 2.0])
-        p = RadialProfile.from_samples(lam, np.array([0.0, 1.0, 0.0]), interp="linear")
-        assert_allclose(p(np.array([0.5, 1.5])), [0.5, 0.5])
-
     def test_support_radius_truncates(self):
         p = RadialProfile.from_function(ones, support_radius=2.0)
         out = p(np.array([1.9, 2.1]))
@@ -99,10 +94,6 @@ class TestRadialProfile:
     def test_bad_samples_raise(self, lam, values):
         with pytest.raises(DomainError):
             RadialProfile.from_samples(lam, values)
-
-    def test_unknown_interp_kind(self):
-        with pytest.raises(DomainError):
-            RadialProfile.from_samples(np.array([0.0, 1.0]), np.zeros(2), interp="spline")
 
 
 class TestSpaceTimeField:
