@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hypgeo import DomainError, QuadratureConfig, log_sinh
+from .hypgeo import DomainError, log_sinh
 from .meanprop import (RadialProfile, SpaceTimeField, _as_profile,
                        _lower_bound_prefactor, _sqrt_sinh_integrals)
 from .fdoracle import FDConfig, leapfrog
@@ -202,7 +202,7 @@ def region_membership(lam, tau, params, which, *, l=None, r=None, t=None, T=None
 _N_WIDTH = 15  # widths t - r at which first_iterate_bound samples S
 
 
-def first_iterate_bound(u1, params, q=QuadratureConfig()):
+def first_iterate_bound(u1, params):
     """Machine-found constant c0 with u >= c0*eps*(sinh r)^{-1/2} on S.
 
     The first Duhamel iterate of velocity data eps*u1 dominates
@@ -236,7 +236,7 @@ def first_iterate_bound(u1, params, q=QuadratureConfig()):
     t, r, pref = _lower_bound_prefactor(t, r, tau0, params.C0)
     keep = np.abs(t - r) > tau0 / 8.0
     small = pref[keep] * _sqrt_sinh_integrals(prof, np.abs(t - r)[keep],
-                                              (t + r)[keep], q)
+                                              (t + r)[keep])
     # math.exp keeps c0's bits: np.exp's vector kernel can round the last
     # bit differently
     values = [math.exp(0.5 * ls) * s
@@ -575,7 +575,7 @@ class BlowupCertificate:
                     f"value {value:.6g} below its bound {bound:.6g}")
 
 
-def build_certificate(u1, params, m_max=20, q=QuadratureConfig()):
+def build_certificate(u1, params, m_max=20):
     """Assemble the full constant chain for data (0, eps*u1).
 
     Steps: machine-find c0 on S, seed the boost ladder, extract tilde_c on
@@ -586,7 +586,7 @@ def build_certificate(u1, params, m_max=20, q=QuadratureConfig()):
     verification points; attach them from a certificate_verify report via
     dataclasses.replace if simulation data are available.
     """
-    c0, _ = first_iterate_bound(u1, params, q=q)
+    c0, _ = first_iterate_bound(u1, params)
     if not c0 > 0.0:
         raise DomainError(
             "first-iterate constant vanished; u1 must be positive on [tau0, 3*tau0]")

@@ -8,12 +8,16 @@ Usage:
 The config file is INI-style: [section] headers and key = value pairs,
 one level deep, parsed by configparser. Sections used by each command:
 
-    propagate    [grid] [data] [propagate] [quadrature]
-    solve        [grid] [data] [solver] [nonlinearity] [quadrature]
-    decay        [grid] [decay] [quadrature]
-    contraction  [grid] [solver] [nonlinearity] [contraction] [quadrature]
-    blowup       [blowup] [nonlinearity] [escape] [quadrature]
-    certify      [blowup] [nonlinearity] [certify] [quadrature]
+    propagate    [grid] [data] [propagate]
+    solve        [grid] [data] [solver] [nonlinearity]
+    decay        [grid] [decay]
+    contraction  [grid] [data] [solver] [nonlinearity] [contraction]
+    blowup       [blowup] [nonlinearity] [escape]
+    certify      [blowup] [nonlinearity] [certify]
+
+A command ignores the sections it does not use, but a section outside
+this table (a misspelt [solvr], or a [DEFAULT] that sets keys) is a
+config error.
 
 Every output is a CSV file with a header row, UTF-8 encoded, LF line
 endings, floats serialized with 17 significant digits, written to --out
@@ -44,6 +48,9 @@ __all__ = ["main", "ConfigError"]
 
 _COMMANDS = ("propagate", "solve", "decay", "contraction", "blowup",
              "certify")
+
+_SECTIONS = ("grid", "data", "propagate", "solver", "nonlinearity", "decay",
+             "contraction", "blowup", "escape", "certify")
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -80,6 +87,13 @@ def _read_config(path):
         raise ConfigError(f"cannot read config file {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}")
+    unknown = [s for s in cp.sections() if s not in _SECTIONS]
+    if cp.defaults():  # configparser keeps [DEFAULT] out of sections()
+        unknown.insert(0, cp.default_section)
+    if unknown:
+        raise ConfigError(
+            f"unknown section [{unknown[0]}] in {path}; the sections are "
+            + " ".join(f"[{name}]" for name in _SECTIONS))
     return cp
 
 
@@ -128,15 +142,6 @@ def _grid(cp, default):
     """(t_max, r_max, dt, dr) from [grid]; each missing key from default."""
     return tuple(_get(cp, "grid", key, float, value)
                  for key, value in zip(("t_max", "r_max", "dt", "dr"), default))
-
-
-def _quad(cp):
-    """QuadratureConfig from [quadrature]; each missing key its default."""
-    from dataclasses import fields
-    from .hypgeo import QuadratureConfig
-    return QuadratureConfig(**{
-        f.name: _get(cp, "quadrature", f.name, type(f.default), f.default)
-        for f in fields(QuadratureConfig)})
 
 
 def _data_profile(cp):
@@ -257,7 +262,6 @@ def cmd_propagate(cp, out, seed):
         t_max, r_max, dt, dr = _grid(cp, _fd_grid())
         t_grid = uniform_grid(t_max, dt, "t_max/dt")
         r_grid = uniform_grid(r_max, dr, "r_max/dr")
-        quad = _quad(cp)
         prof = _data_profile(cp)
         fd_cfg = None
         if engine in ("fd", "both"):
@@ -268,7 +272,7 @@ def cmd_propagate(cp, out, seed):
     kernel = None
     fd = None
     if engine in ("kernel", "both"):
-        kernel = linear_field(prof, t_grid, r_grid, quad)
+        kernel = linear_field(prof, t_grid, r_grid)
     if engine in ("fd", "both"):
         fd = fd_solve(RadialProfile.constant(0.0), prof, None, fd_cfg)
 
@@ -310,7 +314,6 @@ def cmd_solve(cp, out, seed):
         spec = _nonlin_spec(cp, p)
         data_k = _get(cp, "data", "k", float, 1.0)
         params = EnvelopeParams(k=data_k)
-        quad = _quad(cp)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
@@ -319,8 +322,7 @@ def cmd_solve(cp, out, seed):
     # Exhausting max_iters is a reportable outcome (converged = false),
     # not a crash; escape and quadrature trouble still exit with code 3.
     try:
-        field, history = picard_solve(u0, u1, spec, cfg, data_k=data_k,
-                                      q=quad)
+        field, history = picard_solve(u0, u1, spec, cfg, data_k=data_k)
         converged = True
     except ConvergenceError as exc:
         field, history, converged = None, exc.history, False
@@ -349,13 +351,12 @@ def cmd_decay(cp, out, seed):
         k = _get(cp, "decay", "k", float, 1.0)
         ray_offset = _get(cp, "decay", "ray_offset", float, 1.0)
         min_r = _get(cp, "decay", "min_r", float, 1.0)
-        quad = _quad(cp)
         params = EnvelopeParams(k=k)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
     prof = RadialProfile.from_function(lambda r: theta_k(r, params))
-    field = linear_field(prof, t_grid, r_grid, quad)
+    field = linear_field(prof, t_grid, r_grid)
     rep = decay_fit(field, k, ray_offset=ray_offset, min_r=min_r)
 
     _write_csv(out / "decay.csv",
@@ -399,13 +400,12 @@ def cmd_contraction(cp, out, seed):
             raise ConfigError("key 'target_ratio' in [contraction] must be "
                               f"positive, got {target}")
         data_k = _get(cp, "data", "k", float, 1.0)
-        quad = _quad(cp)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
     if mode == "probe":
         rep = contraction_probe(spec, cfg, n_pairs=n_pairs, rng_seed=seed,
-                                data_k=data_k, q=quad)
+                                data_k=data_k)
         _write_csv(out / "contraction.csv",
                    ("epsilon", "sampled_pairs", "max_ratio"),
                    [(rep.epsilon, rep.sampled_pairs, rep.max_ratio)])
@@ -413,10 +413,10 @@ def cmd_contraction(cp, out, seed):
         from dataclasses import replace
         eps0 = epsilon_threshold(spec, cfg, target_ratio=target,
                                  rng_seed=seed, data_k=data_k,
-                                 n_pairs=n_pairs, n_steps=n_steps, q=quad)
+                                 n_pairs=n_pairs, n_steps=n_steps)
         rep = contraction_probe(spec, replace(cfg, epsilon=eps0),
                                 n_pairs=n_pairs, rng_seed=seed,
-                                data_k=data_k, q=quad)
+                                data_k=data_k)
         _write_csv(out / "threshold.csv",
                    ("epsilon0", "target_ratio", "max_ratio",
                     "sampled_pairs", "seed"),
@@ -445,7 +445,6 @@ def cmd_blowup(cp, out, seed):
     try:
         params = _blowup_params(cp)
         m_max = _get(cp, "blowup", "m_max", int, 20)
-        quad = _quad(cp)
         run_escape = _get(cp, "escape", "enabled", _parse_bool, True)
         esc_cfg = None
         spec = None
@@ -464,7 +463,7 @@ def cmd_blowup(cp, out, seed):
         raise ConfigError(str(exc))
 
     bump = bump_profile(params.tau0)
-    cert = build_certificate(bump, params, m_max=m_max, q=quad)
+    cert = build_certificate(bump, params, m_max=m_max)
 
     _write_csv(out / "sequences.csv", ("sequence", "index", "x1", "x2", "x3"),
                _sequence_rows(cert))
@@ -507,7 +506,6 @@ def cmd_certify(cp, out, seed):
     try:
         params = _blowup_params(cp)
         m_max = _get(cp, "blowup", "m_max", int, 20)
-        quad = _quad(cp)
         sim_cfg = FDConfig(
             dr=_get(cp, "certify", "dr", float, FDConfig.dr),
             dt=_get(cp, "certify", "dt", float, FDConfig.dt),
@@ -526,7 +524,7 @@ def cmd_certify(cp, out, seed):
         raise ConfigError(str(exc))
 
     bump = bump_profile(params.tau0)
-    cert = build_certificate(bump, params, m_max=m_max, q=quad)
+    cert = build_certificate(bump, params, m_max=m_max)
     u_sim = fd_solve(RadialProfile.constant(0.0),
                      _scaled_profile(bump, params.epsilon),
                      nonlinearity(spec), sim_cfg)

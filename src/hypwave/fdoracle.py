@@ -171,26 +171,22 @@ class ConvergenceReport:
         return not self.inconclusive
 
 
-def convergence_order(u0, u1, F, cfg: FDConfig, refinements: int = 2,
-                      probe=None):
+def convergence_order(u0, u1, F, cfg: FDConfig, refinements: int = 2):
     """Richardson order estimate from runs at dr, dr/2, dr/4, ...
 
-    Successive solutions are compared at the probe point (default
-    (t_max, 1.0)); the order is log2 of the last ratio of differences.
+    Successive solutions are compared at the probe point (t_max, 1.0);
+    the order is log2 of the last ratio of differences.
     Fewer than 2 refinements, or differences that fail to shrink
     monotonically, give an inconclusive report instead of a number.
     """
     if refinements < 2:
         return ConvergenceReport(order=float("nan"), inconclusive=True, diffs=())
-    t_probe, r_probe = probe if probe is not None else (cfg.t_max, 1.0)
     vals = []
     for k in range(refinements + 1):
         sub = FDConfig(dr=cfg.dr / 2**k, dt=cfg.dt / 2**k,
                        r_max=cfg.r_max, t_max=cfg.t_max)
         fld = fd_solve(u0, u1, F, sub)
-        i = fld.time_index(t_probe)
-        j = int(round(r_probe / sub.dr))
-        vals.append(fld.values[i, j])
+        vals.append(fld.values[-1, int(round(1.0 / sub.dr))])
     diffs = tuple(abs(vals[k + 1] - vals[k]) for k in range(refinements))
     if any(d == 0.0 for d in diffs) or any(
             diffs[k + 1] >= diffs[k] for k in range(len(diffs) - 1)):

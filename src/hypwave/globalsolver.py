@@ -13,12 +13,12 @@ bisection, checks the claim integral that drives the lemma's proof,
 verifies the dispersive decay of the linear evolution by regression, and
 computes the guaranteed local existence window.
 
-Heavy objects (the gridded propagation table, the linear data evolution,
-and the empirical N_h) are cached per grid and quadrature configuration,
-so repeated probes at different eps share one table build. A threshold
-search draws its random pair shapes once and only rescales them per eps,
-and every probe evaluates all of its pairs with one stacked Duhamel call
-on the differences F(u) - F(v), which linearity allows.
+Heavy objects (the gridded propagation table and the empirical N_h) are
+cached per grid, so repeated probes at different eps share one table
+build. A threshold search draws its random pair shapes once and only
+rescales them per eps, and every probe evaluates all of its pairs with
+one stacked Duhamel call on the differences F(u) - F(v), which
+linearity allows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .hypgeo import (
     DomainError,
     EnvelopeParams,
     K_factor,
-    QuadratureConfig,
     WeightParams,
     bracket,
     phi_weight,
@@ -187,18 +186,13 @@ def clear_caches():
     leggauss.cache_clear()
 
 
-def _grid_key(cfg: SolverConfig, q: QuadratureConfig):
-    return cfg.grid + (q.nodes_inner, q.nodes_outer)
+def _get_table(cfg: SolverConfig):
+    if cfg.grid not in _TABLE_CACHE:
+        _TABLE_CACHE[cfg.grid] = PropagatorTable(cfg.t_grid, cfg.r_grid)
+    return _TABLE_CACHE[cfg.grid]
 
 
-def _get_table(cfg: SolverConfig, q: QuadratureConfig):
-    key = _grid_key(cfg, q)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = PropagatorTable(cfg.t_grid, cfg.r_grid, q)
-    return _TABLE_CACHE[key]
-
-
-def linear_data_field(u0, u1, cfg: SolverConfig, q=QuadratureConfig()):
+def linear_data_field(u0, u1, cfg: SolverConfig):
     """The linear evolution u0_lin of unit data (u0, u1) on the grid.
 
     For position data u0 = 0 (the common case) this is the gridded sine
@@ -214,24 +208,24 @@ def linear_data_field(u0, u1, cfg: SolverConfig, q=QuadratureConfig()):
     u1 = _as_profile(u1)
     r_grid = cfg.r_grid
     u0_samples = u0(r_grid)
-    out = _get_table(cfg, q).apply_linear(u1(r_grid))
+    out = _get_table(cfg).apply_linear(u1(r_grid))
     if np.any(u0_samples != 0.0):
         t_max, _, dt, _ = cfg.grid
         delta = 0.5 * dt
-        up = linear_field(u0, cfg.t_grid[1:] + delta, r_grid, q).values
-        dn = linear_field(u0, cfg.t_grid[1:] - delta, r_grid, q).values
+        up = linear_field(u0, cfg.t_grid[1:] + delta, r_grid).values
+        dn = linear_field(u0, cfg.t_grid[1:] - delta, r_grid).values
         out[1:] += (up - dn) / (2.0 * delta)
         out[0] += u0_samples
     return out
 
 
-def estimate_N_h(k, h, cfg: SolverConfig, q=QuadratureConfig()):
+def estimate_N_h(k, h, cfg: SolverConfig):
     """Empirical N_h: sup of Phi_h times the linear evolution of data
     (0, theta_k), padded by 10 percent. Cached per (k, h, grid)."""
-    key = (k, h) + _grid_key(cfg, q)
+    key = (k, h) + cfg.grid
     if key not in _NH_CACHE:
         env = EnvelopeParams(k=k)
-        vals = linear_data_field(0.0, lambda lam: theta_k(lam, env), cfg, q)
+        vals = linear_data_field(0.0, lambda lam: theta_k(lam, env), cfg)
         sup = float(np.max(phi_weight_grid(cfg.t_grid, cfg.r_grid, h) * np.abs(vals)))
         _NH_CACHE[key] = 1.1 * sup
     return _NH_CACHE[key]
@@ -251,8 +245,7 @@ def _check_envelope(prof, name, k, r_grid):
             f"(|{name}| = {vals[j]:.3e} > {env[j]:.3e}, k = {k})")
 
 
-def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0,
-                 q=QuadratureConfig()):
+def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
     """Fixed-point iteration for the nonlinear integral equation.
 
     Returns (field, history) where history[n] is the weighted norm of the
@@ -265,8 +258,8 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0,
     r_grid = cfg.r_grid
     _check_envelope(u0, "u0", data_k, r_grid)
     _check_envelope(u1, "u1", data_k, r_grid)
-    table = _get_table(cfg, q)
-    lin = cfg.epsilon * linear_data_field(u0, u1, cfg, q)
+    table = _get_table(cfg)
+    lin = cfg.epsilon * linear_data_field(u0, u1, cfg)
     if spec is None:
         F = None
         cap = np.inf
@@ -346,12 +339,12 @@ def _contraction_ratio(table, F, phi, u, v):
     return _pair_ratios(table, F, phi, u[None], v[None])[0]
 
 
-def _probe(spec, cfg, units, data_k, q):
+def _probe(spec, cfg, units, data_k):
     """contraction_probe on given unit pair shapes (see _pair_shapes)."""
-    table = _get_table(cfg, q)
+    table = _get_table(cfg)
     F = nonlinearity(spec)
     phi = phi_weight_grid(cfg.t_grid, cfg.r_grid, cfg.h)
-    radius = 2.0 * cfg.epsilon * estimate_N_h(data_k, cfg.h, cfg, q)
+    radius = 2.0 * cfg.epsilon * estimate_N_h(data_k, cfg.h, cfg)
     if radius > 1.0 / spec.A:
         raise EscapeError(
             f"ball radius 2 eps N_h = {radius:.4g} exceeds 1/A = "
@@ -365,7 +358,7 @@ def _probe(spec, cfg, units, data_k, q):
 
 
 def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
-                      rng_seed=0, data_k=1.0, q=QuadratureConfig()):
+                      rng_seed=0, data_k=1.0):
     """Empirical contraction factor of u -> duhamel(F(u)) on the ball.
 
     Samples n_pairs >= 1 independent pairs (u, v) with weighted norm equal
@@ -374,12 +367,12 @@ def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
     (u = v) are skipped. All pairs share one stacked Duhamel call.
     """
     units = _pair_shapes(rng_seed, n_pairs, cfg.t_grid, cfg.r_grid)
-    return _probe(spec, cfg, units, data_k, q)
+    return _probe(spec, cfg, units, data_k)
 
 
 def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
                       target_ratio=0.5, rng_seed=0, data_k=1.0,
-                      n_pairs=20, n_steps=20, q=QuadratureConfig()):
+                      n_pairs=20, n_steps=20):
     """Largest probed eps whose contraction factor stays below target_ratio.
 
     Bisection with n_steps >= 0 steps on [1e-12, 1]; the returned value is
@@ -400,7 +393,7 @@ def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
 
     def ratio_at(eps):
         try:
-            rep = _probe(spec, replace(cfg, epsilon=eps), units, data_k, q)
+            rep = _probe(spec, replace(cfg, epsilon=eps), units, data_k)
         except EscapeError:
             return np.inf
         return rep.max_ratio
@@ -423,7 +416,7 @@ def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
 # the claim integral
 
 
-def claim_bound_check(p, h, epsilon, t, r, q=QuadratureConfig()):
+def claim_bound_check(p, h, epsilon, t, r):
     """The double integral controlling the contraction lemma.
 
     claim_value = int_0^t W(t - tau, r, f_tau) dtau with
@@ -456,7 +449,7 @@ def claim_bound_check(p, h, epsilon, t, r, q=QuadratureConfig()):
 
     n_tau = max(8, 2 * int(np.ceil(0.5 * _TAU_PER_UNIT * t)))
     taus = np.linspace(0.0, t, n_tau + 1)
-    vals = np.array([W_evaluator(t - tau, r, f_tau(tau), a, q) for tau in taus])
+    vals = np.array([W_evaluator(t - tau, r, f_tau(tau), a) for tau in taus])
     # n_tau is even, so these are the composite Simpson weights
     claim_value = float(t / n_tau * _time_weights(n_tau) @ vals)
     weighted = claim_value * np.sqrt(np.cosh(r)) * bracket(t - r) ** h

@@ -17,6 +17,9 @@ The quadrature helper ``cg_nodes`` builds the Chebyshev-Gauss rule for
 integrals carrying the paired endpoint weight ((c_hi-x)(x-c_lo))^(-1/2);
 meanprop.beta_identity_check is its one user. (The spherical mean removes
 its endpoint singularities itself, with Gauss-Legendre nodes in theta.)
+Node counts and tolerances are not configurable: each rule in meanprop
+owns its node level as a module constant, and the pointwise rules settle
+over doubling levels from it.
 
 ``uniform_grid`` is the one validated constructor of the uniform t and r
 grids that every solver and command runs on.
@@ -31,7 +34,6 @@ import numpy as np
 __all__ = [
     "EnvelopeParams",
     "WeightParams",
-    "QuadratureConfig",
     "DomainError",
     "theta_k",
     "log_theta_k",
@@ -73,30 +75,6 @@ class WeightParams:
     def __post_init__(self) -> None:
         if not self.h > 0:
             raise DomainError(f"weight exponent h must be positive, got {self.h}")
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node counts and tolerances shared by all singular integrals.
-
-    nodes_inner drives the rules in the spatial variable (lambda or s),
-    nodes_outer the rules in the time variable.  The defaults are
-    comfortably past the point where the Beta-identity and constant-data
-    checks bottom out at machine precision.
-    """
-
-    nodes_inner: int = 64
-    nodes_outer: int = 128
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.nodes_inner < 4 or self.nodes_outer < 4:
-            raise DomainError("quadrature node counts must be at least 4")
-        for name in ("abs_tol", "rel_tol"):
-            tol = getattr(self, name)
-            if not 0 < tol < 1:
-                raise DomainError(f"{name} must lie in (0, 1), got {tol}")
 
 
 def log_cosh(x):

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .hypgeo import DomainError, QuadratureConfig, cg_nodes, log_cosh, log_sinh, sinhc
+from .hypgeo import DomainError, cg_nodes, log_cosh, log_sinh, sinhc
 
 __all__ = [
     "QuadratureError",
@@ -72,6 +72,13 @@ _NODE_CHUNK = 1 << 14  # Gauss nodes _kernel_nodes expands at a time
 _GRADE_RATIO = 0.2  # ratio of the kernel rule's graded breaks in u
 _GRADE_DEPTH = 1e-4  # deepest graded break in u, lam* + 1e-8 of the side
 _GL_PER_UNIT = 2.0  # panels per unit length of the lower bounds' integrals
+_GL_NODES = 16  # Gauss nodes per panel of the lower bounds' integrals
+_MEAN_LEVEL = 12  # Gauss nodes per angular panel, the mean's first level
+_KERNEL_LEVEL = 8  # Gauss nodes per panel, the kernel rule's first level
+_CG_NODES = 64  # Chebyshev-Gauss nodes of beta_identity_check
+_R_NODES = 64  # Gauss-Legendre nodes in psi of r_operator
+_ABS_TOL = 1e-10  # _settle: two levels agree within max(_ABS_TOL, _REL_TOL |v|);
+_REL_TOL = 1e-8  # w_majorant's quad targets the same
 
 
 @lru_cache
@@ -87,7 +94,7 @@ def leggauss(n):
 
 
 class QuadratureError(RuntimeError):
-    """A quadrature rule failed to settle within the configured tolerances."""
+    """A quadrature rule failed to settle within _ABS_TOL and _REL_TOL."""
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +183,10 @@ class SpaceTimeField:
         """The time slice t = t_grid[i] as a RadialProfile."""
         return RadialProfile.from_samples(self.r_grid, self.values[i])
 
-    def time_index(self, t, tol=1e-9):
+    def time_index(self, t):
+        """The index of t on the time grid, matched to 1e-9 max(1, |t|)."""
         i = int(np.argmin(np.abs(self.t_grid - t)))
-        if abs(self.t_grid[i] - t) > tol * max(1.0, abs(t)):
+        if abs(self.t_grid[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise DomainError(f"t={t} is not on the field's time grid")
         return i
 
@@ -298,28 +306,28 @@ def _mean_nodes(t, r, knots=None):
     return nodes
 
 
-def _settle(value, levels, q, what):
+def _settle(value, levels, what):
     """value(n) at the fine level of the first pair of node levels (coarse,
-    fine) that agrees within the configured tolerances; QuadratureError
-    when even the last pair disagrees. Each level is evaluated once."""
+    fine) that agrees within _ABS_TOL and _REL_TOL; QuadratureError when
+    even the last pair disagrees. Each level is evaluated once."""
     value = lru_cache(value)
     for coarse_n, fine_n in levels:
         coarse, fine = value(coarse_n), value(fine_n)
         err = abs(fine - coarse)
-        if err <= max(q.abs_tol, q.rel_tol * max(abs(coarse), abs(fine))):
+        if err <= max(_ABS_TOL, _REL_TOL * max(abs(coarse), abs(fine))):
             return fine
     raise QuadratureError(
         f"{what} did not settle: the finest refinement still moved the "
         f"value by {err:.3e}")
 
 
-def spherical_mean(f, t, r, q=QuadratureConfig()):
+def spherical_mean(f, t, r):
     """The mean of a radial profile over the geodesic sphere of radius t at r.
 
     The rule of _mean_nodes with the profile's knots, settled over the
-    angular levels (n, n + 4), n = n0, 2 n0, 4 n0; t = 0 returns f(r)
-    exactly. It shares nothing with the propagation kernel, so it checks
-    the mean's identities independently.
+    angular levels (n, n + 4), n = n0, 2 n0, 4 n0 with n0 = _MEAN_LEVEL;
+    t = 0 returns f(r) exactly. It shares nothing with the propagation
+    kernel, so it checks the mean's identities independently.
     """
     if t < 0 or r < 0:
         raise DomainError("spherical_mean needs t >= 0 and r >= 0")
@@ -334,8 +342,8 @@ def spherical_mean(f, t, r, q=QuadratureConfig()):
         lam, w = nodes(n_gl)
         return float(np.cumsum(w * prof(lam))[-1])  # summed in node order
 
-    n0 = max(6, q.nodes_inner // 5)
-    return _settle(value, [(n, n + 4) for n in (n0, 2 * n0, 4 * n0)], q,
+    n0 = _MEAN_LEVEL
+    return _settle(value, [(n, n + 4) for n in (n0, 2 * n0, 4 * n0)],
                    f"spherical mean at (t={t}, r={r})")
 
 
@@ -430,22 +438,18 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     return nodes
 
 
-def _kernel_level(q):
-    """n0, the Gauss nodes per panel of the kernel rule's first level."""
-    return max(8, q.nodes_inner // 8)
-
-
-def _kernel_value(t, r, prof, a, q, what):
+def _kernel_value(t, r, prof, a, what):
     """int prof k_a(t, r, .) at one point on unit panels and the profile's
-    knots, settled over the node levels n0, 2 n0, 4 n0, 8 n0."""
+    knots, settled over the node levels n0, 2 n0, 4 n0, 8 n0 with
+    n0 = _KERNEL_LEVEL."""
     nodes = _kernel_nodes(t, np.asarray([float(r)]), a, 1.0, prof.knots)
 
     def value(n_gl):
         return float(sum(np.dot(w, prof(lam)) for _, lam, w in nodes(n_gl)))
 
-    n0 = _kernel_level(q)
+    n0 = _KERNEL_LEVEL
     return _settle(value, [(n0, 2 * n0), (2 * n0, 4 * n0), (4 * n0, 8 * n0)],
-                   q, what)
+                   what)
 
 
 _TWO_COSH = MonotoneWeight.two_cosh()
@@ -455,7 +459,7 @@ _TWO_COSH = MonotoneWeight.two_cosh()
 # the sine-type propagator
 
 
-def sine_propagator(phi, t, r, q=QuadratureConfig()):
+def sine_propagator(phi, t, r):
     """Solution at (t, r) of the shifted linear wave equation with data (0, phi).
 
     I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi, the kernel rule settled
@@ -467,15 +471,15 @@ def sine_propagator(phi, t, r, q=QuadratureConfig()):
         return 0.0
     prof = _as_profile(phi)
     phi_sinh = RadialProfile(lambda lam: prof(lam) * np.sinh(lam), knots=prof.knots)
-    return _kernel_value(t, r, phi_sinh, _TWO_COSH, q,
+    return _kernel_value(t, r, phi_sinh, _TWO_COSH,
                          f"sine propagator at (t={t}, r={r})") / np.pi
 
 
-def linear_field(phi, t_grid, r_grid, q=QuadratureConfig()):
+def linear_field(phi, t_grid, r_grid):
     """sine_propagator evaluated on a full (t, r) grid.
 
-    Each time level is the second level (2 n0 nodes per panel) of
-    sine_propagator's rule for every radius at once, the weighted values
+    Each time level is the second level (2 _KERNEL_LEVEL nodes per panel)
+    of sine_propagator's rule for every radius at once, the weighted values
     summed to their radii with one bincount per chunk. The second level
     keeps profiles that are smooth but not analytic at their knots
     (bump_profile's ramps) within 1e-7 of the settled values.
@@ -487,7 +491,7 @@ def linear_field(phi, t_grid, r_grid, q=QuadratureConfig()):
     for i, t in enumerate(t_grid):
         if t > 0.0:
             nodes = _kernel_nodes(t, r_grid, _TWO_COSH, 1.0, prof.knots)
-            for row, lam, w in nodes(2 * _kernel_level(q)):
+            for row, lam, w in nodes(2 * _KERNEL_LEVEL):
                 out[i] += np.bincount(row, weights=w * np.sinh(lam) * prof(lam),
                                       minlength=r_grid.size)
     return SpaceTimeField(t_grid, r_grid, out / np.pi)
@@ -537,7 +541,7 @@ def _lag_weights(n_t):
     return w
 
 
-def duhamel(F, t, r, q=QuadratureConfig()):
+def duhamel(F, t, r):
     """int_0^t I(t - tau, r, F(tau, .)) dtau for a gridded source F.
 
     t must lie on the source's time grid; the source grid must cover the
@@ -561,7 +565,7 @@ def duhamel(F, t, r, q=QuadratureConfig()):
         lag = F.t_grid[i] - F.t_grid[k]
         if lag == 0.0 or w[k] == 0.0:
             continue
-        total += w[k] * sine_propagator(F.slice_profile(k), lag, r, q)
+        total += w[k] * sine_propagator(F.slice_profile(k), lag, r)
     return float(total)
 
 
@@ -585,10 +589,10 @@ class PropagatorTable:
     interpolation) inside the triangle t + r <= r_max and truncated
     outside it. The time grid starts at 0, so that row i is lag i.
 
-    A[d] is the first level (n0 nodes per panel) of sine_propagator's
-    kernel rule at t = d*dt, with panels on the grid cells, where the
-    interpolant is one cubic, up to r_max + 2 dr, past which the stencil
-    misses the grid. A node at lam = dr (l0 + xi), 0 <= xi < 1, adds
+    A[d] is the first level (_KERNEL_LEVEL nodes per panel) of
+    sine_propagator's kernel rule at t = d*dt, with panels on the grid
+    cells, where the interpolant is one cubic, up to r_max + 2 dr, past
+    which the stencil misses the grid. A node at lam = dr (l0 + xi), 0 <= xi < 1, adds
     w xi^p (p = 0..3) to the moments of its cell (j, l0), four bincounts
     over one flat index (nodes past the grid would share a dump cell).
     The stencil's monomial coefficients then turn the moments of cell l0
@@ -601,7 +605,7 @@ class PropagatorTable:
     weights with end corrections, one matrix product per lag.
     """
 
-    def __init__(self, t_grid, r_grid, q=QuadratureConfig()):
+    def __init__(self, t_grid, r_grid):
         t_grid = np.asarray(t_grid, dtype=float)
         r_grid = np.asarray(r_grid, dtype=float)
         if t_grid.size < 2 or r_grid.size < 2:
@@ -616,7 +620,6 @@ class PropagatorTable:
         self.r_grid = r_grid
         self.dt = dt
         self.dr = dr
-        self.quad = q
         n_t, n_r = t_grid.size, r_grid.size
         A = np.zeros((n_t, n_r, n_r))
         for d in range(1, n_t):
@@ -631,7 +634,7 @@ class PropagatorTable:
         # from lam = (n_r + 1) dr on, the whole stencil lies past the grid
         nodes = _kernel_nodes(t, self.r_grid, _TWO_COSH, self.dr,
                               lam_max=(n_r + 1) * self.dr)
-        for row, lam, w in nodes(_kernel_level(self.quad)):
+        for row, lam, w in nodes(_KERNEL_LEVEL):
             w = w * np.sinh(lam) / np.pi
             pos = lam * inv_dr
             l0 = np.floor(pos)
@@ -696,7 +699,7 @@ class PropagatorTable:
 # the W operator and its companions
 
 
-def beta_identity_check(b, c, a, q=QuadratureConfig()):
+def beta_identity_check(b, c, a):
     """int_b^c a'(s) [(a(c)-a(s))(a(s)-a(b))]^{-1/2} ds; equals pi always.
 
     Computed with the substitution x = s^2 (a is even, so the integrand is
@@ -706,14 +709,14 @@ def beta_identity_check(b, c, a, q=QuadratureConfig()):
     """
     if not 0 <= b < c:
         raise DomainError("beta_identity_check needs 0 <= b < c")
-    x, w = cg_nodes(q.nodes_inner, b * b, c * c)
+    x, w = cg_nodes(_CG_NODES, b * b, c * c)
     s = np.sqrt(x)
     g = (a.da(s) / (2.0 * s)) / np.sqrt(
         a.dq_of_squares(c * c, x) * a.dq_of_squares(x, b * b))
     return float(np.dot(w, g))
 
 
-def W_evaluator(t, r, f, a, q=QuadratureConfig()):
+def W_evaluator(t, r, f, a):
     """The double integral W(t, r, f) of the appendix lemma.
 
     Fubini order: lam outside, s inside, where the inner integral is the
@@ -725,10 +728,10 @@ def W_evaluator(t, r, f, a, q=QuadratureConfig()):
         raise DomainError("W_evaluator needs t >= 0 and r >= 0")
     if t == 0.0:
         return 0.0
-    return _kernel_value(t, r, _as_profile(f), a, q, f"W at (t={t}, r={r})")
+    return _kernel_value(t, r, _as_profile(f), a, f"W at (t={t}, r={r})")
 
 
-def w_majorant(t, r, f, a, q=QuadratureConfig()):
+def w_majorant(t, r, f, a):
     """The single-integral bound on |W| from the appendix lemma.
 
     r >= t:  pi int_{r-t}^{r+t} |f| (a(r+lam) - a(t))^{-1/2} dlam;
@@ -746,7 +749,7 @@ def w_majorant(t, r, f, a, q=QuadratureConfig()):
         return abs(float(prof(np.asarray([lam]))[0])) / np.sqrt(d)
 
     edges = [r - t, r + t] if r >= t else [0.0, t - r, t + r]
-    return np.pi * sum(quad(g, aa, bb, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=200)[0]
+    return np.pi * sum(quad(g, aa, bb, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=200)[0]
                        for aa, bb in zip(edges[:-1], edges[1:]))
 
 
@@ -754,7 +757,7 @@ def w_majorant(t, r, f, a, q=QuadratureConfig()):
 # the R operator
 
 
-def r_operator(v, t, a, q=QuadratureConfig()):
+def r_operator(v, t, a):
     """Rv(t) = int_0^t (a'(s)/2) (a(t) - a(s))^{-1/2} v(s) ds.
 
     The substitution u^2 = a(t) - a(s) flattens the kernel to du exactly,
@@ -768,7 +771,7 @@ def r_operator(v, t, a, q=QuadratureConfig()):
         return 0.0
     a_t, a_0 = float(a.a(t)), float(a.a(0.0))
     U = np.sqrt(a_t - a_0)
-    xg, wg = leggauss(max(8, q.nodes_outer // 2))
+    xg, wg = leggauss(_R_NODES)
     psi = 0.25 * np.pi * (xg + 1.0)
     w = 0.25 * np.pi * wg * U * np.cos(psi)
     arg = a_t * np.cos(psi) ** 2 + a_0 * np.sin(psi) ** 2
@@ -777,7 +780,7 @@ def r_operator(v, t, a, q=QuadratureConfig()):
     return float(np.dot(w, vals))
 
 
-def dt_r_bound_check(v, dv, t, a, q=QuadratureConfig()):
+def dt_r_bound_check(v, dv, t, a):
     """Check |d/dt Rv| <= (a'(t)/2)(a(t)-a(0))^{-1/2} |v(t)| + R|dv|(t).
 
     Returns (lhs, rhs): lhs by central differencing of r_operator, rhs
@@ -786,9 +789,9 @@ def dt_r_bound_check(v, dv, t, a, q=QuadratureConfig()):
     step = 1e-5 * max(1.0, t)
     if t <= step:
         raise DomainError("t too small for the differencing stencil")
-    lhs = abs(r_operator(v, t + step, a, q) - r_operator(v, t - step, a, q)) / (2 * step)
+    lhs = abs(r_operator(v, t + step, a) - r_operator(v, t - step, a)) / (2 * step)
     rhs = 0.5 * float(a.da(t)) / np.sqrt(float(a.a(t)) - float(a.a(0.0))) * abs(float(v(t)))
-    rhs += r_operator(lambda s: abs(float(dv(s))), t, a, q)
+    rhs += r_operator(lambda s: abs(float(dv(s))), t, a)
     return lhs, rhs
 
 
@@ -796,9 +799,10 @@ def dt_r_bound_check(v, dv, t, a, q=QuadratureConfig()):
 # explicit lower bounds for the propagator
 
 
-def _gl_integrals(fn, lo, hi, q):
+def _gl_integrals(fn, lo, hi):
     """Composite Gauss-Legendre integrals of fn over [lo_k, hi_k], each on
-    panels of width at most 1/_GL_PER_UNIT; 0 where hi_k <= lo_k.
+    panels of width at most 1/_GL_PER_UNIT, _GL_NODES nodes each; 0 where
+    hi_k <= lo_k.
 
     The panels of [lo_k, hi_k] are those of np.linspace(lo_k, hi_k, n + 1):
     edge i at lo_k + i (hi_k - lo_k)/n, the last one at hi_k. fn is
@@ -806,7 +810,7 @@ def _gl_integrals(fn, lo, hi, q):
     integral is its own dot product over its own nodes and weights, so it
     keeps the bits of a one-interval call.
     """
-    xg, wg = leggauss(max(8, q.nodes_outer // 8))
+    xg, wg = leggauss(_GL_NODES)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     live = hi > lo
@@ -827,7 +831,7 @@ def _gl_integrals(fn, lo, hi, q):
                      for a, b in zip(cuts[:-1], cuts[1:])])
 
 
-def kernel_lower_integral(phi, t, r, q=QuadratureConfig()):
+def kernel_lower_integral(phi, t, r):
     """int_{|r-t|}^{r+t} phi(lam) sinh(lam) (2 cosh(r+lam))^{-1/2} dlam.
 
     This is the explicit intermediate bound: I(t, r, phi) dominates it for
@@ -843,7 +847,7 @@ def kernel_lower_integral(phi, t, r, q=QuadratureConfig()):
         log_kernel = log_sinh(lam) - half_log2 - 0.5 * log_cosh(r + lam)
         return prof(lam) * np.exp(log_kernel)
 
-    return float(_gl_integrals(fn, [abs(r - t)], [r + t], q)[0])
+    return float(_gl_integrals(fn, [abs(r - t)], [r + t])[0])
 
 
 def default_C0(tau0):
@@ -870,12 +874,12 @@ def _lower_bound_prefactor(t, r, tau0, C0):
     return t, r, C0 * np.exp(-0.5 * log_sinh(r))
 
 
-def _sqrt_sinh_integrals(prof, lo, hi, q):
+def _sqrt_sinh_integrals(prof, lo, hi):
     """int_{lo_k}^{hi_k} prof(lam) (sinh lam)^{1/2} dlam for every k."""
-    return _gl_integrals(lambda lam: prof(lam) * np.exp(0.5 * log_sinh(lam)), lo, hi, q)
+    return _gl_integrals(lambda lam: prof(lam) * np.exp(0.5 * log_sinh(lam)), lo, hi)
 
 
-def lower_bound_I(phi, t, r, tau0, C0=None, q=QuadratureConfig()):
+def lower_bound_I(phi, t, r, tau0, C0=None):
     """The two explicit propagator lower bounds at (t, r).
 
     Returns (bound_large, bound_small): bound_large integrates phi
@@ -893,7 +897,7 @@ def lower_bound_I(phi, t, r, tau0, C0=None, q=QuadratureConfig()):
     ints = _sqrt_sinh_integrals(_as_profile(phi),
                                 np.concatenate([np.maximum(t, r).ravel(),
                                                 np.abs(t - r)[wide]]),
-                                np.concatenate([hi.ravel(), hi[wide]]), q)
+                                np.concatenate([hi.ravel(), hi[wide]]))
     bound_large = pref * ints[:hi.size].reshape(hi.shape)
     bound_small = np.full(hi.shape, np.nan)
     bound_small[wide] = pref[wide] * ints[hi.size:]

@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _KINDS = ("canonical_sinh_inverse", "piecewise_generic")
+_FIT_U_MAX = 0.5  # fit_A's log grid ends here, so A >= 1/_FIT_U_MAX
+_FIT_POINTS = 4001  # points of fit_A's log grid
 
 
 @dataclass(frozen=True)
@@ -176,23 +178,21 @@ def nonlinearity(spec: NonlinearitySpec):
     return lambda u: F_generic(u, spec)
 
 
-def fit_A(spec: NonlinearitySpec, floor=0.0, u_star=0.5, n_grid=4001):
+def fit_A(spec: NonlinearitySpec, floor=0.0):
     """A numeric constant A for the envelope G of this nonlinearity.
 
-    Computes sup |F'(u)| (ln 1/u)^{p-1} over a log grid on (0, u_star]
-    through central difference quotients, pads it by 5 percent, and
-    returns at least max(1/u_star, floor). The returned A satisfies
-    |F'(w)| <= G(w) for all w in (0, 1/A], which is what the difference
-    bound needs, because 1/A <= u_star and G only grows with A.
+    Computes sup |F'(u)| (ln 1/u)^{p-1} over a log grid on (0, u*],
+    u* = _FIT_U_MAX = 1/2, through central difference quotients, pads it
+    by 5 percent, and returns at least max(1/u*, floor). The returned A
+    satisfies |F'(w)| <= G(w) for all w in (0, 1/A], which is what the
+    difference bound needs, because 1/A <= u* and G only grows with A.
     """
-    if not 0 < u_star < 1:
-        raise DomainError("u_star must lie in (0, 1)")
     F = nonlinearity(spec)
-    u = np.geomspace(1e-16, u_star, n_grid)
+    u = np.geomspace(1e-16, _FIT_U_MAX, _FIT_POINTS)
     h = 1e-6 * u
     dF = (F(u + h) - F(u - h)) / (2.0 * h)
     sup = float(np.max(np.abs(dF) * (-np.log(u)) ** (spec.p - 1.0)))
-    return max(1.0 / u_star, floor, 1.05 * sup)
+    return max(1.0 / _FIT_U_MAX, floor, 1.05 * sup)
 
 
 def lipschitz_diff_bound(u, v, spec: NonlinearitySpec):

@@ -15,8 +15,7 @@ from hypwave.blowlab import (
     _mask_S, _mask_sigma, _mask_T,
 )
 from hypwave.fdoracle import FDConfig, fd_solve
-from hypwave.hypgeo import (DomainError, EnvelopeParams, QuadratureConfig,
-                            log_sinh, theta_k)
+from hypwave.hypgeo import DomainError, EnvelopeParams, log_sinh, theta_k
 from hypwave.meanprop import (RadialProfile, SpaceTimeField, _as_profile,
                               default_C0, leggauss, lower_bound_I,
                               sine_propagator)
@@ -540,12 +539,11 @@ class TestCertificate:
 # references: the batched code must reproduce them bit for bit
 
 
-def gl_integral_loop(fn, lo, hi, q, per_unit=2.0):
+def gl_integral_loop(fn, lo, hi, per_unit=2.0):
     if hi <= lo:
         return 0.0
     n_panels = max(1, int(np.ceil((hi - lo) * per_unit)))
-    n_nodes = max(8, q.nodes_outer // 8)
-    xg, wg = leggauss(n_nodes)
+    xg, wg = leggauss(16)
     edges = np.linspace(lo, hi, n_panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])
     halfs = 0.5 * (edges[1:] - edges[:-1])
@@ -554,21 +552,21 @@ def gl_integral_loop(fn, lo, hi, q, per_unit=2.0):
     return float(np.dot(w, fn(s)))
 
 
-def lower_bound_I_loop(phi, t, r, tau0, C0, q=QuadratureConfig()):
+def lower_bound_I_loop(phi, t, r, tau0, C0):
     prof = _as_profile(phi)
     pref = C0 * np.exp(-0.5 * float(log_sinh(r)))
 
     def fn(lam):
         return prof(lam) * np.exp(0.5 * log_sinh(lam))
 
-    bound_large = pref * gl_integral_loop(fn, max(t, r), t + r, q)
+    bound_large = pref * gl_integral_loop(fn, max(t, r), t + r)
     bound_small = None
     if abs(t - r) > tau0 / 8.0:
-        bound_small = pref * gl_integral_loop(fn, abs(t - r), t + r, q)
+        bound_small = pref * gl_integral_loop(fn, abs(t - r), t + r)
     return bound_large, bound_small
 
 
-def first_iterate_c0_loop(u1, params, n_width=15, q=QuadratureConfig()):
+def first_iterate_c0_loop(u1, params, n_width=15):
     prof = _as_profile(u1)
     tau0, eps = params.tau0, params.epsilon
     widths = np.linspace(tau0 * (1.0 + 1e-6), 2.0 * tau0 * (1.0 - 1e-6), n_width)
@@ -580,7 +578,7 @@ def first_iterate_c0_loop(u1, params, n_width=15, q=QuadratureConfig()):
         for off in offsets:
             r = r_corner * (1.0 + 1e-6) + off * tau0
             t = r + w
-            _, small = lower_bound_I_loop(prof, t, r, tau0, params.C0, q)
+            _, small = lower_bound_I_loop(prof, t, r, tau0, params.C0)
             if small is None:
                 continue
             values.append(math.exp(0.5 * log_sinh(r)) * small)

@@ -151,7 +151,7 @@ def test_bad_time_grid_is_config_error(tmp_path, capsys, command, t_max, dt,
     assert not (out / written).exists()
 
 
-QUADRATURE_READERS = {
+VALID_BODIES = {
     "propagate": SMALL_GRID + "[data]\nkind = constant\n",
     "solve": SOLVER_35,
     "decay": SMALL_GRID,
@@ -161,18 +161,69 @@ QUADRATURE_READERS = {
 }
 
 
-@pytest.mark.parametrize("line, message", [
-    ("nodes_inner = 2", "node counts must be at least 4"),
-    ("rel_tol = 2.0", "rel_tol must lie in (0, 1)"),
-], ids=["nodes_inner", "rel_tol"])
-@pytest.mark.parametrize("command", list(QUADRATURE_READERS))
-def test_bad_quadrature_is_config_error(tmp_path, capsys, command, line,
-                                        message):
-    body = QUADRATURE_READERS[command] + "[quadrature]\n" + line + "\n"
-    code, _ = run_cli(tmp_path, command, body)
+def assert_unknown_section(tmp_path, capsys, command, section, lines):
+    """A valid body plus [section] exits 2 naming it; no CSV is written."""
+    body = VALID_BODIES[command] + f"[{section}]\n{lines}\n"
+    code, out = run_cli(tmp_path, command, body)
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and message in err
+    assert "config error" in err and f"unknown section [{section}]" in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("line", ["nodes_inner = 2", "rel_tol = 2.0"],
+                         ids=["nodes_inner", "rel_tol"])
+@pytest.mark.parametrize("command", list(VALID_BODIES))
+def test_bad_quadrature_is_config_error(tmp_path, capsys, command, line):
+    # node counts and tolerances are fixed in the code: a leftover
+    # [quadrature] section is rejected whatever it sets
+    assert_unknown_section(tmp_path, capsys, command, "quadrature", line)
+
+
+@pytest.mark.parametrize("section", ["solvr", "DEFAULT"])
+@pytest.mark.parametrize("command", list(VALID_BODIES))
+def test_unknown_section_is_config_error(tmp_path, capsys, command, section):
+    # configparser would feed [DEFAULT] keys silently to the sections
+    # present and drop them for the absent ones
+    assert_unknown_section(tmp_path, capsys, command, section,
+                           "epsilon = 0.01")
+
+
+RERUN_BODIES = {
+    "propagate": (SMALL_GRID + "[data]\nkind = theta\n", None),
+    "solve": (SOLVER_35.replace("epsilon = 0.0", "epsilon = 0.01"), None),
+    "decay": ("""
+[grid]
+t_max = 4.0
+r_max = 4.0
+dt = 0.2
+dr = 0.2
+""", None),
+    "contraction": (SMALL_GRID + """
+[solver]
+p = 3.5
+h = 1.2
+[contraction]
+mode = threshold
+n_pairs = 2
+n_steps = 6
+""", 3),
+    "blowup": (BLOWUP_BASE + "[escape]\nt_max = 4.0\nr_max = 7.7\n", None),
+    "certify": (BLOWUP_BASE, None),
+}
+
+
+@pytest.mark.parametrize("command", list(RERUN_BODIES))
+def test_reruns_are_byte_identical(tmp_path, command):
+    # the second run finds the caches (table, N_h, Gauss rules) warm
+    body, seed = RERUN_BODIES[command]
+    code_a, out_a = run_cli(tmp_path, command, body, seed=seed, out_name="a")
+    code_b, out_b = run_cli(tmp_path, command, body, seed=seed, out_name="b")
+    assert code_a == code_b == 0
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names and names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 class GridSeen(Exception):
@@ -403,13 +454,6 @@ class TestBlowup:
         by_name = dict(zip(header, cert))
         assert by_name["l0"] == "3" and by_name["A0"] == "1"
         assert float(by_name["T"]) > 19.0
-
-    def test_reruns_are_byte_identical(self, tmp_path):
-        body = BLOWUP_BASE + "[escape]\nenabled = false\n"
-        _, out_a = run_cli(tmp_path, "blowup", body, out_name="a")
-        _, out_b = run_cli(tmp_path, "blowup", body, out_name="b")
-        for name in ("sequences.csv", "certificate.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_escape_run(self, tmp_path):
         body = BLOWUP_BASE.replace("epsilon = 0.5", "epsilon = 1.0") + """

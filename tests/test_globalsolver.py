@@ -7,14 +7,12 @@ from hypwave.fdoracle import FDConfig, fd_solve
 from hypwave.hypgeo import (
     DomainError,
     EnvelopeParams,
-    QuadratureConfig,
     theta_k,
 )
 from hypwave.meanprop import SpaceTimeField, sine_propagator
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from hypwave import globalsolver as gs
 
-Q = QuadratureConfig()
 ENV1 = EnvelopeParams(k=1.0)
 SPEC = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3, A=2.0)
 
@@ -30,7 +28,7 @@ def coarse_cfg():
 
 @pytest.fixture(scope="module")
 def coarse_table(coarse_cfg):
-    table = gs._get_table(coarse_cfg, Q)
+    table = gs._get_table(coarse_cfg)
     assert np.all(np.isfinite(table._A))
     return table
 
@@ -122,32 +120,32 @@ class TestLinearDataField:
     def test_velocity_data_matches_pointwise_propagator(self, coarse_cfg):
         # points inside the triangle t + r <= r_max, where the gridded
         # propagation sees the whole cone of dependence
-        vals = gs.linear_data_field(0.0, data_profile, coarse_cfg, Q)
+        vals = gs.linear_data_field(0.0, data_profile, coarse_cfg)
         for (i, j) in [(5, 3), (10, 20), (30, 8)]:
             t = coarse_cfg.t_grid[i]
             r = coarse_cfg.r_grid[j]
-            ref = sine_propagator(data_profile, t, r, Q)
+            ref = sine_propagator(data_profile, t, r)
             assert vals[i, j] == pytest.approx(ref, rel=5e-5, abs=1e-12)
 
     def test_position_data_row_zero_is_data(self, coarse_cfg):
-        vals = gs.linear_data_field(data_profile, 0.0, coarse_cfg, Q)
+        vals = gs.linear_data_field(data_profile, 0.0, coarse_cfg)
         assert np.allclose(vals[0], data_profile(coarse_cfg.r_grid), rtol=1e-14)
 
     def test_position_data_matches_fine_difference(self):
         cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, grid=(1.0, 4.0, 0.25, 0.1))
-        vals = gs.linear_data_field(data_profile, 0.0, cfg, Q)
+        vals = gs.linear_data_field(data_profile, 0.0, cfg)
         t, r = 0.5, 0.7
         i = np.argmin(np.abs(cfg.t_grid - t))
         j = np.argmin(np.abs(cfg.r_grid - r))
         d = 1e-4
-        ref = (sine_propagator(data_profile, t + d, r, Q)
-               - sine_propagator(data_profile, t - d, r, Q)) / (2 * d)
+        ref = (sine_propagator(data_profile, t + d, r)
+               - sine_propagator(data_profile, t - d, r)) / (2 * d)
         assert vals[i, j] == pytest.approx(ref, rel=5e-3)
 
     def test_n_h_is_cached_and_positive(self, coarse_cfg):
         gs.clear_caches()
-        first = gs.estimate_N_h(1.0, 1.2, coarse_cfg, Q)
-        again = gs.estimate_N_h(1.0, 1.2, coarse_cfg, Q)
+        first = gs.estimate_N_h(1.0, 1.2, coarse_cfg)
+        again = gs.estimate_N_h(1.0, 1.2, coarse_cfg)
         assert first == again > 0
 
 
@@ -162,7 +160,7 @@ class TestPicard:
     def test_linear_problem_returns_scaled_data_evolution(self, coarse_cfg):
         u, history = gs.picard_solve(0.0, data_profile, None, coarse_cfg)
         assert len(history) == 1
-        base = gs.linear_data_field(0.0, data_profile, coarse_cfg, Q)
+        base = gs.linear_data_field(0.0, data_profile, coarse_cfg)
         assert np.allclose(u.values, coarse_cfg.epsilon * base, rtol=1e-15)
 
     def test_epsilon_scaling_is_exactly_linear(self, coarse_cfg):
@@ -185,7 +183,7 @@ class TestPicard:
         u, _ = gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
         F = nonlinearity(SPEC)
         lin = coarse_cfg.epsilon * gs.linear_data_field(0.0, data_profile,
-                                                        coarse_cfg, Q)
+                                                        coarse_cfg)
         resid = u.values - lin - coarse_table.duhamel_field(F(u.values))
         phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid,
                                  coarse_cfg.h)
@@ -194,7 +192,7 @@ class TestPicard:
     def test_solution_stays_in_ball(self, coarse_cfg):
         u, _ = gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
         radius = 2 * coarse_cfg.epsilon * gs.estimate_N_h(1.0, coarse_cfg.h,
-                                                          coarse_cfg, Q)
+                                                          coarse_cfg)
         assert gs.weighted_norm(u, coarse_cfg.h) <= radius
 
     def test_max_iters_exhaustion_carries_history(self, coarse_cfg):
@@ -265,7 +263,7 @@ class TestContraction:
         (U, V), = seen
         phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid, 1.2)
         radius = 2.0 * coarse_cfg.epsilon * gs.estimate_N_h(
-            1.0, 1.2, coarse_cfg, Q)
+            1.0, 1.2, coarse_cfg)
         rng = np.random.default_rng(5)
         for u_batch, v_batch in zip(U, V):
             u = gs._random_ball_field(rng, coarse_cfg.t_grid,
@@ -348,14 +346,14 @@ class TestClaimBound:
         # a smooth stand-in for W, so that only the tau rule is compared
         from scipy.integrate import simpson
 
-        def fake_W(lag, r, f, a, q):
+        def fake_W(lag, r, f, a):
             return float(np.exp(-lag) * np.cos(3.0 * lag) + r * lag**2)
 
         monkeypatch.setattr(gs, "W_evaluator", fake_W)
         claim, _ = gs.claim_bound_check(3.5, 1.2, 1e-2, t, 0.5)
         n_tau = max(8, 2 * int(np.ceil(2.0 * t)))
         taus = np.linspace(0.0, t, n_tau + 1)
-        want = simpson([fake_W(t - tau, 0.5, None, None, None) for tau in taus],
+        want = simpson([fake_W(t - tau, 0.5, None, None) for tau in taus],
                        x=taus)
         assert claim == pytest.approx(want, rel=1e-14)
 

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from hypwave.hypgeo import (
     DomainError,
     EnvelopeParams,
-    QuadratureConfig,
     WeightParams,
     K_factor,
     bracket,
@@ -179,28 +178,6 @@ class TestChebyshevGauss:
     def test_node_count_validated(self):
         with pytest.raises(DomainError):
             cg_nodes(0, 0.0, 1.0)
-
-
-class TestQuadratureConfig:
-    def test_defaults(self):
-        q = QuadratureConfig()
-        assert q.nodes_inner == 64
-        assert q.nodes_outer == 128
-        assert q.abs_tol == 1e-10
-        assert q.rel_tol == 1e-8
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(nodes_inner=3),
-            dict(nodes_outer=2),
-            dict(abs_tol=0.0),
-            dict(rel_tol=1.5),
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(DomainError):
-            QuadratureConfig(**kwargs)
 
 
 class TestUniformGrid:

@@ -14,7 +14,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from hypwave.blowlab import bump_profile
-from hypwave.hypgeo import DomainError, EnvelopeParams, QuadratureConfig, cg_nodes, theta_k
+from hypwave import meanprop
+from hypwave.hypgeo import DomainError, EnvelopeParams, cg_nodes, theta_k
 from hypwave.meanprop import (
     MonotoneWeight,
     PropagatorTable,
@@ -23,7 +24,6 @@ from hypwave.meanprop import (
     SpaceTimeField,
     W_evaluator,
     _agm_K,
-    _kernel_level,
     _lag_weights,
     _mean_nodes,
     _time_weights,
@@ -339,10 +339,10 @@ class TestDuhamel:
             duhamel(F, 0.3, 1.0)
 
 
-def finite_table(t_grid, r_grid, q=QuadratureConfig()):
+def finite_table(t_grid, r_grid):
     """A PropagatorTable, checked to hold only finite entries: a kernel node
     on kappa = 1 would make one inf * 0 = NaN."""
-    tab = PropagatorTable(t_grid, r_grid, q)
+    tab = PropagatorTable(t_grid, r_grid)
     assert np.all(np.isfinite(tab._A))
     return tab
 
@@ -447,16 +447,18 @@ def assert_rows_close(got, want, rel):
     assert np.all(np.abs(got - want) <= rel * scale)
 
 
-def doubled(q):
-    """q with twice the kernel rule's Gauss nodes per panel."""
-    return QuadratureConfig(nodes_inner=16 * _kernel_level(q))
+def doubled(monkeypatch, t_grid, r_grid):
+    """The table at twice the kernel rule's Gauss nodes per panel."""
+    with monkeypatch.context() as m:
+        m.setattr(meanprop, "_KERNEL_LEVEL", 2 * meanprop._KERNEL_LEVEL)
+        return finite_table(t_grid, r_grid)
 
 
-def assert_self_converges(t_grid, r_grid, q):
+def assert_self_converges(monkeypatch, t_grid, r_grid):
     """The table's rule and the same rule at twice the nodes per panel
     differ by at most 1e-10 of each row's largest entry."""
-    tab = finite_table(t_grid, r_grid, q)
-    fine = finite_table(t_grid, r_grid, doubled(q))
+    tab = finite_table(t_grid, r_grid)
+    fine = doubled(monkeypatch, t_grid, r_grid)
     assert np.all(tab._A[0] == 0.0)
     for d in range(1, t_grid.size):
         assert np.any(tab._A[d, 0] != 0.0)  # the r = 0 row
@@ -464,23 +466,22 @@ def assert_self_converges(t_grid, r_grid, q):
 
 
 class TestFlatPanelList:
-    # (t grid, r grid, quadrature): t_max > r_max cuts the rule at
-    # r_max + 2 dr; n_t = 2 is a single lag; every grid has the r = 0 row
-    # and rows with t = r
-    @pytest.mark.parametrize("t_grid, r_grid, q", [
-        (np.linspace(0.0, 3.0, 13), np.linspace(0.0, 2.0, 11), QuadratureConfig()),
-        (np.linspace(0.0, 0.1, 2), np.linspace(0.0, 4.0, 21), QuadratureConfig()),
-        (np.linspace(0.0, 1.5, 7), np.linspace(0.0, 3.0, 16),
-         QuadratureConfig(nodes_inner=20)),
-    ], ids=["t_max>r_max", "n_t=2", "nodes_inner=20"])
-    def test_table_self_converges(self, t_grid, r_grid, q):
-        assert_self_converges(t_grid, r_grid, q)
+    # t_max > r_max cuts the rule at r_max + 2 dr; n_t = 2 is a single
+    # lag; t_max < r_max has dt != dr; every grid has the r = 0 row and
+    # rows with t = r
+    @pytest.mark.parametrize("t_grid, r_grid", [
+        (np.linspace(0.0, 3.0, 13), np.linspace(0.0, 2.0, 11)),
+        (np.linspace(0.0, 0.1, 2), np.linspace(0.0, 4.0, 21)),
+        (np.linspace(0.0, 1.5, 7), np.linspace(0.0, 3.0, 16)),
+    ], ids=["t_max>r_max", "n_t=2", "t_max<r_max"])
+    def test_table_self_converges(self, monkeypatch, t_grid, r_grid):
+        assert_self_converges(monkeypatch, t_grid, r_grid)
 
-    def test_single_lag_with_many_panels(self):
+    def test_single_lag_with_many_panels(self, monkeypatch):
         # t = 8 on 161 radii: rows with up to 320 cells; the two-row time
         # grid builds this one lag only
-        assert_self_converges(np.array([0.0, 8.0]), np.linspace(0.0, 8.0, 161),
-                              QuadratureConfig())
+        assert_self_converges(monkeypatch, np.array([0.0, 8.0]),
+                              np.linspace(0.0, 8.0, 161))
 
     def test_constant_data_exact_inside_the_triangle(self):
         # on t + r <= r_max - dr every stencil stays on the grid, where the
@@ -492,17 +493,16 @@ class TestFlatPanelList:
         got = tab.apply_linear(np.ones(41))
         assert_allclose(got[inside], 2.0 * np.sinh(T[inside] / 2.0), rtol=1e-12)
 
-    @pytest.mark.parametrize("t_grid, r_grid, q", [
-        (np.linspace(0.0, 3.0, 7), np.linspace(0.0, 2.0, 9), QuadratureConfig()),
-        (np.linspace(0.05, 2.05, 5), np.linspace(0.0, 3.0, 13),
-         QuadratureConfig(nodes_inner=20)),
-        (np.array([0.0, 8.0]), np.linspace(0.0, 8.0, 161), QuadratureConfig()),
-    ], ids=["t_max>r_max", "off-zero-t,nodes_inner=20", "t=8,161-radii"])
+    @pytest.mark.parametrize("t_grid, r_grid", [
+        (np.linspace(0.0, 3.0, 7), np.linspace(0.0, 2.0, 9)),
+        (np.linspace(0.05, 2.05, 5), np.linspace(0.0, 3.0, 13)),
+        (np.array([0.0, 8.0]), np.linspace(0.0, 8.0, 161)),
+    ], ids=["t_max>r_max", "off-zero-t", "t=8,161-radii"])
     @pytest.mark.parametrize("phi", [theta1], ids=["theta1"])
-    def test_linear_field_matches_pointwise_rule(self, t_grid, r_grid, q, phi):
+    def test_linear_field_matches_pointwise_rule(self, t_grid, r_grid, phi):
         # every radius at once, at the pointwise rule's settled level
-        got = linear_field(phi, t_grid, r_grid, q).values
-        want = np.array([[sine_propagator(phi, t, r, q) for r in r_grid]
+        got = linear_field(phi, t_grid, r_grid).values
+        want = np.array([[sine_propagator(phi, t, r) for r in r_grid]
                          for t in t_grid])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

@@ -95,7 +95,7 @@ def test_W_evaluator(name, t, r):
 @pytest.mark.parametrize("t, r, tol", [
     (2.0, 5.0, 1e-12), (0.7, 9.0, 1e-12), (4.0, 4.5, 1e-12), (3.0, 2.0, 1e-12),
     (0.05, 0.3, 1e-12),
-    # the mean rule's levels agree there to its rel_tol of 1e-8, and its
+    # the mean rule's levels agree there to its _REL_TOL of 1e-8, and its
     # settled value is 8.5e-12 off
     (12.0, 11.0, 1e-11)])
 def test_spherical_mean(t, r, tol):
