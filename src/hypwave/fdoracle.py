@@ -12,7 +12,11 @@ second difference), and the outer boundary is homogeneous Dirichlet placed
 far enough out that signals never return from it.
 
 One generator, leapfrog, steps the scheme for both fd_solve and
-blowlab.escape_detector.
+blowlab.escape_detector. It updates only a window [0, k) of the grid:
+the scheme's numerical domain of dependence grows by one cell per step,
+so cells beyond the data's support plus one cell per step are exactly 0,
+and the window (rounded up to whole blocks of cells) covers the rest.
+F must be pointwise; an F with F(0) != 0 steps the whole grid.
 """
 
 from __future__ import annotations
@@ -22,12 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hypgeo import DomainError, uniform_grid
-from .meanprop import RadialProfile, SpaceTimeField, _as_profile
+from .meanprop import SpaceTimeField, _as_profile
 
 __all__ = ["FDConfig", "InstabilityError", "leapfrog", "fd_solve",
            "convergence_order", "ConvergenceReport"]
 
 _CFL_LIMIT = 0.9
+# leapfrog's update window grows in whole blocks of cells, so that its
+# temporaries come in few sizes and the allocator can reuse them
+_BLOCK = 256
 
 
 class InstabilityError(RuntimeError):
@@ -100,22 +107,36 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
     """Yield the leapfrog states on cfg.r_grid for n = 0, ..., cfg.n_steps.
 
     Data are (u(0), u_t(0)) = (u0, u1); F is the nonlinearity as a
-    callable of u, or None for the linear equation. Profiles with a
-    declared support radius must fit inside r_max - t_max, so the Dirichlet
-    boundary stays causally invisible; undeclared supports are the
-    caller's responsibility. Non-finite states are yielded unchecked, for
-    the caller to judge under its own np.errstate. Callers may keep the
-    yielded arrays but must not write to them: they are the stepper's state.
+    pointwise callable of u, or None for the linear equation. Profiles
+    with a declared support radius must fit inside r_max - t_max, so the
+    Dirichlet boundary stays causally invisible; undeclared supports are
+    the caller's responsibility. Non-finite states are yielded unchecked,
+    for the caller to judge under its own np.errstate. Callers may keep
+    the yielded arrays but must not write to them: they are the stepper's
+    state.
+
+    After the start step, every step updates only the cells [0, k) that
+    the data can have reached. The front, the last cell where either held
+    state can be nonzero, starts at the last nonzero cell of u(0) and of
+    the step-1 state and moves one cell per step, the reach of the 3-point
+    stencil. k is the front plus 2, rounded up to _BLOCK cells and capped
+    at the grid; cell k - 1, beyond the new front, takes the Dirichlet 0,
+    which at k = n_r is the real boundary row. Cells past the front are
+    exactly 0 in the full-grid scheme as well, so every state is the
+    same, bit for bit. This needs F(0) = 0: when F(0) is not exactly 0,
+    the front starts at the grid's end and every step covers the whole
+    grid.
     """
     u0 = _as_profile(u0)
     u1 = _as_profile(u1)
     _check_support(u0, u1, cfg)
     r = cfg.r_grid
+    n_r = r.size
     coth_r = np.cosh(r[1:-1]) / np.sinh(r[1:-1])
     dr, dt = cfg.dr, cfg.dt
 
     def rhs(u):
-        out = _apply_operator(u, coth_r, dr)
+        out = _apply_operator(u, coth_r[:u.size - 2], dr)
         if F is not None:
             out = out + F(u)
             out[-1] = 0.0
@@ -127,9 +148,18 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
     cur = prev + dt * u1(r) + 0.5 * dt**2 * rhs(prev)
     cur[-1] = 0.0
     yield cur
+    if F is not None and np.any(F(np.zeros(1)) != 0.0):
+        front = n_r - 1
+    else:
+        live = np.flatnonzero((prev != 0.0) | (cur != 0.0))
+        front = int(live[-1]) if live.size else -1
     for _ in range(1, cfg.n_steps):
-        prev, cur = cur, 2.0 * cur - prev + dt**2 * rhs(cur)
-        cur[-1] = 0.0
+        front += 1
+        k = min(-(-(front + 2) // _BLOCK) * _BLOCK, n_r)
+        nxt = np.zeros(n_r)
+        nxt[:k] = 2.0 * cur[:k] - prev[:k] + dt**2 * rhs(cur[:k])
+        nxt[k - 1] = 0.0
+        prev, cur = cur, nxt
         yield cur
 
 

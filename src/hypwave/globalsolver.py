@@ -40,7 +40,6 @@ from .hypgeo import (
 from .meanprop import (
     MonotoneWeight,
     PropagatorTable,
-    RadialProfile,
     SpaceTimeField,
     W_evaluator,
     _as_profile,

@@ -38,7 +38,7 @@ All operations are pure; grid sweeps share no mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypwave.blowlab import (
-    BlowupCertificate, BlowupParams, BoostSequence, EscapeReport, JohnSequence,
+    BlowupParams, BoostSequence, EscapeReport, JohnSequence,
     VerifyReport, area_lower_bound, blowup_time_bound, boost_sequence,
     build_certificate, bump_profile, certificate_verify, escape_detector,
     estimate_tilde_c, first_iterate_bound, john_recursion, region_membership,

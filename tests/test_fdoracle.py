@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from hypwave.blowlab import bump_profile
 from hypwave.fdoracle import (
-    ConvergenceReport,
+    _BLOCK,
     FDConfig,
     InstabilityError,
     convergence_order,
     fd_solve,
+    leapfrog,
 )
 from hypwave.hypgeo import DomainError, EnvelopeParams, theta_k
-from hypwave.meanprop import RadialProfile, sine_propagator
+from hypwave.meanprop import RadialProfile, _as_profile, sine_propagator
+from hypwave.nonlin import NonlinearitySpec, nonlinearity
 
 EP1 = EnvelopeParams(k=1.0)
 
@@ -179,3 +182,127 @@ class TestConvergenceOrder:
         # all refinements agree exactly, so no order can be extracted
         rep = convergence_order(zero, zero, None, QUICK, refinements=2)
         assert rep.inconclusive
+
+
+def full_grid_leapfrog(u0, u1, F, cfg):
+    """The reference: the leapfrog loop that updates every cell each step."""
+    u0, u1 = _as_profile(u0), _as_profile(u1)
+    r = cfg.r_grid
+    coth_r = np.cosh(r[1:-1]) / np.sinh(r[1:-1])
+    dr, dt = cfg.dr, cfg.dt
+
+    def rhs(u):
+        out = np.empty_like(u)
+        out[1:-1] = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
+                     + coth_r * (u[2:] - u[:-2]) / (2.0 * dr)
+                     + 0.25 * u[1:-1])
+        out[0] = 4.0 * (u[1] - u[0]) / dr**2 + 0.25 * u[0]
+        out[-1] = 0.0
+        if F is not None:
+            out = out + F(u)
+            out[-1] = 0.0
+        return out
+
+    prev = u0(r)
+    prev[-1] = 0.0
+    yield prev
+    cur = prev + dt * u1(r) + 0.5 * dt**2 * rhs(prev)
+    cur[-1] = 0.0
+    yield cur
+    for _ in range(1, cfg.n_steps):
+        prev, cur = cur, 2.0 * cur - prev + dt**2 * rhs(cur)
+        cur[-1] = 0.0
+        yield cur
+
+
+def spec_F(kind):
+    return nonlinearity(NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
+                                         kind=kind))
+
+
+def scaled(prof, c):
+    return RadialProfile(lambda lam: c * prof(lam), knots=prof.knots)
+
+
+BUMP = bump_profile(1.0)
+# the escape grid of wavecli blowup at dr = 0.05: the bump's support ends
+# at cell 69 of 873
+ESCAPE = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=40.0)
+SHORT = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=4.0)
+
+
+class TestLeapfrogWindow:
+    CASES = {
+        "bump-piecewise": (zero, scaled(BUMP, 0.1), spec_F("piecewise_generic"),
+                           SHORT),
+        "bump-canonical": (zero, scaled(BUMP, 0.1),
+                           spec_F("canonical_sinh_inverse"), SHORT),
+        # 1000 steps: the window reaches r_max at step 699
+        "bump-linear-hits-r_max": (zero, BUMP, None, ESCAPE),
+        "theta1": (zero, theta1, spec_F("canonical_sinh_inverse"), QUICK),
+        "F(0)!=0": (zero, BUMP, lambda u: 0.01 + u * np.abs(u), SHORT),
+        # 0.5 dt^2 F(0) rounds to 0 but dt^2 F(0) does not: the step-1
+        # state is zero past the support, and only F(0) itself shows that
+        # the zero cells do not stay zero
+        "F(0)-subnormal": (zero, BUMP, lambda u: 2.5e-321 + u * np.abs(u),
+                           SHORT),
+        # overflows at t = 5.24 (step 131), when the window is 256 of 873 cells
+        "overflow": (zero, scaled(BUMP, 0.5), spec_F("piecewise_generic"),
+                     FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=8.0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_states_equal_full_grid(self, case):
+        u0, u1, F, cfg = self.CASES[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = list(leapfrog(u0, u1, F, cfg))
+            want = list(full_grid_leapfrog(u0, u1, F, cfg))
+        assert len(got) == len(want) == cfg.n_steps + 1
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert g.shape == w.shape
+            assert_array_equal(g, w, err_msg=f"state {n}")
+
+    def test_overflow_names_the_same_point(self):
+        u0, u1, F, cfg = self.CASES["overflow"]
+        r = cfg.r_grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, u in enumerate(full_grid_leapfrog(u0, u1, F, cfg)):
+                if not np.all(np.isfinite(u)):
+                    bad = np.flatnonzero(~np.isfinite(u))[0]
+                    break
+        assert n < cfg.n_steps
+        want = f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}"
+        with pytest.raises(InstabilityError) as exc:
+            fd_solve(u0, u1, F, cfg)
+        assert str(exc.value) == want
+
+    @staticmethod
+    def window_lengths(F, cfg):
+        """len(u) of every F call while leapfrog makes each state, by step."""
+        seen = []
+
+        def recording(u):
+            seen.append(len(u))
+            return F(u)
+
+        per_step = []
+        for _ in leapfrog(zero, scaled(BUMP, 0.1), recording, cfg):
+            per_step.append(seen[:])
+            seen.clear()
+        return per_step
+
+    def test_window_follows_the_light_cone(self):
+        n_r = ESCAPE.r_grid.size
+        support = int(np.flatnonzero(BUMP(ESCAPE.r_grid))[-1])
+        # a defocusing F, so that the 1000 steps stay finite
+        per_step = self.window_lengths(lambda u: -u * np.abs(u), ESCAPE)
+        assert per_step[1] == [n_r]
+        for n in range(2, ESCAPE.n_steps + 1):
+            bound = -(-(support + n + 2) // _BLOCK) * _BLOCK
+            assert max(per_step[n]) <= min(bound, n_r), f"step {n}"
+        assert per_step[2][-1] == _BLOCK < n_r
+
+    def test_F_nonzero_at_zero_steps_the_whole_grid(self):
+        n_r = SHORT.r_grid.size
+        per_step = self.window_lengths(lambda u: 0.01 + u * np.abs(u), SHORT)
+        assert all(calls[-1] == n_r for calls in per_step[1:])
