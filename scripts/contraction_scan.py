@@ -10,7 +10,7 @@ comparable.
 
 Each run writes into contraction_scan/<run>/. contraction_scan.csv
 collects (epsilon, max_ratio, note) per probe plus the threshold row
-(epsilon0 and the max_ratio re-probed there). Plot with
+(epsilon0 and the max_ratio of its probe there). Plot with
 
     python3 -c "import pandas as pd; d = pd.read_csv('runs/contraction_scan.csv'); print(d)"
 """

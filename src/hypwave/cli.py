@@ -240,10 +240,17 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _field_rows(field):
-    for i, t in enumerate(field.t_grid):
-        for j, r in enumerate(field.r_grid):
-            yield float(t), float(r), float(field.values[i, j])
+def _write_grid_csv(path, header, t_grid, r_grid, *columns):
+    """One row (t, r, column values...) per grid point, t-major: the bytes
+    _write_csv gives for the same floats, formatted in one pass."""
+    import numpy as np
+
+    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
+    rows = np.stack([T, R, *columns], axis=-1).reshape(-1, len(header))
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines([line % tuple(row) for row in rows.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +284,16 @@ def cmd_propagate(cp, out, seed):
         fd = fd_solve(RadialProfile.constant(0.0), prof, None, fd_cfg)
 
     primary = kernel if kernel is not None else fd
-    _write_csv(out / "field.csv", ("t", "r", "u"), _field_rows(primary))
+    _write_grid_csv(out / "field.csv", ("t", "r", "u"), primary.t_grid,
+                    primary.r_grid, primary.values)
 
     if engine == "both":
         scale = float(np.max(np.abs(kernel.values)))
         if scale == 0.0:
             scale = 1.0
-        rows = []
-        for i, t in enumerate(t_grid):
-            for j, r in enumerate(r_grid):
-                a = float(kernel.values[i, j])
-                b = float(fd.values[i, j])
-                rows.append((float(t), float(r), a, b, abs(a - b) / scale))
-        _write_csv(out / "diff.csv", ("t", "r", "kernel", "fd", "rel_err"),
-                   rows)
+        _write_grid_csv(out / "diff.csv", ("t", "r", "kernel", "fd", "rel_err"),
+                        t_grid, r_grid, kernel.values, fd.values,
+                        np.abs(kernel.values - fd.values) / scale)
     return 0
 
 
@@ -328,7 +331,8 @@ def cmd_solve(cp, out, seed):
         field, history, converged = None, exc.history, False
 
     if field is not None:
-        _write_csv(out / "field.csv", ("t", "r", "u"), _field_rows(field))
+        _write_grid_csv(out / "field.csv", ("t", "r", "u"), field.t_grid,
+                        field.r_grid, field.values)
     _write_csv(out / "history.csv", ("iteration", "diff_norm"),
                [(n + 1, d) for n, d in enumerate(history)])
     _write_csv(out / "report.csv",
@@ -368,8 +372,8 @@ def cmd_decay(cp, out, seed):
 
 
 def cmd_contraction(cp, out, seed):
-    from .globalsolver import (SolverConfig, contraction_probe,
-                               epsilon_threshold)
+    from .globalsolver import (SolverConfig, _threshold_search,
+                               contraction_probe)
     from .hypgeo import DomainError
 
     try:
@@ -410,13 +414,8 @@ def cmd_contraction(cp, out, seed):
                    ("epsilon", "sampled_pairs", "max_ratio"),
                    [(rep.epsilon, rep.sampled_pairs, rep.max_ratio)])
     else:
-        from dataclasses import replace
-        eps0 = epsilon_threshold(spec, cfg, target_ratio=target,
-                                 rng_seed=seed, data_k=data_k,
-                                 n_pairs=n_pairs, n_steps=n_steps)
-        rep = contraction_probe(spec, replace(cfg, epsilon=eps0),
-                                n_pairs=n_pairs, rng_seed=seed,
-                                data_k=data_k)
+        eps0, rep = _threshold_search(spec, cfg, target, seed, data_k,
+                                      n_pairs, n_steps)
         _write_csv(out / "threshold.csv",
                    ("epsilon0", "target_ratio", "max_ratio",
                     "sampled_pairs", "seed"),

@@ -384,18 +384,29 @@ def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
     n_pairs < 1, n_steps < 0 or target_ratio <= 0, and ConvergenceError
     when even the floor 1e-12 fails the probe.
     """
+    return _threshold_search(spec, cfg, target_ratio, rng_seed, data_k,
+                             n_pairs, n_steps)[0]
+
+
+def _threshold_search(spec, cfg, target_ratio, rng_seed, data_k, n_pairs,
+                      n_steps):
+    """epsilon_threshold's bisection: (eps0, the ContractionReport of its
+    probe at eps0), which is bit for bit the contraction_probe at eps0
+    with the same rng_seed and n_pairs."""
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
     if not target_ratio > 0:
         raise DomainError(f"target_ratio must be positive, got {target_ratio}")
     units = _pair_shapes(rng_seed, n_pairs, cfg.t_grid, cfg.r_grid)
 
+    reports = {}
+
     def ratio_at(eps):
         try:
-            rep = _probe(spec, replace(cfg, epsilon=eps), units, data_k)
+            reports[eps] = _probe(spec, replace(cfg, epsilon=eps), units, data_k)
         except EscapeError:
             return np.inf
-        return rep.max_ratio
+        return reports[eps].max_ratio
 
     lo, hi = 1e-12, 1.0
     if ratio_at(lo) > target_ratio:
@@ -408,7 +419,7 @@ def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo, reports[lo]
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,12 @@ I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi. One node builder
 side of the log singularity lam* = |t - r| is mapped by lam = lam* +- H u^2
 and graded geometrically toward u = 0, with panels on the table's grid
 cells (so each integrates one cubic of the interpolant) or on unit steps
-and the profile's knots. The table scatters the nodes to their cells as
-moments w xi^p; linear_field sums them to their radii; sine_propagator
-and W_evaluator settle over doubling node levels.
+and the profile's knots. 1 - kappa comes from the weight's factorisation
+a(M) - a(M - g) = P(M, g) Q(g) at the exact gaps g = M - c and M - b, as
+a ratio of P's times a ratio of Q's, so no product of two small lengths
+is formed. The table scatters the nodes to their cells as moments
+w xi^p; linear_field sums them to their radii; sine_propagator and
+W_evaluator settle over doubling node levels.
 
 The spherical mean keeps a rule of its own, the independent check of its
 identities: cosh(lam) = midpoint + halfwidth*cos(theta) removes both
@@ -191,23 +194,35 @@ class SpaceTimeField:
         return i
 
 
+def _two_cosh_gap(x, g):
+    """2cosh x - 2cosh(x - g) = 2 sinh(x - g/2) * 2 sinh(g/2)."""
+    h = 0.5 * g
+    return 2.0 * np.sinh(x - h), 2.0 * np.sinh(h)
+
+
 class MonotoneWeight:
     """An even C^1 weight a(s) with a'(s) > 0 for s > 0.
 
-    Carries, besides a and a', the inverse of a on [0, inf) and a
-    cancellation-free difference quotient dq(x, y) = (a(x) - a(y))/(x - y);
-    the latter keeps the Beta-type integrands accurate when two abscissae
-    nearly coincide. Construction verifies the two conditions required of
-    the weight (positivity of a' and monotonicity of the smoothed
-    derivative quotient) on a sample grid.
+    Carries, besides a and a', the inverse of a on [0, inf), a
+    cancellation-free difference quotient dq(x, y) = (a(x) - a(y))/(x - y)
+    and a cancellation-free factorisation of its gaps,
+    gap(x, g) = (P, Q) with a(x) - a(x - g) = P(x, g) Q(g):
+    P = 2 sinh(x - g/2), Q = 2 sinh(g/2) for 2cosh and P = 2x - g, Q = g
+    for s^2. dq keeps the Beta-type integrands accurate when two
+    abscissae nearly coincide; gap lets the kernel rule form ratios and
+    roots of a(M) - a(b) without forming the product, which underflows
+    when both lengths are tiny. Construction verifies the two conditions
+    required of the weight (positivity of a' and monotonicity of the
+    smoothed derivative quotient) on a sample grid.
     """
 
-    def __init__(self, name, a, da, inv, dq):
+    def __init__(self, name, a, da, inv, dq, gap):
         self.name = name
         self.a = a
         self.da = da
         self.inv = inv
         self.dq = dq
+        self.gap = gap
         self._check_conditions()
 
     def _check_conditions(self):
@@ -230,6 +245,7 @@ class MonotoneWeight:
             inv=lambda y: np.arccosh(np.maximum(np.asarray(y, dtype=float), 2.0) / 2.0),
             # 2cosh x - 2cosh y = 4 sinh((x+y)/2) sinh((x-y)/2)
             dq=lambda x, y: 2.0 * np.sinh(0.5 * (x + y)) * sinhc(0.5 * (x - y)),
+            gap=_two_cosh_gap,
         )
 
     @classmethod
@@ -240,6 +256,7 @@ class MonotoneWeight:
             da=lambda s: 2.0 * np.asarray(s, dtype=float),
             inv=lambda y: np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0)),
             dq=lambda x, y: np.asarray(x, dtype=float) + np.asarray(y, dtype=float),
+            gap=lambda x, g: (2.0 * x - g, g),
         )
 
     def dq_of_squares(self, X, Y):
@@ -356,10 +373,12 @@ def _agm_K(m1):
     m1 = 1 - kappa in [0, 1]: pi / (2 AGM(1, sqrt(m1))) (DLMF 19.8.1).
 
     Seven steps of the arithmetic-geometric mean settle it to 4e-16 for
-    m1 >= 1e-15; m1 = 0 gives a large finite value, never inf.
+    m1 >= 1e-15; m1 = 0 gives a large finite value, never inf. The first
+    step, from a = 1, is written out.
     """
-    a, b = np.ones_like(m1), np.sqrt(m1)
-    for _ in range(7):
+    b = np.sqrt(m1)
+    a, b = 0.5 * (1.0 + b), np.sqrt(b)
+    for _ in range(6):
         a, b = 0.5 * (a + b), np.sqrt(a * b)
     return np.pi / (a + b)
 
@@ -368,8 +387,9 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     """The rule for int f(lam) k_a(t, r_j, lam) dlam at every radius r_j and
     one time t > 0, k_a = 2 K(kappa) / sqrt(a(M) - a(b)), cut at lam_max.
     Builds the panels once and returns nodes(n_gl), which yields chunks
-    (row, lam, w) of at most _NODE_CHUNK nodes, rows ascending within a
-    chunk, with the integral at r_j ~= sum of w f(lam) over row == j.
+    (row, lam, w) of at most _NODE_CHUNK nodes, each from one side of
+    lam*, rows ascending within a chunk, with the integral at
+    r_j ~= sum of w f(lam) over row == j.
 
     k_a has a log singularity at lam* = |t - r| and square-root branches
     2r and |t - r| away from it. lam = lam* +- H u^2 (H the side's length)
@@ -378,9 +398,16 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     branch is closer than H), at the multiples of step and at the knots.
     A panel gets n_gl Gauss nodes; twice that when its centre lies within
     two widths of u = 0, three quarters when it is narrower than 1/4 in
-    lam and eight widths or more away. 1 - kappa comes from the weight's
-    difference quotient and the exact gaps M - c and M - b, so K stays
-    accurate up to lam*.
+    lam and eight widths or more away.
+
+    1 - kappa = (a(M) - a(c)) / (a(M) - a(b)) comes from the weight's gap
+    factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact gaps
+    g = M - c and g = M - b, as (P_c / P_b) (Q_c / Q_b), and
+    1 / sqrt(a(M) - a(b)) as 1 / (sqrt(P_b) sqrt(Q_b)). Neither forms
+    the product P_b Q_b, so K stays accurate up to lam* and nothing
+    underflows for t and r down to 1e-300. Smaller scales are outside the
+    domain: at t = 1e-302 (r = 0) or a subnormal radius such as 5e-324 the
+    gaps leave the normal range and the weights overflow.
     """
     r = np.asarray(r, dtype=float)
     # two sides per radius: up from lam* to r + t, and (t > r) down to 0
@@ -406,16 +433,17 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     o, p = np.nonzero(u[:, 1:] > u[:, :-1])
     mid, half = 0.5 * (u[o, p + 1] + u[o, p]), 0.5 * (u[o, p + 1] - u[o, p])
 
-    # M - c = d + gap_c and M - b = min(2r + d [left], lam* + lam + d [right])
-    gap_c, on_right = np.where(right, 2.0 * np.maximum(rr - t, 0.0), 0.0), right * 1.0
+    gap_c = 2.0 * np.maximum(rr - t, 0.0)  # M - c - d on the right side
     xi = mid / half  # the panel's centre in halfwidths from u = 0
     close = xi < 4.0
     far = (xi >= 16.0) & (H[o] * 4.0 * mid * half <= 0.25)
-    tiers = [(np.flatnonzero(close), 2.0), (np.flatnonzero(~close & ~far), 1.0),
-             (np.flatnonzero(far), 0.75)]
+    on_right = right[o]
+    tiers = [(np.flatnonzero(sel & (on_right == is_right)), times, is_right)
+             for sel, times in ((close, 2.0), (~close & ~far, 1.0), (far, 0.75))
+             for is_right in (True, False)]
 
     def nodes(n_gl):
-        for sel, times in tiers:
+        for sel, times, is_right in tiers:
             n = int(times * n_gl)
             xg, wg = leggauss(n)
             per = max(_NODE_CHUNK // n, 1)
@@ -423,16 +451,20 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
                 b = sel[s:s + per]
                 ob = o[b]
                 uu = mid[b, None] + half[b, None] * xg
-                Hb, stb, rb, fr = H[ob, None], st[ob, None], rr[ob, None], on_right[ob, None]
+                Hb, stb, rb = H[ob, None], st[ob, None], rr[ob, None]
                 d = Hb * uu * uu
-                lam = stb + sgn[ob, None] * d
-                Mc = d + gap_c[ob, None]
-                Mb = np.minimum(2.0 * rb + (1.0 - fr) * d, stb + lam + fr * d)
-                M = np.maximum(t, rb + lam)
-                amb = a.dq(M, M - Mb) * Mb
-                m1 = np.minimum(a.dq(M, M - Mc) * Mc / amb, 1.0)
+                if is_right:  # M - c = d + gap_c, M - b = 2 min(r, lam)
+                    lam = stb + d
+                    Mc, Mb = d + gap_c[ob, None], 2.0 * np.minimum(rb, lam)
+                    M = np.maximum(t, rb + lam)
+                else:  # M = t, M - c = d, M - b = min(2r + d, lam* + lam)
+                    lam = stb - d
+                    Mc, Mb, M = d, np.minimum(2.0 * rb + d, stb + lam), t
+                Pc, Qc = a.gap(M, Mc)
+                Pb, Qb = a.gap(M, Mb)
+                m1 = np.minimum((Pc / Pb) * (Qc / Qb), 1.0)
                 w = (half[b, None] * wg) * (2.0 * Hb * uu) * (
-                    2.0 * _agm_K(m1) / np.sqrt(amb))
+                    2.0 * _agm_K(m1) / (np.sqrt(Pb) * np.sqrt(Qb)))
                 yield np.repeat(row[ob], n), lam.ravel(), w.ravel()
 
     return nodes

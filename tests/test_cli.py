@@ -14,10 +14,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hypwave
-from hypwave.cli import _apply_thread_cap, _fmt, main
+from hypwave import fdoracle, globalsolver, meanprop
+from hypwave.cli import _apply_thread_cap, _fmt, _write_grid_csv, main
+from hypwave.nonlin import NonlinearitySpec
 
 
 def run_cli(tmp_path, command, body, seed=None, out_name="out"):
@@ -435,6 +438,17 @@ class TestContraction:
         assert float(row[0]) > 0.0
         assert float(row[2]) <= float(row[1])
         assert row[4] == "3"
+        # the files come from the search's own probe at eps0, which is the
+        # probe a fresh contraction_probe at eps0 makes
+        cfg = globalsolver.SolverConfig(p=3.5, h=1.2, epsilon=float(row[0]),
+                                        grid=(2.0, 2.0, 0.25, 0.25))
+        rep = globalsolver.contraction_probe(
+            NonlinearitySpec(p=3.5, q=2.0, delta0=0.45, A=2.0), cfg,
+            n_pairs=2, rng_seed=3)
+        assert row == [_fmt(rep.epsilon), _fmt(0.5), _fmt(rep.max_ratio),
+                       _fmt(rep.sampled_pairs), "3"]
+        assert read_csv(out / "ratios.csv")[1:] == [
+            [_fmt(i), _fmt(ratio)] for i, ratio in enumerate(rep.ratios)]
 
 
 class TestBlowup:
@@ -570,6 +584,78 @@ class TestFormatAndErrors:
         body = BLOWUP_BASE + "[escape]\nenabled = false\n"
         code, _ = run_cli(tmp_path, "blowup", body)
         assert code == 2
+
+
+def write_grid_csv_by_rows(path, header, t_grid, r_grid, *columns):
+    """The CLI's earlier gridded writer: csv.writer and _fmt, one value at
+    a time, t-major, the reference of _write_grid_csv."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, t in enumerate(t_grid):
+            for j, r in enumerate(r_grid):
+                writer.writerow([_fmt(float(v)) for v in
+                                 (t, r, *(c[i, j] for c in columns))])
+
+
+def recording(monkeypatch, module, name):
+    """Wrap module.name so that every result it returns is kept."""
+    results, orig = [], getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        results.append(orig(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapped)
+    return results
+
+
+class TestGridCsv:
+    def test_bytes_match_the_row_writer(self, tmp_path):
+        edge = np.array([[-0.0, 5e-324, 1e-300], [1e308, 0.1 + 0.2, 1.0 / 3.0],
+                         [np.nextafter(1.0, 2.0), -2.0 / 7.0, 123456789.0]])
+        t, r = np.array([0.0, 0.1, 1e-300]), np.array([0.0, 1.0 / 3.0, 2.5])
+        for cols in ((edge,), (edge, -edge, edge.T)):
+            header = ("t", "r") + tuple(f"c{k}" for k in range(len(cols)))
+            _write_grid_csv(tmp_path / "new.csv", header, t, r, *cols)
+            write_grid_csv_by_rows(tmp_path / "old.csv", header, t, r, *cols)
+            assert (tmp_path / "new.csv").read_bytes() \
+                == (tmp_path / "old.csv").read_bytes()
+
+    def test_propagate_both_matches_the_row_writer(self, tmp_path,
+                                                   monkeypatch):
+        kernel = recording(monkeypatch, meanprop, "linear_field")
+        fd = recording(monkeypatch, fdoracle, "fd_solve")
+        body = ("[grid]\nt_max = 0.4\nr_max = 2.0\ndt = 0.04\ndr = 0.05\n"
+                "[data]\nkind = theta\n[propagate]\nengine = both\n")
+        code, out = run_cli(tmp_path, "propagate", body)
+        assert code == 0
+        (k,), (f,) = kernel, fd
+        write_grid_csv_by_rows(tmp_path / "field.csv", ("t", "r", "u"),
+                               k.t_grid, k.r_grid, k.values)
+        assert (out / "field.csv").read_bytes() \
+            == (tmp_path / "field.csv").read_bytes()
+        # diff.csv's rel_err as the earlier per-value loop formed it
+        scale = float(np.max(np.abs(k.values)))
+        rel = np.array([[abs(float(a) - float(b)) / scale
+                         for a, b in zip(ka, fa)]
+                        for ka, fa in zip(k.values, f.values)])
+        write_grid_csv_by_rows(tmp_path / "diff.csv",
+                               ("t", "r", "kernel", "fd", "rel_err"),
+                               k.t_grid, k.r_grid, k.values, f.values, rel)
+        assert (out / "diff.csv").read_bytes() \
+            == (tmp_path / "diff.csv").read_bytes()
+
+    def test_solve_field_matches_the_row_writer(self, tmp_path, monkeypatch):
+        solved = recording(monkeypatch, globalsolver, "picard_solve")
+        body = SOLVER_35.replace("epsilon = 0.0", "epsilon = 0.01")
+        code, out = run_cli(tmp_path, "solve", body)
+        assert code == 0
+        ((field, _),) = solved
+        write_grid_csv_by_rows(tmp_path / "field.csv", ("t", "r", "u"),
+                               field.t_grid, field.r_grid, field.values)
+        assert (out / "field.csv").read_bytes() \
+            == (tmp_path / "field.csv").read_bytes()
 
 
 class TestEntryPoint:

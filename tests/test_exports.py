@@ -1,5 +1,6 @@
 """Every hypwave module declares __all__, every name in it exists, and
-every name it imports is used.
+every name it imports is used; the tests and scripts import nothing they
+leave unused either.
 
 A stale entry (a class deleted but still exported) breaks
 ``from hypwave.<module> import *`` only when someone tries it; this test
@@ -17,6 +18,11 @@ import pytest
 import hypwave
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(hypwave.__path__))
+ROOT = Path(__file__).resolve().parent.parent
+# a module by its name, a test or script file by its path from the root
+SCANNED = {name: Path(hypwave.__path__[0]) / f"{name}.py" for name in MODULES}
+SCANNED.update((f"{d}/{p.name}", p) for d in ("tests", "scripts")
+               for p in sorted((ROOT / d).glob("*.py")))
 
 
 def test_every_module_is_listed():
@@ -71,11 +77,11 @@ def _unused_imports(tree):
     return unused
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", list(SCANNED))
 def test_no_unused_imports(name):
-    path = Path(hypwave.__path__[0]) / f"{name}.py"
+    path = SCANNED[name]
     unused = _unused_imports(ast.parse(path.read_text(), str(path)))
-    assert not unused, f"hypwave.{name} imports but never uses {unused}"
+    assert not unused, f"{name} imports but never uses {unused}"
 
 
 def test_unused_import_scan_sees_both_scopes():

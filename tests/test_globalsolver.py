@@ -287,6 +287,8 @@ class TestThreshold:
         again = gs.epsilon_threshold(spec, cfg, rng_seed=13, n_pairs=6,
                                      n_steps=12)
         assert eps0 == again
+        # the search's own probe at eps0 is that re-probe, bit for bit
+        assert gs._threshold_search(spec, cfg, 0.5, 13, 1.0, 6, 12) == (eps0, rep)
 
     def test_impossible_target_fails(self, coarse_cfg):
         with pytest.raises(gs.ConvergenceError, match="no admissible"):
