@@ -34,7 +34,7 @@ import numpy as np
 from .hypgeo import DomainError, log_sinh
 from .meanprop import (RadialProfile, SpaceTimeField, _as_profile,
                        _lower_bound_prefactor, _sqrt_sinh_integrals)
-from .fdoracle import FDConfig, leapfrog
+from .fdoracle import FDConfig, _finite_max, leapfrog
 
 __all__ = [
     "BlowupParams", "BoostSequence", "JohnSequence", "BlowupCertificate",
@@ -776,12 +776,13 @@ def escape_detector(u0, u1, F, cfg: FDConfig, threshold):
         for n, u in enumerate(leapfrog(u0, u1, F, cfg)):
             t = n * cfg.dt
             times.append(t)
-            if not np.all(np.isfinite(u)):
+            sup = _finite_max(u)
+            if sup is None:
                 sups.append(np.nan)
                 t_escape, instability = t, True
                 break
-            sups.append(float(np.max(u)))
-            if sups[-1] > threshold:
+            sups.append(sup)
+            if sup > threshold:
                 t_escape = t
                 break
 

@@ -433,12 +433,27 @@ def _sequence_rows(cert):
         yield ("john", int(m), float(A), float(B), float(logD))
 
 
+def _bump_data(params, fd_cfg):
+    """The blow-up data (u0, u1) = (0, epsilon * bump) and the bump; the
+    bump's support must fit fd_cfg the way fdoracle's stepper demands, so
+    a grid too small for it is a config error."""
+    from .blowlab import bump_profile
+    from .fdoracle import _check_support
+    from .meanprop import RadialProfile
+
+    bump = bump_profile(params.tau0)
+    u0 = RadialProfile.constant(0.0)
+    u1 = _scaled_profile(bump, params.epsilon)
+    if fd_cfg is not None:
+        _check_support(u0, u1, fd_cfg)
+    return u0, u1, bump
+
+
 def cmd_blowup(cp, out, seed):
     import numpy as np
-    from .blowlab import build_certificate, bump_profile, escape_detector
+    from .blowlab import build_certificate, escape_detector
     from .fdoracle import FDConfig
     from .hypgeo import DomainError
-    from .meanprop import RadialProfile
     from .nonlin import nonlinearity
 
     try:
@@ -458,10 +473,10 @@ def cmd_blowup(cp, out, seed):
             factor = _get(cp, "escape", "threshold_factor", float, 10.0)
             spec = _nonlin_spec(cp, params.p,
                                 default_kind="piecewise_generic")
+        u0, u1, bump = _bump_data(params, esc_cfg)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    bump = bump_profile(params.tau0)
     cert = build_certificate(bump, params, m_max=m_max)
 
     _write_csv(out / "sequences.csv", ("sequence", "index", "x1", "x2", "x3"),
@@ -475,11 +490,9 @@ def cmd_blowup(cp, out, seed):
                  cert.T)])
 
     if run_escape:
-        scaled = _scaled_profile(bump, params.epsilon)
-        threshold = factor * float(np.max(np.abs(scaled(esc_cfg.r_grid))))
+        threshold = factor * float(np.max(np.abs(u1(esc_cfg.r_grid))))
         F = nonlinearity(spec) if spec is not None else None
-        rep = escape_detector(RadialProfile.constant(0.0), scaled, F,
-                              esc_cfg, threshold)
+        rep = escape_detector(u0, u1, F, esc_cfg, threshold)
         sup_max = max((s for s in rep.sup_history if math.isfinite(s)),
                       default=0.0)
         _write_csv(out / "escape.csv",
@@ -495,11 +508,10 @@ def cmd_blowup(cp, out, seed):
 
 
 def cmd_certify(cp, out, seed):
-    from .blowlab import (build_certificate, bump_profile,
-                          certificate_verify)
+    from .blowlab import build_certificate, certificate_verify
     from .fdoracle import FDConfig, fd_solve
     from .hypgeo import DomainError
-    from .meanprop import RadialProfile, SpaceTimeField
+    from .meanprop import SpaceTimeField
     from .nonlin import nonlinearity
 
     try:
@@ -519,14 +531,12 @@ def cmd_certify(cp, out, seed):
             raise ConfigError(
                 "cmd_certify needs a nonlinearity; kind = none cannot "
                 "blow up")
+        u0, u1, bump = _bump_data(params, sim_cfg)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    bump = bump_profile(params.tau0)
     cert = build_certificate(bump, params, m_max=m_max)
-    u_sim = fd_solve(RadialProfile.constant(0.0),
-                     _scaled_profile(bump, params.epsilon),
-                     nonlinearity(spec), sim_cfg)
+    u_sim = fd_solve(u0, u1, nonlinearity(spec), sim_cfg)
 
     rep = certificate_verify(cert, u_sim)
     scale = field_scale

@@ -21,6 +21,7 @@ F must be pointwise; an F with F(0) != 0 steps the whole grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,16 +92,35 @@ def _check_support(u0, u1, cfg):
                 "contaminate the solution")
 
 
-def _apply_operator(u, coth_r, dr):
-    """Spatial operator u_rr + coth(r) u_r + u/4 with the even-extension
-    origin stencil; the Dirichlet row at r_max is handled by the caller."""
-    out = np.empty_like(u)
-    out[1:-1] = ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
-                 + coth_r * (u[2:] - u[:-2]) / (2.0 * dr)
-                 + 0.25 * u[1:-1])
+def _apply_operator(u, coth_r, dr, out, tmp):
+    """Write the spatial operator u_rr + coth(r) u_r + u/4, with the
+    even-extension origin stencil, into out, the size of u; tmp is scratch
+    the size of coth_r, u.size - 2. The Dirichlet row at r_max is the
+    caller's: out[-1] is 0."""
+    inner = out[1:-1]
+    np.multiply(u[1:-1], 2.0, out=inner)
+    np.subtract(u[2:], inner, out=inner)
+    inner += u[:-2]
+    inner /= dr**2
+    np.subtract(u[2:], u[:-2], out=tmp)
+    tmp *= coth_r
+    tmp /= 2.0 * dr
+    inner += tmp
+    np.multiply(u[1:-1], 0.25, out=tmp)
+    inner += tmp
     out[0] = 4.0 * (u[1] - u[0]) / dr**2 + 0.25 * u[0]
     out[-1] = 0.0
-    return out
+
+
+def _finite_max(u):
+    """max(u) as a float if every value of u is finite, else None.
+
+    Two reductions decide it: a NaN makes the max NaN, and an infinity
+    shows in the max or the min."""
+    top = float(u.max())
+    if math.isfinite(top) and math.isfinite(u.min()):
+        return top
+    return None
 
 
 def leapfrog(u0, u1, F, cfg: FDConfig):
@@ -111,9 +131,14 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
     with a declared support radius must fit inside r_max - t_max, so the
     Dirichlet boundary stays causally invisible; undeclared supports are
     the caller's responsibility. Non-finite states are yielded unchecked,
-    for the caller to judge under its own np.errstate. Callers may keep
-    the yielded arrays but must not write to them: they are the stepper's
-    state.
+    for the caller to judge under its own np.errstate. Each yielded state
+    is a fresh array that callers may keep, but must not write to: the
+    stepper reads it for the next two steps.
+
+    The right-hand side, the operator plus F, goes into two buffers that
+    every step reuses, and each step's update 2 u - u_prev + dt^2 rhs is
+    computed in place on the new state's window. The arithmetic is the
+    full-grid scheme's, operation for operation.
 
     After the start step, every step updates only the cells [0, k) that
     the data can have reached. The front, the last cell where either held
@@ -134,12 +159,16 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
     n_r = r.size
     coth_r = np.cosh(r[1:-1]) / np.sinh(r[1:-1])
     dr, dt = cfg.dr, cfg.dt
+    acc = np.empty(n_r)
+    tmp = np.empty(n_r - 2)
 
     def rhs(u):
-        out = _apply_operator(u, coth_r[:u.size - 2], dr)
+        """The right-hand side on the window u, in acc[:u.size]; its last
+        cell is the caller's to overwrite."""
+        out = acc[:u.size]
+        _apply_operator(u, coth_r[:u.size - 2], dr, out, tmp[:u.size - 2])
         if F is not None:
-            out = out + F(u)
-            out[-1] = 0.0
+            out += F(u)
         return out
 
     prev = u0(r)
@@ -157,8 +186,13 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
         front += 1
         k = min(-(-(front + 2) // _BLOCK) * _BLOCK, n_r)
         nxt = np.zeros(n_r)
-        nxt[:k] = 2.0 * cur[:k] - prev[:k] + dt**2 * rhs(cur[:k])
-        nxt[k - 1] = 0.0
+        step = nxt[:k]
+        np.multiply(cur[:k], 2.0, out=step)
+        step -= prev[:k]
+        f = rhs(cur[:k])
+        f *= dt**2
+        step += f
+        step[-1] = 0.0
         prev, cur = cur, nxt
         yield cur
 
@@ -179,7 +213,7 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
     # non-finite check below is the real guard
     with np.errstate(over="ignore", invalid="ignore"):
         for n, u in enumerate(leapfrog(u0, u1, F, cfg)):
-            if not np.all(np.isfinite(u)):
+            if _finite_max(u) is None:
                 bad = np.flatnonzero(~np.isfinite(u))[0]
                 raise InstabilityError(
                     f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}")

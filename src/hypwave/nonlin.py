@@ -95,7 +95,6 @@ def F_canonical(u, p):
     return out
 
 
-@lru_cache(maxsize=64)
 def _blend_coeffs(p, q, delta0):
     """Cubic Hermite data for the log-log blend of F_generic on
     [ln delta0, -ln delta0], plus a construction-time monotonicity check."""
@@ -119,14 +118,77 @@ def _blend_coeffs(p, q, delta0):
     return xl, xr, gl, dgl, gr, dgr
 
 
-def _hermite(x, xl, xr, gl, dgl, gr, dgr):
+@lru_cache(maxsize=64)
+def _generic(spec: NonlinearitySpec):
+    """F_generic of one spec as a callable of u, with the blend data,
+    delta0, 1/delta0, 1 - p and q bound as floats.
+
+    Each branch is evaluated only on the points it covers, in place, and
+    the large branch and the blend are skipped when they cover none. The
+    blend is h00 gl + (h10 h) dgl + h01 gr + (h11 h) dgr, the cubic
+    Hermite form in the panel coordinate s, with (1 - s)^2, s^2 and 2 s
+    each computed once.
+    """
+    xl, xr, gl, dgl, gr, dgr = map(
+        float, _blend_coeffs(spec.p, spec.q, spec.delta0))
     h = xr - xl
-    s = (x - xl) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return h00 * gl + h10 * h * dgl + h01 * gr + h11 * h * dgr
+    d = spec.delta0
+    inv_d = 1.0 / d
+    e = 1.0 - spec.p
+    q = spec.q
+
+    def F(u):
+        au = np.abs(np.asarray(u, dtype=float))
+        below = au <= d
+        large = au >= inv_d
+        small = below & (au > 0.0)
+        blend = ~(below | large)
+        out = np.zeros(au.shape)
+        a = au[small]
+        # ln|u| < 0 on the small branch, since delta0 < 1
+        v = np.log(a)
+        np.negative(v, out=v)
+        v **= e
+        v *= d
+        v *= a
+        out[small] = v
+        v = au[large]
+        if v.size:
+            v **= q
+            v *= d
+            out[large] = v
+        s = au[blend]
+        if s.size:
+            np.log(s, out=s)
+            s -= xl
+            s /= h
+            c = 1.0 - s
+            c *= c                           # (1 - s)^2
+            two_s = 2.0 * s
+            acc = two_s + 1.0
+            acc *= c
+            acc *= gl                        # h00 gl
+            c *= s
+            c *= h
+            c *= dgl
+            acc += c                         # + (h10 h) dgl
+            np.multiply(s, s, out=c)         # s^2
+            np.subtract(3.0, two_s, out=two_s)
+            two_s *= c
+            two_s *= gr
+            acc += two_s                     # + h01 gr
+            s -= 1.0
+            s *= c
+            s *= h
+            s *= dgr
+            acc += s                         # + (h11 h) dgr
+            np.exp(acc, out=acc)
+            out[blend] = acc
+        if out.ndim == 0:
+            return float(out)
+        return out
+
+    return F
 
 
 def F_generic(u, spec: NonlinearitySpec):
@@ -134,26 +196,13 @@ def F_generic(u, spec: NonlinearitySpec):
 
     Each branch is evaluated only on the points it covers: 0 at u = 0, the
     small branch on 0 < |u| <= delta0, the large one on |u| >= 1/delta0
-    and the blend on the rest, NaN included (a NaN stays NaN).
+    and the blend on the rest, NaN included (a NaN stays NaN). The work is
+    done by the spec's cached callable, the one nonlinearity(spec)
+    returns; a scalar u gives a float.
     """
     if spec.kind != "piecewise_generic":
         raise DomainError("F_generic needs a spec of kind piecewise_generic")
-    coeffs = _blend_coeffs(spec.p, spec.q, spec.delta0)
-    u = np.asarray(u, dtype=float)
-    au = np.abs(u)
-    below = au <= spec.delta0
-    large = au >= 1.0 / spec.delta0
-    small = below & (au > 0.0)
-    blend = ~(below | large)
-    out = np.zeros_like(au)
-    a = au[small]
-    # ln|u| < 0 on the small branch, since delta0 < 1
-    out[small] = spec.delta0 * (-np.log(a)) ** (1.0 - spec.p) * a
-    out[large] = spec.delta0 * au[large] ** spec.q
-    out[blend] = np.exp(_hermite(np.log(au[blend]), *coeffs))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _generic(spec)(u)
 
 
 def G_envelope(u_abs, p, A):
@@ -172,10 +221,15 @@ def G_envelope(u_abs, p, A):
 
 
 def nonlinearity(spec: NonlinearitySpec):
-    """The nonlinearity of a spec as a plain callable of u."""
+    """The nonlinearity of a spec as a plain callable of u.
+
+    For the piecewise kind this is the spec's cached callable that
+    F_generic also runs, so repeated calls return the same object and
+    evaluate with constants bound once per spec.
+    """
     if spec.kind == "canonical_sinh_inverse":
         return lambda u: F_canonical(u, spec.p)
-    return lambda u: F_generic(u, spec)
+    return _generic(spec)
 
 
 def fit_A(spec: NonlinearitySpec, floor=0.0):

@@ -488,6 +488,15 @@ r_max = 7.7
         assert len(history) - 1 == int(row[4])
         assert float(history[-1][1]) > float(row[0])
 
+    def test_grid_too_small_for_bump_is_config_error(self, tmp_path, capsys):
+        # r_max - t_max = -1 leaves no room for the bump's support 3.5
+        body = BLOWUP_BASE + "[escape]\nt_max = 4.0\nr_max = 3.0\n"
+        code, out = run_cli(tmp_path, "blowup", body)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "support radius 3.5" in err
+        assert list(out.iterdir()) == []
+
     def test_supercritical_p_is_config_error(self, tmp_path):
         body = BLOWUP_BASE.replace("p = 2.0", "p = 3.5")
         code, _ = run_cli(tmp_path, "blowup", body)
@@ -527,6 +536,15 @@ class TestCertify:
         assert "Sigma_3" in by_name["coverage_warning"]
         assert read_csv(out / "violations.csv") == \
             [["check", "t", "r", "bound", "value"]]
+
+    def test_grid_too_small_for_bump_is_config_error(self, tmp_path, capsys):
+        # the default r_max 9 leaves 9 - 6 = 3 < 3.5 for the bump's support
+        code, out = run_cli(tmp_path, "certify",
+                            BLOWUP_BASE + "[certify]\nt_max = 6.0\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "support radius 3.5" in err
+        assert list(out.iterdir()) == []
 
     def test_halved_tight_field_violates(self, tmp_path):
         body = BLOWUP_BASE + """

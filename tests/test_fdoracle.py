@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from hypwave.blowlab import bump_profile
+from hypwave.blowlab import bump_profile, escape_detector
 from hypwave.fdoracle import (
     _BLOCK,
     FDConfig,
@@ -16,6 +16,7 @@ from hypwave.fdoracle import (
 from hypwave.hypgeo import DomainError, EnvelopeParams, theta_k
 from hypwave.meanprop import RadialProfile, _as_profile, sine_propagator
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
+from test_nonlin import F_generic_all_branches, bits, generic
 
 EP1 = EnvelopeParams(k=1.0)
 
@@ -306,3 +307,68 @@ class TestLeapfrogWindow:
         n_r = SHORT.r_grid.size
         per_step = self.window_lengths(lambda u: 0.01 + u * np.abs(u), SHORT)
         assert all(calls[-1] == n_r for calls in per_step[1:])
+
+
+def old_F(spec):
+    """F_generic as plain array arithmetic: all branches, then np.select."""
+    return lambda u: F_generic_all_branches(u, spec)
+
+
+# wavecli certify's default grid, every state kept
+CERTIFY = FDConfig(dr=0.05, dt=0.04, r_max=9.0, t_max=5.0)
+
+
+class TestBlowupPipelineOldArithmetic:
+    """The escape run and the certificate simulation of wavecli blowup and
+    certify, stepped by leapfrog with nonlinearity(spec), against
+    full_grid_leapfrog stepping F_generic_all_branches: the same numbers,
+    bit for bit."""
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    def test_escape_history(self, p, eps):
+        spec = generic(p)
+        u1 = scaled(BUMP, eps)
+        threshold = 10.0 * eps
+        rep = escape_detector(zero, u1, nonlinearity(spec), ESCAPE, threshold)
+        want = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u in full_grid_leapfrog(zero, u1, old_F(spec), ESCAPE):
+                if not np.all(np.isfinite(u)):
+                    want.append(np.nan)
+                    break
+                want.append(np.max(u))
+                if want[-1] > threshold:
+                    break
+        assert rep.escaped and len(want) < ESCAPE.n_steps
+        assert rep.t_history.size == len(want)
+        assert bits(rep.sup_history) == bits(want)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
+    def test_fd_solve_states(self, p, eps):
+        spec = generic(p)
+        u1 = scaled(BUMP, eps)
+        got = fd_solve(zero, u1, nonlinearity(spec), CERTIFY).values
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array(list(full_grid_leapfrog(zero, u1, old_F(spec),
+                                                    CERTIFY)))
+        assert got.shape == want.shape == (CERTIFY.n_steps + 1,
+                                           CERTIFY.r_grid.size)
+        assert bits(got) == bits(want)
+
+    def test_overflow_message(self):
+        u0, u1, _, cfg = TestLeapfrogWindow.CASES["overflow"]
+        spec = generic(2.0)
+        r = cfg.r_grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, u in enumerate(full_grid_leapfrog(u0, u1, old_F(spec),
+                                                     cfg)):
+                if not np.all(np.isfinite(u)):
+                    bad = np.flatnonzero(~np.isfinite(u))[0]
+                    break
+        assert n < cfg.n_steps
+        with pytest.raises(InstabilityError) as exc:
+            fd_solve(u0, u1, nonlinearity(spec), cfg)
+        assert str(exc.value) == (
+            f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}")

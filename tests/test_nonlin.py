@@ -13,7 +13,6 @@ from hypwave.nonlin import (
     G_envelope,
     NonlinearitySpec,
     _blend_coeffs,
-    _hermite,
     fit_A,
     lipschitz_diff_bound,
     nonlinearity,
@@ -167,6 +166,17 @@ class TestFGeneric:
             F_generic(0.5, bad)
 
 
+def _hermite(x, xl, xr, gl, dgl, gr, dgr):
+    """The cubic Hermite interpolant of (gl, dgl) at xl and (gr, dgr) at xr."""
+    h = xr - xl
+    s = (x - xl) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * gl + h10 * h * dgl + h01 * gr + h11 * h * dgr
+
+
 def F_generic_all_branches(u, spec):
     """The earlier F_generic, kept as the reference: all three branches on
     every point, then np.select."""
@@ -189,40 +199,79 @@ def F_generic_all_branches(u, spec):
     return out
 
 
+def generic(p, q=2.0, delta0=0.45):
+    return NonlinearitySpec(p=p, q=q, delta0=delta0, A=2.0,
+                            kind="piecewise_generic")
+
+
+# the ids of the first three are their p
+BRANCH_SPECS = [generic(1.5), generic(2.0), generic(2.5), generic(2.0, q=3.0),
+                generic(3.5, q=2.5, delta0=0.3)]
+BRANCH_IDS = ["1.5", "2.0", "2.5", "q=3", "delta0=0.3"]
+
+
+def evaluators(spec):
+    """F_generic and the per-spec callable that nonlinearity returns."""
+    return [lambda u: F_generic(u, spec), nonlinearity(spec)]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
 class TestFGenericBranchOnly:
     """F_generic evaluates each branch only where it applies; every finite
-    or infinite input keeps its bits."""
+    or infinite input keeps its bits, through F_generic and through
+    nonlinearity(spec) alike."""
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
-    def test_bitwise_equal_to_all_branches(self, p):
-        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, A=2.0,
-                                kind="piecewise_generic")
+    @pytest.mark.parametrize("spec", BRANCH_SPECS, ids=BRANCH_IDS)
+    def test_bitwise_equal_to_all_branches(self, spec):
         mag = np.geomspace(1e-300, 1e300, 60001)
         d = spec.delta0
         special = [0.0, d, 1.0 / d, np.nextafter(d, 1.0),
                    np.nextafter(1.0 / d, 0.0), 5e-324, np.inf]
         u = np.concatenate([mag, -mag, special, np.negative(special)])
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            got = F_generic(u, spec)
             want = F_generic_all_branches(u, spec)
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-        for v in special + [-x for x in special]:
+        for F in evaluators(spec):
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                one = F_generic(v, spec)
-                ref = F_generic_all_branches(v, spec)
-            assert type(one) is float
-            assert np.float64(one).view(np.int64) == np.float64(ref).view(np.int64)
+                got = F(u)
+                strided = F(u[::-3])
+            assert bits(got) == bits(want)
+            assert bits(strided) == bits(want[::-3])
+            for v in special + [-x for x in special]:
+                with np.errstate(over="ignore", under="ignore",
+                                 invalid="ignore"):
+                    ref = F_generic_all_branches(v, spec)
+                    one = F(v)
+                    zero_d = F(np.array(v))
+                assert type(one) is float and type(zero_d) is float
+                assert bits(one) == bits(zero_d) == bits(ref)
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5])
-    def test_nan_maps_to_nan(self, p):
+    @pytest.mark.parametrize("spec", BRANCH_SPECS, ids=BRANCH_IDS)
+    def test_nan_maps_to_nan(self, spec):
         # the reference sends NaN to F(0.5) (its placeholder for u = 0 is
         # picked by np.where(au > 0, ...)); the branch-only rule keeps NaN
-        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, A=2.0,
-                                kind="piecewise_generic")
-        assert np.isnan(F_generic(np.nan, spec))
-        out = F_generic(np.array([np.nan, 0.3, -np.nan]), spec)
-        assert np.isnan(out[0]) and np.isnan(out[2])
-        assert out[1] == F_generic_all_branches(0.3, spec)
+        for F in evaluators(spec):
+            assert np.isnan(F(np.nan))
+            out = F(np.array([np.nan, 0.3, -np.nan]))
+            assert np.isnan(out[0]) and np.isnan(out[2])
+            assert out[1] == F_generic_all_branches(0.3, spec)
+
+    def test_specs_interleaved(self):
+        # each spec's callable keeps its own constants, however calls to
+        # different specs alternate
+        u = np.linspace(-4.0, 4.0, 4001)
+        a, b = BRANCH_SPECS[0], BRANCH_SPECS[-1]
+        want = {a: bits(F_generic_all_branches(u, a)),
+                b: bits(F_generic_all_branches(u, b))}
+        assert want[a] != want[b]
+        for _ in range(3):
+            for spec in (a, b):
+                assert bits(nonlinearity(spec)(u)) == want[spec]
+                assert bits(F_generic(u, spec)) == want[spec]
+        assert nonlinearity(a) is nonlinearity(generic(1.5))
+        assert nonlinearity(a) is not nonlinearity(b)
 
 
 class TestGEnvelope:
