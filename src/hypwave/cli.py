@@ -172,7 +172,8 @@ def _label_critical(p):
 
 def _nonlin_spec(cp, p, default_kind="canonical_sinh_inverse"):
     """NonlinearitySpec from [nonlinearity], or None for kind = none."""
-    from .nonlin import NonlinearitySpec
+    from .hypgeo import DomainError
+    from .nonlin import NonlinearitySpec, _blend_coeffs
 
     kind = _choice(cp, "nonlinearity", "kind",
                    ("canonical_sinh_inverse", "piecewise_generic", "none"),
@@ -181,12 +182,19 @@ def _nonlin_spec(cp, p, default_kind="canonical_sinh_inverse"):
         return None
     p = _get(cp, "nonlinearity", "p", float, p)
     _label_critical(p)
-    return NonlinearitySpec(
+    spec = NonlinearitySpec(
         p=p,
         q=_get(cp, "nonlinearity", "q", float, 2.0),
         delta0=_get(cp, "nonlinearity", "delta0", float, 0.45),
         A=_get(cp, "nonlinearity", "A", float, 2.0),
         kind=kind)
+    if kind == "piecewise_generic":
+        # the blend's monotonicity check, which F_generic would run mid-run
+        try:
+            _blend_coeffs(spec.p, spec.q, spec.delta0)
+        except DomainError as exc:
+            raise ConfigError(f"[nonlinearity]: {exc}")
+    return spec
 
 
 def _blowup_params(cp):
@@ -242,15 +250,18 @@ def _write_csv(path, header, rows):
 
 def _write_grid_csv(path, header, t_grid, r_grid, *columns):
     """One row (t, r, column values...) per grid point, t-major: the bytes
-    _write_csv gives for the same floats, formatted in one pass."""
+    _write_csv gives for the same floats. Each t and each r is formatted
+    once; a time level's rows are then one format of its values."""
     import numpy as np
 
-    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
-    rows = np.stack([T, R, *columns], axis=-1).reshape(-1, len(header))
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    t_txt = ["%.17g," % t for t in np.asarray(t_grid, dtype=float).tolist()]
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    cells = ["%.17g," % r + line for r in np.asarray(r_grid, dtype=float).tolist()]
+    values = np.stack(columns, axis=-1).reshape(len(t_txt), -1).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines([line % tuple(row) for row in rows.tolist()])
+        for t, v in zip(t_txt, values):
+            fh.write("".join([t + c for c in cells]) % tuple(v))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +270,11 @@ def _write_grid_csv(path, header, t_grid, r_grid, *columns):
 
 def cmd_propagate(cp, out, seed):
     import numpy as np
-    from .fdoracle import FDConfig, fd_solve
+    from .fdoracle import FDConfig, _check_support, fd_solve
     from .hypgeo import DomainError, uniform_grid
     from .meanprop import RadialProfile, linear_field
 
+    u0 = RadialProfile.constant(0.0)
     try:
         engine = _choice(cp, "propagate", "engine", ("kernel", "fd", "both"),
                          "kernel")
@@ -273,6 +285,8 @@ def cmd_propagate(cp, out, seed):
         fd_cfg = None
         if engine in ("fd", "both"):
             fd_cfg = FDConfig(dr=dr, dt=dt, r_max=r_max, t_max=t_max)
+            # data the stepper would reject (a bump reaching the wall)
+            _check_support(u0, prof, fd_cfg)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
@@ -281,7 +295,7 @@ def cmd_propagate(cp, out, seed):
     if engine in ("kernel", "both"):
         kernel = linear_field(prof, t_grid, r_grid)
     if engine in ("fd", "both"):
-        fd = fd_solve(RadialProfile.constant(0.0), prof, None, fd_cfg)
+        fd = fd_solve(u0, prof, None, fd_cfg)
 
     primary = kernel if kernel is not None else fd
     _write_grid_csv(out / "field.csv", ("t", "r", "u"), primary.t_grid,

@@ -20,16 +20,19 @@ weight a, W(t, r, f) = int f(lam) 2 K(kappa) / sqrt(a(M) - a(b)) dlam
 over max(r - t, 0) < lam < r + t, with b = |r - lam|, c = min(t, r + lam),
 M = max(t, r + lam) and kappa = (a(c) - a(b)) / (a(M) - a(b)); and
 I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi. One node builder
-(_kernel_nodes) lists that lam-rule for every radius at one time: each
-side of the log singularity lam* = |t - r| is mapped by lam = lam* +- H u^2
-and graded geometrically toward u = 0, with panels on the table's grid
-cells (so each integrates one cubic of the interpolant) or on unit steps
-and the profile's knots. 1 - kappa comes from the weight's factorisation
-a(M) - a(M - g) = P(M, g) Q(g) at the exact gaps g = M - c and M - b, as
-a ratio of P's times a ratio of Q's, so no product of two small lengths
-is formed. The table scatters the nodes to their cells as moments
-w xi^p; linear_field sums them to their radii; sine_propagator and
-W_evaluator settle over doubling node levels.
+(_kernel_nodes) lists that lam-rule for a set of (t, r) points, every
+radius of one time or a block of a whole grid: each side of the log
+singularity lam* = |t - r| is mapped by lam = lam* +- H u^2 and graded
+geometrically toward u = 0, with panels on the table's grid cells (so
+each integrates one cubic of the interpolant) or on unit steps and the
+profile's knots. Its evaluator yields chunks of whole panels and keeps
+its intermediates in buffers that the chunks reuse. 1 - kappa comes from
+the weight's factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact
+gaps g = M - c and M - b, as a ratio of P's times a ratio of Q's, so no
+product of two small lengths is formed. The table scatters the nodes of
+one lag to their cells as moments w xi^p; linear_field sums each panel
+to its point, over blocks of _POINT_BLOCK grid points; sine_propagator
+and W_evaluator settle over doubling node levels.
 
 The spherical mean keeps a rule of its own, the independent check of its
 identities: cosh(lam) = midpoint + halfwidth*cos(theta) removes both
@@ -72,6 +75,7 @@ __all__ = [
 _PANEL_RATIO = 3.0  # growth factor of the mean's cosh(lam) panel breakpoints
 _DEGENERATE_REL = 1e-13
 _NODE_CHUNK = 1 << 14  # Gauss nodes _kernel_nodes expands at a time
+_POINT_BLOCK = 256  # (t, r) points linear_field hands _kernel_nodes at a time
 _GRADE_RATIO = 0.2  # ratio of the kernel rule's graded breaks in u
 _GRADE_DEPTH = 1e-4  # deepest graded break in u, lam* + 1e-8 of the side
 _GL_PER_UNIT = 2.0  # panels per unit length of the lower bounds' integrals
@@ -368,28 +372,45 @@ def spherical_mean(f, t, r):
 # the propagation kernel
 
 
-def _agm_K(m1):
+def _agm_K(m1, work=None):
     """The complete elliptic integral K(kappa) from the complement
     m1 = 1 - kappa in [0, 1]: pi / (2 AGM(1, sqrt(m1))) (DLMF 19.8.1).
 
     Seven steps of the arithmetic-geometric mean settle it to 4e-16 for
     m1 >= 1e-15; m1 = 0 gives a large finite value, never inf. The first
-    step, from a = 1, is written out.
+    step, from a = 1, is written out. work, a pair of arrays of m1's
+    shape, lets the steps run in place: m1 is overwritten and K comes
+    back in work[0]. Each step rounds as 0.5 (a + b), sqrt(a b) does.
     """
-    b = np.sqrt(m1)
-    a, b = 0.5 * (1.0 + b), np.sqrt(b)
+    if work is None:
+        m1 = np.array(m1, dtype=float)
+        work = np.empty_like(m1), np.empty_like(m1)
+    a, b = work
+    np.sqrt(m1, out=b)
+    np.add(b, 1.0, out=a)
+    a *= 0.5
+    np.sqrt(b, out=b)
     for _ in range(6):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return np.pi / (a + b)
+        np.multiply(a, b, out=m1)
+        a += b
+        a *= 0.5
+        np.sqrt(m1, out=b)
+    a += b
+    return np.divide(np.pi, a, out=a)
 
 
 def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
-    """The rule for int f(lam) k_a(t, r_j, lam) dlam at every radius r_j and
-    one time t > 0, k_a = 2 K(kappa) / sqrt(a(M) - a(b)), cut at lam_max.
-    Builds the panels once and returns nodes(n_gl), which yields chunks
-    (row, lam, w) of at most _NODE_CHUNK nodes, each from one side of
-    lam*, rows ascending within a chunk, with the integral at
-    r_j ~= sum of w f(lam) over row == j.
+    """The rule for int f(lam) k_a(t_k, r_k, lam) dlam at every point
+    (t_k, r_k), k_a = 2 K(kappa) / sqrt(a(M) - a(b)), cut at lam_max; t and
+    r are arrays that broadcast, so a scalar t serves every radius. Builds
+    the panels once and returns nodes(n_gl), which yields chunks
+    (row, lam, w): row, shape (panels,), names each panel's point, and lam
+    and w, shape (panels, n), hold its n nodes and weights, so that the
+    integral at point k ~= sum of w f(lam) over the panels with row == k.
+    A chunk holds at most _NODE_CHUNK nodes, all from one side of lam*
+    with one node count n, rows ascending. row, lam and w are fresh
+    arrays the consumer owns; the evaluator's intermediates live in
+    buffers that every chunk of one nodes() call reuses.
 
     k_a has a log singularity at lam* = |t - r| and square-root branches
     2r and |t - r| away from it. lam = lam* +- H u^2 (H the side's length)
@@ -398,7 +419,8 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     branch is closer than H), at the multiples of step and at the knots.
     A panel gets n_gl Gauss nodes; twice that when its centre lies within
     two widths of u = 0, three quarters when it is narrower than 1/4 in
-    lam and eight widths or more away.
+    lam and eight widths or more away. A side's panels, and every bit of
+    its nodes and weights, do not depend on the other points of the call.
 
     1 - kappa = (a(M) - a(c)) / (a(M) - a(b)) comes from the weight's gap
     factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact gaps
@@ -409,18 +431,21 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     domain: at t = 1e-302 (r = 0) or a subnormal radius such as 5e-324 the
     gaps leave the normal range and the weights overflow.
     """
-    r = np.asarray(r, dtype=float)
-    # two sides per radius: up from lam* to r + t, and (t > r) down to 0
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
+    # two sides per point: up from lam* to r + t, and (t > r) down to 0
     H = np.stack([2.0 * np.minimum(r, t), np.maximum(t - r, 0.0)], axis=1).ravel()
     side = np.flatnonzero(H > 0.0)
     H, row, right = H[side], side // 2, side % 2 == 0
-    st, rr, sgn = np.abs(t - r[row]), r[row], np.where(right, 1.0, -1.0)
+    tt, rr, sgn = t[row], r[row], np.where(right, 1.0, -1.0)
+    st = np.abs(tt - rr)
     near = np.where(right, st, 2.0 * rr)  # lam* to the next branch
     depth = _GRADE_DEPTH * np.where(near > 0.0, np.clip(np.sqrt(near / H), 1e-8, 1.0), 1.0)
     n_grade = np.floor(np.log(2.0 * depth) / np.log(_GRADE_RATIO)) + 1
     k = np.arange(n_grade.max(initial=0))
     graded = np.where(k < n_grade[:, None], 0.5 * _GRADE_RATIO ** k, 0.0)
-    lam_b = step * np.arange(1.0, np.ceil(min(lam_max, t + r.max()) / step))
+    # the breaks of the farthest-reaching point; past a side's end they
+    # clip onto it and drop out
+    lam_b = step * np.arange(1.0, np.ceil(min(lam_max, (t + r).max(initial=0.0)) / step))
     if knots is not None:
         lam_b = np.concatenate([lam_b, knots])
     # u of lam_max, then of the other breaks, on every side
@@ -433,7 +458,7 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     o, p = np.nonzero(u[:, 1:] > u[:, :-1])
     mid, half = 0.5 * (u[o, p + 1] + u[o, p]), 0.5 * (u[o, p + 1] - u[o, p])
 
-    gap_c = 2.0 * np.maximum(rr - t, 0.0)  # M - c - d on the right side
+    gap_c = 2.0 * np.maximum(rr - tt, 0.0)  # M - c - d on the right side
     xi = mid / half  # the panel's centre in halfwidths from u = 0
     close = xi < 4.0
     far = (xi >= 16.0) & (H[o] * 4.0 * mid * half <= 0.25)
@@ -443,6 +468,9 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
              for is_right in (True, False)]
 
     def nodes(n_gl):
+        # five node buffers, each as long as the largest chunk (a chunk
+        # holds one panel when its 2 n_gl nodes exceed _NODE_CHUNK)
+        pool = np.empty((5, max(_NODE_CHUNK, 2 * n_gl)))
         for sel, times, is_right in tiers:
             n = int(times * n_gl)
             xg, wg = leggauss(n)
@@ -450,22 +478,39 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
             for s in range(0, sel.size, per):
                 b = sel[s:s + per]
                 ob = o[b]
-                uu = mid[b, None] + half[b, None] * xg
-                Hb, stb, rb = H[ob, None], st[ob, None], rr[ob, None]
-                d = Hb * uu * uu
+                U, D, Mc, Mb, M = pool[:, :b.size * n].reshape(5, b.size, n)
+                Hb, stb, rb, tb = H[ob, None], st[ob, None], rr[ob, None], tt[ob, None]
+                np.multiply(half[b, None], xg, out=U)
+                U += mid[b, None]  # u
+                np.multiply(Hb, U, out=D)
+                D *= U  # d = H u^2
                 if is_right:  # M - c = d + gap_c, M - b = 2 min(r, lam)
-                    lam = stb + d
-                    Mc, Mb = d + gap_c[ob, None], 2.0 * np.minimum(rb, lam)
-                    M = np.maximum(t, rb + lam)
+                    lam = stb + D
+                    gc = np.add(D, gap_c[ob, None], out=Mc)
+                    gb = np.minimum(rb, lam, out=Mb)
+                    gb *= 2.0
+                    x = np.add(rb, lam, out=M)
+                    np.maximum(tb, x, out=x)
                 else:  # M = t, M - c = d, M - b = min(2r + d, lam* + lam)
-                    lam = stb - d
-                    Mc, Mb, M = d, np.minimum(2.0 * rb + d, stb + lam), t
-                Pc, Qc = a.gap(M, Mc)
-                Pb, Qb = a.gap(M, Mb)
-                m1 = np.minimum((Pc / Pb) * (Qc / Qb), 1.0)
-                w = (half[b, None] * wg) * (2.0 * Hb * uu) * (
-                    2.0 * _agm_K(m1) / (np.sqrt(Pb) * np.sqrt(Qb)))
-                yield np.repeat(row[ob], n), lam.ravel(), w.ravel()
+                    lam = stb - D
+                    gb = np.add(2.0 * rb, D, out=Mb)
+                    np.minimum(gb, np.add(stb, lam, out=M), out=gb)
+                    gc, x = D, tb
+                # Q may be the gap array itself (s^2), so Mb must outlive
+                # _agm_K, which runs in Mc and M
+                Pc, Qc = a.gap(x, gc)
+                Pb, Qb = a.gap(x, gb)
+                Pc = Pc / Pb
+                Pc *= Qc / Qb
+                np.minimum(Pc, 1.0, out=Pc)  # 1 - kappa
+                K = _agm_K(Pc, work=(Mc, M))
+                K *= 2.0
+                K /= np.sqrt(Pb) * np.sqrt(Qb)  # 2 K / sqrt(a(M) - a(b))
+                np.multiply(2.0 * Hb, U, out=U)  # dlam/du
+                np.multiply(half[b, None], wg, out=D)
+                D *= U
+                w = D * K
+                yield row[ob], lam, w
 
     return nodes
 
@@ -477,7 +522,8 @@ def _kernel_value(t, r, prof, a, what):
     nodes = _kernel_nodes(t, np.asarray([float(r)]), a, 1.0, prof.knots)
 
     def value(n_gl):
-        return float(sum(np.dot(w, prof(lam)) for _, lam, w in nodes(n_gl)))
+        return float(sum(np.dot(w.ravel(), prof(lam.ravel()))
+                         for _, lam, w in nodes(n_gl)))
 
     n0 = _KERNEL_LEVEL
     return _settle(value, [(n0, 2 * n0), (2 * n0, 4 * n0), (4 * n0, 8 * n0)],
@@ -510,23 +556,29 @@ def sine_propagator(phi, t, r):
 def linear_field(phi, t_grid, r_grid):
     """sine_propagator evaluated on a full (t, r) grid.
 
-    Each time level is the second level (2 _KERNEL_LEVEL nodes per panel)
-    of sine_propagator's rule for every radius at once, the weighted values
-    summed to their radii with one bincount per chunk. The second level
-    keeps profiles that are smooth but not analytic at their knots
-    (bump_profile's ramps) within 1e-7 of the settled values.
+    The grid's points, flattened t-major, go to _kernel_nodes in blocks of
+    _POINT_BLOCK, one call per block. Every point gets the second level
+    (2 _KERNEL_LEVEL nodes per panel) of sine_propagator's rule; each
+    panel's w sinh(lam) phi(lam) is summed, and the panel sums go to their
+    points with one bincount per chunk. Points at t = 0 have no panels and
+    stay 0. The second level keeps profiles that are smooth but not
+    analytic at their knots (bump_profile's ramps) within 1e-7 of the
+    settled values.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     prof = _as_profile(phi)
-    out = np.zeros((t_grid.size, r_grid.size))
-    for i, t in enumerate(t_grid):
-        if t > 0.0:
-            nodes = _kernel_nodes(t, r_grid, _TWO_COSH, 1.0, prof.knots)
-            for row, lam, w in nodes(2 * _KERNEL_LEVEL):
-                out[i] += np.bincount(row, weights=w * np.sinh(lam) * prof(lam),
-                                      minlength=r_grid.size)
-    return SpaceTimeField(t_grid, r_grid, out / np.pi)
+    T, R = (g.ravel() for g in np.meshgrid(t_grid, r_grid, indexing="ij"))
+    out = np.zeros(T.size)
+    for s in range(0, T.size, _POINT_BLOCK):
+        acc = out[s:s + _POINT_BLOCK]
+        nodes = _kernel_nodes(T[s:s + _POINT_BLOCK], R[s:s + _POINT_BLOCK],
+                              _TWO_COSH, 1.0, prof.knots)
+        for row, lam, w in nodes(2 * _KERNEL_LEVEL):
+            w *= np.sinh(lam)
+            w *= prof(lam)
+            acc += np.bincount(row, weights=w.sum(axis=1), minlength=acc.size)
+    return SpaceTimeField(t_grid, r_grid, out.reshape(t_grid.size, r_grid.size) / np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -667,18 +719,19 @@ class PropagatorTable:
         nodes = _kernel_nodes(t, self.r_grid, _TWO_COSH, self.dr,
                               lam_max=(n_r + 1) * self.dr)
         for row, lam, w in nodes(_KERNEL_LEVEL):
-            w = w * np.sinh(lam) / np.pi
+            w *= np.sinh(lam)
+            w /= np.pi
             pos = lam * inv_dr
             l0 = np.floor(pos)
             xi = pos - l0
             cell = np.minimum(l0, n_r + 1).astype(np.intp)
             # rows ascend, so a chunk touches the moments of rows lo..hi-1
             lo, hi = row[0], row[-1] + 1
-            flat = (row - lo) * width + cell
+            flat = (((row - lo) * width)[:, None] + cell).ravel()
             part = mom[:, lo * width:hi * width]
             for p in range(4):
-                part[p] += np.bincount(flat, weights=w, minlength=part.shape[1])
-                w = w * xi
+                part[p] += np.bincount(flat, weights=w.ravel(), minlength=part.shape[1])
+                w *= xi
         # entry l0 + o - 1 of row j gets sum_p _STENCIL[o, p] mom[p, j, l0]
         coef = np.tensordot(_STENCIL, mom.reshape(4, n_r, width), axes=1)
         M = np.zeros((n_r, width + 3))

@@ -64,6 +64,9 @@ epsilon = 0.5
 kind = piecewise_generic
 """
 
+# [nonlinearity] keys whose cubic blend is not monotone at p = 2
+NON_MONOTONE = "q = 1.5\ndelta0 = 0.6\n"
+
 
 class TestPropagate:
     def test_zero_data_all_zero(self, tmp_path):
@@ -117,13 +120,20 @@ engine = both
         assert code == 2
         assert "cfl" in capsys.readouterr().err
 
-    def test_bump_data_near_wall_fails_numerically(self, tmp_path, capsys):
-        body = SMALL_GRID + "[data]\nkind = bump\ntau0 = 1.0\n" \
-            + "[propagate]\nengine = fd\n"
-        cfg_fix = body.replace("dt = 0.25", "dt = 0.2")
-        code, _ = run_cli(tmp_path, "propagate", cfg_fix)
-        assert code == 3
-        assert "propagate failed" in capsys.readouterr().err
+    def test_bump_data_near_wall_is_config_error(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # r_max - t_max = 1 leaves no room for the bump's support 3.5
+        kernel = recording(monkeypatch, meanprop, "linear_field")
+        for engine in ("fd", "both"):
+            body = SMALL_GRID.replace("dt = 0.25", "dt = 0.2") \
+                + "[data]\nkind = bump\ntau0 = 1.0\n" \
+                + f"[propagate]\nengine = {engine}\n"
+            code, out = run_cli(tmp_path, "propagate", body, out_name=engine)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and "support radius 3.5" in err
+            assert list(out.iterdir()) == []
+        assert kernel == []
 
 
 BAD_GRID = """
@@ -497,6 +507,13 @@ r_max = 7.7
         assert "config error" in err and "support radius 3.5" in err
         assert list(out.iterdir()) == []
 
+    def test_non_monotone_blend_is_config_error(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "blowup", BLOWUP_BASE + NON_MONOTONE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-monotone blend" in err
+        assert list(out.iterdir()) == []
+
     def test_supercritical_p_is_config_error(self, tmp_path):
         body = BLOWUP_BASE.replace("p = 2.0", "p = 3.5")
         code, _ = run_cli(tmp_path, "blowup", body)
@@ -544,6 +561,13 @@ class TestCertify:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "support radius 3.5" in err
+        assert list(out.iterdir()) == []
+
+    def test_non_monotone_blend_is_config_error(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "certify", BLOWUP_BASE + NON_MONOTONE)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "non-monotone blend" in err
         assert list(out.iterdir()) == []
 
     def test_halved_tight_field_violates(self, tmp_path):

@@ -553,24 +553,24 @@ class TestEllipticK:
         assert np.isfinite(_agm_K(np.zeros(1))[0])
 
 
-def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
-    """meanprop._kernel_nodes with its earlier per-node formula, the
-    reference of the factorised one: both sides in one chunk with
-    M - b = min(2r + (1 - fr) d, lam* + lam + fr d), a(M) - a(b) and
-    a(M) - a(c) as the weight's difference quotient times the gap, and
-    seven AGM steps from a = 1."""
-    r = np.asarray(r, dtype=float)
+def reference_panels(t, r, step, knots, lam_max):
+    """_kernel_nodes' panels, built as it builds them: for panel i its
+    side o[i], its centre mid[i] and halfwidth half[i] in u, and its tier
+    (close, middle or far); per side H, lam*, r, t, +-1, whether it is the
+    right side, and M - c - d there."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
     H = np.stack([2.0 * np.minimum(r, t), np.maximum(t - r, 0.0)], axis=1).ravel()
     side = np.flatnonzero(H > 0.0)
     H, row, right = H[side], side // 2, side % 2 == 0
-    st, rr, sgn = np.abs(t - r[row]), r[row], np.where(right, 1.0, -1.0)
+    tt, rr, sgn = t[row], r[row], np.where(right, 1.0, -1.0)
+    st = np.abs(tt - rr)
     near = np.where(right, st, 2.0 * rr)
     depth = meanprop._GRADE_DEPTH * np.where(
         near > 0.0, np.clip(np.sqrt(near / H), 1e-8, 1.0), 1.0)
     n_grade = np.floor(np.log(2.0 * depth) / np.log(meanprop._GRADE_RATIO)) + 1
     k = np.arange(n_grade.max(initial=0))
     graded = np.where(k < n_grade[:, None], 0.5 * meanprop._GRADE_RATIO ** k, 0.0)
-    lam_b = step * np.arange(1.0, np.ceil(min(lam_max, t + r.max()) / step))
+    lam_b = step * np.arange(1.0, np.ceil(min(lam_max, (t + r).max()) / step))
     if knots is not None:
         lam_b = np.concatenate([lam_b, knots])
     u_b = np.sqrt(np.maximum(sgn[:, None] * (np.append(lam_max, lam_b) - st[:, None]),
@@ -581,12 +581,24 @@ def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     u = np.sort(np.clip(u, u_lo[:, None], u_hi[:, None]), axis=1)
     o, p = np.nonzero(u[:, 1:] > u[:, :-1])
     mid, half = 0.5 * (u[o, p + 1] + u[o, p]), 0.5 * (u[o, p + 1] - u[o, p])
-    gap_c, on_right = np.where(right, 2.0 * np.maximum(rr - t, 0.0), 0.0), right * 1.0
+    gap_c = np.where(right, 2.0 * np.maximum(rr - tt, 0.0), 0.0)
     xi = mid / half
     close = xi < 4.0
     far = (xi >= 16.0) & (H[o] * 4.0 * mid * half <= 0.25)
-    tiers = [(np.flatnonzero(close), 2.0), (np.flatnonzero(~close & ~far), 1.0),
-             (np.flatnonzero(far), 0.75)]
+    return (H, row, st, rr, tt, sgn, right, gap_c, o, mid, half,
+            [(close, 2.0), (~close & ~far, 1.0), (far, 0.75)])
+
+
+def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
+    """meanprop._kernel_nodes with its earlier per-node formula, the
+    reference of the factorised one: both sides in one chunk with
+    M - b = min(2r + (1 - fr) d, lam* + lam + fr d), a(M) - a(b) and
+    a(M) - a(c) as the weight's difference quotient times the gap, and
+    seven AGM steps from a = 1. It takes points and yields chunks as
+    _kernel_nodes does."""
+    H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = reference_panels(
+        t, r, step, knots, lam_max)
+    on_right = right * 1.0
 
     def agm_K(m1):
         aa, bb = np.ones_like(m1), np.sqrt(m1)
@@ -596,6 +608,7 @@ def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
 
     def nodes(n_gl):
         for sel, times in tiers:
+            sel = np.flatnonzero(sel)
             n = int(times * n_gl)
             xg, wg = leggauss(n)
             per = max(meanprop._NODE_CHUNK // n, 1)
@@ -608,19 +621,57 @@ def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
                 lam = stb + sgn[ob, None] * d
                 Mc = d + gap_c[ob, None]
                 Mb = np.minimum(2.0 * rb + (1.0 - fr) * d, stb + lam + fr * d)
-                M = np.maximum(t, rb + lam)
+                M = np.maximum(tt[ob, None], rb + lam)
                 amb = a.dq(M, M - Mb) * Mb
                 m1 = np.minimum(a.dq(M, M - Mc) * Mc / amb, 1.0)
                 w = (half[b, None] * wg) * (2.0 * Hb * uu) * (
                     2.0 * agm_K(m1) / np.sqrt(amb))
-                yield np.repeat(row[ob], n), lam.ravel(), w.ravel()
+                yield row[ob], lam, w
 
     return nodes
 
 
-def with_reference_kernel(monkeypatch, fn, *args):
+def expression_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
+    """meanprop._kernel_nodes with the factorised formula written as plain
+    array expressions, as it was before its evaluator ran in reused
+    buffers: the buffered one must round every node the same way."""
+    H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = reference_panels(
+        t, r, step, knots, lam_max)
+    on_right = right[o]
+
+    def nodes(n_gl):
+        for tier, times in tiers:
+            for is_right in (True, False):
+                sel = np.flatnonzero(tier & (on_right == is_right))
+                n = int(times * n_gl)
+                xg, wg = leggauss(n)
+                per = max(meanprop._NODE_CHUNK // n, 1)
+                for s in range(0, sel.size, per):
+                    b = sel[s:s + per]
+                    ob = o[b]
+                    uu = mid[b, None] + half[b, None] * xg
+                    Hb, stb, rb, tb = H[ob, None], st[ob, None], rr[ob, None], tt[ob, None]
+                    d = Hb * uu * uu
+                    if is_right:
+                        lam = stb + d
+                        Mc, Mb = d + gap_c[ob, None], 2.0 * np.minimum(rb, lam)
+                        M = np.maximum(tb, rb + lam)
+                    else:
+                        lam = stb - d
+                        Mc, Mb, M = d, np.minimum(2.0 * rb + d, stb + lam), tb
+                    Pc, Qc = a.gap(M, Mc)
+                    Pb, Qb = a.gap(M, Mb)
+                    m1 = np.minimum((Pc / Pb) * (Qc / Qb), 1.0)
+                    w = (half[b, None] * wg) * (2.0 * Hb * uu) * (
+                        2.0 * _agm_K(m1) / (np.sqrt(Pb) * np.sqrt(Qb)))
+                    yield row[ob], lam, w
+
+    return nodes
+
+
+def with_reference_kernel(monkeypatch, fn, *args, kernel=reference_kernel_nodes):
     with monkeypatch.context() as m:
-        m.setattr(meanprop, "_kernel_nodes", reference_kernel_nodes)
+        m.setattr(meanprop, "_kernel_nodes", kernel)
         return fn(*args)
 
 
@@ -658,6 +709,123 @@ class TestKernelReference:
             return np.array([W_evaluator(t, r, f_decay, weight) for t, r in self.POINTS])
 
         assert_close_to_max(values(), with_reference_kernel(monkeypatch, values), 1e-14)
+
+
+class TestBufferedEvaluator:
+    # the table's lags 1, n_t // 2 and n_t - 1 on their grid cells, and
+    # unit steps with the bump's knots as linear_field takes them
+    @pytest.mark.parametrize("t_grid, r_grid", [
+        (np.linspace(0.0, 2.0, 41), np.linspace(0.0, 4.0, 81)),
+        (np.linspace(0.0, 3.0, 13), np.linspace(0.0, 2.0, 21)),
+    ], ids=["41x81", "t_max>r_max"])
+    def test_nodes_equal_the_expression_evaluator(self, t_grid, r_grid, weight):
+        dt, dr, n_r = t_grid[1], r_grid[1], r_grid.size
+        for d in (1, t_grid.size // 2, t_grid.size - 1):
+            for step, knots, lam_max in ((dr, None, (n_r + 1) * dr),
+                                         (1.0, bump_profile(1.0).knots, np.inf)):
+                args = (d * dt, r_grid, weight, step, knots, lam_max)
+                got = list(meanprop._kernel_nodes(*args)(8))
+                want = list(expression_kernel_nodes(*args)(8))
+                assert len(got) == len(want)
+                for chunk, ref in zip(got, want):
+                    for x, y in zip(chunk, ref):
+                        assert np.array_equal(x, y)
+
+    def test_table_equals_the_expression_evaluator(self, monkeypatch):
+        t_grid, r_grid = np.linspace(0.0, 1.0, 21), np.linspace(0.0, 2.0, 41)
+        ref = with_reference_kernel(monkeypatch, PropagatorTable, t_grid, r_grid,
+                                    kernel=expression_kernel_nodes)
+        assert np.array_equal(PropagatorTable(t_grid, r_grid)._A, ref._A)
+
+
+def per_level_linear_field(phi, t_grid, r_grid):
+    """linear_field as it was before the point blocks, its reference: one
+    _kernel_nodes call per time level for all radii, each node's
+    w sinh(lam) phi(lam) summed to its radius in node order."""
+    prof = meanprop._as_profile(phi)
+    out = np.zeros((t_grid.size, r_grid.size))
+    for i, t in enumerate(t_grid):
+        if t > 0.0:
+            nodes = meanprop._kernel_nodes(t, r_grid, meanprop._TWO_COSH, 1.0,
+                                           prof.knots)
+            for row, lam, w in nodes(2 * meanprop._KERNEL_LEVEL):
+                out[i] += np.bincount(np.repeat(row, lam.shape[1]),
+                                      weights=(w * np.sinh(lam) * prof(lam)).ravel(),
+                                      minlength=r_grid.size)
+    return out / np.pi
+
+
+def nodes_by_point(chunks, n_points):
+    """The (lam, w) rows of every panel, gathered per point in chunk order."""
+    lam_of, w_of = [[] for _ in range(n_points)], [[] for _ in range(n_points)]
+    for row, lam, w in chunks:
+        for k, lam_k, w_k in zip(row, lam, w):
+            lam_of[k].append(lam_k)
+            w_of[k].append(w_k)
+    return lam_of, w_of
+
+
+# t = 0 and its shifts by +-dt/2, as linear_data_field evaluates them
+_T = np.linspace(0.0, 2.0, 11)
+_DT = _T[1] - _T[0]
+BLOCK_GRIDS = [(_T, np.linspace(0.0, 6.0, 31)),
+               (_T[1:] + 0.5 * _DT, np.linspace(0.0, 6.0, 31)),
+               (_T[1:] - 0.5 * _DT, np.linspace(0.0, 6.0, 31))]
+
+
+class TestLinearFieldBlocks:
+    # linear_field hands _kernel_nodes blocks of t-major points; per point
+    # it sums panel sums, so only the rounding of the sums moves
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["with-t0", "plus-dt/2", "minus-dt/2"])
+    @pytest.mark.parametrize("phi", [theta1, 1.0, bump_profile(1.0)],
+                             ids=["theta1", "constant", "bump"])
+    def test_matches_the_per_level_loop(self, grid, phi):
+        t_grid, r_grid = grid
+        got = linear_field(phi, t_grid, r_grid).values
+        assert_close_to_max(got, per_level_linear_field(phi, t_grid, r_grid), 1e-15)
+
+    @pytest.mark.parametrize("phi", [theta1, bump_profile(1.0)], ids=["theta1", "bump"])
+    def test_blocks_are_independent(self, monkeypatch, phi):
+        t_grid, r_grid = BLOCK_GRIDS[0]
+        want = linear_field(phi, t_grid, r_grid).values
+        for block in (1, 7, t_grid.size * r_grid.size):
+            monkeypatch.setattr(meanprop, "_POINT_BLOCK", block)
+            assert_close_to_max(linear_field(phi, t_grid, r_grid).values, want, 1e-15)
+
+    def test_one_block_per_call(self, monkeypatch):
+        sizes, orig = [], meanprop._kernel_nodes
+
+        def counting(t, r, *args, **kwargs):
+            sizes.append(np.broadcast(t, r).size)
+            return orig(t, r, *args, **kwargs)
+
+        monkeypatch.setattr(meanprop, "_kernel_nodes", counting)
+        t_grid, r_grid = BLOCK_GRIDS[0]
+        linear_field(theta1, t_grid, r_grid)
+        n = t_grid.size * r_grid.size
+        assert n > meanprop._POINT_BLOCK
+        assert max(sizes) <= meanprop._POINT_BLOCK and sum(sizes) == n
+        assert len(sizes) == -(-n // meanprop._POINT_BLOCK)
+
+    @pytest.mark.parametrize("step, knots, lam_max", [
+        (1.0, bump_profile(1.0).knots, np.inf), (0.25, None, 4.5)],
+        ids=["unit-steps-and-knots", "grid-steps-cut"])
+    def test_nodes_do_not_depend_on_the_other_points(self, step, knots, lam_max):
+        # every point's panels and nodes, bit for bit, as in a call of its
+        # own time level; points at t = 0 get none
+        t_levels, r_grid = np.array([0.0, 0.3, 1.0, 2.5]), np.linspace(0.0, 4.0, 9)
+        T, R = (g.ravel() for g in np.meshgrid(t_levels, r_grid, indexing="ij"))
+        for a in (meanprop._TWO_COSH, MonotoneWeight.s_squared()):
+            lam_of, w_of = nodes_by_point(
+                meanprop._kernel_nodes(T, R, a, step, knots, lam_max)(8), T.size)
+            for i, t in enumerate(t_levels):
+                own = meanprop._kernel_nodes(t, r_grid, a, step, knots, lam_max)(8)
+                lam_own, w_own = nodes_by_point(own, r_grid.size)
+                for j in range(r_grid.size):
+                    k = i * r_grid.size + j
+                    assert len(lam_of[k]) == len(lam_own[j]) and (t > 0.0) == (len(lam_of[k]) > 0)
+                    for x, y in zip(lam_of[k] + w_of[k], lam_own[j] + w_own[j]):
+                        assert np.array_equal(x, y)
 
 
 class TestLeggaussCache:
