@@ -358,7 +358,7 @@ def cmd_solve(cp, out, seed):
 
 
 def cmd_decay(cp, out, seed):
-    from .globalsolver import decay_fit
+    from .globalsolver import _decay_window, decay_fit
     from .hypgeo import DomainError, EnvelopeParams, theta_k, uniform_grid
     from .meanprop import RadialProfile, linear_field
 
@@ -370,6 +370,8 @@ def cmd_decay(cp, out, seed):
         ray_offset = _get(cp, "decay", "ray_offset", float, 1.0)
         min_r = _get(cp, "decay", "min_r", float, 1.0)
         params = EnvelopeParams(k=k)
+        # a fit window the grid cannot fill
+        _decay_window(t_grid, r_grid, ray_offset, min_r)
     except DomainError as exc:
         raise ConfigError(str(exc))
 

@@ -305,13 +305,6 @@ def _unit_shape(rng, T, R):
     return xi / sup
 
 
-def _random_ball_field(rng, t_grid, r_grid, phi, radius):
-    """A smooth random field with weighted norm exactly radius: a unit
-    shape divided by the weight."""
-    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
-    return radius * _unit_shape(rng, T, R) / phi
-
-
 def _pair_shapes(rng_seed, n_pairs, t_grid, r_grid):
     """The unit shapes of n_pairs pairs (u, v), shape (n_pairs, 2, n_t, n_r),
     drawn in the order u, v, u, v, ... from one generator."""
@@ -331,11 +324,6 @@ def _pair_ratios(table, F, phi, U, V):
     num = np.max(phi * np.abs(table.duhamel_field(F(U) - F(V))), axis=(1, 2))
     return [float(n) / float(d) if d != 0.0 else None
             for n, d in zip(num, denom)]
-
-
-def _contraction_ratio(table, F, phi, u, v):
-    """||L F(u) - L F(v)|| / ||u - v|| in the Phi norm; None if u = v."""
-    return _pair_ratios(table, F, phi, u[None], v[None])[0]
 
 
 def _probe(spec, cfg, units, data_k):
@@ -470,6 +458,32 @@ def claim_bound_check(p, h, epsilon, t, r):
 # dispersive decay
 
 
+def _decay_window(t_grid, r_grid, ray_offset, min_r):
+    """The grid part of decay_fit's fit window: (T, R, ray, j, column).
+
+    ray marks the grid points on the ray t - r = ray_offset with
+    r >= min_r; j is the radius nearest half the time horizon and column
+    marks the times with t - r_j >= ray_offset. Raises DomainError,
+    naming ray_offset, min_r and the grid, when either has fewer than 4
+    points, so a caller can reject the window before computing a field.
+    """
+    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
+    ray = (np.abs(T - R - ray_offset) < 1e-9) & (R >= min_r - 1e-9)
+    j = int(np.argmin(np.abs(r_grid - 0.5 * t_grid[-1])))
+    column = t_grid - r_grid[j] >= ray_offset - 1e-9
+    grid = (f"the grid of {t_grid.size} times up to t = {t_grid[-1]:g} "
+            f"and {r_grid.size} radii up to r = {r_grid[-1]:g}")
+    if np.count_nonzero(ray) < 4:
+        raise DomainError(
+            f"fewer than 4 points on the fit ray t - r = ray_offset = "
+            f"{ray_offset:g}, r >= min_r = {min_r:g} of {grid}")
+    if np.count_nonzero(column) < 4:
+        raise DomainError(
+            f"fewer than 4 points in the fixed-radius window r = "
+            f"{r_grid[j]:g}, t - r >= ray_offset = {ray_offset:g} of {grid}")
+    return T, R, ray, j, column
+
+
 def decay_fit(u0_field: SpaceTimeField, k, ray_offset=1.0, min_r=1.0):
     """Regression checks of the linear dispersive decay.
 
@@ -477,23 +491,24 @@ def decay_fit(u0_field: SpaceTimeField, k, ray_offset=1.0, min_r=1.0):
     expected slope is -1/2); slope_tr fits ln|u| against t - r at the
     fixed radius nearest to half the time horizon; sup_weighted is the
     empirical decay constant sup |u| (cosh r)^{1/2} (cosh(t-r))^{1/2} / K_k.
+    Both fits use the points of _decay_window where u != 0.
     """
     t, r = u0_field.t_grid, u0_field.r_grid
-    T, R = np.meshgrid(t, r, indexing="ij")
+    T, R, ray, r_star_idx, column = _decay_window(t, r, ray_offset, min_r)
     U = np.abs(u0_field.values)
 
-    on_ray = np.abs(T - R - ray_offset) < 1e-9
-    sel = on_ray & (R >= min_r - 1e-9) & (U > 0)
+    sel = ray & (U > 0)
     if np.count_nonzero(sel) < 4:
-        raise DomainError("fewer than 4 points on the fit ray")
+        raise DomainError(f"fewer than 4 points with u != 0 on the fit ray "
+                          f"t - r = {ray_offset:g}, r >= {min_r:g}")
     slope_r = float(np.polyfit(R[sel], np.log(U[sel]), 1)[0])
 
-    r_star_idx = int(np.argmin(np.abs(r - 0.5 * t[-1])))
     col = U[:, r_star_idx]
     tr = t - r[r_star_idx]
-    sel_c = (tr >= ray_offset - 1e-9) & (col > 0)
+    sel_c = column & (col > 0)
     if np.count_nonzero(sel_c) < 4:
-        raise DomainError("fewer than 4 points in the fixed-radius window")
+        raise DomainError(f"fewer than 4 points with u != 0 in the fixed-radius "
+                          f"window r = {r[r_star_idx]:g}, t - r >= {ray_offset:g}")
     slope_tr = float(np.polyfit(tr[sel_c], np.log(col[sel_c]), 1)[0])
 
     weight = np.sqrt(np.cosh(R) * np.cosh(T - R)) / K_factor(T - R, k)

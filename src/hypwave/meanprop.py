@@ -10,16 +10,19 @@ solver layers need is built from four pieces:
       I(t, r, phi) = int_0^t sinh(s) (2 cosh t - 2 cosh s)^{-1/2} M^s phi(r) ds,
   which solves the shifted linear wave equation with data (0, phi) and is
   evaluated through its closed-form kernel in lam,
-* the Duhamel integral of a space-time source, and
-* the W double integral and the R smoothing operator for a general even
-  monotone weight a(s), together with their closed-form companions
-  (the Beta identity and the explicit propagator lower bounds).
+* the Duhamel integral of a space-time source on a grid, and
+* the W double integral, its single-integral majorant and the R
+  smoothing operator for a general even monotone weight a(s), together
+  with their closed-form companions (the Beta identity and the explicit
+  propagator lower bounds).
 
 The inner s-integral of W is a complete elliptic integral, so for every
 weight a, W(t, r, f) = int f(lam) 2 K(kappa) / sqrt(a(M) - a(b)) dlam
 over max(r - t, 0) < lam < r + t, with b = |r - lam|, c = min(t, r + lam),
 M = max(t, r + lam) and kappa = (a(c) - a(b)) / (a(M) - a(b)); and
-I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi. One node builder
+I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi. W's majorant
+pi int |f| (a(M) - a(c))^{-1/2} dlam lives on the same domain, with its
+square-root branch at the same lam*. One node builder
 (_kernel_nodes) lists that lam-rule for a set of (t, r) points, every
 radius of one time or a block of a whole grid: each side of the log
 singularity lam* = |t - r| is mapped by lam = lam* +- H u^2 and graded
@@ -31,8 +34,8 @@ the weight's factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact
 gaps g = M - c and M - b, as a ratio of P's times a ratio of Q's, so no
 product of two small lengths is formed. The table scatters the nodes of
 one lag to their cells as moments w xi^p; linear_field sums each panel
-to its point, over blocks of _POINT_BLOCK grid points; sine_propagator
-and W_evaluator settle over doubling node levels.
+to its point, over blocks of _POINT_BLOCK grid points; sine_propagator,
+W_evaluator and w_majorant settle over doubling node levels.
 
 The spherical mean keeps a rule of its own, the independent check of its
 identities: cosh(lam) = midpoint + halfwidth*cos(theta) removes both
@@ -60,7 +63,6 @@ __all__ = [
     "spherical_mean",
     "sine_propagator",
     "linear_field",
-    "duhamel",
     "PropagatorTable",
     "W_evaluator",
     "w_majorant",
@@ -84,8 +86,8 @@ _MEAN_LEVEL = 12  # Gauss nodes per angular panel, the mean's first level
 _KERNEL_LEVEL = 8  # Gauss nodes per panel, the kernel rule's first level
 _CG_NODES = 64  # Chebyshev-Gauss nodes of beta_identity_check
 _R_NODES = 64  # Gauss-Legendre nodes in psi of r_operator
-_ABS_TOL = 1e-10  # _settle: two levels agree within max(_ABS_TOL, _REL_TOL |v|);
-_REL_TOL = 1e-8  # w_majorant's quad targets the same
+_ABS_TOL = 1e-10  # _settle: two levels agree within max(_ABS_TOL, _REL_TOL |v|)
+_REL_TOL = 1e-8
 
 
 @lru_cache
@@ -109,18 +111,17 @@ class QuadratureError(RuntimeError):
 
 
 class RadialProfile:
-    """A radial function on [0, inf), either closed-form or sampled.
+    """A radial function on [0, inf) given by a callable.
 
-    Sampled profiles interpolate monotone-cubically (PCHIP) and return 0
-    beyond the last sample; a profile with ``support_radius`` set returns
-    0 beyond that radius.
+    A profile with ``support_radius`` set returns 0 beyond that radius.
+    ``knots`` are the abscissae where it is merely C^1; the mean's rule
+    and the kernel rule (the propagator, W and W's majorant) break their
+    panels there, so convergence stays spectral.
     """
 
     def __init__(self, func, *, support_radius=None, knots=None):
         self._func = func
         self.support_radius = support_radius
-        # abscissae where the profile is merely C^1; quadrature rules align
-        # their panels with these so convergence stays spectral
         self.knots = knots
 
     @classmethod
@@ -132,29 +133,6 @@ class RadialProfile:
     def constant(cls, value):
         v = float(value)
         return cls(lambda lam: np.full_like(np.asarray(lam, dtype=float), v))
-
-    @classmethod
-    def from_samples(cls, lam, values, support_radius=None):
-        lam = np.asarray(lam, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if lam.ndim != 1 or lam.size < 2:
-            raise DomainError("sampled profile needs at least 2 points")
-        if np.any(np.diff(lam) <= 0) or lam[0] < 0:
-            raise DomainError("sample abscissae must be nonnegative and strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("sample values must be finite")
-        from scipy.interpolate import PchipInterpolator
-        core = PchipInterpolator(lam, values, extrapolate=False)
-        lo, hi = lam[0], lam[-1]
-
-        def func(x):
-            x = np.asarray(x, dtype=float)
-            out = core(np.clip(x, lo, hi))
-            out = np.where(x > hi, 0.0, out)
-            return np.nan_to_num(out, nan=0.0)
-
-        knots = lam if support_radius is None else np.append(lam, support_radius)
-        return cls(func, support_radius=support_radius, knots=np.unique(knots))
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -185,17 +163,6 @@ class SpaceTimeField:
             raise DomainError("values shape must be (len(t_grid), len(r_grid))")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field values must be finite")
-
-    def slice_profile(self, i):
-        """The time slice t = t_grid[i] as a RadialProfile."""
-        return RadialProfile.from_samples(self.r_grid, self.values[i])
-
-    def time_index(self, t):
-        """The index of t on the time grid, matched to 1e-9 max(1, |t|)."""
-        i = int(np.argmin(np.abs(self.t_grid - t)))
-        if abs(self.t_grid[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise DomainError(f"t={t} is not on the field's time grid")
-        return i
 
 
 def _two_cosh_gap(x, g):
@@ -399,9 +366,10 @@ def _agm_K(m1, work=None):
     return np.divide(np.pi, a, out=a)
 
 
-def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
+def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
     """The rule for int f(lam) k_a(t_k, r_k, lam) dlam at every point
-    (t_k, r_k), k_a = 2 K(kappa) / sqrt(a(M) - a(b)), cut at lam_max; t and
+    (t_k, r_k), k_a = 2 K(kappa) / sqrt(a(M) - a(b)), or with majorant
+    k_a = pi / sqrt(a(M) - a(c)), cut at lam_max; t and
     r are arrays that broadcast, so a scalar t serves every radius. Builds
     the panels once and returns nodes(n_gl), which yields chunks
     (row, lam, w): row, shape (panels,), names each panel's point, and lam
@@ -425,7 +393,8 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     1 - kappa = (a(M) - a(c)) / (a(M) - a(b)) comes from the weight's gap
     factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact gaps
     g = M - c and g = M - b, as (P_c / P_b) (Q_c / Q_b), and
-    1 / sqrt(a(M) - a(b)) as 1 / (sqrt(P_b) sqrt(Q_b)). Neither forms
+    1 / sqrt(a(M) - a(b)) as 1 / (sqrt(P_b) sqrt(Q_b)); the majorant's
+    kernel is pi / (sqrt(P_c) sqrt(Q_c)), with no K. Neither forms
     the product P_b Q_b, so K stays accurate up to lam* and nothing
     underflows for t and r down to 1e-300. Smaller scales are outside the
     domain: at t = 1e-302 (r = 0) or a subnormal radius such as 5e-324 the
@@ -497,15 +466,19 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
                     np.minimum(gb, np.add(stb, lam, out=M), out=gb)
                     gc, x = D, tb
                 # Q may be the gap array itself (s^2), so Mb must outlive
-                # _agm_K, which runs in Mc and M
+                # _agm_K, which runs in Mc and M, and Qc is read before
+                # D turns into the weights
                 Pc, Qc = a.gap(x, gc)
-                Pb, Qb = a.gap(x, gb)
-                Pc = Pc / Pb
-                Pc *= Qc / Qb
-                np.minimum(Pc, 1.0, out=Pc)  # 1 - kappa
-                K = _agm_K(Pc, work=(Mc, M))
-                K *= 2.0
-                K /= np.sqrt(Pb) * np.sqrt(Qb)  # 2 K / sqrt(a(M) - a(b))
+                if majorant:  # pi / sqrt(a(M) - a(c))
+                    K = np.pi / (np.sqrt(Pc) * np.sqrt(Qc))
+                else:
+                    Pb, Qb = a.gap(x, gb)
+                    Pc = Pc / Pb
+                    Pc *= Qc / Qb
+                    np.minimum(Pc, 1.0, out=Pc)  # 1 - kappa
+                    K = _agm_K(Pc, work=(Mc, M))
+                    K *= 2.0
+                    K /= np.sqrt(Pb) * np.sqrt(Qb)  # 2 K / sqrt(a(M) - a(b))
                 np.multiply(2.0 * Hb, U, out=U)  # dlam/du
                 np.multiply(half[b, None], wg, out=D)
                 D *= U
@@ -515,11 +488,12 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     return nodes
 
 
-def _kernel_value(t, r, prof, a, what):
+def _kernel_value(t, r, prof, a, what, majorant=False):
     """int prof k_a(t, r, .) at one point on unit panels and the profile's
     knots, settled over the node levels n0, 2 n0, 4 n0, 8 n0 with
-    n0 = _KERNEL_LEVEL."""
-    nodes = _kernel_nodes(t, np.asarray([float(r)]), a, 1.0, prof.knots)
+    n0 = _KERNEL_LEVEL; majorant picks _kernel_nodes' kernel."""
+    nodes = _kernel_nodes(t, np.asarray([float(r)]), a, 1.0, prof.knots,
+                          majorant=majorant)
 
     def value(n_gl):
         return float(sum(np.dot(w.ravel(), prof(lam.ravel()))
@@ -623,34 +597,6 @@ def _lag_weights(n_t):
     w[2, 1::2] -= 5.0 / 24.0
     w[3, 0::2] += 1.0 / 24.0
     return w
-
-
-def duhamel(F, t, r):
-    """int_0^t I(t - tau, r, F(tau, .)) dtau for a gridded source F.
-
-    t must lie on the source's time grid; the source grid must cover the
-    backward light cone of (t, r).
-    """
-    if r < 0:
-        raise DomainError("duhamel needs r >= 0")
-    i = F.time_index(t)
-    if i == 0:
-        return 0.0
-    if F.r_grid[-1] + 1e-9 < r + t:
-        raise DomainError(
-            f"source grid (r <= {F.r_grid[-1]}) does not cover the backward "
-            f"light cone of (t={t}, r={r}), which needs r <= {r + t}")
-    dt = F.t_grid[1] - F.t_grid[0]
-    if not np.allclose(np.diff(F.t_grid[: i + 1]), dt, rtol=1e-9):
-        raise DomainError("duhamel requires a uniform time grid")
-    w = _time_weights(i) * dt
-    total = 0.0
-    for k in range(i + 1):
-        lag = F.t_grid[i] - F.t_grid[k]
-        if lag == 0.0 or w[k] == 0.0:
-            continue
-        total += w[k] * sine_propagator(F.slice_profile(k), lag, r)
-    return float(total)
 
 
 # The 4-point Lagrange stencil on l0-1 .. l0+2 at xi = lam/dr - l0 in
@@ -817,25 +763,24 @@ def W_evaluator(t, r, f, a):
 
 
 def w_majorant(t, r, f, a):
-    """The single-integral bound on |W| from the appendix lemma.
+    """The single-integral bound on |W| from the appendix lemma,
 
-    r >= t:  pi int_{r-t}^{r+t} |f| (a(r+lam) - a(t))^{-1/2} dlam;
-    t > r:   pi int_0^{t+r} |f| |a(r+lam) - a(t)|^{-1/2} dlam,
-    the latter with an integrable singularity at lam = t - r.
+        pi int |f(lam)| (a(M) - a(c))^{-1/2} dlam
+
+    over W's domain max(r - t, 0) < lam < r + t, c = min(t, r + lam),
+    M = max(t, r + lam): for t > r the integrand has an integrable
+    singularity at lam = t - r. W's kernel rule on |f|, with the kernel
+    pi / sqrt(a(M) - a(c)) (_kernel_nodes), settled over doubling node
+    levels (_kernel_value); at r = 0 it is W_evaluator's rule on |f|.
     """
-    from scipy.integrate import quad
-
+    if t < 0 or r < 0:
+        raise DomainError("w_majorant needs t >= 0 and r >= 0")
+    if t == 0.0:
+        return 0.0
     prof = _as_profile(f)
-
-    def g(lam):
-        d = abs(a.a(r + lam) - a.a(t))
-        if d == 0.0:
-            return 0.0
-        return abs(float(prof(np.asarray([lam]))[0])) / np.sqrt(d)
-
-    edges = [r - t, r + t] if r >= t else [0.0, t - r, t + r]
-    return np.pi * sum(quad(g, aa, bb, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=200)[0]
-                       for aa, bb in zip(edges[:-1], edges[1:]))
+    abs_f = RadialProfile(lambda lam: np.abs(prof(lam)), knots=prof.knots)
+    return _kernel_value(t, r, abs_f, a, f"W majorant at (t={t}, r={r})",
+                         majorant=True)
 
 
 # ---------------------------------------------------------------------------

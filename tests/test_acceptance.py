@@ -44,12 +44,12 @@ from hypwave.meanprop import (
     SpaceTimeField,
     beta_identity_check,
     default_C0,
-    duhamel,
     linear_field,
     sine_propagator,
     spherical_mean,
 )
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
+from references import duhamel
 
 ZERO = RadialProfile.constant(0.0)
 ONES = RadialProfile.constant(1.0)

@@ -337,6 +337,15 @@ class TestSolve:
         assert "critical, no theory" in capsys.readouterr().err
 
 
+DECAY_GRID = """
+[grid]
+t_max = 4.0
+r_max = 4.0
+dt = 0.1
+dr = 0.1
+"""
+
+
 class TestDecay:
     def test_fit_report_schema_and_sign(self, tmp_path):
         body = """
@@ -357,11 +366,35 @@ k = 1.0
         assert float(row[3]) < 0.0
         assert float(row[5]) > 0.0
 
-    def test_empty_ray_is_numeric_failure(self, tmp_path, capsys):
-        body = SMALL_GRID + "[decay]\nray_offset = 100.0\n"
-        code, _ = run_cli(tmp_path, "decay", body)
-        assert code == 3
-        assert "decay failed" in capsys.readouterr().err
+    @pytest.mark.parametrize("lines, names", [
+        ("ray_offset = 100.0", "ray_offset = 100"),
+        ("min_r = 100", "min_r = 100"),
+        # dt = 0.1 puts no grid point on t - r = 0.05
+        ("ray_offset = 0.05", "ray_offset = 0.05"),
+    ], ids=["ray_offset", "min_r", "ray_off_grid"])
+    def test_empty_ray_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                       lines, names):
+        kernel = recording(monkeypatch, meanprop, "linear_field")
+        body = DECAY_GRID + f"[decay]\n{lines}\n"
+        code, out = run_cli(tmp_path, "decay", body)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "fit ray" in err and names in err
+        assert "41 times up to t = 4 and 41 radii up to r = 4" in err
+        assert list(out.iterdir()) == []
+        assert kernel == []
+
+    def test_short_column_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the ray t - r = 3 holds 8 points, but the column r = 2 reaches
+        # t - r = 2 only
+        kernel = recording(monkeypatch, meanprop, "linear_field")
+        body = DECAY_GRID + "[decay]\nray_offset = 3.0\nmin_r = 0.3\n"
+        code, out = run_cli(tmp_path, "decay", body)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "fixed-radius window" in err and "ray_offset = 3" in err
+        assert list(out.iterdir()) == []
+        assert kernel == []
 
 
 CONTRACTION_BODY = """
@@ -717,20 +750,26 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "out" / "field.csv").exists()
 
-    def test_import_leaves_scipy_submodules_out(self):
-        # scipy's integrate, interpolate and special cost most of a
-        # command's start-up; only functions no command calls import them
+    def test_import_leaves_scipy_submodules_out(self, tmp_path):
+        # the runtime needs numpy alone: importing every module and running
+        # a command (both engines) loads no scipy module at all
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[grid]\nt_max = 0.4\nr_max = 4.0\ndt = 0.04\n"
+                       "dr = 0.05\n[data]\nkind = constant\n"
+                       "[propagate]\nengine = both\n", encoding="utf-8")
         src = os.path.dirname(os.path.dirname(hypwave.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import sys\n"
-            "import hypwave.cli\n"
             "from hypwave import (blowlab, cli, fdoracle, globalsolver, "
             "hypgeo, meanprop, nonlin)\n"
-            "print(' '.join(m for m in ('scipy.integrate', "
-            "'scipy.interpolate', 'scipy.special') if m in sys.modules))\n")
+            f"assert cli.main(['propagate', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print(' '.join(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+        assert (tmp_path / "out" / "diff.csv").exists()

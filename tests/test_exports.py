@@ -1,16 +1,20 @@
 """Every hypwave module declares __all__, every name in it exists, and
 every name it imports is used; the tests and scripts import nothing they
-leave unused either.
+leave unused either. The runtime depends on numpy alone, and the test
+settings let a failing hypothesis property report like any other test.
 
 A stale entry (a class deleted but still exported) breaks
 ``from hypwave.<module> import *`` only when someone tries it; this test
 fails as soon as the entry goes stale. No linter ships with the project,
-so a stdlib ast scan stands in for one on unused imports.
+so a stdlib ast scan stands in for one on unused imports and on scipy,
+which only the tests use.
 """
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +99,65 @@ def test_unused_import_scan_sees_both_scopes():
         "    return np.zeros(1), g\n")
     assert sorted(_unused_imports(tree)) == ["b (line 3)", "e (line 6)",
                                              "os (line 2)"]
+
+
+def _imported_modules(tree):
+    """Every module an import statement names, at any depth of the tree."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_scipy_import(name):
+    path = SCANNED[name]
+    found = [m for m in _imported_modules(ast.parse(path.read_text(), str(path)))
+             if m.split(".")[0] == "scipy"]
+    assert not found, f"hypwave.{name} imports {found}; scipy is a test dependency"
+
+
+def test_scipy_scan_sees_function_level_imports():
+    tree = ast.parse("import os\n"
+                     "def f():\n"
+                     "    from scipy.integrate import quad\n"
+                     "    import scipy.special as sp\n"
+                     "from .meanprop import x\n")
+    assert _imported_modules(tree) == ["os", "scipy.integrate", "scipy.special"]
+
+
+def test_runtime_depends_on_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_does_not_end_the_session(tmp_path):
+    # with the project's pytest settings a failing @given test reports its
+    # falsifying example and the session goes on to the next test
+    (tmp_path / "test_pair.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-q", "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "Falsifying example: test_fails(" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout

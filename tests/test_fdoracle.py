@@ -16,6 +16,7 @@ from hypwave.fdoracle import (
 from hypwave.hypgeo import DomainError, EnvelopeParams, theta_k
 from hypwave.meanprop import RadialProfile, _as_profile, sine_propagator
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
+from references import from_samples, time_index
 from test_nonlin import F_generic_all_branches, bits, generic
 
 EP1 = EnvelopeParams(k=1.0)
@@ -81,7 +82,7 @@ class TestFDSolve:
         # velocity 1 everywhere reduces to the ODE u'' = u/4, so
         # u = 2 sinh(t/2) independently of r away from the boundary
         fld = fd_solve(zero, ones, None, QUICK)
-        i = fld.time_index(1.8)
+        i = time_index(fld, 1.8)
         want = 2.0 * np.sinh(0.9)
         for r_probe in (0.0, 1.0, 3.0):
             j = int(round(r_probe / QUICK.dr))
@@ -90,7 +91,7 @@ class TestFDSolve:
     def test_cross_validates_integral_path(self):
         cfg = FDConfig(dr=5e-3, dt=4.5e-3, r_max=12.0, t_max=2.25)
         fld = fd_solve(zero, theta1, None, cfg)
-        i = fld.time_index(2.25)
+        i = time_index(fld, 2.25)
         j = int(round(1.0 / cfg.dr))
         want = sine_propagator(theta1, 2.25, 1.0)
         assert_allclose(fld.values[i, j], want, rtol=1e-4)
@@ -102,7 +103,7 @@ class TestFDSolve:
                                  0.0),
             support_radius=2.0)
         fld = fd_solve(zero, bump, None, QUICK)
-        i = fld.time_index(1.8)
+        i = time_index(fld, 1.8)
         beyond = fld.r_grid > 2.0 + 1.8 + 3 * QUICK.dr
         assert np.abs(fld.values[i, beyond]).max() < 1e-13
 
@@ -114,8 +115,8 @@ class TestFDSolve:
             uN, uN1, uN2 = fwd.values[-1], fwd.values[-2], fwd.values[-3]
             vN = (3 * uN - 4 * uN1 + uN2) / (2 * dt)
             rg = fwd.r_grid
-            back = fd_solve(RadialProfile.from_samples(rg, uN),
-                            RadialProfile.from_samples(rg, -vN), None, cfg)
+            back = fd_solve(from_samples(rg, uN),
+                            from_samples(rg, -vN), None, cfg)
             interior = rg <= cfg.r_max - 2 * cfg.t_max - 0.5
             return np.abs(back.values[-1][interior] - theta1(rg)[interior]).max()
 
@@ -142,14 +143,14 @@ class TestFDSolve:
         thin = fd_solve(zero, theta1, None, cfg)
         full = fd_solve(zero, theta1, None, QUICK)
         assert thin.t_grid.size == 11
-        i_thin = thin.time_index(0.9)
-        i_full = full.time_index(0.9)
+        i_thin = time_index(thin, 0.9)
+        i_full = time_index(full, 0.9)
         assert_allclose(thin.values[i_thin], full.values[i_full], rtol=1e-12)
 
     def test_nonlinear_term_enters(self):
         lin = fd_solve(zero, theta1, None, QUICK)
         non = fd_solve(zero, theta1, lambda u: u**3, QUICK)
-        i = lin.time_index(1.8)
+        i = time_index(lin, 1.8)
         assert np.abs(lin.values[i] - non.values[i]).max() > 1e-6
 
 
@@ -165,7 +166,7 @@ class TestConvergenceOrder:
         for k in range(3):
             cfg = FDConfig(dr=2e-2 / 2**k, dt=1.8e-2 / 2**k, r_max=8.0, t_max=1.8)
             fld = fd_solve(zero, ones, None, cfg)
-            i = fld.time_index(1.8)
+            i = time_index(fld, 1.8)
             j = int(round(1.0 / cfg.dr))
             errors.append(abs(fld.values[i, j] - 2.0 * np.sinh(0.9)))
         order = np.log2(errors[0] / errors[1])

@@ -33,6 +33,12 @@ def coarse_table(coarse_cfg):
     return table
 
 
+def unit_shapes(rng, cfg, n):
+    """The next n unit shapes _unit_shape draws from rng on cfg's grid."""
+    T, R = np.meshgrid(cfg.t_grid, cfg.r_grid, indexing="ij")
+    return [gs._unit_shape(rng, T, R) for _ in range(n)]
+
+
 def with_eps(cfg, eps):
     return gs.SolverConfig(p=cfg.p, h=cfg.h, epsilon=eps, grid=cfg.grid,
                            max_iters=cfg.max_iters,
@@ -220,19 +226,19 @@ class TestContraction:
         F = nonlinearity(SPEC)
         phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid, 1.2)
         rng = np.random.default_rng(3)
-        u = gs._random_ball_field(rng, coarse_cfg.t_grid, coarse_cfg.r_grid,
-                                  phi, 0.05)
-        v = gs._random_ball_field(rng, coarse_cfg.t_grid, coarse_cfg.r_grid,
-                                  phi, 0.05)
-        assert gs._contraction_ratio(coarse_table, F, phi, u, v) == \
-            gs._contraction_ratio(coarse_table, F, phi, v, u)
-        assert gs._contraction_ratio(coarse_table, F, phi, u, u) is None
+        u, v = (0.05 * shape / phi for shape in unit_shapes(rng, coarse_cfg, 2))
+
+        def ratio(u, v):
+            return gs._pair_ratios(coarse_table, F, phi, u[None], v[None])[0]
+
+        assert ratio(u, v) == ratio(v, u)
+        assert ratio(u, u) is None
 
     def test_sampled_fields_fill_the_ball(self, coarse_cfg):
         phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid, 1.2)
         rng = np.random.default_rng(11)
-        u = gs._random_ball_field(rng, coarse_cfg.t_grid, coarse_cfg.r_grid,
-                                  phi, 0.125)
+        (shape,) = unit_shapes(rng, coarse_cfg, 1)
+        u = 0.125 * shape / phi
         assert np.max(phi * np.abs(u)) == pytest.approx(0.125, rel=1e-12)
 
     def test_ratio_grows_with_epsilon(self, coarse_cfg):
@@ -266,10 +272,8 @@ class TestContraction:
             1.0, 1.2, coarse_cfg)
         rng = np.random.default_rng(5)
         for u_batch, v_batch in zip(U, V):
-            u = gs._random_ball_field(rng, coarse_cfg.t_grid,
-                                      coarse_cfg.r_grid, phi, radius)
-            v = gs._random_ball_field(rng, coarse_cfg.t_grid,
-                                      coarse_cfg.r_grid, phi, radius)
+            u, v = (radius * shape / phi
+                    for shape in unit_shapes(rng, coarse_cfg, 2))
             assert np.array_equal(u_batch, u)
             assert np.array_equal(v_batch, v)
 

@@ -30,7 +30,6 @@ from hypwave.meanprop import (
     beta_identity_check,
     default_C0,
     dt_r_bound_check,
-    duhamel,
     kernel_lower_integral,
     leggauss,
     linear_field,
@@ -40,6 +39,7 @@ from hypwave.meanprop import (
     spherical_mean,
     w_majorant,
 )
+from references import duhamel, from_samples, slice_profile, time_index
 
 EP1 = EnvelopeParams(k=1.0)
 
@@ -67,7 +67,7 @@ class TestRadialProfile:
 
     def test_sampled_interpolates_and_vanishes_beyond(self):
         lam = np.linspace(0, 5, 101)
-        p = RadialProfile.from_samples(lam, np.exp(-lam))
+        p = from_samples(lam, np.exp(-lam))
         x = np.array([0.37, 1.91, 4.2])
         assert_allclose(p(x), np.exp(-x), rtol=1e-5)
         assert p(np.array([5.7]))[0] == 0.0
@@ -79,7 +79,7 @@ class TestRadialProfile:
 
     def test_sampled_records_knots(self):
         lam = np.linspace(0, 3, 16)
-        p = RadialProfile.from_samples(lam, np.cos(lam))
+        p = from_samples(lam, np.cos(lam))
         assert_allclose(p.knots, lam)
 
     @pytest.mark.parametrize(
@@ -93,7 +93,7 @@ class TestRadialProfile:
     )
     def test_bad_samples_raise(self, lam, values):
         with pytest.raises(DomainError):
-            RadialProfile.from_samples(lam, values)
+            from_samples(lam, values)
 
 
 class TestSpaceTimeField:
@@ -101,14 +101,14 @@ class TestSpaceTimeField:
         tg = np.linspace(0, 1, 5)
         rg = np.linspace(0, 4, 41)
         field = SpaceTimeField(tg, rg, np.outer(1 + tg, np.exp(-rg)))
-        prof = field.slice_profile(2)
+        prof = slice_profile(field, 2)
         assert_allclose(prof(rg), (1 + tg[2]) * np.exp(-rg), rtol=1e-12)
 
     def test_time_index(self):
         f = SpaceTimeField(np.linspace(0, 1, 11), np.linspace(0, 2, 3), np.zeros((11, 3)))
-        assert f.time_index(0.3) == 3
+        assert time_index(f, 0.3) == 3
         with pytest.raises(DomainError):
-            f.time_index(0.35)
+            time_index(f, 0.35)
 
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
@@ -231,7 +231,7 @@ class TestSphericalMean:
 
     def test_sampled_profile_close_to_closed_form(self):
         rg = np.linspace(0, 14, 281)
-        prof = RadialProfile.from_samples(rg, theta1(rg))
+        prof = from_samples(rg, theta1(rg))
         got = spherical_mean(prof, 3.0, 2.0)
         want = spherical_mean(theta1, 3.0, 2.0)
         assert_allclose(got, want, rtol=1e-5)
@@ -302,7 +302,7 @@ class TestLinearField:
         # the sampled profile jumps to 0 past its last sample and the bump
         # has four knots: linear_field breaks its panels there too
         lam = np.linspace(0.0, 6.0, 25)
-        sampled = RadialProfile.from_samples(lam, np.cos(lam) ** 2)
+        sampled = from_samples(lam, np.cos(lam) ** 2)
         tg = np.linspace(0, 4, 9)
         rg = np.linspace(0, 6, 13)
         for phi in (theta1, sampled, bump_profile(1.0)):
@@ -589,13 +589,15 @@ def reference_panels(t, r, step, knots, lam_max):
             [(close, 2.0), (~close & ~far, 1.0), (far, 0.75)])
 
 
-def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
+def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
+                           majorant=False):
     """meanprop._kernel_nodes with its earlier per-node formula, the
     reference of the factorised one: both sides in one chunk with
     M - b = min(2r + (1 - fr) d, lam* + lam + fr d), a(M) - a(b) and
     a(M) - a(c) as the weight's difference quotient times the gap, and
     seven AGM steps from a = 1. It takes points and yields chunks as
-    _kernel_nodes does."""
+    _kernel_nodes does, W's kernel only."""
+    assert not majorant
     H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = reference_panels(
         t, r, step, knots, lam_max)
     on_right = right * 1.0
@@ -631,10 +633,13 @@ def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
     return nodes
 
 
-def expression_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf):
+def expression_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
+                            majorant=False):
     """meanprop._kernel_nodes with the factorised formula written as plain
     array expressions, as it was before its evaluator ran in reused
-    buffers: the buffered one must round every node the same way."""
+    buffers: the buffered one must round every node the same way. W's
+    kernel only."""
+    assert not majorant
     H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = reference_panels(
         t, r, step, knots, lam_max)
     on_right = right[o]
@@ -944,6 +949,31 @@ class TestWEvaluator:
     def test_negative_arguments_raise(self, weight):
         with pytest.raises(DomainError):
             W_evaluator(-1.0, 1.0, f_decay, weight)
+
+    @pytest.mark.parametrize("t, r", [(-1.0, 1.0), (1.0, -0.5), (-1.0, -1.0)])
+    def test_majorant_negative_arguments_raise(self, weight, t, r):
+        with pytest.raises(DomainError, match="t >= 0 and r >= 0"):
+            w_majorant(t, r, f_decay, weight)
+
+    def test_majorant_zero_time(self, weight):
+        assert w_majorant(0.0, 1.0, f_decay, weight) == 0.0
+        assert w_majorant(0.0, 0.0, f_decay, weight) == 0.0
+
+    @pytest.mark.parametrize("t", [0.3, 2.0, 5.0])
+    def test_majorant_at_r_zero_is_W(self, weight, t):
+        # kappa = 0 there, so W's kernel 2 K(0) / sqrt(a(t) - a(lam)) is the
+        # majorant's on the same nodes, bit for bit
+        for f in (f_decay, bump_profile(1.0)):
+            assert w_majorant(t, 0.0, f, weight) == W_evaluator(t, 0.0, f, weight)
+
+    def test_majorant_takes_the_absolute_value(self, weight):
+        neg = lambda lam: -f_decay(lam)
+        assert w_majorant(2.0, 0.5, neg, weight) == w_majorant(2.0, 0.5, f_decay, weight)
+
+    def test_majorant_failure_names_the_point(self, weight):
+        chirp = lambda lam: np.sin(40.0 * lam) * np.cos(37.0 * lam * lam)
+        with pytest.raises(QuadratureError, match=r"\(t=6\.0, r=6\.0\)"):
+            w_majorant(6.0, 6.0, chirp, weight)
 
 
 class TestBetaIdentity:

@@ -10,6 +10,8 @@ defining integrals and shares no code with hypwave.meanprop:
   kappa = (a(c) - a(b)) / (a(M) - a(b)), over max(r - t, 0) < lam < r + t,
   with mp.ellipk and mp.quad split at |t - r| and r + t;
 * the sine propagator as I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi;
+* W's majorant pi int |f| (a(M) - a(c))^{-1/2} dlam over W's domain,
+  with mp.quad split at |t - r| and the profile's knots;
 * the spherical mean from its defining integral with the endpoint
   singularities left to tanh-sinh quadrature.
 """
@@ -18,12 +20,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from hypwave.blowlab import bump_profile
 from hypwave.meanprop import (
     MonotoneWeight,
     W_evaluator,
     linear_field,
     sine_propagator,
     spherical_mean,
+    w_majorant,
 )
 
 mp.mp.dps = 30
@@ -39,6 +43,15 @@ def theta1_mp(lam):
     return mp.cosh(lam) ** mp.mpf(-1.5)
 
 
+def bump1_mp(lam):
+    # bump_profile(1.0): exp(-1/x) ramps up on [1/2, 1], down on [3, 7/2]
+    def ramp(x):
+        g = lambda y: mp.exp(-1 / y) if y > 0 else mp.mpf(0)
+        return g(x) / (g(x) + g(1 - x))
+
+    return ramp(2 * lam - 1) * ramp(7 - 2 * lam)
+
+
 def w_oracle(t, r, f, a):
     t, r = mp.mpf(t), mp.mpf(r)
 
@@ -50,6 +63,14 @@ def w_oracle(t, r, f, a):
     lo, hi = max(r - t, 0), r + t
     pts = [lo] + [p for p in (abs(t - r),) if lo < p < hi] + [hi]
     return mp.quad(lambda lam: f(lam) * kernel(lam), pts)
+
+
+def majorant_oracle(t, r, f, a, knots=()):
+    t, r = mp.mpf(t), mp.mpf(r)
+    lo, hi = max(r - t, 0), r + t
+    g = lambda lam: abs(f(lam)) / mp.sqrt(abs(a(r + lam) - a(t)))
+    inner = sorted({p for p in (abs(t - r), *knots) if lo < p < hi})
+    return mp.pi * mp.quad(g, [lo] + inner + [hi])
 
 
 def sine_oracle(t, r, phi):
@@ -109,3 +130,20 @@ def test_linear_field_on_the_grid():
     fld = linear_field(theta1, g, g)
     for i, j in [(1, 0), (2, 1), (4, 4), (8, 3), (3, 8), (8, 8)]:
         assert rel(fld.values[i, j], sine_oracle(g[i], g[j], theta1_mp)) <= 1e-10
+
+
+# r = t -+ 0.001 next to the singularity at lam = t - r, r = 0, a tiny t,
+# r > t, and the bump, whose support (1/2, 7/2) misses (0.3, 0.1)
+@pytest.mark.parametrize("t, r", [(2.0, 0.5), (3.0, 3.0), (2.0, 1.999), (2.0, 2.001),
+                                  (2.0, 0.0), (1e-3, 1.0), (0.3, 0.1), (7.0, 7.5)])
+@pytest.mark.parametrize("name", ["2cosh", "s^2"])
+@pytest.mark.parametrize("profile", ["decay", "bump"])
+def test_w_majorant(profile, name, t, r):
+    weight = (MonotoneWeight.two_cosh() if name == "2cosh"
+              else MonotoneWeight.s_squared())
+    if profile == "decay":
+        f, f_mp, knots = theta1, theta1_mp, ()
+    else:
+        f, f_mp, knots = bump_profile(1.0), bump1_mp, (0.5, 1.0, 3.0, 3.5)
+    want = majorant_oracle(t, r, f_mp, WEIGHTS[name], knots)
+    assert abs(mp.mpf(w_majorant(t, r, f, weight)) - want) <= 1e-12 * abs(want)
