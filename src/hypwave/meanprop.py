@@ -28,14 +28,16 @@ radius of one time or a block of a whole grid: each side of the log
 singularity lam* = |t - r| is mapped by lam = lam* +- H u^2 and graded
 geometrically toward u = 0, with panels on the table's grid cells (so
 each integrates one cubic of the interpolant) or on unit steps and the
-profile's knots. Its evaluator yields chunks of whole panels and keeps
-its intermediates in buffers that the chunks reuse. 1 - kappa comes from
+profile's knots. Its evaluator yields chunks of whole panels, node-major
+(one row per node index, one column per panel), and keeps its
+intermediates in buffers that the chunks reuse. 1 - kappa comes from
 the weight's factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact
 gaps g = M - c and M - b, as a ratio of P's times a ratio of Q's, so no
 product of two small lengths is formed. The table scatters the nodes of
-one lag to their cells as moments w xi^p; linear_field sums each panel
-to its point, over blocks of _POINT_BLOCK grid points; sine_propagator,
-W_evaluator and w_majorant settle over doubling node levels.
+a block of whole lags, at most _POINT_BLOCK points, to their cells as
+moments w xi^p; linear_field sums each panel to its point, over blocks
+of _POINT_BLOCK grid points; sine_propagator, W_evaluator and w_majorant
+settle over doubling node levels.
 
 The spherical mean keeps a rule of its own, the independent check of its
 identities: cosh(lam) = midpoint + halfwidth*cos(theta) removes both
@@ -168,7 +170,11 @@ class SpaceTimeField:
 def _two_cosh_gap(x, g):
     """2cosh x - 2cosh(x - g) = 2 sinh(x - g/2) * 2 sinh(g/2)."""
     h = 0.5 * g
-    return 2.0 * np.sinh(x - h), 2.0 * np.sinh(h)
+    P = np.sinh(x - h)
+    P *= 2.0
+    Q = np.sinh(h)
+    Q *= 2.0
+    return P, Q
 
 
 class MonotoneWeight:
@@ -373,8 +379,10 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
     r are arrays that broadcast, so a scalar t serves every radius. Builds
     the panels once and returns nodes(n_gl), which yields chunks
     (row, lam, w): row, shape (panels,), names each panel's point, and lam
-    and w, shape (panels, n), hold its n nodes and weights, so that the
-    integral at point k ~= sum of w f(lam) over the panels with row == k.
+    and w, shape (n, panels), hold its n nodes and weights in column i
+    for panel i, so that the integral at point k ~= sum of w f(lam) over
+    the columns with row == k. The layout is node-major so that every
+    per-panel operand of the evaluator broadcasts along the long axis.
     A chunk holds at most _NODE_CHUNK nodes, all from one side of lam*
     with one node count n, rows ascending. row, lam and w are fresh
     arrays the consumer owns; the evaluator's intermediates live in
@@ -388,7 +396,10 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
     A panel gets n_gl Gauss nodes; twice that when its centre lies within
     two widths of u = 0, three quarters when it is narrower than 1/4 in
     lam and eight widths or more away. A side's panels, and every bit of
-    its nodes and weights, do not depend on the other points of the call.
+    its nodes and weights, do not depend on the other points of the call,
+    but for one case: a break on the side's own end t + r can survive the
+    rounding of u as a sliver panel of negligible weight, and the call
+    has that break only when a farther point carries the breaks past it.
 
     1 - kappa = (a(M) - a(c)) / (a(M) - a(b)) comes from the weight's gap
     factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact gaps
@@ -436,54 +447,60 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
              for sel, times in ((close, 2.0), (~close & ~far, 1.0), (far, 0.75))
              for is_right in (True, False)]
 
+    def chunk(pool, b, n, xg, wg, is_right):
+        # lam and w of the panels b, shaped (n, panels), from the five node
+        # buffers in pool; a function, so that no intermediate outlives it
+        ob = o[b]
+        U, D, Mc, Mb, M = pool[:, :n * b.size].reshape(5, n, b.size)
+        Hb, stb, rb, tb = H[ob], st[ob], rr[ob], tt[ob]
+        np.multiply(xg, half[b], out=U)
+        U += mid[b]  # u
+        np.multiply(Hb, U, out=D)
+        D *= U  # d = H u^2
+        if is_right:  # M - c = d + gap_c, M - b = 2 min(r, lam)
+            lam = stb + D
+            gc = np.add(D, gap_c[ob], out=Mc)
+            gb = np.minimum(rb, lam, out=Mb)
+            gb *= 2.0
+            x = np.add(rb, lam, out=M)
+            np.maximum(tb, x, out=x)
+        else:  # M = t, M - c = d, M - b = min(2r + d, lam* + lam)
+            lam = stb - D
+            gb = np.add(2.0 * rb, D, out=Mb)
+            np.minimum(gb, np.add(stb, lam, out=M), out=gb)
+            gc, x = D, tb
+        # Q may be the gap array itself (s^2), so Mb must outlive _agm_K,
+        # which runs in Mc and M, and Qc is read before D turns into the
+        # weights
+        Pc, Qc = a.gap(x, gc)
+        if majorant:  # pi / sqrt(a(M) - a(c))
+            K = w = np.pi / (np.sqrt(Pc) * np.sqrt(Qc))
+        else:
+            Pb, Qb = a.gap(x, gb)
+            Pc /= Pb
+            Pc *= np.divide(Qc, Qb, out=Qc)
+            np.minimum(Pc, 1.0, out=Pc)  # 1 - kappa
+            K = _agm_K(Pc, work=(Mc, M))
+            K *= 2.0
+            w = np.sqrt(Pb, out=Pb)
+            w *= np.sqrt(Qb, out=Qb)
+            K /= w  # 2 K / sqrt(a(M) - a(b))
+        np.multiply(2.0 * Hb, U, out=U)  # dlam/du
+        np.multiply(wg, half[b], out=D)
+        D *= U
+        return lam, np.multiply(D, K, out=w)
+
     def nodes(n_gl):
         # five node buffers, each as long as the largest chunk (a chunk
         # holds one panel when its 2 n_gl nodes exceed _NODE_CHUNK)
         pool = np.empty((5, max(_NODE_CHUNK, 2 * n_gl)))
         for sel, times, is_right in tiers:
             n = int(times * n_gl)
-            xg, wg = leggauss(n)
+            xg, wg = (g[:, None] for g in leggauss(n))
             per = max(_NODE_CHUNK // n, 1)
             for s in range(0, sel.size, per):
                 b = sel[s:s + per]
-                ob = o[b]
-                U, D, Mc, Mb, M = pool[:, :b.size * n].reshape(5, b.size, n)
-                Hb, stb, rb, tb = H[ob, None], st[ob, None], rr[ob, None], tt[ob, None]
-                np.multiply(half[b, None], xg, out=U)
-                U += mid[b, None]  # u
-                np.multiply(Hb, U, out=D)
-                D *= U  # d = H u^2
-                if is_right:  # M - c = d + gap_c, M - b = 2 min(r, lam)
-                    lam = stb + D
-                    gc = np.add(D, gap_c[ob, None], out=Mc)
-                    gb = np.minimum(rb, lam, out=Mb)
-                    gb *= 2.0
-                    x = np.add(rb, lam, out=M)
-                    np.maximum(tb, x, out=x)
-                else:  # M = t, M - c = d, M - b = min(2r + d, lam* + lam)
-                    lam = stb - D
-                    gb = np.add(2.0 * rb, D, out=Mb)
-                    np.minimum(gb, np.add(stb, lam, out=M), out=gb)
-                    gc, x = D, tb
-                # Q may be the gap array itself (s^2), so Mb must outlive
-                # _agm_K, which runs in Mc and M, and Qc is read before
-                # D turns into the weights
-                Pc, Qc = a.gap(x, gc)
-                if majorant:  # pi / sqrt(a(M) - a(c))
-                    K = np.pi / (np.sqrt(Pc) * np.sqrt(Qc))
-                else:
-                    Pb, Qb = a.gap(x, gb)
-                    Pc = Pc / Pb
-                    Pc *= Qc / Qb
-                    np.minimum(Pc, 1.0, out=Pc)  # 1 - kappa
-                    K = _agm_K(Pc, work=(Mc, M))
-                    K *= 2.0
-                    K /= np.sqrt(Pb) * np.sqrt(Qb)  # 2 K / sqrt(a(M) - a(b))
-                np.multiply(2.0 * Hb, U, out=U)  # dlam/du
-                np.multiply(half[b, None], wg, out=D)
-                D *= U
-                w = D * K
-                yield row[ob], lam, w
+                yield row[o[b]], *chunk(pool, b, n, xg, wg, is_right)
 
     return nodes
 
@@ -496,7 +513,7 @@ def _kernel_value(t, r, prof, a, what, majorant=False):
                           majorant=majorant)
 
     def value(n_gl):
-        return float(sum(np.dot(w.ravel(), prof(lam.ravel()))
+        return float(sum(np.dot(w.T.ravel(), prof(lam.T.ravel()))
                          for _, lam, w in nodes(n_gl)))
 
     n0 = _KERNEL_LEVEL
@@ -551,7 +568,8 @@ def linear_field(phi, t_grid, r_grid):
         for row, lam, w in nodes(2 * _KERNEL_LEVEL):
             w *= np.sinh(lam)
             w *= prof(lam)
-            acc += np.bincount(row, weights=w.sum(axis=1), minlength=acc.size)
+            acc += np.bincount(row, weights=np.ascontiguousarray(w.T).sum(axis=1),
+                               minlength=acc.size)
     return SpaceTimeField(t_grid, r_grid, out.reshape(t_grid.size, r_grid.size) / np.pi)
 
 
@@ -607,6 +625,48 @@ _STENCIL = np.array([[0.0, -1.0 / 3.0, 0.5, -1.0 / 6.0],
                      [0.0, -1.0 / 6.0, 0.0, 1.0 / 6.0]])
 
 
+def _uniform_step(name, grid):
+    """The step of a uniform grid from 0, which PropagatorTable requires:
+    every step within 1e-9 of the first (no absolute slack) and positive.
+    DomainError names the grid and its first bad step."""
+    steps = np.diff(grid)
+    h = steps[0]
+    bad = np.flatnonzero(~(np.abs(steps - h) <= 1e-9 * h))  # NaN counts as bad
+    if grid[0] != 0.0:
+        problem = f"it starts at {float(grid[0])!r}"
+    elif not h > 0.0:
+        problem = f"its first step is {float(h)!r}"
+    elif bad.size:
+        k = bad[0]
+        problem = f"step {k} is {float(steps[k])!r} against a first step of {float(h)!r}"
+    else:
+        return h
+    raise DomainError(f"PropagatorTable requires a uniform {name} grid from 0 "
+                      f"with a positive step; {problem}")
+
+
+def _add_moments(mom, width, inv_dr, row, lam, w):
+    """Scatters one _kernel_nodes chunk of the table's rule to the moments
+    of its cells: the node at lam = dr (l0 + xi), 0 <= xi < 1, of point j
+    adds w sinh(lam) / pi xi^p to mom[p, j width + l0], p = 0..3, with l0
+    capped at the dump cell width - 1. Overwrites lam and w."""
+    l0 = np.sinh(lam)
+    w *= l0
+    w /= np.pi
+    lam *= inv_dr
+    np.floor(lam, out=l0)
+    xi = np.subtract(lam, l0, out=lam)
+    np.minimum(l0, width - 1, out=l0)
+    # rows ascend, so a chunk touches the moments of rows lo..hi-1
+    lo, hi = row[0], row[-1] + 1
+    flat = l0.astype(np.intp)
+    flat += (row - lo) * width
+    part = mom[:, lo * width:hi * width]
+    for p in range(4):
+        part[p] += np.bincount(flat.ravel(), weights=w.ravel(), minlength=part.shape[1])
+        w *= xi
+
+
 class PropagatorTable:
     """Precomputed linear propagation on a fixed rectangular grid.
 
@@ -622,12 +682,16 @@ class PropagatorTable:
     A[d] is the first level (_KERNEL_LEVEL nodes per panel) of
     sine_propagator's kernel rule at t = d*dt, with panels on the grid
     cells, where the interpolant is one cubic, up to r_max + 2 dr, past
-    which the stencil misses the grid. A node at lam = dr (l0 + xi), 0 <= xi < 1, adds
-    w xi^p (p = 0..3) to the moments of its cell (j, l0), four bincounts
-    over one flat index (nodes past the grid would share a dump cell).
-    The stencil's monomial coefficients then turn the moments of cell l0
-    into the entries l0-1 .. l0+2 of row j, the entry -1 folds onto 1
-    (the even reflection) and the columns >= n_r are dropped.
+    which the stencil misses the grid. The lags go to _kernel_nodes in
+    blocks of whole lags, as many as fit in _POINT_BLOCK points and at
+    least one, one call and one moment array per block. A node at
+    lam = dr (l0 + xi), 0 <= xi < 1, adds w xi^p (p = 0..3) to the
+    moments of its cell (j, l0), four bincounts per chunk over one flat
+    index (nodes past the grid would share a dump cell). The stencil's
+    monomial coefficients then turn the moments of cell l0 into the
+    entries l0-1 .. l0+2 of row j, the entry -1 folds onto 1 (the even
+    reflection) and the columns >= n_r are dropped. Both grids must be
+    uniform from 0 with a positive step (_uniform_step).
 
     apply_linear contracts the table against a sampled data profile.
     duhamel_field evaluates the source integral on the whole grid, for one
@@ -640,51 +704,40 @@ class PropagatorTable:
         r_grid = np.asarray(r_grid, dtype=float)
         if t_grid.size < 2 or r_grid.size < 2:
             raise DomainError("PropagatorTable needs at least a 2x2 grid")
-        dt = t_grid[1] - t_grid[0]
-        dr = r_grid[1] - r_grid[0]
-        if not np.allclose(np.diff(t_grid), dt, rtol=1e-9) or t_grid[0] != 0.0:
-            raise DomainError("PropagatorTable requires a uniform time grid from 0")
-        if not np.allclose(np.diff(r_grid), dr, rtol=1e-9) or r_grid[0] != 0.0:
-            raise DomainError("PropagatorTable requires a uniform radius grid from 0")
+        dt = _uniform_step("time", t_grid)
+        dr = _uniform_step("radius", r_grid)
         self.t_grid = t_grid
         self.r_grid = r_grid
         self.dt = dt
         self.dr = dr
         n_t, n_r = t_grid.size, r_grid.size
+        per = max(_POINT_BLOCK // n_r, 1)  # whole lags per _kernel_nodes call
         A = np.zeros((n_t, n_r, n_r))
-        for d in range(1, n_t):
-            A[d] = self._lag_matrix(d * dt)
+        for d0 in range(1, n_t, per):
+            d1 = min(d0 + per, n_t)
+            A[d0:d1] = self._lag_block(np.arange(d0, d1) * dt)
         self._A = A
 
-    def _lag_matrix(self, t):
-        n_r = self.r_grid.size
+    def _lag_block(self, t):
+        """A[d] for the lags t = d dt of one block, shape (t.size, n_r, n_r),
+        from one _kernel_nodes call over all their points."""
+        n_r, dr = self.r_grid.size, self.dr
         width = n_r + 2  # cells l0 = 0 .. n_r, then the dump cell
-        mom = np.zeros((4, n_r * width))
-        inv_dr = 1.0 / self.dr
+        points = t.size * n_r
+        mom = np.zeros((4, points * width))
         # from lam = (n_r + 1) dr on, the whole stencil lies past the grid
-        nodes = _kernel_nodes(t, self.r_grid, _TWO_COSH, self.dr,
-                              lam_max=(n_r + 1) * self.dr)
-        for row, lam, w in nodes(_KERNEL_LEVEL):
-            w *= np.sinh(lam)
-            w /= np.pi
-            pos = lam * inv_dr
-            l0 = np.floor(pos)
-            xi = pos - l0
-            cell = np.minimum(l0, n_r + 1).astype(np.intp)
-            # rows ascend, so a chunk touches the moments of rows lo..hi-1
-            lo, hi = row[0], row[-1] + 1
-            flat = (((row - lo) * width)[:, None] + cell).ravel()
-            part = mom[:, lo * width:hi * width]
-            for p in range(4):
-                part[p] += np.bincount(flat, weights=w.ravel(), minlength=part.shape[1])
-                w *= xi
+        nodes = _kernel_nodes(np.repeat(t, n_r), np.tile(self.r_grid, t.size),
+                              _TWO_COSH, dr, lam_max=(n_r + 1) * dr)
+        inv_dr = 1.0 / dr
+        for chunk in nodes(_KERNEL_LEVEL):
+            _add_moments(mom, width, inv_dr, *chunk)
         # entry l0 + o - 1 of row j gets sum_p _STENCIL[o, p] mom[p, j, l0]
-        coef = np.tensordot(_STENCIL, mom.reshape(4, n_r, width), axes=1)
-        M = np.zeros((n_r, width + 3))
+        coef = np.tensordot(_STENCIL, mom.reshape(4, points, width), axes=1)
+        M = np.zeros((points, width + 3))
         for o in range(4):
             M[:, o:o + width] += coef[o]
         M[:, 2] += M[:, 0]  # even reflection through r = 0: entry -1 is entry 1
-        return M[:, 1:n_r + 1]
+        return M[:, 1:n_r + 1].reshape(t.size, n_r, n_r)
 
     def apply_linear(self, data_values):
         """Field of I(t_i, r_j, f) for f sampled on the r grid (zero beyond)."""

@@ -9,14 +9,18 @@ independent check of what the library computes another way:
   a profile and the index of a time on its grid;
 * duhamel, the Duhamel integral at one point as a Newton-Cotes sum of
   pointwise sine propagators over the source's time slices, the check of
-  PropagatorTable.duhamel_field.
+  PropagatorTable.duhamel_field;
+* per_lag_table, PropagatorTable's matrices built one _kernel_nodes call
+  per lag, each node scattered to its cell's moments in panel order, the
+  check of the table's lag blocks.
 """
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from hypwave.hypgeo import DomainError
-from hypwave.meanprop import RadialProfile, _time_weights, sine_propagator
+from hypwave.meanprop import (_KERNEL_LEVEL, _STENCIL, _TWO_COSH, RadialProfile,
+                              _kernel_nodes, _time_weights, sine_propagator)
 
 
 def from_samples(lam, values, support_radius=None):
@@ -82,3 +86,48 @@ def duhamel(F, t, r):
             continue
         total += w[k] * sine_propagator(slice_profile(F, k), lag, r)
     return float(total)
+
+
+def per_lag_table(t_grid, r_grid):
+    """PropagatorTable(t_grid, r_grid)._A as the table built it before its
+    lag blocks: one _kernel_nodes call and one moment array per lag, the
+    nodes of each chunk scattered in (panel, node) order."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    r_grid = np.asarray(r_grid, dtype=float)
+    dt, dr = t_grid[1] - t_grid[0], r_grid[1] - r_grid[0]
+    n_t, n_r = t_grid.size, r_grid.size
+    A = np.zeros((n_t, n_r, n_r))
+    for d in range(1, n_t):
+        A[d] = _lag_matrix(d * dt, r_grid, dr)
+    return A
+
+
+def _lag_matrix(t, r_grid, dr):
+    n_r = r_grid.size
+    width = n_r + 2  # cells l0 = 0 .. n_r, then the dump cell
+    mom = np.zeros((4, n_r * width))
+    inv_dr = 1.0 / dr
+    # from lam = (n_r + 1) dr on, the whole stencil lies past the grid
+    nodes = _kernel_nodes(t, r_grid, _TWO_COSH, dr, lam_max=(n_r + 1) * dr)
+    for row, lam, w in nodes(_KERNEL_LEVEL):
+        lam, w = lam.T, w.T  # (panels, n)
+        w *= np.sinh(lam)
+        w /= np.pi
+        pos = lam * inv_dr
+        l0 = np.floor(pos)
+        xi = pos - l0
+        cell = np.minimum(l0, n_r + 1).astype(np.intp)
+        # rows ascend, so a chunk touches the moments of rows lo..hi-1
+        lo, hi = row[0], row[-1] + 1
+        flat = (((row - lo) * width)[:, None] + cell).ravel()
+        part = mom[:, lo * width:hi * width]
+        for p in range(4):
+            part[p] += np.bincount(flat, weights=w.ravel(), minlength=part.shape[1])
+            w *= xi
+    # entry l0 + o - 1 of row j gets sum_p _STENCIL[o, p] mom[p, j, l0]
+    coef = np.tensordot(_STENCIL, mom.reshape(4, n_r, width), axes=1)
+    M = np.zeros((n_r, width + 3))
+    for o in range(4):
+        M[:, o:o + width] += coef[o]
+    M[:, 2] += M[:, 0]  # even reflection through r = 0: entry -1 is entry 1
+    return M[:, 1:n_r + 1]

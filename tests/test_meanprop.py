@@ -39,7 +39,7 @@ from hypwave.meanprop import (
     spherical_mean,
     w_majorant,
 )
-from references import duhamel, from_samples, slice_profile, time_index
+from references import duhamel, from_samples, per_lag_table, slice_profile, time_index
 
 EP1 = EnvelopeParams(k=1.0)
 
@@ -397,6 +397,25 @@ class TestPropagatorTable:
         with pytest.raises(DomainError):
             PropagatorTable(np.linspace(0, 1, 5), np.linspace(1, 2, 5))
 
+    @pytest.mark.parametrize("t_grid, r_grid, grid, problem", [
+        ([0.0, 1e-9, 5e-9], np.linspace(0, 1, 5), "time",
+         f"step 1 is {5e-9 - 1e-9!r} against a first step of 1e-09"),
+        ([0.0, -0.1, -0.2], np.linspace(0, 1, 5), "time", "its first step is -0.1"),
+        (np.linspace(0, 1, 5), [0.0, -0.25, -0.5], "radius", "its first step is -0.25"),
+        (np.linspace(0, 1, 5), [0.0, 0.0, 0.5], "radius", "its first step is 0.0"),
+        (np.linspace(0, 1, 5), [0.0, 0.5, 1.0, np.nan], "radius",
+         "step 2 is nan against a first step of 0.5"),
+        (np.linspace(0, 1, 5), [0.5, 1.0, 1.5], "radius", "it starts at 0.5"),
+    ], ids=["tiny-time-steps", "decreasing-time", "decreasing-radius", "zero-step",
+            "nan-radius", "radius-off-zero"])
+    def test_bad_grid_is_named(self, t_grid, r_grid, grid, problem):
+        # no absolute slack: steps of 1e-9 and 4e-9 are not uniform, and a
+        # non-positive step fails before _kernel_nodes sees a negative r
+        with pytest.raises(DomainError) as err:
+            PropagatorTable(t_grid, r_grid)
+        assert str(err.value) == (f"PropagatorTable requires a uniform {grid} grid "
+                                  f"from 0 with a positive step; {problem}")
+
     def test_shape_checks(self, table):
         with pytest.raises(DomainError):
             table.apply_linear(np.zeros(7))
@@ -596,7 +615,7 @@ def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
     M - b = min(2r + (1 - fr) d, lam* + lam + fr d), a(M) - a(b) and
     a(M) - a(c) as the weight's difference quotient times the gap, and
     seven AGM steps from a = 1. It takes points and yields chunks as
-    _kernel_nodes does, W's kernel only."""
+    _kernel_nodes does, lam and w shaped (n, panels), W's kernel only."""
     assert not majorant
     H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = reference_panels(
         t, r, step, knots, lam_max)
@@ -617,16 +636,16 @@ def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
             for s in range(0, sel.size, per):
                 b = sel[s:s + per]
                 ob = o[b]
-                uu = mid[b, None] + half[b, None] * xg
-                Hb, stb, rb, fr = H[ob, None], st[ob, None], rr[ob, None], on_right[ob, None]
+                uu = mid[b] + half[b] * xg[:, None]
+                Hb, stb, rb, fr = H[ob], st[ob], rr[ob], on_right[ob]
                 d = Hb * uu * uu
-                lam = stb + sgn[ob, None] * d
-                Mc = d + gap_c[ob, None]
+                lam = stb + sgn[ob] * d
+                Mc = d + gap_c[ob]
                 Mb = np.minimum(2.0 * rb + (1.0 - fr) * d, stb + lam + fr * d)
-                M = np.maximum(tt[ob, None], rb + lam)
+                M = np.maximum(tt[ob], rb + lam)
                 amb = a.dq(M, M - Mb) * Mb
                 m1 = np.minimum(a.dq(M, M - Mc) * Mc / amb, 1.0)
-                w = (half[b, None] * wg) * (2.0 * Hb * uu) * (
+                w = (half[b] * wg[:, None]) * (2.0 * Hb * uu) * (
                     2.0 * agm_K(m1) / np.sqrt(amb))
                 yield row[ob], lam, w
 
@@ -637,8 +656,9 @@ def expression_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
                             majorant=False):
     """meanprop._kernel_nodes with the factorised formula written as plain
     array expressions, as it was before its evaluator ran in reused
-    buffers: the buffered one must round every node the same way. W's
-    kernel only."""
+    buffers: the buffered one must round every node the same way. Its
+    chunks are shaped as _kernel_nodes' are, (n, panels). W's kernel
+    only."""
     assert not majorant
     H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = reference_panels(
         t, r, step, knots, lam_max)
@@ -654,12 +674,12 @@ def expression_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
                 for s in range(0, sel.size, per):
                     b = sel[s:s + per]
                     ob = o[b]
-                    uu = mid[b, None] + half[b, None] * xg
-                    Hb, stb, rb, tb = H[ob, None], st[ob, None], rr[ob, None], tt[ob, None]
+                    uu = mid[b] + half[b] * xg[:, None]
+                    Hb, stb, rb, tb = H[ob], st[ob], rr[ob], tt[ob]
                     d = Hb * uu * uu
                     if is_right:
                         lam = stb + d
-                        Mc, Mb = d + gap_c[ob, None], 2.0 * np.minimum(rb, lam)
+                        Mc, Mb = d + gap_c[ob], 2.0 * np.minimum(rb, lam)
                         M = np.maximum(tb, rb + lam)
                     else:
                         lam = stb - d
@@ -667,7 +687,7 @@ def expression_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
                     Pc, Qc = a.gap(M, Mc)
                     Pb, Qb = a.gap(M, Mb)
                     m1 = np.minimum((Pc / Pb) * (Qc / Qb), 1.0)
-                    w = (half[b, None] * wg) * (2.0 * Hb * uu) * (
+                    w = (half[b] * wg[:, None]) * (2.0 * Hb * uu) * (
                         2.0 * _agm_K(m1) / (np.sqrt(Pb) * np.sqrt(Qb)))
                     yield row[ob], lam, w
 
@@ -743,10 +763,81 @@ class TestBufferedEvaluator:
         assert np.array_equal(PropagatorTable(t_grid, r_grid)._A, ref._A)
 
 
+def counting_kernel_nodes(monkeypatch):
+    """Wraps meanprop._kernel_nodes: returns the list of calls, each the
+    number of (t, r) points it took and the (row, lam, w) shapes of the
+    chunks its nodes() yielded."""
+    calls, orig = [], meanprop._kernel_nodes
+
+    def counting(t, r, *args, **kwargs):
+        shapes = []
+        calls.append((np.broadcast(t, r).size, shapes))
+        nodes = orig(t, r, *args, **kwargs)
+
+        def counted(n_gl):
+            for row, lam, w in nodes(n_gl):
+                shapes.append((row.shape, lam.shape, w.shape))
+                yield row, lam, w
+
+        return counted
+
+    monkeypatch.setattr(meanprop, "_kernel_nodes", counting)
+    return calls
+
+
+# the bench's contract grid, whose 40 lags end in a partial block of 1;
+# t_max > r_max; dt = 0.04 on dr = 0.05, so lam* falls inside cells; a
+# single lag; more radii than _POINT_BLOCK, one lag per block; 20 lags in
+# blocks of 6
+LAG_GRIDS = [(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 4.0, 81)),
+             (np.linspace(0.0, 3.0, 13), np.linspace(0.0, 2.0, 21)),
+             (np.arange(26) * 0.04, np.linspace(0.0, 2.0, 41)),
+             (np.linspace(0.0, 0.1, 2), np.linspace(0.0, 4.0, 21)),
+             (np.linspace(0.0, 0.5, 6), np.linspace(0.0, 12.8, 257)),
+             (np.linspace(0.0, 1.0, 21), np.linspace(0.0, 2.0, 41))]
+LAG_IDS = ["41x81", "t_max>r_max", "dt=0.04,dr=0.05", "n_t=2", "n_r>=block", "21x41"]
+
+
+class TestLagBlocks:
+    # the table builds the lags of a block of whole lags, at most
+    # _POINT_BLOCK points, in one _kernel_nodes call; only the order in
+    # which each moment sums its nodes moves
+    @pytest.mark.parametrize("t_grid, r_grid", LAG_GRIDS, ids=LAG_IDS)
+    def test_matches_the_per_lag_loop(self, t_grid, r_grid):
+        got = finite_table(t_grid, r_grid)._A
+        assert_close_to_max(got, per_lag_table(t_grid, r_grid), 1e-14)
+
+    @pytest.mark.parametrize("t_grid, r_grid", LAG_GRIDS, ids=LAG_IDS)
+    def test_one_call_per_block(self, monkeypatch, t_grid, r_grid):
+        calls = counting_kernel_nodes(monkeypatch)
+        PropagatorTable(t_grid, r_grid)
+        n_t, n_r = t_grid.size, r_grid.size
+        per = max(meanprop._POINT_BLOCK // n_r, 1)
+        sizes = [size for size, _ in calls]
+        assert len(sizes) == -(-(n_t - 1) // per)
+        assert sum(sizes) == (n_t - 1) * n_r and all(s % n_r == 0 for s in sizes)
+        assert max(sizes) <= max(meanprop._POINT_BLOCK, n_r)
+
+    @pytest.mark.parametrize("build", ["table", "linear_field"])
+    def test_chunks_hold_at_most_node_chunk_nodes(self, monkeypatch, build):
+        t_grid, r_grid = LAG_GRIDS[0]
+        calls = counting_kernel_nodes(monkeypatch)
+        if build == "table":
+            PropagatorTable(t_grid, r_grid)
+        else:
+            linear_field(theta1, t_grid, r_grid)
+        shapes = [shape for _, chunks in calls for shape in chunks]
+        assert len(shapes) > len(calls)  # some calls take several chunks
+        for (panels,), lam, w in shapes:
+            assert lam == w and lam[1] == panels  # (n, panels)
+            assert lam[0] * panels <= meanprop._NODE_CHUNK
+
+
 def per_level_linear_field(phi, t_grid, r_grid):
     """linear_field as it was before the point blocks, its reference: one
     _kernel_nodes call per time level for all radii, each node's
-    w sinh(lam) phi(lam) summed to its radius in node order."""
+    w sinh(lam) phi(lam) summed to its radius panel by panel, in node
+    order within each."""
     prof = meanprop._as_profile(phi)
     out = np.zeros((t_grid.size, r_grid.size))
     for i, t in enumerate(t_grid):
@@ -754,17 +845,18 @@ def per_level_linear_field(phi, t_grid, r_grid):
             nodes = meanprop._kernel_nodes(t, r_grid, meanprop._TWO_COSH, 1.0,
                                            prof.knots)
             for row, lam, w in nodes(2 * meanprop._KERNEL_LEVEL):
-                out[i] += np.bincount(np.repeat(row, lam.shape[1]),
-                                      weights=(w * np.sinh(lam) * prof(lam)).ravel(),
+                out[i] += np.bincount(np.repeat(row, lam.shape[0]),
+                                      weights=(w * np.sinh(lam) * prof(lam)).T.ravel(),
                                       minlength=r_grid.size)
     return out / np.pi
 
 
 def nodes_by_point(chunks, n_points):
-    """The (lam, w) rows of every panel, gathered per point in chunk order."""
+    """The (lam, w) of every panel, the columns of the (n, panels) chunks,
+    gathered per point in chunk order."""
     lam_of, w_of = [[] for _ in range(n_points)], [[] for _ in range(n_points)]
     for row, lam, w in chunks:
-        for k, lam_k, w_k in zip(row, lam, w):
+        for k, lam_k, w_k in zip(row, lam.T, w.T):
             lam_of[k].append(lam_k)
             w_of[k].append(w_k)
     return lam_of, w_of
@@ -798,15 +890,10 @@ class TestLinearFieldBlocks:
             assert_close_to_max(linear_field(phi, t_grid, r_grid).values, want, 1e-15)
 
     def test_one_block_per_call(self, monkeypatch):
-        sizes, orig = [], meanprop._kernel_nodes
-
-        def counting(t, r, *args, **kwargs):
-            sizes.append(np.broadcast(t, r).size)
-            return orig(t, r, *args, **kwargs)
-
-        monkeypatch.setattr(meanprop, "_kernel_nodes", counting)
+        calls = counting_kernel_nodes(monkeypatch)
         t_grid, r_grid = BLOCK_GRIDS[0]
         linear_field(theta1, t_grid, r_grid)
+        sizes = [size for size, _ in calls]
         n = t_grid.size * r_grid.size
         assert n > meanprop._POINT_BLOCK
         assert max(sizes) <= meanprop._POINT_BLOCK and sum(sizes) == n
