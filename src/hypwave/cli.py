@@ -6,18 +6,10 @@ Usage:
             --config <file> [--out <dir>] [--seed <n>]
 
 The config file is INI-style: [section] headers and key = value pairs,
-one level deep, parsed by configparser. Sections used by each command:
-
-    propagate    [grid] [data] [propagate]
-    solve        [grid] [data] [solver] [nonlinearity]
-    decay        [grid] [decay]
-    contraction  [grid] [data] [solver] [nonlinearity] [contraction]
-    blowup       [blowup] [nonlinearity] [escape]
-    certify      [blowup] [nonlinearity] [certify]
-
-A command ignores the sections it does not use, but a section outside
-this table (a misspelt [solvr], or a [DEFAULT] that sets keys) is a
-config error.
+one level deep, parsed by configparser. _SCHEMA below lists the sections
+and keys each command reads, with their types and defaults (README's
+config reference is the same table). Any other section or key, a
+[DEFAULT] that sets keys included, is a config error.
 
 Every output is a CSV file with a header row, UTF-8 encoded, LF line
 endings, floats serialized with 17 significant digits, written to --out
@@ -46,18 +38,118 @@ from pathlib import Path
 
 __all__ = ["main", "ConfigError"]
 
-_COMMANDS = ("propagate", "solve", "decay", "contraction", "blowup",
-             "certify")
-
-_SECTIONS = ("grid", "data", "propagate", "solver", "nonlinearity", "decay",
-             "contraction", "blowup", "escape", "certify")
-
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 class ConfigError(Exception):
     """A problem with the config file, reported with exit code 2."""
+
+
+# ---------------------------------------------------------------------------
+# config schema
+
+
+def _bool(raw):
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+
+
+def _check(cast, ok, rule):
+    """cast, refusing a value for which ok is false; rule says what ok
+    asks ("at least 1") in the error and in the cast's name."""
+    def parse(raw):
+        value = cast(raw)
+        if not ok(value):
+            raise ConfigError(f"must be {rule}, got {value}")
+        return value
+    parse.__name__ = f"{cast.__name__}, {rule}"
+    return parse
+
+
+_COUNT = _check(int, lambda n: n >= 0, "nonnegative")
+_POSITIVE = _check(float, lambda x: x > 0, "positive")
+# first_iterate_bound integrates (sinh lam)^(1/2) up to lam = 13 tau0,
+# which overflows past lam = 1420
+_TAU0 = _check(float, lambda x: 0 < x <= 100, "in (0, 100]")
+_REQUIRED = object()
+
+
+def _grid(*defaults):
+    """[grid], in the order of SolverConfig.grid."""
+    return {key: (float, default)
+            for key, default in zip(("t_max", "r_max", "dt", "dr"), defaults)}
+
+
+def _nonlinearity(*kinds):
+    """[nonlinearity], defaulting to kinds[0]; p defaults to the command's
+    [solver] or [blowup] p."""
+    return {"kind": (kinds, kinds[0]), "p": (float, None), "q": (float, 2.0),
+            "delta0": (float, 0.45), "A": (float, 2.0)}
+
+
+_BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_TAU0, 1.0),
+           "epsilon": (float, _REQUIRED), "delta0": (float, 0.45),
+           "C0": (float, None), "m_max": (_COUNT, 20)}  # C0: default_C0(tau0)
+
+# command -> section -> key -> (cast, default). A cast is float, int, _bool,
+# a tuple of choices or a _check; a default is a value, _REQUIRED, or None
+# for one computed in the code or left to the dataclass the key feeds.
+# The grids are FDConfig's (propagate, decay) and SolverConfig's defaults.
+_SCHEMA = {
+    "propagate": {
+        "grid": _grid(4.0, 8.0, 0.04, 0.05),
+        "data": {"kind": (("zero", "constant", "theta", "bump"), "zero"),
+                 "value": (float, 1.0), "k": (float, 1.0),
+                 "tau0": (float, 1.0)},
+        "propagate": {"engine": (("kernel", "fd", "both"), "kernel")},
+    },
+    "solve": {
+        "grid": _grid(8.0, 8.0, 0.05, 0.05),
+        "data": {"k": (float, 1.0)},
+        "solver": {"p": (float, _REQUIRED), "h": (float, _REQUIRED),
+                   "epsilon": (float, _REQUIRED), "max_iters": (int, None),
+                   "fixed_point_tol": (float, None)},
+        "nonlinearity": _nonlinearity("canonical_sinh_inverse",
+                                      "piecewise_generic", "none"),
+    },
+    "decay": {
+        "grid": _grid(4.0, 8.0, 0.04, 0.05),
+        "decay": {"k": (float, 1.0), "ray_offset": (float, 1.0),
+                  "min_r": (float, 1.0)},
+    },
+    "contraction": {
+        "grid": _grid(8.0, 8.0, 0.05, 0.05),
+        "data": {"k": (float, 1.0)},
+        "solver": {"p": (float, _REQUIRED), "h": (float, _REQUIRED),
+                   "epsilon": (float, 0.1)},
+        # kind = none would measure nothing
+        "nonlinearity": _nonlinearity("canonical_sinh_inverse",
+                                      "piecewise_generic"),
+        "contraction": {
+            "mode": (("probe", "threshold"), "probe"),
+            "n_pairs": (_check(int, lambda n: n >= 1, "at least 1"), 20),
+            "target_ratio": (_POSITIVE, 0.5), "n_steps": (_COUNT, 20)},
+    },
+    "blowup": {
+        "blowup": _BLOWUP,
+        "nonlinearity": _nonlinearity("piecewise_generic",
+                                      "canonical_sinh_inverse", "none"),
+        "escape": {"enabled": (_bool, True), "t_max": (float, 40.0),
+                   "dr": (float, None), "dt": (float, None),
+                   "r_max": (float, None),  # t_max + 3.5 tau0 + 0.1
+                   "threshold_factor": (_POSITIVE, 10.0)},
+    },
+    "certify": {
+        "blowup": _BLOWUP,
+        # kind = none cannot blow up
+        "nonlinearity": _nonlinearity("piecewise_generic",
+                                      "canonical_sinh_inverse"),
+        "certify": {"dr": (float, None), "dt": (float, None),
+                    "r_max": (float, 9.0), "t_max": (float, 5.0),
+                    "snapshot_every": (int, 5), "field_scale": (float, 1.0),
+                    "normalize_tight": (_bool, False)},
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -78,152 +170,105 @@ def _apply_thread_cap():
         os.environ[var] = str(n)
 
 
-def _read_config(path):
+def _read_config(path, command):
+    """The config file at path checked against _SCHEMA[command], as
+    {section: {key: value}} over every section the command reads. A key
+    the file leaves out takes its default, or is absent when that is None.
+    Keys are matched case-insensitively, as configparser lowercases them.
+    """
     cp = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
+        given = {section: dict(cp.items(section)) for section in cp.sections()}
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}")
-    unknown = [s for s in cp.sections() if s not in _SECTIONS]
+    schema = _SCHEMA[command]
+    unknown = [section for section in given if section not in schema]
     if cp.defaults():  # configparser keeps [DEFAULT] out of sections()
         unknown.insert(0, cp.default_section)
     if unknown:
         raise ConfigError(
-            f"unknown section [{unknown[0]}] in {path}; the sections are "
-            + " ".join(f"[{name}]" for name in _SECTIONS))
-    return cp
+            f"unknown section [{unknown[0]}] in {path}; {command} reads "
+            + " ".join(f"[{section}]" for section in schema))
+    config = {}
+    for section, keys in schema.items():
+        raws = given.get(section, {})
+        names = [key.lower() for key in keys]
+        for name in raws:
+            if name not in names:
+                raise ConfigError(
+                    f"unknown key {name!r} in [{section}]; {command} reads "
+                    + ", ".join(keys))
+        config[section] = values = {}
+        for key, (cast, default) in keys.items():
+            raw, where = raws.get(key.lower()), f"key {key!r} in [{section}]"
+            if raw is None:
+                if default is _REQUIRED:
+                    raise ConfigError(f"missing {where}")
+                if default is not None:
+                    values[key] = default
+            elif isinstance(cast, tuple):
+                values[key] = raw.strip().lower()
+                if values[key] not in cast:
+                    raise ConfigError(f"{where} must be one of {cast}, got "
+                                      f"{values[key]!r}")
+            else:
+                try:
+                    values[key] = cast(raw)
+                except (ValueError, KeyError):
+                    raise ConfigError(f"{where}: cannot parse {raw!r}")
+                except ConfigError as exc:
+                    raise ConfigError(f"{where} {exc}")
+    return config
 
 
-_REQUIRED = object()
-
-
-def _parse_bool(raw):
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
-def _get(cp, section, key, cast=float, default=_REQUIRED):
-    if not cp.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} in section [{section}]")
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(
-            f"key {key!r} in [{section}]: cannot parse {raw!r}")
-
-
-def _choice(cp, section, key, allowed, default):
-    val = _get(cp, section, key, str, default).strip().lower()
-    if val not in allowed:
-        raise ConfigError(
-            f"key {key!r} in [{section}] must be one of {allowed}, "
-            f"got {val!r}")
-    return val
-
-
-def _fd_grid():
-    """FDConfig's default (t_max, r_max, dt, dr), the grid of propagate
-    and decay; solve and contraction default to SolverConfig's."""
-    from .fdoracle import FDConfig
-    return FDConfig.t_max, FDConfig.r_max, FDConfig.dt, FDConfig.dr
-
-
-def _grid(cp, default):
-    """(t_max, r_max, dt, dr) from [grid]; each missing key from default."""
-    return tuple(_get(cp, "grid", key, float, value)
-                 for key, value in zip(("t_max", "r_max", "dt", "dr"), default))
-
-
-def _data_profile(cp):
+def _data_profile(data):
     """The velocity profile u_t(0) from [data]; the position u(0) is 0."""
     from .blowlab import bump_profile
     from .hypgeo import EnvelopeParams, theta_k
     from .meanprop import RadialProfile
 
-    kind = _choice(cp, "data", "kind", ("zero", "constant", "theta", "bump"),
-                   "zero")
+    kind = data["kind"]
     if kind == "zero":
         return RadialProfile.constant(0.0)
     if kind == "constant":
-        return RadialProfile.constant(_get(cp, "data", "value", float, 1.0))
+        return RadialProfile.constant(data["value"])
     if kind == "theta":
-        k = _get(cp, "data", "k", float, 1.0)
-        params = EnvelopeParams(k=k)
+        params = EnvelopeParams(k=data["k"])
         return RadialProfile.from_function(lambda r: theta_k(r, params))
-    tau0 = _get(cp, "data", "tau0", float, 1.0)
-    return bump_profile(tau0)
+    return bump_profile(data["tau0"])
 
 
-def _label_critical(p):
-    if p == 3.0:
+def _nonlin_spec(nonlinearity, p):
+    """NonlinearitySpec from [nonlinearity], or None for kind = none; p is
+    the command's own unless [nonlinearity] sets it."""
+    from .nonlin import NonlinearitySpec
+
+    if nonlinearity["kind"] == "none":
+        return None
+    keys = {"p": p, **nonlinearity}
+    if keys["p"] == 3.0:
         print("wavecli: p = 3 is the critical exponent: "
               "critical, no theory backs this run", file=sys.stderr)
+    return NonlinearitySpec(**keys)
 
 
-def _nonlin_spec(cp, p, default_kind="canonical_sinh_inverse"):
-    """NonlinearitySpec from [nonlinearity], or None for kind = none."""
-    from .hypgeo import DomainError
-    from .nonlin import NonlinearitySpec, _blend_coeffs
-
-    kind = _choice(cp, "nonlinearity", "kind",
-                   ("canonical_sinh_inverse", "piecewise_generic", "none"),
-                   default_kind)
-    if kind == "none":
-        return None
-    p = _get(cp, "nonlinearity", "p", float, p)
-    _label_critical(p)
-    spec = NonlinearitySpec(
-        p=p,
-        q=_get(cp, "nonlinearity", "q", float, 2.0),
-        delta0=_get(cp, "nonlinearity", "delta0", float, 0.45),
-        A=_get(cp, "nonlinearity", "A", float, 2.0),
-        kind=kind)
-    if kind == "piecewise_generic":
-        # the blend's monotonicity check, which F_generic would run mid-run
-        try:
-            _blend_coeffs(spec.p, spec.q, spec.delta0)
-        except DomainError as exc:
-            raise ConfigError(f"[nonlinearity]: {exc}")
-    return spec
-
-
-def _blowup_params(cp):
+def _blowup_params(blowup):
+    """BlowupParams from [blowup], whose m_max the caller reads."""
     from .blowlab import BlowupParams
     from .meanprop import default_C0
 
-    p = _get(cp, "blowup", "p", float)
-    tau0 = _get(cp, "blowup", "tau0", float, 1.0)
-    epsilon = _get(cp, "blowup", "epsilon", float)
-    delta0 = _get(cp, "blowup", "delta0", float, 0.45)
+    keys = {key: v for key, v in blowup.items() if key != "m_max"}
+    tau0, epsilon = keys["tau0"], keys["epsilon"]
+    keys.setdefault("C0", default_C0(tau0))
     # c0 is recomputed by build_certificate; the placeholder just has to
     # satisfy the smallness invariant of BlowupParams.
-    c0 = 0.5 * delta0 * math.sqrt(math.sinh(0.5 * tau0)) / epsilon \
+    c0 = 0.5 * keys["delta0"] * math.sqrt(math.sinh(0.5 * tau0)) / epsilon \
         if epsilon > 0 else 0.1
-    return BlowupParams(
-        p=p,
-        q=_get(cp, "blowup", "q", float, 2.0),
-        tau0=tau0,
-        epsilon=epsilon,
-        delta0=delta0,
-        C0=_get(cp, "blowup", "C0", float, default_C0(tau0)),
-        c0=c0)
-
-
-def _scaled_profile(profile, factor):
-    from .meanprop import RadialProfile
-    return RadialProfile(lambda lam: factor * profile(lam),
-                         support_radius=profile.support_radius,
-                         knots=profile.knots)
+    return BlowupParams(c0=c0, **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -268,30 +313,28 @@ def _write_grid_csv(path, header, t_grid, r_grid, *columns):
 # commands
 
 
-def cmd_propagate(cp, out, seed):
+def cmd_propagate(config, out, seed):
     import numpy as np
     from .fdoracle import FDConfig, _check_support, fd_solve
     from .hypgeo import DomainError, uniform_grid
     from .meanprop import RadialProfile, linear_field
 
     u0 = RadialProfile.constant(0.0)
+    grid = config["grid"]
+    engine = config["propagate"]["engine"]
     try:
-        engine = _choice(cp, "propagate", "engine", ("kernel", "fd", "both"),
-                         "kernel")
-        t_max, r_max, dt, dr = _grid(cp, _fd_grid())
-        t_grid = uniform_grid(t_max, dt, "t_max/dt")
-        r_grid = uniform_grid(r_max, dr, "r_max/dr")
-        prof = _data_profile(cp)
+        t_grid = uniform_grid(grid["t_max"], grid["dt"], "t_max/dt")
+        r_grid = uniform_grid(grid["r_max"], grid["dr"], "r_max/dr")
+        prof = _data_profile(config["data"])
         fd_cfg = None
         if engine in ("fd", "both"):
-            fd_cfg = FDConfig(dr=dr, dt=dt, r_max=r_max, t_max=t_max)
+            fd_cfg = FDConfig(**grid)
             # data the stepper would reject (a bump reaching the wall)
             _check_support(u0, prof, fd_cfg)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    kernel = None
-    fd = None
+    kernel = fd = None
     if engine in ("kernel", "both"):
         kernel = linear_field(prof, t_grid, r_grid)
     if engine in ("fd", "both"):
@@ -311,25 +354,17 @@ def cmd_propagate(cp, out, seed):
     return 0
 
 
-def cmd_solve(cp, out, seed):
+def cmd_solve(config, out, seed):
     from .globalsolver import (ConvergenceError, SolverConfig, picard_solve,
                                weighted_norm)
     from .hypgeo import DomainError, EnvelopeParams, theta_k
     from .meanprop import RadialProfile
 
+    solver = config["solver"]
+    data_k = config["data"]["k"]
     try:
-        p = _get(cp, "solver", "p", float)
-        cfg = SolverConfig(
-            p=p,
-            h=_get(cp, "solver", "h", float),
-            epsilon=_get(cp, "solver", "epsilon", float),
-            grid=_grid(cp, SolverConfig.grid),
-            max_iters=_get(cp, "solver", "max_iters", int,
-                           SolverConfig.max_iters),
-            fixed_point_tol=_get(cp, "solver", "fixed_point_tol", float,
-                                 SolverConfig.fixed_point_tol))
-        spec = _nonlin_spec(cp, p)
-        data_k = _get(cp, "data", "k", float, 1.0)
+        cfg = SolverConfig(**solver, grid=tuple(config["grid"].values()))
+        spec = _nonlin_spec(config["nonlinearity"], solver["p"])
         params = EnvelopeParams(k=data_k)
     except DomainError as exc:
         raise ConfigError(str(exc))
@@ -357,18 +392,16 @@ def cmd_solve(cp, out, seed):
     return 0
 
 
-def cmd_decay(cp, out, seed):
+def cmd_decay(config, out, seed):
     from .globalsolver import _decay_window, decay_fit
     from .hypgeo import DomainError, EnvelopeParams, theta_k, uniform_grid
     from .meanprop import RadialProfile, linear_field
 
+    grid, decay = config["grid"], config["decay"]
+    k, ray_offset, min_r = decay["k"], decay["ray_offset"], decay["min_r"]
     try:
-        t_max, r_max, dt, dr = _grid(cp, _fd_grid())
-        t_grid = uniform_grid(t_max, dt, "t_max/dt")
-        r_grid = uniform_grid(r_max, dr, "r_max/dr")
-        k = _get(cp, "decay", "k", float, 1.0)
-        ray_offset = _get(cp, "decay", "ray_offset", float, 1.0)
-        min_r = _get(cp, "decay", "min_r", float, 1.0)
+        t_grid = uniform_grid(grid["t_max"], grid["dt"], "t_max/dt")
+        r_grid = uniform_grid(grid["r_max"], grid["dr"], "r_max/dr")
         params = EnvelopeParams(k=k)
         # a fit window the grid cannot fill
         _decay_window(t_grid, r_grid, ray_offset, min_r)
@@ -387,43 +420,21 @@ def cmd_decay(cp, out, seed):
     return 0
 
 
-def cmd_contraction(cp, out, seed):
+def cmd_contraction(config, out, seed):
     from .globalsolver import (SolverConfig, _threshold_search,
                                contraction_probe)
     from .hypgeo import DomainError
 
+    solver, data_k = config["solver"], config["data"]["k"]
+    contraction = config["contraction"]
+    n_pairs, target = contraction["n_pairs"], contraction["target_ratio"]
     try:
-        p = _get(cp, "solver", "p", float)
-        cfg = SolverConfig(
-            p=p,
-            h=_get(cp, "solver", "h", float),
-            epsilon=_get(cp, "solver", "epsilon", float, 0.1),
-            grid=_grid(cp, SolverConfig.grid))
-        spec = _nonlin_spec(cp, p)
-        if spec is None:
-            raise ConfigError(
-                "cmd_contraction needs a nonlinearity; kind = none "
-                "measures nothing")
-        mode = _choice(cp, "contraction", "mode", ("probe", "threshold"),
-                       "probe")
-        n_pairs = _get(cp, "contraction", "n_pairs", int, 20)
-        target = _get(cp, "contraction", "target_ratio", float, 0.5)
-        n_steps = _get(cp, "contraction", "n_steps", int, 20)
-        # reject what would measure nothing before any table is built
-        if n_pairs < 1:
-            raise ConfigError("key 'n_pairs' in [contraction] must be at "
-                              f"least 1, got {n_pairs}")
-        if n_steps < 0:
-            raise ConfigError("key 'n_steps' in [contraction] must be "
-                              f"nonnegative, got {n_steps}")
-        if not target > 0:
-            raise ConfigError("key 'target_ratio' in [contraction] must be "
-                              f"positive, got {target}")
-        data_k = _get(cp, "data", "k", float, 1.0)
+        cfg = SolverConfig(**solver, grid=tuple(config["grid"].values()))
+        spec = _nonlin_spec(config["nonlinearity"], solver["p"])
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    if mode == "probe":
+    if contraction["mode"] == "probe":
         rep = contraction_probe(spec, cfg, n_pairs=n_pairs, rng_seed=seed,
                                 data_k=data_k)
         _write_csv(out / "contraction.csv",
@@ -431,7 +442,7 @@ def cmd_contraction(cp, out, seed):
                    [(rep.epsilon, rep.sampled_pairs, rep.max_ratio)])
     else:
         eps0, rep = _threshold_search(spec, cfg, target, seed, data_k,
-                                      n_pairs, n_steps)
+                                      n_pairs, contraction["n_steps"])
         _write_csv(out / "threshold.csv",
                    ("epsilon0", "target_ratio", "max_ratio",
                     "sampled_pairs", "seed"),
@@ -459,41 +470,36 @@ def _bump_data(params, fd_cfg):
 
     bump = bump_profile(params.tau0)
     u0 = RadialProfile.constant(0.0)
-    u1 = _scaled_profile(bump, params.epsilon)
+    u1 = RadialProfile(lambda lam: params.epsilon * bump(lam),
+                       support_radius=bump.support_radius, knots=bump.knots)
     if fd_cfg is not None:
         _check_support(u0, u1, fd_cfg)
     return u0, u1, bump
 
 
-def cmd_blowup(cp, out, seed):
+def cmd_blowup(config, out, seed):
     import numpy as np
     from .blowlab import build_certificate, escape_detector
     from .fdoracle import FDConfig
     from .hypgeo import DomainError
     from .nonlin import nonlinearity
 
+    escape = dict(config["escape"])
+    run_escape = escape.pop("enabled")
+    factor = escape.pop("threshold_factor")
     try:
-        params = _blowup_params(cp)
-        m_max = _get(cp, "blowup", "m_max", int, 20)
-        run_escape = _get(cp, "escape", "enabled", _parse_bool, True)
-        esc_cfg = None
-        spec = None
+        params = _blowup_params(config["blowup"])
+        esc_cfg = spec = None
         if run_escape:
-            t_max = _get(cp, "escape", "t_max", float, 40.0)
-            esc_cfg = FDConfig(
-                dr=_get(cp, "escape", "dr", float, FDConfig.dr),
-                dt=_get(cp, "escape", "dt", float, FDConfig.dt),
-                r_max=_get(cp, "escape", "r_max", float,
-                           t_max + 3.5 * params.tau0 + 0.1),
-                t_max=t_max)
-            factor = _get(cp, "escape", "threshold_factor", float, 10.0)
-            spec = _nonlin_spec(cp, params.p,
-                                default_kind="piecewise_generic")
+            escape.setdefault("r_max",
+                              escape["t_max"] + 3.5 * params.tau0 + 0.1)
+            esc_cfg = FDConfig(**escape)
+            spec = _nonlin_spec(config["nonlinearity"], params.p)
         u0, u1, bump = _bump_data(params, esc_cfg)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    cert = build_certificate(bump, params, m_max=m_max)
+    cert = build_certificate(bump, params, m_max=config["blowup"]["m_max"])
 
     _write_csv(out / "sequences.csv", ("sequence", "index", "x1", "x2", "x3"),
                _sequence_rows(cert))
@@ -523,39 +529,28 @@ def cmd_blowup(cp, out, seed):
     return 0
 
 
-def cmd_certify(cp, out, seed):
+def cmd_certify(config, out, seed):
     from .blowlab import build_certificate, certificate_verify
     from .fdoracle import FDConfig, fd_solve
     from .hypgeo import DomainError
     from .meanprop import SpaceTimeField
     from .nonlin import nonlinearity
 
+    sim = dict(config["certify"])
+    scale = sim.pop("field_scale")
+    normalize = sim.pop("normalize_tight")
     try:
-        params = _blowup_params(cp)
-        m_max = _get(cp, "blowup", "m_max", int, 20)
-        sim_cfg = FDConfig(
-            dr=_get(cp, "certify", "dr", float, FDConfig.dr),
-            dt=_get(cp, "certify", "dt", float, FDConfig.dt),
-            r_max=_get(cp, "certify", "r_max", float, 9.0),
-            t_max=_get(cp, "certify", "t_max", float, 5.0),
-            snapshot_every=_get(cp, "certify", "snapshot_every", int, 5))
-        field_scale = _get(cp, "certify", "field_scale", float, 1.0)
-        normalize = _get(cp, "certify", "normalize_tight", _parse_bool,
-                         False)
-        spec = _nonlin_spec(cp, params.p, default_kind="piecewise_generic")
-        if spec is None:
-            raise ConfigError(
-                "cmd_certify needs a nonlinearity; kind = none cannot "
-                "blow up")
+        params = _blowup_params(config["blowup"])
+        sim_cfg = FDConfig(**sim)
+        spec = _nonlin_spec(config["nonlinearity"], params.p)
         u0, u1, bump = _bump_data(params, sim_cfg)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    cert = build_certificate(bump, params, m_max=m_max)
+    cert = build_certificate(bump, params, m_max=config["blowup"]["m_max"])
     u_sim = fd_solve(u0, u1, nonlinearity(spec), sim_cfg)
 
     rep = certificate_verify(cert, u_sim)
-    scale = field_scale
     if normalize and rep.passed_points:
         # Rescale so the tightest sampled point sits exactly on its bound;
         # any field_scale below 1 is then a guaranteed violation.
@@ -593,7 +588,7 @@ def _parse_args(argv):
         prog="wavecli",
         description="Numerical experiments for the shifted wave equation "
                     "with logarithmic nonlinearity on the hyperbolic plane.")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_SCHEMA)
     parser.add_argument("--config", required=True,
                         help="INI-style config file")
     parser.add_argument("--out", default=".",
@@ -607,7 +602,7 @@ def main(argv=None):
     args = _parse_args(argv)
     try:
         _apply_thread_cap()
-        cp = _read_config(args.config)
+        config = _read_config(args.config, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
@@ -618,7 +613,7 @@ def main(argv=None):
 
         handler = globals()["cmd_" + args.command]
         try:
-            return handler(cp, out, args.seed)
+            return handler(config, out, args.seed)
         except (DomainError, QuadratureError, InstabilityError,
                 EscapeError, ConvergenceError) as exc:
             print(f"wavecli: {args.command} failed: {exc}", file=sys.stderr)

@@ -77,6 +77,8 @@ class NonlinearitySpec:
             raise DomainError("A must be positive")
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}")
+        if self.kind == "piecewise_generic":
+            _blend_coeffs(self.p, self.q, self.delta0)  # the monotone check
 
 
 def F_canonical(u, p):

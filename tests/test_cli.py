@@ -7,19 +7,23 @@ t = 2.8, 274 checked points, margin 1.66) come from the module tests
 of blowlab and are pinned here only loosely.
 """
 
+import configparser
 import csv
 import importlib
+import io
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hypwave
 from hypwave import fdoracle, globalsolver, meanprop
-from hypwave.cli import _apply_thread_cap, _fmt, _write_grid_csv, main
+from hypwave.cli import (_REQUIRED, _SCHEMA, _apply_thread_cap, _fmt,
+                         _write_grid_csv, main)
 from hypwave.nonlin import NonlinearitySpec
 
 
@@ -142,9 +146,6 @@ t_max = {t_max}
 r_max = 2.0
 dt = {dt}
 dr = 0.1
-
-[data]
-kind = constant
 """
 
 
@@ -156,8 +157,10 @@ kind = constant
 ])
 def test_bad_time_grid_is_config_error(tmp_path, capsys, command, t_max, dt,
                                        written):
-    code, out = run_cli(tmp_path, command,
-                        BAD_GRID.format(t_max=t_max, dt=dt))
+    body = BAD_GRID.format(t_max=t_max, dt=dt)
+    if command == "propagate":  # decay reads no [data]
+        body += "[data]\nkind = constant\n"
+    code, out = run_cli(tmp_path, command, body)
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "t_max/dt" in err
@@ -200,6 +203,132 @@ def test_unknown_section_is_config_error(tmp_path, capsys, command, section):
     # present and drop them for the absent ones
     assert_unknown_section(tmp_path, capsys, command, section,
                            "epsilon = 0.01")
+
+
+def with_key(body, section, key, value):
+    """body with key = value added to [section], the section made if absent."""
+    cp = configparser.ConfigParser()
+    cp.read_string(body)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, value)
+    text = io.StringIO()
+    cp.write(text)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("command, section", [
+    (command, section) for command, sections in _SCHEMA.items()
+    for section in sections])
+def test_misspelt_key_is_config_error(tmp_path, capsys, command, section):
+    # every section a command reads refuses a key outside the schema
+    key = next(iter(_SCHEMA[command][section])).lower() + "x"
+    code, out = run_cli(tmp_path, command,
+                        with_key(VALID_BODIES[command], section, key, "1"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r} in [{section}]; {command} reads" in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, body, message", [
+    ("propagate", SMALL_GRID + "t_maxx = 9\n[data]\nkind = constant\n",
+     "unknown key 't_maxx' in [grid]"),
+    ("propagate", VALID_BODIES["propagate"] + "[escape]\nt_max = 4.0\n",
+     "unknown section [escape]"),
+    ("solve", SOLVER_35 + "maxiters = 2\n", "unknown key 'maxiters' in [solver]"),
+    ("solve", SOLVER_35 + "[data]\nkind = bump\n",
+     "unknown key 'kind' in [data]"),
+    ("contraction", VALID_BODIES["contraction"] + "max_iters = 2\n",
+     "unknown key 'max_iters' in [solver]"),
+    ("contraction", VALID_BODIES["contraction"] + "[contraction]\nn_pair = 3\n",
+     "unknown key 'n_pair' in [contraction]"),
+    ("blowup", BLOWUP_BASE + "[escape]\nthreshold_factor = -1\n",
+     "'threshold_factor' in [escape] must be positive, got -1.0"),
+    ("blowup", BLOWUP_BASE.replace("epsilon = 0.5", "epsilon = 0.5\nm_max = -1"),
+     "'m_max' in [blowup] must be nonnegative, got -1"),
+    # (sinh lam)^(1/2) overflowed in first_iterate_bound from tau0 ~ 110
+    # (a NaN certificate, then OverflowError), in _blowup_params at 2000
+    ("blowup", BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 150")
+     + "[escape]\nenabled = false\n",
+     "'tau0' in [blowup] must be in (0, 100], got 150.0"),
+    ("blowup", BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 2000")
+     + "[escape]\nenabled = false\n",
+     "'tau0' in [blowup] must be in (0, 100], got 2000.0"),
+], ids=["grid-t_maxx", "propagate-escape", "solve-maxiters", "solve-data-kind",
+        "contraction-max_iters", "n_pair", "threshold_factor", "m_max",
+        "tau0-150", "tau0-2000"])
+def test_config_that_ran_something_else_is_config_error(
+        tmp_path, capsys, monkeypatch, command, body, message):
+    # each of these once exited 0 (or 1, or 3 after compute) running an
+    # experiment other than the one written
+    from hypwave import blowlab
+    certificates = recording(monkeypatch, blowlab, "build_certificate")
+    code, out = run_cli(tmp_path, command, body)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not list(out.glob("*.csv"))
+    assert certificates == []
+
+
+def test_largest_tau0_gives_finite_constants(tmp_path):
+    # tau0 = 100 keeps first_iterate_bound's integrand finite; a warning
+    # would fail the test (filterwarnings = error)
+    body = BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 100") \
+        + "[escape]\nenabled = false\n"
+    code, out = run_cli(tmp_path, "blowup", body)
+    assert code == 0
+    header, row = read_csv(out / "certificate.csv")
+    assert all(math.isfinite(float(v)) for v in row)
+
+
+def readme_config_reference():
+    """{(command, section, key): (type, default)} from README's table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    table = text.split("### Config reference")[1].split("\n\n| ")[1]
+    rows = {}
+    for line in ("| " + table).split("\n\n")[0].splitlines()[2:]:
+        commands, section, key, kind, default = \
+            [cell.strip() for cell in line.strip("|").split("|")]
+        for command in commands.split(", "):
+            assert (command, section, key) not in rows, line
+            rows[command, section, key] = (kind, default)
+    return rows
+
+
+def test_readme_config_reference_is_the_schema():
+    rows = readme_config_reference()
+    assert set(rows) == {(command, section, key)
+                         for command, sections in _SCHEMA.items()
+                         for section, keys in sections.items()
+                         for key in keys}
+    for (command, section, key), (kind, default) in rows.items():
+        cast, value = _SCHEMA[command][section][key]
+        assert kind == (" / ".join(cast) if isinstance(cast, tuple)
+                        else cast.__name__.lstrip("_")), (command, key)
+        if value is _REQUIRED:
+            assert default == "required", (command, key)
+        elif value is None:  # computed, or the dataclass's own
+            assert default and default != "required", (command, key)
+        else:
+            assert default == (str(value).lower() if isinstance(value, bool)
+                               else str(value)), (command, key)
+
+
+def test_schema_grids_are_the_library_defaults():
+    from hypwave.fdoracle import FDConfig
+    from hypwave.globalsolver import SolverConfig
+
+    for command in ("propagate", "decay"):
+        assert {key: default for key, (_, default)
+                in _SCHEMA[command]["grid"].items()} == {
+            key: getattr(FDConfig, key) for key in ("t_max", "r_max", "dt",
+                                                    "dr")}
+    for command in ("solve", "contraction"):
+        assert tuple(default for _, default
+                     in _SCHEMA[command]["grid"].values()) == SolverConfig.grid
 
 
 RERUN_BODIES = {
@@ -603,6 +732,13 @@ class TestCertify:
         assert "config error" in err and "non-monotone blend" in err
         assert list(out.iterdir()) == []
 
+    def test_no_nonlinearity_is_config_error(self, tmp_path, capsys):
+        body = BLOWUP_BASE.replace("piecewise_generic", "none")
+        code, out = run_cli(tmp_path, "certify", body)
+        assert code == 2
+        assert "key 'kind' in [nonlinearity]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_halved_tight_field_violates(self, tmp_path):
         body = BLOWUP_BASE + """
 [certify]
@@ -749,6 +885,18 @@ class TestEntryPoint:
             env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert (tmp_path / "out" / "field.csv").exists()
+
+    def test_import_loads_no_numpy(self):
+        # the thread cap in main must come before numpy is imported
+        src = os.path.dirname(os.path.dirname(hypwave.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hypwave.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_import_leaves_scipy_submodules_out(self, tmp_path):
         # the runtime needs numpy alone: importing every module and running

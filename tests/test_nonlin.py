@@ -160,10 +160,9 @@ class TestFGeneric:
     def test_nonmonotone_blend_rejected(self):
         # a tiny delta0 with small q makes the blend chord far flatter than
         # the left branch slope, which the Hermite cannot track monotonically
-        bad = NonlinearitySpec(p=30.0, q=1.01, delta0=0.9, A=2.0,
-                               kind="piecewise_generic")
         with pytest.raises(DomainError, match="monotone"):
-            F_generic(0.5, bad)
+            NonlinearitySpec(p=30.0, q=1.01, delta0=0.9, A=2.0,
+                             kind="piecewise_generic")
 
 
 def _hermite(x, xl, xr, gl, dgl, gr, dgr):
