@@ -32,8 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hypgeo import DomainError, log_sinh
-from .meanprop import (RadialProfile, SpaceTimeField, _as_profile,
-                       _lower_bound_prefactor, _sqrt_sinh_integrals)
+from .meanprop import RadialProfile, SpaceTimeField, lower_bound_I
 from .fdoracle import FDConfig, _finite_max, leapfrog
 
 __all__ = [
@@ -77,6 +76,11 @@ class BlowupParams:
             raise DomainError(f"q must exceed 1; got q = {self.q}")
         if not self.tau0 > 0.0:
             raise DomainError("tau0 must be positive")
+        if not self.tau0 <= 100.0:
+            raise DomainError(
+                f"tau0 = {self.tau0} exceeds 100: the first-iterate bound "
+                f"integrates (sinh lam)^(1/2) up to lam = 13 tau0, which "
+                f"overflows a double past lam = 1420")
         if not self.epsilon > 0.0:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.delta0 < 1.0:
@@ -223,7 +227,6 @@ def first_iterate_bound(u1, params):
     the handle is meaningful on S only. Data with u1 identically zero give
     c0 = 0 (and a zero handle), which is valid but useless downstream.
     """
-    prof = _as_profile(u1)
     tau0, eps = params.tau0, params.epsilon
     widths = np.linspace(tau0 * (1.0 + 1e-6), 2.0 * tau0 * (1.0 - 1e-6), _N_WIDTH)
     # radial offsets above the corner r = (3*tau0 - w)/2, in units of tau0
@@ -232,15 +235,12 @@ def first_iterate_bound(u1, params):
     r_corner = 0.5 * (3.0 * tau0 - widths)
     r = (r_corner[:, None] * (1.0 + 1e-6) + offsets * tau0).ravel()
     t = r + np.repeat(widths, offsets.size)
-    # lower_bound_I's bound_small alone
-    t, r, pref = _lower_bound_prefactor(t, r, tau0, params.C0)
-    keep = np.abs(t - r) > tau0 / 8.0
-    small = pref[keep] * _sqrt_sinh_integrals(prof, np.abs(t - r)[keep],
-                                              (t + r)[keep])
+    _, small = lower_bound_I(u1, t, r, tau0, params.C0)
+    keep = np.isfinite(small)
     # math.exp keeps c0's bits: np.exp's vector kernel can round the last
     # bit differently
     values = [math.exp(0.5 * ls) * s
-              for ls, s in zip(log_sinh(r[keep]).tolist(), small)]
+              for ls, s in zip(log_sinh(r[keep]).tolist(), small[keep])]
     if not values:
         raise DomainError("empty effective sample of S; tau0 may be degenerate")
     c0 = min(values)

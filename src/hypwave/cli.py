@@ -68,9 +68,6 @@ def _check(cast, ok, rule):
 
 _COUNT = _check(int, lambda n: n >= 0, "nonnegative")
 _POSITIVE = _check(float, lambda x: x > 0, "positive")
-# first_iterate_bound integrates (sinh lam)^(1/2) up to lam = 13 tau0,
-# which overflows past lam = 1420
-_TAU0 = _check(float, lambda x: 0 < x <= 100, "in (0, 100]")
 _REQUIRED = object()
 
 
@@ -87,7 +84,7 @@ def _nonlinearity(*kinds):
             "delta0": (float, 0.45), "A": (float, 2.0)}
 
 
-_BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_TAU0, 1.0),
+_BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_POSITIVE, 1.0),
            "epsilon": (float, _REQUIRED), "delta0": (float, 0.45),
            "C0": (float, None), "m_max": (_COUNT, 20)}  # C0: default_C0(tau0)
 
@@ -265,8 +262,9 @@ def _blowup_params(blowup):
     tau0, epsilon = keys["tau0"], keys["epsilon"]
     keys.setdefault("C0", default_C0(tau0))
     # c0 is recomputed by build_certificate; the placeholder just has to
-    # satisfy the smallness invariant of BlowupParams.
-    c0 = 0.5 * keys["delta0"] * math.sqrt(math.sinh(0.5 * tau0)) / epsilon \
+    # satisfy the smallness invariant of BlowupParams: sinh(x) > x, and
+    # no sinh of an unchecked tau0 can overflow
+    c0 = 0.5 * keys["delta0"] * math.sqrt(0.5 * tau0) / epsilon \
         if epsilon > 0 else 0.1
     return BlowupParams(c0=c0, **keys)
 
@@ -489,12 +487,14 @@ def cmd_blowup(config, out, seed):
     factor = escape.pop("threshold_factor")
     try:
         params = _blowup_params(config["blowup"])
-        esc_cfg = spec = None
+        # built with or without the escape run, so that a bad
+        # [nonlinearity] is refused either way
+        spec = _nonlin_spec(config["nonlinearity"], params.p)
+        esc_cfg = None
         if run_escape:
             escape.setdefault("r_max",
                               escape["t_max"] + 3.5 * params.tau0 + 0.1)
             esc_cfg = FDConfig(**escape)
-            spec = _nonlin_spec(config["nonlinearity"], params.p)
         u0, u1, bump = _bump_data(params, esc_cfg)
     except DomainError as exc:
         raise ConfigError(str(exc))

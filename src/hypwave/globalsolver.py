@@ -38,11 +38,12 @@ from .hypgeo import (
     uniform_grid,
 )
 from .meanprop import (
-    MonotoneWeight,
+    _TWO_COSH,
     PropagatorTable,
     SpaceTimeField,
-    W_evaluator,
     _as_profile,
+    _kernel_sums,
+    _settle_sums,
     _time_weights,
     leggauss,
     linear_field,
@@ -423,8 +424,11 @@ def claim_bound_check(p, h, epsilon, t, r):
                      (cosh lam)^{-1/2},
 
     and weighted = claim_value (cosh r)^{1/2} <t-r>^h, the quantity the
-    lemma needs to be small. The tau integral is composite Simpson; the
-    inner W uses the 2cosh weight.
+    lemma needs to be small. The tau integral is composite Simpson on
+    n_tau + 1 nodes tau_k. The inner W uses the 2cosh weight: one
+    _kernel_sums call over the points (t - tau_k, r), k < n_tau, each
+    with the f_tau of its own tau_k (at tau = t the lag is 0, and so is
+    W); the Simpson sum itself is settled over the node levels.
     """
     if not p > 3 or not 1.0 < h < p - 2.0:
         raise DomainError("claim_bound_check needs p > 3 and h in (1, p-2)")
@@ -434,22 +438,18 @@ def claim_bound_check(p, h, epsilon, t, r):
         raise DomainError("t and r must be nonnegative")
     if t == 0.0:
         return 0.0, 0.0
-    a = MonotoneWeight.two_cosh()
     log_inv_eps = np.log(1.0 / epsilon)
-
-    def f_tau(tau):
-        def f(lam):
-            lam = np.asarray(lam, dtype=float)
-            return ((log_inv_eps + lam) ** (1.0 - p) * np.sinh(lam)
-                    * bracket(tau - lam) ** (-h) / np.sqrt(np.cosh(lam)))
-
-        return f
-
     n_tau = max(8, 2 * int(np.ceil(0.5 * _TAU_PER_UNIT * t)))
-    taus = np.linspace(0.0, t, n_tau + 1)
-    vals = np.array([W_evaluator(t - tau, r, f_tau(tau), a) for tau in taus])
+    taus = np.linspace(0.0, t, n_tau + 1)[:-1]
+
+    def weigh(w, lam, row):
+        w *= ((log_inv_eps + lam) ** (1.0 - p) * np.sinh(lam)
+              * bracket(taus[row] - lam) ** (-h) / np.sqrt(np.cosh(lam)))
+
     # n_tau is even, so these are the composite Simpson weights
-    claim_value = float(t / n_tau * _time_weights(n_tau) @ vals)
+    claim_value = _settle_sums(_kernel_sums(t - taus, r, _TWO_COSH, None, weigh),
+                               (t / n_tau * _time_weights(n_tau))[:-1],
+                               f"claim integral at (t={t}, r={r})")
     weighted = claim_value * np.sqrt(np.cosh(r)) * bracket(t - r) ** h
     return claim_value, float(weighted)
 

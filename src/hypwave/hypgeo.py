@@ -9,9 +9,10 @@ with curvature -1:
                      depending on whether k is below, at, or above 1/2,
 * space-time weight  Phi_h(t,r) = e^(r/2) <t-r>^h,
 
-with the Japanese bracket <s> = sqrt(1+s^2).  Hyperbolic functions are
-also provided in log form so that envelopes and weights can be evaluated
-far beyond the ~700 overflow threshold of cosh.
+with the Japanese bracket <s> = sqrt(1+s^2).  cosh and sinh are also
+given in log form so that envelopes and weights can be evaluated far
+beyond the ~700 overflow threshold of cosh; the W operator's weights
+carry their own differences (meanprop.MonotoneWeight.gap).
 
 The quadrature helper ``cg_nodes`` builds the Chebyshev-Gauss rule for
 integrals carrying the paired endpoint weight ((c_hi-x)(x-c_lo))^(-1/2);
@@ -43,7 +44,6 @@ __all__ = [
     "bracket",
     "log_cosh",
     "log_sinh",
-    "sinhc",
     "cg_nodes",
     "uniform_grid",
 ]
@@ -99,15 +99,6 @@ def log_sinh(x):
             x + np.log1p(-np.exp(-2.0 * np.where(small, 1.0, x))) - _LOG2,
         )
     return out
-
-
-def sinhc(x):
-    """sinh(x)/x with the limit value 1 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    tiny = np.abs(x) < 1e-4
-    xs = np.where(tiny, 1.0, x)
-    # Two-term Taylor expansion keeps full precision below the cutover.
-    return np.where(tiny, 1.0 + x * x / 6.0, np.sinh(xs) / xs)
 
 
 def bracket(s):

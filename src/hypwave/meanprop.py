@@ -35,9 +35,10 @@ the weight's factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact
 gaps g = M - c and M - b, as a ratio of P's times a ratio of Q's, so no
 product of two small lengths is formed. The table scatters the nodes of
 a block of whole lags, at most _POINT_BLOCK points, to their cells as
-moments w xi^p; linear_field sums each panel to its point, over blocks
-of _POINT_BLOCK grid points; sine_propagator, W_evaluator and w_majorant
-settle over doubling node levels.
+moments w xi^p. Every other consumer sums panels to points through one
+evaluator, _kernel_sums, in blocks of _POINT_BLOCK points: linear_field
+at one node level, sine_propagator, W_evaluator, w_majorant and
+globalsolver.claim_bound_check settled over doubling node levels.
 
 The spherical mean keeps a rule of its own, the independent check of its
 identities: cosh(lam) = midpoint + halfwidth*cos(theta) removes both
@@ -55,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre
 
-from .hypgeo import DomainError, cg_nodes, log_cosh, log_sinh, sinhc
+from .hypgeo import DomainError, cg_nodes, log_cosh, log_sinh
 
 __all__ = [
     "QuadratureError",
@@ -79,7 +80,7 @@ __all__ = [
 _PANEL_RATIO = 3.0  # growth factor of the mean's cosh(lam) panel breakpoints
 _DEGENERATE_REL = 1e-13
 _NODE_CHUNK = 1 << 14  # Gauss nodes _kernel_nodes expands at a time
-_POINT_BLOCK = 256  # (t, r) points linear_field hands _kernel_nodes at a time
+_POINT_BLOCK = 256  # (t, r) points per _kernel_nodes call of _kernel_sums and the table
 _GRADE_RATIO = 0.2  # ratio of the kernel rule's graded breaks in u
 _GRADE_DEPTH = 1e-4  # deepest graded break in u, lam* + 1e-8 of the side
 _GL_PER_UNIT = 2.0  # panels per unit length of the lower bounds' integrals
@@ -180,25 +181,23 @@ def _two_cosh_gap(x, g):
 class MonotoneWeight:
     """An even C^1 weight a(s) with a'(s) > 0 for s > 0.
 
-    Carries, besides a and a', the inverse of a on [0, inf), a
-    cancellation-free difference quotient dq(x, y) = (a(x) - a(y))/(x - y)
-    and a cancellation-free factorisation of its gaps,
+    Carries, besides a and a', the inverse of a on [0, inf) and a
+    cancellation-free factorisation of its gaps,
     gap(x, g) = (P, Q) with a(x) - a(x - g) = P(x, g) Q(g):
     P = 2 sinh(x - g/2), Q = 2 sinh(g/2) for 2cosh and P = 2x - g, Q = g
-    for s^2. dq keeps the Beta-type integrands accurate when two
-    abscissae nearly coincide; gap lets the kernel rule form ratios and
-    roots of a(M) - a(b) without forming the product, which underflows
-    when both lengths are tiny. Construction verifies the two conditions
-    required of the weight (positivity of a' and monotonicity of the
-    smoothed derivative quotient) on a sample grid.
+    for s^2. gap lets the kernel rule form ratios and roots of
+    a(M) - a(b) without forming the product, which underflows when both
+    lengths are tiny, and keeps the Beta identity's integrand accurate
+    when two abscissae nearly coincide. Construction verifies the two
+    conditions required of the weight (positivity of a' and monotonicity
+    of the smoothed derivative quotient) on a sample grid.
     """
 
-    def __init__(self, name, a, da, inv, dq, gap):
+    def __init__(self, name, a, da, inv, gap):
         self.name = name
         self.a = a
         self.da = da
         self.inv = inv
-        self.dq = dq
         self.gap = gap
         self._check_conditions()
 
@@ -220,8 +219,6 @@ class MonotoneWeight:
             a=lambda s: 2.0 * np.cosh(s),
             da=lambda s: 2.0 * np.sinh(s),
             inv=lambda y: np.arccosh(np.maximum(np.asarray(y, dtype=float), 2.0) / 2.0),
-            # 2cosh x - 2cosh y = 4 sinh((x+y)/2) sinh((x-y)/2)
-            dq=lambda x, y: 2.0 * np.sinh(0.5 * (x + y)) * sinhc(0.5 * (x - y)),
             gap=_two_cosh_gap,
         )
 
@@ -232,14 +229,8 @@ class MonotoneWeight:
             a=lambda s: np.square(np.asarray(s, dtype=float)),
             da=lambda s: 2.0 * np.asarray(s, dtype=float),
             inv=lambda y: np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0)),
-            dq=lambda x, y: np.asarray(x, dtype=float) + np.asarray(y, dtype=float),
             gap=lambda x, g: (2.0 * x - g, g),
         )
-
-    def dq_of_squares(self, X, Y):
-        """(a(sqrt X) - a(sqrt Y)) / (X - Y) without cancellation."""
-        sx, sy = np.sqrt(X), np.sqrt(Y)
-        return self.dq(sx, sy) / (sx + sy)
 
 
 def _as_profile(f):
@@ -505,20 +496,49 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
     return nodes
 
 
-def _kernel_value(t, r, prof, a, what, majorant=False):
-    """int prof k_a(t, r, .) at one point on unit panels and the profile's
-    knots, settled over the node levels n0, 2 n0, 4 n0, 8 n0 with
-    n0 = _KERNEL_LEVEL; majorant picks _kernel_nodes' kernel."""
-    nodes = _kernel_nodes(t, np.asarray([float(r)]), a, 1.0, prof.knots,
-                          majorant=majorant)
+def _kernel_sums(t, r, a, knots, weigh, majorant=False):
+    """sums(n_gl): the kernel rule's integrals at the points (t, r), which
+    broadcast, with n_gl Gauss nodes per panel on unit panels and the
+    knots. The points go to _kernel_nodes in blocks of _POINT_BLOCK; the
+    last block's panels are kept, so a one-block call builds them once
+    for every level. weigh(w, lam, row) scales a chunk's w in place by the
+    integrand, row naming each panel's point; each panel is summed, and
+    the panel sums go to their points with one bincount per chunk."""
+    t, r = (x.ravel() for x in np.broadcast_arrays(np.asarray(t, dtype=float),
+                                                   np.asarray(r, dtype=float)))
 
-    def value(n_gl):
-        return float(sum(np.dot(w.T.ravel(), prof(lam.T.ravel()))
-                         for _, lam, w in nodes(n_gl)))
+    @lru_cache(maxsize=1)
+    def block(s):
+        return _kernel_nodes(t[s:s + _POINT_BLOCK], r[s:s + _POINT_BLOCK], a, 1.0,
+                             knots, majorant=majorant)
 
-    n0 = _KERNEL_LEVEL
-    return _settle(value, [(n0, 2 * n0), (2 * n0, 4 * n0), (4 * n0, 8 * n0)],
-                   what)
+    def sums(n_gl):
+        out = np.zeros(t.size)
+        for s in range(0, t.size, _POINT_BLOCK):
+            acc = out[s:s + _POINT_BLOCK]
+            for row, lam, w in block(s)(n_gl):
+                weigh(w, lam, row + s)
+                acc += np.bincount(row, weights=np.ascontiguousarray(w.T).sum(axis=1),
+                                   minlength=acc.size)
+        return out
+
+    return sums
+
+
+def _settle_sums(sums, coef, what):
+    """coef @ sums(n_gl) settled over the node levels n0, 2 n0, 4 n0, 8 n0
+    with n0 = _KERNEL_LEVEL."""
+    n0, coef = _KERNEL_LEVEL, np.asarray(coef, dtype=float)
+    return _settle(lambda n_gl: float(coef @ sums(n_gl)),
+                   [(n0, 2 * n0), (2 * n0, 4 * n0), (4 * n0, 8 * n0)], what)
+
+
+def _times_sinh(prof):
+    """weigh by the sine propagator's integrand sinh(lam) prof(lam)."""
+    def weigh(w, lam, row):
+        w *= np.sinh(lam)
+        w *= prof(lam)
+    return weigh
 
 
 _TWO_COSH = MonotoneWeight.two_cosh()
@@ -532,44 +552,31 @@ def sine_propagator(phi, t, r):
     """Solution at (t, r) of the shifted linear wave equation with data (0, phi).
 
     I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi, the kernel rule settled
-    over doubling node levels (_kernel_value).
+    over doubling node levels (_settle_sums).
     """
     if t < 0 or r < 0:
         raise DomainError("sine_propagator needs t >= 0 and r >= 0")
     if t == 0.0:
         return 0.0
     prof = _as_profile(phi)
-    phi_sinh = RadialProfile(lambda lam: prof(lam) * np.sinh(lam), knots=prof.knots)
-    return _kernel_value(t, r, phi_sinh, _TWO_COSH,
-                         f"sine propagator at (t={t}, r={r})") / np.pi
+    sums = _kernel_sums(t, r, _TWO_COSH, prof.knots, _times_sinh(prof))
+    return _settle_sums(sums, [1.0], f"sine propagator at (t={t}, r={r})") / np.pi
 
 
 def linear_field(phi, t_grid, r_grid):
     """sine_propagator evaluated on a full (t, r) grid.
 
-    The grid's points, flattened t-major, go to _kernel_nodes in blocks of
-    _POINT_BLOCK, one call per block. Every point gets the second level
-    (2 _KERNEL_LEVEL nodes per panel) of sine_propagator's rule; each
-    panel's w sinh(lam) phi(lam) is summed, and the panel sums go to their
-    points with one bincount per chunk. Points at t = 0 have no panels and
-    stay 0. The second level keeps profiles that are smooth but not
-    analytic at their knots (bump_profile's ramps) within 1e-7 of the
-    settled values.
+    The grid's points, flattened t-major, go to _kernel_sums, and every
+    point gets the second level (2 _KERNEL_LEVEL nodes per panel) of
+    sine_propagator's rule. Points at t = 0 have no panels and stay 0.
+    The second level keeps profiles that are smooth but not analytic at
+    their knots (bump_profile's ramps) within 1e-7 of the settled values.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     prof = _as_profile(phi)
-    T, R = (g.ravel() for g in np.meshgrid(t_grid, r_grid, indexing="ij"))
-    out = np.zeros(T.size)
-    for s in range(0, T.size, _POINT_BLOCK):
-        acc = out[s:s + _POINT_BLOCK]
-        nodes = _kernel_nodes(T[s:s + _POINT_BLOCK], R[s:s + _POINT_BLOCK],
-                              _TWO_COSH, 1.0, prof.knots)
-        for row, lam, w in nodes(2 * _KERNEL_LEVEL):
-            w *= np.sinh(lam)
-            w *= prof(lam)
-            acc += np.bincount(row, weights=np.ascontiguousarray(w.T).sum(axis=1),
-                               minlength=acc.size)
+    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
+    out = _kernel_sums(T, R, _TWO_COSH, prof.knots, _times_sinh(prof))(2 * _KERNEL_LEVEL)
     return SpaceTimeField(t_grid, r_grid, out.reshape(t_grid.size, r_grid.size) / np.pi)
 
 
@@ -788,16 +795,18 @@ def beta_identity_check(b, c, a):
 
     Computed with the substitution x = s^2 (a is even, so the integrand is
     smooth in x) followed by the Chebyshev-Gauss rule; the square-root
-    pair is absorbed through difference quotients so nothing singular is
-    ever evaluated.
+    pair is absorbed through the quotients (a(c) - a(s)) / (c^2 - s^2) and
+    (a(s) - a(b)) / (s^2 - b^2), each P Q / (g (hi + lo)) by the weight's
+    gap factorisation at g = hi - lo > 0 (the nodes lie strictly inside),
+    so nothing singular is ever evaluated.
     """
     if not 0 <= b < c:
         raise DomainError("beta_identity_check needs 0 <= b < c")
     x, w = cg_nodes(_CG_NODES, b * b, c * c)
     s = np.sqrt(x)
-    g = (a.da(s) / (2.0 * s)) / np.sqrt(
-        a.dq_of_squares(c * c, x) * a.dq_of_squares(x, b * b))
-    return float(np.dot(w, g))
+    (Pc, Qc), (Pb, Qb) = a.gap(c, c - s), a.gap(s, s - b)
+    quot = Pc / (c + s) * (Qc / (c - s)) * (Pb / (s + b) * (Qb / (s - b)))
+    return float(np.dot(w, (a.da(s) / (2.0 * s)) / np.sqrt(quot)))
 
 
 def W_evaluator(t, r, f, a):
@@ -805,14 +814,17 @@ def W_evaluator(t, r, f, a):
 
     Fubini order: lam outside, s inside, where the inner integral is the
     closed form k_a of _kernel_nodes; settled over doubling node levels
-    (_kernel_value). At r = 0, kappa = 0 and W = pi int_0^t f(lam)
+    (_settle_sums). At r = 0, kappa = 0 and W = pi int_0^t f(lam)
     (a(t) - a(lam))^{-1/2} dlam, which the rule approaches as r -> 0.
     """
     if t < 0 or r < 0:
         raise DomainError("W_evaluator needs t >= 0 and r >= 0")
     if t == 0.0:
         return 0.0
-    return _kernel_value(t, r, _as_profile(f), a, f"W at (t={t}, r={r})")
+    prof = _as_profile(f)
+    sums = _kernel_sums(t, r, a, prof.knots,
+                        lambda w, lam, row: np.multiply(w, prof(lam), out=w))
+    return _settle_sums(sums, [1.0], f"W at (t={t}, r={r})")
 
 
 def w_majorant(t, r, f, a):
@@ -824,16 +836,17 @@ def w_majorant(t, r, f, a):
     M = max(t, r + lam): for t > r the integrand has an integrable
     singularity at lam = t - r. W's kernel rule on |f|, with the kernel
     pi / sqrt(a(M) - a(c)) (_kernel_nodes), settled over doubling node
-    levels (_kernel_value); at r = 0 it is W_evaluator's rule on |f|.
+    levels (_settle_sums); at r = 0 it is W_evaluator's rule on |f|.
     """
     if t < 0 or r < 0:
         raise DomainError("w_majorant needs t >= 0 and r >= 0")
     if t == 0.0:
         return 0.0
     prof = _as_profile(f)
-    abs_f = RadialProfile(lambda lam: np.abs(prof(lam)), knots=prof.knots)
-    return _kernel_value(t, r, abs_f, a, f"W majorant at (t={t}, r={r})",
-                         majorant=True)
+    sums = _kernel_sums(t, r, a, prof.knots,
+                        lambda w, lam, row: np.multiply(w, np.abs(prof(lam)), out=w),
+                        majorant=True)
+    return _settle_sums(sums, [1.0], f"W majorant at (t={t}, r={r})")
 
 
 # ---------------------------------------------------------------------------
@@ -942,26 +955,6 @@ def default_C0(tau0):
     return min(1.0, 0.5 * np.sqrt(np.tanh(tau0 / 8.0) * np.tanh(tau0 / 2.0)))
 
 
-def _lower_bound_prefactor(t, r, tau0, C0):
-    """lower_bound_I's inputs checked and broadcast: (t, r, C0 (sinh r)^{-1/2})."""
-    if tau0 <= 0:
-        raise DomainError("tau0 must be positive")
-    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
-                               np.asarray(r, dtype=float))
-    if np.any(r <= tau0 / 2.0):
-        raise DomainError(f"lower_bound_I needs r > tau0/2 = {tau0 / 2.0}; "
-                          f"got r = {r[r <= tau0 / 2.0].min()}")
-    C0 = default_C0(tau0) if C0 is None else C0
-    if not 0.0 < C0 <= 1.0:
-        raise DomainError("C0 must lie in (0, 1]")
-    return t, r, C0 * np.exp(-0.5 * log_sinh(r))
-
-
-def _sqrt_sinh_integrals(prof, lo, hi):
-    """int_{lo_k}^{hi_k} prof(lam) (sinh lam)^{1/2} dlam for every k."""
-    return _gl_integrals(lambda lam: prof(lam) * np.exp(0.5 * log_sinh(lam)), lo, hi)
-
-
 def lower_bound_I(phi, t, r, tau0, C0=None):
     """The two explicit propagator lower bounds at (t, r).
 
@@ -974,13 +967,23 @@ def lower_bound_I(phi, t, r, tau0, C0=None):
     arrays of that shape, bound_small NaN where it is absent, and phi is
     evaluated once on the nodes of every point's integrals.
     """
-    t, r, pref = _lower_bound_prefactor(t, r, tau0, C0)
+    if tau0 <= 0:
+        raise DomainError("tau0 must be positive")
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(r, dtype=float))
+    if np.any(r <= tau0 / 2.0):
+        raise DomainError(f"lower_bound_I needs r > tau0/2 = {tau0 / 2.0}; "
+                          f"got r = {r[r <= tau0 / 2.0].min()}")
+    C0 = default_C0(tau0) if C0 is None else C0
+    if not 0.0 < C0 <= 1.0:
+        raise DomainError("C0 must lie in (0, 1]")
+    pref = C0 * np.exp(-0.5 * log_sinh(r))
+    prof = _as_profile(phi)
     hi = t + r
     wide = np.abs(t - r) > tau0 / 8.0
-    ints = _sqrt_sinh_integrals(_as_profile(phi),
-                                np.concatenate([np.maximum(t, r).ravel(),
-                                                np.abs(t - r)[wide]]),
-                                np.concatenate([hi.ravel(), hi[wide]]))
+    ints = _gl_integrals(lambda lam: prof(lam) * np.exp(0.5 * log_sinh(lam)),
+                         np.concatenate([np.maximum(t, r).ravel(), np.abs(t - r)[wide]]),
+                         np.concatenate([hi.ravel(), hi[wide]]))
     bound_large = pref * ints[:hi.size].reshape(hi.shape)
     bound_small = np.full(hi.shape, np.nan)
     bound_small[wide] = pref[wide] * ints[hi.size:]

@@ -12,15 +12,20 @@ independent check of what the library computes another way:
   PropagatorTable.duhamel_field;
 * per_lag_table, PropagatorTable's matrices built one _kernel_nodes call
   per lag, each node scattered to its cell's moments in panel order, the
-  check of the table's lag blocks.
+  check of the table's lag blocks;
+* per_tau_claim, the claim integral of globalsolver.claim_bound_check as
+  a Simpson sum of one settled W_evaluator per tau node, the check of its
+  one kernel call over every lag.
 """
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from hypwave.hypgeo import DomainError
-from hypwave.meanprop import (_KERNEL_LEVEL, _STENCIL, _TWO_COSH, RadialProfile,
-                              _kernel_nodes, _time_weights, sine_propagator)
+from hypwave.globalsolver import _TAU_PER_UNIT
+from hypwave.hypgeo import DomainError, bracket
+from hypwave.meanprop import (_KERNEL_LEVEL, _STENCIL, _TWO_COSH, MonotoneWeight,
+                              RadialProfile, W_evaluator, _kernel_nodes, _time_weights,
+                              sine_propagator)
 
 
 def from_samples(lam, values, support_radius=None):
@@ -131,3 +136,26 @@ def _lag_matrix(t, r_grid, dr):
         M[:, o:o + width] += coef[o]
     M[:, 2] += M[:, 0]  # even reflection through r = 0: entry -1 is entry 1
     return M[:, 1:n_r + 1]
+
+
+def per_tau_claim(p, h, epsilon, t, r, W=W_evaluator):
+    """claim_value of globalsolver.claim_bound_check(p, h, epsilon, t, r)
+    as it was computed before its one kernel call: W(t - tau, r, f_tau, a)
+    at every Simpson node tau, each settled on its own. W is a parameter
+    so that a test can put a stand-in in its place."""
+    a = MonotoneWeight.two_cosh()
+    log_inv_eps = np.log(1.0 / epsilon)
+
+    def f_tau(tau):
+        def f(lam):
+            lam = np.asarray(lam, dtype=float)
+            return ((log_inv_eps + lam) ** (1.0 - p) * np.sinh(lam)
+                    * bracket(tau - lam) ** (-h) / np.sqrt(np.cosh(lam)))
+
+        return f
+
+    n_tau = max(8, 2 * int(np.ceil(0.5 * _TAU_PER_UNIT * t)))
+    taus = np.linspace(0.0, t, n_tau + 1)
+    vals = np.array([W(t - tau, r, f_tau(tau), a) for tau in taus])
+    # n_tau is even, so these are the composite Simpson weights
+    return float(t / n_tau * _time_weights(n_tau) @ vals)

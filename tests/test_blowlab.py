@@ -59,6 +59,15 @@ class TestBlowupParams:
         with pytest.raises(DomainError, match="c0"):
             make_params(c0=0.0)
 
+    @pytest.mark.parametrize("tau0", [100.5, 150.0, 1420.0, 2000.0, np.inf])
+    def test_tau0_cap(self, tau0):
+        # first_iterate_bound's integrand (sinh lam)^(1/2) reaches lam =
+        # 13 tau0; at tau0 = 150 it overflowed into a c0 taken over NaNs,
+        # and from 1420 on the ceiling's sinh(tau0/2) overflowed too
+        with pytest.raises(DomainError, match=r"tau0 = .* exceeds 100: .* overflows"):
+            make_params(tau0=tau0)
+        make_params(tau0=100.0)
+
     def test_smallness_constraint(self):
         # the ceiling is delta0*sqrt(sinh(tau0/2)) ~ 0.326 at these values
         with pytest.raises(DomainError, match="shrink c0 or epsilon"):

@@ -248,16 +248,23 @@ def test_misspelt_key_is_config_error(tmp_path, capsys, command, section):
     ("blowup", BLOWUP_BASE.replace("epsilon = 0.5", "epsilon = 0.5\nm_max = -1"),
      "'m_max' in [blowup] must be nonnegative, got -1"),
     # (sinh lam)^(1/2) overflowed in first_iterate_bound from tau0 ~ 110
-    # (a NaN certificate, then OverflowError), in _blowup_params at 2000
+    # (a NaN certificate, then OverflowError), in _blowup_params at 2000;
+    # BlowupParams refuses tau0 > 100
     ("blowup", BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 150")
-     + "[escape]\nenabled = false\n",
-     "'tau0' in [blowup] must be in (0, 100], got 150.0"),
+     + "[escape]\nenabled = false\n", "tau0 = 150.0 exceeds 100"),
     ("blowup", BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 2000")
-     + "[escape]\nenabled = false\n",
-     "'tau0' in [blowup] must be in (0, 100], got 2000.0"),
+     + "[escape]\nenabled = false\n", "tau0 = 2000.0 exceeds 100"),
+    ("certify", BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 150"),
+     "tau0 = 150.0 exceeds 100"),
+    ("certify", BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 2000"),
+     "tau0 = 2000.0 exceeds 100"),
+    # the spec was built only for the escape run
+    ("blowup", BLOWUP_BASE + NON_MONOTONE + "[escape]\nenabled = false\n",
+     "non-monotone blend"),
 ], ids=["grid-t_maxx", "propagate-escape", "solve-maxiters", "solve-data-kind",
         "contraction-max_iters", "n_pair", "threshold_factor", "m_max",
-        "tau0-150", "tau0-2000"])
+        "tau0-150", "tau0-2000", "certify-tau0-150", "certify-tau0-2000",
+        "non-monotone-without-escape"])
 def test_config_that_ran_something_else_is_config_error(
         tmp_path, capsys, monkeypatch, command, body, message):
     # each of these once exited 0 (or 1, or 3 after compute) running an

@@ -12,6 +12,7 @@ from hypwave.hypgeo import (
 from hypwave.meanprop import SpaceTimeField, sine_propagator
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from hypwave import globalsolver as gs
+from references import per_tau_claim
 
 ENV1 = EnvelopeParams(k=1.0)
 SPEC = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3, A=2.0)
@@ -349,19 +350,39 @@ class TestClaimBound:
 
     @pytest.mark.parametrize("t", [0.7, 2.0, 3.3])
     def test_tau_rule_is_simpson(self, monkeypatch, t):
-        # a smooth stand-in for W, so that only the tau rule is compared
+        # a smooth stand-in for the kernel sums at the lags t - tau, 0 at
+        # lag 0 as W is, so that only the tau rule is compared: with the
+        # per-tau reference on the same stand-in, and with scipy's Simpson
         from scipy.integrate import simpson
 
-        def fake_W(lag, r, f, a):
-            return float(np.exp(-lag) * np.cos(3.0 * lag) + r * lag**2)
+        def fake_W(lag, r, f=None, a=None):
+            return np.expm1(-lag) * np.cos(3.0 * lag) + r * lag**2
 
-        monkeypatch.setattr(gs, "W_evaluator", fake_W)
+        lags = []
+
+        def fake_sums(t, r, a, knots, weigh, majorant=False):
+            lags.append(t)
+            return lambda n_gl: fake_W(t, r)
+
+        monkeypatch.setattr(gs, "_kernel_sums", fake_sums)
         claim, _ = gs.claim_bound_check(3.5, 1.2, 1e-2, t, 0.5)
         n_tau = max(8, 2 * int(np.ceil(2.0 * t)))
         taus = np.linspace(0.0, t, n_tau + 1)
-        want = simpson([fake_W(t - tau, 0.5, None, None) for tau in taus],
-                       x=taus)
+        assert len(lags) == 1 and np.array_equal(lags[0], t - taus[:-1])
+        want = per_tau_claim(3.5, 1.2, 1e-2, t, 0.5, W=fake_W)
         assert claim == pytest.approx(want, rel=1e-14)
+        assert claim == pytest.approx(simpson(fake_W(t - taus, 0.5), x=taus), rel=1e-14)
+
+    def test_matches_the_per_tau_reference(self):
+        # acceptance test_08's points: one kernel call over every lag, its
+        # Simpson sum settled, against one settled W per tau node
+        points = [(t, r, eps) for t in (0.5, 1.0, 2.0, 4.0, 6.0) for r in (0.5, 2.0)
+                  for eps in (1e-4, 1e-1)]
+        points += [(float(t), float(r), 1e-4) for t in np.linspace(0.5, 8.0, 6)
+                   for r in np.linspace(0.0, 8.0, 6)]
+        for t, r, eps in points:
+            claim, _ = gs.claim_bound_check(3.5, 1.2, eps, t, r)
+            assert claim == pytest.approx(per_tau_claim(3.5, 1.2, eps, t, r), rel=1e-13)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(DomainError):

@@ -14,7 +14,6 @@ from hypwave.hypgeo import (
     log_sinh,
     log_phi_weight,
     phi_weight,
-    sinhc,
     theta_k,
     uniform_grid,
 )
@@ -75,11 +74,6 @@ class TestLogHyperbolics:
     def test_log_sinh_rejects_negative(self):
         with pytest.raises(DomainError):
             log_sinh(-1.0)
-
-    @given(st.floats(-0.5, 0.5))
-    def test_sinhc_near_zero(self, x):
-        expected = 1.0 if x == 0 else np.sinh(x) / x
-        assert_allclose(sinhc(x), expected, rtol=1e-10)
 
     @given(st.floats(-50.0, 50.0))
     def test_bracket_is_japanese_bracket(self, s):

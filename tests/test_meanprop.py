@@ -140,23 +140,6 @@ class TestMonotoneWeight:
         assert_allclose(a.a(1.7), 1.7**2)
         assert_allclose(a.inv(2.89), 1.7, rtol=1e-12)
 
-    @given(
-        x=st.floats(0.0, 30.0),
-        y=st.floats(0.0, 30.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_dq_matches_direct_quotient(self, x, y):
-        for a in (MonotoneWeight.two_cosh(), MonotoneWeight.s_squared()):
-            got = a.dq(x, y)
-            if abs(x - y) > 1e-3:
-                want = (a.a(x) - a.a(y)) / (x - y)
-                assert_allclose(got, want, rtol=1e-9)
-            else:
-                # near-coincident arguments: dq must stay finite and close
-                # to the derivative at the midpoint
-                assert np.isfinite(got)
-                assert_allclose(got, a.da(0.5 * (x + y)), rtol=1e-5, atol=1e-5)
-
     @given(x=st.floats(1e-150, 30.0), frac=st.floats(1e-150, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_gap_factors_the_difference(self, x, frac):
@@ -171,17 +154,10 @@ class TestMonotoneWeight:
             else:
                 assert_allclose(P * Q, a.da(x - 0.5 * g) * g, rtol=1e-7)
 
-    def test_dq_of_squares(self):
-        a = MonotoneWeight.two_cosh()
-        X, Y = 4.1, 1.2
-        want = (a.a(np.sqrt(X)) - a.a(np.sqrt(Y))) / (X - Y)
-        assert_allclose(a.dq_of_squares(X, Y), want, rtol=1e-12)
-
     def test_decreasing_weight_rejected(self):
         with pytest.raises(DomainError, match="positive"):
             MonotoneWeight(
                 "bad", a=np.cos, da=lambda s: -np.sin(s), inv=np.arccos,
-                dq=lambda x, y: (np.cos(x) - np.cos(y)) / (x - y + 1e-300),
                 gap=lambda x, g: (-2.0 * np.sin(x - 0.5 * g), 2.0 * np.sin(0.5 * g)))
 
     def test_oscillating_derivative_rejected(self):
@@ -191,7 +167,6 @@ class TestMonotoneWeight:
         da = lambda s: 2 * s + 1.6 * s * np.cos(np.square(s))
         with pytest.raises(DomainError, match="nonincreasing"):
             MonotoneWeight("osc", a=a, da=da, inv=lambda y: y,
-                           dq=lambda x, y: (a(x) - a(y)) / (x - y + 1e-300),
                            gap=lambda x, g: (a(x) - a(x - g), 1.0))
 
 
@@ -608,6 +583,22 @@ def reference_panels(t, r, step, knots, lam_max):
             [(close, 2.0), (~close & ~far, 1.0), (far, 0.75)])
 
 
+def difference_quotient(a, x, y):
+    """(a(x) - a(y)) / (x - y) for the two weights, from their closed forms
+    2cosh x - 2cosh y = 4 sinh((x+y)/2) sinh((x-y)/2) and
+    x^2 - y^2 = (x + y)(x - y), with sinh(h)/h two Taylor terms below
+    h = 1e-4: the direct formula for a(x) - a(y), free of cancellation and
+    independent of MonotoneWeight.gap."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if a.name == "s^2":
+        return x + y
+    h = 0.5 * (x - y)
+    tiny = np.abs(h) < 1e-4
+    hs = np.where(tiny, 1.0, h)
+    sinhc = np.where(tiny, 1.0 + h * h / 6.0, np.sinh(hs) / hs)
+    return 2.0 * np.sinh(0.5 * (x + y)) * sinhc
+
+
 def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
                            majorant=False):
     """meanprop._kernel_nodes with its earlier per-node formula, the
@@ -643,8 +634,8 @@ def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
                 Mc = d + gap_c[ob]
                 Mb = np.minimum(2.0 * rb + (1.0 - fr) * d, stb + lam + fr * d)
                 M = np.maximum(tt[ob], rb + lam)
-                amb = a.dq(M, M - Mb) * Mb
-                m1 = np.minimum(a.dq(M, M - Mc) * Mc / amb, 1.0)
+                amb = difference_quotient(a, M, M - Mb) * Mb
+                m1 = np.minimum(difference_quotient(a, M, M - Mc) * Mc / amb, 1.0)
                 w = (half[b] * wg[:, None]) * (2.0 * Hb * uu) * (
                     2.0 * agm_K(m1) / np.sqrt(amb))
                 yield row[ob], lam, w
@@ -920,6 +911,50 @@ class TestLinearFieldBlocks:
                         assert np.array_equal(x, y)
 
 
+class TestKernelSums:
+    # _kernel_sums builds a call's panels once per block of points and
+    # reuses them at every node level
+    @pytest.mark.parametrize("t, r", [(0.5, 0.5), (4.0, 2.0), (8.0, 8.0)])
+    def test_one_kernel_call_per_pointwise_rule(self, monkeypatch, weight, t, r):
+        calls = counting_kernel_nodes(monkeypatch)
+        W_evaluator(t, r, f_decay, weight)
+        w_majorant(t, r, f_decay, weight)
+        sine_propagator(theta1, t, r)
+        # each settles over two levels or more, on the panels of one call
+        assert [size for size, _ in calls] == [1, 1, 1]
+
+    @pytest.mark.parametrize("t, r", [(0.5, 0.5), (4.0, 2.0), (8.0, 8.0), (2.0, 0.0)])
+    def test_one_kernel_call_per_claim(self, monkeypatch, t, r):
+        from hypwave.globalsolver import claim_bound_check
+
+        calls = counting_kernel_nodes(monkeypatch)
+        claim_bound_check(3.5, 1.2, 1e-4, t, r)
+        n_tau = max(8, 2 * int(np.ceil(2.0 * t)))
+        assert [size for size, _ in calls] == [n_tau]
+
+    def test_blocks_of_a_larger_call(self, monkeypatch):
+        # more points than _POINT_BLOCK: one call per block and level, the
+        # sums those of one call per point, row naming the point among all
+        t, r = np.linspace(0.1, 3.0, 7), np.linspace(0.0, 2.0, 5)[:, None]
+        T, R = (x.ravel() for x in np.broadcast_arrays(t, r))
+
+        def weigh_by(t):
+            def weigh(w, lam, row):
+                w *= f_decay(lam) * (1.0 + np.asarray(t)[row])
+            return weigh
+
+        a = meanprop._TWO_COSH
+        want = np.concatenate([meanprop._kernel_sums(tk, rk, a, None, weigh_by([tk]))(8)
+                               for tk, rk in zip(T, R)])
+        monkeypatch.setattr(meanprop, "_POINT_BLOCK", 4)
+        calls = counting_kernel_nodes(monkeypatch)
+        sums = meanprop._kernel_sums(t, r, a, None, weigh_by(T))
+        for n_gl in (8, 16):
+            sums(n_gl)
+        assert [size for size, _ in calls] == 2 * ([4] * 8 + [3])
+        assert_close_to_max(sums(8), want, 1e-15)
+
+
 class TestLeggaussCache:
     @pytest.mark.parametrize("n", [6, 10, 32])
     def test_matches_numpy_and_is_read_only(self, n):
@@ -989,8 +1024,10 @@ class TestWEvaluator:
         b, c, M = abs(r - lam), min(t, r + lam), max(t, r + lam)
         x, w = cg_nodes(64, b * b, c * c)
         s = np.sqrt(x)
-        g = (weight.da(s) / (2.0 * s)) / np.sqrt(
-            weight.dq_of_squares(c * c, x) * weight.dq_of_squares(x, b * b))
+        # (a(c) - a(s)) / (c^2 - s^2) and (a(s) - a(b)) / (s^2 - b^2)
+        upper = difference_quotient(weight, c, s) / (c + s)
+        lower = difference_quotient(weight, s, b) / (s + b)
+        g = (weight.da(s) / (2.0 * s)) / np.sqrt(upper * lower)
         via_cg = np.dot(w, g / np.sqrt(weight.a(M) - weight.a(s)))
         amb = weight.a(M) - weight.a(b)
         via_ek = 2.0 * _agm_K(np.array([(weight.a(M) - weight.a(c)) / amb]))[0] / np.sqrt(amb)
@@ -1073,6 +1110,13 @@ class TestBetaIdentity:
 
     def test_b_zero(self, weight):
         assert_allclose(beta_identity_check(0.0, 3.0, weight), np.pi, rtol=1e-12)
+
+    @pytest.mark.parametrize("b, c", [(0.5, 0.5 + 1e-9), (3.0, 3.0 + 1e-9),
+                                      (0.0, 1e-9), (0.0, 12.0)])
+    def test_near_coincident_and_wide_ends(self, weight, b, c):
+        # the gap factorisation keeps both quotients accurate when the ends
+        # nearly coincide, where a(c) - a(b) itself cancels
+        assert_allclose(beta_identity_check(b, c, weight), np.pi, rtol=1e-12)
 
     def test_invalid_interval(self, weight):
         with pytest.raises(DomainError):
