@@ -89,13 +89,15 @@ _BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_POSITIVE, 1.0),
            "C0": (float, None), "m_max": (_COUNT, 20)}  # C0: default_C0(tau0)
 
 # command -> section -> key -> (cast, default). A cast is float, int, _bool,
-# a tuple of choices or a _check; a default is a value, _REQUIRED, or None
-# for one computed in the code or left to the dataclass the key feeds.
+# a tuple of choices, a dict of choices -> the keys of the section that
+# only that choice reads, or a _check; a default is a value, _REQUIRED, or
+# None for one computed in the code or left to the dataclass the key feeds.
 # The grids are FDConfig's (propagate, decay) and SolverConfig's defaults.
 _SCHEMA = {
     "propagate": {
         "grid": _grid(4.0, 8.0, 0.04, 0.05),
-        "data": {"kind": (("zero", "constant", "theta", "bump"), "zero"),
+        "data": {"kind": ({"zero": (), "constant": ("value",),
+                           "theta": ("k",), "bump": ("tau0",)}, "zero"),
                  "value": (float, 1.0), "k": (float, 1.0),
                  "tau0": (float, 1.0)},
         "propagate": {"engine": (("kernel", "fd", "both"), "kernel")},
@@ -207,11 +209,11 @@ def _read_config(path, command):
                     raise ConfigError(f"missing {where}")
                 if default is not None:
                     values[key] = default
-            elif isinstance(cast, tuple):
+            elif isinstance(cast, (tuple, dict)):
                 values[key] = raw.strip().lower()
                 if values[key] not in cast:
-                    raise ConfigError(f"{where} must be one of {cast}, got "
-                                      f"{values[key]!r}")
+                    raise ConfigError(f"{where} must be one of {tuple(cast)}, "
+                                      f"got {values[key]!r}")
             else:
                 try:
                     values[key] = cast(raw)
@@ -219,6 +221,16 @@ def _read_config(path, command):
                     raise ConfigError(f"{where}: cannot parse {raw!r}")
                 except ConfigError as exc:
                     raise ConfigError(f"{where} {exc}")
+        for key, (cast, _) in keys.items():
+            if isinstance(cast, dict):
+                reads = cast[values[key]]
+                for name in raws:
+                    if name not in reads and any(name in keys_of
+                                                 for keys_of in cast.values()):
+                        raise ConfigError(
+                            f"key {name!r} in [{section}] is not read by "
+                            f"{key} = {values[key]}, which reads "
+                            f"{', '.join(reads) or 'no other key'}")
     return config
 
 
@@ -419,8 +431,8 @@ def cmd_decay(config, out, seed):
 
 
 def cmd_contraction(config, out, seed):
-    from .globalsolver import (SolverConfig, _threshold_search,
-                               contraction_probe)
+    from .globalsolver import (SolverConfig, contraction_probe,
+                               epsilon_threshold)
     from .hypgeo import DomainError
 
     solver, data_k = config["solver"], config["data"]["k"]
@@ -439,12 +451,13 @@ def cmd_contraction(config, out, seed):
                    ("epsilon", "sampled_pairs", "max_ratio"),
                    [(rep.epsilon, rep.sampled_pairs, rep.max_ratio)])
     else:
-        eps0, rep = _threshold_search(spec, cfg, target, seed, data_k,
-                                      n_pairs, contraction["n_steps"])
+        rep = epsilon_threshold(spec, cfg, target, seed, data_k, n_pairs,
+                                contraction["n_steps"])
         _write_csv(out / "threshold.csv",
                    ("epsilon0", "target_ratio", "max_ratio",
                     "sampled_pairs", "seed"),
-                   [(eps0, target, rep.max_ratio, rep.sampled_pairs, seed)])
+                   [(rep.epsilon, target, rep.max_ratio, rep.sampled_pairs,
+                     seed)])
     _write_csv(out / "ratios.csv", ("pair", "ratio"),
                [(i, ratio) for i, ratio in enumerate(rep.ratios)])
     return 0

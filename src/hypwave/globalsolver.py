@@ -15,14 +15,16 @@ computes the guaranteed local existence window.
 
 Heavy objects (the gridded propagation table and the empirical N_h) are
 cached per grid, so repeated probes at different eps share one table
-build. A threshold search draws its random pair shapes once and only
-rescales them per eps, and every probe evaluates all of its pairs with
-one stacked Duhamel call on the differences F(u) - F(v), which
-linearity allows.
+build. The random pair shapes of a probe are cached per (seed, number
+of pairs, grid), so a threshold search, which bisects through
+contraction_probe, draws them once and only rescales them per eps; and
+every probe evaluates all of its pairs with one stacked Duhamel call on
+the differences F(u) - F(v), which linearity allows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,8 +45,8 @@ from .meanprop import (
     SpaceTimeField,
     _as_profile,
     _kernel_sums,
+    _lag_weights,
     _settle_sums,
-    _time_weights,
     leggauss,
     linear_field,
 )
@@ -183,6 +185,7 @@ def clear_caches():
     so that the next call pays what a fresh process pays."""
     _TABLE_CACHE.clear()
     _NH_CACHE.clear()
+    _pair_shapes.cache_clear()
     leggauss.cache_clear()
 
 
@@ -306,15 +309,22 @@ def _unit_shape(rng, T, R):
     return xi / sup
 
 
-def _pair_shapes(rng_seed, n_pairs, t_grid, r_grid):
-    """The unit shapes of n_pairs pairs (u, v), shape (n_pairs, 2, n_t, n_r),
-    drawn in the order u, v, u, v, ... from one generator."""
+@functools.lru_cache(maxsize=4)
+def _pair_shapes(rng_seed, n_pairs, grid):
+    """The unit shapes of n_pairs pairs (u, v) on the SolverConfig grid,
+    shape (n_pairs, 2, n_t, n_r), drawn in the order u, v, u, v, ... from
+    one generator seeded with the integer rng_seed. Cached and read-only,
+    so the probes of a threshold search share one draw."""
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
+    t_max, r_max, dt, dr = grid
     rng = np.random.default_rng(rng_seed)
-    T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
-    return np.array([[_unit_shape(rng, T, R), _unit_shape(rng, T, R)]
-                     for _ in range(n_pairs)])
+    T, R = np.meshgrid(uniform_grid(t_max, dt, "t_max/dt"),
+                       uniform_grid(r_max, dr, "r_max/dr"), indexing="ij")
+    shapes = np.array([[_unit_shape(rng, T, R), _unit_shape(rng, T, R)]
+                       for _ in range(n_pairs)])
+    shapes.flags.writeable = False
+    return shapes
 
 
 def _pair_ratios(table, F, phi, U, V):
@@ -327,8 +337,22 @@ def _pair_ratios(table, F, phi, U, V):
             for n, d in zip(num, denom)]
 
 
-def _probe(spec, cfg, units, data_k):
-    """contraction_probe on given unit pair shapes (see _pair_shapes)."""
+def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
+                      rng_seed=0, data_k=1.0):
+    """Empirical contraction factor of u -> duhamel(F(u)) on the ball.
+
+    Samples n_pairs >= 1 independent pairs (u, v) with weighted norm equal
+    to the ball radius 2 eps N_h and reports the largest ratio
+    ||L F(u) - L F(v)|| / ||u - v|| in the Phi_h norm. Degenerate pairs
+    (u = v) are skipped. All pairs share one stacked Duhamel call. The
+    pair shapes do not depend on eps (only the ball radius scales them)
+    and are cached per (rng_seed, n_pairs, grid), so rng_seed must be a
+    nonnegative integer: a Generator or None would freeze one draw.
+    """
+    if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
+        raise DomainError(
+            f"rng_seed must be a nonnegative integer, got {rng_seed!r}")
+    units = _pair_shapes(int(rng_seed), n_pairs, cfg.grid)
     table = _get_table(cfg)
     F = nonlinearity(spec)
     phi = phi_weight_grid(cfg.t_grid, cfg.r_grid, cfg.h)
@@ -345,70 +369,49 @@ def _probe(spec, cfg, units, data_k):
                              max_ratio=max_ratio, ratios=tuple(ratios))
 
 
-def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
-                      rng_seed=0, data_k=1.0):
-    """Empirical contraction factor of u -> duhamel(F(u)) on the ball.
-
-    Samples n_pairs >= 1 independent pairs (u, v) with weighted norm equal
-    to the ball radius 2 eps N_h and reports the largest ratio
-    ||L F(u) - L F(v)|| / ||u - v|| in the Phi_h norm. Degenerate pairs
-    (u = v) are skipped. All pairs share one stacked Duhamel call.
-    """
-    units = _pair_shapes(rng_seed, n_pairs, cfg.t_grid, cfg.r_grid)
-    return _probe(spec, cfg, units, data_k)
-
-
 def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,
                       target_ratio=0.5, rng_seed=0, data_k=1.0,
                       n_pairs=20, n_steps=20):
-    """Largest probed eps whose contraction factor stays below target_ratio.
+    """The contraction_probe at the largest probed eps0 whose contraction
+    factor stays within target_ratio; its .epsilon is eps0.
 
-    Bisection with n_steps >= 0 steps on [1e-12, 1]; the returned value is
-    the lower bracket end, so it is itself admissible: a contraction_probe
-    at the result with the same rng_seed and n_pairs reproduces a
-    max_ratio within target_ratio, because the sampled pair shapes do not
-    depend on eps (only the ball radius scales). The shapes are therefore
-    drawn once, and each probe costs one stacked Duhamel call.
-    Deterministic for a fixed rng_seed. Raises DomainError for
-    n_pairs < 1, n_steps < 0 or target_ratio <= 0, and ConvergenceError
-    when even the floor 1e-12 fails the probe.
+    Bisection with n_steps >= 0 steps on [1e-12, 1], one contraction_probe
+    per step; eps0 is the lower bracket end, so it is itself admissible,
+    and the returned report is bit for bit the contraction_probe at eps0
+    with the same rng_seed and n_pairs. The probes share one cached draw
+    of pair shapes, so each costs one stacked Duhamel call. Deterministic
+    for a fixed rng_seed. Raises DomainError for n_pairs < 1, n_steps < 0,
+    target_ratio <= 0 or an rng_seed that is not a nonnegative integer,
+    and ConvergenceError when even the floor 1e-12 fails the probe.
     """
-    return _threshold_search(spec, cfg, target_ratio, rng_seed, data_k,
-                             n_pairs, n_steps)[0]
-
-
-def _threshold_search(spec, cfg, target_ratio, rng_seed, data_k, n_pairs,
-                      n_steps):
-    """epsilon_threshold's bisection: (eps0, the ContractionReport of its
-    probe at eps0), which is bit for bit the contraction_probe at eps0
-    with the same rng_seed and n_pairs."""
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
     if not target_ratio > 0:
         raise DomainError(f"target_ratio must be positive, got {target_ratio}")
-    units = _pair_shapes(rng_seed, n_pairs, cfg.t_grid, cfg.r_grid)
 
-    reports = {}
-
-    def ratio_at(eps):
+    def admissible(eps):
+        """The probe at eps if its ratio is within target_ratio, else None."""
         try:
-            reports[eps] = _probe(spec, replace(cfg, epsilon=eps), units, data_k)
+            rep = contraction_probe(spec, replace(cfg, epsilon=eps), n_pairs,
+                                    rng_seed, data_k)
         except EscapeError:
-            return np.inf
-        return reports[eps].max_ratio
+            return None
+        return rep if rep.max_ratio <= target_ratio else None
 
     lo, hi = 1e-12, 1.0
-    if ratio_at(lo) > target_ratio:
+    report = admissible(lo)
+    if report is None:
         raise ConvergenceError(
             f"no admissible epsilon found down to the floor {lo:g} "
             f"(target ratio {target_ratio})")
     for _ in range(n_steps):
         mid = 0.5 * (lo + hi)
-        if ratio_at(mid) <= target_ratio:
-            lo = mid
+        rep = admissible(mid)
+        if rep is not None:
+            lo, report = mid, rep
         else:
             hi = mid
-    return lo, reports[lo]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +449,10 @@ def claim_bound_check(p, h, epsilon, t, r):
         w *= ((log_inv_eps + lam) ** (1.0 - p) * np.sinh(lam)
               * bracket(taus[row] - lam) ** (-h) / np.sqrt(np.cosh(lam)))
 
-    # n_tau is even, so these are the composite Simpson weights
+    # n_tau is even, so the Simpson weights b(k) of the lag weights are
+    # the composite Simpson rule on every node but tau = t
     claim_value = _settle_sums(_kernel_sums(t - taus, r, _TWO_COSH, None, weigh),
-                               (t / n_tau * _time_weights(n_tau))[:-1],
+                               t / n_tau * _lag_weights(n_tau)[0],
                                f"claim integral at (t={t}, r={r})")
     weighted = claim_value * np.sqrt(np.cosh(r)) * bracket(t - r) ** h
     return claim_value, float(weighted)

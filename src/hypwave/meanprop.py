@@ -584,34 +584,16 @@ def linear_field(phi, t_grid, r_grid):
 # Duhamel
 
 
-def _time_weights(i):
-    """Newton-Cotes weights (units of dt) for int_0^{t_i} on grid indices 0..i:
-    composite Simpson for even i, Simpson + 3/8 tail for odd i >= 3,
-    trapezoid for i = 1."""
-    if i == 0:
-        return np.zeros(1)
-    if i == 1:
-        return np.array([0.5, 0.5])
-    w = np.zeros(i + 1)
-    if i % 2 == 0:
-        w[0] = w[i] = 1.0 / 3.0
-        w[1:i:2] = 4.0 / 3.0
-        w[2:i:2] += 2.0 / 3.0
-    else:
-        head = _time_weights(i - 3)
-        w[: i - 2] += head
-        w[i - 3 :] += np.array([3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0])
-    return w
-
-
 def _lag_weights(n_t):
     """Time weights (units of dt) of the Duhamel convolution on n_t rows.
 
     Entry [c, k] weighs source row k in output row i = k + d, with c = d
-    for the lags d = 1, 2, 3 and c = 0 for d >= 4, so that it equals
-    _time_weights(i)[k] for every k < i (the lag-0 propagator vanishes).
-    Row 0 is the Simpson weight b(k); rows 1..3 add the end corrections
-    of the trapezoid row i = 1 and of the 3/8 tail on odd rows i >= 3.
+    for the lags d = 1, 2, 3 and c = 0 for d >= 4, so that it equals the
+    Newton-Cotes weight of index k in int_0^{t_i} for every k < i (the
+    lag-0 propagator vanishes): composite Simpson for even i, Simpson
+    plus a 3/8 tail for odd i >= 3, the trapezoid for i = 1. Row 0 is the
+    Simpson weight b(k); rows 1..3 add the end corrections of the
+    trapezoid row i = 1 and of the 3/8 tail on odd rows i >= 3.
     """
     b = np.full(n_t, 2.0 / 3.0)
     b[1::2] = 4.0 / 3.0
@@ -763,8 +745,8 @@ class PropagatorTable:
         matrix product per lag d over all rows and sources. w_d is the
         Simpson weight b(k), with the end corrections of the trapezoid
         row i = 1 and of the 3/8 tail on odd rows i >= 3 carried by the
-        lags 1..3 (_lag_weights), so every row gets the _time_weights(i)
-        rule.
+        lags 1..3 (_lag_weights), so every row i gets its Newton-Cotes
+        rule on t_0..t_i.
         """
         F = np.asarray(source_values, dtype=float)
         n_t, n_r = self.t_grid.size, self.r_grid.size

@@ -7,6 +7,8 @@ independent check of what the library computes another way:
   (PCHIP, from scipy, a test dependency), 0 past the last sample;
 * slice_profile and time_index, a time slice of a SpaceTimeField as such
   a profile and the index of a time on its grid;
+* time_weights, the Newton-Cotes weights of int_0^{t_i} on grid indices
+  0..i, the check of meanprop._lag_weights;
 * duhamel, the Duhamel integral at one point as a Newton-Cotes sum of
   pointwise sine propagators over the source's time slices, the check of
   PropagatorTable.duhamel_field;
@@ -24,7 +26,7 @@ from scipy.interpolate import PchipInterpolator
 from hypwave.globalsolver import _TAU_PER_UNIT
 from hypwave.hypgeo import DomainError, bracket
 from hypwave.meanprop import (_KERNEL_LEVEL, _STENCIL, _TWO_COSH, MonotoneWeight,
-                              RadialProfile, W_evaluator, _kernel_nodes, _time_weights,
+                              RadialProfile, W_evaluator, _kernel_nodes,
                               sine_propagator)
 
 
@@ -65,6 +67,26 @@ def time_index(field, t):
     return i
 
 
+def time_weights(i):
+    """Newton-Cotes weights (units of dt) for int_0^{t_i} on grid indices 0..i:
+    composite Simpson for even i, Simpson + 3/8 tail for odd i >= 3,
+    trapezoid for i = 1."""
+    if i == 0:
+        return np.zeros(1)
+    if i == 1:
+        return np.array([0.5, 0.5])
+    w = np.zeros(i + 1)
+    if i % 2 == 0:
+        w[0] = w[i] = 1.0 / 3.0
+        w[1:i:2] = 4.0 / 3.0
+        w[2:i:2] += 2.0 / 3.0
+    else:
+        head = time_weights(i - 3)
+        w[: i - 2] += head
+        w[i - 3 :] += np.array([3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0])
+    return w
+
+
 def duhamel(F, t, r):
     """int_0^t I(t - tau, r, F(tau, .)) dtau for a gridded source F.
 
@@ -83,7 +105,7 @@ def duhamel(F, t, r):
     dt = F.t_grid[1] - F.t_grid[0]
     if not np.allclose(np.diff(F.t_grid[: i + 1]), dt, rtol=1e-9):
         raise DomainError("duhamel requires a uniform time grid")
-    w = _time_weights(i) * dt
+    w = time_weights(i) * dt
     total = 0.0
     for k in range(i + 1):
         lag = F.t_grid[i] - F.t_grid[k]
@@ -158,4 +180,4 @@ def per_tau_claim(p, h, epsilon, t, r, W=W_evaluator):
     taus = np.linspace(0.0, t, n_tau + 1)
     vals = np.array([W(t - tau, r, f_tau(tau), a) for tau in taus])
     # n_tau is even, so these are the composite Simpson weights
-    return float(t / n_tau * _time_weights(n_tau) @ vals)
+    return float(t / n_tau * time_weights(n_tau) @ vals)

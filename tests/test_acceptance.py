@@ -67,7 +67,7 @@ EPS0_FROZEN = 0.07496261596772194
 
 @pytest.fixture(scope="module")
 def eps0():
-    return epsilon_threshold(SPEC35, CFG35, rng_seed=11, n_pairs=20)
+    return epsilon_threshold(SPEC35, CFG35, rng_seed=11, n_pairs=20).epsilon
 
 
 def test_01_beta_identity_is_pi():

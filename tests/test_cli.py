@@ -261,10 +261,18 @@ def test_misspelt_key_is_config_error(tmp_path, capsys, command, section):
     # the spec was built only for the escape run
     ("blowup", BLOWUP_BASE + NON_MONOTONE + "[escape]\nenabled = false\n",
      "non-monotone blend"),
+    # each [data] kind reads only its own key
+    ("propagate", SMALL_GRID + "[data]\nkind = theta\nvalue = 7\ntau0 = 3\n",
+     "key 'value' in [data] is not read by kind = theta, which reads k"),
+    ("propagate", SMALL_GRID + "[data]\nkind = bump\nk = 2\n",
+     "key 'k' in [data] is not read by kind = bump, which reads tau0"),
+    ("propagate", SMALL_GRID + "[data]\nvalue = 3\n",
+     "key 'value' in [data] is not read by kind = zero, which reads no "
+     "other key"),
 ], ids=["grid-t_maxx", "propagate-escape", "solve-maxiters", "solve-data-kind",
         "contraction-max_iters", "n_pair", "threshold_factor", "m_max",
         "tau0-150", "tau0-2000", "certify-tau0-150", "certify-tau0-2000",
-        "non-monotone-without-escape"])
+        "non-monotone-without-escape", "theta-value", "bump-k", "zero-value"])
 def test_config_that_ran_something_else_is_config_error(
         tmp_path, capsys, monkeypatch, command, body, message):
     # each of these once exited 0 (or 1, or 3 after compute) running an
@@ -313,6 +321,9 @@ def test_readme_config_reference_is_the_schema():
                          for key in keys}
     for (command, section, key), (kind, default) in rows.items():
         cast, value = _SCHEMA[command][section][key]
+        if isinstance(cast, dict):  # a choice with the keys only it reads
+            cast = tuple(f"{choice} ({', '.join(reads)})" if reads else choice
+                         for choice, reads in cast.items())
         assert kind == (" / ".join(cast) if isinstance(cast, tuple)
                         else cast.__name__.lstrip("_")), (command, key)
         if value is _REQUIRED:

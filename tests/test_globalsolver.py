@@ -283,17 +283,19 @@ class TestThreshold:
     def test_threshold_exists_and_reprobes_admissibly(self, coarse_cfg):
         spec = NonlinearitySpec(p=4.0, q=3.0, delta0=0.3, A=2.0)
         cfg = gs.SolverConfig(p=4.0, h=1.5, epsilon=1e-3, grid=coarse_cfg.grid)
-        eps0 = gs.epsilon_threshold(spec, cfg, rng_seed=13, n_pairs=6,
-                                    n_steps=12)
+        found = gs.epsilon_threshold(spec, cfg, rng_seed=13, n_pairs=6,
+                                     n_steps=12)
+        eps0 = found.epsilon
         assert eps0 > 0
+        gs.clear_caches()  # a fresh draw of the shapes and a fresh table
         rep = gs.contraction_probe(spec, with_eps(cfg, eps0), n_pairs=6,
                                    rng_seed=13)
         assert rep.max_ratio <= 0.5
+        # the search's own probe at eps0 is that re-probe, bit for bit
+        assert found == rep
         again = gs.epsilon_threshold(spec, cfg, rng_seed=13, n_pairs=6,
                                      n_steps=12)
-        assert eps0 == again
-        # the search's own probe at eps0 is that re-probe, bit for bit
-        assert gs._threshold_search(spec, cfg, 0.5, 13, 1.0, 6, 12) == (eps0, rep)
+        assert again == found
 
     def test_impossible_target_fails(self, coarse_cfg):
         with pytest.raises(gs.ConvergenceError, match="no admissible"):
@@ -314,6 +316,7 @@ class TestThreshold:
         # the bisection of epsilon_threshold, redone with a fresh
         # contraction_probe (and a fresh draw) at every eps
         def ratio_at(eps):
+            gs._pair_shapes.cache_clear()
             try:
                 return gs.contraction_probe(SPEC, with_eps(coarse_cfg, eps),
                                             n_pairs=3, rng_seed=21).max_ratio
@@ -330,7 +333,51 @@ class TestThreshold:
                 hi = mid
         assert lo > 1e-3  # the search accepted some eps and rejected others
         assert gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21, n_pairs=3,
-                                    n_steps=8) == lo
+                                    n_steps=8).epsilon == lo
+
+    def test_search_draws_its_shapes_once(self, coarse_cfg):
+        gs._pair_shapes.cache_clear()
+        gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21, n_pairs=3,
+                             n_steps=8)
+        info = gs._pair_shapes.cache_info()
+        # every probe of the bisection, the floor's included, asks once
+        assert (info.misses, info.hits) == (1, 8)
+
+
+class TestPairShapes:
+    def test_shapes_are_read_only(self, coarse_cfg):
+        units = gs._pair_shapes(5, 3, coarse_cfg.grid)
+        assert units.shape == (3, 2, coarse_cfg.t_grid.size,
+                               coarse_cfg.r_grid.size)
+        assert not units.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            units[0, 0, 0, 0] = 1.0
+
+    def test_clear_caches_empties_the_shape_cache(self, coarse_cfg):
+        gs.contraction_probe(SPEC, coarse_cfg, n_pairs=2, rng_seed=4)
+        assert gs._pair_shapes.cache_info().currsize > 0
+        gs.clear_caches()
+        assert gs._pair_shapes.cache_info().currsize == 0
+
+    def test_numpy_integer_seed_is_the_int_seed(self, coarse_cfg):
+        a = gs.contraction_probe(SPEC, coarse_cfg, n_pairs=2, rng_seed=4)
+        gs.clear_caches()
+        assert gs.contraction_probe(SPEC, coarse_cfg, n_pairs=2,
+                                    rng_seed=np.int64(4)) == a
+
+    @pytest.mark.parametrize("seed", [None, np.random.default_rng(3), 2.0,
+                                      "3", -1],
+                             ids=["None", "Generator", "float", "str",
+                                  "negative"])
+    @pytest.mark.parametrize("search", [False, True],
+                             ids=["probe", "threshold"])
+    def test_seed_the_cache_would_freeze_rejected(self, coarse_cfg, seed,
+                                                  search):
+        # a Generator or None seed would make every cached draw the first
+        run = gs.epsilon_threshold if search else gs.contraction_probe
+        with pytest.raises(DomainError, match="rng_seed") as err:
+            run(SPEC, coarse_cfg, n_pairs=2, rng_seed=seed)
+        assert repr(seed) in str(err.value)
 
 
 class TestClaimBound:

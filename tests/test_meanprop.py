@@ -26,7 +26,6 @@ from hypwave.meanprop import (
     _agm_K,
     _lag_weights,
     _mean_nodes,
-    _time_weights,
     beta_identity_check,
     default_C0,
     dt_r_bound_check,
@@ -39,7 +38,8 @@ from hypwave.meanprop import (
     spherical_mean,
     w_majorant,
 )
-from references import duhamel, from_samples, per_lag_table, slice_profile, time_index
+from references import (duhamel, from_samples, per_lag_table, slice_profile, time_index,
+                        time_weights)
 
 EP1 = EnvelopeParams(k=1.0)
 
@@ -410,7 +410,7 @@ def duhamel_by_prefix(table, F):
     n_t, n_r = F.shape
     prefix = np.zeros((n_t, n_t))
     for i in range(n_t):
-        prefix[i, : i + 1] = _time_weights(i) * table.dt
+        prefix[i, : i + 1] = time_weights(i) * table.dt
     P = np.tensordot(table._A, F, axes=([2], [1]))
     out = np.zeros((n_t, n_r))
     for k in range(n_t):
@@ -446,10 +446,18 @@ class TestDuhamelConvolution:
         # row k = i multiplies the vanishing lag-0 propagator, so only k < i
         for i in range(201):
             w = _lag_weights(i + 1)
-            want = _time_weights(i)
+            want = time_weights(i)
             for k in range(i):
                 d = i - k
                 assert abs(w[d if d < 4 else 0, k] - want[k]) <= 1e-15
+
+    def test_simpson_row_is_the_even_rule(self):
+        # claim_bound_check's tau weights: bit for bit the composite
+        # Simpson rule on all nodes but the last
+        for n in range(8, 200, 2):
+            t = 0.37 * n
+            assert np.array_equal(t / n * _lag_weights(n)[0],
+                                  (t / n * time_weights(n))[:-1])
 
 
 def assert_rows_close(got, want, rel):
