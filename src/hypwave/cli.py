@@ -23,7 +23,9 @@ the failing command), 4 certificate violation from cmd_certify.
 The environment variable WAVECLI_THREADS caps BLAS/OpenMP parallelism;
 it is applied before the numerical modules are imported, so it only
 takes effect when the process starts here (the default is whatever the
-machine gives, usually all cores). All randomness is driven by --seed.
+machine gives, usually all cores). All randomness is driven by --seed,
+a nonnegative integer; the argument parser refuses any other value with
+exit 2.
 
 Heavy imports happen inside the command handlers, after the thread cap.
 """
@@ -608,7 +610,10 @@ def _parse_args(argv):
                         help="output directory for the CSV reports")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for every random draw in the run")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be a nonnegative integer, got {args.seed}")
+    return args
 
 
 def main(argv=None):

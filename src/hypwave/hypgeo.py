@@ -12,7 +12,7 @@ with curvature -1:
 with the Japanese bracket <s> = sqrt(1+s^2).  cosh and sinh are also
 given in log form so that envelopes and weights can be evaluated far
 beyond the ~700 overflow threshold of cosh; the W operator's weights
-carry their own differences (meanprop.MonotoneWeight.gap).
+carry the product form of their differences (meanprop.MonotoneWeight.s).
 
 The quadrature helper ``cg_nodes`` builds the Chebyshev-Gauss rule for
 integrals carrying the paired endpoint weight ((c_hi-x)(x-c_lo))^(-1/2);

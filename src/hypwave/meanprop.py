@@ -30,15 +30,15 @@ geometrically toward u = 0, with panels on the table's grid cells (so
 each integrates one cubic of the interpolant) or on unit steps and the
 profile's knots. Its evaluator yields chunks of whole panels, node-major
 (one row per node index, one column per panel), and keeps its
-intermediates in buffers that the chunks reuse. 1 - kappa comes from
-the weight's factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact
-gaps g = M - c and M - b, as a ratio of P's times a ratio of Q's, so no
-product of two small lengths is formed. The table scatters the nodes of
-a block of whole lags, at most _POINT_BLOCK points, to their cells as
-moments w xi^p. Every other consumer sums panels to points through one
-evaluator, _kernel_sums, in blocks of _POINT_BLOCK points: linear_field
-at one node level, sine_propagator, W_evaluator, w_majorant and
-globalsolver.claim_bound_check settled over doubling node levels.
+intermediates in buffers that the chunks reuse. 1 - kappa and
+a(M) - a(b) come from the weight's product form (MonotoneWeight.s) as
+ratios and roots of factors of like size. The table reduces each panel
+of a block of whole lags, at most _POINT_BLOCK points, to the moments
+w xi^p of its grid cell. Every other consumer sums panels to points
+through one evaluator, _kernel_sums, in blocks of _POINT_BLOCK points:
+linear_field at one node level, sine_propagator, W_evaluator,
+w_majorant and globalsolver.claim_bound_check settled over doubling
+node levels.
 
 The spherical mean keeps a rule of its own, the independent check of its
 identities: cosh(lam) = midpoint + halfwidth*cos(theta) removes both
@@ -168,37 +168,30 @@ class SpaceTimeField:
             raise DomainError("field values must be finite")
 
 
-def _two_cosh_gap(x, g):
-    """2cosh x - 2cosh(x - g) = 2 sinh(x - g/2) * 2 sinh(g/2)."""
-    h = 0.5 * g
-    P = np.sinh(x - h)
-    P *= 2.0
-    Q = np.sinh(h)
-    Q *= 2.0
-    return P, Q
-
-
 class MonotoneWeight:
     """An even C^1 weight a(s) with a'(s) > 0 for s > 0.
 
-    Carries, besides a and a', the inverse of a on [0, inf) and a
-    cancellation-free factorisation of its gaps,
-    gap(x, g) = (P, Q) with a(x) - a(x - g) = P(x, g) Q(g):
-    P = 2 sinh(x - g/2), Q = 2 sinh(g/2) for 2cosh and P = 2x - g, Q = g
-    for s^2. gap lets the kernel rule form ratios and roots of
-    a(M) - a(b) without forming the product, which underflows when both
-    lengths are tiny, and keeps the Beta identity's integrand accurate
-    when two abscissae nearly coincide. Construction verifies the two
-    conditions required of the weight (positivity of a' and monotonicity
-    of the smoothed derivative quotient) on a sample grid.
+    Carries, besides a and a', the inverse of a on [0, inf) and the
+    function s of its product form (DLMF 4.35)
+
+        a(x) - a(y) = 4 s((x + y)/2) s((x - y)/2):
+
+    s = sinh for 2cosh and the identity for s^2, each a ufunc that takes
+    out=. s lets the kernel rule form ratios and roots of a(M) - a(b)
+    from factors of like size, without the difference, which cancels, or
+    the product, which underflows when both lengths are tiny, and keeps
+    the Beta identity's integrand accurate when two abscissae nearly
+    coincide. Construction verifies the two conditions required of the
+    weight (positivity of a' and monotonicity of the smoothed derivative
+    quotient) on a sample grid.
     """
 
-    def __init__(self, name, a, da, inv, gap):
+    def __init__(self, name, a, da, inv, s):
         self.name = name
         self.a = a
         self.da = da
         self.inv = inv
-        self.gap = gap
+        self.s = s
         self._check_conditions()
 
     def _check_conditions(self):
@@ -219,7 +212,7 @@ class MonotoneWeight:
             a=lambda s: 2.0 * np.cosh(s),
             da=lambda s: 2.0 * np.sinh(s),
             inv=lambda y: np.arccosh(np.maximum(np.asarray(y, dtype=float), 2.0) / 2.0),
-            gap=_two_cosh_gap,
+            s=np.sinh,
         )
 
     @classmethod
@@ -229,7 +222,7 @@ class MonotoneWeight:
             a=lambda s: np.square(np.asarray(s, dtype=float)),
             da=lambda s: 2.0 * np.asarray(s, dtype=float),
             inv=lambda y: np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0)),
-            gap=lambda x, g: (2.0 * x - g, g),
+            s=np.positive,
         )
 
 
@@ -386,21 +379,27 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
     branch is closer than H), at the multiples of step and at the knots.
     A panel gets n_gl Gauss nodes; twice that when its centre lies within
     two widths of u = 0, three quarters when it is narrower than 1/4 in
-    lam and eight widths or more away. A side's panels, and every bit of
-    its nodes and weights, do not depend on the other points of the call,
-    but for one case: a break on the side's own end t + r can survive the
-    rounding of u as a sliver panel of negligible weight, and the call
-    has that break only when a farther point carries the breaks past it.
+    lam and eight widths or more away. A break within a few ulps of the
+    side's own end t + r moves onto it and drops out, as the breaks past
+    the end do, instead of cutting a sliver panel that the rounding of u
+    left inside. So a side's panels, and every bit of its nodes and
+    weights, do not depend on the other points of the call.
 
-    1 - kappa = (a(M) - a(c)) / (a(M) - a(b)) comes from the weight's gap
-    factorisation a(M) - a(M - g) = P(M, g) Q(g) at the exact gaps
-    g = M - c and g = M - b, as (P_c / P_b) (Q_c / Q_b), and
-    1 / sqrt(a(M) - a(b)) as 1 / (sqrt(P_b) sqrt(Q_b)); the majorant's
-    kernel is pi / (sqrt(P_c) sqrt(Q_c)), with no K. Neither forms
-    the product P_b Q_b, so K stays accurate up to lam* and nothing
-    underflows for t and r down to 1e-300. Smaller scales are outside the
-    domain: at t = 1e-302 (r = 0) or a subnormal radius such as 5e-324 the
-    gaps leave the normal range and the weights overflow.
+    Both kernels come from the weight's product form
+    a(x) - a(y) = 4 s((x + y)/2) s((x - y)/2) at the node's d = H u^2:
+    on the right side (M = r + lam, c = t)
+        a(M) - a(c) = 4 s(max(t, r) + d/2) s(d/2 + max(r - t, 0)),
+        a(M) - a(b) = 4 s(lam) s(r),
+    and on the left side (M = t, c = r + lam)
+        a(M) - a(c) = 4 s(t - d/2) s(d/2),
+        a(M) - a(b) = 4 s(lam + d/2) s(r + d/2).
+    1 - kappa is the ratio of the first factors times that of the second
+    ones, and each root is a product of the factors' roots. No difference
+    of nearby values and no product of two factors is formed, so K stays
+    accurate up to lam* and nothing underflows for t and r down to
+    1e-300. Smaller scales are outside the domain: at t = 1e-302 (r = 0)
+    or a subnormal radius such as 5e-324 the factors leave the normal
+    range and the weights overflow.
     """
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
     # two sides per point: up from lam* to r + t, and (t > r) down to 0
@@ -419,9 +418,12 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
     lam_b = step * np.arange(1.0, np.ceil(min(lam_max, (t + r).max(initial=0.0)) / step))
     if knots is not None:
         lam_b = np.concatenate([lam_b, knots])
-    # u of lam_max, then of the other breaks, on every side
+    # u of lam_max, then of the other breaks, on every side; a break
+    # within 4 ulps of t + r goes to u = 1, the right side's end
     u_b = np.sqrt(np.maximum(sgn[:, None] * (np.append(lam_max, lam_b) - st[:, None]),
                              0.0) / H[:, None])
+    end = (tt + rr)[:, None]
+    u_b[:, 1:][np.abs(lam_b - end) <= 4.0 * np.finfo(float).eps * end] = 1.0
     u_lo = np.where(right, 0.0, np.minimum(u_b[:, 0], 1.0))
     u_hi = np.where(right, np.minimum(u_b[:, 0], 1.0), 1.0)
     u = np.concatenate([u_lo[:, None], u_hi[:, None], graded, u_b[:, 1:]], axis=1)
@@ -429,7 +431,9 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
     o, p = np.nonzero(u[:, 1:] > u[:, :-1])
     mid, half = 0.5 * (u[o, p + 1] + u[o, p]), 0.5 * (u[o, p + 1] - u[o, p])
 
-    gap_c = 2.0 * np.maximum(rr - tt, 0.0)  # M - c - d on the right side
+    s = a.s
+    top, over = np.maximum(tt, rr), np.maximum(rr - tt, 0.0)
+    s_r = s(rr)
     xi = mid / half  # the panel's centre in halfwidths from u = 0
     close = xi < 4.0
     far = (xi >= 16.0) & (H[o] * 4.0 * mid * half <= 0.25)
@@ -440,46 +444,46 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
 
     def chunk(pool, b, n, xg, wg, is_right):
         # lam and w of the panels b, shaped (n, panels), from the five node
-        # buffers in pool; a function, so that no intermediate outlives it
+        # buffers in pool; a function, so that no intermediate outlives it.
+        # a(M) - a(c) = 4 s(P) s(Q) and a(M) - a(b) = 4 s(X) s(Y), where
+        # P, Q, X and Y are turned into their s in place
         ob = o[b]
-        U, D, Mc, Mb, M = pool[:, :n * b.size].reshape(5, n, b.size)
-        Hb, stb, rb, tb = H[ob], st[ob], rr[ob], tt[ob]
+        U, D, P, Q, X = pool[:, :n * b.size].reshape(5, n, b.size)
+        stb = st[ob]
         np.multiply(xg, half[b], out=U)
         U += mid[b]  # u
-        np.multiply(Hb, U, out=D)
-        D *= U  # d = H u^2
-        if is_right:  # M - c = d + gap_c, M - b = 2 min(r, lam)
-            lam = stb + D
-            gc = np.add(D, gap_c[ob], out=Mc)
-            gb = np.minimum(rb, lam, out=Mb)
-            gb *= 2.0
-            x = np.add(rb, lam, out=M)
-            np.maximum(tb, x, out=x)
-        else:  # M = t, M - c = d, M - b = min(2r + d, lam* + lam)
-            lam = stb - D
-            gb = np.add(2.0 * rb, D, out=Mb)
-            np.minimum(gb, np.add(stb, lam, out=M), out=gb)
-            gc, x = D, tb
-        # Q may be the gap array itself (s^2), so Mb must outlive _agm_K,
-        # which runs in Mc and M, and Qc is read before D turns into the
-        # weights
-        Pc, Qc = a.gap(x, gc)
-        if majorant:  # pi / sqrt(a(M) - a(c))
-            K = w = np.pi / (np.sqrt(Pc) * np.sqrt(Qc))
+        np.multiply(0.5 * H[ob], U, out=D)
+        D *= U  # d/2
+        lam = np.add(D, D)
+        if is_right:
+            lam += stb
+            s(np.add(D, top[ob], out=P), out=P)
+            s(np.add(D, over[ob], out=Q), out=Q)
+            s(lam, out=X)
+            Y = s_r[ob]
         else:
-            Pb, Qb = a.gap(x, gb)
-            Pc /= Pb
-            Pc *= np.divide(Qc, Qb, out=Qc)
-            np.minimum(Pc, 1.0, out=Pc)  # 1 - kappa
-            K = _agm_K(Pc, work=(Mc, M))
-            K *= 2.0
-            w = np.sqrt(Pb, out=Pb)
-            w *= np.sqrt(Qb, out=Qb)
-            K /= w  # 2 K / sqrt(a(M) - a(b))
-        np.multiply(2.0 * Hb, U, out=U)  # dlam/du
+            np.subtract(stb, lam, out=lam)
+            s(np.subtract(tt[ob], D, out=P), out=P)
+            s(np.subtract(stb, D, out=X), out=X)  # lam + d/2
+            s(D, out=Q)
+            Y = s(np.add(rr[ob], D, out=D), out=D)
+        if majorant:  # pi / sqrt(a(M) - a(c))
+            K = np.sqrt(P, out=P)
+            K *= np.sqrt(Q, out=Q)
+            np.divide(0.5 * np.pi, K, out=K)
+        else:
+            P /= X
+            Q /= Y
+            P *= Q
+            np.minimum(P, 1.0, out=P)  # 1 - kappa
+            np.sqrt(X, out=X)
+            X *= np.sqrt(Y, out=Y)
+            K = _agm_K(P, work=(Q, D))
+            K /= X  # 2 K / sqrt(a(M) - a(b))
+        np.multiply(2.0 * H[ob], U, out=U)  # dlam/du
         np.multiply(wg, half[b], out=D)
         D *= U
-        return lam, np.multiply(D, K, out=w)
+        return lam, np.multiply(D, K)
 
     def nodes(n_gl):
         # five node buffers, each as long as the largest chunk (a chunk
@@ -489,8 +493,8 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
             n = int(times * n_gl)
             xg, wg = (g[:, None] for g in leggauss(n))
             per = max(_NODE_CHUNK // n, 1)
-            for s in range(0, sel.size, per):
-                b = sel[s:s + per]
+            for first in range(0, sel.size, per):
+                b = sel[first:first + per]
                 yield row[o[b]], *chunk(pool, b, n, xg, wg, is_right)
 
     return nodes
@@ -518,8 +522,7 @@ def _kernel_sums(t, r, a, knots, weigh, majorant=False):
             acc = out[s:s + _POINT_BLOCK]
             for row, lam, w in block(s)(n_gl):
                 weigh(w, lam, row + s)
-                acc += np.bincount(row, weights=np.ascontiguousarray(w.T).sum(axis=1),
-                                   minlength=acc.size)
+                acc += np.bincount(row, weights=w.sum(axis=0), minlength=acc.size)
         return out
 
     return sums
@@ -636,24 +639,27 @@ def _uniform_step(name, grid):
 
 def _add_moments(mom, width, inv_dr, row, lam, w):
     """Scatters one _kernel_nodes chunk of the table's rule to the moments
-    of its cells: the node at lam = dr (l0 + xi), 0 <= xi < 1, of point j
-    adds w sinh(lam) / pi xi^p to mom[p, j width + l0], p = 0..3, with l0
-    capped at the dump cell width - 1. Overwrites lam and w."""
-    l0 = np.sinh(lam)
-    w *= l0
+    of its cells. A panel of point j lies in one cell, l0 = floor(lam/dr)
+    at its middle node (capped at the dump cell width - 1), and adds the
+    sum over its nodes lam = dr (l0 + xi) of w sinh(lam) / pi xi^p to
+    mom[p, j width + l0], p = 0..3. A node rounded across the cell's edge
+    costs only rounding: neighbouring cubics agree there. Overwrites lam
+    and w."""
+    xi = np.sinh(lam)
+    w *= xi
     w /= np.pi
     lam *= inv_dr
-    np.floor(lam, out=l0)
-    xi = np.subtract(lam, l0, out=lam)
-    np.minimum(l0, width - 1, out=l0)
+    l0 = np.minimum(np.floor(lam[lam.shape[0] // 2]), width - 1)
+    np.subtract(lam, l0, out=xi)
     # rows ascend, so a chunk touches the moments of rows lo..hi-1
     lo, hi = row[0], row[-1] + 1
     flat = l0.astype(np.intp)
     flat += (row - lo) * width
     part = mom[:, lo * width:hi * width]
     for p in range(4):
-        part[p] += np.bincount(flat.ravel(), weights=w.ravel(), minlength=part.shape[1])
-        w *= xi
+        part[p] += np.bincount(flat, weights=w.sum(axis=0), minlength=part.shape[1])
+        if p < 3:
+            w *= xi
 
 
 class PropagatorTable:
@@ -673,11 +679,11 @@ class PropagatorTable:
     cells, where the interpolant is one cubic, up to r_max + 2 dr, past
     which the stencil misses the grid. The lags go to _kernel_nodes in
     blocks of whole lags, as many as fit in _POINT_BLOCK points and at
-    least one, one call and one moment array per block. A node at
-    lam = dr (l0 + xi), 0 <= xi < 1, adds w xi^p (p = 0..3) to the
-    moments of its cell (j, l0), four bincounts per chunk over one flat
-    index (nodes past the grid would share a dump cell). The stencil's
-    monomial coefficients then turn the moments of cell l0 into the
+    least one, one call and one moment array per block. Each panel lies
+    in one cell (j, l0); its nodes at lam = dr (l0 + xi) add their sum
+    of w xi^p (p = 0..3) to the cell's moments, one bincount entry per
+    panel and moment (a panel past the grid would go to a dump cell). The
+    stencil's monomial coefficients then turn the moments of cell l0 into the
     entries l0-1 .. l0+2 of row j, the entry -1 folds onto 1 (the even
     reflection) and the columns >= n_r are dropped. Both grids must be
     uniform from 0 with a positive step (_uniform_step).
@@ -778,16 +784,20 @@ def beta_identity_check(b, c, a):
     Computed with the substitution x = s^2 (a is even, so the integrand is
     smooth in x) followed by the Chebyshev-Gauss rule; the square-root
     pair is absorbed through the quotients (a(c) - a(s)) / (c^2 - s^2) and
-    (a(s) - a(b)) / (s^2 - b^2), each P Q / (g (hi + lo)) by the weight's
-    gap factorisation at g = hi - lo > 0 (the nodes lie strictly inside),
-    so nothing singular is ever evaluated.
+    (a(s) - a(b)) / (s^2 - b^2), each (s(p) / p) (s(q) / q) by the
+    weight's product form at p, q = (hi +- lo)/2 > 0 (the nodes lie
+    strictly inside), so nothing singular is ever evaluated.
     """
     if not 0 <= b < c:
         raise DomainError("beta_identity_check needs 0 <= b < c")
     x, w = cg_nodes(_CG_NODES, b * b, c * c)
     s = np.sqrt(x)
-    (Pc, Qc), (Pb, Qb) = a.gap(c, c - s), a.gap(s, s - b)
-    quot = Pc / (c + s) * (Qc / (c - s)) * (Pb / (s + b) * (Qb / (s - b)))
+
+    def ratio(v):  # s(v) / v
+        return a.s(v) / v
+
+    quot = ratio(0.5 * (c + s)) * ratio(0.5 * (c - s)) * (
+        ratio(0.5 * (s + b)) * ratio(0.5 * (s - b)))
     return float(np.dot(w, (a.da(s) / (2.0 * s)) / np.sqrt(quot)))
 
 

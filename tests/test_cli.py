@@ -386,6 +386,19 @@ def test_reruns_are_byte_identical(tmp_path, command):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", list(RERUN_BODIES))
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_bad_seed_exits_2(tmp_path, capsys, command, seed):
+    # refused by the argument parser, before the config is read or --out
+    # is made
+    body, _ = RERUN_BODIES[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, command, body, seed=seed)
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class GridSeen(Exception):
     """Raised by a stubbed engine call with the grid it was given."""
 

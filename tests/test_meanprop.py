@@ -8,7 +8,7 @@ with no code shared with the implementation under test.
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -140,25 +140,37 @@ class TestMonotoneWeight:
         assert_allclose(a.a(1.7), 1.7**2)
         assert_allclose(a.inv(2.89), 1.7, rtol=1e-12)
 
-    @given(x=st.floats(1e-150, 30.0), frac=st.floats(1e-150, 1.0))
+    @given(x=st.floats(1e-300, 30.0), frac=st.floats(1e-12, 1.0))
+    @example(x=1e-300, frac=1e-12)
+    @example(x=1e-300, frac=1.0)
+    @example(x=30.0, frac=1e-12)
+    @example(x=30.0, frac=1.0)
     @settings(max_examples=200, deadline=None)
     def test_gap_factors_the_difference(self, x, frac):
-        # a(x) - a(x - g) = P(x, g) Q(g); for small gaps the product must
-        # keep the digits the direct difference cancels: a'(x - g/2) g
-        # within O(g^2). Gaps below 1e-300 are outside the kernel's domain
-        g = frac * x
-        for a in (MonotoneWeight.two_cosh(), MonotoneWeight.s_squared()):
-            P, Q = a.gap(x, g)
-            if g > 1e-3:
-                assert_allclose(P * Q, a.a(x) - a.a(x - g), rtol=1e-9)
-            else:
-                assert_allclose(P * Q, a.da(x - 0.5 * g) * g, rtol=1e-7)
+        # a(x) - a(y) = 4 s((x + y)/2) s((x - y)/2) at p = (x + y)/2 and
+        # q = (x - y)/2 = frac x/2, against a 30-digit a(p + q) - a(p - q).
+        # The product is taken in mpmath (below 1e-154 it underflows in
+        # floats), at a precision that covers the digits the difference
+        # cancels: a(x) / (a(x) - a(y)) <= cosh(x) / (p q)
+        q = 0.5 * frac * x
+        p = x - q
+        dps = 30 + max(0, int(np.ceil(np.log10(np.cosh(x)) - np.log10(p) - np.log10(q))))
+        for a, a_mp in ((MonotoneWeight.two_cosh(), lambda v: 2 * mp.cosh(v)),
+                        (MonotoneWeight.s_squared(), lambda v: v * v)):
+            with mp.workdps(dps):
+                want = a_mp(mp.mpf(p) + q) - a_mp(mp.mpf(p) - q)
+                got = 4 * mp.mpf(float(a.s(p))) * mp.mpf(float(a.s(q)))
+                assert abs(got - want) <= 1e-14 * want
+
+    def test_s_writes_into_out(self, weight):
+        x, out = np.array([1e-300, 0.5, 3.0]), np.empty(3)
+        assert weight.s(x, out=out) is out
+        assert np.array_equal(out, np.sinh(x) if weight.name == "2cosh" else x)
 
     def test_decreasing_weight_rejected(self):
         with pytest.raises(DomainError, match="positive"):
-            MonotoneWeight(
-                "bad", a=np.cos, da=lambda s: -np.sin(s), inv=np.arccos,
-                gap=lambda x, g: (-2.0 * np.sin(x - 0.5 * g), 2.0 * np.sin(0.5 * g)))
+            MonotoneWeight("bad", a=np.cos, da=lambda s: -np.sin(s), inv=np.arccos,
+                           s=np.sin)
 
     def test_oscillating_derivative_rejected(self):
         # a' > 0 everywhere, but the smoothed derivative quotient is not
@@ -166,8 +178,7 @@ class TestMonotoneWeight:
         a = lambda s: np.square(s) + 0.8 * np.sin(np.square(s))
         da = lambda s: 2 * s + 1.6 * s * np.cos(np.square(s))
         with pytest.raises(DomainError, match="nonincreasing"):
-            MonotoneWeight("osc", a=a, da=da, inv=lambda y: y,
-                           gap=lambda x, g: (a(x) - a(x - g), 1.0))
+            MonotoneWeight("osc", a=a, da=da, inv=lambda y: y, s=np.positive)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +588,8 @@ def reference_panels(t, r, step, knots, lam_max):
         lam_b = np.concatenate([lam_b, knots])
     u_b = np.sqrt(np.maximum(sgn[:, None] * (np.append(lam_max, lam_b) - st[:, None]),
                              0.0) / H[:, None])
+    end = (tt + rr)[:, None]
+    u_b[:, 1:][np.abs(lam_b - end) <= 4.0 * np.finfo(float).eps * end] = 1.0
     u_lo = np.where(right, 0.0, np.minimum(u_b[:, 0], 1.0))
     u_hi = np.where(right, np.minimum(u_b[:, 0], 1.0), 1.0)
     u = np.concatenate([u_lo[:, None], u_hi[:, None], graded, u_b[:, 1:]], axis=1)
@@ -651,44 +664,93 @@ def reference_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
     return nodes
 
 
+def reference_chunks(panels, n_gl):
+    """The chunks of _kernel_nodes' nodes(n_gl) over reference_panels'
+    panels, in its order: (b, xg, wg, is_right), b the chunk's panels and
+    xg, wg the Gauss rule of its tier as columns."""
+    o, right, tiers = panels[8], panels[6], panels[11]
+    on_right = right[o]
+    for tier, times in tiers:
+        for is_right in (True, False):
+            sel = np.flatnonzero(tier & (on_right == is_right))
+            n = int(times * n_gl)
+            xg, wg = leggauss(n)
+            per = max(meanprop._NODE_CHUNK // n, 1)
+            for s in range(0, sel.size, per):
+                yield sel[s:s + per], xg[:, None], wg[:, None], is_right
+
+
 def expression_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
                             majorant=False):
-    """meanprop._kernel_nodes with the factorised formula written as plain
-    array expressions, as it was before its evaluator ran in reused
-    buffers: the buffered one must round every node the same way. Its
-    chunks are shaped as _kernel_nodes' are, (n, panels). W's kernel
-    only."""
-    assert not majorant
-    H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = reference_panels(
-        t, r, step, knots, lam_max)
-    on_right = right[o]
+    """meanprop._kernel_nodes with the product form written as plain array
+    expressions, as it would be without its reused buffers: the buffered
+    evaluator must round every node the same way. Its chunks are shaped
+    as _kernel_nodes' are, (n, panels)."""
+    panels = reference_panels(t, r, step, knots, lam_max)
+    H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = panels
+    s = a.s
 
     def nodes(n_gl):
-        for tier, times in tiers:
-            for is_right in (True, False):
-                sel = np.flatnonzero(tier & (on_right == is_right))
-                n = int(times * n_gl)
-                xg, wg = leggauss(n)
-                per = max(meanprop._NODE_CHUNK // n, 1)
-                for s in range(0, sel.size, per):
-                    b = sel[s:s + per]
-                    ob = o[b]
-                    uu = mid[b] + half[b] * xg[:, None]
-                    Hb, stb, rb, tb = H[ob], st[ob], rr[ob], tt[ob]
-                    d = Hb * uu * uu
-                    if is_right:
-                        lam = stb + d
-                        Mc, Mb = d + gap_c[ob], 2.0 * np.minimum(rb, lam)
-                        M = np.maximum(tb, rb + lam)
-                    else:
-                        lam = stb - d
-                        Mc, Mb, M = d, np.minimum(2.0 * rb + d, stb + lam), tb
-                    Pc, Qc = a.gap(M, Mc)
-                    Pb, Qb = a.gap(M, Mb)
-                    m1 = np.minimum((Pc / Pb) * (Qc / Qb), 1.0)
-                    w = (half[b] * wg[:, None]) * (2.0 * Hb * uu) * (
-                        2.0 * _agm_K(m1) / (np.sqrt(Pb) * np.sqrt(Qb)))
-                    yield row[ob], lam, w
+        for b, xg, wg, is_right in reference_chunks(panels, n_gl):
+            ob = o[b]
+            Hb, stb, rb, tb = H[ob], st[ob], rr[ob], tt[ob]
+            uu = mid[b] + half[b] * xg
+            dh = 0.5 * Hb * uu * uu  # d/2
+            if is_right:
+                lam = (dh + dh) + stb
+                P, Q = s(dh + np.maximum(tb, rb)), s(dh + np.maximum(rb - tb, 0.0))
+                X, Y = s(lam), s(rb)
+            else:
+                lam = stb - (dh + dh)
+                P, Q = s(tb - dh), s(dh)
+                X, Y = s(stb - dh), s(rb + dh)
+            if majorant:
+                K = 0.5 * np.pi / (np.sqrt(P) * np.sqrt(Q))
+            else:
+                m1 = np.minimum((P / X) * (Q / Y), 1.0)
+                K = _agm_K(m1) / (np.sqrt(X) * np.sqrt(Y))
+            yield row[ob], lam, (half[b] * wg) * (2.0 * Hb * uu) * K
+
+    return nodes
+
+
+def reference_gap(a, x, g):
+    """The gap factorisation a(x) - a(x - g) = P Q that the kernel rule
+    used before the product form: P = 2 sinh(x - g/2), Q = 2 sinh(g/2)
+    for 2cosh, P = 2x - g, Q = g for s^2."""
+    if a.name == "s^2":
+        return 2.0 * x - g, g
+    return 2.0 * np.sinh(x - 0.5 * g), 2.0 * np.sinh(0.5 * g)
+
+
+def gap_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
+    """meanprop._kernel_nodes with the gap formula it used before the
+    product form, the tolerance reference of the product form:
+    1 - kappa = (P_c / P_b) (Q_c / Q_b) at the gaps M - c and M - b, and
+    1 / sqrt(a(M) - a(b)) = 1 / (sqrt(P_b) sqrt(Q_b)). W's kernel only."""
+    assert not majorant
+    panels = reference_panels(t, r, step, knots, lam_max)
+    H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = panels
+
+    def nodes(n_gl):
+        for b, xg, wg, is_right in reference_chunks(panels, n_gl):
+            ob = o[b]
+            uu = mid[b] + half[b] * xg
+            Hb, stb, rb, tb = H[ob], st[ob], rr[ob], tt[ob]
+            d = Hb * uu * uu
+            if is_right:
+                lam = stb + d
+                Mc, Mb = d + gap_c[ob], 2.0 * np.minimum(rb, lam)
+                M = np.maximum(tb, rb + lam)
+            else:
+                lam = stb - d
+                Mc, Mb, M = d, np.minimum(2.0 * rb + d, stb + lam), tb
+            Pc, Qc = reference_gap(a, M, Mc)
+            Pb, Qb = reference_gap(a, M, Mb)
+            m1 = np.minimum((Pc / Pb) * (Qc / Qb), 1.0)
+            w = (half[b] * wg) * (2.0 * Hb * uu) * (
+                2.0 * _agm_K(m1) / (np.sqrt(Pb) * np.sqrt(Qb)))
+            yield row[ob], lam, w
 
     return nodes
 
@@ -735,6 +797,78 @@ class TestKernelReference:
         assert_close_to_max(values(), with_reference_kernel(monkeypatch, values), 1e-14)
 
 
+class TestGapFormulaReference:
+    # the product form against the gap formula on the same panels: only
+    # the rounding of each node moves, within 1e-14 of each row's largest
+    # value
+    def test_table(self, monkeypatch, table):
+        ref = with_reference_kernel(monkeypatch, PropagatorTable,
+                                    table.t_grid, table.r_grid, kernel=gap_kernel_nodes)
+        assert_rows_close(table._A, ref._A, 1e-14)
+
+    @pytest.mark.parametrize("phi", [theta1, bump_profile(1.0)],
+                             ids=["theta1", "bump"])
+    def test_linear_field(self, monkeypatch, phi):
+        tg, rg = np.linspace(0.0, 4.0, 21), np.linspace(0.0, 8.0, 81)
+        ref = with_reference_kernel(monkeypatch, linear_field, phi, tg, rg,
+                                    kernel=gap_kernel_nodes)
+        assert_rows_close(linear_field(phi, tg, rg).values, ref.values, 1e-14)
+
+    def test_W_evaluator(self, monkeypatch, weight):
+        def values():
+            return np.array([W_evaluator(t, r, f_decay, weight)
+                             for t, r in TestKernelReference.POINTS])
+
+        ref = with_reference_kernel(monkeypatch, values, kernel=gap_kernel_nodes)
+        assert_close_to_max(values(), ref, 1e-14)
+
+
+WEIGHTS_MP = {"2cosh": lambda v: 2 * mp.cosh(v), "s^2": lambda v: v * v}
+
+
+def kernel_mp(t, r, d, is_right, a, majorant):
+    """The kernel at lam = |t - r| +- d (right or left side), with t, r
+    and d taken exactly: 2 K(kappa) / sqrt(a(M) - a(b)) through
+    mp.ellipk, or the majorant's pi / sqrt(a(M) - a(c))."""
+    t, r, d = mp.mpf(t), mp.mpf(r), mp.mpf(d)
+    lam = abs(t - r) + d if is_right else abs(t - r) - d
+    b, c, M = abs(r - lam), min(t, r + lam), max(t, r + lam)
+    if majorant:
+        return mp.pi / mp.sqrt(a(M) - a(c))
+    amb = a(M) - a(b)
+    return 2 * mp.ellipk((a(c) - a(b)) / amb) / mp.sqrt(amb)
+
+
+class TestKernelOracle:
+    # the kernel the evaluator yields, w over the rule's weight
+    # half wg dlam/du, at the first, middle and last node of every panel,
+    # against mpmath at the node's own d = H u^2; the working precision
+    # covers the digits a(M) - a(b) cancels at these scales
+    @pytest.mark.parametrize("t, r", [(1e-300, 1e-300), (1e-50, 1e-300), (0.3, 2.0),
+                                      (4.0, 0.5), (2.0, 2.0)])
+    @pytest.mark.parametrize("majorant", [False, True], ids=["W", "majorant"])
+    def test_kernel_at_nodes_matches_mpmath(self, weight, t, r, majorant):
+        t_a, r_a = np.array([t]), np.array([r])
+        panels = reference_panels(t_a, r_a, 1.0, None, np.inf)
+        H, o, mid, half = panels[0], panels[8], panels[9], panels[10]
+        chunks = list(meanprop._kernel_nodes(t_a, r_a, weight, 1.0, majorant=majorant)(8))
+        ref = list(reference_chunks(panels, 8))
+        assert len(chunks) == len(ref)
+        worst = 0.0
+        for (_, lam, w), (b, xg, wg, is_right) in zip(chunks, ref):
+            uu = mid[b] + half[b] * xg
+            d = 2.0 * (0.5 * H[o[b]] * uu * uu)  # as the evaluator forms d/2
+            k = w / ((half[b] * wg) * (2.0 * H[o[b]] * uu))
+            for i in {0, k.shape[0] // 2, k.shape[0] - 1}:
+                for j in range(k.shape[1]):
+                    dps = 40 + 2 * int(np.ceil(-np.log10(min(t, r, d[i, j]))))
+                    with mp.workdps(dps):
+                        want = kernel_mp(t, r, d[i, j], is_right, WEIGHTS_MP[weight.name],
+                                         majorant)
+                        worst = max(worst, float(abs(k[i, j] - want) / want))
+        assert worst <= 1e-13
+
+
 class TestBufferedEvaluator:
     # the table's lags 1, n_t // 2 and n_t - 1 on their grid cells, and
     # unit steps with the bump's knots as linear_field takes them
@@ -745,9 +879,11 @@ class TestBufferedEvaluator:
     def test_nodes_equal_the_expression_evaluator(self, t_grid, r_grid, weight):
         dt, dr, n_r = t_grid[1], r_grid[1], r_grid.size
         for d in (1, t_grid.size // 2, t_grid.size - 1):
-            for step, knots, lam_max in ((dr, None, (n_r + 1) * dr),
-                                         (1.0, bump_profile(1.0).knots, np.inf)):
-                args = (d * dt, r_grid, weight, step, knots, lam_max)
+            for step, knots, lam_max, majorant in (
+                    (dr, None, (n_r + 1) * dr, False),
+                    (1.0, bump_profile(1.0).knots, np.inf, False),
+                    (1.0, bump_profile(1.0).knots, np.inf, True)):
+                args = (d * dt, r_grid, weight, step, knots, lam_max, majorant)
                 got = list(meanprop._kernel_nodes(*args)(8))
                 want = list(expression_kernel_nodes(*args)(8))
                 assert len(got) == len(want)
@@ -917,6 +1053,50 @@ class TestLinearFieldBlocks:
                     assert len(lam_of[k]) == len(lam_own[j]) and (t > 0.0) == (len(lam_of[k]) > 0)
                     for x, y in zip(lam_of[k] + w_of[k], lam_own[j] + w_own[j]):
                         assert np.array_equal(x, y)
+
+
+class TestSliverPanels:
+    # a unit-step or grid-cell break within a few ulps of a side's end
+    # t + r drops out, so no panel has all its nodes on the end, and a
+    # point's panels do not depend on the farther points of its call
+    @pytest.mark.parametrize("t_grid, r_grid", [
+        LAG_GRIDS[0], (np.linspace(0.0, 8.0, 161), np.linspace(0.0, 8.0, 161))],
+        ids=["41x81", "161x161"])
+    def test_no_table_panel_sits_on_the_end(self, monkeypatch, t_grid, r_grid):
+        orig, slivers, panels = meanprop._kernel_nodes, [], []
+
+        def checking(t, r, *args, **kwargs):
+            end = np.asarray(t) + np.asarray(r)
+            nodes = orig(t, r, *args, **kwargs)
+
+            def checked(n_gl):
+                for row, lam, w in nodes(n_gl):
+                    e = end[row]
+                    slivers.append(np.sum(np.all(np.abs(lam - e) <= 1e-12 * e, axis=0)))
+                    panels.append(row.size)
+                    yield row, lam, w
+
+            return checked
+
+        monkeypatch.setattr(meanprop, "_kernel_nodes", checking)
+        PropagatorTable(t_grid, r_grid)
+        assert sum(panels) > 0 and sum(slivers) == 0
+
+    def test_a_point_alone_gets_the_panels_of_its_block(self):
+        # the table's first block of 41x81, 3 lags of 81 radii, whose
+        # t + r all lie on grid-cell breaks
+        t_grid, r_grid = LAG_GRIDS[0]
+        dr, n_r = r_grid[1], r_grid.size
+        per = meanprop._POINT_BLOCK // n_r
+        T, R = np.repeat(t_grid[1:per + 1], n_r), np.tile(r_grid, per)
+        args = (meanprop._TWO_COSH, dr, None, (n_r + 1) * dr)
+        lam_of, w_of = nodes_by_point(meanprop._kernel_nodes(T, R, *args)(8), T.size)
+        for k in range(T.size):
+            lam_own, w_own = nodes_by_point(
+                meanprop._kernel_nodes(T[k:k + 1], R[k:k + 1], *args)(8), 1)
+            assert len(lam_of[k]) == len(lam_own[0]) > 0
+            for x, y in zip(lam_of[k] + w_of[k], lam_own[0] + w_own[0]):
+                assert np.array_equal(x, y)
 
 
 class TestKernelSums:
