@@ -7,7 +7,8 @@ machinery, all of which is reproduced here with every constant made concrete:
 * a family of space-time regions (S, Sigma_l, R_{r,t}, T^l_{r,t}, Y) on the
   (lambda, tau) half-plane,
 * a first-iterate lower bound u >= c0 eps (sinh r)^{-1/2} on S, with c0
-  machine-found from the propagator's kernel bounds,
+  machine-found from the propagator's kernel bounds: an output of the
+  construction, carried by the certificate, never a parameter,
 * a boost ladder (a_l, b_l, c_l) that trades powers of (t+r+log 1/(c eps))
   for powers of (t-r), running until the exponents cross at l0,
 * a John-style doubling recursion (A_m, B_m, D_m) whose series constant E
@@ -27,12 +28,12 @@ chain is not claimed sharp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hypgeo import DomainError, log_sinh
-from .meanprop import RadialProfile, SpaceTimeField, lower_bound_I
+from .meanprop import RadialProfile, SpaceTimeField, default_C0, lower_bound_I
 from .fdoracle import FDConfig, _finite_max, leapfrog
 
 __all__ = [
@@ -51,14 +52,11 @@ class BlowupParams:
     p is the logarithmic exponent (subcritical regime 1 < p < 3), q the
     power in the large-amplitude branch of the nonlinearity, tau0 the data
     scale (the velocity profile is at least 1 on [tau0, 3*tau0]), epsilon
-    the data amplitude, delta0 the nonlinearity's smallness threshold, C0
-    the kernel lower-bound constant, and c0 the first-iterate constant.
+    the data amplitude, delta0 the nonlinearity's smallness threshold, and
+    C0 the kernel lower-bound constant, default_C0(tau0) when omitted.
 
-    c0*epsilon must stay below delta0*sqrt(sinh(tau0/2)): the boost ladder
-    feeds the first-iterate bound into the small-amplitude branch of the
-    nonlinearity, which is only available below delta0, and the worst point
-    of S sits at r = tau0/2. first_iterate_bound caps its output so the
-    constraint can always be met by shrinking c0.
+    The first-iterate constant c0 is not among them: build_certificate
+    computes it with first_iterate_bound and the certificate carries it.
     """
 
     p: float
@@ -66,8 +64,7 @@ class BlowupParams:
     tau0: float
     epsilon: float
     delta0: float
-    C0: float
-    c0: float
+    C0: float | None = None
 
     def __post_init__(self):
         if not 1.0 < self.p < 3.0:
@@ -85,15 +82,10 @@ class BlowupParams:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.delta0 < 1.0:
             raise DomainError(f"delta0 must lie in (0, 1); got {self.delta0}")
+        if self.C0 is None:
+            object.__setattr__(self, "C0", default_C0(self.tau0))
         if not 0.0 < self.C0 <= 1.0:
             raise DomainError(f"C0 must lie in (0, 1]; got {self.C0}")
-        if not self.c0 > 0.0:
-            raise DomainError("c0 must be positive")
-        ceiling = self.delta0 * math.sqrt(math.sinh(0.5 * self.tau0))
-        if not self.c0 * self.epsilon < ceiling:
-            raise DomainError(
-                f"c0*epsilon = {self.c0 * self.epsilon:.6g} must stay below "
-                f"delta0*sqrt(sinh(tau0/2)) = {ceiling:.6g}; shrink c0 or epsilon")
 
 
 def bump_profile(tau0):
@@ -222,10 +214,8 @@ def first_iterate_bound(u1, params):
 
     The returned constant is additionally capped just under
     delta0*sqrt(sinh(tau0/2))/eps, which only weakens the bound and keeps
-    the BlowupParams constraint satisfiable; params.c0 itself is ignored.
-    Returns (c0, handle) where handle(t, r) evaluates c0*eps*(sinh r)^{-1/2};
-    the handle is meaningful on S only. Data with u1 identically zero give
-    c0 = 0 (and a zero handle), which is valid but useless downstream.
+    it under boost_sequence's ceiling. Data with u1 identically zero give
+    c0 = 0, which is valid but useless downstream.
     """
     tau0, eps = params.tau0, params.epsilon
     widths = np.linspace(tau0 * (1.0 + 1e-6), 2.0 * tau0 * (1.0 - 1e-6), _N_WIDTH)
@@ -243,16 +233,8 @@ def first_iterate_bound(u1, params):
               for ls, s in zip(log_sinh(r[keep]).tolist(), small[keep])]
     if not values:
         raise DomainError("empty effective sample of S; tau0 may be degenerate")
-    c0 = min(values)
     cap = (1.0 - 1e-9) * params.delta0 * math.sqrt(math.sinh(0.5 * tau0)) / eps
-    c0 = min(c0, cap)
-
-    def handle(t, r):
-        r = np.asarray(r, dtype=float)
-        out = c0 * eps * np.exp(-0.5 * log_sinh(np.maximum(r, 1e-300)))
-        return out if out.ndim else float(out)
-
-    return c0, handle
+    return min(min(values), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +283,13 @@ class BoostSequence:
             raise DomainError("A0 must equal l0*(3 - p) - 2 and be positive")
 
 
-def boost_sequence(params):
-    """Build the (a_l, b_l, c_l) ladder up to the crossing index l0.
+def boost_sequence(params, c0):
+    """Build the (a_l, b_l, c_l) ladder up to the crossing index l0 from
+    the first-iterate constant c0, whose c0*epsilon must stay below
+    delta0*sqrt(sinh(tau0/2)): the ladder feeds c0*eps*(sinh r)^{-1/2}
+    into the small-amplitude branch of the nonlinearity, available only
+    below delta0, and S's worst point sits at r = tau0/2.
+    first_iterate_bound caps its c0 to pass.
 
     Exponents follow the exact recursion a_{l+1} = a_l + 2,
     b_{l+1} = b_l + p - 1 from (a_1, b_1) = (0, p - 1); in closed form
@@ -330,9 +317,16 @@ def boost_sequence(params):
     p = params.p
     if not 1.0 < p < 3.0:
         raise DomainError(f"p must lie in (1, 3); got p = {p}")
+    if not c0 > 0.0:
+        raise DomainError(f"c0 must be positive; got c0 = {c0}")
+    ceiling = params.delta0 * math.sqrt(math.sinh(0.5 * params.tau0))
+    if not c0 * params.epsilon < ceiling:
+        raise DomainError(
+            f"c0*epsilon = {c0 * params.epsilon:.6g} must stay below "
+            f"delta0*sqrt(sinh(tau0/2)) = {ceiling:.6g}; shrink c0 or epsilon")
     l0 = math.floor(2.0 / (3.0 - p)) + 1
     A0 = l0 * (3.0 - p) - 2.0
-    c = min(params.c0, 0.25 * params.tau0 * params.C0 * params.delta0 * params.c0)
+    c = min(c0, 0.25 * params.tau0 * params.C0 * params.delta0 * c0)
     gain = params.C0 * params.delta0 / 32.0
     entries = []
     a, b = 0.0, p - 1.0
@@ -431,9 +425,10 @@ def john_recursion(A0, D0, q, C0, delta0, m_max=20):
     if not q > 1.0:
         raise DomainError(f"q must exceed 1; the series for E diverges at q = {q}")
     if not D0 > 0.0:
-        raise DomainError("D0 must be positive")
+        raise DomainError(f"D0 must be positive; got D0 = {D0}")
     if not (C0 > 0.0 and delta0 > 0.0):
-        raise DomainError("C0 and delta0 must be positive")
+        raise DomainError(
+            f"C0 and delta0 must be positive; got C0 = {C0}, delta0 = {delta0}")
     if C0 * delta0 > 4.0:
         raise DomainError(
             f"C0*delta0 = {C0 * delta0:.6g} exceeds 4; the series terms for E "
@@ -484,8 +479,10 @@ def blowup_time_bound(A0, E, q, tau0, c, epsilon, delta0, tilde_c):
         tilde_c eps T^{A0} > 1/delta0              (seed leaves the small regime)
 
     Returns the max of the three threshold values; the strict inequalities
-    hold for every T beyond it. The result can be astronomically large (or
-    inf) for tiny epsilon; that is an honest report, not an error.
+    hold for every T beyond it. The result can be astronomically large, or
+    inf, for tiny epsilon or for A0 near 0 (p near 3); that is an honest
+    report, not an error. The two powers are taken in np.float64, which
+    overflows to inf where a Python float power raises OverflowError.
     """
     if not A0 > 0.0:
         raise DomainError("A0 must be positive")
@@ -501,9 +498,9 @@ def blowup_time_bound(A0, E, q, tau0, c, epsilon, delta0, tilde_c):
     log_t1 = (-E - (2.0 / (q - 1.0)) * math.log(0.5 * tau0)) / A0
     t1 = math.exp(log_t1) if log_t1 < 709.0 else math.inf
     with np.errstate(over="ignore"):
-        t2 = (1.0 / (c * epsilon)) ** (1.0 / A0)
-        t3 = (1.0 / (delta0 * tilde_c * epsilon)) ** (1.0 / A0)
-    return max(t1, t2, t3)
+        t2 = np.float64(1.0 / (c * epsilon)) ** (1.0 / A0)
+        t3 = np.float64(1.0 / (delta0 * tilde_c * epsilon)) ** (1.0 / A0)
+    return float(max(t1, t2, t3))
 
 
 def estimate_tilde_c(boost, params):
@@ -545,13 +542,16 @@ def estimate_tilde_c(boost, params):
 class BlowupCertificate:
     """A reproducible record of one blow-up construction.
 
-    T is the certified detachment time (past every threshold of
-    blowup_time_bound and large enough that Y fits inside Sigma_{l0}).
+    c0 is first_iterate_bound's constant: u >= c0*eps*(sinh r)^{-1/2} on
+    S, the bound certificate_verify asserts. T is the certified detachment
+    time (past every threshold of blowup_time_bound, inf where they
+    overflow, and large enough that Y fits inside Sigma_{l0}).
     verification_points holds (t, r, bound, simulated_value) tuples from a
     completed certificate_verify run; each stored point must dominate.
     """
 
     params: BlowupParams
+    c0: float
     boost: BoostSequence
     john: JohnSequence
     T: float
@@ -586,21 +586,23 @@ def build_certificate(u1, params, m_max=20):
     verification points; attach them from a certificate_verify report via
     dataclasses.replace if simulation data are available.
     """
-    c0, _ = first_iterate_bound(u1, params)
+    c0 = first_iterate_bound(u1, params)
     if not c0 > 0.0:
         raise DomainError(
             "first-iterate constant vanished; u1 must be positive on [tau0, 3*tau0]")
-    params = replace(params, c0=c0)
-    boost = boost_sequence(params)
+    boost = boost_sequence(params, c0)
     tilde_c = estimate_tilde_c(boost, params)
-    john = john_recursion(boost.A0, tilde_c * params.epsilon, params.q,
-                          params.C0, params.delta0, m_max)
+    D0 = tilde_c * params.epsilon
+    if not D0 > 0.0:
+        raise DomainError(f"tilde_c*epsilon = {tilde_c:.6g}*{params.epsilon} "
+                          "underflows to 0; raise epsilon")
+    john = john_recursion(boost.A0, D0, params.q, params.C0, params.delta0, m_max)
     c_top = boost.entries[-1][3]
     T = blowup_time_bound(boost.A0, john.E - john.E_tail_bound, params.q,
                           params.tau0, c_top, params.epsilon, params.delta0,
                           tilde_c)
     T = max(T, (6.0 * boost.l0 + 1.0) * params.tau0 * (1.0 + 1e-9))
-    return BlowupCertificate(params=params, boost=boost, john=john, T=T)
+    return BlowupCertificate(params=params, c0=c0, boost=boost, john=john, T=T)
 
 
 @dataclass(frozen=True)
@@ -682,7 +684,7 @@ def certificate_verify(cert, u_sim):
     # first-iterate bound on S: (lam, tau) read as (r, t)
     in_s = _mask_S(R, T, tau0)
     t, r, val = T[in_s], R[in_s], U[in_s]
-    bound = params.c0 * eps * decay[np.nonzero(in_s)[1]]
+    bound = cert.c0 * eps * decay[np.nonzero(in_s)[1]]
     first_margins = val - bound
     fail, ok = first_margins < 0.0, first_margins >= 0.0
     first_violations = list(zip(t[fail], r[fail], bound[fail], val[fail]))

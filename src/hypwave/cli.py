@@ -88,7 +88,8 @@ def _nonlinearity(*kinds):
 
 _BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_POSITIVE, 1.0),
            "epsilon": (float, _REQUIRED), "delta0": (float, 0.45),
-           "C0": (float, None), "m_max": (_COUNT, 20)}  # C0: default_C0(tau0)
+           "C0": (float, None),  # BlowupParams defaults it to default_C0(tau0)
+           "m_max": (_COUNT, 20)}
 
 # command -> section -> key -> (cast, default). A cast is float, int, _bool,
 # a tuple of choices, a dict of choices -> the keys of the section that
@@ -137,7 +138,8 @@ _SCHEMA = {
                                       "canonical_sinh_inverse", "none"),
         "escape": {"enabled": (_bool, True), "t_max": (float, 40.0),
                    "dr": (float, None), "dt": (float, None),
-                   "r_max": (float, None),  # t_max + 3.5 tau0 + 0.1
+                   # t_max + the bump's support radius 3.5 tau0 + 0.1
+                   "r_max": (float, None),
                    "threshold_factor": (_POSITIVE, 10.0)},
     },
     "certify": {
@@ -265,22 +267,6 @@ def _nonlin_spec(nonlinearity, p):
         print("wavecli: p = 3 is the critical exponent: "
               "critical, no theory backs this run", file=sys.stderr)
     return NonlinearitySpec(**keys)
-
-
-def _blowup_params(blowup):
-    """BlowupParams from [blowup], whose m_max the caller reads."""
-    from .blowlab import BlowupParams
-    from .meanprop import default_C0
-
-    keys = {key: v for key, v in blowup.items() if key != "m_max"}
-    tau0, epsilon = keys["tau0"], keys["epsilon"]
-    keys.setdefault("C0", default_C0(tau0))
-    # c0 is recomputed by build_certificate; the placeholder just has to
-    # satisfy the smallness invariant of BlowupParams: sinh(x) > x, and
-    # no sinh of an unchecked tau0 can overflow
-    c0 = 0.5 * keys["delta0"] * math.sqrt(0.5 * tau0) / epsilon \
-        if epsilon > 0 else 0.1
-    return BlowupParams(c0=c0, **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -473,48 +459,48 @@ def _sequence_rows(cert):
         yield ("john", int(m), float(A), float(B), float(logD))
 
 
-def _bump_data(params, fd_cfg):
-    """The blow-up data (u0, u1) = (0, epsilon * bump) and the bump; the
-    bump's support must fit fd_cfg the way fdoracle's stepper demands, so
-    a grid too small for it is a config error."""
-    from .blowlab import bump_profile
-    from .fdoracle import _check_support
+def _blowup_run(config, grid):
+    """The run [blowup] and [nonlinearity] describe: (spec, u0, u1, fd_cfg,
+    cert) for the data (0, epsilon * bump), fd_cfg from the keys of grid
+    (None: no FD run; r_max defaults to t_max + the bump's support radius
+    + 0.1). All but the certificate is checked before it is built, as
+    config errors: the spec even without an FD run, and the bump's support
+    against the grid as fdoracle's stepper demands."""
+    from .blowlab import BlowupParams, build_certificate, bump_profile
+    from .fdoracle import FDConfig, _check_support
+    from .hypgeo import DomainError
     from .meanprop import RadialProfile
 
-    bump = bump_profile(params.tau0)
-    u0 = RadialProfile.constant(0.0)
-    u1 = RadialProfile(lambda lam: params.epsilon * bump(lam),
-                       support_radius=bump.support_radius, knots=bump.knots)
-    if fd_cfg is not None:
-        _check_support(u0, u1, fd_cfg)
-    return u0, u1, bump
+    blowup = dict(config["blowup"])
+    m_max = blowup.pop("m_max")
+    fd_cfg = None
+    try:
+        params = BlowupParams(**blowup)
+        spec = _nonlin_spec(config["nonlinearity"], params.p)
+        bump = bump_profile(params.tau0)
+        u0 = RadialProfile.constant(0.0)
+        u1 = RadialProfile(lambda lam: params.epsilon * bump(lam),
+                           support_radius=bump.support_radius, knots=bump.knots)
+        if grid is not None:
+            r_max = grid["t_max"] + bump.support_radius + 0.1
+            fd_cfg = FDConfig(**{"r_max": r_max, **grid})
+            _check_support(u0, u1, fd_cfg)
+    except DomainError as exc:
+        raise ConfigError(str(exc))
+    return spec, u0, u1, fd_cfg, build_certificate(bump, params, m_max=m_max)
 
 
 def cmd_blowup(config, out, seed):
     import numpy as np
-    from .blowlab import build_certificate, escape_detector
-    from .fdoracle import FDConfig
-    from .hypgeo import DomainError
+    from .blowlab import escape_detector
     from .nonlin import nonlinearity
 
     escape = dict(config["escape"])
     run_escape = escape.pop("enabled")
     factor = escape.pop("threshold_factor")
-    try:
-        params = _blowup_params(config["blowup"])
-        # built with or without the escape run, so that a bad
-        # [nonlinearity] is refused either way
-        spec = _nonlin_spec(config["nonlinearity"], params.p)
-        esc_cfg = None
-        if run_escape:
-            escape.setdefault("r_max",
-                              escape["t_max"] + 3.5 * params.tau0 + 0.1)
-            esc_cfg = FDConfig(**escape)
-        u0, u1, bump = _bump_data(params, esc_cfg)
-    except DomainError as exc:
-        raise ConfigError(str(exc))
-
-    cert = build_certificate(bump, params, m_max=config["blowup"]["m_max"])
+    spec, u0, u1, esc_cfg, cert = _blowup_run(config,
+                                              escape if run_escape else None)
+    params = cert.params
 
     _write_csv(out / "sequences.csv", ("sequence", "index", "x1", "x2", "x3"),
                _sequence_rows(cert))
@@ -522,7 +508,7 @@ def cmd_blowup(config, out, seed):
                ("p", "q", "tau0", "epsilon", "delta0", "C0", "c0",
                 "l0", "A0", "E", "E_tail_bound", "T"),
                [(params.p, params.q, params.tau0, params.epsilon,
-                 params.delta0, params.C0, cert.params.c0, cert.boost.l0,
+                 params.delta0, params.C0, cert.c0, cert.boost.l0,
                  cert.boost.A0, cert.john.E, cert.john.E_tail_bound,
                  cert.T)])
 
@@ -545,24 +531,15 @@ def cmd_blowup(config, out, seed):
 
 
 def cmd_certify(config, out, seed):
-    from .blowlab import build_certificate, certificate_verify
-    from .fdoracle import FDConfig, fd_solve
-    from .hypgeo import DomainError
+    from .blowlab import certificate_verify
+    from .fdoracle import fd_solve
     from .meanprop import SpaceTimeField
     from .nonlin import nonlinearity
 
     sim = dict(config["certify"])
     scale = sim.pop("field_scale")
     normalize = sim.pop("normalize_tight")
-    try:
-        params = _blowup_params(config["blowup"])
-        sim_cfg = FDConfig(**sim)
-        spec = _nonlin_spec(config["nonlinearity"], params.p)
-        u0, u1, bump = _bump_data(params, sim_cfg)
-    except DomainError as exc:
-        raise ConfigError(str(exc))
-
-    cert = build_certificate(bump, params, m_max=config["blowup"]["m_max"])
+    spec, u0, u1, sim_cfg, cert = _blowup_run(config, sim)
     u_sim = fd_solve(u0, u1, nonlinearity(spec), sim_cfg)
 
     rep = certificate_verify(cert, u_sim)

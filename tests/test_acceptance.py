@@ -204,8 +204,8 @@ def test_09_blowup_sequences_exact():
     rational closed forms match the float recursion for m <= 20; every
     log D_m respects the guaranteed-growth floor."""
     params = BlowupParams(p=2.0, q=2.0, tau0=1.0, epsilon=0.5, delta0=0.45,
-                          C0=default_C0(1.0), c0=0.1)
-    boost = boost_sequence(params)
+                          C0=default_C0(1.0))
+    boost = boost_sequence(params, 0.1)
     assert boost.l0 == 3
     assert boost.A0 == 1.0
     assert tuple(e[1] for e in boost.entries) == (0.0, 2.0, 4.0)
@@ -232,7 +232,7 @@ def test_10_certificate_dominance():
     has t well below 12.
     """
     params = BlowupParams(p=2.0, q=2.0, tau0=1.0, epsilon=0.5, delta0=0.45,
-                          C0=default_C0(1.0), c0=0.1)
+                          C0=default_C0(1.0))
     bump = bump_profile(1.0)
     cert = build_certificate(bump, params)
     spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,

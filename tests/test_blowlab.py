@@ -26,7 +26,7 @@ C0 = default_C0(TAU0)
 
 
 def make_params(**kw):
-    base = dict(p=2.0, q=2.0, tau0=TAU0, epsilon=0.5, delta0=0.45, C0=C0, c0=0.1)
+    base = dict(p=2.0, q=2.0, tau0=TAU0, epsilon=0.5, delta0=0.45, C0=C0)
     base.update(kw)
     return BlowupParams(**base)
 
@@ -38,7 +38,17 @@ def zero_profile(r):
 class TestBlowupParams:
     def test_valid(self):
         p = make_params()
-        assert p.p == 2.0 and p.c0 == 0.1
+        assert p.p == 2.0 and p.C0 == C0
+
+    def test_c0_is_not_a_parameter(self):
+        # c0 is computed by build_certificate, never set
+        with pytest.raises(TypeError, match="c0"):
+            make_params(c0=0.1)
+
+    @pytest.mark.parametrize("tau0", [0.25, 1.0, 3.0, 100.0])
+    def test_C0_defaults_to_default_C0(self, tau0):
+        params = BlowupParams(p=2.0, q=2.0, tau0=tau0, epsilon=0.5, delta0=0.45)
+        assert bits(params.C0) == bits(default_C0(tau0))
 
     @pytest.mark.parametrize("bad", [0.9, 1.0, 3.0, 3.5])
     def test_p_range(self, bad):
@@ -56,8 +66,6 @@ class TestBlowupParams:
             make_params(delta0=1.0)
         with pytest.raises(DomainError, match="C0"):
             make_params(C0=1.5)
-        with pytest.raises(DomainError, match="c0"):
-            make_params(c0=0.0)
 
     @pytest.mark.parametrize("tau0", [100.5, 150.0, 1420.0, 2000.0, np.inf])
     def test_tau0_cap(self, tau0):
@@ -67,12 +75,6 @@ class TestBlowupParams:
         with pytest.raises(DomainError, match=r"tau0 = .* exceeds 100: .* overflows"):
             make_params(tau0=tau0)
         make_params(tau0=100.0)
-
-    def test_smallness_constraint(self):
-        # the ceiling is delta0*sqrt(sinh(tau0/2)) ~ 0.326 at these values
-        with pytest.raises(DomainError, match="shrink c0 or epsilon"):
-            make_params(c0=1.0)
-        make_params(c0=0.6, epsilon=0.5)  # just inside
 
 
 class TestBump:
@@ -164,36 +166,25 @@ class TestRegions:
 
 class TestFirstIterate:
     def test_zero_data(self):
-        c0, handle = first_iterate_bound(RadialProfile.constant(0.0), make_params())
-        assert c0 == 0.0
-        assert handle(5.0, 3.0) == 0.0
-        # any nonnegative field trivially dominates the zero bound
-        assert np.all(np.zeros(7) >= handle(5.0, np.linspace(1, 4, 7)))
+        assert first_iterate_bound(RadialProfile.constant(0.0), make_params()) == 0.0
 
     def test_linearity(self):
         params = make_params(epsilon=0.1)
         bump = bump_profile(TAU0)
         doubled = RadialProfile(lambda lam: 2.0 * bump(lam),
                                 support_radius=bump.support_radius, knots=bump.knots)
-        c_one, _ = first_iterate_bound(bump, params)
-        c_two, _ = first_iterate_bound(doubled, params)
+        c_one = first_iterate_bound(bump, params)
+        c_two = first_iterate_bound(doubled, params)
         cap = params.delta0 * math.sqrt(math.sinh(0.5 * TAU0)) / params.epsilon
         assert c_two < cap, "cap must not bind for the linearity check"
         assert c_two == pytest.approx(2.0 * c_one, rel=1e-12)
 
     def test_cap_binds_for_large_amplitude(self):
         params = make_params(epsilon=2.0)
-        c0, _ = first_iterate_bound(bump_profile(TAU0), params)
+        c0 = first_iterate_bound(bump_profile(TAU0), params)
         cap = (1.0 - 1e-9) * params.delta0 * math.sqrt(math.sinh(0.5 * TAU0)) / 2.0
         assert c0 == pytest.approx(cap, rel=1e-12)
-        replace(params, c0=c0)  # satisfies the params constraint
-
-    def test_handle_shape(self):
-        params = make_params()
-        c0, handle = first_iterate_bound(bump_profile(TAU0), params)
-        r = np.array([1.0, 2.0, 3.0])
-        expect = c0 * params.epsilon * np.exp(-0.5 * log_sinh(r))
-        assert np.allclose(handle(7.0, r), expect, rtol=1e-15)
+        boost_sequence(params, c0)  # passes the ceiling
 
     def test_propagator_dominates_constant(self):
         # the true first iterate should exceed c0 throughout S; the kernel
@@ -201,7 +192,7 @@ class TestFirstIterate:
         # sampling gap between this grid and the one c0 was found on
         params = make_params()
         bump = bump_profile(TAU0)
-        c0, _ = first_iterate_bound(bump, params)
+        c0 = first_iterate_bound(bump, params)
         assert 0.0 < c0 <= 1.0
         # radii stay below ~7 so the spherical means resolve comfortably;
         # the infimum lives at the corner anyway
@@ -220,7 +211,7 @@ class TestFirstIterate:
 
 class TestBoostSequence:
     def test_p2_example(self):
-        boost = boost_sequence(make_params())
+        boost = boost_sequence(make_params(), 0.1)
         assert boost.l0 == 3 and boost.A0 == 1.0
         ls, a, b, c = zip(*boost.entries)
         assert ls == (1, 2, 3)
@@ -229,12 +220,12 @@ class TestBoostSequence:
 
     def test_p25_example(self):
         params = make_params(p=2.5)
-        boost = boost_sequence(params)
+        boost = boost_sequence(params, 0.1)
         assert boost.l0 == 5
         assert boost.A0 == pytest.approx(0.5, rel=1e-12)
 
     def test_stop_rule_no_extra_entry(self):
-        boost = boost_sequence(make_params())
+        boost = boost_sequence(make_params(), 0.1)
         ls, a, b, _ = zip(*boost.entries)
         assert all(ai <= bi for ai, bi in zip(a[:-1], b[:-1]))
         assert a[-1] > b[-1]
@@ -242,16 +233,16 @@ class TestBoostSequence:
 
     def test_closed_form_exponents(self):
         p = 2.2
-        boost = boost_sequence(make_params(p=p))
+        boost = boost_sequence(make_params(p=p), 0.1)
         for l, a, b, _ in boost.entries:
             assert a == 2.0 * l - 2.0
             assert b == pytest.approx((p - 1.0) * l, rel=1e-12)
 
     def test_constant_chain(self):
         params = make_params()
-        boost = boost_sequence(params)
+        boost = boost_sequence(params, 0.1)
         c = [e[3] for e in boost.entries]
-        seed = min(params.c0, 0.25 * TAU0 * params.C0 * params.delta0 * params.c0)
+        seed = min(0.1, 0.25 * TAU0 * params.C0 * params.delta0 * 0.1)
         assert c[0] == seed
         gain = params.C0 * params.delta0 / 32.0
         assert c[1] == pytest.approx(c[0] * gain, rel=1e-15)
@@ -260,17 +251,27 @@ class TestBoostSequence:
     @given(st.floats(1.01, 2.95))
     @settings(max_examples=60)
     def test_crossing_properties(self, p):
-        boost = boost_sequence(make_params(p=p))
+        boost = boost_sequence(make_params(p=p), 0.1)
         assert boost.l0 == math.floor(2.0 / (3.0 - p)) + 1
         assert 0.0 < boost.A0 <= (3.0 - p) + 1e-12
 
     def test_underflow_near_critical_is_explicit(self):
         # l0 ~ 200 stages at p = 2.99 push the chain below float range
         with pytest.raises(DomainError, match="underflows float range"):
-            boost_sequence(make_params(p=2.99))
+            boost_sequence(make_params(p=2.99), 0.1)
+
+    def test_c0_positive(self):
+        with pytest.raises(DomainError, match="c0"):
+            boost_sequence(make_params(), 0.0)
+
+    def test_smallness_constraint(self):
+        # the ceiling is delta0*sqrt(sinh(tau0/2)) ~ 0.326 at these values
+        with pytest.raises(DomainError, match="shrink c0 or epsilon"):
+            boost_sequence(make_params(), 1.0)
+        boost_sequence(make_params(epsilon=0.5), 0.6)  # just inside
 
     def test_validation_rejects_corrupt(self):
-        good = boost_sequence(make_params())
+        good = boost_sequence(make_params(), 0.1)
         with pytest.raises(DomainError, match="a_1 must be 0"):
             BoostSequence(entries=((1, 1.0, 1.0, 0.1),), l0=1, A0=1.0)
         bad = list(map(list, good.entries))
@@ -369,8 +370,10 @@ class TestJohnRecursion:
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError, match="q must exceed 1"):
             john_recursion(1.0, 1.0, 1.0, 1.0, 0.5, 5)
-        with pytest.raises(DomainError, match="D0"):
+        with pytest.raises(DomainError, match="got D0 = 0.0"):
             john_recursion(1.0, 0.0, 2.0, 1.0, 0.5, 5)
+        with pytest.raises(DomainError, match="got C0 = 1.0, delta0 = -0.5"):
+            john_recursion(1.0, 1.0, 2.0, 1.0, -0.5, 5)
         with pytest.raises(DomainError, match="exceeds 4"):
             john_recursion(1.0, 1.0, 2.0, 9.0, 0.5, 5)
         with pytest.raises(DomainError, match="m_max"):
@@ -411,6 +414,15 @@ class TestBlowupTimeBound:
                               epsilon=1.0, delta0=0.5, tilde_c=1.0)
         assert math.isinf(T)
 
+    @pytest.mark.parametrize("c, tilde_c", [(1e-10, 1.0), (1.0, 1e-10)],
+                             ids=["t2", "t3"])
+    def test_power_overflow_is_inf(self, c, tilde_c):
+        # A0 ~ 1e-3 puts one amplitude threshold past float range, the
+        # other finite; a Python float power raised OverflowError here
+        T = blowup_time_bound(A0=1e-3, E=100.0, q=2.0, tau0=1.0, c=c,
+                              epsilon=1.0, delta0=0.5, tilde_c=tilde_c)
+        assert T == math.inf and type(T) is float
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError, match="A0"):
             blowup_time_bound(0.0, -5.0, 2.0, 1.0, 1.0, 1.0, 0.5, 1.0)
@@ -420,8 +432,8 @@ class TestBlowupTimeBound:
 
 class TestTildeC:
     def test_matches_dense_sampling(self):
-        params = make_params(c0=0.29)
-        boost = boost_sequence(params)
+        params = make_params()
+        boost = boost_sequence(params, 0.29)
         tc = estimate_tilde_c(boost, params)
         assert tc > 0.0
         l0, A0 = boost.l0, boost.A0
@@ -440,8 +452,8 @@ class TestTildeC:
         # the Y infimum is taken at the earliest admissible T; the same
         # expression at larger T must dominate, or the constant would not
         # transfer to certificates with later detachment times
-        params = make_params(c0=0.29)
-        boost = boost_sequence(params)
+        params = make_params()
+        boost = boost_sequence(params, 0.29)
         tc = estimate_tilde_c(boost, params)
         l0, A0 = boost.l0, boost.A0
         c = boost.entries[-1][3]
@@ -478,11 +490,25 @@ def reference_run():
 class TestCertificate:
     def test_build_shape(self, reference_run):
         cert, _ = reference_run
-        assert cert.params.c0 > 0.0
+        assert cert.c0 > 0.0
         assert cert.boost.l0 == 3 and cert.boost.A0 == 1.0
         assert cert.john.E < 0.0
         assert cert.T >= (6 * 3 + 1) * TAU0
         assert cert.verification_points == ()
+
+    def test_c0_is_first_iterate_bound(self, reference_run):
+        cert, _ = reference_run
+        c0 = first_iterate_bound(bump_profile(TAU0), make_params())
+        assert bits(cert.c0) == bits(c0)
+
+    def test_verify_bound_reads_cert_c0(self, reference_run):
+        cert, field = reference_run
+        eps = cert.params.epsilon
+        for c0 in (cert.c0, 0.5 * cert.c0):
+            report = certificate_verify(replace(cert, c0=c0), field)
+            for _, r, bound, _ in report.passed_points:
+                want = c0 * eps * math.exp(-0.5 * log_sinh(r))
+                assert bits(bound) == bits(want)
 
     def test_zero_data_rejected(self):
         with pytest.raises(DomainError, match="vanished"):
@@ -605,7 +631,7 @@ def certificate_verify_loop(cert, u_sim):
     first_violations, first_margins, passing = [], [], []
     for ti, ri in zip(*s_idx):
         t, r, val = T[ti, ri], R[ti, ri], U[ti, ri]
-        bound = params.c0 * eps * math.exp(-0.5 * log_sinh(r))
+        bound = cert.c0 * eps * math.exp(-0.5 * log_sinh(r))
         margin = val - bound
         first_margins.append(margin)
         if margin < 0.0:
@@ -663,7 +689,7 @@ def assert_same_report(got, want):
 @pytest.fixture(scope="module")
 def sigma_cert():
     """A tau0 = 1/4 certificate, whose Sigma_3 opens at t - r > 4.5."""
-    params = make_params(tau0=0.25, C0=default_C0(0.25), c0=1e-3)
+    params = make_params(tau0=0.25, C0=default_C0(0.25))
     return build_certificate(bump_profile(0.25), params)
 
 
@@ -680,7 +706,7 @@ def synthetic_field(cert, scale=1.0):
     decay = np.exp(-0.5 * log_sinh(Rs))
     c_top = boost.entries[-1][3]
     L = -math.log(c_top * eps)
-    first = params.c0 * eps * decay
+    first = cert.c0 * eps * decay
     boosted = (c_top * eps * Rs * decay * (T + Rs + L) ** (-l0 * (p - 1.0))
                * np.maximum(T - R, tau0) ** (2.0 * l0 - 2.0))
     base = np.where(T - R < 4.0 * tau0, first, boosted)
@@ -728,11 +754,10 @@ class TestAgainstPointLoops:
     @pytest.mark.parametrize("tau0, eps", [(1.0, 0.1), (1.0, 0.5), (1.0, 2.0),
                                            (0.2, 0.5), (0.25, 0.5), (3.0, 0.05)])
     def test_first_iterate_c0_bits(self, tau0, eps):
-        params = make_params(tau0=tau0, epsilon=eps, C0=default_C0(tau0),
-                             c0=1e-3)
+        params = make_params(tau0=tau0, epsilon=eps, C0=default_C0(tau0))
         for prof in (bump_profile(tau0),
                      lambda lam: np.exp(-((lam - 2.0 * tau0) ** 2))):
-            c0, _ = first_iterate_bound(prof, params)
+            c0 = first_iterate_bound(prof, params)
             assert bits(c0) == bits(first_iterate_c0_loop(prof, params))
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])

@@ -733,6 +733,36 @@ r_max = 7.7
         assert by_name["C0"] == "0.90000000000000002"
         assert 0.0 < float(by_name["c0"]) != 0.9
 
+    @pytest.mark.parametrize("p", ["2.8", "2.9", "2.95"])
+    def test_near_critical_T_is_inf(self, tmp_path, p):
+        # A0 = l0 (3 - p) - 2 is ~1e-15 here, so T's amplitude thresholds
+        # (1/(c eps))^(1/A0) overflow: an honest T = inf, not a crash
+        body = BLOWUP_BASE.replace("p = 2.0", f"p = {p}").replace(
+            "epsilon = 0.5", "epsilon = 0.1") + "[escape]\nenabled = false\n"
+        code, out = run_cli(tmp_path, "blowup", body)
+        assert code == 0
+        header, row = read_csv(out / "certificate.csv")
+        assert dict(zip(header, row))["T"] == "inf"
+
+    def test_critical_chain_underflow_exits_3(self, tmp_path, capsys):
+        body = BLOWUP_BASE.replace("p = 2.0", "p = 2.99").replace(
+            "epsilon = 0.5", "epsilon = 0.1") + "[escape]\nenabled = false\n"
+        code, out = run_cli(tmp_path, "blowup", body)
+        assert code == 3
+        assert "underflows float range" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["blowup", "certify"])
+    def test_subnormal_epsilon_names_epsilon(self, tmp_path, capsys, command):
+        # c0 is computed, so the failure must blame epsilon, not c0
+        body = BLOWUP_BASE.replace("epsilon = 0.5", "epsilon = 1e-320")
+        code, out = run_cli(tmp_path, command, body)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "epsilon = " in err and "*1e-320 underflows" in err
+        assert "c0" not in err
+        assert not list(out.glob("*.csv"))
+
 
 class TestCertify:
     def test_reference_run_passes(self, tmp_path):
@@ -769,6 +799,16 @@ class TestCertify:
         assert code == 2
         assert "key 'kind' in [nonlinearity]" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_near_critical_p_passes(self, tmp_path):
+        # the certificate's T is inf at p = 2.9, eps = 0.1; the first-iterate
+        # check does not depend on it
+        body = BLOWUP_BASE.replace("p = 2.0", "p = 2.9").replace(
+            "epsilon = 0.5", "epsilon = 0.1")
+        code, out = run_cli(tmp_path, "certify", body)
+        assert code == 0
+        header, row = read_csv(out / "verify.csv")
+        assert dict(zip(header, row))["first_violations"] == "0"
 
     def test_halved_tight_field_violates(self, tmp_path):
         body = BLOWUP_BASE + """
