@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypgeo import DomainError, log_sinh
-from .meanprop import RadialProfile, SpaceTimeField, default_C0, lower_bound_I
+from .meanprop import (RadialProfile, SpaceTimeField, _as_profile,
+                       _sqrt_sinh_bound, default_C0)
 from .fdoracle import FDConfig, _finite_max, leapfrog
 
 __all__ = [
@@ -94,11 +95,14 @@ def bump_profile(tau0):
 
     The ramps are the standard exp(-1/x) partition-of-unity joins, so the
     profile is C^infinity; the joins are still flagged as quadrature knots
-    because the function is not analytic there.
+    because the function is not analytic there. They are evaluated only
+    where tau0/2 < lam < 7*tau0/2 (and at NaN, which stays NaN); every
+    other lam, -inf and inf included, gives exactly 0.0, the value the
+    ramps round to there. A scalar lam gives a float.
     """
     if not tau0 > 0.0:
         raise DomainError("tau0 must be positive")
-    half = 0.5 * tau0
+    half, top = 0.5 * tau0, 3.5 * tau0
 
     def g(x):
         with np.errstate(divide="ignore", over="ignore"):
@@ -110,11 +114,14 @@ def bump_profile(tau0):
 
     def bump(lam):
         lam = np.asarray(lam, dtype=float)
-        out = ramp((lam - half) / half) * ramp((3.5 * tau0 - lam) / half)
+        out = np.zeros_like(lam)
+        live = ~((lam <= half) | (lam >= top))
+        lam = lam[live]
+        out[live] = ramp((lam - half) / half) * ramp((top - lam) / half)
         return out if out.ndim else float(out)
 
-    return RadialProfile(bump, support_radius=3.5 * tau0,
-                         knots=np.array([half, tau0, 3.0 * tau0, 3.5 * tau0]))
+    return RadialProfile(bump, support_radius=top,
+                         knots=np.array([half, tau0, 3.0 * tau0, top]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +214,14 @@ def first_iterate_bound(u1, params):
     clear of the |t - r| > tau0/8 requirement, and t + r > 3*tau0 forces
     r > tau0/2. Since the nonlinearity is nonnegative on the relevant range
     and the propagation kernel is positive, the full solution inherits the
-    bound. c0 is the infimum of (sinh r)^{1/2} * lower_bound_I over a dense
-    sample of S (_N_WIDTH widths, a geometric ladder of radii per width,
-    about 200 points total; the integrand is monotone towards the corner
-    w -> 2*tau0, r -> tau0/2, so the corner is sampled tightly).
+    bound. c0 is the infimum of (sinh r)^{1/2} times lower_bound_I's
+    bound_small over a dense sample of S (_N_WIDTH widths, a geometric
+    ladder of radii per width, about 200 points total; the integrand is
+    monotone towards the corner w -> 2*tau0, r -> tau0/2, so the corner is
+    sampled tightly). Only that bound is computed, the integral over
+    [t - r, t + r], by lower_bound_I's own quadrature: u1 is evaluated at
+    the nodes within its support_radius, and the integrand is exactly 0
+    at the rest.
 
     The returned constant is additionally capped just under
     delta0*sqrt(sinh(tau0/2))/eps, which only weakens the bound and keeps
@@ -225,7 +236,7 @@ def first_iterate_bound(u1, params):
     r_corner = 0.5 * (3.0 * tau0 - widths)
     r = (r_corner[:, None] * (1.0 + 1e-6) + offsets * tau0).ravel()
     t = r + np.repeat(widths, offsets.size)
-    _, small = lower_bound_I(u1, t, r, tau0, params.C0)
+    small = _sqrt_sinh_bound(_as_profile(u1), t - r, t, r, params.C0)
     keep = np.isfinite(small)
     # math.exp keeps c0's bits: np.exp's vector kernel can round the last
     # bit differently
@@ -686,9 +697,12 @@ def certificate_verify(cert, u_sim):
     t, r, val = T[in_s], R[in_s], U[in_s]
     bound = cert.c0 * eps * decay[np.nonzero(in_s)[1]]
     first_margins = val - bound
-    fail, ok = first_margins < 0.0, first_margins >= 0.0
+    fail = first_margins < 0.0
     first_violations = list(zip(t[fail], r[fail], bound[fail], val[fail]))
-    passing = list(zip(t[ok], r[ok], bound[ok], val[ok]))
+    # a decimated sample of the passing points, at most 200
+    ok = np.flatnonzero(first_margins >= 0.0)
+    ok = ok[::max(1, ok.size // 200)][:200]
+    passed = list(zip(t[ok], r[ok], bound[ok], val[ok]))
     if not first_margins.size:
         warnings.append(
             f"grid covers no point of S (needs {tau0} < t - r < {2 * tau0} "
@@ -710,7 +724,6 @@ def certificate_verify(cert, u_sim):
             f"grid covers no point of Sigma_{l0} (needs t - r > "
             f"{6 * l0 * tau0:g} and r > {0.5 * tau0:g})")
 
-    stride = max(1, len(passing) // 200)
     return VerifyReport(
         first_checked=len(first_margins),
         first_violations=tuple(first_violations),
@@ -719,7 +732,7 @@ def certificate_verify(cert, u_sim):
         boost_violations=tuple(boost_violations),
         boost_min_margin=_first_min(boost_margins),
         coverage_warning="; ".join(warnings) if warnings else None,
-        passed_points=tuple(passing[::stride][:200]),
+        passed_points=tuple(passed),
     )
 
 

@@ -39,7 +39,16 @@ _BLOCK = 256
 
 
 class InstabilityError(RuntimeError):
-    """The scheme produced a non-finite value."""
+    """The scheme produced a non-finite value.
+
+    field holds the snapshots fd_solve kept before it, all finite, as a
+    SpaceTimeField on the times the full run would have had; None when
+    the first state already fails.
+    """
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -205,9 +214,10 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
     snapshot_every-th state is kept.
 
     Raises InstabilityError with the first offending (t, r) if the scheme
-    produces a non-finite value.
+    produces a non-finite value; its field holds the snapshots kept before.
     """
     r = cfg.r_grid
+    t_grid = np.linspace(0.0, cfg.t_max, cfg.n_steps // cfg.snapshot_every + 1)
     stored = []
     # overflow on the way to a detected instability is expected; the
     # non-finite check below is the real guard
@@ -215,11 +225,14 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
         for n, u in enumerate(leapfrog(u0, u1, F, cfg)):
             if _finite_max(u) is None:
                 bad = np.flatnonzero(~np.isfinite(u))[0]
+                field = (SpaceTimeField(t_grid[:len(stored)], r,
+                                        np.asarray(stored))
+                         if stored else None)
                 raise InstabilityError(
-                    f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}")
+                    f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}",
+                    field)
             if n % cfg.snapshot_every == 0:
                 stored.append(u)
-    t_grid = np.linspace(0.0, cfg.t_max, len(stored))
     return SpaceTimeField(t_grid, r, np.asarray(stored))
 
 

@@ -947,6 +947,26 @@ def default_C0(tau0):
     return min(1.0, 0.5 * np.sqrt(np.tanh(tau0 / 8.0) * np.tanh(tau0 / 2.0)))
 
 
+def _sqrt_sinh_bound(prof, lo, t, r, C0):
+    """C0 (sinh r)^{-1/2} int_lo^{t+r} prof(lam) (sinh lam)^{1/2} dlam per
+    element, the integral by _gl_integrals: lower_bound_I's bounds, whose
+    lower limits lo are the caller's.
+
+    The integrand is evaluated only at the nodes within prof's
+    support_radius; beyond it, where prof is 0, it is exactly 0.
+    """
+    top = np.inf if prof.support_radius is None else prof.support_radius
+
+    def fn(lam):
+        out = np.zeros_like(lam)
+        live = lam <= top
+        lam = lam[live]
+        out[live] = prof(lam) * np.exp(0.5 * log_sinh(lam))
+        return out
+
+    return C0 * np.exp(-0.5 * log_sinh(r)) * _gl_integrals(fn, lo, t + r)
+
+
 def lower_bound_I(phi, t, r, tau0, C0=None):
     """The two explicit propagator lower bounds at (t, r).
 
@@ -956,8 +976,10 @@ def lower_bound_I(phi, t, r, tau0, C0=None):
     require r > tau0/2.
 
     t and r may be arrays (they broadcast): then both bounds come back as
-    arrays of that shape, bound_small NaN where it is absent, and phi is
-    evaluated once on the nodes of every point's integrals.
+    arrays of that shape, bound_small NaN where it is absent. phi is
+    evaluated once, on the quadrature nodes of every point's integrals
+    that lie within its support_radius; the integrand is exactly 0 at the
+    rest.
     """
     if tau0 <= 0:
         raise DomainError("tau0 must be positive")
@@ -969,16 +991,15 @@ def lower_bound_I(phi, t, r, tau0, C0=None):
     C0 = default_C0(tau0) if C0 is None else C0
     if not 0.0 < C0 <= 1.0:
         raise DomainError("C0 must lie in (0, 1]")
-    pref = C0 * np.exp(-0.5 * log_sinh(r))
-    prof = _as_profile(phi)
-    hi = t + r
     wide = np.abs(t - r) > tau0 / 8.0
-    ints = _gl_integrals(lambda lam: prof(lam) * np.exp(0.5 * log_sinh(lam)),
-                         np.concatenate([np.maximum(t, r).ravel(), np.abs(t - r)[wide]]),
-                         np.concatenate([hi.ravel(), hi[wide]]))
-    bound_large = pref * ints[:hi.size].reshape(hi.shape)
-    bound_small = np.full(hi.shape, np.nan)
-    bound_small[wide] = pref[wide] * ints[hi.size:]
-    if hi.ndim == 0:
+    bounds = _sqrt_sinh_bound(
+        _as_profile(phi),
+        np.concatenate([np.maximum(t, r).ravel(), np.abs(t - r)[wide]]),
+        np.concatenate([t.ravel(), t[wide]]),
+        np.concatenate([r.ravel(), r[wide]]), C0)
+    bound_large = bounds[:t.size].reshape(t.shape)
+    bound_small = np.full(t.shape, np.nan)
+    bound_small[wide] = bounds[t.size:]
+    if t.ndim == 0:
         return bound_large[()], (bound_small[()] if wide else None)
     return bound_large, bound_small

@@ -17,16 +17,29 @@ independent check of what the library computes another way:
   check of the table's lag blocks;
 * per_tau_claim, the claim integral of globalsolver.claim_bound_check as
   a Simpson sum of one settled W_evaluator per tau node, the check of its
-  one kernel call over every lag.
+  one kernel call over every lag;
+* bump_everywhere, blowlab.bump_profile's formula with its ramps run on
+  every input, the check of the bump that runs them on the support only;
+* lower_bounds_everywhere, meanprop.lower_bound_I with its integrand run
+  on every quadrature node, and first_iterate_both, the c0 of
+  blowlab.first_iterate_bound taken from it with bound_large computed
+  and dropped: the checks of the bounds that skip the nodes past the
+  support and of the c0 that computes bound_small alone;
+* decimated, certificate_verify's sample of passing points taken from
+  the list of every passing point, the check of the sample it picks by
+  index.
 """
+
+import math
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from hypwave.globalsolver import _TAU_PER_UNIT
-from hypwave.hypgeo import DomainError, bracket
+from hypwave.hypgeo import DomainError, bracket, log_sinh
 from hypwave.meanprop import (_KERNEL_LEVEL, _STENCIL, _TWO_COSH, MonotoneWeight,
-                              RadialProfile, W_evaluator, _kernel_nodes,
+                              RadialProfile, W_evaluator, _as_profile,
+                              _gl_integrals, _kernel_nodes, default_C0,
                               sine_propagator)
 
 
@@ -181,3 +194,72 @@ def per_tau_claim(p, h, epsilon, t, r, W=W_evaluator):
     vals = np.array([W(t - tau, r, f_tau(tau), a) for tau in taus])
     # n_tau is even, so these are the composite Simpson weights
     return float(t / n_tau * time_weights(n_tau) @ vals)
+
+
+def bump_everywhere(tau0):
+    """blowlab.bump_profile(tau0)'s callable, its two exp(-1/x) ramps
+    evaluated at every lam."""
+    half = 0.5 * tau0
+
+    def g(x):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+
+    def ramp(x):
+        rise = g(x)
+        return rise / (rise + g(1.0 - x))
+
+    def bump(lam):
+        lam = np.asarray(lam, dtype=float)
+        out = ramp((lam - half) / half) * ramp((3.5 * tau0 - lam) / half)
+        return out if out.ndim else float(out)
+
+    return bump
+
+
+def lower_bounds_everywhere(phi, t, r, tau0, C0=None):
+    """meanprop.lower_bound_I(phi, t, r, tau0, C0) with phi and the
+    integrand evaluated at every quadrature node, beyond phi's support
+    too, and both bounds' integrals in one _gl_integrals call."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(r, dtype=float))
+    C0 = default_C0(tau0) if C0 is None else C0
+    pref = C0 * np.exp(-0.5 * log_sinh(r))
+    prof = _as_profile(phi)
+    hi = t + r
+    wide = np.abs(t - r) > tau0 / 8.0
+    ints = _gl_integrals(lambda lam: prof(lam) * np.exp(0.5 * log_sinh(lam)),
+                         np.concatenate([np.maximum(t, r).ravel(), np.abs(t - r)[wide]]),
+                         np.concatenate([hi.ravel(), hi[wide]]))
+    bound_large = pref * ints[:hi.size].reshape(hi.shape)
+    bound_small = np.full(hi.shape, np.nan)
+    bound_small[wide] = pref[wide] * ints[hi.size:]
+    if hi.ndim == 0:
+        return bound_large[()], (bound_small[()] if wide else None)
+    return bound_large, bound_small
+
+
+def first_iterate_both(u1, params):
+    """blowlab.first_iterate_bound(u1, params) through
+    lower_bounds_everywhere, which computes bound_large as well."""
+    tau0, eps = params.tau0, params.epsilon
+    widths = np.linspace(tau0 * (1.0 + 1e-6), 2.0 * tau0 * (1.0 - 1e-6), 15)
+    offsets = np.array([0.0, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5,
+                        0.75, 1.0, 1.5, 2.5, 5.0])
+    r_corner = 0.5 * (3.0 * tau0 - widths)
+    r = (r_corner[:, None] * (1.0 + 1e-6) + offsets * tau0).ravel()
+    t = r + np.repeat(widths, offsets.size)
+    _, small = lower_bounds_everywhere(u1, t, r, tau0, params.C0)
+    keep = np.isfinite(small)
+    values = [math.exp(0.5 * ls) * s
+              for ls, s in zip(log_sinh(r[keep]).tolist(), small[keep])]
+    cap = (1.0 - 1e-9) * params.delta0 * math.sqrt(math.sinh(0.5 * tau0)) / eps
+    return min(min(values), cap)
+
+
+def decimated(passing):
+    """Every passing point's tuple in a list, then every stride-th of them
+    up to 200, stride = max(1, len // 200): VerifyReport.passed_points."""
+    passing = list(passing)
+    stride = max(1, len(passing) // 200)
+    return passing[::stride][:200]

@@ -20,6 +20,8 @@ from hypwave.meanprop import (RadialProfile, SpaceTimeField, _as_profile,
                               default_C0, leggauss, lower_bound_I,
                               sine_propagator)
 from hypwave.nonlin import F_canonical, NonlinearitySpec, nonlinearity
+from references import (bump_everywhere, decimated, first_iterate_both,
+                        lower_bounds_everywhere)
 
 TAU0 = 1.0
 C0 = default_C0(TAU0)
@@ -621,17 +623,25 @@ def first_iterate_c0_loop(u1, params, n_width=15):
     return min(min(values), cap)
 
 
+def first_points_loop(cert, u_sim):
+    """(t, r, bound, value) of the first-iterate check at every grid point
+    of S, in grid order."""
+    eps = cert.params.epsilon
+    T, R = np.meshgrid(u_sim.t_grid, u_sim.r_grid, indexing="ij")
+    return [(T[ti, ri], R[ti, ri],
+             cert.c0 * eps * math.exp(-0.5 * log_sinh(R[ti, ri])),
+             u_sim.values[ti, ri])
+            for ti, ri in zip(*np.where(_mask_S(R, T, cert.params.tau0)))]
+
+
 def certificate_verify_loop(cert, u_sim):
     params, boost = cert.params, cert.boost
     tau0, eps, p, l0 = params.tau0, params.epsilon, params.p, boost.l0
     T, R = np.meshgrid(u_sim.t_grid, u_sim.r_grid, indexing="ij")
     U = u_sim.values
     warnings = []
-    s_idx = np.where(_mask_S(R, T, tau0))
     first_violations, first_margins, passing = [], [], []
-    for ti, ri in zip(*s_idx):
-        t, r, val = T[ti, ri], R[ti, ri], U[ti, ri]
-        bound = cert.c0 * eps * math.exp(-0.5 * log_sinh(r))
+    for t, r, bound, val in first_points_loop(cert, u_sim):
         margin = val - bound
         first_margins.append(margin)
         if margin < 0.0:
@@ -659,7 +669,6 @@ def certificate_verify_loop(cert, u_sim):
         warnings.append(
             f"grid covers no point of Sigma_{l0} (needs t - r > "
             f"{6 * l0 * tau0:g} and r > {0.5 * tau0:g})")
-    stride = max(1, len(passing) // 200)
     return VerifyReport(
         first_checked=len(first_margins),
         first_violations=tuple(first_violations),
@@ -668,7 +677,7 @@ def certificate_verify_loop(cert, u_sim):
         boost_violations=tuple(boost_violations),
         boost_min_margin=min(boost_margins) if boost_margins else None,
         coverage_warning="; ".join(warnings) if warnings else None,
-        passed_points=tuple(passing[::stride][:200]),
+        passed_points=tuple(decimated(passing)),
     )
 
 
@@ -784,6 +793,104 @@ class TestAgainstPointLoops:
         cert, field = reference_run
         assert_same_report(certificate_verify(cert, field),
                            certificate_verify_loop(cert, field))
+
+
+class TestSkipsOnlyDiscardedWork:
+    """Bit identity with the formulas that computed everything: the bump
+    with its ramps run on every input, lower_bound_I with its integrand
+    run past the data's support, c0 with bound_large computed and
+    dropped, and passed_points decimated from every passing tuple."""
+
+    @staticmethod
+    def bump_inputs(tau0):
+        half, top = 0.5 * tau0, 3.5 * tau0
+        edges = [x for e in (half, top)
+                 for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+        return np.concatenate([np.linspace(-tau0, 4.0 * tau0, 20001), edges,
+                               [0.0, -0.0, -1e-300, -5.0 * tau0, -np.inf,
+                                np.inf, np.nan]])
+
+    @pytest.mark.parametrize("tau0", [1e-3, 1.0, 100.0])
+    def test_bump_array(self, tau0):
+        lam = self.bump_inputs(tau0)
+        with np.errstate(invalid="ignore"):  # 0/0 at NaN, on both sides
+            got = bump_profile(tau0)._func(lam)
+            want = bump_everywhere(tau0)(lam)
+        assert got.dtype == want.dtype and bits(got) == bits(want)
+        assert np.isnan(got[-1]) and got[-3] == got[-2] == 0.0
+
+    @pytest.mark.parametrize("tau0", [1e-3, 1.0, 100.0])
+    def test_bump_scalars(self, tau0):
+        bump, want = bump_profile(tau0)._func, bump_everywhere(tau0)
+        lam = self.bump_inputs(tau0)
+        for x in np.concatenate([lam[::251], lam[-13:]]).tolist():
+            with np.errstate(invalid="ignore"):
+                got, ref = bump(x), want(x)
+            assert type(got) is type(ref) is float, x
+            assert bits(got) == bits(ref), x
+
+    def test_lower_bound_I_both_outputs(self):
+        # wide and narrow points, inside and far past the bump's support
+        t = np.array([0.3, 1.7, 2.05, 3.0, 6.0, 12.0, 40.0, 4.2, 0.9])
+        r = np.array([0.9, 0.6, 2.0, 1.2, 5.0, 30.0, 0.7, 4.1, 3.3])
+        for tau0 in (0.25, 1.0, 3.0):
+            bump = bump_profile(tau0)
+            gauss = RadialProfile(lambda lam: np.exp(-(lam - 2.0) ** 2))
+            for prof in (bump, gauss):
+                rr = r * tau0 + 0.5 * tau0
+                got = lower_bound_I(prof, t, rr, tau0)
+                want = lower_bounds_everywhere(prof, t, rr, tau0)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and bits(g) == bits(w)
+                for tk, rk in zip(t, rr):
+                    (gl, gs), (wl, ws) = (lower_bound_I(prof, tk, rk, tau0, 0.3),
+                                          lower_bounds_everywhere(prof, tk, rk,
+                                                                  tau0, 0.3))
+                    assert type(gl) is type(wl) and bits(gl) == bits(wl)
+                    assert (gs is None) == (ws is None)
+                    if ws is not None:
+                        assert type(gs) is type(ws) and bits(gs) == bits(ws)
+
+    @pytest.mark.parametrize("p, eps, tau0, C0", [
+        (2.0, 0.1, 1.0, None), (2.0, 0.5, 1.0, None), (1.5, 0.1, 1.0, 0.3),
+        (2.5, 2.0, 0.2, None), (1.2, 0.05, 3.0, 1.0), (2.9, 0.5, 100.0, None),
+        (2.0, 0.5, 1e-3, None)])
+    def test_c0(self, p, eps, tau0, C0):
+        params = BlowupParams(p=p, q=2.0, tau0=tau0, epsilon=eps,
+                              delta0=0.45, C0=C0)
+        for prof in (bump_profile(tau0),
+                     lambda lam: np.exp(-((lam - 2.0 * tau0) ** 2))):
+            c0, want = (first_iterate_bound(prof, params),
+                        first_iterate_both(prof, params))
+            assert type(c0) is type(want) and bits(c0) == bits(want)
+
+    @staticmethod
+    def passing_field(cert, n_pass):
+        """A field on a 0.02 grid that meets the first-iterate bound at
+        n_pass points of S spread over it and misses it at the others."""
+        t_grid = 0.02 * np.arange(301)
+        r_grid = 0.02 * np.arange(201)
+        T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
+        in_s = np.flatnonzero(_mask_S(R, T, cert.params.tau0))
+        assert in_s.size >= 1200
+        values = np.zeros(T.size)
+        values[in_s[(np.arange(n_pass) * in_s.size) // n_pass]] = 1e3
+        return SpaceTimeField(t_grid, r_grid, values.reshape(T.shape)), in_s.size
+
+    @pytest.mark.parametrize("n_pass", [0, 1, 150, 199, 200, 201, 400, 600,
+                                        601, 999])
+    def test_passed_points(self, reference_run, n_pass):
+        cert, _ = reference_run
+        field, n_s = self.passing_field(cert, n_pass)
+        got = certificate_verify(cert, field)
+        assert got.first_checked == n_s
+        assert len(got.first_violations) == n_s - n_pass
+        every = [pt for pt in first_points_loop(cert, field)
+                 if pt[3] >= pt[2]]
+        assert len(every) == n_pass
+        want = decimated(every)
+        assert len(got.passed_points) == len(want) <= 200
+        assert bits(got.passed_points) == bits(want)
 
 
 class TestEscapeDetector:

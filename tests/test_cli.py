@@ -774,8 +774,32 @@ class TestCertify:
         assert by_name["first_violations"] == "0"
         assert float(by_name["first_min_margin"]) > 0.0
         assert "Sigma_3" in by_name["coverage_warning"]
+        # piecewise F stays finite to t_max = 5: a whole-window check
+        assert "partial" not in by_name["coverage_warning"]
         assert read_csv(out / "violations.csv") == \
             [["check", "t", "r", "bound", "value"]]
+
+    def test_blow_up_inside_the_window_checks_the_snapshots_before_it(
+            self, tmp_path):
+        # canonical F leaves float range at t = 4.16 < t_max = 5: the
+        # snapshots up to t = 4 are checked, as a run stopping there does
+        body = BLOWUP_BASE.replace("piecewise_generic",
+                                   "canonical_sinh_inverse")
+        code, out = run_cli(tmp_path, "certify", body)
+        assert code == 0
+        header, row = read_csv(out / "verify.csv")
+        code, short = run_cli(tmp_path, "certify",
+                              body + "[certify]\nt_max = 4.0\n",
+                              out_name="short")
+        assert code == 0
+        short_header, short_row = read_csv(short / "verify.csv")
+        assert header == short_header
+        assert int(row[0]) > 100 and row[:-1] == short_row[:-1]
+        assert row[-1] == ("partial check: non-finite value at t = 4.16, "
+                           "r = 0; snapshots verified up to t = 4; "
+                           + short_row[-1])
+        assert ((out / "violations.csv").read_bytes()
+                == (short / "violations.csv").read_bytes())
 
     def test_grid_too_small_for_bump_is_config_error(self, tmp_path, capsys):
         # the default r_max 9 leaves 9 - 6 = 3 < 3.5 for the bump's support
@@ -810,12 +834,14 @@ class TestCertify:
         header, row = read_csv(out / "verify.csv")
         assert dict(zip(header, row))["first_violations"] == "0"
 
-    def test_halved_tight_field_violates(self, tmp_path):
-        body = BLOWUP_BASE + """
+    HALVED_TIGHT = """
 [certify]
 normalize_tight = true
 field_scale = 0.5
 """
+
+    def test_halved_tight_field_violates(self, tmp_path):
+        body = BLOWUP_BASE + self.HALVED_TIGHT
         code, out = run_cli(tmp_path, "certify", body)
         assert code == 4
         rows = read_csv(out / "violations.csv")
@@ -823,6 +849,40 @@ field_scale = 0.5
         for check, t, r, bound, value in rows[1:]:
             assert check in ("first", "boost")
             assert float(value) < float(bound)
+
+    def test_halved_tight_field_violates_before_a_blow_up(self, tmp_path):
+        body = BLOWUP_BASE.replace("piecewise_generic",
+                                   "canonical_sinh_inverse")
+        code, out = run_cli(tmp_path, "certify", body + self.HALVED_TIGHT)
+        assert code == 4
+        header, row = read_csv(out / "verify.csv")
+        assert dict(zip(header, row))["coverage_warning"].startswith(
+            "partial check: non-finite value at t = 4.16")
+        rows = read_csv(out / "violations.csv")[1:]
+        assert rows and all(float(value) < float(bound)
+                            for *_, bound, value in rows)
+
+
+def test_propagate_instability_exits_3(tmp_path, capsys):
+    # the FD run overflows; propagate has no partial report to give
+    body = """
+[grid]
+t_max = 2.0
+r_max = 4.0
+dt = 0.04
+dr = 0.05
+
+[data]
+kind = constant
+value = 1e308
+
+[propagate]
+engine = fd
+"""
+    code, out = run_cli(tmp_path, "propagate", body)
+    assert code == 3
+    assert "propagate failed: non-finite value at t = " in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 class TestFormatAndErrors:

@@ -278,6 +278,32 @@ class TestLeapfrogWindow:
             fd_solve(u0, u1, F, cfg)
         assert str(exc.value) == want
 
+    @pytest.mark.parametrize("every", [1, 5])
+    def test_overflow_keeps_the_finite_snapshots(self, every):
+        u0, u1, F, cfg = self.CASES["overflow"]
+        cfg = FDConfig(dr=cfg.dr, dt=cfg.dt, r_max=cfg.r_max, t_max=cfg.t_max,
+                       snapshot_every=every)
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = []
+            for u in full_grid_leapfrog(u0, u1, F, cfg):
+                if not np.all(np.isfinite(u)):
+                    break
+                states.append(u)
+        with pytest.raises(InstabilityError) as exc:
+            fd_solve(u0, u1, F, cfg)
+        field = exc.value.field
+        kept = states[::every]
+        # the times the whole run would have had, up to the last kept one
+        t_full = np.linspace(0.0, cfg.t_max, cfg.n_steps // every + 1)
+        assert bits(field.t_grid) == bits(t_full[:len(kept)])
+        assert bits(field.r_grid) == bits(cfg.r_grid)
+        assert bits(field.values) == bits(np.array(kept))
+
+    def test_instability_at_the_start_keeps_no_field(self):
+        with pytest.raises(InstabilityError) as exc:
+            fd_solve(lambda lam: np.full_like(lam, np.inf), zero, None, QUICK)
+        assert "t = 0," in str(exc.value) and exc.value.field is None
+
     @staticmethod
     def window_lengths(F, cfg):
         """len(u) of every F call while leapfrog makes each state, by step."""

@@ -6,6 +6,7 @@ second or two, then check that main returns and writes its CSVs.
 """
 
 import csv
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -64,3 +65,26 @@ def test_blowup_demo(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "0 violations" in summary
     assert "escape: sup_r u crossed" in summary
+
+
+def test_csv_digest(tmp_path, capsys):
+    script = load("csv_digest")
+    script.RUNS = [
+        ("blowup", "blowup", {"blowup": script.DEMO,
+                              "escape": {"enabled": False}}),
+        ("bad", "certify", {"blowup": {"p": 5.0, "epsilon": 0.5}}),
+    ]
+    combined = script.main(tmp_path)
+    out, err = capsys.readouterr()
+    *lines, last = out.splitlines()
+    assert last == f"combined {combined}"
+    assert [line.split()[0] for line in lines] == [
+        "blowup/certificate.csv", "blowup/sequences.csv"]
+    for line in lines:
+        name, digest = line.split()
+        data = (tmp_path / "csv_digest" / name).read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()
+    assert "bad exited 2" in err
+    # a second run into the same directory prints the same lines
+    assert script.main(tmp_path) == combined
+    assert capsys.readouterr().out == out
