@@ -17,6 +17,14 @@ the check that a change meant to keep every output leaves them alone:
     (cd ../base && PYTHONPATH=src python3 scripts/csv_digest.py /tmp/old) > old.txt
     diff old.txt new.txt
 
+For a change that may move the last digits of some outputs,
+
+    python3 scripts/csv_digest.py --compare /tmp/old /tmp/new
+
+prints per CSV of the two output directories either "identical" or,
+per numeric column that differs, its largest relative difference
+|a - b| / max(|a|, |b|) over the rows.
+
 The runs write their configs and CSVs into csv_digest/<run>/ under the
 output directory (runs/ by default, or the first argument). They are:
 
@@ -26,23 +34,38 @@ output directory (runs/ by default, or the first argument). They are:
   with normalize_tight = true, and with field_scale = 0.5;
 * propagate of bump data on the default grid, kernel and FD;
 * blowup with [nonlinearity] kind = none, an escape run of the linear
-  equation.
+  equation;
+* the contract benchmark's pair: contraction in threshold mode on its
+  41 x 81 grid with target_ratio 0.9, then solve at half the epsilon0
+  that the contraction run wrote.
 
 A run that exits other than 0 is named on stderr with its code.
 """
 
+import argparse
 import configparser
+import csv
 import hashlib
 import sys
 from pathlib import Path
 
-from hypwave.cli import main as wavecli
-
-# the grids of bench/worker.py's blowup workload
+# the grids of bench/worker.py's blowup and contract workloads
 ESCAPE = {"t_max": 40.0, "dr": 0.01, "dt": 0.008}
 CERTIFY = {"t_max": 4.0, "r_max": 9.0, "dr": 0.01, "dt": 0.008,
            "snapshot_every": 5}
 DEMO = {"p": 2.0, "tau0": 1.0, "epsilon": 0.5}
+CONTRACT = {"grid": {"t_max": 2.0, "r_max": 4.0, "dt": 0.05, "dr": 0.05},
+            "solver": {"p": 3.5, "h": 1.2},
+            "nonlinearity": {"kind": "canonical_sinh_inverse"}}
+
+
+def half_eps0(root):
+    """The contract solve's config: CONTRACT at half the epsilon0 of the
+    contract_threshold run under root."""
+    with open(root / "contract_threshold" / "threshold.csv", encoding="utf-8") as fh:
+        eps0 = float(next(csv.DictReader(fh))["epsilon0"])
+    return dict(CONTRACT, solver=dict(CONTRACT["solver"], epsilon=0.5 * eps0))
+
 
 RUNS = [(f"{command}_p{p}_eps{eps}", command,
          {"blowup": {"p": p, "epsilon": eps, "tau0": 1.0}, section: grid})
@@ -60,12 +83,21 @@ RUNS += [
       "propagate": {"engine": "both"}}),
     ("escape_linear", "blowup",
      {"blowup": DEMO, "nonlinearity": {"kind": "none"}}),
+    ("contract_threshold", "contraction",
+     dict(CONTRACT, contraction={"mode": "threshold", "n_pairs": 20,
+                                 "n_steps": 20, "target_ratio": 0.9})),
+    ("contract_solve", "solve", half_eps0),
 ]
 
 
 def run(command, config, out):
-    """wavecli <command> on config (INI sections as dicts) into out, a
-    directory emptied of CSVs first."""
+    """wavecli <command> on config (INI sections as dicts, or a function
+    of the runs' root directory that returns them) into out, a directory
+    emptied of CSVs first."""
+    from hypwave.cli import main as wavecli  # --compare runs without hypwave
+
+    if callable(config):
+        config = config(out.parent)
     out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob("*.csv"):
         stale.unlink()
@@ -96,5 +128,58 @@ def main(out_dir="runs"):
     return combined.hexdigest()
 
 
+def column_differences(old, new):
+    """{column: largest relative difference} over the columns where the
+    CSV files old and new differ; a column that is not numeric, or files
+    whose headers or row counts differ, give inf."""
+    with open(old, encoding="utf-8") as fa, open(new, encoding="utf-8") as fb:
+        (head_a, *rows_a), (head_b, *rows_b) = csv.reader(fa), csv.reader(fb)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return {"(shape)": float("inf")}
+    worst = {}
+    for row_a, row_b in zip(rows_a, rows_b):
+        for name, a, b in zip(head_a, row_a, row_b):
+            if a == b:
+                continue
+            try:
+                x, y = float(a), float(b)
+                rel = abs(x - y) / max(abs(x), abs(y))
+            except (ValueError, ZeroDivisionError):
+                rel = float("inf")
+            worst[name] = max(worst.get(name, 0.0), rel)
+    return worst
+
+
+def compare(old_dir, new_dir):
+    """Print, per CSV under either directory's csv_digest/, "identical"
+    when its bytes agree, else the largest relative difference of every
+    column that differs (or that the file is missing on one side); return
+    the lines."""
+    old_root, new_root = Path(old_dir) / "csv_digest", Path(new_dir) / "csv_digest"
+    names = sorted({p.relative_to(root).as_posix()
+                    for root in (old_root, new_root) for p in root.glob("*/*.csv")})
+    lines = []
+    for name in names:
+        old, new = old_root / name, new_root / name
+        if not (old.exists() and new.exists()):
+            verdict = f"only in {old_dir if old.exists() else new_dir}"
+        elif old.read_bytes() == new.read_bytes():
+            verdict = "identical"
+        else:
+            verdict = " ".join(f"{col}={rel:.2e}" for col, rel in
+                               column_differences(old, new).items()) or "same cells"
+        lines.append(f"{name} {verdict}")
+        print(lines[-1])
+    return lines
+
+
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", default="runs")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare the CSVs of two output directories")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        main(args.out_dir)

@@ -10,7 +10,9 @@ solver layers need is built from four pieces:
       I(t, r, phi) = int_0^t sinh(s) (2 cosh t - 2 cosh s)^{-1/2} M^s phi(r) ds,
   which solves the shifted linear wave equation with data (0, phi) and is
   evaluated through its closed-form kernel in lam,
-* the Duhamel integral of a space-time source on a grid, and
+* the Duhamel integral of a space-time source on a grid, a causal
+  convolution in time that PropagatorTable does by FFT over the lag
+  axis, with the end corrections of the time rule added directly, and
 * the W double integral, its single-integral majorant and the R
   smoothing operator for a general even monotone weight a(s), together
   with their closed-form companions (the Beta identity and the explicit
@@ -81,6 +83,7 @@ _PANEL_RATIO = 3.0  # growth factor of the mean's cosh(lam) panel breakpoints
 _DEGENERATE_REL = 1e-13
 _NODE_CHUNK = 1 << 14  # Gauss nodes _kernel_nodes expands at a time
 _POINT_BLOCK = 256  # (t, r) points per _kernel_nodes call of _kernel_sums and the table
+_SPECTRUM_SLAB = 8  # columns of every lag matrix per matrix product of _lag_spectrum
 _GRADE_RATIO = 0.2  # ratio of the kernel rule's graded breaks in u
 _GRADE_DEPTH = 1e-4  # deepest graded break in u, lam* + 1e-8 of the side
 _GL_PER_UNIT = 2.0  # panels per unit length of the lower bounds' integrals
@@ -662,84 +665,145 @@ def _add_moments(mom, width, inv_dr, row, lam, w):
             w *= xi
 
 
-class PropagatorTable:
-    """Precomputed linear propagation on a fixed rectangular grid.
+def _lag_block(t, r_grid, dr):
+    """A[d] for the lags t = d dt of one block, shape (t.size, n_r, n_r),
+    from one _kernel_nodes call over all their points."""
+    n_r = r_grid.size
+    width = n_r + 2  # cells l0 = 0 .. n_r, then the dump cell
+    points = t.size * n_r
+    mom = np.zeros((4, points * width))
+    # from lam = (n_r + 1) dr on, the whole stencil lies past the grid
+    nodes = _kernel_nodes(np.repeat(t, n_r), np.tile(r_grid, t.size),
+                          _TWO_COSH, dr, lam_max=(n_r + 1) * dr)
+    inv_dr = 1.0 / dr
+    for chunk in nodes(_KERNEL_LEVEL):
+        _add_moments(mom, width, inv_dr, *chunk)
+    # entry l0 + o - 1 of row j gets sum_p _STENCIL[o, p] mom[p, j, l0]
+    coef = np.tensordot(_STENCIL, mom.reshape(4, points, width), axes=1)
+    M = np.zeros((points, width + 3))
+    for o in range(4):
+        M[:, o:o + width] += coef[o]
+    M[:, 2] += M[:, 0]  # even reflection through r = 0: entry -1 is entry 1
+    return M[:, 1:n_r + 1].reshape(t.size, n_r, n_r)
 
-    For each time lag d the table stores a matrix A[d] with
+
+def _lag_matrices(t_grid, r_grid):
+    """The matrices A, shape (n_t, n_r, n_r), of PropagatorTable's grid:
     I(d*dt, r_j, f) ~= sum_l A[d, j, l] f(lam_l) for radial profiles f
-    sampled on the r grid itself; profile values at quadrature nodes are
-    reconstructed by 4-point (cubic) Lagrange interpolation with even
-    reflection through the origin. Sources are treated as zero beyond the
-    last grid radius, so Duhamel values are exact (up to quadrature and
-    interpolation) inside the triangle t + r <= r_max and truncated
-    outside it. The time grid starts at 0, so that row i is lag i.
+    sampled on the r grid itself, A[0] = 0.
 
-    A[d] is the first level (_KERNEL_LEVEL nodes per panel) of
-    sine_propagator's kernel rule at t = d*dt, with panels on the grid
-    cells, where the interpolant is one cubic, up to r_max + 2 dr, past
-    which the stencil misses the grid. The lags go to _kernel_nodes in
-    blocks of whole lags, as many as fit in _POINT_BLOCK points and at
-    least one, one call and one moment array per block. Each panel lies
-    in one cell (j, l0); its nodes at lam = dr (l0 + xi) add their sum
-    of w xi^p (p = 0..3) to the cell's moments, one bincount entry per
-    panel and moment (a panel past the grid would go to a dump cell). The
-    stencil's monomial coefficients then turn the moments of cell l0 into the
+    Profile values at quadrature nodes are reconstructed by 4-point
+    (cubic) Lagrange interpolation with even reflection through the
+    origin, and data count as zero beyond the last grid radius. A[d] is
+    the first level (_KERNEL_LEVEL nodes per panel) of sine_propagator's
+    kernel rule at t = d*dt, with panels on the grid cells, where the
+    interpolant is one cubic, up to r_max + 2 dr, past which the stencil
+    misses the grid. The lags go to _kernel_nodes in blocks of whole lags,
+    as many as fit in _POINT_BLOCK points and at least one, one call and
+    one moment array per block (_lag_block). Each panel lies in one cell
+    (j, l0); its nodes at lam = dr (l0 + xi) add their sum of w xi^p
+    (p = 0..3) to the cell's moments, one bincount entry per panel and
+    moment (a panel past the grid would go to a dump cell). The stencil's
+    monomial coefficients then turn the moments of cell l0 into the
     entries l0-1 .. l0+2 of row j, the entry -1 folds onto 1 (the even
     reflection) and the columns >= n_r are dropped. Both grids must be
     uniform from 0 with a positive step (_uniform_step).
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    r_grid = np.asarray(r_grid, dtype=float)
+    if t_grid.size < 2 or r_grid.size < 2:
+        raise DomainError("PropagatorTable needs at least a 2x2 grid")
+    dt = _uniform_step("time", t_grid)
+    dr = _uniform_step("radius", r_grid)
+    n_t, n_r = t_grid.size, r_grid.size
+    per = max(_POINT_BLOCK // n_r, 1)  # whole lags per _kernel_nodes call
+    A = np.zeros((n_t, n_r, n_r))
+    for d0 in range(1, n_t, per):
+        d1 = min(d0 + per, n_t)
+        A[d0:d1] = _lag_block(np.arange(d0, d1) * dt, r_grid, dr)
+    return A
+
+
+def _fft_length(n_t):
+    """The least n = 2^a 3^b 5^c >= 2 n_t - 1: a transform of that length
+    over n_t lags and n_t source rows, both zero-padded, wraps no product
+    of the causal convolution, and numpy's FFT is fast on it (on a length
+    with a large prime factor, 2 * 41 = 82 say, it takes its slow path)."""
+    n = 2 * n_t - 1
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _lag_spectrum(A, n):
+    """S[f] = (sum_d A[d] exp(-2 pi i f d / n)).T for f = 0..n//2: the
+    real DFT of A at length n over its lag axis, each frequency's matrix
+    transposed. The angles are exact, 2 pi ((f d) mod n) / n, and the DFT
+    is two real matrix products (cosine and sine) per slab of
+    _SPECTRUM_SLAB columns of every A[d], copied as rows of A[d].T, so
+    that besides A and S only one slab and its products are held."""
+    n_t, n_r = A.shape[:2]
+    freq = np.arange(n // 2 + 1)
+    angle = (2.0 * np.pi / n) * (np.outer(freq, np.arange(n_t)) % n)
+    cos, sin = np.cos(angle), -np.sin(angle)
+    S = np.empty((freq.size, n_r, n_r), dtype=complex)
+    for j in range(0, n_r, _SPECTRUM_SLAB):
+        rows = A[:, :, j:j + _SPECTRUM_SLAB].transpose(0, 2, 1).reshape(n_t, -1)
+        part = S[:, j:j + _SPECTRUM_SLAB]
+        part.real = (cos @ rows).reshape(part.shape)
+        part.imag = (sin @ rows).reshape(part.shape)
+    return S
+
+
+class PropagatorTable:
+    """Precomputed linear propagation on a fixed rectangular grid.
+
+    The propagator of lag d is the matrix A[d] of _lag_matrices, which
+    treats data as zero beyond the last grid radius, so Duhamel values
+    are exact (up to quadrature and interpolation) inside the triangle
+    t + r <= r_max and truncated outside it. The time grid starts at 0,
+    so that row i is lag i.
+
+    The table does not keep A. It keeps A's real DFT over the lag axis
+    at the length n = _fft_length(n_t), the least 2^a 3^b 5^c >= 2 n_t - 1,
+    one transposed n_r x n_r matrix per frequency f = 0..n//2
+    (_lag_spectrum), and A[1..3] for the end corrections of the time
+    rule. The spectrum holds about twice A's bytes: 4.3 MB on 41 x 81,
+    67 MB on 161 x 161.
 
     apply_linear contracts the table against a sampled data profile.
     duhamel_field evaluates the source integral on the whole grid, for one
     source or a stack of them, as a causal convolution in time: Simpson
-    weights with end corrections, one matrix product per lag.
+    weights by FFT, then the end corrections of lags 1..3 directly.
     """
 
     def __init__(self, t_grid, r_grid):
-        t_grid = np.asarray(t_grid, dtype=float)
-        r_grid = np.asarray(r_grid, dtype=float)
-        if t_grid.size < 2 or r_grid.size < 2:
-            raise DomainError("PropagatorTable needs at least a 2x2 grid")
-        dt = _uniform_step("time", t_grid)
-        dr = _uniform_step("radius", r_grid)
-        self.t_grid = t_grid
-        self.r_grid = r_grid
-        self.dt = dt
-        self.dr = dr
-        n_t, n_r = t_grid.size, r_grid.size
-        per = max(_POINT_BLOCK // n_r, 1)  # whole lags per _kernel_nodes call
-        A = np.zeros((n_t, n_r, n_r))
-        for d0 in range(1, n_t, per):
-            d1 = min(d0 + per, n_t)
-            A[d0:d1] = self._lag_block(np.arange(d0, d1) * dt)
-        self._A = A
-
-    def _lag_block(self, t):
-        """A[d] for the lags t = d dt of one block, shape (t.size, n_r, n_r),
-        from one _kernel_nodes call over all their points."""
-        n_r, dr = self.r_grid.size, self.dr
-        width = n_r + 2  # cells l0 = 0 .. n_r, then the dump cell
-        points = t.size * n_r
-        mom = np.zeros((4, points * width))
-        # from lam = (n_r + 1) dr on, the whole stencil lies past the grid
-        nodes = _kernel_nodes(np.repeat(t, n_r), np.tile(self.r_grid, t.size),
-                              _TWO_COSH, dr, lam_max=(n_r + 1) * dr)
-        inv_dr = 1.0 / dr
-        for chunk in nodes(_KERNEL_LEVEL):
-            _add_moments(mom, width, inv_dr, *chunk)
-        # entry l0 + o - 1 of row j gets sum_p _STENCIL[o, p] mom[p, j, l0]
-        coef = np.tensordot(_STENCIL, mom.reshape(4, points, width), axes=1)
-        M = np.zeros((points, width + 3))
-        for o in range(4):
-            M[:, o:o + width] += coef[o]
-        M[:, 2] += M[:, 0]  # even reflection through r = 0: entry -1 is entry 1
-        return M[:, 1:n_r + 1].reshape(t.size, n_r, n_r)
+        A = _lag_matrices(t_grid, r_grid)
+        self.t_grid = np.asarray(t_grid, dtype=float)
+        self.r_grid = np.asarray(r_grid, dtype=float)
+        self.dt = self.t_grid[1] - self.t_grid[0]
+        self.dr = self.r_grid[1] - self.r_grid[0]
+        self._n = _fft_length(self.t_grid.size)
+        self._spectrum = _lag_spectrum(A, self._n)
+        # A[1..3].T stacked, (lags * n_r, n_r): fewer lags on a shorter grid
+        self._near = np.concatenate(A[1:4].transpose(0, 2, 1))
 
     def apply_linear(self, data_values):
-        """Field of I(t_i, r_j, f) for f sampled on the r grid (zero beyond)."""
+        """Field of I(t_i, r_j, f) for f sampled on the r grid (zero beyond):
+        A[i] f for every lag i, as the inverse real DFT of the spectrum
+        contracted with f. Row 0 is exactly 0."""
         data_values = np.asarray(data_values, dtype=float)
         if data_values.shape != self.r_grid.shape:
             raise DomainError("data must be sampled on the table's r grid")
-        return np.tensordot(self._A, data_values, axes=([2], [0]))
+        out = np.fft.irfft(data_values @ self._spectrum, n=self._n, axis=0)
+        out = out[:self.t_grid.size]
+        out[0] = 0.0
+        return out
 
     def duhamel_field(self, source_values):
         """int_0^{t_i} I(t_i - tau, r_j, F(tau, .)) dtau for all (i, j).
@@ -747,12 +811,16 @@ class PropagatorTable:
         source_values is the source sampled on the grid, shape (n_t, n_r),
         or a stack of m sources, shape (m, n_t, n_r), whose m fields come
         back stacked the same way. The time integral is the causal
-        convolution out[i] = dt sum_{d=1..i} A[d] (w_d F)[i - d]: one
-        matrix product per lag d over all rows and sources. w_d is the
-        Simpson weight b(k), with the end corrections of the trapezoid
+        convolution out[i] = dt sum_{d=1..i} A[d] (w_d F)[i - d]. w_d is
+        the Simpson weight b(k), with the end corrections of the trapezoid
         row i = 1 and of the 3/8 tail on odd rows i >= 3 carried by the
         lags 1..3 (_lag_weights), so every row i gets its Newton-Cotes
-        rule on t_0..t_i.
+        rule on t_0..t_i. The b-weighted sources take one rfft over time
+        at the table's length n, one complex matrix product per frequency
+        with the spectrum and one irfft. The corrections (w_d - b) F of
+        lags 1..3 fall on the odd rows only, and they are added directly,
+        in one product of each odd row's three shifted source rows with
+        A[1..3] stacked. Row 0 is exactly 0.
         """
         F = np.asarray(source_values, dtype=float)
         n_t, n_r = self.t_grid.size, self.r_grid.size
@@ -760,17 +828,25 @@ class PropagatorTable:
             raise DomainError(
                 f"source must be sampled on the table's grid: shape "
                 f"({n_t}, {n_r}) or (m, {n_t}, {n_r}), got {F.shape}")
-        # time-major and C-ordered, so the rows of all sources at one lag
-        # form one matrix without a copy per lag
-        src = np.ascontiguousarray(np.moveaxis(F.reshape(-1, n_t, n_r), 1, 0))
+        # time-major, so that every frequency's rows of all sources form
+        # one matrix
+        src = np.moveaxis(F.reshape(-1, n_t, n_r), 1, 0)
         m = src.shape[1]
         w = (_lag_weights(n_t) * self.dt)[:, :, None, None]
-        simpson = w[0] * src
-        out = np.zeros((n_t, m, n_r))
-        for d in range(1, n_t):
-            rows = n_t - d
-            g = simpson[:rows] if d >= 4 else w[d, :rows] * src[:rows]
-            out[d:] += (g.reshape(-1, n_r) @ self._A[d].T).reshape(rows, m, n_r)
+        # one expression, so that the rfft's output is freed before the
+        # irfft's is made
+        out = np.fft.irfft(np.fft.rfft(w[0] * src, n=self._n, axis=0) @ self._spectrum,
+                           n=self._n, axis=0)[:n_t]
+        # the corrections of lags 1..3 land on the odd rows i only, each
+        # row's three in one product with the stacked A[1..3]
+        odd = np.arange(1, n_t, 2)
+        lags = self._near.shape[0] // n_r
+        c = np.zeros((odd.size, m, lags, n_r))
+        for d in range(1, lags + 1):
+            k = odd[odd >= d] - d
+            c[odd.size - k.size:, :, d - 1] = (w[d, k] - w[0, k]) * src[k]
+        out[1::2] += (c.reshape(-1, lags * n_r) @ self._near).reshape(odd.size, m, n_r)
+        out[0] = 0.0
         return np.moveaxis(out, 1, 0).reshape(F.shape)
 
 
@@ -919,21 +995,32 @@ def _gl_integrals(fn, lo, hi):
                      for a, b in zip(cuts[:-1], cuts[1:])])
 
 
+def _times_exp(vals, lam, log_factor):
+    """vals * exp(log_factor(lam)) per node, log_factor evaluated only
+    where vals != 0 and the product exactly 0 elsewhere: where a profile
+    has underflowed to 0 its factor may lie beyond the float range, and
+    0 * inf would be NaN."""
+    out = np.zeros_like(vals)
+    live = np.flatnonzero(vals)
+    out[live] = vals[live] * np.exp(log_factor(lam[live]))
+    return out
+
+
 def kernel_lower_integral(phi, t, r):
     """int_{|r-t|}^{r+t} phi(lam) sinh(lam) (2 cosh(r+lam))^{-1/2} dlam.
 
     This is the explicit intermediate bound: I(t, r, phi) dominates it for
-    nonnegative phi. Written with exponentials kept in log form so large
-    r + lam cannot overflow.
+    nonnegative phi. The kernel is assembled in log space, so its two
+    exponentially large factors cancel before exponentiation; it is still
+    about exp((lam - r)/2) and leaves the float range for lam - r beyond
+    ~1419, so it is evaluated only where phi is nonzero (_times_exp).
     """
     prof = _as_profile(phi)
     half_log2 = 0.5 * np.log(2.0)
 
     def fn(lam):
-        # sinh(lam) / sqrt(2 cosh(r + lam)), assembled in log space so the
-        # two exponentially large factors cancel before exponentiation
-        log_kernel = log_sinh(lam) - half_log2 - 0.5 * log_cosh(r + lam)
-        return prof(lam) * np.exp(log_kernel)
+        return _times_exp(prof(lam), lam, lambda x: (
+            log_sinh(x) - half_log2 - 0.5 * log_cosh(r + x)))
 
     return float(_gl_integrals(fn, [abs(r - t)], [r + t])[0])
 
@@ -953,7 +1040,9 @@ def _sqrt_sinh_bound(prof, lo, t, r, C0):
     lower limits lo are the caller's.
 
     The integrand is evaluated only at the nodes within prof's
-    support_radius; beyond it, where prof is 0, it is exactly 0.
+    support_radius, and its factor (sinh lam)^{1/2}, which leaves the
+    float range beyond lam ~ 1419, only where prof is nonzero
+    (_times_exp); at the other nodes it is exactly 0.
     """
     top = np.inf if prof.support_radius is None else prof.support_radius
 
@@ -961,7 +1050,7 @@ def _sqrt_sinh_bound(prof, lo, t, r, C0):
         out = np.zeros_like(lam)
         live = lam <= top
         lam = lam[live]
-        out[live] = prof(lam) * np.exp(0.5 * log_sinh(lam))
+        out[live] = _times_exp(prof(lam), lam, lambda x: 0.5 * log_sinh(x))
         return out
 
     return C0 * np.exp(-0.5 * log_sinh(r)) * _gl_integrals(fn, lo, t + r)

@@ -12,6 +12,9 @@ independent check of what the library computes another way:
 * duhamel, the Duhamel integral at one point as a Newton-Cotes sum of
   pointwise sine propagators over the source's time slices, the check of
   PropagatorTable.duhamel_field;
+* duhamel_per_lag, the gridded Duhamel integral as the causal
+  convolution in time done directly, one matrix product per lag, the
+  check of the FFT convolution of PropagatorTable.duhamel_field;
 * per_lag_table, PropagatorTable's matrices built one _kernel_nodes call
   per lag, each node scattered to its cell's moments in panel order, the
   check of the table's lag blocks;
@@ -39,8 +42,8 @@ from hypwave.globalsolver import _TAU_PER_UNIT
 from hypwave.hypgeo import DomainError, bracket, log_sinh
 from hypwave.meanprop import (_KERNEL_LEVEL, _STENCIL, _TWO_COSH, MonotoneWeight,
                               RadialProfile, W_evaluator, _as_profile,
-                              _gl_integrals, _kernel_nodes, default_C0,
-                              sine_propagator)
+                              _gl_integrals, _kernel_nodes, _lag_weights,
+                              default_C0, sine_propagator)
 
 
 def from_samples(lam, values, support_radius=None):
@@ -128,9 +131,29 @@ def duhamel(F, t, r):
     return float(total)
 
 
+def duhamel_per_lag(A, F, dt):
+    """PropagatorTable.duhamel_field of the table with matrices A and time
+    step dt, as it was computed before the FFT: the causal convolution
+    out[i] = dt sum_{d=1..i} A[d] (w_d F)[i - d] with the weights of
+    _lag_weights, one matrix product per lag d over all rows and sources.
+    F has shape (n_t, n_r) or (m, n_t, n_r)."""
+    F = np.asarray(F, dtype=float)
+    n_t, n_r = A.shape[:2]
+    src = np.ascontiguousarray(np.moveaxis(F.reshape(-1, n_t, n_r), 1, 0))
+    m = src.shape[1]
+    w = (_lag_weights(n_t) * dt)[:, :, None, None]
+    simpson = w[0] * src
+    out = np.zeros((n_t, m, n_r))
+    for d in range(1, n_t):
+        rows = n_t - d
+        g = simpson[:rows] if d >= 4 else w[d, :rows] * src[:rows]
+        out[d:] += (g.reshape(-1, n_r) @ A[d].T).reshape(rows, m, n_r)
+    return np.moveaxis(out, 1, 0).reshape(F.shape)
+
+
 def per_lag_table(t_grid, r_grid):
-    """PropagatorTable(t_grid, r_grid)._A as the table built it before its
-    lag blocks: one _kernel_nodes call and one moment array per lag, the
+    """meanprop._lag_matrices(t_grid, r_grid) as the table built it before
+    its lag blocks: one _kernel_nodes call and one moment array per lag, the
     nodes of each chunk scattered in (panel, node) order."""
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)

@@ -24,6 +24,8 @@ from hypwave.meanprop import (
     SpaceTimeField,
     W_evaluator,
     _agm_K,
+    _fft_length,
+    _lag_matrices,
     _lag_weights,
     _mean_nodes,
     beta_identity_check,
@@ -38,8 +40,8 @@ from hypwave.meanprop import (
     spherical_mean,
     w_majorant,
 )
-from references import (duhamel, from_samples, per_lag_table, slice_profile, time_index,
-                        time_weights)
+from references import (duhamel, duhamel_per_lag, from_samples, per_lag_table,
+                        slice_profile, time_index, time_weights)
 
 EP1 = EnvelopeParams(k=1.0)
 
@@ -341,17 +343,49 @@ class TestDuhamel:
             duhamel(F, 0.3, 1.0)
 
 
+def finite_matrices(t_grid, r_grid):
+    """The table's matrices A (_lag_matrices), checked to hold only finite
+    entries: a kernel node on kappa = 1 would make one inf * 0 = NaN."""
+    A = _lag_matrices(t_grid, r_grid)
+    assert np.all(np.isfinite(A))
+    return A
+
+
+def table_with_matrices(t_grid, r_grid):
+    """PropagatorTable(t_grid, r_grid) and the matrices A of its one
+    _lag_matrices call, checked by finite_matrices."""
+    built = []
+
+    def recording(*grids):
+        built.append(finite_matrices(*grids))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(meanprop, "_lag_matrices", recording)
+        tab = PropagatorTable(t_grid, r_grid)
+    (A,) = built
+    return tab, A
+
+
 def finite_table(t_grid, r_grid):
-    """A PropagatorTable, checked to hold only finite entries: a kernel node
-    on kappa = 1 would make one inf * 0 = NaN."""
-    tab = PropagatorTable(t_grid, r_grid)
-    assert np.all(np.isfinite(tab._A))
-    return tab
+    """A PropagatorTable whose matrices A are checked by finite_matrices."""
+    return table_with_matrices(t_grid, r_grid)[0]
 
 
 @pytest.fixture(scope="module")
-def table():
-    return finite_table(np.linspace(0, 2.0, 41), np.linspace(0, 8.0, 81))
+def table_and_A():
+    return table_with_matrices(np.linspace(0, 2.0, 41), np.linspace(0, 8.0, 81))
+
+
+@pytest.fixture(scope="module")
+def table(table_and_A):
+    return table_and_A[0]
+
+
+@pytest.fixture(scope="module")
+def table_A(table_and_A):
+    """The matrices A of the table fixture."""
+    return table_and_A[1]
 
 
 class TestPropagatorTable:
@@ -415,14 +449,14 @@ class TestPropagatorTable:
             table.duhamel_field(np.zeros(shape))
 
 
-def duhamel_by_prefix(table, F):
+def duhamel_by_prefix(A, dt, F):
     """The former per-row Duhamel: full Simpson/3-8 prefix matrix, every
     lag applied to every source time, then one pass per source time."""
     n_t, n_r = F.shape
     prefix = np.zeros((n_t, n_t))
     for i in range(n_t):
-        prefix[i, : i + 1] = time_weights(i) * table.dt
-    P = np.tensordot(table._A, F, axes=([2], [1]))
+        prefix[i, : i + 1] = time_weights(i) * dt
+    P = np.tensordot(A, F, axes=([2], [1]))
     out = np.zeros((n_t, n_r))
     for k in range(n_t):
         rows = np.arange(k, n_t)
@@ -435,11 +469,11 @@ class TestDuhamelConvolution:
     # 3/8-only row i = 3, 5 and 41 the corrected odd rows i >= 5
     @pytest.mark.parametrize("n_t", [2, 3, 4, 5, 41])
     def test_matches_prefix_formula(self, n_t):
-        tab = finite_table(np.linspace(0.0, 0.1 * (n_t - 1), n_t),
-                           np.linspace(0.0, 4.0, 21))
+        tab, A = table_with_matrices(np.linspace(0.0, 0.1 * (n_t - 1), n_t),
+                                     np.linspace(0.0, 4.0, 21))
         rng = np.random.default_rng(n_t)
         src = rng.standard_normal((n_t, 21))
-        want = duhamel_by_prefix(tab, src)
+        want = duhamel_by_prefix(A, tab.dt, src)
         got = tab.duhamel_field(src)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -476,22 +510,78 @@ def assert_rows_close(got, want, rel):
     assert np.all(np.abs(got - want) <= rel * scale)
 
 
+# (n_t, n_r): n_t = 2..5 as in TestDuhamelConvolution, then 41 and 161
+# lags; each n_t with n_t < n_r and, from 3 on, n_t > n_r
+FFT_GRIDS = [(2, 9), (3, 2), (3, 10), (4, 3), (4, 11), (5, 3), (5, 12),
+             (41, 21), (41, 48), (161, 41)]
+
+
+@pytest.fixture(scope="module", params=FFT_GRIDS, ids=[f"{n}x{k}" for n, k in FFT_GRIDS])
+def fft_table(request):
+    n_t, n_r = request.param
+    return table_with_matrices(np.linspace(0.0, 0.025 * (n_t - 1), n_t),
+                               np.linspace(0.0, 0.1 * (n_r - 1), n_r))
+
+
+def assert_fields_close(got, want, rel):
+    """Each field of a stack, shape (..., n_t, n_r), within rel of its
+    largest value: the FFT's rounding is spread over the whole field, so
+    a time row near t = 0, where the field is small, does not bound it."""
+    scale = np.max(np.abs(want), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+class TestDuhamelFFT:
+    # the FFT convolution against the per-lag loop it replaced: only the
+    # rounding moves, within 1e-13 of each field's largest value
+    @pytest.mark.parametrize("m", [None, 1, 4], ids=["one", "stack1", "stack4"])
+    def test_matches_the_per_lag_loop(self, fft_table, m):
+        tab, A = fft_table
+        n_t, n_r = A.shape[:2]
+        rng = np.random.default_rng(n_t * n_r)
+        src = rng.standard_normal((n_t, n_r) if m is None else (m, n_t, n_r))
+        got = tab.duhamel_field(src)
+        want = duhamel_per_lag(A, src, tab.dt)
+        assert got.shape == want.shape
+        assert_fields_close(got, want, 1e-13)
+        assert np.all(got[..., 0, :] == 0.0)
+
+    def test_apply_linear_is_A_times_f(self, fft_table):
+        tab, A = fft_table
+        f = np.random.default_rng(A.shape[1]).standard_normal(A.shape[1])
+        got = tab.apply_linear(f)
+        assert_fields_close(got, A @ f, 1e-13)
+        assert np.all(got[0] == 0.0)
+
+    def test_transform_length_is_the_least_5_smooth(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for n_t in range(2, 401):
+            n = _fft_length(n_t)
+            assert n >= 2 * n_t - 1 and smooth(n)
+            assert not any(smooth(k) for k in range(2 * n_t - 1, n))
+
+
 def doubled(monkeypatch, t_grid, r_grid):
-    """The table at twice the kernel rule's Gauss nodes per panel."""
+    """The table's matrices at twice the kernel rule's Gauss nodes per panel."""
     with monkeypatch.context() as m:
         m.setattr(meanprop, "_KERNEL_LEVEL", 2 * meanprop._KERNEL_LEVEL)
-        return finite_table(t_grid, r_grid)
+        return finite_matrices(t_grid, r_grid)
 
 
 def assert_self_converges(monkeypatch, t_grid, r_grid):
     """The table's rule and the same rule at twice the nodes per panel
     differ by at most 1e-10 of each row's largest entry."""
-    tab = finite_table(t_grid, r_grid)
+    A = finite_matrices(t_grid, r_grid)
     fine = doubled(monkeypatch, t_grid, r_grid)
-    assert np.all(tab._A[0] == 0.0)
+    assert np.all(A[0] == 0.0)
     for d in range(1, t_grid.size):
-        assert np.any(tab._A[d, 0] != 0.0)  # the r = 0 row
-        assert_rows_close(tab._A[d], fine._A[d], 1e-10)
+        assert np.any(A[d, 0] != 0.0)  # the r = 0 row
+        assert_rows_close(A[d], fine[d], 1e-10)
 
 
 class TestFlatPanelList:
@@ -772,10 +862,10 @@ class TestKernelReference:
               (0.3, 0.3), (1.0, 4.0), (4.0, 6.0), (0.05, 2.0), (2.0, 1e-6),
               (7.0, 7.0), (0.5, 0.25)]
 
-    def test_table(self, monkeypatch, table):
-        ref = with_reference_kernel(monkeypatch, PropagatorTable,
+    def test_table(self, monkeypatch, table, table_A):
+        ref = with_reference_kernel(monkeypatch, _lag_matrices,
                                     table.t_grid, table.r_grid)
-        assert_close_to_max(table._A, ref._A, 1e-14)
+        assert_close_to_max(table_A, ref, 1e-14)
 
     @pytest.mark.parametrize("phi", [theta1, bump_profile(1.0)],
                              ids=["theta1", "bump"])
@@ -801,10 +891,10 @@ class TestGapFormulaReference:
     # the product form against the gap formula on the same panels: only
     # the rounding of each node moves, within 1e-14 of each row's largest
     # value
-    def test_table(self, monkeypatch, table):
-        ref = with_reference_kernel(monkeypatch, PropagatorTable,
+    def test_table(self, monkeypatch, table, table_A):
+        ref = with_reference_kernel(monkeypatch, _lag_matrices,
                                     table.t_grid, table.r_grid, kernel=gap_kernel_nodes)
-        assert_rows_close(table._A, ref._A, 1e-14)
+        assert_rows_close(table_A, ref, 1e-14)
 
     @pytest.mark.parametrize("phi", [theta1, bump_profile(1.0)],
                              ids=["theta1", "bump"])
@@ -893,9 +983,9 @@ class TestBufferedEvaluator:
 
     def test_table_equals_the_expression_evaluator(self, monkeypatch):
         t_grid, r_grid = np.linspace(0.0, 1.0, 21), np.linspace(0.0, 2.0, 41)
-        ref = with_reference_kernel(monkeypatch, PropagatorTable, t_grid, r_grid,
+        ref = with_reference_kernel(monkeypatch, _lag_matrices, t_grid, r_grid,
                                     kernel=expression_kernel_nodes)
-        assert np.array_equal(PropagatorTable(t_grid, r_grid)._A, ref._A)
+        assert np.array_equal(_lag_matrices(t_grid, r_grid), ref)
 
 
 def counting_kernel_nodes(monkeypatch):
@@ -939,7 +1029,7 @@ class TestLagBlocks:
     # which each moment sums its nodes moves
     @pytest.mark.parametrize("t_grid, r_grid", LAG_GRIDS, ids=LAG_IDS)
     def test_matches_the_per_lag_loop(self, t_grid, r_grid):
-        got = finite_table(t_grid, r_grid)._A
+        got = finite_matrices(t_grid, r_grid)
         assert_close_to_max(got, per_lag_table(t_grid, r_grid), 1e-14)
 
     @pytest.mark.parametrize("t_grid, r_grid", LAG_GRIDS, ids=LAG_IDS)
@@ -1396,6 +1486,29 @@ class TestLowerBounds:
     def test_radius_precondition(self):
         with pytest.raises(DomainError, match="tau0/2"):
             lower_bound_I(self.gaussian, 2.0, 0.4, tau0=1.0)
+
+    # where the profile has underflowed to 0, (sinh lam)^{1/2} and the
+    # kernel of kernel_lower_integral lie beyond the float range: those
+    # nodes give exactly 0, not 0 * inf = NaN, and no exp overflows
+    def test_gaussian_far_out_is_zero_not_nan(self):
+        with np.errstate(over="raise", invalid="raise"):
+            large, small = lower_bound_I(self.gaussian, 800.0, 700.0, tau0=1.0)
+        assert (large, small) == (0.0, 0.0)
+
+    def test_theta_far_out_matches_mpmath(self):
+        with np.errstate(over="raise", invalid="raise"):
+            large, small = lower_bound_I(theta1, 800.0, 700.0, tau0=1.0)
+        assert large == 0.0  # theta1 underflows from lam ~ 497 on
+        # small: lam from 100, where theta1 (sinh lam)^{1/2} ~ e^{-lam}
+        with mp.workdps(30):
+            want = float(default_C0(1.0) * mp.sinh(700) ** mp.mpf(-0.5) * mp.quad(
+                lambda lam: mp.cosh(lam) ** mp.mpf(-1.5) * mp.sqrt(mp.sinh(lam)),
+                mp.linspace(100, 600, 501)))
+        assert abs(small - want) <= 1e-10 * want
+
+    def test_kernel_integral_far_out_is_zero_not_nan(self):
+        with np.errstate(over="raise", invalid="raise"):
+            assert kernel_lower_integral(theta1, 3000.0, 10.0) == 0.0
 
     def test_default_C0(self):
         want = 0.5 * np.sqrt(np.tanh(0.125) * np.tanh(0.5))

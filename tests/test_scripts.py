@@ -88,3 +88,37 @@ def test_csv_digest(tmp_path, capsys):
     # a second run into the same directory prints the same lines
     assert script.main(tmp_path) == combined
     assert capsys.readouterr().out == out
+
+
+def test_csv_digest_contract_pair_and_compare(tmp_path, capsys):
+    script = load("csv_digest")
+    script.CONTRACT = dict(script.CONTRACT,
+                           grid={"t_max": 1.0, "r_max": 2.0, "dt": 0.1, "dr": 0.1})
+    script.RUNS = [run for run in script.RUNS if run[0].startswith("contract_")]
+    old, new = tmp_path / "old", tmp_path / "new"
+    script.main(old)
+    script.main(new)
+    capsys.readouterr()
+    threshold = read_csv(old / "csv_digest" / "contract_threshold" / "threshold.csv")
+    eps0 = float(threshold[1][0])
+    solve = (old / "csv_digest" / "contract_solve.ini").read_text()
+    assert f"epsilon = {0.5 * eps0!r}" in solve
+    assert script.compare(old, new) == [
+        f"contract_{name} identical" for name in (
+            "solve/field.csv", "solve/history.csv", "solve/report.csv",
+            "threshold/ratios.csv", "threshold/threshold.csv")]
+    capsys.readouterr()
+    # one cell of one column moved by 1e-3 of itself
+    path = new / "csv_digest" / "contract_threshold" / "ratios.csv"
+    header, first, *rest = read_csv(path)
+    first[1] = repr(float(first[1]) * (1.0 + 1e-3))
+    path.write_text("\n".join(",".join(row) for row in [header, first, *rest]) + "\n",
+                    encoding="utf-8")
+    (new / "csv_digest" / "contract_solve" / "report.csv").unlink()
+    lines = script.compare(old, new)
+    assert lines[2] == f"contract_solve/report.csv only in {old}"
+    name, verdict = lines[3].split()
+    assert name == "contract_threshold/ratios.csv"
+    column, rel = verdict.split("=")
+    assert column == "ratio" and abs(float(rel) - 1e-3) <= 1e-5
+    assert capsys.readouterr().out.splitlines() == lines
