@@ -53,11 +53,11 @@ class BlowupParams:
     p is the logarithmic exponent (subcritical regime 1 < p < 3), q the
     power in the large-amplitude branch of the nonlinearity, tau0 the data
     scale (the velocity profile is at least 1 on [tau0, 3*tau0]), epsilon
-    the data amplitude, delta0 the nonlinearity's smallness threshold, and
-    C0 the kernel lower-bound constant, default_C0(tau0) when omitted.
+    the data amplitude and delta0 the nonlinearity's smallness threshold.
 
-    The first-iterate constant c0 is not among them: build_certificate
-    computes it with first_iterate_bound and the certificate carries it.
+    The proof's constants are computed, not set: the kernel lower-bound
+    constant C0 is default_C0(tau0), and the first-iterate constant c0 is
+    build_certificate's (first_iterate_bound), carried by the certificate.
     """
 
     p: float
@@ -65,7 +65,7 @@ class BlowupParams:
     tau0: float
     epsilon: float
     delta0: float
-    C0: float | None = None
+    C0 = property(lambda self: default_C0(self.tau0))
 
     def __post_init__(self):
         if not 1.0 < self.p < 3.0:
@@ -83,10 +83,6 @@ class BlowupParams:
             raise DomainError("epsilon must be positive")
         if not 0.0 < self.delta0 < 1.0:
             raise DomainError(f"delta0 must lie in (0, 1); got {self.delta0}")
-        if self.C0 is None:
-            object.__setattr__(self, "C0", default_C0(self.tau0))
-        if not 0.0 < self.C0 <= 1.0:
-            raise DomainError(f"C0 must lie in (0, 1]; got {self.C0}")
 
 
 def bump_profile(tau0):

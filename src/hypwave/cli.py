@@ -83,15 +83,16 @@ def _grid(*defaults):
 
 
 def _nonlinearity(*kinds):
-    """[nonlinearity], defaulting to kinds[0]; p defaults to the command's
-    [solver] or [blowup] p."""
-    return {"kind": (kinds, kinds[0]), "p": (float, None), "q": (float, 2.0),
-            "delta0": (float, 0.45), "A": (float, 2.0)}
+    """[nonlinearity], defaulting to kinds[0], each kind reading only its
+    own keys; p defaults to the command's [solver] or [blowup] p."""
+    reads = {"canonical_sinh_inverse": ("p",),
+             "piecewise_generic": ("p", "q", "delta0"), "none": ()}
+    return {"kind": ({kind: reads[kind] for kind in kinds}, kinds[0]),
+            "p": (float, None), "q": (float, 2.0), "delta0": (float, 0.45)}
 
 
 _BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_POSITIVE, 1.0),
            "epsilon": (float, _REQUIRED), "delta0": (float, 0.45),
-           "C0": (float, None),  # BlowupParams defaults it to default_C0(tau0)
            "m_max": (_COUNT, 20)}
 
 # command -> section -> key -> (cast, default). A cast is float, int, _bool,

@@ -22,8 +22,8 @@ Node counts and tolerances are not configurable: each rule in meanprop
 owns its node level as a module constant, and the pointwise rules settle
 over doubling levels from it.
 
-``uniform_grid`` is the one validated constructor of the uniform t and r
-grids that every solver and command runs on.
+``uniform_grid`` validates the uniform t and r grids that every solver and
+command runs on; meanprop's ``_uniform_step`` validates PropagatorTable's.
 """
 
 from __future__ import annotations

@@ -787,7 +787,6 @@ class PropagatorTable:
         self.t_grid = np.asarray(t_grid, dtype=float)
         self.r_grid = np.asarray(r_grid, dtype=float)
         self.dt = self.t_grid[1] - self.t_grid[0]
-        self.dr = self.r_grid[1] - self.r_grid[0]
         self._n = _fft_length(self.t_grid.size)
         self._spectrum = _lag_spectrum(A, self._n)
         # A[1..3].T stacked, (lags * n_r, n_r): fewer lags on a shorter grid
@@ -999,10 +998,14 @@ def _times_exp(vals, lam, log_factor):
     """vals * exp(log_factor(lam)) per node, log_factor evaluated only
     where vals != 0 and the product exactly 0 elsewhere: where a profile
     has underflowed to 0 its factor may lie beyond the float range, and
-    0 * inf would be NaN."""
+    0 * inf would be NaN; a product that overflows is redone in log space."""
     out = np.zeros_like(vals)
     live = np.flatnonzero(vals)
-    out[live] = vals[live] * np.exp(log_factor(lam[live]))
+    v, x = vals[live], log_factor(lam[live])
+    with np.errstate(over="ignore"):
+        out[live] = v * np.exp(x)
+    far = np.isinf(out[live])
+    out[live[far]] = np.copysign(np.exp(np.log(np.abs(v[far])) + x[far]), v[far])
     return out
 
 
@@ -1031,7 +1034,7 @@ def default_C0(tau0):
     ranges; always in (0, 1/2]."""
     if tau0 <= 0:
         raise DomainError("tau0 must be positive")
-    return min(1.0, 0.5 * np.sqrt(np.tanh(tau0 / 8.0) * np.tanh(tau0 / 2.0)))
+    return 0.5 * np.sqrt(np.tanh(tau0 / 8.0) * np.tanh(tau0 / 2.0))
 
 
 def _sqrt_sinh_bound(prof, lo, t, r, C0):
@@ -1056,7 +1059,7 @@ def _sqrt_sinh_bound(prof, lo, t, r, C0):
     return C0 * np.exp(-0.5 * log_sinh(r)) * _gl_integrals(fn, lo, t + r)
 
 
-def lower_bound_I(phi, t, r, tau0, C0=None):
+def lower_bound_I(phi, t, r, tau0):
     """The two explicit propagator lower bounds at (t, r).
 
     Returns (bound_large, bound_small): bound_large integrates phi
@@ -1070,16 +1073,12 @@ def lower_bound_I(phi, t, r, tau0, C0=None):
     that lie within its support_radius; the integrand is exactly 0 at the
     rest.
     """
-    if tau0 <= 0:
-        raise DomainError("tau0 must be positive")
+    C0 = default_C0(tau0)  # which refuses tau0 <= 0
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
                                np.asarray(r, dtype=float))
     if np.any(r <= tau0 / 2.0):
         raise DomainError(f"lower_bound_I needs r > tau0/2 = {tau0 / 2.0}; "
                           f"got r = {r[r <= tau0 / 2.0].min()}")
-    C0 = default_C0(tau0) if C0 is None else C0
-    if not 0.0 < C0 <= 1.0:
-        raise DomainError("C0 must lie in (0, 1]")
     wide = np.abs(t - r) > tau0 / 8.0
     bounds = _sqrt_sinh_bound(
         _as_profile(phi),

@@ -24,13 +24,13 @@ That interpolant is the published formula of the piecewise nonlinearity.
 
 The Lipschitz envelope G(u) = A (ln 1/u)^{1-p} controls difference
 quotients of either nonlinearity on (0, 1/A] once A is large enough;
-fit_A computes such an A numerically.
+a spec's A is fit_A's, computed numerically on its first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,15 +56,15 @@ class NonlinearitySpec:
     """Parameters of one member of the nonlinearity family.
 
     p is the logarithmic exponent, q the large-u power on the blow-up
-    side, delta0 the constant in the lower bounds, and A the constant of
-    the Lipschitz envelope G.
+    side, delta0 the constant in the lower bounds; A, the constant of the
+    Lipschitz envelope G, is fit_A's (the blow-up side never reads it).
     """
 
     p: float
     q: float
     delta0: float
-    A: float
     kind: str = "canonical_sinh_inverse"
+    A = cached_property(lambda self: fit_A(self))
 
     def __post_init__(self):
         if not self.p > 1:
@@ -73,8 +73,6 @@ class NonlinearitySpec:
             raise DomainError("q must exceed 1")
         if not 0 < self.delta0 < 1:
             raise DomainError("delta0 must lie in (0, 1)")
-        if not self.A > 0:
-            raise DomainError("A must be positive")
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}")
         if self.kind == "piecewise_generic":
@@ -234,12 +232,12 @@ def nonlinearity(spec: NonlinearitySpec):
     return _generic(spec)
 
 
-def fit_A(spec: NonlinearitySpec, floor=0.0):
+def fit_A(spec: NonlinearitySpec):
     """A numeric constant A for the envelope G of this nonlinearity.
 
     Computes sup |F'(u)| (ln 1/u)^{p-1} over a log grid on (0, u*],
     u* = _FIT_U_MAX = 1/2, through central difference quotients, pads it
-    by 5 percent, and returns at least max(1/u*, floor). The returned A
+    by 5 percent, and returns at least 1/u*. The returned A
     satisfies |F'(w)| <= G(w) for all w in (0, 1/A], which is what the
     difference bound needs, because 1/A <= u* and G only grows with A.
     """
@@ -248,14 +246,14 @@ def fit_A(spec: NonlinearitySpec, floor=0.0):
     h = 1e-6 * u
     dF = (F(u + h) - F(u - h)) / (2.0 * h)
     sup = float(np.max(np.abs(dF) * (-np.log(u)) ** (spec.p - 1.0)))
-    return max(1.0 / _FIT_U_MAX, floor, 1.05 * sup)
+    return max(1.0 / _FIT_U_MAX, 1.05 * sup)
 
 
 def lipschitz_diff_bound(u, v, spec: NonlinearitySpec):
     """(|F(u) - F(v)|, G(max(|u|,|v|)) |u - v|) for |u|, |v| <= 1/A.
 
-    The second component bounds the first whenever A was fitted for this
-    nonlinearity; equal arguments give (0, 0).
+    The second component bounds the first, since spec.A is fit_A's;
+    equal arguments give (0, 0).
     """
     cap = 1.0 / spec.A
     if abs(u) > cap + 1e-15 or abs(v) > cap + 1e-15:

@@ -240,14 +240,13 @@ def bump_everywhere(tau0):
     return bump
 
 
-def lower_bounds_everywhere(phi, t, r, tau0, C0=None):
-    """meanprop.lower_bound_I(phi, t, r, tau0, C0) with phi and the
+def lower_bounds_everywhere(phi, t, r, tau0):
+    """meanprop.lower_bound_I(phi, t, r, tau0) with phi and the
     integrand evaluated at every quadrature node, beyond phi's support
     too, and both bounds' integrals in one _gl_integrals call."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
                                np.asarray(r, dtype=float))
-    C0 = default_C0(tau0) if C0 is None else C0
-    pref = C0 * np.exp(-0.5 * log_sinh(r))
+    pref = default_C0(tau0) * np.exp(-0.5 * log_sinh(r))
     prof = _as_profile(phi)
     hi = t + r
     wide = np.abs(t - r) > tau0 / 8.0
@@ -272,7 +271,7 @@ def first_iterate_both(u1, params):
     r_corner = 0.5 * (3.0 * tau0 - widths)
     r = (r_corner[:, None] * (1.0 + 1e-6) + offsets * tau0).ravel()
     t = r + np.repeat(widths, offsets.size)
-    _, small = lower_bounds_everywhere(u1, t, r, tau0, params.C0)
+    _, small = lower_bounds_everywhere(u1, t, r, tau0)
     keep = np.isfinite(small)
     values = [math.exp(0.5 * ls) * s
               for ls, s in zip(log_sinh(r[keep]).tolist(), small[keep])]

@@ -43,7 +43,6 @@ from hypwave.meanprop import (
     RadialProfile,
     SpaceTimeField,
     beta_identity_check,
-    default_C0,
     linear_field,
     sine_propagator,
     spherical_mean,
@@ -56,7 +55,7 @@ ONES = RadialProfile.constant(1.0)
 THETA1 = RadialProfile.from_function(
     lambda r: theta_k(r, EnvelopeParams(k=1.0)))
 
-SPEC35 = NonlinearitySpec(p=3.5, q=2.0, delta0=0.45, A=2.0)
+SPEC35 = NonlinearitySpec(p=3.5, q=2.0, delta0=0.45)
 CFG35 = SolverConfig(p=3.5, h=1.2, epsilon=0.05)
 
 # Calibrated on the default grid with rng_seed 11 and 20 pairs; the
@@ -203,8 +202,7 @@ def test_09_blowup_sequences_exact():
     """p = q = 2: l0 = 3, A0 = 1, a = (0,2,4), b = (1,2,3) exactly;
     rational closed forms match the float recursion for m <= 20; every
     log D_m respects the guaranteed-growth floor."""
-    params = BlowupParams(p=2.0, q=2.0, tau0=1.0, epsilon=0.5, delta0=0.45,
-                          C0=default_C0(1.0))
+    params = BlowupParams(p=2.0, q=2.0, tau0=1.0, epsilon=0.5, delta0=0.45)
     boost = boost_sequence(params, 0.1)
     assert boost.l0 == 3
     assert boost.A0 == 1.0
@@ -231,11 +229,10 @@ def test_10_certificate_dominance():
     float range near t = 5.24; every S grid point that exists therefore
     has t well below 12.
     """
-    params = BlowupParams(p=2.0, q=2.0, tau0=1.0, epsilon=0.5, delta0=0.45,
-                          C0=default_C0(1.0))
+    params = BlowupParams(p=2.0, q=2.0, tau0=1.0, epsilon=0.5, delta0=0.45)
     bump = bump_profile(1.0)
     cert = build_certificate(bump, params)
-    spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
+    spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45,
                             kind="piecewise_generic")
     data = RadialProfile(lambda lam: params.epsilon * bump(lam),
                          support_radius=bump.support_radius,
@@ -253,7 +250,7 @@ def test_11_blowup_vs_existence_contrast(eps0):
     """Escape within t <= 40 for p = 2, eps = 1 at threshold 10x the
     initial sup; no escape for p = 3.5, eps = eps0/2 within t <= 8."""
     bump = bump_profile(1.0)
-    spec2 = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
+    spec2 = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45,
                              kind="piecewise_generic")
     cfg2 = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=40.0)
     r_grid = np.linspace(0.0, cfg2.r_max, round(cfg2.r_max / cfg2.dr) + 1)

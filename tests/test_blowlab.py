@@ -28,7 +28,7 @@ C0 = default_C0(TAU0)
 
 
 def make_params(**kw):
-    base = dict(p=2.0, q=2.0, tau0=TAU0, epsilon=0.5, delta0=0.45, C0=C0)
+    base = dict(p=2.0, q=2.0, tau0=TAU0, epsilon=0.5, delta0=0.45)
     base.update(kw)
     return BlowupParams(**base)
 
@@ -43,9 +43,11 @@ class TestBlowupParams:
         assert p.p == 2.0 and p.C0 == C0
 
     def test_c0_is_not_a_parameter(self):
-        # c0 is computed by build_certificate, never set
-        with pytest.raises(TypeError, match="c0"):
-            make_params(c0=0.1)
+        # c0 is computed by build_certificate and C0 is default_C0(tau0);
+        # neither is set
+        for name in ("c0", "C0"):
+            with pytest.raises(TypeError, match=name):
+                make_params(**{name: 0.1})
 
     @pytest.mark.parametrize("tau0", [0.25, 1.0, 3.0, 100.0])
     def test_C0_defaults_to_default_C0(self, tau0):
@@ -66,8 +68,6 @@ class TestBlowupParams:
             make_params(epsilon=0.0)
         with pytest.raises(DomainError, match="delta0"):
             make_params(delta0=1.0)
-        with pytest.raises(DomainError, match="C0"):
-            make_params(C0=1.5)
 
     @pytest.mark.parametrize("tau0", [100.5, 150.0, 1420.0, 2000.0, np.inf])
     def test_tau0_cap(self, tau0):
@@ -480,7 +480,7 @@ def reference_run():
     params = make_params()
     bump = bump_profile(TAU0)
     cert = build_certificate(bump, params)
-    spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
+    spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45,
                             kind="piecewise_generic")
     scaled = RadialProfile(lambda lam: params.epsilon * bump(lam),
                            support_radius=bump.support_radius, knots=bump.knots)
@@ -589,9 +589,9 @@ def gl_integral_loop(fn, lo, hi, per_unit=2.0):
     return float(np.dot(w, fn(s)))
 
 
-def lower_bound_I_loop(phi, t, r, tau0, C0):
+def lower_bound_I_loop(phi, t, r, tau0):
     prof = _as_profile(phi)
-    pref = C0 * np.exp(-0.5 * float(log_sinh(r)))
+    pref = default_C0(tau0) * np.exp(-0.5 * float(log_sinh(r)))
 
     def fn(lam):
         return prof(lam) * np.exp(0.5 * log_sinh(lam))
@@ -615,7 +615,7 @@ def first_iterate_c0_loop(u1, params, n_width=15):
         for off in offsets:
             r = r_corner * (1.0 + 1e-6) + off * tau0
             t = r + w
-            _, small = lower_bound_I_loop(prof, t, r, tau0, params.C0)
+            _, small = lower_bound_I_loop(prof, t, r, tau0)
             if small is None:
                 continue
             values.append(math.exp(0.5 * log_sinh(r)) * small)
@@ -698,7 +698,7 @@ def assert_same_report(got, want):
 @pytest.fixture(scope="module")
 def sigma_cert():
     """A tau0 = 1/4 certificate, whose Sigma_3 opens at t - r > 4.5."""
-    params = make_params(tau0=0.25, C0=default_C0(0.25))
+    params = make_params(tau0=0.25)
     return build_certificate(bump_profile(0.25), params)
 
 
@@ -730,8 +730,8 @@ class TestAgainstPointLoops:
     @pytest.mark.parametrize("t, r", POINTS)
     def test_lower_bound_I_scalar_bits(self, t, r):
         bump = bump_profile(TAU0)
-        large, small = lower_bound_I(bump, t, r, TAU0, C0)
-        want_large, want_small = lower_bound_I_loop(bump, t, r, TAU0, C0)
+        large, small = lower_bound_I(bump, t, r, TAU0)
+        want_large, want_small = lower_bound_I_loop(bump, t, r, TAU0)
         assert type(large) is type(want_large) is np.float64
         assert bits(large) == bits(want_large)
         if want_small is None:
@@ -742,11 +742,11 @@ class TestAgainstPointLoops:
 
     def test_lower_bound_I_arrays(self):
         t, r = (np.array(x) for x in zip(*self.POINTS))
-        large, small = lower_bound_I(bump_profile(TAU0), t, r, TAU0, C0)
+        large, small = lower_bound_I(bump_profile(TAU0), t, r, TAU0)
         assert large.shape == small.shape == t.shape
         for k, (tk, rk) in enumerate(self.POINTS):
             want_large, want_small = lower_bound_I_loop(
-                bump_profile(TAU0), tk, rk, TAU0, C0)
+                bump_profile(TAU0), tk, rk, TAU0)
             assert bits(large[k]) == bits(want_large)
             if want_small is None:
                 assert np.isnan(small[k])
@@ -755,15 +755,15 @@ class TestAgainstPointLoops:
 
     def test_lower_bound_I_arrays_keep_the_checks(self):
         with pytest.raises(DomainError, match=r"tau0/2 = 0.5; got r = 0.4"):
-            lower_bound_I(bump_profile(TAU0), [2.0, 2.0], [1.0, 0.4], TAU0, C0)
-        with pytest.raises(DomainError, match="C0"):
-            lower_bound_I(bump_profile(TAU0), [2.0], [1.0], TAU0, 1.5)
+            lower_bound_I(bump_profile(TAU0), [2.0, 2.0], [1.0, 0.4], TAU0)
+        with pytest.raises(DomainError, match="tau0 must be positive"):
+            lower_bound_I(bump_profile(TAU0), [2.0], [1.0], 0.0)
 
     # tau0 = 0.2 has an infimum whose factor np.exp and math.exp round apart
     @pytest.mark.parametrize("tau0, eps", [(1.0, 0.1), (1.0, 0.5), (1.0, 2.0),
                                            (0.2, 0.5), (0.25, 0.5), (3.0, 0.05)])
     def test_first_iterate_c0_bits(self, tau0, eps):
-        params = make_params(tau0=tau0, epsilon=eps, C0=default_C0(tau0))
+        params = make_params(tau0=tau0, epsilon=eps)
         for prof in (bump_profile(tau0),
                      lambda lam: np.exp(-((lam - 2.0 * tau0) ** 2))):
             c0 = first_iterate_bound(prof, params)
@@ -843,21 +843,20 @@ class TestSkipsOnlyDiscardedWork:
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and bits(g) == bits(w)
                 for tk, rk in zip(t, rr):
-                    (gl, gs), (wl, ws) = (lower_bound_I(prof, tk, rk, tau0, 0.3),
+                    (gl, gs), (wl, ws) = (lower_bound_I(prof, tk, rk, tau0),
                                           lower_bounds_everywhere(prof, tk, rk,
-                                                                  tau0, 0.3))
+                                                                  tau0))
                     assert type(gl) is type(wl) and bits(gl) == bits(wl)
                     assert (gs is None) == (ws is None)
                     if ws is not None:
                         assert type(gs) is type(ws) and bits(gs) == bits(ws)
 
-    @pytest.mark.parametrize("p, eps, tau0, C0", [
-        (2.0, 0.1, 1.0, None), (2.0, 0.5, 1.0, None), (1.5, 0.1, 1.0, 0.3),
-        (2.5, 2.0, 0.2, None), (1.2, 0.05, 3.0, 1.0), (2.9, 0.5, 100.0, None),
-        (2.0, 0.5, 1e-3, None)])
-    def test_c0(self, p, eps, tau0, C0):
+    @pytest.mark.parametrize("p, eps, tau0", [
+        (2.0, 0.1, 1.0), (2.0, 0.5, 1.0), (1.5, 0.1, 1.0), (2.5, 2.0, 0.2),
+        (1.2, 0.05, 3.0), (2.9, 0.5, 100.0), (2.0, 0.5, 1e-3)])
+    def test_c0(self, p, eps, tau0):
         params = BlowupParams(p=p, q=2.0, tau0=tau0, epsilon=eps,
-                              delta0=0.45, C0=C0)
+                              delta0=0.45)
         for prof in (bump_profile(tau0),
                      lambda lam: np.exp(-((lam - 2.0 * tau0) ** 2))):
             c0, want = (first_iterate_bound(prof, params),
@@ -905,7 +904,7 @@ class TestEscapeDetector:
 
     @pytest.mark.slow
     def test_subcritical_escape(self):
-        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
+        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45,
                                 kind="piecewise_generic")
         cfg = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=40.0)
         report = escape_detector(zero_profile, bump_profile(TAU0),
@@ -921,7 +920,7 @@ class TestEscapeDetector:
         # the genuine blow-up; the sup roughly squares per step near the
         # singularity, so it jumps over any such threshold straight to inf
         # and the detector must report the non-finite step, flagged
-        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
+        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45,
                                 kind="piecewise_generic")
         cfg = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=40.0)
         report = escape_detector(zero_profile, bump_profile(TAU0),
@@ -946,7 +945,7 @@ class TestEscapeDetector:
         # the detector and fd_solve step one scheme: every recorded sup is
         # the FD field's row max, bit for bit, up to the escape step
         F = None if kind == "none" else nonlinearity(NonlinearitySpec(
-            p=2.0, q=2.0, delta0=0.45, A=2.0, kind=kind))
+            p=2.0, q=2.0, delta0=0.45, kind=kind))
         cfg = FDConfig(dr=0.05, dt=0.04, r_max=7.6, t_max=4.0)
         field = fd_solve(zero_profile, bump_profile(TAU0), F, cfg)
         report = escape_detector(zero_profile, bump_profile(TAU0), F, cfg, 10.0)

@@ -269,10 +269,29 @@ def test_misspelt_key_is_config_error(tmp_path, capsys, command, section):
     ("propagate", SMALL_GRID + "[data]\nvalue = 3\n",
      "key 'value' in [data] is not read by kind = zero, which reads no "
      "other key"),
+    # and each [nonlinearity] kind only its own
+    ("solve", SOLVER_35 + "[nonlinearity]\nq = 3.0\n",
+     "key 'q' in [nonlinearity] is not read by kind = canonical_sinh_inverse, "
+     "which reads p"),
+    ("contraction", VALID_BODIES["contraction"]
+     + "[nonlinearity]\nkind = canonical_sinh_inverse\ndelta0 = 0.3\n",
+     "key 'delta0' in [nonlinearity] is not read by kind = "
+     "canonical_sinh_inverse, which reads p"),
+    ("certify", BLOWUP_BASE.replace("piecewise_generic", "canonical_sinh_inverse")
+     + NON_MONOTONE, "key 'q' in [nonlinearity] is not read by kind = "
+     "canonical_sinh_inverse, which reads p"),
+    ("solve", SOLVER_35 + "[nonlinearity]\nkind = none\np = 3.5\n",
+     "key 'p' in [nonlinearity] is not read by kind = none, which reads no "
+     "other key"),
+    ("blowup", BLOWUP_BASE.replace("piecewise_generic", "none") + "q = 3.0\n",
+     "key 'q' in [nonlinearity] is not read by kind = none, which reads no "
+     "other key"),
 ], ids=["grid-t_maxx", "propagate-escape", "solve-maxiters", "solve-data-kind",
         "contraction-max_iters", "n_pair", "threshold_factor", "m_max",
         "tau0-150", "tau0-2000", "certify-tau0-150", "certify-tau0-2000",
-        "non-monotone-without-escape", "theta-value", "bump-k", "zero-value"])
+        "non-monotone-without-escape", "theta-value", "bump-k", "zero-value",
+        "canonical-q", "canonical-delta0", "certify-canonical-q", "none-p",
+        "none-q"])
 def test_config_that_ran_something_else_is_config_error(
         tmp_path, capsys, monkeypatch, command, body, message):
     # each of these once exited 0 (or 1, or 3 after compute) running an
@@ -285,6 +304,28 @@ def test_config_that_ran_something_else_is_config_error(
     assert "config error" in err and message in err
     assert not list(out.glob("*.csv"))
     assert certificates == []
+
+
+@pytest.mark.parametrize("command, section, key", [
+    (command, section, key)
+    for command, section, keys in (
+        ("solve", "nonlinearity", ("A", "a")),
+        ("contraction", "nonlinearity", ("A", "a")),
+        ("blowup", "nonlinearity", ("A", "a")),
+        ("certify", "nonlinearity", ("A", "a")),
+        ("blowup", "blowup", ("C0", "c0")),
+        ("certify", "blowup", ("C0", "c0")))
+    for key in keys])
+def test_proof_constant_key_is_config_error(tmp_path, capsys, command,
+                                            section, key):
+    # A is fit_A's, C0 is default_C0(tau0) and c0 the certificate's: a
+    # key that sets one is unknown, whatever its case
+    body = with_key(VALID_BODIES[command], section, key, "2.0")
+    code, out = run_cli(tmp_path, command, body)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {key.lower()!r} in [{section}]; {command} reads" in err
+    assert not out.exists()
 
 
 def test_largest_tau0_gives_finite_constants(tmp_path):
@@ -646,7 +687,7 @@ class TestContraction:
         cfg = globalsolver.SolverConfig(p=3.5, h=1.2, epsilon=float(row[0]),
                                         grid=(2.0, 2.0, 0.25, 0.25))
         rep = globalsolver.contraction_probe(
-            NonlinearitySpec(p=3.5, q=2.0, delta0=0.45, A=2.0), cfg,
+            NonlinearitySpec(p=3.5, q=2.0, delta0=0.45), cfg,
             n_pairs=2, rng_seed=3)
         assert row == [_fmt(rep.epsilon), _fmt(0.5), _fmt(rep.max_ratio),
                        _fmt(rep.sampled_pairs), "3"]
@@ -720,18 +761,25 @@ r_max = 7.7
         err = capsys.readouterr().err
         assert "p must lie in (1, 3)" in err and "critical" not in err
 
-    def test_C0_sets_only_the_kernel_constant(self, tmp_path):
-        # configparser lowercases keys, so C0 must not double as c0, the
-        # first-iterate constant that build_certificate computes
-        body = BLOWUP_BASE.replace("epsilon = 0.5",
-                                   "epsilon = 1.0\nC0 = 0.9") \
-            + "[escape]\nenabled = false\n"
-        code, out = run_cli(tmp_path, "blowup", body)
+    @pytest.mark.parametrize("command", ["blowup", "certify"])
+    def test_certificate_constants_are_computed(self, tmp_path, monkeypatch,
+                                                command):
+        # C0 is default_C0(tau0) and c0 the certificate's; the envelope
+        # constant A is not read at all, so fit_A never runs
+        from hypwave import nonlin
+        from hypwave.meanprop import default_C0
+
+        fits = recording(monkeypatch, nonlin, "fit_A")
+        body = BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 0.5") \
+            + "[escape]\nt_max = 2.0\n" * (command == "blowup")
+        code, out = run_cli(tmp_path, command, body)
         assert code == 0
-        header, row = read_csv(out / "certificate.csv")
-        by_name = dict(zip(header, row))
-        assert by_name["C0"] == "0.90000000000000002"
-        assert 0.0 < float(by_name["c0"]) != 0.9
+        assert fits == []
+        if command == "blowup":
+            header, row = read_csv(out / "certificate.csv")
+            by_name = dict(zip(header, row))
+            assert by_name["C0"] == _fmt(default_C0(0.5))
+            assert 0.0 < float(by_name["c0"])
 
     @pytest.mark.parametrize("p", ["2.8", "2.9", "2.95"])
     def test_near_critical_T_is_inf(self, tmp_path, p):

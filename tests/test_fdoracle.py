@@ -218,7 +218,7 @@ def full_grid_leapfrog(u0, u1, F, cfg):
 
 
 def spec_F(kind):
-    return nonlinearity(NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0,
+    return nonlinearity(NonlinearitySpec(p=2.0, q=2.0, delta0=0.45,
                                          kind=kind))
 
 

@@ -15,7 +15,7 @@ from hypwave import globalsolver as gs
 from references import per_tau_claim
 
 ENV1 = EnvelopeParams(k=1.0)
-SPEC = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3, A=2.0)
+SPEC = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3)
 
 
 def data_profile(lam):
@@ -280,7 +280,7 @@ class TestContraction:
 
 class TestThreshold:
     def test_threshold_exists_and_reprobes_admissibly(self, coarse_cfg):
-        spec = NonlinearitySpec(p=4.0, q=3.0, delta0=0.3, A=2.0)
+        spec = NonlinearitySpec(p=4.0, q=3.0, delta0=0.3)
         cfg = gs.SolverConfig(p=4.0, h=1.5, epsilon=1e-3, grid=coarse_cfg.grid)
         found = gs.epsilon_threshold(spec, cfg, rng_seed=13, n_pairs=6,
                                      n_steps=12)

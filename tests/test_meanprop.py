@@ -5,6 +5,8 @@ tanh-sinh quadrature at 30 significant digits on the defining integrals,
 with no code shared with the implementation under test.
 """
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -1510,13 +1512,38 @@ class TestLowerBounds:
         with np.errstate(over="raise", invalid="raise"):
             assert kernel_lower_integral(theta1, 3000.0, 10.0) == 0.0
 
+    # a profile that stays nonzero where (sinh lam)^{1/2} and the kernel
+    # leave the float range: the products are formed in log space there,
+    # finite and without an overflow warning
+    def test_tiny_constant_far_out_matches_mpmath(self):
+        tiny = RadialProfile.constant(1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            large, small = lower_bound_I(tiny, 800.0, 700.0, tau0=1.0)
+            kernel = kernel_lower_integral(tiny, 1500.0, 10.0)
+        def half(lam):
+            return 1e-300 * mp.sqrt(mp.sinh(lam))
+
+        with mp.workdps(30):
+            pref = default_C0(1.0) / mp.sqrt(mp.sinh(700))
+            want_large = float(pref * mp.quad(half, mp.linspace(800, 1500, 71)))
+            want_small = float(pref * mp.quad(half, mp.linspace(100, 1500, 141)))
+            want_kernel = float(mp.quad(
+                lambda lam: 1e-300 * mp.sinh(lam) / mp.sqrt(2 * mp.cosh(10 + lam)),
+                mp.linspace(1490, 1510, 21)))
+        assert_allclose([large, small, kernel],
+                        [want_large, want_small, want_kernel], rtol=1e-12)
+        assert_allclose([want_large, want_kernel],
+                        [1.25169046654232e-127, 5.25825580617197e+25], rtol=1e-13)
+
     def test_default_C0(self):
         want = 0.5 * np.sqrt(np.tanh(0.125) * np.tanh(0.5))
         assert_allclose(default_C0(1.0), want, rtol=1e-14)
-        assert 0.0 < default_C0(0.1) < default_C0(10.0) <= 1.0
+        assert 0.0 < default_C0(0.1) < default_C0(10.0) < 0.5 == default_C0(1e3)
 
     def test_bad_C0_rejected(self):
-        with pytest.raises(DomainError):
+        # C0 is default_C0(tau0), never an argument
+        with pytest.raises(TypeError, match="C0"):
             lower_bound_I(self.gaussian, 5.0, 3.0, tau0=1.0, C0=1.5)
         with pytest.raises(DomainError):
             default_C0(0.0)

@@ -18,24 +18,25 @@ from hypwave.nonlin import (
     nonlinearity,
 )
 
-GEN = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0, kind="piecewise_generic")
-GEN35 = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3, A=2.0, kind="piecewise_generic")
+GEN = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, kind="piecewise_generic")
+GEN35 = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3, kind="piecewise_generic")
 
 
 class TestSpec:
     def test_valid(self):
-        s = NonlinearitySpec(p=3.5, q=2.0, delta0=0.45, A=2.0)
+        s = NonlinearitySpec(p=3.5, q=2.0, delta0=0.45)
         assert s.kind == "canonical_sinh_inverse"
 
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(p=1.0, q=2.0, delta0=0.5, A=1.0),
-            dict(p=2.0, q=0.9, delta0=0.5, A=1.0),
-            dict(p=2.0, q=2.0, delta0=0.0, A=1.0),
-            dict(p=2.0, q=2.0, delta0=1.0, A=1.0),
-            dict(p=2.0, q=2.0, delta0=0.5, A=0.0),
-            dict(p=2.0, q=2.0, delta0=0.5, A=1.0, kind="cubic"),
+            dict(p=1.0, q=2.0, delta0=0.5),
+            dict(p=2.0, q=0.9, delta0=0.5),
+            dict(p=2.0, q=2.0, delta0=0.0),
+            dict(p=2.0, q=2.0, delta0=1.0),
+            # a blend that is not monotone
+            dict(p=4.0, q=2.0, delta0=0.45, kind="piecewise_generic"),
+            dict(p=2.0, q=2.0, delta0=0.5, kind="cubic"),
         ],
     )
     def test_invalid(self, kw):
@@ -117,7 +118,7 @@ class TestFGeneric:
         assert F_generic(u, GEN) >= want * (1 - 1e-14)
 
     def test_power_branch_is_exact_equality(self):
-        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.1, A=2.0,
+        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.1,
                                 kind="piecewise_generic")
         # |u| = 2/delta0 = 20: F = delta0 u^2 = 40
         assert_allclose(F_generic(20.0, spec), 40.0, rtol=1e-14)
@@ -153,7 +154,7 @@ class TestFGeneric:
         assert F_generic(-7.0, GEN) == F_generic(7.0, GEN)
 
     def test_wrong_kind_rejected(self):
-        canon = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0)
+        canon = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45)
         with pytest.raises(DomainError, match="piecewise_generic"):
             F_generic(0.1, canon)
 
@@ -161,7 +162,7 @@ class TestFGeneric:
         # a tiny delta0 with small q makes the blend chord far flatter than
         # the left branch slope, which the Hermite cannot track monotonically
         with pytest.raises(DomainError, match="monotone"):
-            NonlinearitySpec(p=30.0, q=1.01, delta0=0.9, A=2.0,
+            NonlinearitySpec(p=30.0, q=1.01, delta0=0.9,
                              kind="piecewise_generic")
 
 
@@ -199,7 +200,7 @@ def F_generic_all_branches(u, spec):
 
 
 def generic(p, q=2.0, delta0=0.45):
-    return NonlinearitySpec(p=p, q=q, delta0=delta0, A=2.0,
+    return NonlinearitySpec(p=p, q=q, delta0=delta0,
                             kind="piecewise_generic")
 
 
@@ -289,59 +290,96 @@ class TestGEnvelope:
             G_envelope(0.6, 2.0, 2.0)  # above 1/A
 
 
+# the spec on which A = 2 breaks the difference bound
+P4Q3 = NonlinearitySpec(p=4.0, q=3.0, delta0=0.45, kind="piecewise_generic")
+
+
 class TestFitA:
     @pytest.mark.parametrize("kind", ["canonical_sinh_inverse", "piecewise_generic"])
     @pytest.mark.parametrize("p", [2.0, 3.5])
     def test_envelope_dominates_derivative(self, kind, p):
-        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, A=2.0, kind=kind)
-        A = fit_A(spec)
+        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, kind=kind)
+        A = spec.A
         assert A >= 2.0
-        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, A=A, kind=kind)
         F = nonlinearity(spec)
         u = np.geomspace(1e-12, 1.0 / A, 2001)
         h = 1e-6 * u
         dF = np.abs(F(u + h) - F(u - h)) / (2.0 * h)
         assert np.all(dF <= G_envelope(u, p, A) * (1 + 1e-4))
 
-    def test_floor_respected(self):
-        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=1.0)
-        assert fit_A(spec, floor=17.0) >= 17.0
+    @pytest.mark.parametrize("spec", [
+        NonlinearitySpec(p=p, q=2.0, delta0=0.45, kind=kind)
+        for kind in ("canonical_sinh_inverse", "piecewise_generic")
+        for p in (2.0, 3.1, 3.25, 3.5)] + [
+        NonlinearitySpec(p=4.0, q=2.0, delta0=0.45),
+        NonlinearitySpec(p=5.0, q=2.0, delta0=0.45), GEN35, P4Q3])
+    def test_spec_A_is_fit_A(self, spec):
+        # 2.0 exactly wherever the configs of the bench and the tests run
+        want = 2.2408563610957946 if spec is P4Q3 else 2.0
+        assert bits(spec.A) == bits(fit_A(spec)) == bits(want)
+
+    def test_A_is_computed_once_on_first_read(self, monkeypatch):
+        import hypwave.nonlin as nonlin
+
+        calls = []
+        monkeypatch.setattr(nonlin, "fit_A", lambda spec: calls.append(spec) or 3.0)
+        spec = NonlinearitySpec(p=2.5, q=2.0, delta0=0.45)
+        nonlinearity(spec)(0.1)
+        assert calls == []
+        assert spec.A == spec.A == 3.0
+        assert calls == [spec]
+
+    def test_A_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="A"):
+            NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0)
 
 
 class TestLipschitzBound:
     @pytest.mark.parametrize("kind", ["canonical_sinh_inverse", "piecewise_generic"])
     @pytest.mark.parametrize("p", [2.0, 3.5])
     def test_ten_thousand_random_pairs(self, kind, p):
-        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, A=2.0, kind=kind)
-        A = fit_A(spec)
-        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, A=A, kind=kind)
-        rng = np.random.default_rng(20260819)
-        u = rng.uniform(-1.0 / A, 1.0 / A, 10000)
-        v = rng.uniform(-1.0 / A, 1.0 / A, 10000)
-        for ui, vi in zip(u, v):
-            diff, bound = lipschitz_diff_bound(ui, vi, spec)
-            assert diff <= bound * (1 + 1e-9) + 1e-300
+        spec = NonlinearitySpec(p=p, q=2.0, delta0=0.45, kind=kind)
+        assert_pairs_bounded(spec)
+
+    def test_ten_thousand_random_pairs_where_A_2_breaks(self):
+        # with A = 2 this pair's difference exceeds G(max) |u - v|
+        u, v = 0.4503, 0.4494
+        diff = abs(F_generic(u, P4Q3) - F_generic(v, P4Q3))
+        assert_allclose(diff, 3.777e-3, rtol=1e-3)
+        assert diff > G_envelope(u, 4.0, 2.0) * (u - v)
+        assert_pairs_bounded(P4Q3)
 
     def test_equal_arguments(self):
-        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=4.0)
+        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45)
         assert lipschitz_diff_bound(0.1, 0.1, spec) == (0.0, 0.0)
         assert lipschitz_diff_bound(0.0, 0.0, spec) == (0.0, 0.0)
 
     def test_against_zero(self):
-        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=4.0)
+        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45)
         diff, bound = lipschitz_diff_bound(1e-8, 0.0, spec)
         assert_allclose(diff, F_canonical(1e-8, 2.0), rtol=1e-14)
         assert diff <= bound
 
     def test_domain_enforced(self):
-        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=4.0)
+        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45)  # 1/A = 0.5
         with pytest.raises(DomainError, match="1/A"):
-            lipschitz_diff_bound(0.3, 0.1, spec)
+            lipschitz_diff_bound(0.6, 0.1, spec)
+
+
+def assert_pairs_bounded(spec):
+    """lipschitz_diff_bound holds on 10,000 random pairs in [-1/A, 1/A]."""
+    A = spec.A
+    rng = np.random.default_rng(20260819)
+    u = rng.uniform(-1.0 / A, 1.0 / A, 10000)
+    v = rng.uniform(-1.0 / A, 1.0 / A, 10000)
+    for ui, vi in zip(u, v):
+        diff, bound = lipschitz_diff_bound(ui, vi, spec)
+        assert diff <= bound * (1 + 1e-9) + 1e-300
 
 
 class TestNonlinearityDispatch:
     def test_canonical(self):
-        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, A=2.0)
+        spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45)
         F = nonlinearity(spec)
         assert F(0.25) == F_canonical(0.25, 2.0)
 
