@@ -33,6 +33,8 @@ output directory (runs/ by default, or the first argument). They are:
 * certify at the default [certify] window (p = 2, eps = 0.5), as is,
   with normalize_tight = true, and with field_scale = 0.5;
 * propagate of bump data on the default grid, kernel and FD;
+* the field benchmark's commands: propagate of theta_1 data, kernel and
+  FD, on its grid, and decay at k = 1 and 2 on its grid;
 * blowup with [nonlinearity] kind = none, an escape run of the linear
   equation;
 * the contract benchmark's pair: contraction in threshold mode on its
@@ -49,10 +51,12 @@ import hashlib
 import sys
 from pathlib import Path
 
-# the grids of bench/worker.py's blowup and contract workloads
+# the grids of bench/worker.py's blowup, field and contract workloads
 ESCAPE = {"t_max": 40.0, "dr": 0.01, "dt": 0.008}
 CERTIFY = {"t_max": 4.0, "r_max": 9.0, "dr": 0.01, "dt": 0.008,
            "snapshot_every": 5}
+PROPAGATE_GRID = {"t_max": 2.0, "r_max": 8.0, "dt": 0.04, "dr": 0.05}
+DECAY_GRID = {"t_max": 6.0, "r_max": 6.0, "dt": 0.2, "dr": 0.2}
 DEMO = {"p": 2.0, "tau0": 1.0, "epsilon": 0.5}
 CONTRACT = {"grid": {"t_max": 2.0, "r_max": 4.0, "dt": 0.05, "dr": 0.05},
             "solver": {"p": 3.5, "h": 1.2},
@@ -81,6 +85,11 @@ RUNS += [
     ("propagate_bump", "propagate",
      {"data": {"kind": "bump", "tau0": 1.0},
       "propagate": {"engine": "both"}}),
+    ("field_propagate", "propagate",
+     {"grid": PROPAGATE_GRID, "data": {"kind": "theta", "k": 1.0},
+      "propagate": {"engine": "both"}}),
+    ("field_decay_k1", "decay", {"grid": DECAY_GRID, "decay": {"k": 1.0}}),
+    ("field_decay_k2", "decay", {"grid": DECAY_GRID, "decay": {"k": 2.0}}),
     ("escape_linear", "blowup",
      {"blowup": DEMO, "nonlinearity": {"kind": "none"}}),
     ("contract_threshold", "contraction",

@@ -785,7 +785,7 @@ def escape_detector(u0, u1, F, cfg: FDConfig, threshold):
     t_escape, instability = None, False
     with np.errstate(over="ignore", invalid="ignore"):
         for n, u in enumerate(leapfrog(u0, u1, F, cfg)):
-            t = n * cfg.dt
+            t = n * cfg.grid.dt
             times.append(t)
             sup = _finite_max(u)
             if sup is None:

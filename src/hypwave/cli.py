@@ -76,19 +76,21 @@ _POSITIVE = _check(float, lambda x: x > 0, "positive")
 _REQUIRED = object()
 
 
-def _grid(*defaults):
-    """[grid], in the order of SolverConfig.grid."""
-    return {key: (float, default)
-            for key, default in zip(("t_max", "r_max", "dt", "dr"), defaults)}
+def _nonlinearity(keys, *kinds):
+    """[nonlinearity] with keys, the F keys the command does not set itself,
+    defaulting to kinds[0]; each kind reads those of keys its F has."""
+    has = {"canonical_sinh_inverse": ("p",),
+           "piecewise_generic": ("p", "q", "delta0"), "none": ()}
+    return {"kind": ({kind: tuple(key for key in has[kind] if key in keys)
+                      for kind in kinds}, kinds[0]), **keys}
 
 
-def _nonlinearity(*kinds):
-    """[nonlinearity], defaulting to kinds[0], each kind reading only its
-    own keys; p defaults to the command's [solver] or [blowup] p."""
-    reads = {"canonical_sinh_inverse": ("p",),
-             "piecewise_generic": ("p", "q", "delta0"), "none": ()}
-    return {"kind": ({kind: reads[kind] for kind in kinds}, kinds[0]),
-            "p": (float, None), "q": (float, 2.0), "delta0": (float, 0.45)}
+# [grid] of the FD oracle's grid (cfl 0.8), and of the contraction regime
+_FD_GRID = {"t_max": (float, 4.0), "r_max": (float, 8.0),
+            "dt": (float, 0.04), "dr": (float, 0.05)}
+_SOLVER_GRID = {"t_max": (float, 8.0), "r_max": (float, 8.0),
+                "dt": (float, 0.05), "dr": (float, 0.05)}
+_SHAPE = {"q": (float, 2.0), "delta0": (float, 0.45)}
 
 
 _BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_POSITIVE, 1.0),
@@ -99,10 +101,10 @@ _BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_POSITIVE, 1.0),
 # a tuple of choices, a dict of choices -> the keys of the section that
 # only that choice reads, or a _check; a default is a value, _REQUIRED, or
 # None for one computed in the code or left to the dataclass the key feeds.
-# The grids are FDConfig's (propagate, decay) and SolverConfig's defaults.
+# Every default grid is here: Grid, SolverConfig and FDConfig have none.
 _SCHEMA = {
     "propagate": {
-        "grid": _grid(4.0, 8.0, 0.04, 0.05),
+        "grid": _FD_GRID,
         "data": {"kind": ({"zero": (), "constant": ("value",),
                            "theta": ("k",), "bump": ("tau0",)}, "zero"),
                  "value": (float, 1.0), "k": (float, 1.0),
@@ -110,26 +112,26 @@ _SCHEMA = {
         "propagate": {"engine": (("kernel", "fd", "both"), "kernel")},
     },
     "solve": {
-        "grid": _grid(8.0, 8.0, 0.05, 0.05),
+        "grid": _SOLVER_GRID,
         "data": {"k": (float, 1.0)},
         "solver": {"p": (float, _REQUIRED), "h": (float, _REQUIRED),
                    "epsilon": (float, _REQUIRED), "max_iters": (int, None),
                    "fixed_point_tol": (float, None)},
-        "nonlinearity": _nonlinearity("canonical_sinh_inverse",
+        "nonlinearity": _nonlinearity(_SHAPE, "canonical_sinh_inverse",
                                       "piecewise_generic", "none"),
     },
     "decay": {
-        "grid": _grid(4.0, 8.0, 0.04, 0.05),
+        "grid": _FD_GRID,
         "decay": {"k": (float, 1.0), "ray_offset": (float, 1.0),
                   "min_r": (float, 1.0)},
     },
     "contraction": {
-        "grid": _grid(8.0, 8.0, 0.05, 0.05),
+        "grid": _SOLVER_GRID,
         "data": {"k": (float, 1.0)},
         "solver": {"p": (float, _REQUIRED), "h": (float, _REQUIRED),
                    "epsilon": (float, 0.1)},
         # kind = none would measure nothing
-        "nonlinearity": _nonlinearity("canonical_sinh_inverse",
+        "nonlinearity": _nonlinearity(_SHAPE, "canonical_sinh_inverse",
                                       "piecewise_generic"),
         "contraction": {
             "mode": (("probe", "threshold"), "probe"),
@@ -138,20 +140,22 @@ _SCHEMA = {
     },
     "blowup": {
         "blowup": _BLOWUP,
-        "nonlinearity": _nonlinearity("piecewise_generic",
+        # p, q and delta0 are [blowup]'s, save the escape run's F exponent
+        "nonlinearity": _nonlinearity({"p": (float, None)},
+                                      "piecewise_generic",
                                       "canonical_sinh_inverse", "none"),
         "escape": {"enabled": (_bool, True), "t_max": (float, 40.0),
-                   "dr": (float, None), "dt": (float, None),
+                   "dr": (float, 0.05), "dt": (float, 0.04),
                    # t_max + the bump's support radius 3.5 tau0 + 0.1
                    "r_max": (float, None),
                    "threshold_factor": (_POSITIVE, 10.0)},
     },
     "certify": {
         "blowup": _BLOWUP,
-        # kind = none cannot blow up
-        "nonlinearity": _nonlinearity("piecewise_generic",
+        # p, q and delta0 are [blowup]'s; kind = none cannot blow up
+        "nonlinearity": _nonlinearity({}, "piecewise_generic",
                                       "canonical_sinh_inverse"),
-        "certify": {"dr": (float, None), "dt": (float, None),
+        "certify": {"dr": (float, 0.05), "dt": (float, 0.04),
                     "r_max": (float, 9.0), "t_max": (float, 5.0),
                     "snapshot_every": (int, 5), "field_scale": (float, 1.0),
                     "normalize_tight": (_bool, False)},
@@ -259,14 +263,14 @@ def _data_profile(data):
     return bump_profile(data["tau0"])
 
 
-def _nonlin_spec(nonlinearity, p):
-    """NonlinearitySpec from [nonlinearity], or None for kind = none; p is
-    the command's own unless [nonlinearity] sets it."""
+def _nonlin_spec(nonlinearity, **command):
+    """NonlinearitySpec from [nonlinearity] over the command's own keys
+    (p, and q and delta0 for blowup and certify), or None for kind = none."""
     from .nonlin import NonlinearitySpec
 
     if nonlinearity["kind"] == "none":
         return None
-    keys = {"p": p, **nonlinearity}
+    keys = {**command, **nonlinearity}
     if keys["p"] == 3.0:
         print("wavecli: p = 3 is the critical exponent: "
               "critical, no theory backs this run", file=sys.stderr)
@@ -318,19 +322,17 @@ def _write_grid_csv(path, header, t_grid, r_grid, *columns):
 def cmd_propagate(config, out, seed):
     import numpy as np
     from .fdoracle import FDConfig, _check_support, fd_solve
-    from .hypgeo import DomainError, uniform_grid
+    from .hypgeo import DomainError, Grid
     from .meanprop import RadialProfile, linear_field
 
     u0 = RadialProfile.constant(0.0)
-    grid = config["grid"]
     engine = config["propagate"]["engine"]
     try:
-        t_grid = uniform_grid(grid["t_max"], grid["dt"], "t_max/dt")
-        r_grid = uniform_grid(grid["r_max"], grid["dr"], "r_max/dr")
+        grid = Grid(**config["grid"])
         prof = _data_profile(config["data"])
         fd_cfg = None
         if engine in ("fd", "both"):
-            fd_cfg = FDConfig(**grid)
+            fd_cfg = FDConfig(grid)
             # data the stepper would reject (a bump reaching the wall)
             _check_support(u0, prof, fd_cfg)
     except DomainError as exc:
@@ -338,7 +340,7 @@ def cmd_propagate(config, out, seed):
 
     kernel = fd = None
     if engine in ("kernel", "both"):
-        kernel = linear_field(prof, t_grid, r_grid)
+        kernel = linear_field(prof, grid.t, grid.r)
     if engine in ("fd", "both"):
         fd = fd_solve(u0, prof, None, fd_cfg)
 
@@ -351,7 +353,7 @@ def cmd_propagate(config, out, seed):
         if scale == 0.0:
             scale = 1.0
         _write_grid_csv(out / "diff.csv", ("t", "r", "kernel", "fd", "rel_err"),
-                        t_grid, r_grid, kernel.values, fd.values,
+                        grid.t, grid.r, kernel.values, fd.values,
                         np.abs(kernel.values - fd.values) / scale)
     return 0
 
@@ -359,14 +361,14 @@ def cmd_propagate(config, out, seed):
 def cmd_solve(config, out, seed):
     from .globalsolver import (ConvergenceError, SolverConfig, picard_solve,
                                weighted_norm)
-    from .hypgeo import DomainError, EnvelopeParams, theta_k
+    from .hypgeo import DomainError, EnvelopeParams, Grid, theta_k
     from .meanprop import RadialProfile
 
     solver = config["solver"]
     data_k = config["data"]["k"]
     try:
-        cfg = SolverConfig(**solver, grid=tuple(config["grid"].values()))
-        spec = _nonlin_spec(config["nonlinearity"], solver["p"])
+        cfg = SolverConfig(**solver, grid=Grid(**config["grid"]))
+        spec = _nonlin_spec(config["nonlinearity"], p=solver["p"])
         params = EnvelopeParams(k=data_k)
     except DomainError as exc:
         raise ConfigError(str(exc))
@@ -396,22 +398,21 @@ def cmd_solve(config, out, seed):
 
 def cmd_decay(config, out, seed):
     from .globalsolver import _decay_window, decay_fit
-    from .hypgeo import DomainError, EnvelopeParams, theta_k, uniform_grid
+    from .hypgeo import DomainError, EnvelopeParams, Grid, theta_k
     from .meanprop import RadialProfile, linear_field
 
-    grid, decay = config["grid"], config["decay"]
+    decay = config["decay"]
     k, ray_offset, min_r = decay["k"], decay["ray_offset"], decay["min_r"]
     try:
-        t_grid = uniform_grid(grid["t_max"], grid["dt"], "t_max/dt")
-        r_grid = uniform_grid(grid["r_max"], grid["dr"], "r_max/dr")
+        grid = Grid(**config["grid"])
         params = EnvelopeParams(k=k)
         # a fit window the grid cannot fill
-        _decay_window(t_grid, r_grid, ray_offset, min_r)
+        _decay_window(grid.t, grid.r, ray_offset, min_r)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
     prof = RadialProfile.from_function(lambda r: theta_k(r, params))
-    field = linear_field(prof, t_grid, r_grid)
+    field = linear_field(prof, grid.t, grid.r)
     rep = decay_fit(field, k, ray_offset=ray_offset, min_r=min_r)
 
     _write_csv(out / "decay.csv",
@@ -425,14 +426,15 @@ def cmd_decay(config, out, seed):
 def cmd_contraction(config, out, seed):
     from .globalsolver import (SolverConfig, contraction_probe,
                                epsilon_threshold)
-    from .hypgeo import DomainError
+    from .hypgeo import DomainError, EnvelopeParams, Grid
 
     solver, data_k = config["solver"], config["data"]["k"]
     contraction = config["contraction"]
     n_pairs, target = contraction["n_pairs"], contraction["target_ratio"]
     try:
-        cfg = SolverConfig(**solver, grid=tuple(config["grid"].values()))
-        spec = _nonlin_spec(config["nonlinearity"], solver["p"])
+        cfg = SolverConfig(**solver, grid=Grid(**config["grid"]))
+        spec = _nonlin_spec(config["nonlinearity"], p=solver["p"])
+        EnvelopeParams(k=data_k)  # N_h's data envelope
     except DomainError as exc:
         raise ConfigError(str(exc))
 
@@ -463,16 +465,16 @@ def _sequence_rows(cert):
         yield ("john", int(m), float(A), float(B), float(logD))
 
 
-def _blowup_run(config, grid):
+def _blowup_run(config, grid, snapshot_every=1):
     """The run [blowup] and [nonlinearity] describe: (spec, u0, u1, fd_cfg,
-    cert) for the data (0, epsilon * bump), fd_cfg from the keys of grid
-    (None: no FD run; r_max defaults to t_max + the bump's support radius
-    + 0.1). All but the certificate is checked before it is built, as
-    config errors: the spec even without an FD run, and the bump's support
-    against the grid as fdoracle's stepper demands."""
+    cert) for the data (0, epsilon * bump), F with the certificate's q and
+    delta0, fd_cfg on Grid(**grid) (None: no FD run; r_max defaults to
+    t_max + the bump's support radius + 0.1). All but the certificate is
+    checked before it is built, as config errors: the spec even without an
+    FD run, and the bump's support against the grid as the stepper demands."""
     from .blowlab import BlowupParams, build_certificate, bump_profile
     from .fdoracle import FDConfig, _check_support
-    from .hypgeo import DomainError
+    from .hypgeo import DomainError, Grid
     from .meanprop import RadialProfile
 
     blowup = dict(config["blowup"])
@@ -480,14 +482,16 @@ def _blowup_run(config, grid):
     fd_cfg = None
     try:
         params = BlowupParams(**blowup)
-        spec = _nonlin_spec(config["nonlinearity"], params.p)
+        spec = _nonlin_spec(config["nonlinearity"], p=params.p, q=params.q,
+                            delta0=params.delta0)
         bump = bump_profile(params.tau0)
         u0 = RadialProfile.constant(0.0)
         u1 = RadialProfile(lambda lam: params.epsilon * bump(lam),
                            support_radius=bump.support_radius, knots=bump.knots)
         if grid is not None:
             r_max = grid["t_max"] + bump.support_radius + 0.1
-            fd_cfg = FDConfig(**{"r_max": r_max, **grid})
+            fd_cfg = FDConfig(Grid(**{"r_max": r_max, **grid}),
+                              snapshot_every)
             _check_support(u0, u1, fd_cfg)
     except DomainError as exc:
         raise ConfigError(str(exc))
@@ -517,7 +521,7 @@ def cmd_blowup(config, out, seed):
                  cert.T)])
 
     if run_escape:
-        threshold = factor * float(np.max(np.abs(u1(esc_cfg.r_grid))))
+        threshold = factor * float(np.max(np.abs(u1(esc_cfg.grid.r))))
         F = nonlinearity(spec) if spec is not None else None
         rep = escape_detector(u0, u1, F, esc_cfg, threshold)
         sup_max = max((s for s in rep.sup_history if math.isfinite(s)),
@@ -543,7 +547,8 @@ def cmd_certify(config, out, seed):
     sim = dict(config["certify"])
     scale = sim.pop("field_scale")
     normalize = sim.pop("normalize_tight")
-    spec, u0, u1, sim_cfg, cert = _blowup_run(config, sim)
+    every = sim.pop("snapshot_every")
+    spec, u0, u1, sim_cfg, cert = _blowup_run(config, sim, every)
     partial = None
     try:
         u_sim = fd_solve(u0, u1, nonlinearity(spec), sim_cfg)

@@ -22,11 +22,11 @@ F must be pointwise; an F with F(0) != 0 steps the whole grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hypgeo import DomainError, uniform_grid
+from .hypgeo import DomainError, Grid
 from .meanprop import SpaceTimeField, _as_profile
 
 __all__ = ["FDConfig", "InstabilityError", "leapfrog", "fd_solve",
@@ -53,26 +53,21 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Grid parameters for fd_solve.
+    """The grid of one leapfrog run, and which of its states fd_solve keeps.
 
-    cfl = dt/dr is derived, not passed. The stability margin cfl <= 0.9
-    reflects the scheme's actual limit: the origin row of the update matrix
-    pushes the spectral bound to about 0.909 regardless of resolution, so a
-    unit Courant number is genuinely unstable here. The default grid
-    (cfl 0.8) is also wavecli's for propagate and decay.
+    cfl = dt/dr and n_steps, the steps to t_max, are derived, not passed.
+    The stability margin cfl <= 0.9 reflects the scheme's actual limit: the
+    origin row of the update matrix pushes the spectral bound to about
+    0.909 regardless of resolution, so a unit Courant number is genuinely
+    unstable here.
     """
 
-    dr: float = 0.05
-    dt: float = 0.04
-    r_max: float = 8.0
-    t_max: float = 4.0
+    grid: Grid
     snapshot_every: int = 1
     cfl: float = field(init=False)
 
     def __post_init__(self):
-        uniform_grid(self.r_max, self.dr, "r_max/dr")
-        uniform_grid(self.t_max, self.dt, "t_max/dt")
-        object.__setattr__(self, "cfl", self.dt / self.dr)
+        object.__setattr__(self, "cfl", self.grid.dt / self.grid.dr)
         if self.cfl > _CFL_LIMIT + 1e-12:
             raise DomainError(
                 f"cfl = dt/dr = {self.cfl:.4g} exceeds the stability margin "
@@ -83,21 +78,18 @@ class FDConfig:
             raise DomainError("snapshot_every must divide the step count")
 
     @property
-    def r_grid(self):
-        return uniform_grid(self.r_max, self.dr, "r_max/dr")
-
-    @property
     def n_steps(self):
-        return round(self.t_max / self.dt)
+        return self.grid.t.size - 1
 
 
 def _check_support(u0, u1, cfg):
     """Reject data whose declared support could reach the Dirichlet wall."""
+    room = cfg.grid.r_max - cfg.grid.t_max
     for prof, name in ((u0, "u0"), (u1, "u1")):
-        if prof.support_radius is not None and prof.support_radius > cfg.r_max - cfg.t_max:
+        if prof.support_radius is not None and prof.support_radius > room:
             raise DomainError(
                 f"{name} support radius {prof.support_radius} exceeds "
-                f"r_max - t_max = {cfg.r_max - cfg.t_max}; the boundary would "
+                f"r_max - t_max = {room}; the boundary would "
                 "contaminate the solution")
 
 
@@ -133,7 +125,7 @@ def _finite_max(u):
 
 
 def leapfrog(u0, u1, F, cfg: FDConfig):
-    """Yield the leapfrog states on cfg.r_grid for n = 0, ..., cfg.n_steps.
+    """Yield the leapfrog states on cfg.grid.r for n = 0, ..., cfg.n_steps.
 
     Data are (u(0), u_t(0)) = (u0, u1); F is the nonlinearity as a
     pointwise callable of u, or None for the linear equation. Profiles
@@ -164,10 +156,10 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
     u0 = _as_profile(u0)
     u1 = _as_profile(u1)
     _check_support(u0, u1, cfg)
-    r = cfg.r_grid
+    r = cfg.grid.r
     n_r = r.size
     coth_r = np.cosh(r[1:-1]) / np.sinh(r[1:-1])
-    dr, dt = cfg.dr, cfg.dt
+    dr, dt = cfg.grid.dr, cfg.grid.dt
     acc = np.empty(n_r)
     tmp = np.empty(n_r - 2)
 
@@ -216,8 +208,9 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
     Raises InstabilityError with the first offending (t, r) if the scheme
     produces a non-finite value; its field holds the snapshots kept before.
     """
-    r = cfg.r_grid
-    t_grid = np.linspace(0.0, cfg.t_max, cfg.n_steps // cfg.snapshot_every + 1)
+    r = cfg.grid.r
+    t_grid = np.linspace(0.0, cfg.grid.t_max,
+                         cfg.n_steps // cfg.snapshot_every + 1)
     stored = []
     # overflow on the way to a detected instability is expected; the
     # non-finite check below is the real guard
@@ -229,8 +222,8 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
                                         np.asarray(stored))
                          if stored else None)
                 raise InstabilityError(
-                    f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}",
-                    field)
+                    f"non-finite value at t = {n * cfg.grid.dt:.6g}, "
+                    f"r = {r[bad]:.6g}", field)
             if n % cfg.snapshot_every == 0:
                 stored.append(u)
     return SpaceTimeField(t_grid, r, np.asarray(stored))
@@ -260,9 +253,8 @@ def convergence_order(u0, u1, F, cfg: FDConfig, refinements: int = 2):
         return ConvergenceReport(order=float("nan"), inconclusive=True, diffs=())
     vals = []
     for k in range(refinements + 1):
-        sub = FDConfig(dr=cfg.dr / 2**k, dt=cfg.dt / 2**k,
-                       r_max=cfg.r_max, t_max=cfg.t_max)
-        fld = fd_solve(u0, u1, F, sub)
+        sub = replace(cfg.grid, dt=cfg.grid.dt / 2**k, dr=cfg.grid.dr / 2**k)
+        fld = fd_solve(u0, u1, F, FDConfig(sub))
         vals.append(fld.values[-1, int(round(1.0 / sub.dr))])
     diffs = tuple(abs(vals[k + 1] - vals[k]) for k in range(refinements))
     if any(d == 0.0 for d in diffs) or any(

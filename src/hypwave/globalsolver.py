@@ -32,12 +32,12 @@ import numpy as np
 from .hypgeo import (
     DomainError,
     EnvelopeParams,
+    Grid,
     K_factor,
     WeightParams,
     bracket,
     phi_weight,
     theta_k,
-    uniform_grid,
 )
 from .meanprop import (
     _TWO_COSH,
@@ -90,16 +90,14 @@ class EscapeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Parameters of one Picard run.
-
-    grid is (t_max, r_max, dt, dr). The weight exponent h must lie in
-    (1, p - 2), which forces p > 3: this is the contraction regime.
-    """
+    """Parameters of one Picard run on grid, which has no default. The
+    weight exponent h must lie in (1, p - 2), which forces p > 3: this is
+    the contraction regime."""
 
     p: float
     h: float
     epsilon: float
-    grid: tuple = (8.0, 8.0, 0.05, 0.05)
+    grid: Grid
     max_iters: int = 40
     fixed_point_tol: float = 1e-10
 
@@ -109,23 +107,10 @@ class SolverConfig:
                 f"h must lie in (1, p-2); got h = {self.h} with p = {self.p}")
         if self.epsilon < 0:
             raise DomainError("epsilon must be nonnegative")
-        t_max, r_max, dt, dr = self.grid
-        uniform_grid(t_max, dt, "t_max/dt")
-        uniform_grid(r_max, dr, "r_max/dr")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
         if not self.fixed_point_tol > 0:
             raise DomainError("fixed_point_tol must be positive")
-
-    @property
-    def t_grid(self):
-        t_max, _, dt, _ = self.grid
-        return uniform_grid(t_max, dt, "t_max/dt")
-
-    @property
-    def r_grid(self):
-        _, r_max, _, dr = self.grid
-        return uniform_grid(r_max, dr, "r_max/dr")
 
 
 @dataclass(frozen=True)
@@ -191,7 +176,7 @@ def clear_caches():
 
 def _get_table(cfg: SolverConfig):
     if cfg.grid not in _TABLE_CACHE:
-        _TABLE_CACHE[cfg.grid] = PropagatorTable(cfg.t_grid, cfg.r_grid)
+        _TABLE_CACHE[cfg.grid] = PropagatorTable(cfg.grid.t, cfg.grid.r)
     return _TABLE_CACHE[cfg.grid]
 
 
@@ -209,14 +194,13 @@ def linear_data_field(u0, u1, cfg: SolverConfig):
     """
     u0 = _as_profile(u0)
     u1 = _as_profile(u1)
-    r_grid = cfg.r_grid
-    u0_samples = u0(r_grid)
-    out = _get_table(cfg).apply_linear(u1(r_grid))
+    grid = cfg.grid
+    u0_samples = u0(grid.r)
+    out = _get_table(cfg).apply_linear(u1(grid.r))
     if np.any(u0_samples != 0.0):
-        t_max, _, dt, _ = cfg.grid
-        delta = 0.5 * dt
-        up = linear_field(u0, cfg.t_grid[1:] + delta, r_grid).values
-        dn = linear_field(u0, cfg.t_grid[1:] - delta, r_grid).values
+        delta = 0.5 * grid.dt
+        up = linear_field(u0, grid.t[1:] + delta, grid.r).values
+        dn = linear_field(u0, grid.t[1:] - delta, grid.r).values
         out[1:] += (up - dn) / (2.0 * delta)
         out[0] += u0_samples
     return out
@@ -225,12 +209,12 @@ def linear_data_field(u0, u1, cfg: SolverConfig):
 def estimate_N_h(k, h, cfg: SolverConfig):
     """Empirical N_h: sup of Phi_h times the linear evolution of data
     (0, theta_k), padded by 10 percent. Cached per (k, h, grid)."""
-    key = (k, h) + cfg.grid
+    key = (k, h, cfg.grid)
     if key not in _NH_CACHE:
         env = EnvelopeParams(k=k)
         vals = linear_data_field(0.0, lambda lam: theta_k(lam, env), cfg)
-        sup = float(np.max(phi_weight_grid(cfg.t_grid, cfg.r_grid, h) * np.abs(vals)))
-        _NH_CACHE[key] = 1.1 * sup
+        phi = phi_weight_grid(cfg.grid.t, cfg.grid.r, h)
+        _NH_CACHE[key] = 1.1 * float(np.max(phi * np.abs(vals)))
     return _NH_CACHE[key]
 
 
@@ -258,9 +242,9 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
     ConvergenceError (carrying the history) if max_iters sweeps do not
     reach fixed_point_tol.
     """
-    r_grid = cfg.r_grid
-    _check_envelope(u0, "u0", data_k, r_grid)
-    _check_envelope(u1, "u1", data_k, r_grid)
+    grid = cfg.grid
+    _check_envelope(u0, "u0", data_k, grid.r)
+    _check_envelope(u1, "u1", data_k, grid.r)
     table = _get_table(cfg)
     lin = cfg.epsilon * linear_data_field(u0, u1, cfg)
     if spec is None:
@@ -269,7 +253,7 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
     else:
         F = nonlinearity(spec)
         cap = 1.0 / spec.A
-    phi = phi_weight_grid(cfg.t_grid, cfg.r_grid, cfg.h)
+    phi = phi_weight_grid(grid.t, grid.r, cfg.h)
 
     cur = lin.copy()
     history = []
@@ -283,7 +267,7 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
         history.append(diff)
         cur = nxt
         if diff < cfg.fixed_point_tol:
-            return SpaceTimeField(cfg.t_grid, r_grid, cur), history
+            return SpaceTimeField(grid.t, grid.r, cur), history
     raise ConvergenceError(
         f"no fixed point within {cfg.max_iters} sweeps "
         f"(last difference {history[-1]:.3e})", history)
@@ -311,16 +295,14 @@ def _unit_shape(rng, T, R):
 
 @functools.lru_cache(maxsize=4)
 def _pair_shapes(rng_seed, n_pairs, grid):
-    """The unit shapes of n_pairs pairs (u, v) on the SolverConfig grid,
-    shape (n_pairs, 2, n_t, n_r), drawn in the order u, v, u, v, ... from
-    one generator seeded with the integer rng_seed. Cached and read-only,
-    so the probes of a threshold search share one draw."""
+    """The unit shapes of n_pairs pairs (u, v) on the Grid grid, shape
+    (n_pairs, 2, n_t, n_r), drawn in the order u, v, u, v, ... from one
+    generator seeded with the integer rng_seed. Cached and read-only, so
+    the probes of a threshold search share one draw."""
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
-    t_max, r_max, dt, dr = grid
     rng = np.random.default_rng(rng_seed)
-    T, R = np.meshgrid(uniform_grid(t_max, dt, "t_max/dt"),
-                       uniform_grid(r_max, dr, "r_max/dr"), indexing="ij")
+    T, R = np.meshgrid(grid.t, grid.r, indexing="ij")
     shapes = np.array([[_unit_shape(rng, T, R), _unit_shape(rng, T, R)]
                        for _ in range(n_pairs)])
     shapes.flags.writeable = False
@@ -355,7 +337,7 @@ def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
     units = _pair_shapes(int(rng_seed), n_pairs, cfg.grid)
     table = _get_table(cfg)
     F = nonlinearity(spec)
-    phi = phi_weight_grid(cfg.t_grid, cfg.r_grid, cfg.h)
+    phi = phi_weight_grid(cfg.grid.t, cfg.grid.r, cfg.h)
     radius = 2.0 * cfg.epsilon * estimate_N_h(data_k, cfg.h, cfg)
     if radius > 1.0 / spec.A:
         raise EscapeError(

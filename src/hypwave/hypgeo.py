@@ -22,19 +22,20 @@ Node counts and tolerances are not configurable: each rule in meanprop
 owns its node level as a module constant, and the pointwise rules settle
 over doubling levels from it.
 
-``uniform_grid`` validates the uniform t and r grids that every solver and
-command runs on; meanprop's ``_uniform_step`` validates PropagatorTable's.
+``Grid``, the uniform (t, r) grid of every solver and command, is the one
+caller of ``uniform_grid``; meanprop's ``_uniform_step`` checks the table's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "EnvelopeParams",
     "WeightParams",
+    "Grid",
     "DomainError",
     "theta_k",
     "log_theta_k",
@@ -190,12 +191,9 @@ def cg_nodes(n: int, c_lo: float, c_hi: float):
 
 
 def uniform_grid(span, step, name):
-    """The grid 0, step, ..., span, for a span that is a whole number of steps.
-
-    name labels the ratio span/step in errors (e.g. "t_max/dt"). Both
-    values must be positive and finite, the ratio an integer to within
-    1e-9, and the grid at least one step long.
-    """
+    """The axis 0, step, ..., span of a Grid. name labels span/step in
+    errors (e.g. "t_max/dt"); both must be positive and finite, and the
+    ratio an integer (to within 1e-9) of at least 1."""
     if not (0 < span < np.inf and 0 < step < np.inf):
         raise DomainError(
             f"{name} needs positive finite entries, got {span!r}/{step!r}")
@@ -205,3 +203,24 @@ def uniform_grid(span, step, name):
     if round(n) < 1:
         raise DomainError(f"{name} must be at least 1, got {n:.6g}")
     return np.linspace(0.0, span, round(n) + 1)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The uniform grid [0, t_max] x [0, r_max] with steps dt and dr; its
+    axes t and r are uniform_grid's arrays, read-only. Equal numbers make
+    equal grids of equal hash, so a Grid keys the caches built on it."""
+
+    t_max: float
+    r_max: float
+    dt: float
+    dr: float
+    t: np.ndarray = field(init=False, repr=False, compare=False)
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for axis, span, step in (("t", self.t_max, self.dt),
+                                 ("r", self.r_max, self.dr)):
+            values = uniform_grid(span, step, f"{axis}_max/d{axis}")
+            values.flags.writeable = False
+            object.__setattr__(self, axis, values)

@@ -15,7 +15,8 @@ from hypwave.blowlab import (
     _mask_S, _mask_sigma, _mask_T,
 )
 from hypwave.fdoracle import FDConfig, fd_solve
-from hypwave.hypgeo import DomainError, EnvelopeParams, log_sinh, theta_k
+from hypwave.hypgeo import (DomainError, EnvelopeParams, Grid, log_sinh,
+                            theta_k)
 from hypwave.meanprop import (RadialProfile, SpaceTimeField, _as_profile,
                               default_C0, leggauss, lower_bound_I,
                               sine_propagator)
@@ -484,7 +485,7 @@ def reference_run():
                             kind="piecewise_generic")
     scaled = RadialProfile(lambda lam: params.epsilon * bump(lam),
                            support_radius=bump.support_radius, knots=bump.knots)
-    cfg = FDConfig(dr=0.05, dt=0.04, r_max=9.0, t_max=5.0, snapshot_every=5)
+    cfg = FDConfig(Grid(5.0, 9.0, 0.04, 0.05), snapshot_every=5)
     field = fd_solve(zero_profile, scaled, nonlinearity(spec), cfg)
     return cert, field
 
@@ -894,7 +895,7 @@ class TestSkipsOnlyDiscardedWork:
 
 class TestEscapeDetector:
     def test_linear_solutions_stay_put(self):
-        cfg = FDConfig(dr=0.05, dt=0.04, r_max=13.6, t_max=10.0)
+        cfg = FDConfig(Grid(10.0, 13.6, 0.04, 0.05))
         report = escape_detector(zero_profile, bump_profile(TAU0), None, cfg, 10.0)
         assert report.t_escape is None
         assert not report.instability
@@ -906,7 +907,7 @@ class TestEscapeDetector:
     def test_subcritical_escape(self):
         spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45,
                                 kind="piecewise_generic")
-        cfg = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=40.0)
+        cfg = FDConfig(Grid(40.0, 43.6, 0.04, 0.05))
         report = escape_detector(zero_profile, bump_profile(TAU0),
                                  nonlinearity(spec), cfg, 10.0)
         assert report.escaped and not report.instability
@@ -922,7 +923,7 @@ class TestEscapeDetector:
         # and the detector must report the non-finite step, flagged
         spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45,
                                 kind="piecewise_generic")
-        cfg = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=40.0)
+        cfg = FDConfig(Grid(40.0, 43.6, 0.04, 0.05))
         report = escape_detector(zero_profile, bump_profile(TAU0),
                                  nonlinearity(spec), cfg, 1.7e308)
         assert report.escaped and report.instability
@@ -932,7 +933,7 @@ class TestEscapeDetector:
     def test_supercritical_contrast_stays_small(self):
         eps = 0.075
         env = EnvelopeParams(k=1.0)
-        cfg = FDConfig(dr=0.05, dt=0.04, r_max=20.0, t_max=8.0)
+        cfg = FDConfig(Grid(8.0, 20.0, 0.04, 0.05))
         report = escape_detector(zero_profile,
                                  lambda lam: eps * theta_k(lam, env),
                                  lambda u: F_canonical(u, 3.5),
@@ -946,7 +947,7 @@ class TestEscapeDetector:
         # the FD field's row max, bit for bit, up to the escape step
         F = None if kind == "none" else nonlinearity(NonlinearitySpec(
             p=2.0, q=2.0, delta0=0.45, kind=kind))
-        cfg = FDConfig(dr=0.05, dt=0.04, r_max=7.6, t_max=4.0)
+        cfg = FDConfig(Grid(4.0, 7.6, 0.04, 0.05))
         field = fd_solve(zero_profile, bump_profile(TAU0), F, cfg)
         report = escape_detector(zero_profile, bump_profile(TAU0), F, cfg, 10.0)
         n = len(report.sup_history)
@@ -957,18 +958,18 @@ class TestEscapeDetector:
         np.testing.assert_array_equal(report.t_history, field.t_grid[:n])
 
     def test_immediate_escape_at_zero(self):
-        cfg = FDConfig(dr=0.1, dt=0.05, r_max=8.0, t_max=1.0)
+        cfg = FDConfig(Grid(1.0, 8.0, 0.05, 0.1))
         report = escape_detector(lambda r: np.exp(-np.asarray(r) ** 2),
                                  zero_profile, None, cfg, 0.5)
         assert report.t_escape == 0.0
 
     def test_support_guard(self):
-        cfg = FDConfig(dr=0.05, dt=0.04, r_max=4.0, t_max=2.0)
+        cfg = FDConfig(Grid(2.0, 4.0, 0.04, 0.05))
         with pytest.raises(DomainError, match="support radius"):
             escape_detector(zero_profile, bump_profile(TAU0), None, cfg, 10.0)
 
     def test_threshold_must_be_finite(self):
-        cfg = FDConfig(dr=0.1, dt=0.05, r_max=8.0, t_max=1.0)
+        cfg = FDConfig(Grid(1.0, 8.0, 0.05, 0.1))
         with pytest.raises(DomainError, match="threshold"):
             escape_detector(zero_profile, zero_profile, None, cfg, math.inf)
 

@@ -24,6 +24,7 @@ import hypwave
 from hypwave import fdoracle, globalsolver, meanprop
 from hypwave.cli import (_REQUIRED, _SCHEMA, _apply_thread_cap, _fmt,
                          _write_grid_csv, main)
+from hypwave.hypgeo import Grid
 from hypwave.nonlin import NonlinearitySpec
 
 
@@ -68,8 +69,8 @@ epsilon = 0.5
 kind = piecewise_generic
 """
 
-# [nonlinearity] keys whose cubic blend is not monotone at p = 2
-NON_MONOTONE = "q = 1.5\ndelta0 = 0.6\n"
+# [blowup] q and delta0 whose cubic blend is not monotone at p = 2
+NON_MONOTONE = BLOWUP_BASE.replace("q = 2.0", "q = 1.5\ndelta0 = 0.6")
 
 
 class TestPropagate:
@@ -259,7 +260,7 @@ def test_misspelt_key_is_config_error(tmp_path, capsys, command, section):
     ("certify", BLOWUP_BASE.replace("tau0 = 1.0", "tau0 = 2000"),
      "tau0 = 2000.0 exceeds 100"),
     # the spec was built only for the escape run
-    ("blowup", BLOWUP_BASE + NON_MONOTONE + "[escape]\nenabled = false\n",
+    ("blowup", NON_MONOTONE + "[escape]\nenabled = false\n",
      "non-monotone blend"),
     # each [data] kind reads only its own key
     ("propagate", SMALL_GRID + "[data]\nkind = theta\nvalue = 7\ntau0 = 3\n",
@@ -269,29 +270,41 @@ def test_misspelt_key_is_config_error(tmp_path, capsys, command, section):
     ("propagate", SMALL_GRID + "[data]\nvalue = 3\n",
      "key 'value' in [data] is not read by kind = zero, which reads no "
      "other key"),
-    # and each [nonlinearity] kind only its own
+    # and each [nonlinearity] kind only its own; p, q and delta0 of
+    # blowup and certify are [blowup]'s, and p of solve and contraction
+    # [solver]'s
     ("solve", SOLVER_35 + "[nonlinearity]\nq = 3.0\n",
      "key 'q' in [nonlinearity] is not read by kind = canonical_sinh_inverse, "
-     "which reads p"),
+     "which reads no other key"),
     ("contraction", VALID_BODIES["contraction"]
      + "[nonlinearity]\nkind = canonical_sinh_inverse\ndelta0 = 0.3\n",
      "key 'delta0' in [nonlinearity] is not read by kind = "
-     "canonical_sinh_inverse, which reads p"),
+     "canonical_sinh_inverse, which reads no other key"),
     ("certify", BLOWUP_BASE.replace("piecewise_generic", "canonical_sinh_inverse")
-     + NON_MONOTONE, "key 'q' in [nonlinearity] is not read by kind = "
-     "canonical_sinh_inverse, which reads p"),
+     + "q = 1.5\n", "unknown key 'q' in [nonlinearity]; certify reads kind"),
     ("solve", SOLVER_35 + "[nonlinearity]\nkind = none\np = 3.5\n",
+     "unknown key 'p' in [nonlinearity]; solve reads kind, q, delta0"),
+    ("blowup", BLOWUP_BASE.replace("piecewise_generic", "none") + "q = 3.0\n",
+     "unknown key 'q' in [nonlinearity]; blowup reads kind, p"),
+    ("blowup", BLOWUP_BASE.replace("piecewise_generic", "none") + "p = 2.5\n",
      "key 'p' in [nonlinearity] is not read by kind = none, which reads no "
      "other key"),
-    ("blowup", BLOWUP_BASE.replace("piecewise_generic", "none") + "q = 3.0\n",
-     "key 'q' in [nonlinearity] is not read by kind = none, which reads no "
-     "other key"),
+    # F took these from [nonlinearity], the certificate from [blowup]
+    ("contraction", VALID_BODIES["contraction"] + "[nonlinearity]\np = 4.0\n",
+     "unknown key 'p' in [nonlinearity]; contraction reads kind, q, delta0"),
+    ("blowup", BLOWUP_BASE + "delta0 = 0.3\n",
+     "unknown key 'delta0' in [nonlinearity]; blowup reads kind, p"),
+    ("certify", BLOWUP_BASE + "p = 2.5\n",
+     "unknown key 'p' in [nonlinearity]; certify reads kind"),
+    ("certify", BLOWUP_BASE + "delta0 = 0.3\n",
+     "unknown key 'delta0' in [nonlinearity]; certify reads kind"),
 ], ids=["grid-t_maxx", "propagate-escape", "solve-maxiters", "solve-data-kind",
         "contraction-max_iters", "n_pair", "threshold_factor", "m_max",
         "tau0-150", "tau0-2000", "certify-tau0-150", "certify-tau0-2000",
         "non-monotone-without-escape", "theta-value", "bump-k", "zero-value",
         "canonical-q", "canonical-delta0", "certify-canonical-q", "none-p",
-        "none-q"])
+        "none-q", "blowup-none-p", "contraction-p", "blowup-delta0",
+        "certify-p", "certify-delta0"])
 def test_config_that_ran_something_else_is_config_error(
         tmp_path, capsys, monkeypatch, command, body, message):
     # each of these once exited 0 (or 1, or 3 after compute) running an
@@ -376,20 +389,6 @@ def test_readme_config_reference_is_the_schema():
                                else str(value)), (command, key)
 
 
-def test_schema_grids_are_the_library_defaults():
-    from hypwave.fdoracle import FDConfig
-    from hypwave.globalsolver import SolverConfig
-
-    for command in ("propagate", "decay"):
-        assert {key: default for key, (_, default)
-                in _SCHEMA[command]["grid"].items()} == {
-            key: getattr(FDConfig, key) for key in ("t_max", "r_max", "dt",
-                                                    "dr")}
-    for command in ("solve", "contraction"):
-        assert tuple(default for _, default
-                     in _SCHEMA[command]["grid"].values()) == SolverConfig.grid
-
-
 RERUN_BODIES = {
     "propagate": (SMALL_GRID + "[data]\nkind = theta\n", None),
     "solve": (SOLVER_35.replace("epsilon = 0.0", "epsilon = 0.01"), None),
@@ -465,19 +464,15 @@ class GridSeen(Exception):
         "propagate-fd", "escape", "certify"])
 def test_default_grid(tmp_path, monkeypatch, command, module, engine, body,
                       want):
-    # solve and contraction default to the library's SolverConfig grid,
-    # propagate and decay to FDConfig's, escape and certify to FDConfig's
-    # steps; stubs stop before the grid's compute
-    from hypwave.fdoracle import FDConfig
-    from hypwave.globalsolver import SolverConfig
-
+    # the defaults of _SCHEMA, the one place they are written: solve and
+    # contraction on the contraction regime's grid, propagate, decay and
+    # the steps of escape and certify on the FD oracle's; stubs stop
+    # before the grid's compute
     def stub(*args, **kwargs):
-        cfg = next((a for a in args if isinstance(a, SolverConfig)), None)
-        if cfg is not None:
-            raise GridSeen(cfg.grid)
-        cfg = next((a for a in args if isinstance(a, FDConfig)), None)
-        if cfg is not None:
-            raise GridSeen((cfg.t_max, cfg.r_max, cfg.dt, cfg.dr))
+        grid = next((a.grid for a in args
+                     if isinstance(getattr(a, "grid", None), Grid)), None)
+        if grid is not None:
+            raise GridSeen((grid.t_max, grid.r_max, grid.dt, grid.dr))
         t_grid, r_grid = args[1], args[2]
         raise GridSeen((t_grid[-1], r_grid[-1], t_grid[1] - t_grid[0],
                         r_grid[1] - r_grid[0]))
@@ -530,12 +525,6 @@ class TestSolve:
         assert row[1] == "false"
         assert math.isnan(float(row[3]))
         assert not (out / "field.csv").exists()
-
-    def test_critical_p_is_labeled(self, tmp_path, capsys):
-        body = SOLVER_35 + "[nonlinearity]\np = 3.0\n"
-        code, _ = run_cli(tmp_path, "solve", body)
-        assert code == 0
-        assert "critical, no theory" in capsys.readouterr().err
 
 
 DECAY_GRID = """
@@ -653,6 +642,11 @@ class TestContraction:
          "'n_steps' in [contraction] must be nonnegative, got -4"),
         ("threshold", "n_pairs = 4\ntarget_ratio = 0",
          "'target_ratio' in [contraction] must be positive, got 0.0"),
+        # N_h's data envelope theta_k
+        ("probe", "n_pairs = 4\n[data]\nk = 0",
+         "envelope index k must be positive"),
+        ("threshold", "n_pairs = 4\n[data]\nk = -1",
+         "envelope index k must be positive"),
     ])
     def test_unmeasurable_config_is_config_error(self, tmp_path, capsys,
                                                  monkeypatch, mode, lines,
@@ -685,7 +679,7 @@ class TestContraction:
         # the files come from the search's own probe at eps0, which is the
         # probe a fresh contraction_probe at eps0 makes
         cfg = globalsolver.SolverConfig(p=3.5, h=1.2, epsilon=float(row[0]),
-                                        grid=(2.0, 2.0, 0.25, 0.25))
+                                        grid=Grid(2.0, 2.0, 0.25, 0.25))
         rep = globalsolver.contraction_probe(
             NonlinearitySpec(p=3.5, q=2.0, delta0=0.45), cfg,
             n_pairs=2, rng_seed=3)
@@ -742,7 +736,7 @@ r_max = 7.7
         assert list(out.iterdir()) == []
 
     def test_non_monotone_blend_is_config_error(self, tmp_path, capsys):
-        code, out = run_cli(tmp_path, "blowup", BLOWUP_BASE + NON_MONOTONE)
+        code, out = run_cli(tmp_path, "blowup", NON_MONOTONE)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "non-monotone blend" in err
@@ -752,6 +746,28 @@ r_max = 7.7
         body = BLOWUP_BASE.replace("p = 2.0", "p = 3.5")
         code, _ = run_cli(tmp_path, "blowup", body)
         assert code == 2
+
+    def test_critical_p_is_labeled(self, tmp_path, capsys):
+        # [nonlinearity] p sets the escape run's F exponent alone, p = 3
+        # included; the certificate's p is [blowup]'s
+        body = BLOWUP_BASE + "p = 3.0\n[escape]\nt_max = 2.0\n"
+        code, _ = run_cli(tmp_path, "blowup", body)
+        assert code == 0
+        assert "critical, no theory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, changed", [
+        ("q = 2.0", "q = 3.0"), ("tau0 = 1.0", "tau0 = 1.0\ndelta0 = 0.3")],
+        ids=["q", "delta0"])
+    def test_blowup_keys_shape_the_escape_run(self, tmp_path, line, changed):
+        # F takes q and delta0 from [blowup], as the certificate does, so
+        # both files move together
+        body = BLOWUP_BASE + "[escape]\nt_max = 6.0\n"
+        code_a, out_a = run_cli(tmp_path, "blowup", body, out_name="a")
+        code_b, out_b = run_cli(tmp_path, "blowup", body.replace(line, changed),
+                                out_name="b")
+        assert code_a == code_b == 0
+        for name in ("certificate.csv", "escape.csv"):
+            assert (out_a / name).read_bytes() != (out_b / name).read_bytes()
 
     def test_critical_p_is_config_error_without_label(self, tmp_path,
                                                       capsys):
@@ -859,7 +875,7 @@ class TestCertify:
         assert list(out.iterdir()) == []
 
     def test_non_monotone_blend_is_config_error(self, tmp_path, capsys):
-        code, out = run_cli(tmp_path, "certify", BLOWUP_BASE + NON_MONOTONE)
+        code, out = run_cli(tmp_path, "certify", NON_MONOTONE)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "non-monotone blend" in err

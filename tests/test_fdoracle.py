@@ -13,7 +13,8 @@ from hypwave.fdoracle import (
     fd_solve,
     leapfrog,
 )
-from hypwave.hypgeo import DomainError, EnvelopeParams, theta_k
+from hypwave.cli import _SCHEMA
+from hypwave.hypgeo import DomainError, EnvelopeParams, Grid, theta_k
 from hypwave.meanprop import RadialProfile, _as_profile, sine_propagator
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from references import from_samples, time_index
@@ -34,42 +35,45 @@ def ones(lam):
     return np.ones_like(np.asarray(lam, dtype=float))
 
 
-QUICK = FDConfig(dr=2e-2, dt=1.8e-2, r_max=8.0, t_max=1.8)
+QUICK = FDConfig(Grid(1.8, 8.0, 1.8e-2, 2e-2))
 
 
 class TestFDConfig:
     def test_cfl_derived(self):
-        cfg = FDConfig(dr=0.02, dt=0.018, r_max=1.0, t_max=0.9)
+        cfg = FDConfig(Grid(0.9, 1.0, 0.018, 0.02))
         assert_allclose(cfg.cfl, 0.9)
 
     def test_cfl_limit_enforced(self):
         with pytest.raises(DomainError, match="stability margin"):
-            FDConfig(dr=0.02, dt=0.02, r_max=1.0, t_max=1.0)
+            FDConfig(Grid(1.0, 1.0, 0.02, 0.02))
 
     def test_noninteger_grid_rejected(self):
         with pytest.raises(DomainError, match="integer"):
-            FDConfig(dr=0.02, dt=0.018, r_max=1.01, t_max=0.9)
+            FDConfig(Grid(0.9, 1.01, 0.018, 0.02))
 
     def test_positive_fields(self):
         with pytest.raises(DomainError):
-            FDConfig(dr=-0.02, dt=0.018, r_max=1.0, t_max=0.9)
+            FDConfig(Grid(0.9, 1.0, 0.018, -0.02))
 
     def test_zero_step_grid_rejected(self):
         with pytest.raises(DomainError, match="t_max/dt must be at least 1"):
-            FDConfig(dr=0.05, dt=0.04, r_max=1.0, t_max=1e-12)
+            FDConfig(Grid(1e-12, 1.0, 0.04, 0.05))
 
     def test_snapshot_divisibility(self):
         with pytest.raises(DomainError, match="snapshot"):
-            FDConfig(dr=0.02, dt=0.018, r_max=1.0, t_max=0.9, snapshot_every=7)
+            FDConfig(Grid(0.9, 1.0, 0.018, 0.02), snapshot_every=7)
 
     def test_default_grid_constructs(self):
-        cfg = FDConfig()
-        assert (cfg.t_max, cfg.r_max, cfg.dt, cfg.dr) == (4.0, 8.0, 0.04, 0.05)
-        assert_allclose(cfg.cfl, 0.8)
+        # wavecli's default grid of propagate and decay, which the oracle
+        # runs on there; FDConfig itself has no default grid
+        grid = Grid(**{key: default for key, (_, default)
+                       in _SCHEMA["propagate"]["grid"].items()})
+        assert grid == Grid(4.0, 8.0, 0.04, 0.05)
+        assert_allclose(FDConfig(grid).cfl, 0.8)
 
     def test_grid_properties(self):
-        cfg = FDConfig(dr=0.5, dt=0.25, r_max=2.0, t_max=1.0)
-        assert_allclose(cfg.r_grid, [0.0, 0.5, 1.0, 1.5, 2.0])
+        cfg = FDConfig(Grid(1.0, 2.0, 0.25, 0.5))
+        assert_allclose(cfg.grid.r, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert cfg.n_steps == 4
 
 
@@ -85,14 +89,14 @@ class TestFDSolve:
         i = time_index(fld, 1.8)
         want = 2.0 * np.sinh(0.9)
         for r_probe in (0.0, 1.0, 3.0):
-            j = int(round(r_probe / QUICK.dr))
+            j = int(round(r_probe / QUICK.grid.dr))
             assert_allclose(fld.values[i, j], want, rtol=1e-4)
 
     def test_cross_validates_integral_path(self):
-        cfg = FDConfig(dr=5e-3, dt=4.5e-3, r_max=12.0, t_max=2.25)
+        cfg = FDConfig(Grid(2.25, 12.0, 4.5e-3, 5e-3))
         fld = fd_solve(zero, theta1, None, cfg)
         i = time_index(fld, 2.25)
-        j = int(round(1.0 / cfg.dr))
+        j = int(round(1.0 / cfg.grid.dr))
         want = sine_propagator(theta1, 2.25, 1.0)
         assert_allclose(fld.values[i, j], want, rtol=1e-4)
 
@@ -104,20 +108,20 @@ class TestFDSolve:
             support_radius=2.0)
         fld = fd_solve(zero, bump, None, QUICK)
         i = time_index(fld, 1.8)
-        beyond = fld.r_grid > 2.0 + 1.8 + 3 * QUICK.dr
+        beyond = fld.r_grid > 2.0 + 1.8 + 3 * QUICK.grid.dr
         assert np.abs(fld.values[i, beyond]).max() < 1e-13
 
     def test_time_reversal_second_order(self):
         def reversal_error(dr):
             dt = 0.9 * dr
-            cfg = FDConfig(dr=dr, dt=dt, r_max=8.0, t_max=round(1.8 / dt) * dt)
+            cfg = FDConfig(Grid(round(1.8 / dt) * dt, 8.0, dt, dr))
             fwd = fd_solve(theta1, zero, None, cfg)
             uN, uN1, uN2 = fwd.values[-1], fwd.values[-2], fwd.values[-3]
             vN = (3 * uN - 4 * uN1 + uN2) / (2 * dt)
             rg = fwd.r_grid
             back = fd_solve(from_samples(rg, uN),
                             from_samples(rg, -vN), None, cfg)
-            interior = rg <= cfg.r_max - 2 * cfg.t_max - 0.5
+            interior = rg <= cfg.grid.r_max - 2 * cfg.grid.t_max - 0.5
             return np.abs(back.values[-1][interior] - theta1(rg)[interior]).max()
 
         e_coarse = reversal_error(2e-2)
@@ -133,13 +137,13 @@ class TestFDSolve:
     def test_instability_reports_location(self):
         # a focusing power nonlinearity with large data blows up in finite
         # time; the solver must say where it first went non-finite
-        cfg = FDConfig(dr=2e-2, dt=1.8e-2, r_max=22.0, t_max=9.0)
+        cfg = FDConfig(Grid(9.0, 22.0, 1.8e-2, 2e-2))
         with pytest.raises(InstabilityError, match=r"t = [\d.]+, r = [\d.]+"):
             fd_solve(lambda lam: 5.0 * np.exp(-(lam**2)), zero,
                      lambda u: u * np.abs(u), cfg)
 
     def test_snapshot_thinning(self):
-        cfg = FDConfig(dr=2e-2, dt=1.8e-2, r_max=8.0, t_max=1.8, snapshot_every=10)
+        cfg = FDConfig(Grid(1.8, 8.0, 1.8e-2, 2e-2), snapshot_every=10)
         thin = fd_solve(zero, theta1, None, cfg)
         full = fd_solve(zero, theta1, None, QUICK)
         assert thin.t_grid.size == 11
@@ -164,10 +168,10 @@ class TestConvergenceOrder:
         # the exact solution 2 sinh(t/2) is available: direct error halving
         errors = []
         for k in range(3):
-            cfg = FDConfig(dr=2e-2 / 2**k, dt=1.8e-2 / 2**k, r_max=8.0, t_max=1.8)
+            cfg = FDConfig(Grid(1.8, 8.0, 1.8e-2 / 2**k, 2e-2 / 2**k))
             fld = fd_solve(zero, ones, None, cfg)
             i = time_index(fld, 1.8)
-            j = int(round(1.0 / cfg.dr))
+            j = int(round(1.0 / cfg.grid.dr))
             errors.append(abs(fld.values[i, j] - 2.0 * np.sinh(0.9)))
         order = np.log2(errors[0] / errors[1])
         assert 1.8 <= order <= 2.2
@@ -189,9 +193,9 @@ class TestConvergenceOrder:
 def full_grid_leapfrog(u0, u1, F, cfg):
     """The reference: the leapfrog loop that updates every cell each step."""
     u0, u1 = _as_profile(u0), _as_profile(u1)
-    r = cfg.r_grid
+    r = cfg.grid.r
     coth_r = np.cosh(r[1:-1]) / np.sinh(r[1:-1])
-    dr, dt = cfg.dr, cfg.dt
+    dr, dt = cfg.grid.dr, cfg.grid.dt
 
     def rhs(u):
         out = np.empty_like(u)
@@ -229,8 +233,8 @@ def scaled(prof, c):
 BUMP = bump_profile(1.0)
 # the escape grid of wavecli blowup at dr = 0.05: the bump's support ends
 # at cell 69 of 873
-ESCAPE = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=40.0)
-SHORT = FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=4.0)
+ESCAPE = FDConfig(Grid(40.0, 43.6, 0.04, 0.05))
+SHORT = FDConfig(Grid(4.0, 43.6, 0.04, 0.05))
 
 
 class TestLeapfrogWindow:
@@ -250,7 +254,7 @@ class TestLeapfrogWindow:
                            SHORT),
         # overflows at t = 5.24 (step 131), when the window is 256 of 873 cells
         "overflow": (zero, scaled(BUMP, 0.5), spec_F("piecewise_generic"),
-                     FDConfig(dr=0.05, dt=0.04, r_max=43.6, t_max=8.0)),
+                     FDConfig(Grid(8.0, 43.6, 0.04, 0.05))),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -266,14 +270,15 @@ class TestLeapfrogWindow:
 
     def test_overflow_names_the_same_point(self):
         u0, u1, F, cfg = self.CASES["overflow"]
-        r = cfg.r_grid
+        r = cfg.grid.r
         with np.errstate(over="ignore", invalid="ignore"):
             for n, u in enumerate(full_grid_leapfrog(u0, u1, F, cfg)):
                 if not np.all(np.isfinite(u)):
                     bad = np.flatnonzero(~np.isfinite(u))[0]
                     break
         assert n < cfg.n_steps
-        want = f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}"
+        want = (f"non-finite value at t = {n * cfg.grid.dt:.6g}, "
+                f"r = {r[bad]:.6g}")
         with pytest.raises(InstabilityError) as exc:
             fd_solve(u0, u1, F, cfg)
         assert str(exc.value) == want
@@ -281,8 +286,7 @@ class TestLeapfrogWindow:
     @pytest.mark.parametrize("every", [1, 5])
     def test_overflow_keeps_the_finite_snapshots(self, every):
         u0, u1, F, cfg = self.CASES["overflow"]
-        cfg = FDConfig(dr=cfg.dr, dt=cfg.dt, r_max=cfg.r_max, t_max=cfg.t_max,
-                       snapshot_every=every)
+        cfg = FDConfig(cfg.grid, snapshot_every=every)
         with np.errstate(over="ignore", invalid="ignore"):
             states = []
             for u in full_grid_leapfrog(u0, u1, F, cfg):
@@ -294,9 +298,9 @@ class TestLeapfrogWindow:
         field = exc.value.field
         kept = states[::every]
         # the times the whole run would have had, up to the last kept one
-        t_full = np.linspace(0.0, cfg.t_max, cfg.n_steps // every + 1)
+        t_full = np.linspace(0.0, cfg.grid.t_max, cfg.n_steps // every + 1)
         assert bits(field.t_grid) == bits(t_full[:len(kept)])
-        assert bits(field.r_grid) == bits(cfg.r_grid)
+        assert bits(field.r_grid) == bits(cfg.grid.r)
         assert bits(field.values) == bits(np.array(kept))
 
     def test_instability_at_the_start_keeps_no_field(self):
@@ -320,8 +324,8 @@ class TestLeapfrogWindow:
         return per_step
 
     def test_window_follows_the_light_cone(self):
-        n_r = ESCAPE.r_grid.size
-        support = int(np.flatnonzero(BUMP(ESCAPE.r_grid))[-1])
+        n_r = ESCAPE.grid.r.size
+        support = int(np.flatnonzero(BUMP(ESCAPE.grid.r))[-1])
         # a defocusing F, so that the 1000 steps stay finite
         per_step = self.window_lengths(lambda u: -u * np.abs(u), ESCAPE)
         assert per_step[1] == [n_r]
@@ -331,7 +335,7 @@ class TestLeapfrogWindow:
         assert per_step[2][-1] == _BLOCK < n_r
 
     def test_F_nonzero_at_zero_steps_the_whole_grid(self):
-        n_r = SHORT.r_grid.size
+        n_r = SHORT.grid.r.size
         per_step = self.window_lengths(lambda u: 0.01 + u * np.abs(u), SHORT)
         assert all(calls[-1] == n_r for calls in per_step[1:])
 
@@ -342,7 +346,7 @@ def old_F(spec):
 
 
 # wavecli certify's default grid, every state kept
-CERTIFY = FDConfig(dr=0.05, dt=0.04, r_max=9.0, t_max=5.0)
+CERTIFY = FDConfig(Grid(5.0, 9.0, 0.04, 0.05))
 
 
 class TestBlowupPipelineOldArithmetic:
@@ -381,13 +385,13 @@ class TestBlowupPipelineOldArithmetic:
             want = np.array(list(full_grid_leapfrog(zero, u1, old_F(spec),
                                                     CERTIFY)))
         assert got.shape == want.shape == (CERTIFY.n_steps + 1,
-                                           CERTIFY.r_grid.size)
+                                           CERTIFY.grid.r.size)
         assert bits(got) == bits(want)
 
     def test_overflow_message(self):
         u0, u1, _, cfg = TestLeapfrogWindow.CASES["overflow"]
         spec = generic(2.0)
-        r = cfg.r_grid
+        r = cfg.grid.r
         with np.errstate(over="ignore", invalid="ignore"):
             for n, u in enumerate(full_grid_leapfrog(u0, u1, old_F(spec),
                                                      cfg)):
@@ -398,4 +402,4 @@ class TestBlowupPipelineOldArithmetic:
         with pytest.raises(InstabilityError) as exc:
             fd_solve(u0, u1, nonlinearity(spec), cfg)
         assert str(exc.value) == (
-            f"non-finite value at t = {n * cfg.dt:.6g}, r = {r[bad]:.6g}")
+            f"non-finite value at t = {n * cfg.grid.dt:.6g}, r = {r[bad]:.6g}")

@@ -7,6 +7,7 @@ from hypwave.fdoracle import FDConfig, fd_solve
 from hypwave.hypgeo import (
     DomainError,
     EnvelopeParams,
+    Grid,
     theta_k,
 )
 from hypwave.meanprop import SpaceTimeField, _lag_matrices, sine_propagator
@@ -16,6 +17,7 @@ from references import per_tau_claim
 
 ENV1 = EnvelopeParams(k=1.0)
 SPEC = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3)
+SMALL = Grid(1.0, 1.0, 0.5, 0.5)  # for configs that are only validated
 
 
 def data_profile(lam):
@@ -24,18 +26,20 @@ def data_profile(lam):
 
 @pytest.fixture(scope="module")
 def coarse_cfg():
-    return gs.SolverConfig(p=3.5, h=1.2, epsilon=0.02, grid=(4.0, 4.0, 0.1, 0.1))
+    return gs.SolverConfig(p=3.5, h=1.2, epsilon=0.02,
+                           grid=Grid(4.0, 4.0, 0.1, 0.1))
 
 
 @pytest.fixture(scope="module")
 def coarse_table(coarse_cfg):
-    assert np.all(np.isfinite(_lag_matrices(coarse_cfg.t_grid, coarse_cfg.r_grid)))
+    grid = coarse_cfg.grid
+    assert np.all(np.isfinite(_lag_matrices(grid.t, grid.r)))
     return gs._get_table(coarse_cfg)
 
 
 def unit_shapes(rng, cfg, n):
     """The next n unit shapes _unit_shape draws from rng on cfg's grid."""
-    T, R = np.meshgrid(cfg.t_grid, cfg.r_grid, indexing="ij")
+    T, R = np.meshgrid(cfg.grid.t, cfg.grid.r, indexing="ij")
     return [gs._unit_shape(rng, T, R) for _ in range(n)]
 
 
@@ -47,39 +51,48 @@ def with_eps(cfg, eps):
 
 class TestSolverConfig:
     def test_grids(self):
-        cfg = gs.SolverConfig(p=4.0, h=1.5, epsilon=0.1, grid=(2.0, 3.0, 0.5, 0.25))
-        assert np.allclose(cfg.t_grid, [0, 0.5, 1.0, 1.5, 2.0])
-        assert cfg.r_grid.size == 13
+        cfg = gs.SolverConfig(p=4.0, h=1.5, epsilon=0.1,
+                              grid=Grid(2.0, 3.0, 0.5, 0.25))
+        assert np.allclose(cfg.grid.t, [0, 0.5, 1.0, 1.5, 2.0])
+        assert cfg.grid.r.size == 13
+
+    def test_grid_has_no_default(self):
+        with pytest.raises(TypeError, match="grid"):
+            gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1)
 
     def test_p_at_most_3_rejected(self):
         with pytest.raises(DomainError, match=r"h must lie in \(1, p-2\)"):
-            gs.SolverConfig(p=3.0, h=1.2, epsilon=0.1)
+            gs.SolverConfig(p=3.0, h=1.2, epsilon=0.1, grid=SMALL)
 
     @pytest.mark.parametrize("h", [0.9, 1.0, 1.5, 2.0])
     def test_h_outside_window_rejected(self, h):
         with pytest.raises(DomainError, match="h must lie in"):
-            gs.SolverConfig(p=3.5, h=h, epsilon=0.1)
+            gs.SolverConfig(p=3.5, h=h, epsilon=0.1, grid=SMALL)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DomainError, match="epsilon"):
-            gs.SolverConfig(p=3.5, h=1.2, epsilon=-1e-3)
+            gs.SolverConfig(p=3.5, h=1.2, epsilon=-1e-3, grid=SMALL)
 
     def test_zero_epsilon_allowed(self):
-        assert gs.SolverConfig(p=3.5, h=1.2, epsilon=0.0).epsilon == 0.0
+        assert gs.SolverConfig(p=3.5, h=1.2, epsilon=0.0,
+                               grid=SMALL).epsilon == 0.0
 
     def test_bad_grids_rejected(self):
+        # a Grid checks itself on construction, so no config holds a bad one
         with pytest.raises(DomainError, match="t_max"):
-            gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, grid=(0.05, 8.0, 0.1, 0.1))
+            Grid(0.05, 8.0, 0.1, 0.1)
         with pytest.raises(DomainError, match="integer"):
-            gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, grid=(1.0, 1.0, 0.3, 0.1))
+            Grid(1.0, 1.0, 0.3, 0.1)
         with pytest.raises(DomainError, match="positive"):
-            gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, grid=(1.0, -1.0, 0.1, 0.1))
+            Grid(1.0, -1.0, 0.1, 0.1)
 
     def test_iteration_knobs_validated(self):
         with pytest.raises(DomainError, match="max_iters"):
-            gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, max_iters=0)
+            gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, grid=SMALL,
+                            max_iters=0)
         with pytest.raises(DomainError, match="fixed_point_tol"):
-            gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, fixed_point_tol=0.0)
+            gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, grid=SMALL,
+                            fixed_point_tol=0.0)
 
 
 class TestReports:
@@ -128,21 +141,23 @@ class TestLinearDataField:
         # propagation sees the whole cone of dependence
         vals = gs.linear_data_field(0.0, data_profile, coarse_cfg)
         for (i, j) in [(5, 3), (10, 20), (30, 8)]:
-            t = coarse_cfg.t_grid[i]
-            r = coarse_cfg.r_grid[j]
+            t = coarse_cfg.grid.t[i]
+            r = coarse_cfg.grid.r[j]
             ref = sine_propagator(data_profile, t, r)
             assert vals[i, j] == pytest.approx(ref, rel=5e-5, abs=1e-12)
 
     def test_position_data_row_zero_is_data(self, coarse_cfg):
         vals = gs.linear_data_field(data_profile, 0.0, coarse_cfg)
-        assert np.allclose(vals[0], data_profile(coarse_cfg.r_grid), rtol=1e-14)
+        assert np.allclose(vals[0], data_profile(coarse_cfg.grid.r),
+                           rtol=1e-14)
 
     def test_position_data_matches_fine_difference(self):
-        cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1, grid=(1.0, 4.0, 0.25, 0.1))
+        cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1,
+                              grid=Grid(1.0, 4.0, 0.25, 0.1))
         vals = gs.linear_data_field(data_profile, 0.0, cfg)
         t, r = 0.5, 0.7
-        i = np.argmin(np.abs(cfg.t_grid - t))
-        j = np.argmin(np.abs(cfg.r_grid - r))
+        i = np.argmin(np.abs(cfg.grid.t - t))
+        j = np.argmin(np.abs(cfg.grid.r - r))
         d = 1e-4
         ref = (sine_propagator(data_profile, t + d, r)
                - sine_propagator(data_profile, t - d, r)) / (2 * d)
@@ -191,7 +206,7 @@ class TestPicard:
         lin = coarse_cfg.epsilon * gs.linear_data_field(0.0, data_profile,
                                                         coarse_cfg)
         resid = u.values - lin - coarse_table.duhamel_field(F(u.values))
-        phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid,
+        phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r,
                                  coarse_cfg.h)
         assert np.max(phi * np.abs(resid)) <= 2 * coarse_cfg.fixed_point_tol
 
@@ -224,7 +239,7 @@ class TestContraction:
     def test_ratio_symmetric_and_degenerate_skipped(self, coarse_cfg,
                                                     coarse_table):
         F = nonlinearity(SPEC)
-        phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid, 1.2)
+        phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
         rng = np.random.default_rng(3)
         u, v = (0.05 * shape / phi for shape in unit_shapes(rng, coarse_cfg, 2))
 
@@ -235,7 +250,7 @@ class TestContraction:
         assert ratio(u, u) is None
 
     def test_sampled_fields_fill_the_ball(self, coarse_cfg):
-        phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid, 1.2)
+        phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
         rng = np.random.default_rng(11)
         (shape,) = unit_shapes(rng, coarse_cfg, 1)
         u = 0.125 * shape / phi
@@ -267,7 +282,7 @@ class TestContraction:
         monkeypatch.setattr(gs, "_pair_ratios", spy)
         gs.contraction_probe(SPEC, coarse_cfg, n_pairs=3, rng_seed=5)
         (U, V), = seen
-        phi = gs.phi_weight_grid(coarse_cfg.t_grid, coarse_cfg.r_grid, 1.2)
+        phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
         radius = 2.0 * coarse_cfg.epsilon * gs.estimate_N_h(
             1.0, 1.2, coarse_cfg)
         rng = np.random.default_rng(5)
@@ -342,12 +357,43 @@ class TestThreshold:
         # every probe of the bisection, the floor's included, asks once
         assert (info.misses, info.hits) == (1, 8)
 
+    def test_caches_key_on_the_grid(self, coarse_cfg, monkeypatch):
+        # one table and one N_h serve a whole search, and a config on an
+        # equal but distinct Grid finds them; a grid that differs does not
+        tables, fields = [], []
+
+        def counted(record, build):
+            def call(*args):
+                record.append(args)
+                return build(*args)
+            return call
+
+        monkeypatch.setattr(gs, "PropagatorTable",
+                            counted(tables, gs.PropagatorTable))
+        monkeypatch.setattr(gs, "linear_data_field",
+                            counted(fields, gs.linear_data_field))
+        gs.clear_caches()
+        gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21, n_pairs=3,
+                             n_steps=20)
+        assert (len(tables), len(fields)) == (1, 1)
+        twin = Grid(*(getattr(coarse_cfg.grid, key)
+                      for key in ("t_max", "r_max", "dt", "dr")))
+        assert twin is not coarse_cfg.grid and twin == coarse_cfg.grid
+        same = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.01, grid=twin)
+        gs.contraction_probe(SPEC, same, n_pairs=3, rng_seed=21)
+        assert gs._pair_shapes.cache_info().misses == 1
+        assert (len(tables), len(fields)) == (1, 1)
+        other = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.01,
+                                grid=Grid(4.0, 4.0, 0.2, 0.1))
+        gs.contraction_probe(SPEC, other, n_pairs=3, rng_seed=21)
+        assert (len(tables), len(fields)) == (2, 2)
+
 
 class TestPairShapes:
     def test_shapes_are_read_only(self, coarse_cfg):
         units = gs._pair_shapes(5, 3, coarse_cfg.grid)
-        assert units.shape == (3, 2, coarse_cfg.t_grid.size,
-                               coarse_cfg.r_grid.size)
+        assert units.shape == (3, 2, coarse_cfg.grid.t.size,
+                               coarse_cfg.grid.r.size)
         assert not units.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             units[0, 0, 0, 0] = 1.0
@@ -508,10 +554,9 @@ class TestOracleConsistency:
     def test_picard_matches_finite_differences(self):
         eps = 0.0375
         cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=eps,
-                              grid=(4.0, 8.0, 0.05, 0.05))
+                              grid=Grid(4.0, 8.0, 0.05, 0.05))
         u_pic, _ = gs.picard_solve(0.0, data_profile, SPEC, cfg)
-        fd_cfg = FDConfig(dr=0.02, dt=0.01, r_max=10.0, t_max=4.0,
-                          snapshot_every=5)
+        fd_cfg = FDConfig(Grid(4.0, 10.0, 0.01, 0.02), snapshot_every=5)
         u_fd = fd_solve(0.0, lambda lam: eps * theta_k(lam, ENV1),
                         nonlinearity(SPEC), fd_cfg)
         assert np.allclose(u_pic.t_grid, u_fd.t_grid)
@@ -536,10 +581,10 @@ class TestOracleConsistency:
             res = (utt - urr - coth * ur - 0.25 * U[1:-1, 1:-1]
                    - F(U[1:-1, 1:-1]))
             T, R = np.meshgrid(t[1:-1], r[1:-1], indexing="ij")
-            keep = (T + R <= grid[1] - 2 * max(dt, dr)) & (R >= 4 * dr)
+            keep = (T + R <= grid.r_max - 2 * max(dt, dr)) & (R >= 4 * dr)
             return float(np.max(np.abs(res[keep])))
 
-        coarse = interior_residual((4.0, 8.0, 0.1, 0.1))
-        fine = interior_residual((4.0, 8.0, 0.05, 0.05))
+        coarse = interior_residual(Grid(4.0, 8.0, 0.1, 0.1))
+        fine = interior_residual(Grid(4.0, 8.0, 0.05, 0.05))
         assert coarse < 1e-3
         assert fine < 0.5 * coarse

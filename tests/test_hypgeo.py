@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from hypwave.hypgeo import (
     DomainError,
     EnvelopeParams,
+    Grid,
     WeightParams,
     K_factor,
     bracket,
@@ -199,3 +200,24 @@ class TestUniformGrid:
             uniform_grid(1e-12, 0.04, "t_max/dt")
         with pytest.raises(DomainError, match="t_max/dt"):
             uniform_grid(0.049, 0.1, "t_max/dt")
+
+
+class TestGrid:
+    def test_axes_are_the_uniform_grids_and_read_only(self):
+        grid = Grid(1.0, 2.0, 0.25, 0.5)
+        assert grid.t.tobytes() == uniform_grid(1.0, 0.25, "t").tobytes()
+        assert grid.r.tobytes() == uniform_grid(2.0, 0.5, "r").tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            grid.r[0] = 1.0
+
+    def test_equal_numbers_make_equal_grids(self):
+        # the caches of globalsolver key on grids
+        assert Grid(1, 2, 0.25, 0.5) == Grid(1.0, 2.0, 0.25, 0.5)
+        assert hash(Grid(1, 2, 0.25, 0.5)) == hash(Grid(1.0, 2.0, 0.25, 0.5))
+        assert Grid(1.0, 2.0, 0.25, 0.5) != Grid(1.0, 2.0, 0.25, 0.25)
+
+    @pytest.mark.parametrize("numbers, ratio", [
+        ((1.0, 1.0, 0.3, 0.1), "t_max/dt"), ((1.0, 1.0, 0.1, 0.3), "r_max/dr")])
+    def test_each_axis_names_its_ratio(self, numbers, ratio):
+        with pytest.raises(DomainError, match=f"{ratio} must be an integer"):
+            Grid(*numbers)
