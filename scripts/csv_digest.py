@@ -22,8 +22,10 @@ For a change that may move the last digits of some outputs,
     python3 scripts/csv_digest.py --compare /tmp/old /tmp/new
 
 prints per CSV of the two output directories either "identical" or,
-per numeric column that differs, its largest relative difference
-|a - b| / max(|a|, |b|) over the rows.
+per numeric column that differs, column=rel/share: rel is its largest
+relative difference |a - b| / max(|a|, |b|) over the rows, share its
+largest |a - b| over the column's largest |a|. Rows where the column is
+near 0 can make rel large while the column as a whole moved by share.
 
 The runs write their configs and CSVs into csv_digest/<run>/ under the
 output directory (runs/ by default, or the first argument). They are:
@@ -138,32 +140,39 @@ def main(out_dir="runs"):
 
 
 def column_differences(old, new):
-    """{column: largest relative difference} over the columns where the
-    CSV files old and new differ; a column that is not numeric, or files
-    whose headers or row counts differ, give inf."""
+    """{column: (rel, share)} over the columns where the CSV files old
+    and new differ: rel is the largest |a - b| / max(|a|, |b|) over the
+    rows, share the largest |a - b| over the column's largest |a| (a in
+    old, b in new), both over the cells that are numbers. A text cell that
+    differs, or files whose headers or row counts differ, give inf."""
     with open(old, encoding="utf-8") as fa, open(new, encoding="utf-8") as fb:
         (head_a, *rows_a), (head_b, *rows_b) = csv.reader(fa), csv.reader(fb)
+    inf = float("inf")
     if head_a != head_b or len(rows_a) != len(rows_b):
-        return {"(shape)": float("inf")}
-    worst = {}
+        return {"(shape)": (inf, inf)}
+    worst, top = {}, {}
     for row_a, row_b in zip(rows_a, rows_b):
         for name, a, b in zip(head_a, row_a, row_b):
-            if a == b:
-                continue
             try:
                 x, y = float(a), float(b)
-                rel = abs(x - y) / max(abs(x), abs(y))
-            except (ValueError, ZeroDivisionError):
-                rel = float("inf")
-            worst[name] = max(worst.get(name, 0.0), rel)
-    return worst
+            except ValueError:
+                if a != b:
+                    worst[name] = inf, inf
+                continue
+            top[name] = max(top.get(name, 0.0), abs(x))
+            if a != b:
+                rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+                old_rel, old_gap = worst.get(name, (0.0, 0.0))
+                worst[name] = max(old_rel, rel), max(old_gap, abs(x - y))
+    return {name: (rel, gap / top[name] if top.get(name) else (inf if gap else 0.0))
+            for name, (rel, gap) in worst.items()}
 
 
 def compare(old_dir, new_dir):
     """Print, per CSV under either directory's csv_digest/, "identical"
-    when its bytes agree, else the largest relative difference of every
-    column that differs (or that the file is missing on one side); return
-    the lines."""
+    when its bytes agree, else column=rel/share (column_differences) for
+    every column that differs (or that the file is missing on one side);
+    return the lines."""
     old_root, new_root = Path(old_dir) / "csv_digest", Path(new_dir) / "csv_digest"
     names = sorted({p.relative_to(root).as_posix()
                     for root in (old_root, new_root) for p in root.glob("*/*.csv")})
@@ -175,7 +184,7 @@ def compare(old_dir, new_dir):
         elif old.read_bytes() == new.read_bytes():
             verdict = "identical"
         else:
-            verdict = " ".join(f"{col}={rel:.2e}" for col, rel in
+            verdict = " ".join(f"{col}={rel:.2e}/{share:.2e}" for col, (rel, share) in
                                column_differences(old, new).items()) or "same cells"
         lines.append(f"{name} {verdict}")
         print(lines[-1])

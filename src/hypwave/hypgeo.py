@@ -108,10 +108,7 @@ def bracket(s):
 
 
 def theta_k(r, params: EnvelopeParams):
-    """Data envelope (cosh r)^(-k-1/2) for r >= 0."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise DomainError("theta_k is defined for r >= 0")
+    """Data envelope (cosh r)^(-k-1/2) for r >= 0 (log_theta_k refuses r < 0)."""
     return np.exp(log_theta_k(r, params))
 
 

@@ -14,6 +14,7 @@ from hypwave.hypgeo import (
     log_cosh,
     log_sinh,
     log_phi_weight,
+    log_theta_k,
     phi_weight,
     theta_k,
     uniform_grid,
@@ -37,6 +38,12 @@ class TestEnvelope:
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
             theta_k(-0.1, EnvelopeParams(k=1.0))
+
+    @pytest.mark.parametrize("fn", [theta_k, log_theta_k], ids=["theta_k", "log_theta_k"])
+    def test_negative_radius_message(self, fn):
+        # theta_k leaves the check to log_theta_k: one message for both
+        with pytest.raises(DomainError, match=r"^theta_k is defined for r >= 0$"):
+            fn(np.array([0.5, -1e-300]), EnvelopeParams(k=1.0))
 
     @given(st.floats(0.0, 30.0), st.floats(0.0, 30.0))
     def test_theta_monotone_in_r(self, r1, r2):

@@ -658,11 +658,13 @@ class TestEllipticK:
         assert np.isfinite(_agm_K(np.zeros(1))[0])
 
 
-def reference_panels(t, r, step, knots, lam_max):
+def reference_panels(t, r, step, knots, lam_max, toward_zero=False):
     """_kernel_nodes' panels, built as it builds them: for panel i its
     side o[i], its centre mid[i] and halfwidth half[i] in u, and its tier
     (close, middle or far); per side H, lam*, r, t, +-1, whether it is the
-    right side, and M - c - d there."""
+    right side, and M - c - d there. toward_zero grades every side toward
+    u = 0, the rule before a side analytic there was graded toward its
+    nearest non-analytic point."""
     t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
     H = np.stack([2.0 * np.minimum(r, t), np.maximum(t - r, 0.0)], axis=1).ravel()
     side = np.flatnonzero(H > 0.0)
@@ -672,6 +674,14 @@ def reference_panels(t, r, step, knots, lam_max):
     near = np.where(right, st, 2.0 * rr)
     depth = meanprop._GRADE_DEPTH * np.where(
         near > 0.0, np.clip(np.sqrt(near / H), 1e-8, 1.0), 1.0)
+    # a right side with t < r is graded toward u = i y, y^2 H the distance
+    # from lam* to the lam = 0 branch or to the nearest knot, and no deeper
+    # than _GRADE_REACH y; y = 0 elsewhere
+    reach = np.where(right & (tt < rr) & (not toward_zero), st, 0.0)
+    for knot in [] if knots is None else knots:
+        reach = np.minimum(reach, np.abs(st - knot))
+    y = np.sqrt(reach / H)
+    depth = np.maximum(depth, meanprop._GRADE_REACH * y)
     n_grade = np.floor(np.log(2.0 * depth) / np.log(meanprop._GRADE_RATIO)) + 1
     k = np.arange(n_grade.max(initial=0))
     graded = np.where(k < n_grade[:, None], 0.5 * meanprop._GRADE_RATIO ** k, 0.0)
@@ -689,7 +699,7 @@ def reference_panels(t, r, step, knots, lam_max):
     o, p = np.nonzero(u[:, 1:] > u[:, :-1])
     mid, half = 0.5 * (u[o, p + 1] + u[o, p]), 0.5 * (u[o, p + 1] - u[o, p])
     gap_c = np.where(right, 2.0 * np.maximum(rr - tt, 0.0), 0.0)
-    xi = mid / half
+    xi = np.hypot(mid, y[o]) / half
     close = xi < 4.0
     far = (xi >= 16.0) & (H[o] * 4.0 * mid * half <= 0.25)
     return (H, row, st, rr, tt, sgn, right, gap_c, o, mid, half,
@@ -773,12 +783,13 @@ def reference_chunks(panels, n_gl):
 
 
 def expression_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf,
-                            majorant=False):
+                            majorant=False, toward_zero=False):
     """meanprop._kernel_nodes with the product form written as plain array
     expressions, as it would be without its reused buffers: the buffered
     evaluator must round every node the same way. Its chunks are shaped
-    as _kernel_nodes' are, (n, panels)."""
-    panels = reference_panels(t, r, step, knots, lam_max)
+    as _kernel_nodes' are, (n, panels); toward_zero as for
+    reference_panels."""
+    panels = reference_panels(t, r, step, knots, lam_max, toward_zero)
     H, row, st, rr, tt, sgn, right, gap_c, o, mid, half, tiers = panels
     s = a.s
 
@@ -1010,6 +1021,101 @@ def counting_kernel_nodes(monkeypatch):
 
     monkeypatch.setattr(meanprop, "_kernel_nodes", counting)
     return calls
+
+
+def graded_to_zero(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
+    """_kernel_nodes with every side graded toward u = 0, the rule before
+    the grading followed each side's nearest non-analytic point."""
+    return expression_kernel_nodes(t, r, a, step, knots, lam_max, majorant,
+                                   toward_zero=True)
+
+
+# sides whose nearest non-analytic point is the lam = 0 branch, at
+# (r - t)/H = 1e-6, 1e-2, 1 and 10 (r = 1 or 2.1 on the table's radii);
+# sides with t = r and t = r (1 -+ 1e-12), graded toward u = 0 as before;
+# and sides of bump_profile(1.0) with a knot 1e-3 below lam*, at lam* and
+# 0.01 above it
+BRANCH_SIDES = [(1.0 / (1.0 + 2.0 * q), 1.0) for q in (1e-6, 1e-2, 1.0)] + [(0.1, 2.1)]
+EQUAL_SIDES = [(2.0, 2.0), (2.0 * (1.0 - 1e-12), 2.0), (2.0 * (1.0 + 1e-12), 2.0)]
+KNOT_SIDES = [(1.0, 4.001), (1.0, 4.0), (1.16, 4.15)]
+SIDE_IDS = (["branch-1e-6", "branch-1e-2", "branch-1", "branch-10"]
+            + ["t=r", "t=r(1-1e-12)", "t=r(1+1e-12)"])
+
+
+class TestSingularityGrading:
+    # a right side with t < r is graded toward its nearest non-analytic
+    # point u = i y, not toward u = 0; on the sides where that point is
+    # nearest, or where the rule still grades toward u = 0, each consumer
+    # errs no more against a level-64 reference than the rule graded
+    # toward u = 0 did, or than the 1e-14 of the reference that rounding
+    # moves (TestKernelReference)
+    @staticmethod
+    def assert_within_zero_graded(got, old, want):
+        err, old_err = np.max(np.abs(got - want)), np.max(np.abs(old - want))
+        assert err <= max(old_err, 1e-14 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("phi, t, r", [
+        *[(theta1, t, r) for t, r in BRANCH_SIDES + EQUAL_SIDES],
+        *[(bump_profile(1.0), t, r) for t, r in BRANCH_SIDES + EQUAL_SIDES + KNOT_SIDES]],
+        ids=[f"theta1-{i}" for i in SIDE_IDS]
+        + [f"bump-{i}" for i in SIDE_IDS + ["knot-below", "knot-at", "knot-above"]])
+    def test_linear_field(self, monkeypatch, phi, t, r):
+        prof = meanprop._as_profile(phi)
+
+        def level(n_gl):
+            return meanprop._kernel_sums(t, r, meanprop._TWO_COSH, prof.knots,
+                                         meanprop._times_sinh(prof))(n_gl)[0] / np.pi
+
+        def field():
+            return linear_field(phi, [t], [r]).values[0, 0]
+
+        want = with_reference_kernel(monkeypatch, level, 64, kernel=graded_to_zero)
+        old = with_reference_kernel(monkeypatch, field, kernel=graded_to_zero)
+        self.assert_within_zero_graded(field(), old, want)
+
+    @pytest.mark.parametrize("t, r", BRANCH_SIDES + EQUAL_SIDES, ids=SIDE_IDS)
+    def test_table_row(self, monkeypatch, t, r):
+        # the row of (t, r) in the lag block of t, on the radii of the
+        # bench's contract grid: at level 8 its panels sit on the grid cells
+        r_grid = np.linspace(0.0, 4.0, 81)
+        j = int(np.argmin(np.abs(r_grid - r)))
+        assert r_grid[j] == r
+
+        def row():
+            return meanprop._lag_block(np.array([t]), r_grid, r_grid[1])[0, j]
+
+        with monkeypatch.context() as m:
+            m.setattr(meanprop, "_KERNEL_LEVEL", 64)
+            want = with_reference_kernel(monkeypatch, row, kernel=graded_to_zero)
+        old = with_reference_kernel(monkeypatch, row, kernel=graded_to_zero)
+        self.assert_within_zero_graded(row(), old, want)
+
+    @pytest.mark.parametrize("t, r, knots", [
+        (2.0, 0.5, None), (2.0, 2.0, None), (2.0 * (1.0 + 1e-12), 2.0, None),
+        (1.0, 4.0, bump_profile(1.0).knots), (0.5, 1.5, bump_profile(1.0).knots)],
+        ids=["t>r", "t=r", "t=r(1+1e-12)", "knot-at-3", "knot-at-1"])
+    def test_sides_singular_at_zero_keep_their_rule(self, t, r, knots):
+        # left sides, right sides with t >= r and sides with a knot at lam*
+        # get every node and weight of the rule graded toward u = 0
+        args = (np.array([t]), np.array([r]), meanprop._TWO_COSH, 1.0, knots)
+        got = list(meanprop._kernel_nodes(*args)(8))
+        want = list(graded_to_zero(*args)(8))
+        assert len(got) == len(want)
+        for chunk, ref in zip(got, want):
+            for x, y in zip(chunk, ref):
+                assert np.array_equal(x, y)
+
+    def test_node_counts(self, monkeypatch):
+        # the counter a speed claim on the field and contract workloads
+        # rests on: nodes of linear_field on the field bench's propagate
+        # grid (level 16) and of the 41 x 81 table (level 8)
+        calls = counting_kernel_nodes(monkeypatch)
+        linear_field(theta1, np.linspace(0.0, 2.0, 51), np.linspace(0.0, 8.0, 161))
+        field = sum(lam[0] * lam[1] for _, shapes in calls for _, lam, _ in shapes)
+        calls.clear()
+        _lag_matrices(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 4.0, 81))
+        table = sum(lam[0] * lam[1] for _, shapes in calls for _, lam, _ in shapes)
+        assert field <= 1_000_000 and table <= 900_000
 
 
 # the bench's contract grid, whose 40 lags end in a partial block of 1;

@@ -8,7 +8,8 @@ defining integrals and shares no code with hypwave.meanprop:
       W(t, r, f) = int f(lam) 2 K(kappa) / sqrt(a(M) - a(b)) dlam,
   b = |r - lam|, c = min(t, r + lam), M = max(t, r + lam),
   kappa = (a(c) - a(b)) / (a(M) - a(b)), over max(r - t, 0) < lam < r + t,
-  with mp.ellipk and mp.quad split at |t - r| and r + t;
+  with mp.ellipk (the kernel at 60 digits) and mp.quad split at |t - r|,
+  r + t and the profile's knots;
 * the sine propagator as I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi;
 * W's majorant pi int |f| (a(M) - a(c))^{-1/2} dlam over W's domain,
   with mp.quad split at |t - r| and the profile's knots;
@@ -52,16 +53,19 @@ def bump1_mp(lam):
     return ramp(2 * lam - 1) * ramp(7 - 2 * lam)
 
 
-def w_oracle(t, r, f, a):
+def w_oracle(t, r, f, a, knots=()):
     t, r = mp.mpf(t), mp.mpf(r)
 
     def kernel(lam):
-        b, c, M = abs(r - lam), min(t, r + lam), max(t, r + lam)
-        amb = a(M) - a(b)
-        return 2 * mp.ellipk((a(c) - a(b)) / amb) / mp.sqrt(amb)
+        # at twice the digits: next to lam* = t - r, a(M) - a(c) cancels
+        # the digits that a node's distance from lam* takes
+        with mp.workdps(2 * mp.mp.dps):
+            b, c, M = abs(r - lam), min(t, r + lam), max(t, r + lam)
+            amb = a(M) - a(b)
+            return 2 * mp.ellipk((a(c) - a(b)) / amb) / mp.sqrt(amb)
 
     lo, hi = max(r - t, 0), r + t
-    pts = [lo] + [p for p in (abs(t - r),) if lo < p < hi] + [hi]
+    pts = [lo] + sorted({p for p in (abs(t - r), *knots) if lo < p < hi}) + [hi]
     return mp.quad(lambda lam: f(lam) * kernel(lam), pts)
 
 
@@ -73,8 +77,9 @@ def majorant_oracle(t, r, f, a, knots=()):
     return mp.pi * mp.quad(g, [lo] + inner + [hi])
 
 
-def sine_oracle(t, r, phi):
-    return w_oracle(t, r, lambda lam: phi(lam) * mp.sinh(lam), WEIGHTS["2cosh"]) / mp.pi
+def sine_oracle(t, r, phi, knots=()):
+    return w_oracle(t, r, lambda lam: phi(lam) * mp.sinh(lam), WEIGHTS["2cosh"],
+                    knots) / mp.pi
 
 
 def mean_oracle(t, r, f):
@@ -101,6 +106,27 @@ SINE_POINTS = [(1.0, 0.5), (2.0, 0.0), (0.5, 0.0), (4.0, 2.0), (4.0, 6.0),
 @pytest.mark.parametrize("t, r", SINE_POINTS)
 def test_sine_propagator(t, r):
     assert rel(sine_propagator(theta1, t, r), sine_oracle(t, r, theta1_mp)) <= 1e-12
+
+
+# sides that the kernel rule grades toward their nearest non-analytic
+# point: the lam = 0 branch at (r - t)/H = 1e-6, 1e-2, 1 and 10; t = r
+# and t = r (1 -+ 1e-12), graded toward u = 0; for the bump, also a knot
+# 1e-3 below lam*, at lam* and 0.01 above it
+GRADING_SIDES = [(1.0 / (1.0 + 2.0 * q), 1.0) for q in (1e-6, 1e-2, 1.0)] + [
+    (0.1, 2.1), (2.0, 2.0), (2.0 * (1.0 - 1e-12), 2.0), (2.0 * (1.0 + 1e-12), 2.0)]
+BUMP_KNOTS = (0.5, 1.0, 3.0, 3.5)
+
+
+@pytest.mark.parametrize("profile, t, r", [
+    *[("theta1", t, r) for t, r in GRADING_SIDES],
+    *[("bump", t, r) for t, r in GRADING_SIDES + [(1.0, 4.001), (1.0, 4.0), (1.16, 4.15)]]])
+def test_sine_propagator_where_the_grading_follows_the_singularity(profile, t, r):
+    if profile == "theta1":
+        got, want = sine_propagator(theta1, t, r), sine_oracle(t, r, theta1_mp)
+    else:
+        got = sine_propagator(bump_profile(1.0), t, r)
+        want = sine_oracle(t, r, bump1_mp, BUMP_KNOTS)
+    assert rel(got, want) <= 1e-12
 
 
 @pytest.mark.parametrize("t, r", [(2.0, 0.5), (0.8, 1.6), (3.0, 3.0), (1.0, 4.0),

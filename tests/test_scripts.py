@@ -111,7 +111,9 @@ def test_csv_digest_contract_pair_and_compare(tmp_path, capsys):
     # one cell of one column moved by 1e-3 of itself
     path = new / "csv_digest" / "contract_threshold" / "ratios.csv"
     header, first, *rest = read_csv(path)
-    first[1] = repr(float(first[1]) * (1.0 + 1e-3))
+    moved = float(first[1]) * 1e-3
+    share = abs(moved) / max(abs(float(row[1])) for row in [first, *rest])
+    first[1] = repr(float(first[1]) + moved)
     path.write_text("\n".join(",".join(row) for row in [header, first, *rest]) + "\n",
                     encoding="utf-8")
     (new / "csv_digest" / "contract_solve" / "report.csv").unlink()
@@ -119,6 +121,24 @@ def test_csv_digest_contract_pair_and_compare(tmp_path, capsys):
     assert lines[2] == f"contract_solve/report.csv only in {old}"
     name, verdict = lines[3].split()
     assert name == "contract_threshold/ratios.csv"
-    column, rel = verdict.split("=")
-    assert column == "ratio" and abs(float(rel) - 1e-3) <= 1e-5
+    column, value = verdict.split("=")
+    rel, got_share = map(float, value.split("/"))
+    assert column == "ratio" and abs(rel - 1e-3) <= 1e-5
+    assert abs(got_share - share) <= 1e-2 * share
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_csv_digest_column_share(tmp_path):
+    # a row near 0 sets the relative difference; the share of the
+    # column's largest value shows how far the column moved as a whole
+    script = load("csv_digest")
+    old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+    old.write_text("r,u,kind,margin\n0.0,1.0,a,\n1.0,1e-10,b,4.0\n", encoding="utf-8")
+    new.write_text("r,u,kind,margin\n0.0,1.0,a,\n1.0,2e-10,c,3.0\n", encoding="utf-8")
+    diffs = script.column_differences(old, new)
+    assert list(diffs) == ["u", "kind", "margin"]
+    rel, share = diffs["u"]
+    assert abs(rel - 0.5) <= 1e-12 and abs(share - 1e-10) <= 1e-22
+    assert diffs["kind"] == (float("inf"), float("inf"))
+    # a blank cell that agrees is skipped
+    assert diffs["margin"] == (0.25, 0.25)
