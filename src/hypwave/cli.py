@@ -299,14 +299,26 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _grid_text(values):
+    """The %.17g text of a grid's values, for a column that two CSVs share:
+    _write_grid_csv writes it as it stands, so it is formatted once."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    return np.array(["%.17g" % v for v in values.ravel().tolist()],
+                    dtype=object).reshape(values.shape)
+
+
 def _write_grid_csv(path, header, t_grid, r_grid, *columns):
     """One row (t, r, column values...) per grid point, t-major: the bytes
     _write_csv gives for the same floats. Each t and each r is formatted
-    once; a time level's rows are then one format of its values."""
+    once; a time level's rows are then one format of its values. A column
+    may be _grid_text's text of its values instead."""
     import numpy as np
 
     t_txt = ["%.17g," % t for t in np.asarray(t_grid, dtype=float).tolist()]
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    line = ",".join(["%s" if np.asarray(c).dtype == object else "%.17g"
+                     for c in columns]) + "\n"
     cells = ["%.17g," % r + line for r in np.asarray(r_grid, dtype=float).tolist()]
     values = np.stack(columns, axis=-1).reshape(len(t_txt), -1).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -345,15 +357,18 @@ def cmd_propagate(config, out, seed):
         fd = fd_solve(u0, prof, None, fd_cfg)
 
     primary = kernel if kernel is not None else fd
+    # with both engines the kernel field is u of field.csv and kernel of
+    # diff.csv, formatted once
+    u = _grid_text(kernel.values) if engine == "both" else primary.values
     _write_grid_csv(out / "field.csv", ("t", "r", "u"), primary.t_grid,
-                    primary.r_grid, primary.values)
+                    primary.r_grid, u)
 
     if engine == "both":
         scale = float(np.max(np.abs(kernel.values)))
         if scale == 0.0:
             scale = 1.0
         _write_grid_csv(out / "diff.csv", ("t", "r", "kernel", "fd", "rel_err"),
-                        grid.t, grid.r, kernel.values, fd.values,
+                        grid.t, grid.r, u, fd.values,
                         np.abs(kernel.values - fd.values) / scale)
     return 0
 

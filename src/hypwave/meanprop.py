@@ -26,23 +26,27 @@ I(t, r, phi) = W(t, r, phi sinh, 2cosh) / pi. W's majorant
 pi int |f| (a(M) - a(c))^{-1/2} dlam lives on the same domain, with its
 square-root branch at the same lam*. One node builder
 (_kernel_nodes) lists that lam-rule for a set of (t, r) points, every
-radius of one time or a block of a whole grid: each side of the log
+radius of one time, a block of lags or a whole grid: each side of the log
 singularity lam* = |t - r| is mapped by lam = lam* +- H u^2 and graded
 geometrically toward its nearest non-analytic point (u = 0, or for a
 right side with t < r, which is analytic there, u = i y at the lam = 0
 branch or the nearest knot), with panels on the table's grid cells (so
 each integrates one cubic of the interpolant) or on unit steps and the
-profile's knots. Its evaluator yields chunks of whole panels, node-major
-(one row per node index, one column per panel), and keeps its
-intermediates in buffers that the chunks reuse. 1 - kappa and
-a(M) - a(b) come from the weight's product form (MonotoneWeight.s) as
-ratios and roots of factors of like size. The table reduces each panel
-of a block of whole lags, at most _POINT_BLOCK points, to the moments
-w xi^p of its grid cell. Every other consumer sums panels to points
-through one evaluator, _kernel_sums, in blocks of _POINT_BLOCK points:
-linear_field at one node level, sine_propagator, W_evaluator,
-w_majorant and globalsolver.claim_bound_check settled over doubling
-node levels.
+profile's knots. It builds the panels one group of points at a time. A
+group's panels fall into six tiers, by side of lam* and node count.
+Its evaluator yields chunks, each one evaluation of whole panels of
+one tier, node-major (one row per node index, one column per panel),
+and keeps its intermediates in buffers that the chunks reuse. A chunk
+may span groups: a tier's panels that do not fill one wait for the
+next group's. 1 - kappa and a(M) - a(b) come from the weight's product
+form (MonotoneWeight.s) as ratios and roots of factors of like size.
+The table reduces each panel of a block of whole lags, at most
+_POINT_BLOCK points and built as one group, to the moments w xi^p of
+its grid cell. Every other consumer sums panels to points through one
+evaluator, _kernel_sums, which hands all its points to one builder
+call in groups of _POINT_BLOCK: linear_field at one node level,
+sine_propagator, W_evaluator, w_majorant and
+globalsolver.claim_bound_check settled over doubling node levels.
 
 The spherical mean keeps a rule of its own, the independent check of its
 identities: cosh(lam) = midpoint + halfwidth*cos(theta) removes both
@@ -84,7 +88,9 @@ __all__ = [
 _PANEL_RATIO = 3.0  # growth factor of the mean's cosh(lam) panel breakpoints
 _DEGENERATE_REL = 1e-13
 _NODE_CHUNK = 1 << 14  # Gauss nodes _kernel_nodes expands at a time
-_POINT_BLOCK = 256  # (t, r) points per _kernel_nodes call of _kernel_sums and the table
+# (t, r) points per panel group of _kernel_sums' _kernel_nodes call, and
+# per table lag block (whole lags, at least one), built as one group
+_POINT_BLOCK = 256
 _SPECTRUM_SLAB = 8  # columns of every lag matrix per matrix product of _lag_spectrum
 _GRADE_RATIO = 0.2  # ratio of the kernel rule's graded breaks in u
 _GRADE_DEPTH = 1e-4  # deepest graded break in u, lam* + 1e-8 of the side
@@ -362,21 +368,32 @@ def _agm_K(m1, work=None):
     return np.divide(np.pi, a, out=a)
 
 
-def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
+def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False,
+                  group=None):
     """The rule for int f(lam) k_a(t_k, r_k, lam) dlam at every point
     (t_k, r_k), k_a = 2 K(kappa) / sqrt(a(M) - a(b)), or with majorant
     k_a = pi / sqrt(a(M) - a(c)), cut at lam_max; t and
-    r are arrays that broadcast, so a scalar t serves every radius. Builds
-    the panels once and returns nodes(n_gl), which yields chunks
-    (row, lam, w): row, shape (panels,), names each panel's point, and lam
-    and w, shape (n, panels), hold its n nodes and weights in column i
-    for panel i, so that the integral at point k ~= sum of w f(lam) over
-    the columns with row == k. The layout is node-major so that every
-    per-panel operand of the evaluator broadcasts along the long axis.
-    A chunk holds at most _NODE_CHUNK nodes, all from one side of lam*
-    with one node count n, rows ascending. row, lam and w are fresh
-    arrays the consumer owns; the evaluator's intermediates live in
-    buffers that every chunk of one nodes() call reuses.
+    r are arrays that broadcast, so a scalar t serves every radius.
+    Returns nodes(n_gl), which yields chunks (row, lam, w): row, shape
+    (panels,), names each panel's point, and lam and w, shape
+    (n, panels), hold its n nodes and weights in column i for panel i,
+    so that the integral at point k ~= sum of w f(lam) over the columns
+    with row == k. The layout is node-major so that every per-panel
+    operand of the evaluator broadcasts along the long axis. row, lam and
+    w are fresh arrays the consumer owns; the evaluator's intermediates
+    live in buffers that every chunk of one nodes() call reuses.
+
+    The panels are built one group at a time: a group is `group`
+    consecutive points (all of them by default), and the last group's
+    panels are kept, so a one-group call builds them once for every
+    level. A group's panels fall into six tiers, one per side of lam*
+    (right, left) and node count n (close, middle, far; see below), and
+    a chunk is one evaluation of at most _NODE_CHUNK nodes of one tier,
+    rows ascending. A tier's panels that do not fill a chunk are held,
+    with the operands the evaluator reads, until the next group's panels
+    of that tier fill it, so a chunk may span groups and only each
+    tier's last chunk is partial. A one-group call yields the tiers in
+    turn, each one's chunks in panel order.
 
     k_a has a log singularity at lam* = |t - r| (t >= r) and square-root
     branches 2r and |t - r| away from it. lam = lam* +- H u^2 (H the
@@ -415,81 +432,96 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
     or a subnormal radius such as 5e-324 the factors leave the normal
     range and the weights overflow.
     """
-    t, r = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r, dtype=float))
-    # two sides per point: up from lam* to r + t, and (t > r) down to 0
-    H = np.stack([2.0 * np.minimum(r, t), np.maximum(t - r, 0.0)], axis=1).ravel()
-    side = np.flatnonzero(H > 0.0)
-    H, row, right = H[side], side // 2, side % 2 == 0
-    tt, rr, sgn = t[row], r[row], np.where(right, 1.0, -1.0)
-    st = np.abs(tt - rr)
-    near = np.where(right, st, 2.0 * rr)  # lam* to the next branch
-    depth = _GRADE_DEPTH * np.where(near > 0.0, np.clip(np.sqrt(near / H), 1e-8, 1.0), 1.0)
-    # u = i y, the nearest non-analytic point of a right side with t < r;
-    # the nearest knot counts on either side of lam*, since one just above
-    # ends a panel near u = 0 that the graded breaks still resolve
-    reach = np.where(right & (tt < rr), st, 0.0)
-    if knots is not None:
-        gap = np.abs(st[:, None] - np.asarray(knots, dtype=float))
-        reach = np.minimum(reach, gap.min(axis=1, initial=np.inf))
-    y = np.sqrt(reach / H)
-    depth = np.maximum(depth, _GRADE_REACH * y)
-    n_grade = np.floor(np.log(2.0 * depth) / np.log(_GRADE_RATIO)) + 1
-    k = np.arange(n_grade.max(initial=0))
-    graded = np.where(k < n_grade[:, None], 0.5 * _GRADE_RATIO ** k, 0.0)
-    # the breaks of the farthest-reaching point; past a side's end they
-    # clip onto it and drop out
-    lam_b = step * np.arange(1.0, np.ceil(min(lam_max, (t + r).max(initial=0.0)) / step))
-    if knots is not None:
-        lam_b = np.concatenate([lam_b, knots])
-    # u of lam_max, then of the other breaks, on every side; a break
-    # within 4 ulps of t + r goes to u = 1, the right side's end
-    u_b = np.sqrt(np.maximum(sgn[:, None] * (np.append(lam_max, lam_b) - st[:, None]),
-                             0.0) / H[:, None])
-    end = (tt + rr)[:, None]
-    u_b[:, 1:][np.abs(lam_b - end) <= 4.0 * np.finfo(float).eps * end] = 1.0
-    u_lo = np.where(right, 0.0, np.minimum(u_b[:, 0], 1.0))
-    u_hi = np.where(right, np.minimum(u_b[:, 0], 1.0), 1.0)
-    u = np.concatenate([u_lo[:, None], u_hi[:, None], graded, u_b[:, 1:]], axis=1)
-    u = np.sort(np.clip(u, u_lo[:, None], u_hi[:, None]), axis=1)
-    o, p = np.nonzero(u[:, 1:] > u[:, :-1])
-    mid, half = 0.5 * (u[o, p + 1] + u[o, p]), 0.5 * (u[o, p + 1] - u[o, p])
-
+    t, r = (x.ravel() for x in np.broadcast_arrays(np.asarray(t, dtype=float),
+                                                   np.asarray(r, dtype=float)))
+    group = group or max(t.size, 1)
     s = a.s
-    top, over = np.maximum(tt, rr), np.maximum(rr - tt, 0.0)
-    s_r = s(rr)
-    xi = np.hypot(mid, y[o]) / half  # the panel's centre in halfwidths from u = i y
-    close = xi < 4.0
-    far = (xi >= 16.0) & (H[o] * 4.0 * mid * half <= 0.25)
-    on_right = right[o]
-    tiers = [(np.flatnonzero(sel & (on_right == is_right)), times, is_right)
-             for sel, times in ((close, 2.0), (~close & ~far, 1.0), (far, 0.75))
-             for is_right in (True, False)]
 
-    def chunk(pool, b, n, xg, wg, is_right):
-        # lam and w of the panels b, shaped (n, panels), from the five node
-        # buffers in pool; a function, so that no intermediate outlives it.
+    @lru_cache(maxsize=1)
+    def panels(g):
+        # the panels of the points g .. g + group - 1, tier by tier: their
+        # points, the operands (mid, half, t, r) that chunk() reads, one
+        # row each, and where each tier starts
+        t_g, r_g = t[g:g + group], r[g:g + group]
+        # two sides per point: up from lam* to r + t, and (t > r) down to 0
+        H = np.stack([2.0 * np.minimum(r_g, t_g), np.maximum(t_g - r_g, 0.0)], axis=1).ravel()
+        side = np.flatnonzero(H > 0.0)
+        H, row, right = H[side], side // 2, side % 2 == 0
+        tt, rr, sgn = t_g[row], r_g[row], np.where(right, 1.0, -1.0)
+        st = np.abs(tt - rr)
+        near = np.where(right, st, 2.0 * rr)  # lam* to the next branch
+        depth = _GRADE_DEPTH * np.where(near > 0.0, np.clip(np.sqrt(near / H), 1e-8, 1.0), 1.0)
+        # u = i y, the nearest non-analytic point of a right side with t < r;
+        # the nearest knot counts on either side of lam*, since one just above
+        # ends a panel near u = 0 that the graded breaks still resolve
+        reach = np.where(right & (tt < rr), st, 0.0)
+        if knots is not None:
+            gap = np.abs(st[:, None] - np.asarray(knots, dtype=float))
+            reach = np.minimum(reach, gap.min(axis=1, initial=np.inf))
+        y = np.sqrt(reach / H)
+        depth = np.maximum(depth, _GRADE_REACH * y)
+        n_grade = np.floor(np.log(2.0 * depth) / np.log(_GRADE_RATIO)) + 1
+        k = np.arange(n_grade.max(initial=0))
+        graded = np.where(k < n_grade[:, None], 0.5 * _GRADE_RATIO ** k, 0.0)
+        # the breaks of the group's farthest-reaching point; past a side's
+        # end they clip onto it and drop out
+        lam_b = step * np.arange(1.0, np.ceil(min(lam_max, (t_g + r_g).max(initial=0.0)) / step))
+        if knots is not None:
+            lam_b = np.concatenate([lam_b, knots])
+        # u of lam_max, then of the other breaks, on every side; a break
+        # within 4 ulps of t + r goes to u = 1, the right side's end
+        u_b = np.sqrt(np.maximum(sgn[:, None] * (np.append(lam_max, lam_b) - st[:, None]),
+                                 0.0) / H[:, None])
+        end = (tt + rr)[:, None]
+        u_b[:, 1:][np.abs(lam_b - end) <= 4.0 * np.finfo(float).eps * end] = 1.0
+        u_lo = np.where(right, 0.0, np.minimum(u_b[:, 0], 1.0))
+        u_hi = np.where(right, np.minimum(u_b[:, 0], 1.0), 1.0)
+        u = np.concatenate([u_lo[:, None], u_hi[:, None], graded, u_b[:, 1:]], axis=1)
+        u = np.sort(np.clip(u, u_lo[:, None], u_hi[:, None]), axis=1)
+        # each panel's ends lo < hi, at flat indices i and i + 1 of u; o its side
+        i = np.flatnonzero(u[:, 1:] > u[:, :-1])
+        o = i // (u.shape[1] - 1)
+        i += o
+        lo, hi = u.ravel()[i], u.ravel()[i + 1]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        xi = np.hypot(mid, y[o]) / half  # the panel's centre in halfwidths from u = i y
+        close = xi < 4.0
+        far = (xi >= 16.0) & (H[o] * 4.0 * mid * half <= 0.25)
+        # tiers 0, 1 close, 2, 3 middle, 4, 5 far, each on the right side,
+        # then the left; a stable sort keeps each tier's rows ascending
+        tier = np.where(close, 0, np.where(far, 4, 2)).astype(np.int8) + ~right[o]
+        order = np.argsort(tier, kind="stable")
+        ob = o[order]
+        cuts = np.concatenate([[0], np.cumsum(np.bincount(tier, minlength=6))])
+        return row[ob] + g, np.stack([mid[order], half[order], tt[ob], rr[ob]]), cuts
+
+    def chunk(pool, ops, n, xg, wg, is_right):
+        # lam and w, shaped (n, panels), of the panels whose (mid, half, t,
+        # r) are the columns of ops, from the five node buffers in pool; a
+        # function, so that no intermediate outlives it.
         # a(M) - a(c) = 4 s(P) s(Q) and a(M) - a(b) = 4 s(X) s(Y), where
         # P, Q, X and Y are turned into their s in place
-        ob = o[b]
-        U, D, P, Q, X = pool[:, :n * b.size].reshape(5, n, b.size)
-        stb = st[ob]
-        np.multiply(xg, half[b], out=U)
-        U += mid[b]  # u
-        np.multiply(0.5 * H[ob], U, out=D)
+        mid, half, tp, rp = ops
+        st = np.abs(tp - rp)
+        H = 2.0 * np.minimum(rp, tp) if is_right else np.maximum(tp - rp, 0.0)
+        U, D, P, Q, X = pool[:, :n * mid.size].reshape(5, n, mid.size)
+        np.multiply(xg, half, out=U)
+        U += mid  # u
+        np.multiply(0.5 * H, U, out=D)
         D *= U  # d/2
         lam = np.add(D, D)
         if is_right:
-            lam += stb
-            s(np.add(D, top[ob], out=P), out=P)
-            s(np.add(D, over[ob], out=Q), out=Q)
+            lam += st
+            s(np.add(D, np.maximum(tp, rp), out=P), out=P)
+            s(np.add(D, np.maximum(rp - tp, 0.0), out=Q), out=Q)
             s(lam, out=X)
-            Y = s_r[ob]
+            Y = s(rp)
         else:
-            np.subtract(stb, lam, out=lam)
-            s(np.subtract(tt[ob], D, out=P), out=P)
-            s(np.subtract(stb, D, out=X), out=X)  # lam + d/2
+            np.subtract(st, lam, out=lam)
+            s(np.subtract(tp, D, out=P), out=P)
+            s(np.subtract(st, D, out=X), out=X)  # lam + d/2
             s(D, out=Q)
-            Y = s(np.add(rr[ob], D, out=D), out=D)
+            Y = s(np.add(rp, D, out=D), out=D)
         if majorant:  # pi / sqrt(a(M) - a(c))
             K = np.sqrt(P, out=P)
             K *= np.sqrt(Q, out=Q)
@@ -503,8 +535,8 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
             X *= np.sqrt(Y, out=Y)
             K = _agm_K(P, work=(Q, D))
             K /= X  # 2 K / sqrt(a(M) - a(b))
-        np.multiply(2.0 * H[ob], U, out=U)  # dlam/du
-        np.multiply(wg, half[b], out=D)
+        np.multiply(2.0 * H, U, out=U)  # dlam/du
+        np.multiply(wg, half, out=D)
         D *= U
         return lam, np.multiply(D, K)
 
@@ -512,13 +544,41 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
         # five node buffers, each as long as the largest chunk (a chunk
         # holds one panel when its 2 n_gl nodes exceed _NODE_CHUNK)
         pool = np.empty((5, max(_NODE_CHUNK, 2 * n_gl)))
-        for sel, times, is_right in tiers:
+        rules = []
+        for times in (2.0, 1.0, 0.75):  # close, middle, far
             n = int(times * n_gl)
-            xg, wg = (g[:, None] for g in leggauss(n))
-            per = max(_NODE_CHUNK // n, 1)
-            for first in range(0, sel.size, per):
-                b = sel[first:first + per]
-                yield row[o[b]], *chunk(pool, b, n, xg, wg, is_right)
+            xg, wg = (x[:, None] for x in leggauss(n))
+            rules += [(n, xg, wg, max(_NODE_CHUNK // n, 1), is_right)
+                      for is_right in (True, False)]
+        # per tier, the panels that did not fill a chunk, held with their
+        # operands until the next group's panels fill it
+        held = [(np.empty(per, dtype=np.intp), np.empty((4, per)))
+                for _, _, _, per, _ in rules] if group < t.size else None
+        fill = [0] * len(rules)
+        for g in range(0, t.size, group):
+            last = g + group >= t.size
+            rows, opss, cuts = panels(g)
+            for k, (n, xg, wg, per, is_right) in enumerate(rules):
+                row, ops = rows[cuts[k]:cuts[k + 1]], opss[:, cuts[k]:cuts[k + 1]]
+                if fill[k]:  # the held panels come first
+                    h_row, h_ops = held[k]
+                    take = min(per - fill[k], row.size)
+                    h_row[fill[k]:fill[k] + take] = row[:take]
+                    h_ops[:, fill[k]:fill[k] + take] = ops[:, :take]
+                    fill[k] += take
+                    row, ops = row[take:], ops[:, take:]
+                    if fill[k] == per or last:
+                        yield (h_row[:fill[k]].copy(),
+                               *chunk(pool, h_ops[:, :fill[k]], n, xg, wg, is_right))
+                        fill[k] = 0
+                stop = row.size if last else row.size - row.size % per
+                for f in range(0, stop, per):
+                    yield (row[f:f + per].copy(),
+                           *chunk(pool, ops[:, f:f + per], n, xg, wg, is_right))
+                if stop < row.size:  # then no panel is held yet
+                    fill[k] = row.size - stop
+                    held[k][0][:fill[k]] = row[stop:]
+                    held[k][1][:, :fill[k]] = ops[:, stop:]
 
     return nodes
 
@@ -526,26 +586,24 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
 def _kernel_sums(t, r, a, knots, weigh, majorant=False):
     """sums(n_gl): the kernel rule's integrals at the points (t, r), which
     broadcast, with n_gl Gauss nodes per panel on unit panels and the
-    knots. The points go to _kernel_nodes in blocks of _POINT_BLOCK; the
-    last block's panels are kept, so a one-block call builds them once
-    for every level. weigh(w, lam, row) scales a chunk's w in place by the
+    knots. All the points go to one _kernel_nodes call, which builds
+    their panels in groups of _POINT_BLOCK points and fills its chunks
+    across the groups; a call of one group builds its panels once for
+    every level. weigh(w, lam, row) scales a chunk's w in place by the
     integrand, row naming each panel's point; each panel is summed, and
     the panel sums go to their points with one bincount per chunk."""
     t, r = (x.ravel() for x in np.broadcast_arrays(np.asarray(t, dtype=float),
                                                    np.asarray(r, dtype=float)))
-
-    @lru_cache(maxsize=1)
-    def block(s):
-        return _kernel_nodes(t[s:s + _POINT_BLOCK], r[s:s + _POINT_BLOCK], a, 1.0,
-                             knots, majorant=majorant)
+    nodes = _kernel_nodes(t, r, a, 1.0, knots, majorant=majorant, group=_POINT_BLOCK)
 
     def sums(n_gl):
         out = np.zeros(t.size)
-        for s in range(0, t.size, _POINT_BLOCK):
-            acc = out[s:s + _POINT_BLOCK]
-            for row, lam, w in block(s)(n_gl):
-                weigh(w, lam, row + s)
-                acc += np.bincount(row, weights=w.sum(axis=0), minlength=acc.size)
+        for row, lam, w in nodes(n_gl):
+            weigh(w, lam, row)
+            # rows ascend, so a chunk adds to the points row[0] .. row[-1]
+            lo = row[0]
+            out[lo:row[-1] + 1] += np.bincount(row - lo, weights=w.sum(axis=0))
+            del lam, w  # before the next chunk is made
         return out
 
     return sums
@@ -690,7 +748,7 @@ def _add_moments(mom, width, inv_dr, row, lam, w):
 
 def _lag_block(t, r_grid, dr):
     """A[d] for the lags t = d dt of one block, shape (t.size, n_r, n_r),
-    from one _kernel_nodes call over all their points."""
+    from one _kernel_nodes call over all their points, one group."""
     n_r = r_grid.size
     width = n_r + 2  # cells l0 = 0 .. n_r, then the dump cell
     points = t.size * n_r

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from hypwave.blowlab import bump_profile
 from hypwave import meanprop
-from hypwave.hypgeo import DomainError, EnvelopeParams, cg_nodes, theta_k
+from hypwave.hypgeo import DomainError, EnvelopeParams, Grid, cg_nodes, theta_k
 from hypwave.meanprop import (
     MonotoneWeight,
     PropagatorTable,
@@ -859,8 +859,13 @@ def gap_kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False):
 
 
 def with_reference_kernel(monkeypatch, fn, *args, kernel=reference_kernel_nodes):
+    """fn(*args) with kernel in place of _kernel_nodes; the references
+    build every point's panels at once, so they take no group."""
+    def whole(*a, group=None, **kw):
+        return kernel(*a, **kw)
+
     with monkeypatch.context() as m:
-        m.setattr(meanprop, "_kernel_nodes", kernel)
+        m.setattr(meanprop, "_kernel_nodes", whole)
         return fn(*args)
 
 
@@ -1195,18 +1200,23 @@ def nodes_by_point(chunks, n_points):
     return lam_of, w_of
 
 
-# t = 0 and its shifts by +-dt/2, as linear_data_field evaluates them
+# t = 0 and its shifts by +-dt/2, as linear_data_field evaluates them;
+# and on twice the radii, 671 points, three groups of _POINT_BLOCK
 _T = np.linspace(0.0, 2.0, 11)
 _DT = _T[1] - _T[0]
+GROUP_GRID = (_T, np.linspace(0.0, 6.0, 61))
 BLOCK_GRIDS = [(_T, np.linspace(0.0, 6.0, 31)),
                (_T[1:] + 0.5 * _DT, np.linspace(0.0, 6.0, 31)),
-               (_T[1:] - 0.5 * _DT, np.linspace(0.0, 6.0, 31))]
+               (_T[1:] - 0.5 * _DT, np.linspace(0.0, 6.0, 31)),
+               GROUP_GRID]
 
 
 class TestLinearFieldBlocks:
-    # linear_field hands _kernel_nodes blocks of t-major points; per point
-    # it sums panel sums, so only the rounding of the sums moves
-    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=["with-t0", "plus-dt/2", "minus-dt/2"])
+    # linear_field hands _kernel_nodes all its t-major points, whose
+    # panels it builds in groups of _POINT_BLOCK; per point it sums panel
+    # sums, so only the rounding of the sums moves
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS,
+                             ids=["with-t0", "plus-dt/2", "minus-dt/2", "three-groups"])
     @pytest.mark.parametrize("phi", [theta1, 1.0, bump_profile(1.0)],
                              ids=["theta1", "constant", "bump"])
     def test_matches_the_per_level_loop(self, grid, phi):
@@ -1221,16 +1231,6 @@ class TestLinearFieldBlocks:
         for block in (1, 7, t_grid.size * r_grid.size):
             monkeypatch.setattr(meanprop, "_POINT_BLOCK", block)
             assert_close_to_max(linear_field(phi, t_grid, r_grid).values, want, 1e-15)
-
-    def test_one_block_per_call(self, monkeypatch):
-        calls = counting_kernel_nodes(monkeypatch)
-        t_grid, r_grid = BLOCK_GRIDS[0]
-        linear_field(theta1, t_grid, r_grid)
-        sizes = [size for size, _ in calls]
-        n = t_grid.size * r_grid.size
-        assert n > meanprop._POINT_BLOCK
-        assert max(sizes) <= meanprop._POINT_BLOCK and sum(sizes) == n
-        assert len(sizes) == -(-n // meanprop._POINT_BLOCK)
 
     @pytest.mark.parametrize("step, knots, lam_max", [
         (1.0, bump_profile(1.0).knots, np.inf), (0.25, None, 4.5)],
@@ -1297,9 +1297,65 @@ class TestSliverPanels:
                 assert np.array_equal(x, y)
 
 
+class TestFullChunks:
+    # one _kernel_nodes call takes all of linear_field's points and builds
+    # their panels group by group; a tier's leftover panels wait for the
+    # next group's, so only each tier's last chunk is partial
+    @pytest.mark.parametrize("grid, nodes, chunks", [
+        ({"t_max": 2.0, "r_max": 8.0, "dt": 0.04, "dr": 0.05}, 901_624, 61),
+        ({"t_max": 6.0, "r_max": 6.0, "dt": 0.2, "dr": 0.2}, 286_404, 24)],
+        ids=["propagate-grid", "decay-grid"])
+    def test_counts(self, monkeypatch, grid, nodes, chunks):
+        # the field bench's grids: the counters its speed rests on
+        calls = counting_kernel_nodes(monkeypatch)
+        g = Grid(**grid)
+        linear_field(theta1, g.t, g.r)
+        (_, shapes), = calls
+        assert sum(n * panels for _, (n, panels), _ in shapes) == nodes
+        assert len(shapes) <= chunks
+
+    def test_only_the_last_chunk_of_a_tier_is_partial(self, monkeypatch):
+        calls = counting_kernel_nodes(monkeypatch)
+        linear_field(bump_profile(1.0), *GROUP_GRID)
+        (points, shapes), = calls
+        assert points > 2 * meanprop._POINT_BLOCK
+        partial = {}
+        for _, (n, panels), _ in shapes:
+            full = max(meanprop._NODE_CHUNK // n, 1)
+            assert panels <= full
+            partial[n] = partial.get(n, 0) + (panels < full)
+        # two tiers, right and left side, per node count
+        assert len(partial) == 3 and max(partial.values()) <= 2
+
+    @pytest.mark.parametrize("step, knots, lam_max", [
+        (1.0, bump_profile(1.0).knots, np.inf), (0.25, None, 4.5)],
+        ids=["unit-steps-and-knots", "grid-steps-cut"])
+    def test_nodes_do_not_depend_on_the_groups(self, step, knots, lam_max):
+        # every point's panels, bit for bit, as in a one-group call of its
+        # own time level; a chunk may hold a point's panels in another
+        # order, so each point's are compared sorted by their first node
+        t_levels, r_grid = GROUP_GRID
+        T, R = (g.ravel() for g in np.meshgrid(t_levels, r_grid, indexing="ij"))
+        for a in (meanprop._TWO_COSH, MonotoneWeight.s_squared()):
+            nodes = meanprop._kernel_nodes(T, R, a, step, knots, lam_max,
+                                           group=meanprop._POINT_BLOCK)
+            lam_of, w_of = nodes_by_point(nodes(8), T.size)
+            for i, t in enumerate(t_levels):
+                own = meanprop._kernel_nodes(t, r_grid, a, step, knots, lam_max)(8)
+                lam_own, w_own = nodes_by_point(own, r_grid.size)
+                assert (t > 0.0) == any(lam_own)  # points at t = 0 get none
+                for j in range(r_grid.size):
+                    k = i * r_grid.size + j
+                    assert len(lam_of[k]) == len(lam_own[j])
+                    got = sorted(zip(lam_of[k], w_of[k]), key=lambda p: p[0][0])
+                    want = sorted(zip(lam_own[j], w_own[j]), key=lambda p: p[0][0])
+                    for x, y in zip(got, want):
+                        assert np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+
+
 class TestKernelSums:
-    # _kernel_sums builds a call's panels once per block of points and
-    # reuses them at every node level
+    # _kernel_sums makes one _kernel_nodes call, which builds the panels
+    # of a one-group call once and reuses them at every node level
     @pytest.mark.parametrize("t, r", [(0.5, 0.5), (4.0, 2.0), (8.0, 8.0)])
     def test_one_kernel_call_per_pointwise_rule(self, monkeypatch, weight, t, r):
         calls = counting_kernel_nodes(monkeypatch)
@@ -1318,9 +1374,10 @@ class TestKernelSums:
         n_tau = max(8, 2 * int(np.ceil(2.0 * t)))
         assert [size for size, _ in calls] == [n_tau]
 
-    def test_blocks_of_a_larger_call(self, monkeypatch):
-        # more points than _POINT_BLOCK: one call per block and level, the
-        # sums those of one call per point, row naming the point among all
+    def test_groups_of_a_larger_call(self, monkeypatch):
+        # more points than _POINT_BLOCK: one call for all groups and
+        # levels, the sums those of one call per point, row naming the
+        # point among all
         t, r = np.linspace(0.1, 3.0, 7), np.linspace(0.0, 2.0, 5)[:, None]
         T, R = (x.ravel() for x in np.broadcast_arrays(t, r))
 
@@ -1337,7 +1394,7 @@ class TestKernelSums:
         sums = meanprop._kernel_sums(t, r, a, None, weigh_by(T))
         for n_gl in (8, 16):
             sums(n_gl)
-        assert [size for size, _ in calls] == 2 * ([4] * 8 + [3])
+        assert [size for size, _ in calls] == [35]
         assert_close_to_max(sums(8), want, 1e-15)
 
 
