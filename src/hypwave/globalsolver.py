@@ -15,11 +15,16 @@ computes the guaranteed local existence window.
 
 Heavy objects (the gridded propagation table and the empirical N_h) are
 cached per grid, so repeated probes at different eps share one table
-build. The random pair shapes of a probe are cached per (seed, number
-of pairs, grid), so a threshold search, which bisects through
-contraction_probe, draws them once and only rescales them per eps; and
-every probe evaluates all of its pairs with one stacked Duhamel call on
-the differences F(u) - F(v), which linearity allows.
+build. A probe's field u = 2 eps N_h S_u / Phi_h is a random unit shape
+S_u (sup 1) over the weight, scaled to the ball radius, so the norm
+||u - v|| of a pair is that radius times max |S_u - S_v|. What does not
+depend on eps is therefore computed once and cached: Phi_h per (grid,
+h), and the quotients S / Phi_h with every pair's max |S_u - S_v| per
+(seed, number of pairs, grid, h). A threshold search, which bisects
+through contraction_probe, pays per eps only for its probes: one whose
+ball leaves the envelope escapes before any array work, and every other
+one evaluates all of its pairs with one stacked Duhamel call on the
+differences F(u) - F(v), which linearity allows.
 """
 
 from __future__ import annotations
@@ -170,8 +175,17 @@ def clear_caches():
     so that the next call pays what a fresh process pays."""
     _TABLE_CACHE.clear()
     _NH_CACHE.clear()
-    _pair_shapes.cache_clear()
+    _grid_phi.cache_clear()
+    _pair_quotients.cache_clear()
     leggauss.cache_clear()
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_phi(grid, h):
+    """phi_weight_grid on the Grid grid; cached per (grid, h), read-only."""
+    phi = phi_weight_grid(grid.t, grid.r, h)
+    phi.flags.writeable = False
+    return phi
 
 
 def _get_table(cfg: SolverConfig):
@@ -213,7 +227,7 @@ def estimate_N_h(k, h, cfg: SolverConfig):
     if key not in _NH_CACHE:
         env = EnvelopeParams(k=k)
         vals = linear_data_field(0.0, lambda lam: theta_k(lam, env), cfg)
-        phi = phi_weight_grid(cfg.grid.t, cfg.grid.r, h)
+        phi = _grid_phi(cfg.grid, h)
         _NH_CACHE[key] = 1.1 * float(np.max(phi * np.abs(vals)))
     return _NH_CACHE[key]
 
@@ -277,15 +291,20 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
 # contraction measurement
 
 
-def _unit_shape(rng, T, R):
-    """A smooth random field of sup 1: tensor random Fourier features."""
-    xi = np.zeros_like(T)
+def _unit_shape(rng, t, r):
+    """A smooth random field of sup 1 on the grid t x r: a sum of random
+    Fourier features a cos(w_t t + w_r r + phase). Each feature splits as
+    cos(w_t t + phase) cos(w_r r) - sin(w_t t + phase) sin(w_r r), so the
+    sum is one product of an (n_t, 2m) and a (2m, n_r) matrix of 1-D
+    cosines and sines, m = _N_FEATURES."""
     amps = rng.standard_normal(_N_FEATURES)
     w_t = rng.uniform(0.0, 1.5, _N_FEATURES)
     w_r = rng.uniform(0.0, 1.5, _N_FEATURES)
     phase = rng.uniform(0.0, 2.0 * np.pi, _N_FEATURES)
-    for a, wt, wr, ph in zip(amps, w_t, w_r, phase):
-        xi += a * np.cos(wt * T + wr * R + ph)
+    arg_t = np.outer(t, w_t) + phase
+    arg_r = np.outer(w_r, r)
+    xi = (np.hstack([amps * np.cos(arg_t), -amps * np.sin(arg_t)])
+          @ np.vstack([np.cos(arg_r), np.sin(arg_r)]))
     sup = np.max(np.abs(xi))
     if sup == 0.0:
         xi[:] = 1.0
@@ -293,27 +312,37 @@ def _unit_shape(rng, T, R):
     return xi / sup
 
 
-@functools.lru_cache(maxsize=4)
 def _pair_shapes(rng_seed, n_pairs, grid):
     """The unit shapes of n_pairs pairs (u, v) on the Grid grid, shape
     (n_pairs, 2, n_t, n_r), drawn in the order u, v, u, v, ... from one
-    generator seeded with the integer rng_seed. Cached and read-only, so
-    the probes of a threshold search share one draw."""
-    if n_pairs < 1:
-        raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
+    generator seeded with the integer rng_seed. Not cached: each call
+    draws a fresh array, and _pair_quotients keeps what a search needs
+    of it."""
     rng = np.random.default_rng(rng_seed)
-    T, R = np.meshgrid(grid.t, grid.r, indexing="ij")
-    shapes = np.array([[_unit_shape(rng, T, R), _unit_shape(rng, T, R)]
-                       for _ in range(n_pairs)])
-    shapes.flags.writeable = False
+    shapes = np.empty((n_pairs, 2, grid.t.size, grid.r.size))
+    for shape in shapes.reshape(2 * n_pairs, grid.t.size, grid.r.size):
+        shape[...] = _unit_shape(rng, grid.t, grid.r)
     return shapes
 
 
-def _pair_ratios(table, F, phi, U, V):
-    """||L F(u) - L F(v)|| / ||u - v|| in the Phi norm for stacks of pairs,
-    None where u = v. L is linear, so one Duhamel call on the stacked
-    differences F(u) - F(v) serves every pair."""
-    denom = np.max(phi * np.abs(U - V), axis=(1, 2))
+@functools.lru_cache(maxsize=4)
+def _pair_quotients(rng_seed, n_pairs, grid, h):
+    """(Q, norms) for the shapes S of _pair_shapes: Q = S / Phi_h, of the
+    shapes' shape and read-only, and norms[i] = max |S_u - S_v| of pair
+    i. Cached, so the probes of a threshold search share one draw; S is
+    divided in place, so the cache holds no second array of its size."""
+    shapes = _pair_shapes(rng_seed, n_pairs, grid)
+    norms = np.max(np.abs(shapes[:, 0] - shapes[:, 1]), axis=(1, 2))
+    shapes /= _grid_phi(grid, h)
+    shapes.flags.writeable = False
+    return shapes, norms
+
+
+def _pair_ratios(table, F, phi, U, V, denom):
+    """||L F(u) - L F(v)|| / ||u - v|| in the Phi norm for stacks of pairs
+    with norms denom = ||u - v||, None where u = v. L is linear, so one
+    Duhamel call on the stacked differences F(u) - F(v) serves every
+    pair."""
     num = np.max(phi * np.abs(table.duhamel_field(F(U) - F(V))), axis=(1, 2))
     return [float(n) / float(d) if d != 0.0 else None
             for n, d in zip(num, denom)]
@@ -327,25 +356,28 @@ def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
     to the ball radius 2 eps N_h and reports the largest ratio
     ||L F(u) - L F(v)|| / ||u - v|| in the Phi_h norm. Degenerate pairs
     (u = v) are skipped. All pairs share one stacked Duhamel call. The
-    pair shapes do not depend on eps (only the ball radius scales them)
-    and are cached per (rng_seed, n_pairs, grid), so rng_seed must be a
-    nonnegative integer: a Generator or None would freeze one draw.
+    pairs are the radius times the quotients of _pair_quotients, and
+    ||u - v|| is the radius times their cached max |S_u - S_v|; both are
+    cached per (rng_seed, n_pairs, grid, h), so rng_seed must be a
+    nonnegative integer: a Generator or None would freeze one draw. After
+    checking rng_seed and n_pairs, a probe whose ball exceeds 1/A raises
+    EscapeError before it touches the shapes, Phi_h or the table.
     """
     if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
         raise DomainError(
             f"rng_seed must be a nonnegative integer, got {rng_seed!r}")
-    units = _pair_shapes(int(rng_seed), n_pairs, cfg.grid)
-    table = _get_table(cfg)
-    F = nonlinearity(spec)
-    phi = phi_weight_grid(cfg.grid.t, cfg.grid.r, cfg.h)
+    if n_pairs < 1:
+        raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
     radius = 2.0 * cfg.epsilon * estimate_N_h(data_k, cfg.h, cfg)
     if radius > 1.0 / spec.A:
         raise EscapeError(
             f"ball radius 2 eps N_h = {radius:.4g} exceeds 1/A = "
             f"{1.0 / spec.A:.4g}; the envelope does not apply")
-    U = radius * units[:, 0] / phi
-    V = radius * units[:, 1] / phi
-    ratios = [r for r in _pair_ratios(table, F, phi, U, V) if r is not None]
+    quotients, norms = _pair_quotients(int(rng_seed), n_pairs, cfg.grid, cfg.h)
+    ratios = _pair_ratios(_get_table(cfg), nonlinearity(spec),
+                          _grid_phi(cfg.grid, cfg.h), radius * quotients[:, 0],
+                          radius * quotients[:, 1], radius * norms)
+    ratios = [r for r in ratios if r is not None]
     max_ratio = max(ratios) if ratios else 0.0
     return ContractionReport(epsilon=cfg.epsilon, sampled_pairs=len(ratios),
                              max_ratio=max_ratio, ratios=tuple(ratios))

@@ -18,6 +18,9 @@ independent check of what the library computes another way:
 * per_lag_table, PropagatorTable's matrices built one _kernel_nodes call
   per lag, each node scattered to its cell's moments in panel order, the
   check of the table's lag blocks;
+* unit_shape_per_point, a contraction pair shape as the sum of its
+  random Fourier features evaluated at every grid point, the check of
+  globalsolver._unit_shape's product of 1-D cosines and sines;
 * per_tau_claim, the claim integral of globalsolver.claim_bound_check as
   a Simpson sum of one settled W_evaluator per tau node, the check of its
   one kernel call over every lag;
@@ -38,7 +41,7 @@ import math
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from hypwave.globalsolver import _TAU_PER_UNIT
+from hypwave.globalsolver import _N_FEATURES, _TAU_PER_UNIT
 from hypwave.hypgeo import DomainError, bracket, log_sinh
 from hypwave.meanprop import (_KERNEL_LEVEL, _STENCIL, _TWO_COSH, MonotoneWeight,
                               RadialProfile, W_evaluator, _as_profile,
@@ -194,6 +197,22 @@ def _lag_matrix(t, r_grid, dr):
         M[:, o:o + width] += coef[o]
     M[:, 2] += M[:, 0]  # even reflection through r = 0: entry -1 is entry 1
     return M[:, 1:n_r + 1]
+
+
+def unit_shape_per_point(rng, t, r):
+    """globalsolver._unit_shape(rng, t, r) as it was computed before it
+    split its features: sum a cos(w_t T + w_r R + phase) over the
+    features at every point (T, R) of the grid t x r, over its sup. Draws
+    the same numbers from rng in the same order."""
+    T, R = np.meshgrid(t, r, indexing="ij")
+    xi = np.zeros_like(T)
+    amps = rng.standard_normal(_N_FEATURES)
+    w_t = rng.uniform(0.0, 1.5, _N_FEATURES)
+    w_r = rng.uniform(0.0, 1.5, _N_FEATURES)
+    phase = rng.uniform(0.0, 2.0 * np.pi, _N_FEATURES)
+    for a, wt, wr, ph in zip(amps, w_t, w_r, phase):
+        xi += a * np.cos(wt * T + wr * R + ph)
+    return xi / np.max(np.abs(xi))
 
 
 def per_tau_claim(p, h, epsilon, t, r, W=W_evaluator):

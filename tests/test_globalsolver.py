@@ -13,7 +13,7 @@ from hypwave.hypgeo import (
 from hypwave.meanprop import SpaceTimeField, _lag_matrices, sine_propagator
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from hypwave import globalsolver as gs
-from references import per_tau_claim
+from references import per_tau_claim, unit_shape_per_point
 
 ENV1 = EnvelopeParams(k=1.0)
 SPEC = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3)
@@ -39,8 +39,15 @@ def coarse_table(coarse_cfg):
 
 def unit_shapes(rng, cfg, n):
     """The next n unit shapes _unit_shape draws from rng on cfg's grid."""
-    T, R = np.meshgrid(cfg.grid.t, cfg.grid.r, indexing="ij")
-    return [gs._unit_shape(rng, T, R) for _ in range(n)]
+    return [gs._unit_shape(rng, cfg.grid.t, cfg.grid.r) for _ in range(n)]
+
+
+def spy_on(calls, name, run):
+    """run, appending name to the list calls at every call."""
+    def call(*args, **kwargs):
+        calls.append(name)
+        return run(*args, **kwargs)
+    return call
 
 
 def with_eps(cfg, eps):
@@ -244,7 +251,9 @@ class TestContraction:
         u, v = (0.05 * shape / phi for shape in unit_shapes(rng, coarse_cfg, 2))
 
         def ratio(u, v):
-            return gs._pair_ratios(coarse_table, F, phi, u[None], v[None])[0]
+            norm = np.max(phi * np.abs(u - v))
+            return gs._pair_ratios(coarse_table, F, phi, u[None], v[None],
+                                   [norm])[0]
 
         assert ratio(u, v) == ratio(v, u)
         assert ratio(u, u) is None
@@ -275,22 +284,25 @@ class TestContraction:
         seen = []
         pair_ratios = gs._pair_ratios
 
-        def spy(table, F, phi, U, V):
-            seen.append((U, V))
-            return pair_ratios(table, F, phi, U, V)
+        def spy(table, F, phi, U, V, denom):
+            seen.append((U, V, denom))
+            return pair_ratios(table, F, phi, U, V, denom)
 
         monkeypatch.setattr(gs, "_pair_ratios", spy)
         gs.contraction_probe(SPEC, coarse_cfg, n_pairs=3, rng_seed=5)
-        (U, V), = seen
+        (U, V, denom), = seen
         phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
         radius = 2.0 * coarse_cfg.epsilon * gs.estimate_N_h(
             1.0, 1.2, coarse_cfg)
         rng = np.random.default_rng(5)
-        for u_batch, v_batch in zip(U, V):
-            u, v = (radius * shape / phi
-                    for shape in unit_shapes(rng, coarse_cfg, 2))
-            assert np.array_equal(u_batch, u)
-            assert np.array_equal(v_batch, v)
+        for u_batch, v_batch, d in zip(U, V, denom):
+            su, sv = unit_shapes(rng, coarse_cfg, 2)
+            assert np.array_equal(u_batch, radius * (su / phi))
+            assert np.array_equal(v_batch, radius * (sv / phi))
+            # ||u - v|| is the radius times the shapes' own sup distance
+            assert d == radius * np.max(np.abs(su - sv))
+            assert d == pytest.approx(np.max(phi * np.abs(u_batch - v_batch)),
+                                      rel=1e-14)
 
 
 class TestThreshold:
@@ -330,7 +342,7 @@ class TestThreshold:
         # the bisection of epsilon_threshold, redone with a fresh
         # contraction_probe (and a fresh draw) at every eps
         def ratio_at(eps):
-            gs._pair_shapes.cache_clear()
+            gs._pair_quotients.cache_clear()
             try:
                 return gs.contraction_probe(SPEC, with_eps(coarse_cfg, eps),
                                             n_pairs=3, rng_seed=21).max_ratio
@@ -349,13 +361,20 @@ class TestThreshold:
         assert gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21, n_pairs=3,
                                     n_steps=8).epsilon == lo
 
-    def test_search_draws_its_shapes_once(self, coarse_cfg):
-        gs._pair_shapes.cache_clear()
+    def test_search_draws_its_shapes_once(self, coarse_cfg, monkeypatch):
+        calls = []
+        for name in ("contraction_probe", "_pair_ratios"):
+            monkeypatch.setattr(gs, name, spy_on(calls, name,
+                                                 getattr(gs, name)))
+        gs._pair_quotients.cache_clear()
         gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21, n_pairs=3,
                              n_steps=8)
-        info = gs._pair_shapes.cache_info()
-        # every probe of the bisection, the floor's included, asks once
-        assert (info.misses, info.hits) == (1, 8)
+        info = gs._pair_quotients.cache_info()
+        # every probe of the bisection, the floor's included, that does
+        # not escape asks once; an escaping one does not ask
+        measured = calls.count("_pair_ratios")
+        assert calls.count("contraction_probe") == 9 and 1 < measured < 9
+        assert (info.misses, info.hits) == (1, measured - 1)
 
     def test_caches_key_on_the_grid(self, coarse_cfg, monkeypatch):
         # one table and one N_h serve a whole search, and a config on an
@@ -381,7 +400,7 @@ class TestThreshold:
         assert twin is not coarse_cfg.grid and twin == coarse_cfg.grid
         same = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.01, grid=twin)
         gs.contraction_probe(SPEC, same, n_pairs=3, rng_seed=21)
-        assert gs._pair_shapes.cache_info().misses == 1
+        assert gs._pair_quotients.cache_info().misses == 1
         assert (len(tables), len(fields)) == (1, 1)
         other = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.01,
                                 grid=Grid(4.0, 4.0, 0.2, 0.1))
@@ -390,19 +409,75 @@ class TestThreshold:
 
 
 class TestPairShapes:
+    @pytest.mark.parametrize("grid", [Grid(2.0, 4.0, 0.05, 0.05),
+                                      Grid(8.0, 8.0, 0.05, 0.05)],
+                             ids=["bench-41x81", "test06-161x161"])
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    def test_shapes_match_the_per_point_sum(self, grid, seed):
+        shapes = gs._pair_shapes(seed, 20, grid)
+        assert np.all(np.max(np.abs(shapes), axis=(2, 3)) == 1.0)
+        # the reference draws one shape after another, u, v, u, v, ...
+        rng = np.random.default_rng(seed)
+        for pair in shapes:
+            for shape in pair:
+                ref = unit_shape_per_point(rng, grid.t, grid.r)
+                assert np.max(np.abs(shape - ref)) <= 1e-14
+
     def test_shapes_are_read_only(self, coarse_cfg):
-        units = gs._pair_shapes(5, 3, coarse_cfg.grid)
+        units, norms = gs._pair_quotients(5, 3, coarse_cfg.grid, 1.2)
         assert units.shape == (3, 2, coarse_cfg.grid.t.size,
                                coarse_cfg.grid.r.size)
-        assert not units.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            units[0, 0, 0, 0] = 1.0
+        assert norms.shape == (3,)
+        for cached in (units, gs._grid_phi(coarse_cfg.grid, 1.2)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[..., 0, 0] = 1.0
 
     def test_clear_caches_empties_the_shape_cache(self, coarse_cfg):
         gs.contraction_probe(SPEC, coarse_cfg, n_pairs=2, rng_seed=4)
-        assert gs._pair_shapes.cache_info().currsize > 0
+        caches = (gs._pair_quotients, gs._grid_phi)
+        assert all(c.cache_info().currsize > 0 for c in caches)
         gs.clear_caches()
-        assert gs._pair_shapes.cache_info().currsize == 0
+        assert all(c.cache_info().currsize == 0 for c in caches)
+
+    def test_escaping_probe_does_no_array_work(self, coarse_cfg,
+                                               monkeypatch):
+        gs.clear_caches()
+        gs.estimate_N_h(1.0, 1.2, coarse_cfg)  # the radius needs N_h
+        gs._grid_phi.cache_clear()
+        calls = []
+        for name in ("phi_weight_grid", "_pair_shapes"):
+            monkeypatch.setattr(gs, name, spy_on(calls, name,
+                                                 getattr(gs, name)))
+        monkeypatch.setattr(gs.PropagatorTable, "duhamel_field", spy_on(
+            calls, "duhamel_field", gs.PropagatorTable.duhamel_field))
+        with pytest.raises(gs.EscapeError, match="1/A"):
+            gs.contraction_probe(SPEC, with_eps(coarse_cfg, 0.5), n_pairs=2)
+        assert calls == []
+
+    @pytest.mark.parametrize("kwargs, key", [({"n_pairs": 0}, "n_pairs"),
+                                             ({"rng_seed": -1}, "rng_seed")])
+    def test_escaping_probe_validates_first(self, coarse_cfg, kwargs, key):
+        with pytest.raises(DomainError, match=key):
+            gs.contraction_probe(SPEC, with_eps(coarse_cfg, 0.5), **kwargs)
+
+    def test_search_builds_phi_and_the_norms_once(self, coarse_cfg,
+                                                  monkeypatch):
+        calls = []
+        for name in ("phi_weight_grid", "_pair_shapes"):
+            monkeypatch.setattr(gs, name, spy_on(calls, name,
+                                                 getattr(gs, name)))
+        # a cleared cache pays again what a fresh process pays
+        for _ in range(2):
+            gs.clear_caches()
+            del calls[:]
+            found = gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21,
+                                         n_pairs=3, n_steps=20)
+            assert sorted(calls) == ["_pair_shapes", "phi_weight_grid"]
+        # a second search on the same draw and weight builds nothing
+        assert gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21, n_pairs=3,
+                                    n_steps=20) == found
+        assert len(calls) == 2
 
     def test_numpy_integer_seed_is_the_int_seed(self, coarse_cfg):
         a = gs.contraction_probe(SPEC, coarse_cfg, n_pairs=2, rng_seed=4)
