@@ -20,25 +20,14 @@ A quick look at the escape history:
     python3 -c "import pandas as pd; d = pd.read_csv('runs/blowup_demo/escape_history.csv'); print(d.tail())"
 """
 
-import configparser
 import csv
 import sys
 from pathlib import Path
 
-from hypwave.cli import main as wavecli
+from hypwave.cli import run
 
 TAU0 = 1.0
 EPSILON = 0.5
-
-
-def run(command, config, out, *args):
-    """wavecli <command> [args] on config (INI sections as dicts) into out."""
-    out.mkdir(parents=True, exist_ok=True)
-    cp = configparser.ConfigParser()
-    cp.read_dict(config)
-    with open(out / f"{command}.ini", "w", encoding="utf-8") as fh:
-        cp.write(fh)
-    return wavecli([command, "--config", fh.name, "--out", str(out), *args])
 
 
 def first_row(path):

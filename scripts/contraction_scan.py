@@ -15,29 +15,18 @@ collects (epsilon, max_ratio, note) per probe plus the threshold row
     python3 -c "import pandas as pd; d = pd.read_csv('runs/contraction_scan.csv'); print(d)"
 """
 
-import configparser
 import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from hypwave.cli import main as wavecli
+from hypwave.cli import run
 
 SEED = 11
 N_PAIRS = 20
 EPS_RANGE = np.geomspace(1e-3, 0.2, 8)
 GRID = {"t_max": 8.0, "r_max": 8.0, "dt": 0.05, "dr": 0.05}
-
-
-def run(command, config, out, *args):
-    """wavecli <command> [args] on config (INI sections as dicts) into out."""
-    out.mkdir(parents=True, exist_ok=True)
-    cp = configparser.ConfigParser()
-    cp.read_dict(config)
-    with open(out / f"{command}.ini", "w", encoding="utf-8") as fh:
-        cp.write(fh)
-    return wavecli([command, "--config", fh.name, "--out", str(out), *args])
 
 
 def contraction(out, mode, epsilon=0.05):

@@ -15,26 +15,15 @@ with e.g.
     python3 -c "import pandas as pd; d = pd.read_csv('runs/decay_sweep.csv'); print(d)"
 """
 
-import configparser
 import csv
 import sys
 from pathlib import Path
 
-from hypwave.cli import main as wavecli
+from hypwave.cli import run
 
 K_VALUES = (1.0, 1.5, 2.0)
 STEPS = (0.25, 0.125)
 HORIZON = 12.0
-
-
-def run(command, config, out, *args):
-    """wavecli <command> [args] on config (INI sections as dicts) into out."""
-    out.mkdir(parents=True, exist_ok=True)
-    cp = configparser.ConfigParser()
-    cp.read_dict(config)
-    with open(out / f"{command}.ini", "w", encoding="utf-8") as fh:
-        cp.write(fh)
-    return wavecli([command, "--config", fh.name, "--out", str(out), *args])
 
 
 def main(out_dir="runs"):

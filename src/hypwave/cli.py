@@ -41,7 +41,7 @@ import os
 import sys
 from pathlib import Path
 
-__all__ = ["main", "ConfigError"]
+__all__ = ["main", "run", "ConfigError"]
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -649,6 +649,18 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"wavecli: config error: {exc}", file=sys.stderr)
         return 2
+
+
+def run(command, config, out, *args):
+    """wavecli <command> [args] on config (INI sections as dicts) into the
+    Path out, where the config is written as <command>.ini first; returns
+    main's exit code."""
+    out.mkdir(parents=True, exist_ok=True)
+    cp = configparser.ConfigParser()
+    cp.read_dict(config)
+    with open(out / f"{command}.ini", "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return main([command, "--config", fh.name, "--out", str(out), *args])
 
 
 if __name__ == "__main__":

@@ -13,14 +13,14 @@ bisection, checks the claim integral that drives the lemma's proof,
 verifies the dispersive decay of the linear evolution by regression, and
 computes the guaranteed local existence window.
 
-Heavy objects (the gridded propagation table and the empirical N_h) are
-cached per grid, so repeated probes at different eps share one table
-build. A probe's field u = 2 eps N_h S_u / Phi_h is a random unit shape
-S_u (sup 1) over the weight, scaled to the ball radius, so the norm
-||u - v|| of a pair is that radius times max |S_u - S_v|. What does not
-depend on eps is therefore computed once and cached: Phi_h per (grid,
-h), and the quotients S / Phi_h with every pair's max |S_u - S_v| per
-(seed, number of pairs, grid, h). A threshold search, which bisects
+The heavy objects are functools caches of what they depend on: the
+propagation table of a Grid, N_h per (k, h, Grid) and Phi_h per (Grid,
+h), so repeated probes at different eps share one table build. A
+probe's field u = 2 eps N_h S_u / Phi_h is a random unit shape S_u
+(sup 1) over the weight, scaled to the ball radius, so the norm
+||u - v|| of a pair is that radius times max |S_u - S_v|. The quotients
+S / Phi_h and every pair's max |S_u - S_v| are therefore cached too, per
+(seed, number of pairs, Grid, h). A threshold search, which bisects
 through contraction_probe, pays per eps only for its probes: one whose
 ball leaves the envelope escapes before any array work, and every other
 one evaluates all of its pairs with one stacked Duhamel call on the
@@ -55,7 +55,7 @@ from .meanprop import (
     leggauss,
     linear_field,
 )
-from .nonlin import NonlinearitySpec, nonlinearity
+from .nonlin import NonlinearitySpec, _generic, nonlinearity
 
 __all__ = [
     "SolverConfig",
@@ -64,7 +64,6 @@ __all__ = [
     "ConvergenceError",
     "EscapeError",
     "weighted_norm",
-    "phi_weight_grid",
     "linear_data_field",
     "estimate_N_h",
     "picard_solve",
@@ -149,53 +148,42 @@ class DecayFitReport:
 # weights and norms
 
 
-def phi_weight_grid(t_grid, r_grid, h):
-    """Phi_h = e^{r/2} <t-r>^h evaluated on the product grid."""
-    T, R = np.meshgrid(np.asarray(t_grid, float), np.asarray(r_grid, float),
-                       indexing="ij")
-    return phi_weight(T, R, WeightParams(h=h))
-
-
 def weighted_norm(u: SpaceTimeField, h):
     """max over the grid of Phi_h |u|."""
     if not h > 0:
         raise DomainError("h must be positive")
-    return float(np.max(phi_weight_grid(u.t_grid, u.r_grid, h) * np.abs(u.values)))
+    phi = phi_weight(u.t_grid[:, None], u.r_grid, WeightParams(h=h))
+    return float(np.max(phi * np.abs(u.values)))
 
 
 # ---------------------------------------------------------------------------
 # cached heavy objects
 
-_TABLE_CACHE = {}
-_NH_CACHE = {}
-
 
 def clear_caches():
-    """Empty every cache, the Gauss-Legendre rules of meanprop included,
-    so that the next call pays what a fresh process pays."""
-    _TABLE_CACHE.clear()
-    _NH_CACHE.clear()
-    _grid_phi.cache_clear()
-    _pair_quotients.cache_clear()
-    leggauss.cache_clear()
+    """Empty every cache of the package, so that the next call pays what
+    a fresh process pays."""
+    for cached in (_table, estimate_N_h, _grid_phi, _pair_quotients,
+                   leggauss, _generic):
+        cached.cache_clear()
+
+
+@functools.cache
+def _table(grid):
+    """The PropagatorTable of the Grid grid."""
+    return PropagatorTable(grid.t, grid.r)
 
 
 @functools.lru_cache(maxsize=4)
 def _grid_phi(grid, h):
-    """phi_weight_grid on the Grid grid; cached per (grid, h), read-only."""
-    phi = phi_weight_grid(grid.t, grid.r, h)
+    """Phi_h = e^{r/2} <t-r>^h on the Grid grid, read-only."""
+    phi = phi_weight(grid.t[:, None], grid.r, WeightParams(h=h))
     phi.flags.writeable = False
     return phi
 
 
-def _get_table(cfg: SolverConfig):
-    if cfg.grid not in _TABLE_CACHE:
-        _TABLE_CACHE[cfg.grid] = PropagatorTable(cfg.grid.t, cfg.grid.r)
-    return _TABLE_CACHE[cfg.grid]
-
-
-def linear_data_field(u0, u1, cfg: SolverConfig):
-    """The linear evolution u0_lin of unit data (u0, u1) on the grid.
+def linear_data_field(u0, u1, grid):
+    """The linear evolution u0_lin of unit data (u0, u1) on the Grid grid.
 
     For position data u0 = 0 (the common case) this is the gridded sine
     propagation of u1 through the cached table. A nonzero u0 adds the time
@@ -208,9 +196,8 @@ def linear_data_field(u0, u1, cfg: SolverConfig):
     """
     u0 = _as_profile(u0)
     u1 = _as_profile(u1)
-    grid = cfg.grid
     u0_samples = u0(grid.r)
-    out = _get_table(cfg).apply_linear(u1(grid.r))
+    out = _table(grid).apply_linear(u1(grid.r))
     if np.any(u0_samples != 0.0):
         delta = 0.5 * grid.dt
         up = linear_field(u0, grid.t[1:] + delta, grid.r).values
@@ -220,16 +207,13 @@ def linear_data_field(u0, u1, cfg: SolverConfig):
     return out
 
 
-def estimate_N_h(k, h, cfg: SolverConfig):
-    """Empirical N_h: sup of Phi_h times the linear evolution of data
-    (0, theta_k), padded by 10 percent. Cached per (k, h, grid)."""
-    key = (k, h, cfg.grid)
-    if key not in _NH_CACHE:
-        env = EnvelopeParams(k=k)
-        vals = linear_data_field(0.0, lambda lam: theta_k(lam, env), cfg)
-        phi = _grid_phi(cfg.grid, h)
-        _NH_CACHE[key] = 1.1 * float(np.max(phi * np.abs(vals)))
-    return _NH_CACHE[key]
+@functools.cache
+def estimate_N_h(k, h, grid):
+    """Empirical N_h on the Grid grid: sup of Phi_h times the linear
+    evolution of data (0, theta_k), padded by 10 percent."""
+    env = EnvelopeParams(k=k)
+    vals = linear_data_field(0.0, lambda lam: theta_k(lam, env), grid)
+    return 1.1 * float(np.max(_grid_phi(grid, h) * np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +230,14 @@ def _check_envelope(prof, name, k, r_grid):
             f"(|{name}| = {vals[j]:.3e} > {env[j]:.3e}, k = {k})")
 
 
+def _check_p(spec, cfg):
+    """h was checked against (1, cfg.p - 2), so F must run at cfg.p."""
+    if spec is not None and spec.p != cfg.p:
+        raise DomainError(
+            f"the nonlinearity's p = {spec.p} differs from the solver's "
+            f"p = {cfg.p}, against which h = {cfg.h} was checked")
+
+
 def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
     """Fixed-point iteration for the nonlinear integral equation.
 
@@ -254,20 +246,21 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
     problem (F = 0). Raises EscapeError if an iterate leaves the ball
     |u| <= 1/A where the nonlinearity's envelope applies, and
     ConvergenceError (carrying the history) if max_iters sweeps do not
-    reach fixed_point_tol.
+    reach fixed_point_tol. Raises DomainError if spec.p is not cfg.p.
     """
     grid = cfg.grid
+    _check_p(spec, cfg)
     _check_envelope(u0, "u0", data_k, grid.r)
     _check_envelope(u1, "u1", data_k, grid.r)
-    table = _get_table(cfg)
-    lin = cfg.epsilon * linear_data_field(u0, u1, cfg)
+    table = _table(grid)
+    lin = cfg.epsilon * linear_data_field(u0, u1, grid)
     if spec is None:
         F = None
         cap = np.inf
     else:
         F = nonlinearity(spec)
         cap = 1.0 / spec.A
-    phi = phi_weight_grid(grid.t, grid.r, cfg.h)
+    phi = _grid_phi(grid, cfg.h)
 
     cur = lin.copy()
     history = []
@@ -360,21 +353,23 @@ def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
     ||u - v|| is the radius times their cached max |S_u - S_v|; both are
     cached per (rng_seed, n_pairs, grid, h), so rng_seed must be a
     nonnegative integer: a Generator or None would freeze one draw. After
-    checking rng_seed and n_pairs, a probe whose ball exceeds 1/A raises
-    EscapeError before it touches the shapes, Phi_h or the table.
+    checking rng_seed, n_pairs and that spec.p is cfg.p, a probe whose
+    ball exceeds 1/A raises EscapeError before it touches the shapes,
+    Phi_h or the table.
     """
     if not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
         raise DomainError(
             f"rng_seed must be a nonnegative integer, got {rng_seed!r}")
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be at least 1, got {n_pairs}")
-    radius = 2.0 * cfg.epsilon * estimate_N_h(data_k, cfg.h, cfg)
+    _check_p(spec, cfg)
+    radius = 2.0 * cfg.epsilon * estimate_N_h(data_k, cfg.h, cfg.grid)
     if radius > 1.0 / spec.A:
         raise EscapeError(
             f"ball radius 2 eps N_h = {radius:.4g} exceeds 1/A = "
             f"{1.0 / spec.A:.4g}; the envelope does not apply")
     quotients, norms = _pair_quotients(int(rng_seed), n_pairs, cfg.grid, cfg.h)
-    ratios = _pair_ratios(_get_table(cfg), nonlinearity(spec),
+    ratios = _pair_ratios(_table(cfg.grid), nonlinearity(spec),
                           _grid_phi(cfg.grid, cfg.h), radius * quotients[:, 0],
                           radius * quotients[:, 1], radius * norms)
     ratios = [r for r in ratios if r is not None]

@@ -32,14 +32,13 @@ geometrically toward its nearest non-analytic point (u = 0, or for a
 right side with t < r, which is analytic there, u = i y at the lam = 0
 branch or the nearest knot), with panels on the table's grid cells (so
 each integrates one cubic of the interpolant) or on unit steps and the
-profile's knots. It builds the panels one group of points at a time. A
-group's panels fall into six tiers, by side of lam* and node count.
-Its evaluator yields chunks, each one evaluation of whole panels of
-one tier, node-major (one row per node index, one column per panel),
-and keeps its intermediates in buffers that the chunks reuse. A chunk
-may span groups: a tier's panels that do not fill one wait for the
-next group's. 1 - kappa and a(M) - a(b) come from the weight's product
-form (MonotoneWeight.s) as ratios and roots of factors of like size.
+profile's knots. It builds the panels one group of points at a time,
+in six tiers by side of lam* and node count, and queues each tier's
+panels across groups; its evaluator yields chunks of one tier, full
+but for each tier's last, node-major (one row per node index, one
+column per panel), from buffers that the chunks reuse. 1 - kappa and a(M) - a(b) come from the
+weight's product form (MonotoneWeight.s) as ratios and roots of factors
+of like size.
 The table reduces each panel of a block of whole lags, at most
 _POINT_BLOCK points and built as one group, to the moments w xi^p of
 its grid cell. Every other consumer sums panels to points through one
@@ -387,12 +386,10 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False,
     consecutive points (all of them by default), and the last group's
     panels are kept, so a one-group call builds them once for every
     level. A group's panels fall into six tiers, one per side of lam*
-    (right, left) and node count n (close, middle, far; see below), and
-    a chunk is one evaluation of at most _NODE_CHUNK nodes of one tier,
-    rows ascending. A tier's panels that do not fill a chunk are held,
-    with the operands the evaluator reads, until the next group's panels
-    of that tier fill it, so a chunk may span groups and only each
-    tier's last chunk is partial. A one-group call yields the tiers in
+    (right, left) and node count n (close, middle, far; see below). Each
+    tier queues its panels, rows ascending, across groups and yields
+    them in chunks of at most _NODE_CHUNK nodes, one evaluation each;
+    only its last chunk is partial. A one-group call yields the tiers in
     turn, each one's chunks in panel order.
 
     k_a has a log singularity at lam* = |t - r| (t >= r) and square-root
@@ -550,35 +547,21 @@ def _kernel_nodes(t, r, a, step, knots=None, lam_max=np.inf, majorant=False,
             xg, wg = (x[:, None] for x in leggauss(n))
             rules += [(n, xg, wg, max(_NODE_CHUNK // n, 1), is_right)
                       for is_right in (True, False)]
-        # per tier, the panels that did not fill a chunk, held with their
-        # operands until the next group's panels fill it
-        held = [(np.empty(per, dtype=np.intp), np.empty((4, per)))
-                for _, _, _, per, _ in rules] if group < t.size else None
-        fill = [0] * len(rules)
+        # per tier, the (row, ops) of the panels that did not fill a chunk
+        pending = [None] * len(rules)
         for g in range(0, t.size, group):
             last = g + group >= t.size
             rows, opss, cuts = panels(g)
             for k, (n, xg, wg, per, is_right) in enumerate(rules):
                 row, ops = rows[cuts[k]:cuts[k + 1]], opss[:, cuts[k]:cuts[k + 1]]
-                if fill[k]:  # the held panels come first
-                    h_row, h_ops = held[k]
-                    take = min(per - fill[k], row.size)
-                    h_row[fill[k]:fill[k] + take] = row[:take]
-                    h_ops[:, fill[k]:fill[k] + take] = ops[:, :take]
-                    fill[k] += take
-                    row, ops = row[take:], ops[:, take:]
-                    if fill[k] == per or last:
-                        yield (h_row[:fill[k]].copy(),
-                               *chunk(pool, h_ops[:, :fill[k]], n, xg, wg, is_right))
-                        fill[k] = 0
+                if pending[k] is not None:
+                    row = np.concatenate([pending[k][0], row])
+                    ops = np.concatenate([pending[k][1], ops], axis=1)
                 stop = row.size if last else row.size - row.size % per
                 for f in range(0, stop, per):
                     yield (row[f:f + per].copy(),
                            *chunk(pool, ops[:, f:f + per], n, xg, wg, is_right))
-                if stop < row.size:  # then no panel is held yet
-                    fill[k] = row.size - stop
-                    held[k][0][:fill[k]] = row[stop:]
-                    held[k][1][:, :fill[k]] = ops[:, stop:]
+                pending[k] = (row[stop:], ops[:, stop:]) if stop < row.size else None
 
     return nodes
 

@@ -1,13 +1,19 @@
 """Tests for the weighted-space Picard solver and its probes."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import hypwave
 from hypwave.fdoracle import FDConfig, fd_solve
 from hypwave.hypgeo import (
     DomainError,
     EnvelopeParams,
     Grid,
+    WeightParams,
+    phi_weight,
     theta_k,
 )
 from hypwave.meanprop import SpaceTimeField, _lag_matrices, sine_propagator
@@ -34,7 +40,12 @@ def coarse_cfg():
 def coarse_table(coarse_cfg):
     grid = coarse_cfg.grid
     assert np.all(np.isfinite(_lag_matrices(grid.t, grid.r)))
-    return gs._get_table(coarse_cfg)
+    return gs._table(grid)
+
+
+def phi_on(t, r, h):
+    """Phi_h on the product grid t x r, from the full meshgrid."""
+    return phi_weight(*np.meshgrid(t, r, indexing="ij"), WeightParams(h=h))
 
 
 def unit_shapes(rng, cfg, n):
@@ -66,6 +77,16 @@ class TestSolverConfig:
     def test_grid_has_no_default(self):
         with pytest.raises(TypeError, match="grid"):
             gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1)
+
+    @pytest.mark.parametrize("run", [
+        lambda spec, cfg: gs.picard_solve(0.0, data_profile, spec, cfg),
+        gs.contraction_probe, gs.epsilon_threshold],
+        ids=["solve", "probe", "threshold"])
+    def test_spec_p_must_be_the_solver_p(self, coarse_cfg, run):
+        # h = 1.2 lies in (1, p - 2) at the config's p = 3.5, not at 3.1
+        spec = NonlinearitySpec(p=3.1, q=2.5, delta0=0.3)
+        with pytest.raises(DomainError, match=r"p = 3\.1 differs .* p = 3\.5"):
+            run(spec, coarse_cfg)
 
     def test_p_at_most_3_rejected(self):
         with pytest.raises(DomainError, match=r"h must lie in \(1, p-2\)"):
@@ -124,7 +145,7 @@ class TestWeightedNorm:
     def test_inverse_weight_has_norm_one(self):
         t = np.linspace(0, 4, 21)
         r = np.linspace(0, 6, 31)
-        u = SpaceTimeField(t, r, 1.0 / gs.phi_weight_grid(t, r, 1.3))
+        u = SpaceTimeField(t, r, 1.0 / phi_on(t, r, 1.3))
         assert gs.weighted_norm(u, 1.3) == pytest.approx(1.0, rel=1e-15)
 
     def test_exponential_profile_peaks_at_origin(self):
@@ -146,7 +167,7 @@ class TestLinearDataField:
     def test_velocity_data_matches_pointwise_propagator(self, coarse_cfg):
         # points inside the triangle t + r <= r_max, where the gridded
         # propagation sees the whole cone of dependence
-        vals = gs.linear_data_field(0.0, data_profile, coarse_cfg)
+        vals = gs.linear_data_field(0.0, data_profile, coarse_cfg.grid)
         for (i, j) in [(5, 3), (10, 20), (30, 8)]:
             t = coarse_cfg.grid.t[i]
             r = coarse_cfg.grid.r[j]
@@ -154,14 +175,14 @@ class TestLinearDataField:
             assert vals[i, j] == pytest.approx(ref, rel=5e-5, abs=1e-12)
 
     def test_position_data_row_zero_is_data(self, coarse_cfg):
-        vals = gs.linear_data_field(data_profile, 0.0, coarse_cfg)
+        vals = gs.linear_data_field(data_profile, 0.0, coarse_cfg.grid)
         assert np.allclose(vals[0], data_profile(coarse_cfg.grid.r),
                            rtol=1e-14)
 
     def test_position_data_matches_fine_difference(self):
         cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1,
                               grid=Grid(1.0, 4.0, 0.25, 0.1))
-        vals = gs.linear_data_field(data_profile, 0.0, cfg)
+        vals = gs.linear_data_field(data_profile, 0.0, cfg.grid)
         t, r = 0.5, 0.7
         i = np.argmin(np.abs(cfg.grid.t - t))
         j = np.argmin(np.abs(cfg.grid.r - r))
@@ -172,8 +193,8 @@ class TestLinearDataField:
 
     def test_n_h_is_cached_and_positive(self, coarse_cfg):
         gs.clear_caches()
-        first = gs.estimate_N_h(1.0, 1.2, coarse_cfg)
-        again = gs.estimate_N_h(1.0, 1.2, coarse_cfg)
+        first = gs.estimate_N_h(1.0, 1.2, coarse_cfg.grid)
+        again = gs.estimate_N_h(1.0, 1.2, coarse_cfg.grid)
         assert first == again > 0
 
 
@@ -188,7 +209,7 @@ class TestPicard:
     def test_linear_problem_returns_scaled_data_evolution(self, coarse_cfg):
         u, history = gs.picard_solve(0.0, data_profile, None, coarse_cfg)
         assert len(history) == 1
-        base = gs.linear_data_field(0.0, data_profile, coarse_cfg)
+        base = gs.linear_data_field(0.0, data_profile, coarse_cfg.grid)
         assert np.allclose(u.values, coarse_cfg.epsilon * base, rtol=1e-15)
 
     def test_epsilon_scaling_is_exactly_linear(self, coarse_cfg):
@@ -211,16 +232,15 @@ class TestPicard:
         u, _ = gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
         F = nonlinearity(SPEC)
         lin = coarse_cfg.epsilon * gs.linear_data_field(0.0, data_profile,
-                                                        coarse_cfg)
+                                                        coarse_cfg.grid)
         resid = u.values - lin - coarse_table.duhamel_field(F(u.values))
-        phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r,
-                                 coarse_cfg.h)
+        phi = phi_on(coarse_cfg.grid.t, coarse_cfg.grid.r, coarse_cfg.h)
         assert np.max(phi * np.abs(resid)) <= 2 * coarse_cfg.fixed_point_tol
 
     def test_solution_stays_in_ball(self, coarse_cfg):
         u, _ = gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
         radius = 2 * coarse_cfg.epsilon * gs.estimate_N_h(1.0, coarse_cfg.h,
-                                                          coarse_cfg)
+                                                          coarse_cfg.grid)
         assert gs.weighted_norm(u, coarse_cfg.h) <= radius
 
     def test_max_iters_exhaustion_carries_history(self, coarse_cfg):
@@ -246,7 +266,7 @@ class TestContraction:
     def test_ratio_symmetric_and_degenerate_skipped(self, coarse_cfg,
                                                     coarse_table):
         F = nonlinearity(SPEC)
-        phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
+        phi = phi_on(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
         rng = np.random.default_rng(3)
         u, v = (0.05 * shape / phi for shape in unit_shapes(rng, coarse_cfg, 2))
 
@@ -259,7 +279,7 @@ class TestContraction:
         assert ratio(u, u) is None
 
     def test_sampled_fields_fill_the_ball(self, coarse_cfg):
-        phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
+        phi = phi_on(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
         rng = np.random.default_rng(11)
         (shape,) = unit_shapes(rng, coarse_cfg, 1)
         u = 0.125 * shape / phi
@@ -291,9 +311,9 @@ class TestContraction:
         monkeypatch.setattr(gs, "_pair_ratios", spy)
         gs.contraction_probe(SPEC, coarse_cfg, n_pairs=3, rng_seed=5)
         (U, V, denom), = seen
-        phi = gs.phi_weight_grid(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
+        phi = phi_on(coarse_cfg.grid.t, coarse_cfg.grid.r, 1.2)
         radius = 2.0 * coarse_cfg.epsilon * gs.estimate_N_h(
-            1.0, 1.2, coarse_cfg)
+            1.0, 1.2, coarse_cfg.grid)
         rng = np.random.default_rng(5)
         for u_batch, v_batch, d in zip(U, V, denom):
             su, sv = unit_shapes(rng, coarse_cfg, 2)
@@ -433,20 +453,13 @@ class TestPairShapes:
             with pytest.raises(ValueError, match="read-only"):
                 cached[..., 0, 0] = 1.0
 
-    def test_clear_caches_empties_the_shape_cache(self, coarse_cfg):
-        gs.contraction_probe(SPEC, coarse_cfg, n_pairs=2, rng_seed=4)
-        caches = (gs._pair_quotients, gs._grid_phi)
-        assert all(c.cache_info().currsize > 0 for c in caches)
-        gs.clear_caches()
-        assert all(c.cache_info().currsize == 0 for c in caches)
-
     def test_escaping_probe_does_no_array_work(self, coarse_cfg,
                                                monkeypatch):
         gs.clear_caches()
-        gs.estimate_N_h(1.0, 1.2, coarse_cfg)  # the radius needs N_h
+        gs.estimate_N_h(1.0, 1.2, coarse_cfg.grid)  # the radius needs N_h
         gs._grid_phi.cache_clear()
         calls = []
-        for name in ("phi_weight_grid", "_pair_shapes"):
+        for name in ("phi_weight", "_pair_shapes"):
             monkeypatch.setattr(gs, name, spy_on(calls, name,
                                                  getattr(gs, name)))
         monkeypatch.setattr(gs.PropagatorTable, "duhamel_field", spy_on(
@@ -464,7 +477,7 @@ class TestPairShapes:
     def test_search_builds_phi_and_the_norms_once(self, coarse_cfg,
                                                   monkeypatch):
         calls = []
-        for name in ("phi_weight_grid", "_pair_shapes"):
+        for name in ("phi_weight", "_pair_shapes"):
             monkeypatch.setattr(gs, name, spy_on(calls, name,
                                                  getattr(gs, name)))
         # a cleared cache pays again what a fresh process pays
@@ -473,7 +486,7 @@ class TestPairShapes:
             del calls[:]
             found = gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21,
                                          n_pairs=3, n_steps=20)
-            assert sorted(calls) == ["_pair_shapes", "phi_weight_grid"]
+            assert sorted(calls) == ["_pair_shapes", "phi_weight"]
         # a second search on the same draw and weight builds nothing
         assert gs.epsilon_threshold(SPEC, coarse_cfg, rng_seed=21, n_pairs=3,
                                     n_steps=20) == found
@@ -498,6 +511,22 @@ class TestPairShapes:
         with pytest.raises(DomainError, match="rng_seed") as err:
             run(SPEC, coarse_cfg, n_pairs=2, rng_seed=seed)
         assert repr(seed) in str(err.value)
+
+
+def test_clear_caches_empties_every_cache(coarse_cfg):
+    # every cache of the package's modules, found by its cache_clear
+    modules = [importlib.import_module(f"hypwave.{m.name}")
+               for m in pkgutil.iter_modules(hypwave.__path__)]
+    caches = {id(obj): obj for module in modules
+              for obj in vars(module).values() if hasattr(obj, "cache_clear")}
+    gs.clear_caches()
+    gs.contraction_probe(SPEC, coarse_cfg, n_pairs=2, rng_seed=4)
+    nonlinearity(NonlinearitySpec(p=3.5, q=2.5, delta0=0.3,
+                                  kind="piecewise_generic"))
+    assert all(c.cache_info().currsize > 0 for c in caches.values())
+    gs.clear_caches()
+    assert [c.__name__ for c in caches.values()
+            if c.cache_info().currsize > 0] == []
 
 
 class TestClaimBound:
