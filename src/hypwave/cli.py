@@ -134,7 +134,8 @@ _SCHEMA = {
         "nonlinearity": _nonlinearity(_SHAPE, "canonical_sinh_inverse",
                                       "piecewise_generic"),
         "contraction": {
-            "mode": (("probe", "threshold"), "probe"),
+            "mode": ({"probe": (), "threshold": ("target_ratio", "n_steps")},
+                     "probe"),
             "n_pairs": (_check(int, lambda n: n >= 1, "at least 1"), 20),
             "target_ratio": (_POSITIVE, 0.5), "n_steps": (_COUNT, 20)},
     },

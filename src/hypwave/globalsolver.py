@@ -55,7 +55,7 @@ from .meanprop import (
     leggauss,
     linear_field,
 )
-from .nonlin import NonlinearitySpec, _generic, nonlinearity
+from .nonlin import NonlinearitySpec, _canonical, _generic, nonlinearity
 
 __all__ = [
     "SolverConfig",
@@ -164,7 +164,7 @@ def clear_caches():
     """Empty every cache of the package, so that the next call pays what
     a fresh process pays."""
     for cached in (_table, estimate_N_h, _grid_phi, _pair_quotients,
-                   leggauss, _generic):
+                   leggauss, _canonical, _generic):
         cached.cache_clear()
 
 
@@ -335,8 +335,13 @@ def _pair_ratios(table, F, phi, U, V, denom):
     """||L F(u) - L F(v)|| / ||u - v|| in the Phi norm for stacks of pairs
     with norms denom = ||u - v||, None where u = v. L is linear, so one
     Duhamel call on the stacked differences F(u) - F(v) serves every
-    pair."""
-    num = np.max(phi * np.abs(table.duhamel_field(F(U) - F(V))), axis=(1, 2))
+    pair; Phi |L F(u) - L F(v)| is formed in place on its fresh output."""
+    diff = F(U)
+    diff -= F(V)
+    num = table.duhamel_field(diff)
+    np.abs(num, out=num)
+    num *= phi
+    num = num.max(axis=(1, 2))
     return [float(n) / float(d) if d != 0.0 else None
             for n, d in zip(num, denom)]
 

@@ -80,19 +80,43 @@ class NonlinearitySpec:
 
 
 def F_canonical(u, p):
-    """(asinh(1/|u|))^{-(p-1)} |u|, extended by 0 at u = 0; even in u."""
+    """(asinh(1/|u|))^{-(p-1)} |u|, extended by 0 at u = 0; even in u.
+
+    The work is done by p's cached callable, the one nonlinearity(spec)
+    returns for a canonical spec; a scalar u gives a float.
+    """
     if not p > 1:
         raise DomainError("p must exceed 1")
-    u = np.asarray(u, dtype=float)
-    au = np.abs(u)
-    safe = np.where(au > 0, au, 1.0)
-    # 1/u overflows for subnormal u; arcsinh(inf)^(1-p) = 0 is the correct
-    # limit, so the overflow is benign
-    with np.errstate(over="ignore"):
-        out = np.where(au > 0, np.arcsinh(1.0 / safe) ** (1.0 - p) * au, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _canonical(float(p))(u)
+
+
+@lru_cache(maxsize=64)
+def _canonical(p):
+    """F_canonical of one p as a callable of u, with 1 - p bound.
+
+    1/|u|, its asinh, the power and the product are formed in place. No
+    input needs a guard: u = 0 gives 1/0 = inf, asinh inf = inf,
+    inf^(1-p) = 0 and 0 |u| = 0, the limit; a subnormal u, whose 1/|u|
+    overflows, gives 0 the same way; u = +-inf gives 0^(1-p) inf = inf;
+    and a NaN stays NaN. Those divisions by zero and overflows (as of a
+    large |u|^p) are the limits, so they do not warn. A scalar u runs
+    the same array loops, so it gives its array element's bits.
+    """
+    e = 1.0 - p
+
+    def F(u):
+        au = np.abs(np.asarray(u, dtype=float))
+        v = np.empty_like(au)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(1.0, au, out=v)
+            np.arcsinh(v, out=v)
+            v **= e
+            v *= au
+        if v.ndim == 0:
+            return float(v)
+        return v
+
+    return F
 
 
 def _blend_coeffs(p, q, delta0):
@@ -223,12 +247,12 @@ def G_envelope(u_abs, p, A):
 def nonlinearity(spec: NonlinearitySpec):
     """The nonlinearity of a spec as a plain callable of u.
 
-    For the piecewise kind this is the spec's cached callable that
-    F_generic also runs, so repeated calls return the same object and
-    evaluate with constants bound once per spec.
+    This is the spec's cached callable that F_canonical or F_generic
+    also runs, so repeated calls return the same object and evaluate
+    with constants bound once per spec.
     """
     if spec.kind == "canonical_sinh_inverse":
-        return lambda u: F_canonical(u, spec.p)
+        return _canonical(spec.p)
     return _generic(spec)
 
 

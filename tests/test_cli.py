@@ -298,13 +298,21 @@ def test_misspelt_key_is_config_error(tmp_path, capsys, command, section):
      "unknown key 'p' in [nonlinearity]; certify reads kind"),
     ("certify", BLOWUP_BASE + "delta0 = 0.3\n",
      "unknown key 'delta0' in [nonlinearity]; certify reads kind"),
+    # only threshold mode bisects; a probe ignored these
+    ("contraction", VALID_BODIES["contraction"] + "[contraction]\n"
+     "mode = probe\ntarget_ratio = 0.4\n",
+     "key 'target_ratio' in [contraction] is not read by mode = probe, "
+     "which reads no other key"),
+    ("contraction", VALID_BODIES["contraction"] + "[contraction]\nn_steps = 3\n",
+     "key 'n_steps' in [contraction] is not read by mode = probe, which "
+     "reads no other key"),
 ], ids=["grid-t_maxx", "propagate-escape", "solve-maxiters", "solve-data-kind",
         "contraction-max_iters", "n_pair", "threshold_factor", "m_max",
         "tau0-150", "tau0-2000", "certify-tau0-150", "certify-tau0-2000",
         "non-monotone-without-escape", "theta-value", "bump-k", "zero-value",
         "canonical-q", "canonical-delta0", "certify-canonical-q", "none-p",
         "none-q", "blowup-none-p", "contraction-p", "blowup-delta0",
-        "certify-p", "certify-delta0"])
+        "certify-p", "certify-delta0", "probe-target_ratio", "probe-n_steps"])
 def test_config_that_ran_something_else_is_config_error(
         tmp_path, capsys, monkeypatch, command, body, message):
     # each of these once exited 0 (or 1, or 3 after compute) running an

@@ -648,11 +648,27 @@ class TestFlatPanelList:
 
 class TestEllipticK:
     def test_agm_matches_mpmath(self):
-        m1 = np.logspace(-15.0, 0.0, 301)
-        got = _agm_K(m1)
-        with mp.workdps(30):
+        # down to 1e-25: the 41 x 81 table's chunks reach m1 = 2.7e-21. One
+        # call takes seven steps; a point alone, the steps its m1 needs
+        m1 = np.logspace(-25.0, 0.0, 401)
+        with mp.workdps(60):  # 1 - m1 keeps m1 to 1e-35 of itself
             want = np.array([float(mp.ellipk(1 - mp.mpf(float(x)))) for x in m1])
-        assert np.max(np.abs(got - want) / want) <= 2e-15
+        for got in (_agm_K(m1), np.array([_agm_K(x) for x in m1])):
+            assert np.max(np.abs(got - want) / want) <= 6e-16
+
+    @pytest.mark.parametrize("bound, steps", meanprop._AGM_STEPS)
+    def test_fewer_steps_keep_seven_steps_bits(self, bound, steps):
+        # 10^6 m1 in [bound, 1], log-uniform, uniform and, densest, log-
+        # uniform on [bound, 2 bound]; the bound itself makes the call take
+        # `steps` steps, and a 0 appended makes it take seven
+        rng = np.random.default_rng(steps)
+        n, lo = 333_333, np.log(bound)
+        m1 = np.concatenate([[bound, 1.0], np.exp(rng.uniform(lo, 0.0, n)),
+                             rng.uniform(bound, 1.0, n),
+                             np.exp(rng.uniform(lo, lo + np.log(2.0), n))])
+        np.clip(m1, bound, 1.0, out=m1)  # exp may round past either end
+        seven = _agm_K(np.append(m1, 0.0))[:-1]
+        assert np.array_equal(_agm_K(m1).view(np.int64), seven.view(np.int64))
 
     def test_kappa_one_stays_finite(self):
         assert np.isfinite(_agm_K(np.zeros(1))[0])

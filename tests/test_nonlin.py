@@ -1,11 +1,14 @@
 """Tests for the logarithmic nonlinearity family."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hypwave.globalsolver import clear_caches
 from hypwave.hypgeo import DomainError
 from hypwave.nonlin import (
     F_canonical,
@@ -13,6 +16,7 @@ from hypwave.nonlin import (
     G_envelope,
     NonlinearitySpec,
     _blend_coeffs,
+    _canonical,
     fit_A,
     lipschitz_diff_bound,
     nonlinearity,
@@ -105,6 +109,52 @@ class TestFCanonical:
         assert out.shape == (3,)
         assert out[1] == 0.0 and out[0] == out[2]
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.5, 5.0])
+    def test_bitwise_equal_to_the_guarded_form(self, p):
+        # every number keeps the bits of the form that guarded u = 0; a
+        # scalar or 0-d u gives its array element's bits
+        mag = np.geomspace(1e-300, 1e300, 60001)
+        u = np.concatenate([mag, -mag, [0.0, -0.0, 5e-324, np.inf, -np.inf]])
+        with np.errstate(over="ignore", divide="ignore"):
+            want = F_canonical_guarded(u, p)
+        got = F_canonical(u, p)
+        assert bits(got) == bits(want)
+        assert bits(F_canonical(u[::-3], p)) == bits(want[::-3])
+        for i in range(0, u.size, 997):
+            one, zero_d = F_canonical(u[i], p), F_canonical(np.array(u[i]), p)
+            assert type(one) is float and type(zero_d) is float
+            assert bits(one) == bits(zero_d) == bits(want[i])
+
+    def test_nan_maps_to_nan(self):
+        # as F_generic does: a NaN iterate is not a zero source
+        assert np.isnan(F_canonical(np.nan, 3.5))
+        out = F_canonical(np.array([np.nan, 0.0, -np.nan, 0.3]), 3.5)
+        assert np.isnan(out[0]) and np.isnan(out[2])
+        assert out[1] == 0.0 and out[3] == F_canonical(0.3, 3.5)
+
+    def test_infinity_without_warning(self):
+        # the limits at 0, +-inf, a subnormal u and |u|^p past the largest
+        # double raise no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert F_canonical(np.inf, 3.5) == F_canonical(-np.inf, 2.0) == np.inf
+            out = F_canonical(np.array([np.inf, -np.inf, 0.0, 5e-324, 1e300]), 1.5)
+        assert out.tolist() == [np.inf, np.inf, 0.0, 0.0, np.inf]
+
+    def test_one_cached_callable_per_p(self):
+        spec = NonlinearitySpec(p=3.5, q=2.0, delta0=0.45)
+        clear_caches()
+        assert _canonical.cache_info().currsize == 0
+        F = nonlinearity(spec)
+        assert F is nonlinearity(spec)
+        assert F is nonlinearity(NonlinearitySpec(p=3.5, q=3.0, delta0=0.3))
+        assert F is not nonlinearity(NonlinearitySpec(p=4.0, q=2.0, delta0=0.45))
+        F_canonical(0.3, 3.5)
+        assert _canonical.cache_info().hits == 3
+        clear_caches()
+        assert _canonical.cache_info().currsize == 0
+        assert nonlinearity(spec) is not F
+
 
 class TestFGeneric:
     def test_zero_at_zero(self):
@@ -175,6 +225,14 @@ def _hermite(x, xl, xr, gl, dgl, gr, dgr):
     h01 = s * s * (3 - 2 * s)
     h11 = s * s * (s - 1)
     return h00 * gl + h10 * h * dgl + h01 * gr + h11 * h * dgr
+
+
+def F_canonical_guarded(u, p):
+    """The earlier F_canonical, kept as the reference: u = 0 guarded by
+    np.where on both 1/|u| and the result (so a NaN gave 0)."""
+    au = np.abs(np.asarray(u, dtype=float))
+    safe = np.where(au > 0, au, 1.0)
+    return np.where(au > 0, np.arcsinh(1.0 / safe) ** (1.0 - p) * au, 0.0)
 
 
 def F_generic_all_branches(u, spec):
