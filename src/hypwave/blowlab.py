@@ -769,11 +769,11 @@ def escape_detector(u0, u1, F, cfg: FDConfig, threshold):
     """Step the finite-difference scheme, watching for sup_r u > threshold.
 
     Runs fdoracle.leapfrog, the stepper of fd_solve, but records only the
-    signed spatial max per step and stops early at the first crossing. A
-    non-finite value before the crossing is reported as an escape at that
-    time with the instability flag raised, since a genuine blow-up drives
-    the explicit scheme through overflow; the flag keeps the two causes
-    separable.
+    signed spatial max per step, reduced over the stepper's live window,
+    and stops early at the first crossing. A non-finite value before the
+    crossing is reported as an escape at that time with the instability
+    flag raised, since a genuine blow-up drives the explicit scheme
+    through overflow; the flag keeps the two causes separable.
 
     F is a callable of u or None for the linear equation. The threshold is
     compared strictly; data already above it escape at t = 0.
@@ -784,10 +784,14 @@ def escape_detector(u0, u1, F, cfg: FDConfig, threshold):
     times, sups = [], []
     t_escape, instability = None, False
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, u in enumerate(leapfrog(u0, u1, F, cfg)):
+        for n, (u, k) in enumerate(leapfrog(u0, u1, F, cfg)):
             t = n * cfg.grid.dt
             times.append(t)
-            sup = _finite_max(u)
+            sup = _finite_max(u[:k])
+            if sup is not None and sup <= 0.0 and k < u.size:
+                # the cells from k on are +0.0: the whole state's max
+                # takes them in, with np.max's choice among signed zeros
+                sup = float(u.max())
             if sup is None:
                 sups.append(np.nan)
                 t_escape, instability = t, True

@@ -549,8 +549,13 @@ def cmd_blowup(config, out, seed):
                      rep.t_escape if rep.t_escape is not None
                      else float("nan"),
                      len(rep.t_history), sup_max)])
-        _write_csv(out / "escape_history.csv", ("t", "sup"),
-                   zip(rep.t_history, rep.sup_history))
+        # one format per row: the bytes _write_csv gives for these floats
+        with open(out / "escape_history.csv", "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write("t,sup\n")
+            fh.writelines("%.17g,%.17g\n" % row for row in
+                          zip(rep.t_history.tolist(),
+                              rep.sup_history.tolist()))
     return 0
 
 

@@ -17,6 +17,11 @@ the scheme's numerical domain of dependence grows by one cell per step,
 so cells beyond the data's support plus one cell per step are exactly 0,
 and the window (rounded up to whole blocks of cells) covers the rest.
 F must be pointwise; an F with F(0) != 0 steps the whole grid.
+
+A step allocates no array but F's: leapfrog yields (u, k), u one of
+three state buffers that the steps reuse in turn and k its live length,
+so a caller reduces u[:k] and copies a state it keeps. The views a step
+reads and writes are planned once per window length.
 """
 
 from __future__ import annotations
@@ -93,24 +98,32 @@ def _check_support(u0, u1, cfg):
                 "contaminate the solution")
 
 
+def _views(u, k):
+    """The views (window, interior, left, right) of u's cells [0, k) that
+    the 3-point stencil reads: u[:k], u[1:k-1], u[:k-2] and u[2:k]."""
+    return u[:k], u[1:k - 1], u[:k - 2], u[2:k]
+
+
 def _apply_operator(u, coth_r, dr, out, tmp):
     """Write the spatial operator u_rr + coth(r) u_r + u/4, with the
-    even-extension origin stencil, into out, the size of u; tmp is scratch
-    the size of coth_r, u.size - 2. The Dirichlet row at r_max is the
-    caller's: out[-1] is 0."""
-    inner = out[1:-1]
-    np.multiply(u[1:-1], 2.0, out=inner)
-    np.subtract(u[2:], inner, out=inner)
-    inner += u[:-2]
+    even-extension origin stencil, into out. u is _views of the state,
+    out the pair (window, interior) of the output, coth_r and the scratch
+    tmp the interior's size. The Dirichlet row at the window's end is the
+    caller's: out's last cell is 0."""
+    win, mid, left, right = u
+    acc, inner = out
+    np.multiply(mid, 2.0, out=inner)
+    np.subtract(right, inner, out=inner)
+    inner += left
     inner /= dr**2
-    np.subtract(u[2:], u[:-2], out=tmp)
+    np.subtract(right, left, out=tmp)
     tmp *= coth_r
     tmp /= 2.0 * dr
     inner += tmp
-    np.multiply(u[1:-1], 0.25, out=tmp)
+    np.multiply(mid, 0.25, out=tmp)
     inner += tmp
-    out[0] = 4.0 * (u[1] - u[0]) / dr**2 + 0.25 * u[0]
-    out[-1] = 0.0
+    acc[0] = 4.0 * (win[1] - win[0]) / dr**2 + 0.25 * win[0]
+    acc[-1] = 0.0
 
 
 def _finite_max(u):
@@ -125,21 +138,25 @@ def _finite_max(u):
 
 
 def leapfrog(u0, u1, F, cfg: FDConfig):
-    """Yield the leapfrog states on cfg.grid.r for n = 0, ..., cfg.n_steps.
+    """Yield (u, k) for the leapfrog states u on cfg.grid.r, n = 0, ...,
+    cfg.n_steps; every cell of u from k on is exactly 0.
 
     Data are (u(0), u_t(0)) = (u0, u1); F is the nonlinearity as a
     pointwise callable of u, or None for the linear equation. Profiles
     with a declared support radius must fit inside r_max - t_max, so the
     Dirichlet boundary stays causally invisible; undeclared supports are
     the caller's responsibility. Non-finite states are yielded unchecked,
-    for the caller to judge under its own np.errstate. Each yielded state
-    is a fresh array that callers may keep, but must not write to: the
-    stepper reads it for the next two steps.
+    for the caller to judge under its own np.errstate.
 
-    The right-hand side, the operator plus F, goes into two buffers that
-    every step reuses, and each step's update 2 u - u_prev + dt^2 rhs is
-    computed in place on the new state's window. The arithmetic is the
-    full-grid scheme's, operation for operation.
+    The states live in three full-length buffers: each new state is
+    written into the buffer of the state three steps back. A yielded u is
+    therefore valid only until the generator resumes, and a caller that
+    keeps a state copies it; no caller may write to it, since the stepper
+    reads it for the next two steps. The right-hand side, the operator
+    plus F, goes into two scratch buffers that every step reuses, and the
+    update 2 u - u_prev + dt^2 rhs is computed in place on the new
+    state's window. The arithmetic is the full-grid scheme's, operation
+    for operation.
 
     After the start step, every step updates only the cells [0, k) that
     the data can have reached. The front, the last cell where either held
@@ -148,10 +165,13 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
     stencil. k is the front plus 2, rounded up to _BLOCK cells and capped
     at the grid; cell k - 1, beyond the new front, takes the Dirichlet 0,
     which at k = n_r is the real boundary row. Cells past the front are
-    exactly 0 in the full-grid scheme as well, so every state is the
-    same, bit for bit. This needs F(0) = 0: when F(0) is not exactly 0,
-    the front starts at the grid's end and every step covers the whole
-    grid.
+    exactly +0.0 in the full-grid scheme as well from step 1 on, so every
+    state is the same, bit for bit. This needs F(0) = 0: when F(0) is not
+    exactly 0, the front starts at the grid's end and every step covers
+    the whole grid. k takes few values, so each one gets a plan, built
+    once: the _views of the three buffers and the windows of the scratch
+    buffers and of coth(r), which the steps until k next grows share.
+    The states 0 and 1 are yielded with k = n_r.
     """
     u0 = _as_profile(u0)
     u1 = _as_profile(u1)
@@ -163,39 +183,46 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
     acc = np.empty(n_r)
     tmp = np.empty(n_r - 2)
 
-    def rhs(u):
-        """The right-hand side on the window u, in acc[:u.size]; its last
-        cell is the caller's to overwrite."""
-        out = acc[:u.size]
-        _apply_operator(u, coth_r[:u.size - 2], dr, out, tmp[:u.size - 2])
-        if F is not None:
-            out += F(u)
-        return out
-
     prev = u0(r)
     prev[-1] = 0.0
-    yield prev
-    cur = prev + dt * u1(r) + 0.5 * dt**2 * rhs(prev)
+    yield prev, n_r
+    _apply_operator(_views(prev, n_r), coth_r, dr, (acc, acc[1:-1]), tmp)
+    if F is not None:
+        acc += F(prev)
+    cur = prev + dt * u1(r) + 0.5 * dt**2 * acc
     cur[-1] = 0.0
-    yield cur
+    yield cur, n_r
     if F is not None and np.any(F(np.zeros(1)) != 0.0):
         front = n_r - 1
     else:
         live = np.flatnonzero((prev != 0.0) | (cur != 0.0))
         front = int(live[-1]) if live.size else -1
+        # u0 may give -0.0 past its support (a sign times 0): the cells
+        # that no window reaches must hold +0.0, the full-grid value
+        prev[front + 1:] = 0.0
+    nxt = np.zeros(n_r)
+    plan_k = None
     for _ in range(1, cfg.n_steps):
         front += 1
         k = min(-(-(front + 2) // _BLOCK) * _BLOCK, n_r)
-        nxt = np.zeros(n_r)
-        step = nxt[:k]
-        np.multiply(cur[:k], 2.0, out=step)
-        step -= prev[:k]
-        f = rhs(cur[:k])
+        if k != plan_k:
+            plan_k = k
+            prev_v, cur_v, nxt_v = (_views(prev, k), _views(cur, k),
+                                    _views(nxt, k))
+            acc_v = acc[:k], acc[1:k - 1]
+            coth_k, tmp_k = coth_r[:k - 2], tmp[:k - 2]
+        step, f = nxt_v[0], acc_v[0]
+        np.multiply(cur_v[0], 2.0, out=step)
+        step -= prev_v[0]
+        _apply_operator(cur_v, coth_k, dr, acc_v, tmp_k)
+        if F is not None:
+            f += F(cur_v[0])
         f *= dt**2
         step += f
         step[-1] = 0.0
-        prev, cur = cur, nxt
-        yield cur
+        prev, cur, nxt = cur, nxt, prev
+        prev_v, cur_v, nxt_v = cur_v, nxt_v, prev_v
+        yield cur, k
 
 
 def fd_solve(u0, u1, F, cfg: FDConfig):
@@ -203,7 +230,7 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
 
     F is the nonlinearity as a callable of u, or None for the linear
     equation; the support rule for the data is leapfrog's. Every
-    snapshot_every-th state is kept.
+    snapshot_every-th state is kept, as a copy of leapfrog's buffer.
 
     Raises InstabilityError with the first offending (t, r) if the scheme
     produces a non-finite value; its field holds the snapshots kept before.
@@ -211,22 +238,23 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
     r = cfg.grid.r
     t_grid = np.linspace(0.0, cfg.grid.t_max,
                          cfg.n_steps // cfg.snapshot_every + 1)
-    stored = []
+    stored = np.empty((t_grid.size, r.size))
+    kept = 0
     # overflow on the way to a detected instability is expected; the
     # non-finite check below is the real guard
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, u in enumerate(leapfrog(u0, u1, F, cfg)):
-            if _finite_max(u) is None:
-                bad = np.flatnonzero(~np.isfinite(u))[0]
-                field = (SpaceTimeField(t_grid[:len(stored)], r,
-                                        np.asarray(stored))
-                         if stored else None)
+        for n, (u, k) in enumerate(leapfrog(u0, u1, F, cfg)):
+            if _finite_max(u[:k]) is None:
+                bad = np.flatnonzero(~np.isfinite(u[:k]))[0]
+                field = (SpaceTimeField(t_grid[:kept], r, stored[:kept])
+                         if kept else None)
                 raise InstabilityError(
                     f"non-finite value at t = {n * cfg.grid.dt:.6g}, "
                     f"r = {r[bad]:.6g}", field)
             if n % cfg.snapshot_every == 0:
-                stored.append(u)
-    return SpaceTimeField(t_grid, r, np.asarray(stored))
+                stored[kept] = u
+                kept += 1
+    return SpaceTimeField(t_grid, r, stored)
 
 
 @dataclass(frozen=True)

@@ -223,7 +223,8 @@ def estimate_N_h(k, h, grid):
 def _check_envelope(prof, name, k, r_grid):
     vals = np.abs(_as_profile(prof)(r_grid))
     env = theta_k(r_grid, EnvelopeParams(k=k))
-    if np.any(vals > env * (1.0 + 1e-9)):
+    # written so that NaN data fail too; argmax takes the first NaN
+    if not np.all(vals <= env * (1.0 + 1e-9)):
         j = int(np.argmax(vals - env))
         raise DomainError(
             f"{name} violates the data envelope theta_k at r = {r_grid[j]:.4g} "
@@ -238,13 +239,27 @@ def _check_p(spec, cfg):
             f"p = {cfg.p}, against which h = {cfg.h} was checked")
 
 
+def _iterate_sup(u, n, grid):
+    """max |u| over the Grid grid of the Picard iterate u that sweep n
+    made. Raises EscapeError naming the sweep and the first non-finite
+    (t, r) if u is not finite: a NaN would pass every later comparison."""
+    top = np.max(np.abs(u))
+    if not np.isfinite(top):
+        i, j = np.argwhere(~np.isfinite(u))[0]
+        raise EscapeError(
+            f"sweep {n} gave a non-finite iterate, first at "
+            f"t = {grid.t[i]:.6g}, r = {grid.r[j]:.6g}")
+    return top
+
+
 def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
     """Fixed-point iteration for the nonlinear integral equation.
 
     Returns (field, history) where history[n] is the weighted norm of the
     difference between iterates n+1 and n. spec = None solves the linear
-    problem (F = 0). Raises EscapeError if an iterate leaves the ball
-    |u| <= 1/A where the nonlinearity's envelope applies, and
+    problem (F = 0). Raises EscapeError if an iterate is not finite, naming
+    the sweep that made it and its first non-finite (t, r), or leaves the
+    ball |u| <= 1/A where the nonlinearity's envelope applies, and
     ConvergenceError (carrying the history) if max_iters sweeps do not
     reach fixed_point_tol. Raises DomainError if spec.p is not cfg.p.
     """
@@ -265,7 +280,7 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
     cur = lin.copy()
     history = []
     for n in range(cfg.max_iters):
-        if np.max(np.abs(cur)) > cap:
+        if _iterate_sup(cur, n, grid) > cap:
             raise EscapeError(
                 f"iterate {n} exceeds the envelope ball 1/A = {cap:.4g}; "
                 "epsilon is too large for the contraction regime")
@@ -275,6 +290,7 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
         cur = nxt
         if diff < cfg.fixed_point_tol:
             return SpaceTimeField(grid.t, grid.r, cur), history
+    _iterate_sup(cur, cfg.max_iters, grid)
     raise ConvergenceError(
         f"no fixed point within {cfg.max_iters} sweeps "
         f"(last difference {history[-1]:.3e})", history)

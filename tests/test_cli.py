@@ -23,7 +23,7 @@ import pytest
 import hypwave
 from hypwave import fdoracle, globalsolver, meanprop
 from hypwave.cli import (_REQUIRED, _SCHEMA, _apply_thread_cap, _fmt,
-                         _write_grid_csv, main)
+                         _write_csv, _write_grid_csv, main)
 from hypwave.hypgeo import Grid
 from hypwave.nonlin import NonlinearitySpec
 
@@ -733,6 +733,28 @@ r_max = 7.7
         assert history[0] == ["t", "sup"]
         assert len(history) - 1 == int(row[4])
         assert float(history[-1][1]) > float(row[0])
+
+    # a crossing of 10 max|u1|, and a threshold no finite sup crosses, so
+    # that the run ends in overflow with a NaN last sup
+    @pytest.mark.parametrize("factor, instability",
+                             [(10.0, False), (1e300, True)],
+                             ids=["escape", "instability"])
+    def test_escape_history_bytes_match_the_row_writer(
+            self, tmp_path, monkeypatch, factor, instability):
+        from hypwave import blowlab
+
+        reports = recording(monkeypatch, blowlab, "escape_detector")
+        body = BLOWUP_BASE.replace("epsilon = 0.5", "epsilon = 1.0") + (
+            f"[escape]\nt_max = 8.0\nthreshold_factor = {factor}\n")
+        code, out = run_cli(tmp_path, "blowup", body)
+        assert code == 0
+        (rep,) = reports
+        assert rep.escaped and rep.instability == instability
+        _write_csv(tmp_path / "history.csv", ("t", "sup"),
+                   zip(rep.t_history, rep.sup_history))
+        got = (out / "escape_history.csv").read_bytes()
+        assert got == (tmp_path / "history.csv").read_bytes()
+        assert got.endswith(b",nan\n") == instability
 
     def test_grid_too_small_for_bump_is_config_error(self, tmp_path, capsys):
         # r_max - t_max = -1 leaves no room for the bump's support 3.5

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from hypwave import blowlab
 from hypwave.blowlab import bump_profile, escape_detector
 from hypwave.fdoracle import (
     _BLOCK,
@@ -252,6 +253,10 @@ class TestLeapfrogWindow:
         # the zero cells do not stay zero
         "F(0)-subnormal": (zero, BUMP, lambda u: 2.5e-321 + u * np.abs(u),
                            SHORT),
+        # u0 is -0.0 past its support, the full-grid states from step 1
+        # on are +0.0 there
+        "negative-bump": (scaled(BUMP, -1.0), scaled(BUMP, -0.1),
+                          spec_F("piecewise_generic"), SHORT),
         # overflows at t = 5.24 (step 131), when the window is 256 of 873 cells
         "overflow": (zero, scaled(BUMP, 0.5), spec_F("piecewise_generic"),
                      FDConfig(Grid(8.0, 43.6, 0.04, 0.05))),
@@ -261,7 +266,7 @@ class TestLeapfrogWindow:
     def test_states_equal_full_grid(self, case):
         u0, u1, F, cfg = self.CASES[case]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = list(leapfrog(u0, u1, F, cfg))
+            got = [u.copy() for u, _ in leapfrog(u0, u1, F, cfg)]
             want = list(full_grid_leapfrog(u0, u1, F, cfg))
         assert len(got) == len(want) == cfg.n_steps + 1
         for n, (g, w) in enumerate(zip(got, want)):
@@ -308,36 +313,96 @@ class TestLeapfrogWindow:
             fd_solve(lambda lam: np.full_like(lam, np.inf), zero, None, QUICK)
         assert "t = 0," in str(exc.value) and exc.value.field is None
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_cells_from_k_on_are_plus_zero(self, case):
+        """Each yielded (u, k): u is the full-grid state, sign of zero
+        included, and its cells from k on are +0.0."""
+        u0, u1, F, cfg = self.CASES[case]
+        n_r = cfg.grid.r.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, ((u, k), w) in enumerate(zip(
+                    leapfrog(u0, u1, F, cfg),
+                    full_grid_leapfrog(u0, u1, F, cfg))):
+                assert bits(u) == bits(w), f"state {n}"
+                assert bits(u[k:]) == bits(np.zeros(n_r - k)), f"state {n}"
+
+    @pytest.mark.parametrize("every", [1, 5])
+    def test_kept_states_outlive_the_buffers(self, every):
+        # leapfrog writes each state into the buffer of the state three
+        # steps back: fd_solve's copies must not follow
+        u0, u1, F, cfg = self.CASES["bump-piecewise"]
+        cfg = FDConfig(cfg.grid, snapshot_every=every)
+        got = fd_solve(u0, u1, F, cfg).values
+        want = list(full_grid_leapfrog(u0, u1, F, cfg))[::every]
+        assert got.shape == (cfg.n_steps // every + 1, cfg.grid.r.size)
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("cfg", [SHORT, ESCAPE],
+                             ids=["window-below-r_max", "window-hits-r_max"])
+    def test_escape_sup_is_the_full_grid_max(self, cfg):
+        """escape_detector reduces the window [0, k). Negative data keep its
+        max at 0 while k < n_r, where the cells from k on join in; from
+        k = n_r on the window is the whole state."""
+        u1 = scaled(BUMP, -1.0)
+        n_r = cfg.grid.r.size
+        ks, zero_max = [], 0
+        for u, k in leapfrog(zero, u1, None, cfg):
+            ks.append(k)
+            zero_max += k < n_r and u[:k].max() <= 0.0
+        assert zero_max > 20
+        assert (ks[-1] == n_r) == (cfg is ESCAPE)
+        rep = escape_detector(zero, u1, None, cfg, 10.0)
+        want = [np.max(u) for u in full_grid_leapfrog(zero, u1, None, cfg)]
+        assert not rep.escaped and len(want) == len(ks)
+        assert bits(rep.sup_history) == bits(want)
+
+    def test_escape_sup_keeps_np_max_signed_zero(self, monkeypatch):
+        """A window [0, 4) whose max ties -0.0 with +0.0: np.max of the
+        window and of the whole state may pick different zeros, and the
+        sup is the whole state's."""
+        u = np.array([-0.0, -1.0, -1.0] + [0.0] * 6)
+        monkeypatch.setattr(blowlab, "leapfrog",
+                            lambda *args: iter([(u, 4)]))
+        rep = escape_detector(zero, zero, None, SHORT, 1.0)
+        assert bits(rep.sup_history) == bits([np.max(u)])
+
     @staticmethod
     def window_lengths(F, cfg):
-        """len(u) of every F call while leapfrog makes each state, by step."""
+        """len(u) of every F call while leapfrog makes each state, by step,
+        and the k yielded with each state."""
         seen = []
 
         def recording(u):
             seen.append(len(u))
             return F(u)
 
-        per_step = []
-        for _ in leapfrog(zero, scaled(BUMP, 0.1), recording, cfg):
+        per_step, ks = [], []
+        for _, k in leapfrog(zero, scaled(BUMP, 0.1), recording, cfg):
             per_step.append(seen[:])
+            ks.append(k)
             seen.clear()
-        return per_step
+        return per_step, ks
 
     def test_window_follows_the_light_cone(self):
         n_r = ESCAPE.grid.r.size
         support = int(np.flatnonzero(BUMP(ESCAPE.grid.r))[-1])
         # a defocusing F, so that the 1000 steps stay finite
-        per_step = self.window_lengths(lambda u: -u * np.abs(u), ESCAPE)
+        per_step, ks = self.window_lengths(lambda u: -u * np.abs(u), ESCAPE)
         assert per_step[1] == [n_r]
         for n in range(2, ESCAPE.n_steps + 1):
             bound = -(-(support + n + 2) // _BLOCK) * _BLOCK
             assert max(per_step[n]) <= min(bound, n_r), f"step {n}"
         assert per_step[2][-1] == _BLOCK < n_r
+        # the yielded k is the window F saw; states 0 and 1 are whole
+        assert ks[0] == n_r
+        assert ks[1:] == [calls[-1] for calls in per_step[1:]]
 
     def test_F_nonzero_at_zero_steps_the_whole_grid(self):
         n_r = SHORT.grid.r.size
-        per_step = self.window_lengths(lambda u: 0.01 + u * np.abs(u), SHORT)
+        per_step, ks = self.window_lengths(lambda u: 0.01 + u * np.abs(u),
+                                           SHORT)
         assert all(calls[-1] == n_r for calls in per_step[1:])
+        assert set(ks) == {n_r}
 
 
 def old_F(spec):

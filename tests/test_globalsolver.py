@@ -222,6 +222,37 @@ class TestPicard:
             gs.picard_solve(0.0, lambda lam: 2.0 * theta_k(lam, ENV1),
                             SPEC, coarse_cfg)
 
+    def test_nan_data_rejected_at_its_radius(self, coarse_cfg):
+        def u1(lam):
+            return np.where(np.isclose(lam, 1.5), np.nan, data_profile(lam))
+
+        with pytest.raises(
+                DomainError, match=r"u1 violates the data envelope .* r = 1\.5 "):
+            gs.picard_solve(0.0, u1, SPEC, coarse_cfg)
+
+    def test_nan_iterate_stops_at_its_sweep(self, coarse_cfg, monkeypatch):
+        # F turns NaN at one point on its second call, the sweep that
+        # makes iterate 2
+        calls = []
+
+        def nan_at_second_call(spec):
+            F = nonlinearity(spec)
+
+            def F_nan(u):
+                calls.append(1)
+                out = F(u)
+                if len(calls) == 2:
+                    out[3, 7] = np.nan
+                return out
+            return F_nan
+
+        monkeypatch.setattr(gs, "nonlinearity", nan_at_second_call)
+        with pytest.raises(gs.EscapeError,
+                           match=r"^sweep 2 gave a non-finite iterate, "
+                                 r"first at t = \S+, r = \S+$"):
+            gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
+        assert len(calls) == 2
+
     def test_convergence_history_contracts(self, coarse_cfg):
         u, history = gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
         assert history[-1] < coarse_cfg.fixed_point_tol
