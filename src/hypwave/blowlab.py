@@ -4,8 +4,12 @@ For 1 < p < 3 small positive data are expected to leave every bounded set in
 finite time. The argument that motivates this module runs through explicit
 machinery, all of which is reproduced here with every constant made concrete:
 
-* a family of space-time regions (S, Sigma_l, R_{r,t}, T^l_{r,t}, Y) on the
-  (lambda, tau) half-plane,
+* a family of space-time regions on the (lambda, tau) half-plane, each a
+  boolean mask with its defining inequalities in its docstring:
+  _mask_S and _mask_sigma, where certificate_verify checks the two lower
+  bounds, and _mask_R and _mask_T, the region whose lambda-integral
+  area_lower_bound bounds; the late-time strip Y (lam > tau0/2, tau > T,
+  tau + lam <= T + tau0) enters only estimate_tilde_c's infimum,
 * a first-iterate lower bound u >= c0 eps (sinh r)^{-1/2} on S, with c0
   machine-found from the propagator's kernel bounds: an output of the
   construction, carried by the certificate, never a parameter,
@@ -39,9 +43,9 @@ from .fdoracle import FDConfig, _finite_max, leapfrog
 
 __all__ = [
     "BlowupParams", "BoostSequence", "JohnSequence", "BlowupCertificate",
-    "VerifyReport", "EscapeReport", "bump_profile", "region_membership",
-    "first_iterate_bound", "boost_sequence", "area_lower_bound",
-    "john_recursion", "blowup_time_bound", "estimate_tilde_c",
+    "VerifyReport", "EscapeReport", "bump_profile", "first_iterate_bound",
+    "boost_sequence", "area_lower_bound", "john_recursion",
+    "blowup_time_bound", "estimate_tilde_c",
     "build_certificate", "certificate_verify", "escape_detector",
 ]
 
@@ -125,15 +129,19 @@ def bump_profile(tau0):
 # ---------------------------------------------------------------------------
 
 def _mask_S(lam, tau, tau0):
+    """S:  tau0 < tau - lam < 2*tau0  and  tau + lam > 3*tau0."""
     w = tau - lam
     return (w > tau0) & (w < 2.0 * tau0) & (tau + lam > 3.0 * tau0)
 
 
 def _mask_sigma(lam, tau, tau0, l):
+    """Sigma_l:  tau - lam > 6*l*tau0  and  lam > tau0/2."""
     return (tau - lam > 6.0 * l * tau0) & (lam > 0.5 * tau0)
 
 
 def _mask_R(lam, tau, tau0, r, t):
+    """R_{r,t}:  tau >= 0,  tau - lam <= t - r,  t <= tau + lam <= t + r
+    and  |t - r - tau| >= tau0/8."""
     return ((tau >= 0.0)
             & (tau - lam <= t - r)
             & (t <= tau + lam) & (tau + lam <= t + r)
@@ -141,57 +149,12 @@ def _mask_R(lam, tau, tau0, r, t):
 
 
 def _mask_T(lam, tau, tau0, l, r, t):
+    """T^l_{r,t}:  R_{r,t} and Sigma_l and
+    (6*l*tau0 + t - r)/2 <= tau - lam <= t - r."""
     w = tau - lam
     return (_mask_R(lam, tau, tau0, r, t)
             & _mask_sigma(lam, tau, tau0, l)
             & (0.5 * (6.0 * l * tau0 + (t - r)) <= w) & (w <= t - r))
-
-
-def _mask_Y(lam, tau, tau0, T):
-    return (lam > 0.5 * tau0) & (tau > T) & (tau + lam <= T + tau0)
-
-
-def region_membership(lam, tau, params, which, *, l=None, r=None, t=None, T=None):
-    """Membership test for the blow-up regions.
-
-    which is one of "S", "Sigma" (needs l), "R" (needs r, t), "T" (needs
-    l, r, t), "Y" (needs T). params may be a BlowupParams or a bare tau0.
-    lam and tau may be arrays, in which case a boolean array comes back.
-
-    The defining inequalities, verbatim:
-
-        S:        tau0 < tau - lam < 2*tau0  and  tau + lam > 3*tau0
-        Sigma_l:  tau - lam > 6*l*tau0       and  lam > tau0/2
-        R_{r,t}:  tau >= 0,  tau - lam <= t - r,  t <= tau + lam <= t + r,
-                  |t - r - tau| >= tau0/8
-        T^l_{r,t}: R_{r,t} and Sigma_l and
-                  (6*l*tau0 + t - r)/2 <= tau - lam <= t - r
-        Y:        lam > tau0/2,  tau > T,  tau + lam <= T + tau0
-    """
-    tau0 = params.tau0 if isinstance(params, BlowupParams) else float(params)
-    if not tau0 > 0.0:
-        raise DomainError("tau0 must be positive")
-    lam = np.asarray(lam, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-
-    def need(name, val):
-        if val is None:
-            raise DomainError(f"region {which} needs parameter {name}")
-        return float(val)
-
-    if which == "S":
-        mask = _mask_S(lam, tau, tau0)
-    elif which == "Sigma":
-        mask = _mask_sigma(lam, tau, tau0, need("l", l))
-    elif which == "R":
-        mask = _mask_R(lam, tau, tau0, need("r", r), need("t", t))
-    elif which == "T":
-        mask = _mask_T(lam, tau, tau0, need("l", l), need("r", r), need("t", t))
-    elif which == "Y":
-        mask = _mask_Y(lam, tau, tau0, need("T", T))
-    else:
-        raise DomainError(f"unknown region {which!r}; expected S, Sigma, R, T or Y")
-    return mask if mask.ndim else bool(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +273,10 @@ def boost_sequence(params, c0):
     multiplies by C0*delta0/32: one factor C0 from the kernel bound, delta0
     from the small-amplitude branch, 1/8 from the parabolic area bound and
     1/4 from the (alpha, beta) = (tau - lambda, tau + lambda) Jacobian,
-    composed exactly as in area_lower_bound. The discarded ratio
+    composed exactly as in area_lower_bound, whose region T^l_{r,t} is
+    _mask_T (inside R_{r,t}, _mask_R, and Sigma_l, _mask_sigma); stage l
+    holds on Sigma_l, the region certificate_verify checks the last stage
+    on. The discarded ratio
     (t - r - 6l*tau0 - 3*tau0)/(t - r) is order one on Sigma_{l+1} but
     carries no uniform constant, so it is dropped rather than estimated;
     the resulting c_l are conservative.
@@ -511,7 +477,9 @@ def blowup_time_bound(A0, E, q, tau0, c, epsilon, delta0, tilde_c):
 
 
 def estimate_tilde_c(boost, params):
-    """Machine-found tilde_c with u >= tilde_c * eps * t^{A0} on Y.
+    """Machine-found tilde_c with u >= tilde_c * eps * t^{A0} on Y,
+
+        Y:  lam > tau0/2,  tau > T,  tau + lam <= T + tau0.
 
     Plugging the last boost stage into Y: with c = c_{l0} and
     L = log(1/(c eps)), the stage-l0 bound divided by t^{A0} equals

@@ -104,6 +104,17 @@ def _views(u, k):
     return u[:k], u[1:k - 1], u[:k - 2], u[2:k]
 
 
+def _coth(r):
+    """coth r of positive radii as cosh r / sinh r, the scheme's values;
+    from r = 710.48 on, where both overflow and the quotient is NaN, as
+    1 / tanh r (1.0 there), so every radius below keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.cosh(r) / np.sinh(r)
+    far = ~np.isfinite(c)
+    c[far] = 1.0 / np.tanh(r[far])
+    return c
+
+
 def _apply_operator(u, coth_r, dr, out, tmp):
     """Write the spatial operator u_rr + coth(r) u_r + u/4, with the
     even-extension origin stencil, into out. u is _views of the state,
@@ -178,7 +189,7 @@ def leapfrog(u0, u1, F, cfg: FDConfig):
     _check_support(u0, u1, cfg)
     r = cfg.grid.r
     n_r = r.size
-    coth_r = np.cosh(r[1:-1]) / np.sinh(r[1:-1])
+    coth_r = _coth(r[1:-1])
     dr, dt = cfg.grid.dr, cfg.grid.dt
     acc = np.empty(n_r)
     tmp = np.empty(n_r - 2)

@@ -9,9 +9,8 @@ measured in the norm ||Phi_h u||_inf, Phi_h = e^{r/2} <t-r>^h. The module
 also measures the contraction factor of the Duhamel-composed nonlinearity
 on random pairs from the ball of radius 2 eps N_h (the empirical content
 of the contraction lemma), locates the largest admissible eps by
-bisection, checks the claim integral that drives the lemma's proof,
-verifies the dispersive decay of the linear evolution by regression, and
-computes the guaranteed local existence window.
+bisection, checks the claim integral that drives the lemma's proof and
+verifies the dispersive decay of the linear evolution by regression.
 
 The heavy objects are functools caches of what they depend on: the
 propagation table of a Grid, N_h per (k, h, Grid) and Phi_h per (Grid,
@@ -71,7 +70,6 @@ __all__ = [
     "epsilon_threshold",
     "claim_bound_check",
     "decay_fit",
-    "local_existence_window",
     "clear_caches",
 ]
 
@@ -551,10 +549,3 @@ def decay_fit(u0_field: SpaceTimeField, k, ray_offset=1.0, min_r=1.0):
               f"column r={r[r_star_idx]:.3g}, t-r>={ray_offset}")
     return DecayFitReport(slope_r=slope_r, slope_tr=slope_tr,
                           sup_weighted=sup_weighted, fit_window=window)
-
-
-def local_existence_window(M):
-    """The guaranteed contraction window T = 1/(2 sqrt(2) e M), capped at 1."""
-    if not M > 0:
-        raise DomainError("M must be positive")
-    return min(1.0, 1.0 / (2.0 * np.sqrt(2.0) * np.e * M))

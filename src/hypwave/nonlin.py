@@ -38,8 +38,6 @@ from .hypgeo import DomainError
 
 __all__ = [
     "NonlinearitySpec",
-    "F_canonical",
-    "F_generic",
     "G_envelope",
     "nonlinearity",
     "fit_A",
@@ -79,20 +77,11 @@ class NonlinearitySpec:
             _blend_coeffs(self.p, self.q, self.delta0)  # the monotone check
 
 
-def F_canonical(u, p):
-    """(asinh(1/|u|))^{-(p-1)} |u|, extended by 0 at u = 0; even in u.
-
-    The work is done by p's cached callable, the one nonlinearity(spec)
-    returns for a canonical spec; a scalar u gives a float.
-    """
-    if not p > 1:
-        raise DomainError("p must exceed 1")
-    return _canonical(float(p))(u)
-
-
 @lru_cache(maxsize=64)
 def _canonical(p):
-    """F_canonical of one p as a callable of u, with 1 - p bound.
+    """The canonical F of one p, (asinh(1/|u|))^{-(p-1)} |u| extended by
+    0 at u = 0, as a callable of u with 1 - p bound; nonlinearity(spec)
+    returns it for a canonical spec, and the spec has checked p > 1.
 
     1/|u|, its asinh, the power and the product are formed in place. No
     input needs a guard: u = 0 gives 1/0 = inf, asinh inf = inf,
@@ -120,7 +109,7 @@ def _canonical(p):
 
 
 def _blend_coeffs(p, q, delta0):
-    """Cubic Hermite data for the log-log blend of F_generic on
+    """Cubic Hermite data for the log-log blend of the piecewise F on
     [ln delta0, -ln delta0], plus a construction-time monotonicity check."""
     xl = np.log(delta0)
     xr = -np.log(delta0)
@@ -144,14 +133,17 @@ def _blend_coeffs(p, q, delta0):
 
 @lru_cache(maxsize=64)
 def _generic(spec: NonlinearitySpec):
-    """F_generic of one spec as a callable of u, with the blend data,
-    delta0, 1/delta0, 1 - p and q bound as floats.
+    """The piecewise F of the module docstring for one spec, as a callable
+    of u with the blend data, delta0, 1/delta0, 1 - p and q bound as
+    floats; nonlinearity(spec) returns it for a piecewise_generic spec.
 
-    Each branch is evaluated only on the points it covers, in place, and
-    the large branch and the blend are skipped when they cover none. The
-    blend is h00 gl + (h10 h) dgl + h01 gr + (h11 h) dgr, the cubic
-    Hermite form in the panel coordinate s, with (1 - s)^2, s^2 and 2 s
-    each computed once.
+    Each branch is evaluated only on the points it covers, in place: 0 at
+    u = 0, the small branch on 0 < |u| <= delta0, the large one on
+    |u| >= 1/delta0 and the blend on the rest, NaN included (a NaN stays
+    NaN); the large branch and the blend are skipped when they cover
+    none. A scalar u gives a float. The blend is h00 gl + (h10 h) dgl +
+    h01 gr + (h11 h) dgr, the cubic Hermite form in the panel coordinate
+    s, with (1 - s)^2, s^2 and 2 s each computed once.
     """
     xl, xr, gl, dgl, gr, dgr = map(
         float, _blend_coeffs(spec.p, spec.q, spec.delta0))
@@ -215,20 +207,6 @@ def _generic(spec: NonlinearitySpec):
     return F
 
 
-def F_generic(u, spec: NonlinearitySpec):
-    """The piecewise nonlinearity described in the module docstring.
-
-    Each branch is evaluated only on the points it covers: 0 at u = 0, the
-    small branch on 0 < |u| <= delta0, the large one on |u| >= 1/delta0
-    and the blend on the rest, NaN included (a NaN stays NaN). The work is
-    done by the spec's cached callable, the one nonlinearity(spec)
-    returns; a scalar u gives a float.
-    """
-    if spec.kind != "piecewise_generic":
-        raise DomainError("F_generic needs a spec of kind piecewise_generic")
-    return _generic(spec)(u)
-
-
 def G_envelope(u_abs, p, A):
     """The Lipschitz envelope A (ln 1/u)^{1-p} on (0, 1/A]."""
     if not p > 1:
@@ -245,11 +223,12 @@ def G_envelope(u_abs, p, A):
 
 
 def nonlinearity(spec: NonlinearitySpec):
-    """The nonlinearity of a spec as a plain callable of u.
+    """The nonlinearity of a spec as a plain callable of u: the one way
+    to evaluate F.
 
-    This is the spec's cached callable that F_canonical or F_generic
-    also runs, so repeated calls return the same object and evaluate
-    with constants bound once per spec.
+    The callable is cached per spec (per p for the canonical kind), so
+    repeated calls return the same object and evaluate with constants
+    bound once.
     """
     if spec.kind == "canonical_sinh_inverse":
         return _canonical(spec.p)

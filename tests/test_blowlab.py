@@ -11,8 +11,8 @@ from hypwave.blowlab import (
     BlowupParams, BoostSequence, EscapeReport, JohnSequence,
     VerifyReport, area_lower_bound, blowup_time_bound, boost_sequence,
     build_certificate, bump_profile, certificate_verify, escape_detector,
-    estimate_tilde_c, first_iterate_bound, john_recursion, region_membership,
-    _mask_S, _mask_sigma, _mask_T,
+    estimate_tilde_c, first_iterate_bound, john_recursion,
+    _mask_R, _mask_S, _mask_sigma, _mask_T,
 )
 from hypwave.fdoracle import FDConfig, fd_solve
 from hypwave.hypgeo import (DomainError, EnvelopeParams, Grid, log_sinh,
@@ -20,7 +20,7 @@ from hypwave.hypgeo import (DomainError, EnvelopeParams, Grid, log_sinh,
 from hypwave.meanprop import (RadialProfile, SpaceTimeField, _as_profile,
                               default_C0, leggauss, lower_bound_I,
                               sine_propagator)
-from hypwave.nonlin import F_canonical, NonlinearitySpec, nonlinearity
+from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from references import (bump_everywhere, decimated, first_iterate_both,
                         lower_bounds_everywhere)
 
@@ -111,60 +111,40 @@ class TestBump:
 
 class TestRegions:
     def test_stated_examples(self):
-        assert region_membership(1.0, 2.5, TAU0, "S") is True
-        assert region_membership(0.4, 10.0, TAU0, "Sigma", l=1) is False
-        assert region_membership(1.0, 100.4, TAU0, "Y", T=100.0) is False
-
-    def test_params_object_accepted(self):
-        assert region_membership(1.0, 2.5, make_params(), "S") is True
+        assert _mask_S(1.0, 2.5, TAU0)
+        assert not _mask_sigma(0.4, 10.0, TAU0, 1)
 
     @given(st.floats(0.0, 10.0), st.floats(0.0, 20.0))
     def test_S_forces_wide_radius(self, lam, tau):
-        if region_membership(lam, tau, TAU0, "S"):
+        if _mask_S(lam, tau, TAU0):
             assert lam > 0.5 * TAU0
 
     @given(st.floats(0.0, 30.0), st.floats(0.0, 60.0), st.integers(1, 3))
     def test_sigma_nesting(self, lam, tau, l):
-        inner = region_membership(lam, tau, TAU0, "Sigma", l=l + 1)
-        outer = region_membership(lam, tau, TAU0, "Sigma", l=l)
+        inner = _mask_sigma(lam, tau, TAU0, l + 1)
+        outer = _mask_sigma(lam, tau, TAU0, l)
         assert not inner or outer
 
     def test_R_excludes_cone_neighborhood(self):
         t, r = 6.0, 2.0
         # tau exactly on t - r is within tau0/8 of the cone
-        assert region_membership(1.0, t - r, TAU0, "R", r=r, t=t) is False
-        assert region_membership(2.5, 3.5, TAU0, "R", r=r, t=t) is True
+        assert not _mask_R(1.0, t - r, TAU0, r, t)
+        assert _mask_R(2.5, 3.5, TAU0, r, t)
 
     @given(st.floats(0.0, 15.0), st.floats(0.0, 30.0))
     def test_T_inside_R_and_sigma(self, lam, tau):
         l, r, t = 1, 2.0, 12.0
-        if region_membership(lam, tau, TAU0, "T", l=l, r=r, t=t):
-            assert region_membership(lam, tau, TAU0, "R", r=r, t=t)
-            assert region_membership(lam, tau, TAU0, "Sigma", l=l)
-
-    def test_Y_membership(self):
-        T = 100.0
-        assert region_membership(0.6, 100.2, TAU0, "Y", T=T) is True
-        assert region_membership(0.4, 100.2, TAU0, "Y", T=T) is False
-        assert region_membership(0.6, 99.9, TAU0, "Y", T=T) is False
+        if _mask_T(lam, tau, TAU0, l, r, t):
+            assert _mask_R(lam, tau, TAU0, r, t)
+            assert _mask_sigma(lam, tau, TAU0, l)
 
     def test_vectorized_matches_scalar(self):
         lam = np.array([0.3, 0.8, 1.0, 2.0])
         tau = np.array([2.0, 2.2, 2.5, 3.3])
-        vec = region_membership(lam, tau, TAU0, "S")
+        vec = _mask_S(lam, tau, TAU0)
         assert vec.dtype == bool
         for i in range(lam.size):
-            assert vec[i] == region_membership(lam[i], tau[i], TAU0, "S")
-
-    def test_missing_parameter(self):
-        with pytest.raises(DomainError, match="needs parameter l"):
-            region_membership(1.0, 10.0, TAU0, "Sigma")
-        with pytest.raises(DomainError, match="needs parameter T"):
-            region_membership(1.0, 10.0, TAU0, "Y")
-
-    def test_unknown_region(self):
-        with pytest.raises(DomainError, match="unknown region"):
-            region_membership(1.0, 10.0, TAU0, "Z")
+            assert vec[i] == _mask_S(lam[i], tau[i], TAU0)
 
 
 class TestFirstIterate:
@@ -936,7 +916,8 @@ class TestEscapeDetector:
         cfg = FDConfig(Grid(8.0, 20.0, 0.04, 0.05))
         report = escape_detector(zero_profile,
                                  lambda lam: eps * theta_k(lam, env),
-                                 lambda u: F_canonical(u, 3.5),
+                                 nonlinearity(NonlinearitySpec(
+                                     p=3.5, q=2.0, delta0=0.45)),
                                  cfg, 10.0 * eps)
         assert report.t_escape is None
         assert np.max(report.sup_history) < 10.0 * eps

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,30 @@ engine = both
         rows = read_csv(out / "diff.csv")
         assert rows[0] == ["t", "r", "kernel", "fd", "rel_err"]
         assert max(float(row[4]) for row in rows[1:]) < 0.05
+
+    def test_fd_past_the_cosh_overflow(self, tmp_path):
+        # cosh r and sinh r overflow from r = 710.48 on; the FD field
+        # stays finite out to r_max and nothing warns
+        body = """
+[grid]
+t_max = 1
+r_max = 720
+dt = 0.25
+dr = 0.5
+
+[data]
+kind = theta
+
+[propagate]
+engine = fd
+"""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "propagate", body)
+        assert code == 0
+        field = np.array(read_csv(out / "field.csv")[1:], dtype=float)
+        assert field.shape == (5 * 1441, 3)
+        assert np.all(np.isfinite(field)) and field[:, 1].max() == 720.0
 
     def test_unknown_engine_is_config_error(self, tmp_path):
         code, _ = run_cli(tmp_path, "propagate", SMALL_GRID +

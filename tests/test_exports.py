@@ -1,6 +1,8 @@
 """Every hypwave module declares __all__, every name in it exists, and
 every name it imports is used; the tests and scripts import nothing they
-leave unused either. The runtime depends on numpy alone, and the test
+leave unused either. Every top-level definition in src is reached from a
+command, a script, the bench or the acceptance gate, or is listed in KEPT
+with the reason it stays. The runtime depends on numpy alone, and the test
 settings let a failing hypothesis property report like any other test.
 
 A stale entry (a class deleted but still exported) breaks
@@ -134,6 +136,117 @@ def test_runtime_depends_on_numpy_alone():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
     assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+
+
+# Top-level src definitions that no command, script, bench file or gate
+# criterion reaches, and why each stays.
+KEPT = {
+    "W_evaluator": "claim_bound_check's reference in tests/references.py",
+    "area_lower_bound": "the parabolic area factor of boost_sequence's "
+                        "constants, checked by brute force over _mask_T",
+    "_mask_R": "R_{r,t}, inside which _mask_T's region lies",
+    "_mask_T": "T^l_{r,t}, the region of area_lower_bound's brute-force check",
+    "kernel_lower_integral": "the step I >= ... that the blow-up lower "
+                             "bounds rest on",
+    "G_envelope": "the envelope that checks fit_A's A, on which a computed "
+                  "contraction constant builds",
+    "lipschitz_diff_bound": "the difference bound that checks fit_A's A",
+    "w_majorant": "a lemma of the paper, to be shown in a command's CSV",
+    "r_operator": "a lemma of the paper, to be shown in a command's CSV",
+    "dt_r_bound_check": "a lemma of the paper, to be shown in a command's "
+                        "CSV",
+}
+
+
+def _mentions(node):
+    """Every name a node reads: plain names, attribute names (as in
+    gs.picard_solve) and the names a from-import binds."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            found.update(a.name for a in n.names)
+    return found
+
+
+def _unreached(trees, roots):
+    """The top-level definitions of the module trees that neither the
+    root names nor the modules' other top-level statements reach.
+
+    A reached name reaches every definition of that name in any module,
+    and a reached definition reaches every name it mentions, so the scan
+    over-counts what is reached rather than miss a call.
+    """
+    defs, seen = {}, set(roots)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            else:
+                seen |= _mentions(node)
+    todo = list(seen)
+    while todo:
+        for node in defs.get(todo.pop(), ()):
+            new = _mentions(node) - seen
+            seen |= new
+            todo += new
+    return sorted(set(defs) - seen)
+
+
+def _roots():
+    """cli.main, cli.run and the cmd_* handlers, every name the scripts,
+    the bench files and the acceptance gate read, and the class and
+    attribute strings that bench/tracer.py patches by name."""
+    cli = ast.parse(SCANNED["cli"].read_text())
+    roots = {"main", "run"} | {n.name for n in cli.body
+                               if isinstance(n, ast.FunctionDef)
+                               and n.name.startswith("cmd_")}
+    files = [*sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "bench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    for path in files:
+        roots |= _mentions(ast.parse(path.read_text(), str(path)))
+    tracer = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    targets = next(ast.literal_eval(n.value) for n in tracer.body
+                   if isinstance(n, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                           for t in n.targets))
+    return roots | {name for _, cls, attr, _ in targets
+                    for name in (cls, attr) if name}
+
+
+def _src_trees():
+    return [ast.parse(SCANNED[name].read_text()) for name in MODULES]
+
+
+def test_every_src_definition_is_reached():
+    unreached = _unreached(_src_trees(), _roots() | set(KEPT))
+    assert not unreached, (
+        f"only tests reach {unreached}: delete them, or add each to KEPT "
+        "with the reason it stays")
+
+
+def test_every_kept_name_needs_keeping():
+    # a KEPT entry names a src definition that nothing else reaches
+    stale = set(KEPT) - set(_unreached(_src_trees(), _roots()))
+    assert not stale, f"KEPT names {sorted(stale)}, which are reached or gone"
+
+
+def test_reachability_scan_follows_mentions():
+    trees = [ast.parse("X = helper\n"
+                       "def helper():\n    return _inner()\n"
+                       "def _inner():\n    return b.deep\n"
+                       "def orphan():\n    return _inner()\n"
+                       "class Tool:\n"
+                       "    def method(self):\n        return lonely()\n"),
+             ast.parse("def deep():\n    pass\n"
+                       "def lonely():\n    pass\n"
+                       "def named():\n    pass\n")]
+    assert _unreached(trees, set()) == ["Tool", "lonely", "named", "orphan"]
+    assert _unreached(trees, {"Tool", "named"}) == ["orphan"]
 
 
 FAILING_PROPERTY = """

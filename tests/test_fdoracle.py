@@ -10,6 +10,7 @@ from hypwave.fdoracle import (
     _BLOCK,
     FDConfig,
     InstabilityError,
+    _coth,
     convergence_order,
     fd_solve,
     leapfrog,
@@ -151,6 +152,21 @@ class TestFDSolve:
         i_thin = time_index(thin, 0.9)
         i_full = time_index(full, 0.9)
         assert_allclose(thin.values[i_thin], full.values[i_full], rtol=1e-12)
+
+    def test_coth_keeps_cosh_over_sinh_bits_below_the_overflow(self):
+        # every radius below 710 keeps the bits of cosh r / sinh r; from
+        # r = 710.48 on both overflow and coth r is 1 / tanh r = 1.0, with
+        # no RuntimeWarning (the test settings make one an error)
+        r = Grid(1.0, 720.0, 2.5e-3, 5e-3).r[1:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.cosh(r) / np.sinh(r)
+        got = _coth(r)
+        below = r < 710.0
+        assert np.count_nonzero(below) == 141999
+        assert bits(got[below]) == bits(want[below])
+        finite = np.isfinite(want)
+        assert bits(got[finite]) == bits(want[finite])
+        assert r[~finite].min() == 710.48 and np.all(got[~finite] == 1.0)
 
     def test_nonlinear_term_enters(self):
         lin = fd_solve(zero, theta1, None, QUICK)
@@ -406,7 +422,8 @@ class TestLeapfrogWindow:
 
 
 def old_F(spec):
-    """F_generic as plain array arithmetic: all branches, then np.select."""
+    """The piecewise F as plain array arithmetic: all branches, then
+    np.select."""
     return lambda u: F_generic_all_branches(u, spec)
 
 

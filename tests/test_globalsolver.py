@@ -667,23 +667,6 @@ class TestDecayFit:
             gs.decay_fit(u, k=1.0)
 
 
-class TestLocalWindow:
-    def test_reference_value(self):
-        expect = 1.0 / (2.0 * np.sqrt(2.0) * np.e)
-        assert gs.local_existence_window(1.0) == pytest.approx(expect, rel=1e-15)
-
-    def test_cap_and_scaling(self):
-        assert gs.local_existence_window(1e-6) == 1.0
-        assert gs.local_existence_window(2.0) == pytest.approx(
-            0.5 * gs.local_existence_window(1.0), rel=1e-15)
-
-    def test_nonpositive_m_rejected(self):
-        with pytest.raises(DomainError):
-            gs.local_existence_window(0.0)
-        with pytest.raises(DomainError):
-            gs.local_existence_window(-1.0)
-
-
 @pytest.mark.slow
 class TestOracleConsistency:
     def test_picard_matches_finite_differences(self):

@@ -11,8 +11,6 @@ from numpy.testing import assert_allclose
 from hypwave.globalsolver import clear_caches
 from hypwave.hypgeo import DomainError
 from hypwave.nonlin import (
-    F_canonical,
-    F_generic,
     G_envelope,
     NonlinearitySpec,
     _blend_coeffs,
@@ -24,6 +22,11 @@ from hypwave.nonlin import (
 
 GEN = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45, kind="piecewise_generic")
 GEN35 = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3, kind="piecewise_generic")
+
+
+def canonical(p):
+    """The canonical F of p, through the one public entry to F."""
+    return nonlinearity(NonlinearitySpec(p=p, q=2.0, delta0=0.45))
 
 
 class TestSpec:
@@ -50,19 +53,19 @@ class TestSpec:
 
 class TestFCanonical:
     def test_zero_at_zero(self):
-        assert F_canonical(0.0, 2.5) == 0.0
+        assert canonical(2.5)(0.0) == 0.0
 
     def test_unit_prefactor_point(self):
         # asinh(1/u) = 1 at u = 1/sinh(1): the prefactor is exactly 1
         u = 1.0 / np.sinh(1.0)
         for p in (2.0, 2.7, 3.5):
-            assert_allclose(F_canonical(u, p), u, rtol=1e-15)
+            assert_allclose(canonical(p)(u), u, rtol=1e-15)
 
     @given(u=st.floats(-50.0, 50.0), p=st.floats(1.1, 4.0))
     @settings(max_examples=300, deadline=None)
     def test_even_and_nonnegative(self, u, p):
-        a = F_canonical(u, p)
-        b = F_canonical(-u, p)
+        a = canonical(p)(u)
+        b = canonical(p)(-u)
         assert a == b
         assert a >= 0.0
 
@@ -71,13 +74,13 @@ class TestFCanonical:
         rng = np.random.default_rng(7)
         u = rng.uniform(1e-6, 100.0, 200)
         for p in (2.0, 3.5):
-            lhs = F_canonical(u, p) * np.arcsinh(1.0 / u) ** (p - 1.0) / u
+            lhs = canonical(p)(u) * np.arcsinh(1.0 / u) ** (p - 1.0) / u
             assert_allclose(lhs, 1.0, rtol=1e-12)
 
     def test_vanishing_derivative_at_zero(self):
         # F(u)/u must decrease toward 0 along u = 1e-4, 1e-8, 1e-12
         p = 2.5
-        ratios = [F_canonical(u, p) / u for u in (1e-4, 1e-8, 1e-12)]
+        ratios = [canonical(p)(u) / u for u in (1e-4, 1e-8, 1e-12)]
         assert ratios[0] > ratios[1] > ratios[2] > 0.0
 
     def test_small_u_asymptotics(self):
@@ -87,7 +90,7 @@ class TestFCanonical:
         p = 3.5
         devs = []
         for u in (1e-4, 1e-8, 1e-12, 1e-16):
-            ratio = F_canonical(u, p) / ((np.log(1.0 / u)) ** (1.0 - p) * u)
+            ratio = canonical(p)(u) / ((np.log(1.0 / u)) ** (1.0 - p) * u)
             devs.append(abs(ratio - 1.0))
         assert devs[0] > devs[1] > devs[2] > devs[3]
         assert devs[1] < 0.10
@@ -97,15 +100,15 @@ class TestFCanonical:
         # asinh(1/u) ~ 1/u for large u, so F ~ u^p
         p = 3.0
         for u in (1e3, 1e5):
-            assert_allclose(F_canonical(u, p), u**p, rtol=1e-5)
+            assert_allclose(canonical(p)(u), u**p, rtol=1e-5)
 
     def test_bad_p(self):
-        with pytest.raises(DomainError):
-            F_canonical(1.0, 1.0)
+        with pytest.raises(DomainError, match="p must exceed 1"):
+            canonical(1.0)
 
     def test_array_input(self):
         u = np.array([-1.0, 0.0, 1.0])
-        out = F_canonical(u, 2.0)
+        out = canonical(2.0)(u)
         assert out.shape == (3,)
         assert out[1] == 0.0 and out[0] == out[2]
 
@@ -117,28 +120,29 @@ class TestFCanonical:
         u = np.concatenate([mag, -mag, [0.0, -0.0, 5e-324, np.inf, -np.inf]])
         with np.errstate(over="ignore", divide="ignore"):
             want = F_canonical_guarded(u, p)
-        got = F_canonical(u, p)
-        assert bits(got) == bits(want)
-        assert bits(F_canonical(u[::-3], p)) == bits(want[::-3])
+        F = canonical(p)
+        assert bits(F(u)) == bits(want)
+        assert bits(F(u[::-3])) == bits(want[::-3])
         for i in range(0, u.size, 997):
-            one, zero_d = F_canonical(u[i], p), F_canonical(np.array(u[i]), p)
+            one, zero_d = F(u[i]), F(np.array(u[i]))
             assert type(one) is float and type(zero_d) is float
             assert bits(one) == bits(zero_d) == bits(want[i])
 
     def test_nan_maps_to_nan(self):
-        # as F_generic does: a NaN iterate is not a zero source
-        assert np.isnan(F_canonical(np.nan, 3.5))
-        out = F_canonical(np.array([np.nan, 0.0, -np.nan, 0.3]), 3.5)
+        # as the piecewise F does: a NaN iterate is not a zero source
+        F = canonical(3.5)
+        assert np.isnan(F(np.nan))
+        out = F(np.array([np.nan, 0.0, -np.nan, 0.3]))
         assert np.isnan(out[0]) and np.isnan(out[2])
-        assert out[1] == 0.0 and out[3] == F_canonical(0.3, 3.5)
+        assert out[1] == 0.0 and out[3] == F(0.3)
 
     def test_infinity_without_warning(self):
         # the limits at 0, +-inf, a subnormal u and |u|^p past the largest
         # double raise no RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert F_canonical(np.inf, 3.5) == F_canonical(-np.inf, 2.0) == np.inf
-            out = F_canonical(np.array([np.inf, -np.inf, 0.0, 5e-324, 1e300]), 1.5)
+            assert canonical(3.5)(np.inf) == canonical(2.0)(-np.inf) == np.inf
+            out = canonical(1.5)(np.array([np.inf, -np.inf, 0.0, 5e-324, 1e300]))
         assert out.tolist() == [np.inf, np.inf, 0.0, 0.0, np.inf]
 
     def test_one_cached_callable_per_p(self):
@@ -149,8 +153,7 @@ class TestFCanonical:
         assert F is nonlinearity(spec)
         assert F is nonlinearity(NonlinearitySpec(p=3.5, q=3.0, delta0=0.3))
         assert F is not nonlinearity(NonlinearitySpec(p=4.0, q=2.0, delta0=0.45))
-        F_canonical(0.3, 3.5)
-        assert _canonical.cache_info().hits == 3
+        assert _canonical.cache_info().hits == 2
         clear_caches()
         assert _canonical.cache_info().currsize == 0
         assert nonlinearity(spec) is not F
@@ -158,55 +161,55 @@ class TestFCanonical:
 
 class TestFGeneric:
     def test_zero_at_zero(self):
-        assert F_generic(0.0, GEN) == 0.0
+        assert nonlinearity(GEN)(0.0) == 0.0
 
     def test_small_branch_is_exact_equality(self):
         # published formula: F = delta0 (ln 1/|u|)^{1-p} |u| below delta0
         u = GEN.delta0 / 2.0
         want = GEN.delta0 * np.log(1.0 / u) ** (1.0 - GEN.p) * u
-        assert_allclose(F_generic(u, GEN), want, rtol=1e-14)
-        assert F_generic(u, GEN) >= want * (1 - 1e-14)
+        F = nonlinearity(GEN)
+        assert_allclose(F(u), want, rtol=1e-14)
+        assert F(u) >= want * (1 - 1e-14)
 
     def test_power_branch_is_exact_equality(self):
         spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.1,
                                 kind="piecewise_generic")
         # |u| = 2/delta0 = 20: F = delta0 u^2 = 40
-        assert_allclose(F_generic(20.0, spec), 40.0, rtol=1e-14)
-        assert F_generic(20.0, spec) >= spec.delta0 * 20.0**spec.q - 1e-12
+        F = nonlinearity(spec)
+        assert_allclose(F(20.0), 40.0, rtol=1e-14)
+        assert F(20.0) >= spec.delta0 * 20.0**spec.q - 1e-12
 
     @pytest.mark.parametrize("spec", [GEN, GEN35], ids=["p=q=2", "p3.5-q2.5"])
     def test_lower_bounds_on_both_branches(self, spec):
+        F = nonlinearity(spec)
         rng = np.random.default_rng(11)
         u_small = rng.uniform(1e-12, spec.delta0, 1000)
-        got = F_generic(u_small, spec)
+        got = F(u_small)
         want = spec.delta0 * np.log(1.0 / u_small) ** (1.0 - spec.p) * u_small
         assert np.all(got >= want * (1 - 1e-12))
         u_large = rng.uniform(1.0 / spec.delta0, 50.0, 1000)
-        got = F_generic(u_large, spec)
+        got = F(u_large)
         assert np.all(got >= spec.delta0 * u_large**spec.q * (1 - 1e-12))
 
     @pytest.mark.parametrize("spec", [GEN, GEN35], ids=["p=q=2", "p3.5-q2.5"])
     def test_c1_at_junctions(self, spec):
+        F = nonlinearity(spec)
         for u0 in (spec.delta0, 1.0 / spec.delta0):
             h = 1e-7 * u0
-            left = (F_generic(u0, spec) - F_generic(u0 - h, spec)) / h
-            right = (F_generic(u0 + h, spec) - F_generic(u0, spec)) / h
+            left = (F(u0) - F(u0 - h)) / h
+            right = (F(u0 + h) - F(u0)) / h
             assert_allclose(left, right, rtol=1e-5)
 
     @pytest.mark.parametrize("spec", [GEN, GEN35], ids=["p=q=2", "p3.5-q2.5"])
     def test_monotone_in_magnitude(self, spec):
         u = np.geomspace(1e-10, 100.0, 3000)
-        vals = F_generic(u, spec)
+        vals = nonlinearity(spec)(u)
         assert np.all(np.diff(vals) > 0)
 
     def test_even(self):
-        assert F_generic(-0.2, GEN) == F_generic(0.2, GEN)
-        assert F_generic(-7.0, GEN) == F_generic(7.0, GEN)
-
-    def test_wrong_kind_rejected(self):
-        canon = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45)
-        with pytest.raises(DomainError, match="piecewise_generic"):
-            F_generic(0.1, canon)
+        F = nonlinearity(GEN)
+        assert F(-0.2) == F(0.2)
+        assert F(-7.0) == F(7.0)
 
     def test_nonmonotone_blend_rejected(self):
         # a tiny delta0 with small q makes the blend chord far flatter than
@@ -228,7 +231,7 @@ def _hermite(x, xl, xr, gl, dgl, gr, dgr):
 
 
 def F_canonical_guarded(u, p):
-    """The earlier F_canonical, kept as the reference: u = 0 guarded by
+    """The canonical F's earlier form, kept as the reference: u = 0 guarded by
     np.where on both 1/|u| and the result (so a NaN gave 0)."""
     au = np.abs(np.asarray(u, dtype=float))
     safe = np.where(au > 0, au, 1.0)
@@ -236,7 +239,7 @@ def F_canonical_guarded(u, p):
 
 
 def F_generic_all_branches(u, spec):
-    """The earlier F_generic, kept as the reference: all three branches on
+    """The piecewise F's earlier form, kept as the reference: all three branches on
     every point, then np.select."""
     coeffs = _blend_coeffs(spec.p, spec.q, spec.delta0)
     u = np.asarray(u, dtype=float)
@@ -268,19 +271,13 @@ BRANCH_SPECS = [generic(1.5), generic(2.0), generic(2.5), generic(2.0, q=3.0),
 BRANCH_IDS = ["1.5", "2.0", "2.5", "q=3", "delta0=0.3"]
 
 
-def evaluators(spec):
-    """F_generic and the per-spec callable that nonlinearity returns."""
-    return [lambda u: F_generic(u, spec), nonlinearity(spec)]
-
-
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64).tolist()
 
 
 class TestFGenericBranchOnly:
-    """F_generic evaluates each branch only where it applies; every finite
-    or infinite input keeps its bits, through F_generic and through
-    nonlinearity(spec) alike."""
+    """The piecewise F evaluates each branch only where it applies; every
+    finite or infinite input keeps its bits."""
 
     @pytest.mark.parametrize("spec", BRANCH_SPECS, ids=BRANCH_IDS)
     def test_bitwise_equal_to_all_branches(self, spec):
@@ -291,30 +288,29 @@ class TestFGenericBranchOnly:
         u = np.concatenate([mag, -mag, special, np.negative(special)])
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             want = F_generic_all_branches(u, spec)
-        for F in evaluators(spec):
+        F = nonlinearity(spec)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = F(u)
+            strided = F(u[::-3])
+        assert bits(got) == bits(want)
+        assert bits(strided) == bits(want[::-3])
+        for v in special + [-x for x in special]:
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                got = F(u)
-                strided = F(u[::-3])
-            assert bits(got) == bits(want)
-            assert bits(strided) == bits(want[::-3])
-            for v in special + [-x for x in special]:
-                with np.errstate(over="ignore", under="ignore",
-                                 invalid="ignore"):
-                    ref = F_generic_all_branches(v, spec)
-                    one = F(v)
-                    zero_d = F(np.array(v))
-                assert type(one) is float and type(zero_d) is float
-                assert bits(one) == bits(zero_d) == bits(ref)
+                ref = F_generic_all_branches(v, spec)
+                one = F(v)
+                zero_d = F(np.array(v))
+            assert type(one) is float and type(zero_d) is float
+            assert bits(one) == bits(zero_d) == bits(ref)
 
     @pytest.mark.parametrize("spec", BRANCH_SPECS, ids=BRANCH_IDS)
     def test_nan_maps_to_nan(self, spec):
         # the reference sends NaN to F(0.5) (its placeholder for u = 0 is
         # picked by np.where(au > 0, ...)); the branch-only rule keeps NaN
-        for F in evaluators(spec):
-            assert np.isnan(F(np.nan))
-            out = F(np.array([np.nan, 0.3, -np.nan]))
-            assert np.isnan(out[0]) and np.isnan(out[2])
-            assert out[1] == F_generic_all_branches(0.3, spec)
+        F = nonlinearity(spec)
+        assert np.isnan(F(np.nan))
+        out = F(np.array([np.nan, 0.3, -np.nan]))
+        assert np.isnan(out[0]) and np.isnan(out[2])
+        assert out[1] == F_generic_all_branches(0.3, spec)
 
     def test_specs_interleaved(self):
         # each spec's callable keeps its own constants, however calls to
@@ -327,7 +323,6 @@ class TestFGenericBranchOnly:
         for _ in range(3):
             for spec in (a, b):
                 assert bits(nonlinearity(spec)(u)) == want[spec]
-                assert bits(F_generic(u, spec)) == want[spec]
         assert nonlinearity(a) is nonlinearity(generic(1.5))
         assert nonlinearity(a) is not nonlinearity(b)
 
@@ -402,7 +397,8 @@ class TestLipschitzBound:
     def test_ten_thousand_random_pairs_where_A_2_breaks(self):
         # with A = 2 this pair's difference exceeds G(max) |u - v|
         u, v = 0.4503, 0.4494
-        diff = abs(F_generic(u, P4Q3) - F_generic(v, P4Q3))
+        F = nonlinearity(P4Q3)
+        diff = abs(F(u) - F(v))
         assert_allclose(diff, 3.777e-3, rtol=1e-3)
         assert diff > G_envelope(u, 4.0, 2.0) * (u - v)
         assert_pairs_bounded(P4Q3)
@@ -415,7 +411,7 @@ class TestLipschitzBound:
     def test_against_zero(self):
         spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45)
         diff, bound = lipschitz_diff_bound(1e-8, 0.0, spec)
-        assert_allclose(diff, F_canonical(1e-8, 2.0), rtol=1e-14)
+        assert_allclose(diff, nonlinearity(spec)(1e-8), rtol=1e-14)
         assert diff <= bound
 
     def test_domain_enforced(self):
@@ -439,8 +435,8 @@ class TestNonlinearityDispatch:
     def test_canonical(self):
         spec = NonlinearitySpec(p=2.0, q=2.0, delta0=0.45)
         F = nonlinearity(spec)
-        assert F(0.25) == F_canonical(0.25, 2.0)
+        assert bits(F(0.25)) == bits(F_canonical_guarded(0.25, 2.0))
 
     def test_generic(self):
         F = nonlinearity(GEN)
-        assert F(0.25) == F_generic(0.25, GEN)
+        assert bits(F(0.25)) == bits(F_generic_all_branches(0.25, GEN))
