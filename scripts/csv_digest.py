@@ -34,6 +34,9 @@ output directory (runs/ by default, or the first argument). They are:
   {1.5, 2, 2.5} and eps in {0.1, 0.5} on its grids;
 * certify at the default [certify] window (p = 2, eps = 0.5), as is,
   with normalize_tight = true, and with field_scale = 0.5;
+* certify_sigma, certify at the default window with p = 1.5,
+  eps = 0.5 and tau0 = 0.25, whose Sigma_{l0} is not empty, so that the
+  boosted bound's check is fingerprinted too;
 * propagate of bump data on the default grid, kernel and FD;
 * the field benchmark's commands: propagate of theta_1 data, kernel and
   FD, on its grid, and decay at k = 1 and 2 on its grid;
@@ -84,6 +87,8 @@ RUNS += [
      {"blowup": DEMO, "certify": {"normalize_tight": True}}),
     ("certify_half", "certify",
      {"blowup": DEMO, "certify": {"field_scale": 0.5}}),
+    ("certify_sigma", "certify",
+     {"blowup": {"p": 1.5, "epsilon": 0.5, "tau0": 0.25}}),
     ("propagate_bump", "propagate",
      {"data": {"kind": "bump", "tau0": 1.0},
       "propagate": {"engine": "both"}}),

@@ -629,6 +629,26 @@ def _first_min(margins):
     return margins[np.argmin(margins)] if margins.size else None
 
 
+def _region_cells(t_grid, r_grid, lo, hi, mask, *args):
+    """(rows, cols) of the cells (t_grid[i], r_grid[j]) that
+    mask(r, t, *args) accepts, in row-major order. Row i looks only at
+    the radii from lo[i] to hi[i], the region's t - r range at t_grid[i],
+    widened by one cell on each side so that no rounding of t - r at an
+    edge can leave out a cell that mask accepts; lo may be one number for
+    every row."""
+    first = np.maximum(np.searchsorted(r_grid, lo) - 1, 0)
+    stop = np.minimum(np.searchsorted(r_grid, hi, side="right") + 1,
+                      r_grid.size)
+    counts = np.maximum(stop - first, 0)
+    rows = np.repeat(np.arange(t_grid.size), counts)
+    # row i's candidates are first[i], first[i] + 1, ... in a flat index
+    # that starts row i at sum(counts[:i])
+    shift = np.cumsum(counts) - counts - first
+    cols = np.arange(rows.size) - np.repeat(shift, counts)
+    keep = mask(r_grid[cols], t_grid[rows], *args)
+    return rows[keep], cols[keep]
+
+
 def certificate_verify(cert, u_sim):
     """Check a simulated solution against the certificate's lower bounds.
 
@@ -640,6 +660,14 @@ def certificate_verify(cert, u_sim):
     t - r > 6*l0*tau0, so short simulations typically produce a coverage
     warning and a partial report; that is expected, not an error.
 
+    Each region's points are found one time row at a time, among the
+    radii of its t - r range at that time (_region_cells): S is the band
+    t - 2*tau0 < r < t - tau0, Sigma_{l0} the radii from tau0/2 to
+    t - 6*l0*tau0. The masks _mask_S and _mask_sigma decide each candidate,
+    so the points, and every number of the report, are those of the masks
+    on the whole grid, in row-major order; (sinh r)^{-1/2} is computed only
+    up to the largest radius a region uses.
+
     u_sim should come from the same data and nonlinearity the certificate
     describes (amplitude eps included); the verifier has no way to check
     provenance.
@@ -648,18 +676,23 @@ def certificate_verify(cert, u_sim):
         raise DomainError("u_sim must be a SpaceTimeField")
     params, boost = cert.params, cert.boost
     tau0, eps, p, l0 = params.tau0, params.epsilon, params.p, boost.l0
-    T, R = np.meshgrid(u_sim.t_grid, u_sim.r_grid, indexing="ij")
-    U = u_sim.values
+    t_grid, r_grid, U = u_sim.t_grid, u_sim.r_grid, u_sim.values
+    # (lam, tau) read as (r, t)
+    s_rows, s_cols = _region_cells(t_grid, r_grid, t_grid - 2.0 * tau0,
+                                   t_grid - tau0, _mask_S, tau0)
+    g_rows, g_cols = _region_cells(t_grid, r_grid, 0.5 * tau0,
+                                   t_grid - 6.0 * l0 * tau0, _mask_sigma,
+                                   tau0, l0)
+    used = max(s_cols.max(initial=-1), g_cols.max(initial=-1)) + 1
     # (sinh r)^{-1/2} per grid radius, by math.exp as in first_iterate_bound
     decay = np.array([math.exp(-0.5 * x)
-                      for x in log_sinh(u_sim.r_grid).tolist()])
+                      for x in log_sinh(r_grid[:used]).tolist()])
 
     warnings = []
 
-    # first-iterate bound on S: (lam, tau) read as (r, t)
-    in_s = _mask_S(R, T, tau0)
-    t, r, val = T[in_s], R[in_s], U[in_s]
-    bound = cert.c0 * eps * decay[np.nonzero(in_s)[1]]
+    # first-iterate bound on S
+    t, r, val = t_grid[s_rows], r_grid[s_cols], U[s_rows, s_cols]
+    bound = cert.c0 * eps * decay[s_cols]
     first_margins = val - bound
     fail = first_margins < 0.0
     first_violations = list(zip(t[fail], r[fail], bound[fail], val[fail]))
@@ -675,9 +708,8 @@ def certificate_verify(cert, u_sim):
     # boosted bound on Sigma_{l0}, reported only
     c_top = boost.entries[-1][3]
     L = -math.log(c_top * eps)
-    in_sigma = _mask_sigma(R, T, tau0, l0)
-    t, r, val = T[in_sigma], R[in_sigma], U[in_sigma]
-    bound = (c_top * eps * r * decay[np.nonzero(in_sigma)[1]]
+    t, r, val = t_grid[g_rows], r_grid[g_cols], U[g_rows, g_cols]
+    bound = (c_top * eps * r * decay[g_cols]
              * _scalar_pow(t + r + L, -l0 * (p - 1.0))
              * _scalar_pow(t - r, 2.0 * l0 - 2.0))
     boost_margins = val - bound

@@ -71,8 +71,17 @@ def _check(cast, ok, rule):
     return parse
 
 
+def _float(raw):
+    """float, refusing nan and +-inf: no command computes with them, so
+    every float key, checked or not, is finite."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {value}")
+    return value
+
+
 _COUNT = _check(int, lambda n: n >= 0, "nonnegative")
-_POSITIVE = _check(float, lambda x: x > 0, "positive")
+_POSITIVE = _check(_float, lambda x: x > 0, "positive")
 _REQUIRED = object()
 
 
@@ -86,18 +95,18 @@ def _nonlinearity(keys, *kinds):
 
 
 # [grid] of the FD oracle's grid (cfl 0.8), and of the contraction regime
-_FD_GRID = {"t_max": (float, 4.0), "r_max": (float, 8.0),
-            "dt": (float, 0.04), "dr": (float, 0.05)}
-_SOLVER_GRID = {"t_max": (float, 8.0), "r_max": (float, 8.0),
-                "dt": (float, 0.05), "dr": (float, 0.05)}
-_SHAPE = {"q": (float, 2.0), "delta0": (float, 0.45)}
+_FD_GRID = {"t_max": (_float, 4.0), "r_max": (_float, 8.0),
+            "dt": (_float, 0.04), "dr": (_float, 0.05)}
+_SOLVER_GRID = {"t_max": (_float, 8.0), "r_max": (_float, 8.0),
+                "dt": (_float, 0.05), "dr": (_float, 0.05)}
+_SHAPE = {"q": (_float, 2.0), "delta0": (_float, 0.45)}
 
 
-_BLOWUP = {"p": (float, _REQUIRED), "q": (float, 2.0), "tau0": (_POSITIVE, 1.0),
-           "epsilon": (float, _REQUIRED), "delta0": (float, 0.45),
+_BLOWUP = {"p": (_float, _REQUIRED), "q": (_float, 2.0), "tau0": (_POSITIVE, 1.0),
+           "epsilon": (_float, _REQUIRED), "delta0": (_float, 0.45),
            "m_max": (_COUNT, 20)}
 
-# command -> section -> key -> (cast, default). A cast is float, int, _bool,
+# command -> section -> key -> (cast, default). A cast is _float, int, _bool,
 # a tuple of choices, a dict of choices -> the keys of the section that
 # only that choice reads, or a _check; a default is a value, _REQUIRED, or
 # None for one computed in the code or left to the dataclass the key feeds.
@@ -107,29 +116,29 @@ _SCHEMA = {
         "grid": _FD_GRID,
         "data": {"kind": ({"zero": (), "constant": ("value",),
                            "theta": ("k",), "bump": ("tau0",)}, "zero"),
-                 "value": (float, 1.0), "k": (float, 1.0),
-                 "tau0": (float, 1.0)},
+                 "value": (_float, 1.0), "k": (_float, 1.0),
+                 "tau0": (_float, 1.0)},
         "propagate": {"engine": (("kernel", "fd", "both"), "kernel")},
     },
     "solve": {
         "grid": _SOLVER_GRID,
-        "data": {"k": (float, 1.0)},
-        "solver": {"p": (float, _REQUIRED), "h": (float, _REQUIRED),
-                   "epsilon": (float, _REQUIRED), "max_iters": (int, None),
-                   "fixed_point_tol": (float, None)},
+        "data": {"k": (_float, 1.0)},
+        "solver": {"p": (_float, _REQUIRED), "h": (_float, _REQUIRED),
+                   "epsilon": (_float, _REQUIRED), "max_iters": (int, None),
+                   "fixed_point_tol": (_float, None)},
         "nonlinearity": _nonlinearity(_SHAPE, "canonical_sinh_inverse",
                                       "piecewise_generic", "none"),
     },
     "decay": {
         "grid": _FD_GRID,
-        "decay": {"k": (float, 1.0), "ray_offset": (float, 1.0),
-                  "min_r": (float, 1.0)},
+        "decay": {"k": (_float, 1.0), "ray_offset": (_float, 1.0),
+                  "min_r": (_float, 1.0)},
     },
     "contraction": {
         "grid": _SOLVER_GRID,
-        "data": {"k": (float, 1.0)},
-        "solver": {"p": (float, _REQUIRED), "h": (float, _REQUIRED),
-                   "epsilon": (float, 0.1)},
+        "data": {"k": (_float, 1.0)},
+        "solver": {"p": (_float, _REQUIRED), "h": (_float, _REQUIRED),
+                   "epsilon": (_float, 0.1)},
         # kind = none would measure nothing
         "nonlinearity": _nonlinearity(_SHAPE, "canonical_sinh_inverse",
                                       "piecewise_generic"),
@@ -142,13 +151,13 @@ _SCHEMA = {
     "blowup": {
         "blowup": _BLOWUP,
         # p, q and delta0 are [blowup]'s, save the escape run's F exponent
-        "nonlinearity": _nonlinearity({"p": (float, None)},
+        "nonlinearity": _nonlinearity({"p": (_float, None)},
                                       "piecewise_generic",
                                       "canonical_sinh_inverse", "none"),
-        "escape": {"enabled": (_bool, True), "t_max": (float, 40.0),
-                   "dr": (float, 0.05), "dt": (float, 0.04),
+        "escape": {"enabled": (_bool, True), "t_max": (_float, 40.0),
+                   "dr": (_float, 0.05), "dt": (_float, 0.04),
                    # t_max + the bump's support radius 3.5 tau0 + 0.1
-                   "r_max": (float, None),
+                   "r_max": (_float, None),
                    "threshold_factor": (_POSITIVE, 10.0)},
     },
     "certify": {
@@ -156,9 +165,9 @@ _SCHEMA = {
         # p, q and delta0 are [blowup]'s; kind = none cannot blow up
         "nonlinearity": _nonlinearity({}, "piecewise_generic",
                                       "canonical_sinh_inverse"),
-        "certify": {"dr": (float, 0.05), "dt": (float, 0.04),
-                    "r_max": (float, 9.0), "t_max": (float, 5.0),
-                    "snapshot_every": (int, 5), "field_scale": (float, 1.0),
+        "certify": {"dr": (_float, 0.05), "dt": (_float, 0.04),
+                    "r_max": (_float, 9.0), "t_max": (_float, 5.0),
+                    "snapshot_every": (int, 5), "field_scale": (_float, 1.0),
                     "normalize_tight": (_bool, False)},
     },
 }

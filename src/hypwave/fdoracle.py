@@ -21,7 +21,10 @@ F must be pointwise; an F with F(0) != 0 steps the whole grid.
 A step allocates no array but F's: leapfrog yields (u, k), u one of
 three state buffers that the steps reuse in turn and k its live length,
 so a caller reduces u[:k] and copies a state it keeps. The views a step
-reads and writes are planned once per window length.
+reads and writes are planned once per window length. The window grows in
+blocks of _BLOCK cells only so that one plan serves the steps until it
+gains a block: a smaller block steps fewer cells past the front, at the
+cost of more plans.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ __all__ = ["FDConfig", "InstabilityError", "leapfrog", "fd_solve",
            "convergence_order", "ConvergenceReport"]
 
 _CFL_LIMIT = 0.9
-# leapfrog's update window grows in whole blocks of cells, so that its
-# temporaries come in few sizes and the allocator can reuse them
-_BLOCK = 256
+# leapfrog's update window grows in whole blocks of cells: a step plan
+# (its views) is rebuilt only when the window gains a block, and a
+# window overshoots the front by less than a block
+_BLOCK = 32
 
 
 class InstabilityError(RuntimeError):
@@ -245,6 +249,9 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
 
     Raises InstabilityError with the first offending (t, r) if the scheme
     produces a non-finite value; its field holds the snapshots kept before.
+    Each step's live window u[:k] is summed once: a NaN or an infinity
+    makes the sum non-finite, and only then does _finite_max decide, so a
+    finite window whose sum overflows passes as it should.
     """
     r = cfg.grid.r
     t_grid = np.linspace(0.0, cfg.grid.t_max,
@@ -255,7 +262,8 @@ def fd_solve(u0, u1, F, cfg: FDConfig):
     # non-finite check below is the real guard
     with np.errstate(over="ignore", invalid="ignore"):
         for n, (u, k) in enumerate(leapfrog(u0, u1, F, cfg)):
-            if _finite_max(u[:k]) is None:
+            if (not math.isfinite(np.add.reduce(u[:k]))
+                    and _finite_max(u[:k]) is None):
                 bad = np.flatnonzero(~np.isfinite(u[:k]))[0]
                 field = (SpaceTimeField(t_grid[:kept], r, stored[:kept])
                          if kept else None)

@@ -33,7 +33,10 @@ independent check of what the library computes another way:
   support and of the c0 that computes bound_small alone;
 * decimated, certificate_verify's sample of passing points taken from
   the list of every passing point, the check of the sample it picks by
-  index.
+  index;
+* full_grid_certificate_verify, blowlab.certificate_verify with its
+  region masks over the whole (t, r) meshgrid, the check of the one that
+  finds each region's points per time row within its band of radii.
 """
 
 import math
@@ -41,6 +44,8 @@ import math
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from hypwave.blowlab import (VerifyReport, _first_min, _mask_S, _mask_sigma,
+                             _scalar_pow)
 from hypwave.globalsolver import _N_FEATURES, _TAU_PER_UNIT
 from hypwave.hypgeo import DomainError, bracket, log_sinh
 from hypwave.meanprop import (_KERNEL_LEVEL, _STENCIL, _TWO_COSH, MonotoneWeight,
@@ -304,3 +309,55 @@ def decimated(passing):
     passing = list(passing)
     stride = max(1, len(passing) // 200)
     return passing[::stride][:200]
+
+
+def full_grid_certificate_verify(cert, u_sim):
+    """certificate_verify's report from the masks of S and Sigma_{l0} over
+    the whole (t, r) meshgrid, and (sinh r)^{-1/2} at every radius."""
+    params, boost = cert.params, cert.boost
+    tau0, eps, p, l0 = params.tau0, params.epsilon, params.p, boost.l0
+    T, R = np.meshgrid(u_sim.t_grid, u_sim.r_grid, indexing="ij")
+    U = u_sim.values
+    decay = np.array([math.exp(-0.5 * x)
+                      for x in log_sinh(u_sim.r_grid).tolist()])
+    warnings = []
+
+    in_s = _mask_S(R, T, tau0)
+    t, r, val = T[in_s], R[in_s], U[in_s]
+    bound = cert.c0 * eps * decay[np.nonzero(in_s)[1]]
+    first_margins = val - bound
+    fail = first_margins < 0.0
+    first_violations = list(zip(t[fail], r[fail], bound[fail], val[fail]))
+    ok = np.flatnonzero(first_margins >= 0.0)
+    ok = ok[::max(1, ok.size // 200)][:200]
+    passed = list(zip(t[ok], r[ok], bound[ok], val[ok]))
+    if not first_margins.size:
+        warnings.append(
+            f"grid covers no point of S (needs {tau0} < t - r < {2 * tau0} "
+            f"and t + r > {3 * tau0})")
+
+    c_top = boost.entries[-1][3]
+    L = -math.log(c_top * eps)
+    in_sigma = _mask_sigma(R, T, tau0, l0)
+    t, r, val = T[in_sigma], R[in_sigma], U[in_sigma]
+    bound = (c_top * eps * r * decay[np.nonzero(in_sigma)[1]]
+             * _scalar_pow(t + r + L, -l0 * (p - 1.0))
+             * _scalar_pow(t - r, 2.0 * l0 - 2.0))
+    boost_margins = val - bound
+    fail = boost_margins < 0.0
+    boost_violations = list(zip(t[fail], r[fail], bound[fail], val[fail]))
+    if not boost_margins.size:
+        warnings.append(
+            f"grid covers no point of Sigma_{l0} (needs t - r > "
+            f"{6 * l0 * tau0:g} and r > {0.5 * tau0:g})")
+
+    return VerifyReport(
+        first_checked=len(first_margins),
+        first_violations=tuple(first_violations),
+        first_min_margin=_first_min(first_margins),
+        boost_checked=len(boost_margins),
+        boost_violations=tuple(boost_violations),
+        boost_min_margin=_first_min(boost_margins),
+        coverage_warning="; ".join(warnings) if warnings else None,
+        passed_points=tuple(passed),
+    )

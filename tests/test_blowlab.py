@@ -22,7 +22,7 @@ from hypwave.meanprop import (RadialProfile, SpaceTimeField, _as_profile,
                               sine_propagator)
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from references import (bump_everywhere, decimated, first_iterate_both,
-                        lower_bounds_everywhere)
+                        full_grid_certificate_verify, lower_bounds_everywhere)
 
 TAU0 = 1.0
 C0 = default_C0(TAU0)
@@ -683,14 +683,13 @@ def sigma_cert():
     return build_certificate(bump_profile(0.25), params)
 
 
-def synthetic_field(cert, scale=1.0):
+def synthetic_field(cert, scale=1.0, t_grid=0.05 * np.arange(161),
+                    r_grid=0.05 * np.arange(81)):
     """The first-iterate bound for t - r < 4 tau0 and the boosted one past
     it, times a factor in [1.1, 2.1]: no violation at scale 1, some of
     each kind at scale 1/2."""
     params, boost = cert.params, cert.boost
     tau0, eps, p, l0 = params.tau0, params.epsilon, params.p, boost.l0
-    t_grid = 0.05 * np.arange(161)
-    r_grid = 0.05 * np.arange(81)
     T, R = np.meshgrid(t_grid, r_grid, indexing="ij")
     Rs = np.maximum(R, 0.05)
     decay = np.exp(-0.5 * log_sinh(Rs))
@@ -774,6 +773,82 @@ class TestAgainstPointLoops:
         cert, field = reference_run
         assert_same_report(certificate_verify(cert, field),
                            certificate_verify_loop(cert, field))
+
+
+@pytest.fixture(scope="module")
+def sigma_run():
+    """scripts/csv_digest.py's certify_sigma run: the p = 1.5, eps = 0.5,
+    tau0 = 1/4 certificate and its FD field on certify's default window,
+    where S holds 96 points and Sigma_2 193."""
+    params = make_params(p=1.5, tau0=0.25)
+    bump = bump_profile(0.25)
+    spec = NonlinearitySpec(p=1.5, q=2.0, delta0=0.45,
+                            kind="piecewise_generic")
+    u1 = RadialProfile(lambda lam: params.epsilon * bump(lam),
+                       support_radius=bump.support_radius, knots=bump.knots)
+    cfg = FDConfig(Grid(5.0, 9.0, 0.04, 0.05), snapshot_every=5)
+    field = fd_solve(zero_profile, u1, nonlinearity(spec), cfg)
+    return build_certificate(bump, params), field
+
+
+class TestCertificateBands:
+    """certificate_verify, which looks for each region's points per time
+    row among the radii of its band, against the masks over the whole
+    grid: every field of the report, bit for bit."""
+
+    # (rows, columns) of sigma_run's field
+    WINDOWS = {
+        "whole": (slice(None), slice(None)),
+        # S and Sigma_2 reach below r = 1: bands clipped at the first radius
+        "from r = 1": (slice(None), slice(20, None)),
+        # S lies at 4.5 < r < 4.75 at t = 5: bands past the last radius
+        "to r = 2.95": (slice(None), slice(None, 60)),
+        "t from 0.8, 0.5 <= r <= 3": (slice(4, None), slice(10, 61)),
+        "r = 2 alone": (slice(None), slice(40, 41)),
+    }
+
+    def test_sigma_run_covers_both_regions(self, sigma_run):
+        cert, field = sigma_run
+        counts = {}
+        for scale in (1.0, 0.02, 3e-9):
+            got = certificate_verify(cert, SpaceTimeField(
+                field.t_grid, field.r_grid, scale * field.values))
+            assert (got.first_checked, got.boost_checked) == (96, 193)
+            counts[scale] = (len(got.first_violations),
+                             len(got.boost_violations))
+        # no violation, some of S's, every one of S's and some of Sigma's
+        assert counts[1.0] == (0, 0)
+        assert 0 < counts[0.02][0] < 96 and counts[0.02][1] == 0
+        assert counts[3e-9][0] == 96 and 0 < counts[3e-9][1] < 193
+
+    @pytest.mark.parametrize("scale", [1.0, 0.02, 3e-9])
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_simulated_field(self, sigma_run, window, scale):
+        cert, field = sigma_run
+        rows, cols = self.WINDOWS[window]
+        sub = SpaceTimeField(field.t_grid[rows], field.r_grid[cols],
+                             scale * field.values[rows, cols])
+        assert_same_report(certificate_verify(cert, sub),
+                           full_grid_certificate_verify(cert, sub))
+
+    GRIDS = {
+        # every band edge t - r = tau0, 2 tau0, 4.5 and r = tau0/2 is a
+        # grid point, t - r exact
+        "dyadic": (0.125 * np.arange(65), 0.125 * np.arange(33)),
+        "irregular": tuple(np.sort(np.random.default_rng(5).uniform(0.0, hi, n))
+                           for hi, n in ((8.0, 120), (4.0, 90))),
+        # S at t = 3 and Sigma_3 at t = 6
+        "two rows": (np.array([3.0, 6.0]), 0.05 * np.arange(81)),
+    }
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_synthetic_field(self, sigma_cert, grid, scale):
+        field = synthetic_field(sigma_cert, scale, *self.GRIDS[grid])
+        got = certificate_verify(sigma_cert, field)
+        assert got.first_checked > 0 and got.boost_checked > 0
+        assert_same_report(got, full_grid_certificate_verify(sigma_cert,
+                                                             field))
 
 
 class TestSkipsOnlyDiscardedWork:

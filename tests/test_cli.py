@@ -374,6 +374,27 @@ def test_proof_constant_key_is_config_error(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("certify", "certify", "field_scale", "nan"),
+    ("solve", "solver", "epsilon", "nan"),
+    ("contraction", "solver", "epsilon", "nan"),
+    ("propagate", "data", "value", "inf"),
+    ("blowup", "blowup", "epsilon", "inf"),
+])
+def test_non_finite_float_is_config_error(tmp_path, capsys, command, section,
+                                          key, value):
+    # each of these once computed and then exited 3 with a message that
+    # named no key ("field values must be finite", "first-iterate
+    # constant vanished", ...)
+    body = with_key(VALID_BODIES[command], section, key, value)
+    code, out = run_cli(tmp_path, command, body)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"config error: key {key!r} in [{section}] must be finite, "
+            f"got {value}") in err
+    assert not out.exists()
+
+
 def test_largest_tau0_gives_finite_constants(tmp_path):
     # tau0 = 100 keeps first_iterate_bound's integrand finite; a warning
     # would fail the test (filterwarnings = error)

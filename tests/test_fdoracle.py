@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from hypwave import blowlab
+from hypwave import blowlab, fdoracle
 from hypwave.blowlab import bump_profile, escape_detector
 from hypwave.fdoracle import (
     _BLOCK,
     FDConfig,
     InstabilityError,
     _coth,
+    _finite_max,
     convergence_order,
     fd_solve,
     leapfrog,
@@ -260,7 +261,7 @@ class TestLeapfrogWindow:
                            SHORT),
         "bump-canonical": (zero, scaled(BUMP, 0.1),
                            spec_F("canonical_sinh_inverse"), SHORT),
-        # 1000 steps: the window reaches r_max at step 699
+        # 1000 steps: the window reaches r_max at step 795
         "bump-linear-hits-r_max": (zero, BUMP, None, ESCAPE),
         "theta1": (zero, theta1, spec_F("canonical_sinh_inverse"), QUICK),
         "F(0)!=0": (zero, BUMP, lambda u: 0.01 + u * np.abs(u), SHORT),
@@ -273,7 +274,7 @@ class TestLeapfrogWindow:
         # on are +0.0 there
         "negative-bump": (scaled(BUMP, -1.0), scaled(BUMP, -0.1),
                           spec_F("piecewise_generic"), SHORT),
-        # overflows at t = 5.24 (step 131), when the window is 256 of 873 cells
+        # overflows at t = 5.24 (step 131), when the window is 224 of 873 cells
         "overflow": (zero, scaled(BUMP, 0.5), spec_F("piecewise_generic"),
                      FDConfig(Grid(8.0, 43.6, 0.04, 0.05))),
     }
@@ -408,7 +409,7 @@ class TestLeapfrogWindow:
         for n in range(2, ESCAPE.n_steps + 1):
             bound = -(-(support + n + 2) // _BLOCK) * _BLOCK
             assert max(per_step[n]) <= min(bound, n_r), f"step {n}"
-        assert per_step[2][-1] == _BLOCK < n_r
+        assert per_step[2][-1] == -(-(support + 4) // _BLOCK) * _BLOCK < n_r
         # the yielded k is the window F saw; states 0 and 1 are whole
         assert ks[0] == n_r
         assert ks[1:] == [calls[-1] for calls in per_step[1:]]
@@ -419,6 +420,75 @@ class TestLeapfrogWindow:
                                            SHORT)
         assert all(calls[-1] == n_r for calls in per_step[1:])
         assert set(ks) == {n_r}
+
+
+def planted(n_bad, cells, value):
+    """leapfrog with state n_bad yielded as a copy whose cells, the list
+    cells(k) of cells of its window [0, k), hold value; the stepper's own
+    buffers keep the true states."""
+    def stepper(u0, u1, F, cfg):
+        for n, (u, k) in enumerate(leapfrog(u0, u1, F, cfg)):
+            if n == n_bad:
+                u = u.copy()
+                u[cells(k)] = value
+            yield u, k
+    return stepper
+
+
+class TestStepGuard:
+    """fd_solve sums each step's window once and asks _finite_max only when
+    that sum is not finite: a NaN or an infinity stops the run where
+    _finite_max alone stopped it, and a finite window whose sum overflows
+    does not stop it."""
+
+    DATA = (zero, scaled(BUMP, 0.1), spec_F("piecewise_generic"))
+    CELLS = {"first": lambda k: [0], "window's last": lambda k: [k - 1],
+             "two": lambda k: [1, k // 3]}
+
+    @pytest.mark.parametrize("every", [1, 5])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", CELLS)
+    @pytest.mark.parametrize("n_bad", [0, 1, 37, 100])
+    def test_named_as_finite_max_names_it(self, monkeypatch, n_bad, where,
+                                          value, every):
+        cfg = FDConfig(SHORT.grid, snapshot_every=every)
+        stepper = planted(n_bad, self.CELLS[where], value)
+        kept = []
+        for n, (u, k) in enumerate(stepper(*self.DATA, cfg)):
+            if _finite_max(u[:k]) is None:
+                bad = np.flatnonzero(~np.isfinite(u[:k]))[0]
+                break
+            if n % every == 0:
+                kept.append(u.copy())
+        assert n == n_bad
+        monkeypatch.setattr(fdoracle, "leapfrog", stepper)
+        with pytest.raises(InstabilityError) as exc:
+            fd_solve(*self.DATA, cfg)
+        r = cfg.grid.r
+        assert str(exc.value) == (f"non-finite value at t = "
+                                  f"{n * cfg.grid.dt:.6g}, r = {r[bad]:.6g}")
+        field = exc.value.field
+        if not kept:
+            assert field is None
+            return
+        t_full = np.linspace(0.0, cfg.grid.t_max, cfg.n_steps // every + 1)
+        assert bits(field.t_grid) == bits(t_full[:len(kept)])
+        assert bits(field.values) == bits(np.array(kept))
+
+    @pytest.mark.parametrize("n_bad", [0, 1, 37, 100])
+    def test_finite_window_whose_sum_overflows_passes(self, monkeypatch,
+                                                      n_bad):
+        stepper = planted(n_bad, self.CELLS["two"], 1e308)
+        for n, (u, k) in enumerate(stepper(*self.DATA, SHORT)):
+            if n == n_bad:
+                with np.errstate(over="ignore"):
+                    assert np.add.reduce(u[:k]) == np.inf
+                assert _finite_max(u[:k]) == 1e308
+                cells = self.CELLS["two"](k)
+        want = fd_solve(*self.DATA, SHORT).values
+        want[n_bad, cells] = 1e308
+        monkeypatch.setattr(fdoracle, "leapfrog", stepper)
+        assert bits(fd_solve(*self.DATA, SHORT).values) == bits(want)
 
 
 def old_F(spec):
