@@ -83,8 +83,9 @@ class BlowupParams:
                 f"tau0 = {self.tau0} exceeds 100: the first-iterate bound "
                 f"integrates (sinh lam)^(1/2) up to lam = 13 tau0, which "
                 f"overflows a double past lam = 1420")
-        if not self.epsilon > 0.0:
-            raise DomainError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise DomainError(
+                f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.delta0 < 1.0:
             raise DomainError(f"delta0 must lie in (0, 1); got {self.delta0}")
 
@@ -521,8 +522,6 @@ class BlowupCertificate:
     S, the bound certificate_verify asserts. T is the certified detachment
     time (past every threshold of blowup_time_bound, inf where they
     overflow, and large enough that Y fits inside Sigma_{l0}).
-    verification_points holds (t, r, bound, simulated_value) tuples from a
-    completed certificate_verify run; each stored point must dominate.
     """
 
     params: BlowupParams
@@ -530,11 +529,8 @@ class BlowupCertificate:
     boost: BoostSequence
     john: JohnSequence
     T: float
-    verification_points: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "verification_points",
-                           tuple(map(tuple, self.verification_points)))
         if not self.T > 0.0:
             raise DomainError("T must be positive")
         if self.T < (6.0 * self.boost.l0 + 1.0) * self.params.tau0 * (1.0 - 1e-12):
@@ -542,12 +538,6 @@ class BlowupCertificate:
                 "T must be at least (6*l0 + 1)*tau0 so Y sits inside Sigma_l0")
         if abs(self.john.entries[0][1] - self.boost.A0) > 1e-9 * (1.0 + self.boost.A0):
             raise DomainError("john A_0 must match the boost crossing surplus A0")
-        for point in self.verification_points:
-            t, r, bound, value = point
-            if value < bound:
-                raise DomainError(
-                    f"verification point (t={t:.6g}, r={r:.6g}) has simulated "
-                    f"value {value:.6g} below its bound {bound:.6g}")
 
 
 def build_certificate(u1, params, m_max=20):
@@ -557,9 +547,7 @@ def build_certificate(u1, params, m_max=20):
     Y, run the John recursion from D0 = tilde_c*eps, and pick T as the
     blow-up time bound (using the rigorous side E - E_tail_bound of the
     series constant), raised to (6*l0 + 1)*tau0 if the bound lands below
-    the Y containment threshold. The returned certificate carries no
-    verification points; attach them from a certificate_verify report via
-    dataclasses.replace if simulation data are available.
+    the Y containment threshold.
     """
     c0 = first_iterate_bound(u1, params)
     if not c0 > 0.0:
@@ -589,7 +577,7 @@ class VerifyReport:
     S, boost_* the stage-l0 bound on Sigma_{l0}. coverage_warning is set
     when the simulation grid misses one of the regions entirely, making the
     report partial. passed_points is a decimated sample (at most 200) of
-    passing first-iterate points, suitable for embedding in a certificate.
+    passing first-iterate points.
     """
 
     first_checked: int

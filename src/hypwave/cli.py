@@ -116,13 +116,13 @@ _SCHEMA = {
         "grid": _FD_GRID,
         "data": {"kind": ({"zero": (), "constant": ("value",),
                            "theta": ("k",), "bump": ("tau0",)}, "zero"),
-                 "value": (_float, 1.0), "k": (_float, 1.0),
-                 "tau0": (_float, 1.0)},
+                 "value": (_float, 1.0), "k": (_POSITIVE, 1.0),
+                 "tau0": (_POSITIVE, 1.0)},
         "propagate": {"engine": (("kernel", "fd", "both"), "kernel")},
     },
     "solve": {
         "grid": _SOLVER_GRID,
-        "data": {"k": (_float, 1.0)},
+        "data": {"k": (_POSITIVE, 1.0)},
         "solver": {"p": (_float, _REQUIRED), "h": (_float, _REQUIRED),
                    "epsilon": (_float, _REQUIRED), "max_iters": (int, None),
                    "fixed_point_tol": (_float, None)},
@@ -131,12 +131,12 @@ _SCHEMA = {
     },
     "decay": {
         "grid": _FD_GRID,
-        "decay": {"k": (_float, 1.0), "ray_offset": (_float, 1.0),
+        "decay": {"k": (_POSITIVE, 1.0), "ray_offset": (_float, 1.0),
                   "min_r": (_float, 1.0)},
     },
     "contraction": {
         "grid": _SOLVER_GRID,
-        "data": {"k": (_float, 1.0)},
+        "data": {"k": (_POSITIVE, 1.0)},
         "solver": {"p": (_float, _REQUIRED), "h": (_float, _REQUIRED),
                    "epsilon": (_float, 0.1)},
         # kind = none would measure nothing
@@ -259,17 +259,16 @@ def _read_config(path, command):
 def _data_profile(data):
     """The velocity profile u_t(0) from [data]; the position u(0) is 0."""
     from .blowlab import bump_profile
-    from .hypgeo import EnvelopeParams, theta_k
+    from .hypgeo import theta_k
     from .meanprop import RadialProfile
 
     kind = data["kind"]
     if kind == "zero":
-        return RadialProfile.constant(0.0)
+        return RadialProfile(0.0)
     if kind == "constant":
-        return RadialProfile.constant(data["value"])
+        return RadialProfile(data["value"])
     if kind == "theta":
-        params = EnvelopeParams(k=data["k"])
-        return RadialProfile.from_function(lambda r: theta_k(r, params))
+        return RadialProfile(lambda r: theta_k(r, data["k"]))
     return bump_profile(data["tau0"])
 
 
@@ -347,7 +346,7 @@ def cmd_propagate(config, out, seed):
     from .hypgeo import DomainError, Grid
     from .meanprop import RadialProfile, linear_field
 
-    u0 = RadialProfile.constant(0.0)
+    u0 = RadialProfile(0.0)
     engine = config["propagate"]["engine"]
     try:
         grid = Grid(**config["grid"])
@@ -386,7 +385,7 @@ def cmd_propagate(config, out, seed):
 def cmd_solve(config, out, seed):
     from .globalsolver import (ConvergenceError, SolverConfig, picard_solve,
                                weighted_norm)
-    from .hypgeo import DomainError, EnvelopeParams, Grid, theta_k
+    from .hypgeo import DomainError, Grid, theta_k
     from .meanprop import RadialProfile
 
     solver = config["solver"]
@@ -394,12 +393,11 @@ def cmd_solve(config, out, seed):
     try:
         cfg = SolverConfig(**solver, grid=Grid(**config["grid"]))
         spec = _nonlin_spec(config["nonlinearity"], p=solver["p"])
-        params = EnvelopeParams(k=data_k)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    u0 = RadialProfile.constant(0.0)
-    u1 = RadialProfile.from_function(lambda r: theta_k(r, params))
+    u0 = RadialProfile(0.0)
+    u1 = RadialProfile(lambda r: theta_k(r, data_k))
     # Exhausting max_iters is a reportable outcome (converged = false),
     # not a crash; escape and quadrature trouble still exit with code 3.
     try:
@@ -423,20 +421,19 @@ def cmd_solve(config, out, seed):
 
 def cmd_decay(config, out, seed):
     from .globalsolver import _decay_window, decay_fit
-    from .hypgeo import DomainError, EnvelopeParams, Grid, theta_k
+    from .hypgeo import DomainError, Grid, theta_k
     from .meanprop import RadialProfile, linear_field
 
     decay = config["decay"]
     k, ray_offset, min_r = decay["k"], decay["ray_offset"], decay["min_r"]
     try:
         grid = Grid(**config["grid"])
-        params = EnvelopeParams(k=k)
         # a fit window the grid cannot fill
         _decay_window(grid.t, grid.r, ray_offset, min_r)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    prof = RadialProfile.from_function(lambda r: theta_k(r, params))
+    prof = RadialProfile(lambda r: theta_k(r, k))
     field = linear_field(prof, grid.t, grid.r)
     rep = decay_fit(field, k, ray_offset=ray_offset, min_r=min_r)
 
@@ -451,7 +448,7 @@ def cmd_decay(config, out, seed):
 def cmd_contraction(config, out, seed):
     from .globalsolver import (SolverConfig, contraction_probe,
                                epsilon_threshold)
-    from .hypgeo import DomainError, EnvelopeParams, Grid
+    from .hypgeo import DomainError, Grid
 
     solver, data_k = config["solver"], config["data"]["k"]
     contraction = config["contraction"]
@@ -459,7 +456,6 @@ def cmd_contraction(config, out, seed):
     try:
         cfg = SolverConfig(**solver, grid=Grid(**config["grid"]))
         spec = _nonlin_spec(config["nonlinearity"], p=solver["p"])
-        EnvelopeParams(k=data_k)  # N_h's data envelope
     except DomainError as exc:
         raise ConfigError(str(exc))
 
@@ -510,7 +506,7 @@ def _blowup_run(config, grid, snapshot_every=1):
         spec = _nonlin_spec(config["nonlinearity"], p=params.p, q=params.q,
                             delta0=params.delta0)
         bump = bump_profile(params.tau0)
-        u0 = RadialProfile.constant(0.0)
+        u0 = RadialProfile(0.0)
         u1 = RadialProfile(lambda lam: params.epsilon * bump(lam),
                            support_radius=bump.support_radius, knots=bump.knots)
         if grid is not None:

@@ -35,10 +35,8 @@ import numpy as np
 
 from .hypgeo import (
     DomainError,
-    EnvelopeParams,
     Grid,
     K_factor,
-    WeightParams,
     bracket,
     phi_weight,
     theta_k,
@@ -107,8 +105,9 @@ class SolverConfig:
         if not self.p > 3 or not 1.0 < self.h < self.p - 2.0:
             raise DomainError(
                 f"h must lie in (1, p-2); got h = {self.h} with p = {self.p}")
-        if self.epsilon < 0:
-            raise DomainError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < np.inf:
+            raise DomainError(
+                f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.max_iters < 1:
             raise DomainError("max_iters must be at least 1")
         if not self.fixed_point_tol > 0:
@@ -134,7 +133,6 @@ class DecayFitReport:
     slope_r: float
     slope_tr: float
     sup_weighted: float
-    fit_window: str
 
     def __post_init__(self):
         for name in ("slope_r", "slope_tr", "sup_weighted"):
@@ -148,9 +146,7 @@ class DecayFitReport:
 
 def weighted_norm(u: SpaceTimeField, h):
     """max over the grid of Phi_h |u|."""
-    if not h > 0:
-        raise DomainError("h must be positive")
-    phi = phi_weight(u.t_grid[:, None], u.r_grid, WeightParams(h=h))
+    phi = phi_weight(u.t_grid[:, None], u.r_grid, h)
     return float(np.max(phi * np.abs(u.values)))
 
 
@@ -175,7 +171,7 @@ def _table(grid):
 @functools.lru_cache(maxsize=4)
 def _grid_phi(grid, h):
     """Phi_h = e^{r/2} <t-r>^h on the Grid grid, read-only."""
-    phi = phi_weight(grid.t[:, None], grid.r, WeightParams(h=h))
+    phi = phi_weight(grid.t[:, None], grid.r, h)
     phi.flags.writeable = False
     return phi
 
@@ -209,8 +205,7 @@ def linear_data_field(u0, u1, grid):
 def estimate_N_h(k, h, grid):
     """Empirical N_h on the Grid grid: sup of Phi_h times the linear
     evolution of data (0, theta_k), padded by 10 percent."""
-    env = EnvelopeParams(k=k)
-    vals = linear_data_field(0.0, lambda lam: theta_k(lam, env), grid)
+    vals = linear_data_field(0.0, lambda lam: theta_k(lam, k), grid)
     return 1.1 * float(np.max(_grid_phi(grid, h) * np.abs(vals)))
 
 
@@ -220,7 +215,7 @@ def estimate_N_h(k, h, grid):
 
 def _check_envelope(prof, name, k, r_grid):
     vals = np.abs(_as_profile(prof)(r_grid))
-    env = theta_k(r_grid, EnvelopeParams(k=k))
+    env = theta_k(r_grid, k)
     # written so that NaN data fail too; argmax takes the first NaN
     if not np.all(vals <= env * (1.0 + 1e-9)):
         j = int(np.argmax(vals - env))
@@ -545,7 +540,5 @@ def decay_fit(u0_field: SpaceTimeField, k, ray_offset=1.0, min_r=1.0):
 
     weight = np.sqrt(np.cosh(R) * np.cosh(T - R)) / K_factor(T - R, k)
     sup_weighted = float(np.max(U * weight))
-    window = (f"ray t-r={ray_offset}, r>={min_r}; "
-              f"column r={r[r_star_idx]:.3g}, t-r>={ray_offset}")
     return DecayFitReport(slope_r=slope_r, slope_tr=slope_tr,
-                          sup_weighted=sup_weighted, fit_window=window)
+                          sup_weighted=sup_weighted)

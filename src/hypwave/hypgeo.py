@@ -9,7 +9,10 @@ with curvature -1:
                      depending on whether k is below, at, or above 1/2,
 * space-time weight  Phi_h(t,r) = e^(r/2) <t-r>^h,
 
-with the Japanese bracket <s> = sqrt(1+s^2).  cosh and sinh are also
+with the Japanese bracket <s> = sqrt(1+s^2).  k and h are plain numbers,
+checked where they enter: log_theta_k and log_phi_weight (which theta_k
+and phi_weight go through) refuse k <= 0 and h <= 0, as K_factor refuses
+k <= 0.  cosh and sinh are also
 given in log form so that envelopes and weights can be evaluated far
 beyond the ~700 overflow threshold of cosh; the W operator's weights
 carry the product form of their differences (meanprop.MonotoneWeight.s).
@@ -33,8 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "EnvelopeParams",
-    "WeightParams",
     "Grid",
     "DomainError",
     "theta_k",
@@ -54,28 +55,6 @@ _LOG2 = float(np.log(2.0))
 
 class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
-
-
-@dataclass(frozen=True)
-class EnvelopeParams:
-    """Decay index of the data envelope theta_k."""
-
-    k: float
-
-    def __post_init__(self) -> None:
-        if not self.k > 0:
-            raise DomainError(f"envelope index k must be positive, got {self.k}")
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    """Exponent h of the weight Phi_h(t,r)."""
-
-    h: float
-
-    def __post_init__(self) -> None:
-        if not self.h > 0:
-            raise DomainError(f"weight exponent h must be positive, got {self.h}")
 
 
 def log_cosh(x):
@@ -107,21 +86,24 @@ def bracket(s):
     return np.hypot(1.0, np.asarray(s, dtype=float))
 
 
-def theta_k(r, params: EnvelopeParams):
-    """Data envelope (cosh r)^(-k-1/2) for r >= 0 (log_theta_k refuses r < 0)."""
-    return np.exp(log_theta_k(r, params))
+def theta_k(r, k):
+    """Data envelope (cosh r)^(-k-1/2) for r >= 0 and k > 0 (log_theta_k
+    refuses the rest)."""
+    return np.exp(log_theta_k(r, k))
 
 
-def log_theta_k(r, params: EnvelopeParams):
+def log_theta_k(r, k):
     """log theta_k; usable where the envelope itself underflows.
 
     The 1/2 in the exponent is the spectral shift (n-1)/2 of the
     hyperbolic plane, n = 2.
     """
+    if not k > 0:
+        raise DomainError(f"envelope index k must be positive, got {k}")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("theta_k is defined for r >= 0")
-    return -(params.k + 0.5) * log_cosh(r)
+    return -(k + 0.5) * log_cosh(r)
 
 
 def K_factor(s, k: float):
@@ -140,17 +122,19 @@ def K_factor(s, k: float):
     return np.ones_like(s)
 
 
-def phi_weight(t, r, params: WeightParams):
-    """Weight Phi_h(t,r) = e^(r/2) <t-r>^h for r >= 0; always >= 1."""
-    return np.exp(log_phi_weight(t, r, params))
+def phi_weight(t, r, h):
+    """Weight Phi_h(t,r) = e^(r/2) <t-r>^h for r >= 0 and h > 0; always >= 1."""
+    return np.exp(log_phi_weight(t, r, h))
 
 
-def log_phi_weight(t, r, params: WeightParams):
+def log_phi_weight(t, r, h):
+    if not h > 0:
+        raise DomainError(f"weight exponent h must be positive, got {h}")
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("phi_weight is defined for r >= 0")
-    return 0.5 * r + params.h * np.log(bracket(t - r))
+    return 0.5 * r + h * np.log(bracket(t - r))
 
 
 def cg_nodes(n: int, c_lo: float, c_hi: float):

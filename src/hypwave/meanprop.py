@@ -129,28 +129,25 @@ class QuadratureError(RuntimeError):
 
 
 class RadialProfile:
-    """A radial function on [0, inf) given by a callable.
+    """A radial function on [0, inf) given by a callable, or the constant
+    function of a number.
 
     A profile with ``support_radius`` set returns 0 beyond that radius.
     ``knots`` are the abscissae where it is merely C^1; the mean's rule
     and the kernel rule (the propagator, W and W's majorant) break their
-    panels there, so convergence stays spectral.
+    panels there, so convergence stays spectral. Without knots, the
+    support edge is the one knot.
     """
 
-    def __init__(self, func, *, support_radius=None, knots=None):
-        self._func = func
+    def __init__(self, f, *, support_radius=None, knots=None):
+        if not callable(f):
+            value = float(f)
+            f = lambda lam: np.full_like(lam, value)
+        self._func = f
         self.support_radius = support_radius
+        if knots is None and support_radius is not None:
+            knots = np.asarray([support_radius])
         self.knots = knots
-
-    @classmethod
-    def from_function(cls, func, support_radius=None):
-        knots = None if support_radius is None else np.asarray([support_radius])
-        return cls(func, support_radius=support_radius, knots=knots)
-
-    @classmethod
-    def constant(cls, value):
-        v = float(value)
-        return cls(lambda lam: np.full_like(np.asarray(lam, dtype=float), v))
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -242,11 +239,7 @@ class MonotoneWeight:
 
 
 def _as_profile(f):
-    if isinstance(f, RadialProfile):
-        return f
-    if callable(f):
-        return RadialProfile.from_function(f)
-    return RadialProfile.constant(f)
+    return f if isinstance(f, RadialProfile) else RadialProfile(f)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from hypwave.globalsolver import (
     epsilon_threshold,
     picard_solve,
 )
-from hypwave.hypgeo import EnvelopeParams, Grid, theta_k
+from hypwave.hypgeo import Grid, theta_k
 from hypwave.meanprop import (
     MonotoneWeight,
     RadialProfile,
@@ -50,10 +50,9 @@ from hypwave.meanprop import (
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from references import duhamel
 
-ZERO = RadialProfile.constant(0.0)
-ONES = RadialProfile.constant(1.0)
-THETA1 = RadialProfile.from_function(
-    lambda r: theta_k(r, EnvelopeParams(k=1.0)))
+ZERO = RadialProfile(0.0)
+ONES = RadialProfile(1.0)
+THETA1 = RadialProfile(lambda r: theta_k(r, 1.0))
 
 SPEC35 = NonlinearitySpec(p=3.5, q=2.0, delta0=0.45)
 CFG35 = SolverConfig(p=3.5, h=1.2, epsilon=0.05,
@@ -103,7 +102,7 @@ def test_02_constant_data_exactness():
 
 def test_03_mean_identities_on_grid():
     """Symmetry of the mean in (t, r) and mean-of-one = 1, 1e-8, 50x50."""
-    prof = RadialProfile.from_function(lambda r: np.exp(-0.5 * r**2))
+    prof = RadialProfile(lambda r: np.exp(-0.5 * r**2))
     grid = np.linspace(0.0, 10.0, 50)
     worst_sym = worst_one = 0.0
     for t in grid:
@@ -260,8 +259,7 @@ def test_11_blowup_vs_existence_contrast(eps0):
     assert rep.t_escape is not None and rep.t_escape <= 40.0
 
     eps = eps0 / 2.0
-    small = RadialProfile.from_function(
-        lambda r: eps * theta_k(r, EnvelopeParams(k=1.0)))
+    small = RadialProfile(lambda r: eps * theta_k(r, 1.0))
     cfg35 = FDConfig(Grid(8.0, 20.0, 0.04, 0.05))
     threshold35 = 10.0 * float(np.max(np.abs(small(
         np.linspace(0.0, 20.0, 401)))))

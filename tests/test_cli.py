@@ -395,6 +395,25 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, command, section,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, body, section, key, value", [
+    ("propagate", SMALL_GRID + "[data]\nkind = theta\n", "data", "k", "0"),
+    ("propagate", SMALL_GRID + "[data]\nkind = bump\n", "data", "tau0", "-1"),
+    ("solve", SOLVER_35, "data", "k", "-0.5"),
+    ("decay", SMALL_GRID, "decay", "k", "0"),
+])
+def test_nonpositive_envelope_is_config_error(tmp_path, capsys, command, body,
+                                              section, key, value):
+    # theta_k's k and the bump's tau0 are refused by the schema, before
+    # the command runs (contraction's [data] k: see
+    # test_unmeasurable_config_is_config_error)
+    code, out = run_cli(tmp_path, command, with_key(body, section, key, value))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"config error: key {key!r} in [{section}] must be positive, "
+            f"got {float(value)}") in err
+    assert not out.exists()
+
+
 def test_largest_tau0_gives_finite_constants(tmp_path):
     # tau0 = 100 keeps first_iterate_bound's integrand finite; a warning
     # would fail the test (filterwarnings = error)
@@ -698,9 +717,9 @@ class TestContraction:
          "'target_ratio' in [contraction] must be positive, got 0.0"),
         # N_h's data envelope theta_k
         ("probe", "n_pairs = 4\n[data]\nk = 0",
-         "envelope index k must be positive"),
+         "key 'k' in [data] must be positive"),
         ("threshold", "n_pairs = 4\n[data]\nk = -1",
-         "envelope index k must be positive"),
+         "key 'k' in [data] must be positive"),
     ])
     def test_unmeasurable_config_is_config_error(self, tmp_path, capsys,
                                                  monkeypatch, mode, lines,

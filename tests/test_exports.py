@@ -2,8 +2,10 @@
 every name it imports is used; the tests and scripts import nothing they
 leave unused either. Every top-level definition in src is reached from a
 command, a script, the bench or the acceptance gate, or is listed in KEPT
-with the reason it stays. The runtime depends on numpy alone, and the test
-settings let a failing hypothesis property report like any other test.
+with the reason it stays; every field of a src dataclass is read by src
+outside its class or by one of those, or is listed in KEPT_FIELDS. The
+runtime depends on numpy alone, and the test settings let a failing
+hypothesis property report like any other test.
 
 A stale entry (a class deleted but still exported) breaks
 ``from hypwave.<module> import *`` only when someone tries it; this test
@@ -17,6 +19,7 @@ import importlib
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -247,6 +250,92 @@ def test_reachability_scan_follows_mentions():
                        "def named():\n    pass\n")]
     assert _unreached(trees, set()) == ["Tool", "lonely", "named", "orphan"]
     assert _unreached(trees, {"Tool", "named"}) == ["orphan"]
+
+
+# src dataclass fields that nothing outside their class reads, and why each
+# stays.
+KEPT_FIELDS = {
+    "FDConfig.cfl": "dt/dr, the Courant number that construction checks "
+                    "against the stability margin and names in its error",
+    "ConvergenceReport.diffs": "the grid-to-grid differences the order is "
+                               "computed from, the one evidence an "
+                               "inconclusive report carries",
+}
+
+
+def _attribute_reads(node):
+    """How often each attribute name is loaded in the tree under node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load))
+
+
+def _unread_fields(trees, outside):
+    """"Class.field" for each field of a @dataclass class in the module
+    trees that neither the names in outside nor any code of the trees
+    outside the class reads as an attribute (of any object: the scan
+    over-counts reads rather than miss one)."""
+    reads = sum((_attribute_reads(tree) for tree in trees), Counter())
+    unread = []
+    for tree in trees:
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and any("dataclass" in _mentions(d)
+                            for d in cls.decorator_list)):
+                continue
+            own = _attribute_reads(cls)
+            unread += [f"{cls.name}.{n.target.id}" for n in cls.body
+                       if isinstance(n, ast.AnnAssign)
+                       and n.target.id not in outside
+                       and reads[n.target.id] == own[n.target.id]]
+    return sorted(unread)
+
+
+def _outside_reads():
+    """Every attribute the scripts, the bench files and the acceptance gate
+    read."""
+    files = [*sorted((ROOT / "scripts").glob("*.py")),
+             *sorted((ROOT / "bench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    return set().union(*(_attribute_reads(ast.parse(p.read_text(), str(p)))
+                         for p in files))
+
+
+def test_every_dataclass_field_is_read():
+    unread = set(_unread_fields(_src_trees(), _outside_reads())) - set(KEPT_FIELDS)
+    assert not unread, (
+        f"nothing outside its class reads {sorted(unread)}: delete each, or "
+        "add it to KEPT_FIELDS with the reason it stays")
+
+
+def test_every_kept_field_needs_keeping():
+    stale = set(KEPT_FIELDS) - set(_unread_fields(_src_trees(), _outside_reads()))
+    assert not stale, f"KEPT_FIELDS names {sorted(stale)}, which are read or gone"
+
+
+def test_field_scan_counts_reads_outside_the_class():
+    trees = [ast.parse("@dataclass(frozen=True)\n"
+                       "class Report:\n"
+                       "    used: int\n"
+                       "    self_only: int\n"
+                       "    written: int\n"
+                       "    shown: int\n"
+                       "    def check(self):\n"
+                       "        return self.self_only\n"
+                       "class Plain:\n"
+                       "    ignored: int\n"
+                       "def f(rep):\n"
+                       "    rep.written = 1\n"
+                       "    return rep.used\n"),
+             ast.parse("@dataclasses.dataclass\n"
+                       "class Other:\n"
+                       "    deep: float\n"
+                       "    C = property(lambda self: self.deep)\n"
+                       "X = Y.deep\n")]
+    assert _unread_fields(trees, set()) == ["Report.self_only", "Report.shown",
+                                            "Report.written"]
+    assert _unread_fields(trees, {"shown"}) == ["Report.self_only",
+                                                "Report.written"]
 
 
 FAILING_PROPERTY = """

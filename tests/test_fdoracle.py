@@ -17,17 +17,14 @@ from hypwave.fdoracle import (
     leapfrog,
 )
 from hypwave.cli import _SCHEMA
-from hypwave.hypgeo import DomainError, EnvelopeParams, Grid, theta_k
+from hypwave.hypgeo import DomainError, Grid, theta_k
 from hypwave.meanprop import RadialProfile, _as_profile, sine_propagator
 from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from references import from_samples, time_index
 from test_nonlin import F_generic_all_branches, bits, generic
 
-EP1 = EnvelopeParams(k=1.0)
-
-
 def theta1(lam):
-    return theta_k(lam, EP1)
+    return theta_k(lam, 1.0)
 
 
 def zero(lam):
@@ -104,7 +101,7 @@ class TestFDSolve:
         assert_allclose(fld.values[i, j], want, rtol=1e-4)
 
     def test_finite_propagation_speed(self):
-        bump = RadialProfile.from_function(
+        bump = RadialProfile(
             lambda lam: np.where(lam < 2.0,
                                  np.exp(-1.0 / np.maximum(1 - (lam / 2.0) ** 2, 1e-12)),
                                  0.0),
@@ -133,7 +130,7 @@ class TestFDSolve:
         assert 3.0 < e_coarse / e_fine < 5.0
 
     def test_oversized_support_rejected(self):
-        wide = RadialProfile.from_function(ones, support_radius=7.5)
+        wide = RadialProfile(ones, support_radius=7.5)
         with pytest.raises(DomainError, match="support"):
             fd_solve(zero, wide, None, QUICK)
 

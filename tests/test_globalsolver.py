@@ -10,9 +10,7 @@ import hypwave
 from hypwave.fdoracle import FDConfig, fd_solve
 from hypwave.hypgeo import (
     DomainError,
-    EnvelopeParams,
     Grid,
-    WeightParams,
     phi_weight,
     theta_k,
 )
@@ -21,13 +19,12 @@ from hypwave.nonlin import NonlinearitySpec, nonlinearity
 from hypwave import globalsolver as gs
 from references import per_tau_claim, unit_shape_per_point
 
-ENV1 = EnvelopeParams(k=1.0)
 SPEC = NonlinearitySpec(p=3.5, q=2.5, delta0=0.3)
 SMALL = Grid(1.0, 1.0, 0.5, 0.5)  # for configs that are only validated
 
 
 def data_profile(lam):
-    return theta_k(lam, ENV1)
+    return theta_k(lam, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +42,7 @@ def coarse_table(coarse_cfg):
 
 def phi_on(t, r, h):
     """Phi_h on the product grid t x r, from the full meshgrid."""
-    return phi_weight(*np.meshgrid(t, r, indexing="ij"), WeightParams(h=h))
+    return phi_weight(*np.meshgrid(t, r, indexing="ij"), h)
 
 
 def unit_shapes(rng, cfg, n):
@@ -101,6 +98,12 @@ class TestSolverConfig:
         with pytest.raises(DomainError, match="epsilon"):
             gs.SolverConfig(p=3.5, h=1.2, epsilon=-1e-3, grid=SMALL)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_nonfinite_epsilon_rejected(self, eps):
+        with pytest.raises(DomainError, match=(
+                f"^epsilon must be nonnegative and finite, got {eps}$")):
+            gs.SolverConfig(p=3.5, h=1.2, epsilon=eps, grid=SMALL)
+
     def test_zero_epsilon_allowed(self):
         assert gs.SolverConfig(p=3.5, h=1.2, epsilon=0.0,
                                grid=SMALL).epsilon == 0.0
@@ -131,8 +134,7 @@ class TestReports:
 
     def test_decay_report_requires_finite(self):
         with pytest.raises(DomainError, match="finite"):
-            gs.DecayFitReport(slope_r=np.nan, slope_tr=-0.5, sup_weighted=1.0,
-                              fit_window="")
+            gs.DecayFitReport(slope_r=np.nan, slope_tr=-0.5, sup_weighted=1.0)
 
 
 class TestWeightedNorm:
@@ -159,7 +161,7 @@ class TestWeightedNorm:
 
     def test_h_must_be_positive(self):
         u = SpaceTimeField([0.0], [0.0], [[1.0]])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="h must be positive, got 0.0"):
             gs.weighted_norm(u, 0.0)
 
 
@@ -219,7 +221,7 @@ class TestPicard:
 
     def test_envelope_violation_rejected(self, coarse_cfg):
         with pytest.raises(DomainError, match="envelope"):
-            gs.picard_solve(0.0, lambda lam: 2.0 * theta_k(lam, ENV1),
+            gs.picard_solve(0.0, lambda lam: 2.0 * theta_k(lam, 1.0),
                             SPEC, coarse_cfg)
 
     def test_nan_data_rejected_at_its_radius(self, coarse_cfg):
@@ -675,7 +677,7 @@ class TestOracleConsistency:
                               grid=Grid(4.0, 8.0, 0.05, 0.05))
         u_pic, _ = gs.picard_solve(0.0, data_profile, SPEC, cfg)
         fd_cfg = FDConfig(Grid(4.0, 10.0, 0.01, 0.02), snapshot_every=5)
-        u_fd = fd_solve(0.0, lambda lam: eps * theta_k(lam, ENV1),
+        u_fd = fd_solve(0.0, lambda lam: eps * theta_k(lam, 1.0),
                         nonlinearity(SPEC), fd_cfg)
         assert np.allclose(u_pic.t_grid, u_fd.t_grid)
         pic = u_pic.values[:, ::2][:, :41]

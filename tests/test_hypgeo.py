@@ -5,9 +5,7 @@ from numpy.testing import assert_allclose
 
 from hypwave.hypgeo import (
     DomainError,
-    EnvelopeParams,
     Grid,
-    WeightParams,
     K_factor,
     bracket,
     cg_nodes,
@@ -24,41 +22,45 @@ from hypwave.hypgeo import (
 class TestEnvelope:
     def test_theta_half_is_inverse_cosh(self):
         # k = 1/2 gives exponent k + 1/2 = 1
-        p = EnvelopeParams(k=0.5)
-        assert_allclose(theta_k(2.0, p), 0.26580222883407967, rtol=1e-14)
+        assert_allclose(theta_k(2.0, 0.5), 0.26580222883407967, rtol=1e-14)
 
     def test_theta_at_origin(self):
-        assert theta_k(0.0, EnvelopeParams(k=1.7)) == 1.0
+        assert theta_k(0.0, 1.7) == 1.0
 
     def test_theta_large_r_stays_finite(self):
-        v = theta_k(700.0, EnvelopeParams(k=1.0))
+        v = theta_k(700.0, 1.0)
         assert v > 0.0 or v == 0.0  # underflow to 0 acceptable, never NaN
         assert np.isfinite(log_cosh(700.0))
 
     def test_negative_radius_rejected(self):
         with pytest.raises(DomainError):
-            theta_k(-0.1, EnvelopeParams(k=1.0))
+            theta_k(-0.1, 1.0)
 
     @pytest.mark.parametrize("fn", [theta_k, log_theta_k], ids=["theta_k", "log_theta_k"])
     def test_negative_radius_message(self, fn):
         # theta_k leaves the check to log_theta_k: one message for both
         with pytest.raises(DomainError, match=r"^theta_k is defined for r >= 0$"):
-            fn(np.array([0.5, -1e-300]), EnvelopeParams(k=1.0))
+            fn(np.array([0.5, -1e-300]), 1.0)
 
     @given(st.floats(0.0, 30.0), st.floats(0.0, 30.0))
     def test_theta_monotone_in_r(self, r1, r2):
-        p = EnvelopeParams(k=1.0)
         lo, hi = min(r1, r2), max(r1, r2)
-        assert theta_k(lo, p) >= theta_k(hi, p)
+        assert theta_k(lo, 1.0) >= theta_k(hi, 1.0)
 
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(0.1, 20.0))
     def test_theta_monotone_in_k(self, k1, k2, r):
         lo, hi = min(k1, k2), max(k1, k2)
-        assert theta_k(r, EnvelopeParams(k=hi)) <= theta_k(r, EnvelopeParams(k=lo)) + 1e-300
+        assert theta_k(r, hi) <= theta_k(r, lo) + 1e-300
 
     def test_k_must_be_positive(self):
-        with pytest.raises(DomainError):
-            EnvelopeParams(k=0.0)
+        # theta_k leaves the check to log_theta_k, which makes it before
+        # reading r
+        for fn in (theta_k, log_theta_k):
+            for k in (0.0, -1.0, float("nan")):
+                with pytest.raises(DomainError, match=(
+                        r"^envelope index k must be positive, got "
+                        + str(k) + "$")):
+                    fn(np.array([0.5, -1.0]), k)
 
 
 class TestLogHyperbolics:
@@ -111,28 +113,33 @@ class TestKFactor:
 class TestPhiWeight:
     def test_frozen_value(self):
         # e^{r/2} <t-r>^h at t=2, r=1, h=2: e^{1/2} * 2
-        w = WeightParams(h=2.0)
-        assert_allclose(phi_weight(2.0, 1.0, w), 3.2974425414002564, rtol=1e-14)
+        assert_allclose(phi_weight(2.0, 1.0, 2.0), 3.2974425414002564, rtol=1e-14)
 
     def test_weight_at_origin(self):
-        assert_allclose(phi_weight(0.0, 0.0, WeightParams(h=1.2)), 1.0)
+        assert_allclose(phi_weight(0.0, 0.0, 1.2), 1.0)
 
     @given(st.floats(0.0, 40.0), st.floats(0.0, 40.0))
     def test_weight_at_least_one(self, t, r):
-        assert phi_weight(t, r, WeightParams(h=1.2)) >= 1.0 - 1e-12
+        assert phi_weight(t, r, 1.2) >= 1.0 - 1e-12
 
     def test_log_form_consistent(self):
-        w = WeightParams(h=1.7)
         t, r = 5.3, 2.1
-        assert_allclose(np.exp(log_phi_weight(t, r, w)), phi_weight(t, r, w), rtol=1e-13)
+        assert_allclose(np.exp(log_phi_weight(t, r, 1.7)), phi_weight(t, r, 1.7),
+                        rtol=1e-13)
 
     def test_h_must_be_positive(self):
-        with pytest.raises(DomainError):
-            WeightParams(h=0.0)
+        # phi_weight leaves the check to log_phi_weight, which makes it
+        # before reading r
+        for fn in (phi_weight, log_phi_weight):
+            for h in (0.0, -1.0, float("nan")):
+                with pytest.raises(DomainError, match=(
+                        r"^weight exponent h must be positive, got "
+                        + str(h) + "$")):
+                    fn(1.0, np.array([0.5, -1.0]), h)
 
     def test_negative_r_rejected(self):
         with pytest.raises(DomainError):
-            phi_weight(1.0, -1.0, WeightParams(h=1.2))
+            phi_weight(1.0, -1.0, 1.2)
 
 
 class TestChebyshevGauss:

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from hypwave.blowlab import bump_profile
 from hypwave import meanprop
-from hypwave.hypgeo import DomainError, EnvelopeParams, Grid, cg_nodes, theta_k
+from hypwave.hypgeo import DomainError, Grid, cg_nodes, theta_k
 from hypwave.meanprop import (
     MonotoneWeight,
     PropagatorTable,
@@ -45,11 +45,8 @@ from hypwave.meanprop import (
 from references import (duhamel, duhamel_per_lag, from_samples, per_lag_table,
                         slice_profile, time_index, time_weights)
 
-EP1 = EnvelopeParams(k=1.0)
-
-
 def theta1(lam):
-    return theta_k(lam, EP1)
+    return theta_k(lam, 1.0)
 
 
 def ones(lam):
@@ -62,12 +59,15 @@ def ones(lam):
 
 class TestRadialProfile:
     def test_closed_form_passthrough(self):
-        p = RadialProfile.from_function(np.cosh)
+        p = RadialProfile(np.cosh)
         assert_allclose(p(np.array([0.0, 1.0, 3.0])), np.cosh([0.0, 1.0, 3.0]))
 
     def test_constant(self):
-        p = RadialProfile.constant(2.5)
-        assert_allclose(p(np.linspace(0, 9, 7)), 2.5)
+        for value in (2.5, np.float32(2.5), 3):
+            p = RadialProfile(value)
+            assert p.knots is None
+            out = p(np.linspace(0, 9, 7))
+            assert out.dtype == float and np.all(out == float(value))
 
     def test_sampled_interpolates_and_vanishes_beyond(self):
         lam = np.linspace(0, 5, 101)
@@ -77,9 +77,13 @@ class TestRadialProfile:
         assert p(np.array([5.7]))[0] == 0.0
 
     def test_support_radius_truncates(self):
-        p = RadialProfile.from_function(ones, support_radius=2.0)
+        p = RadialProfile(ones, support_radius=2.0)
         out = p(np.array([1.9, 2.1]))
         assert out[0] == 1.0 and out[1] == 0.0
+        # the support edge is the one knot unless knots are given
+        assert p.knots.tolist() == [2.0]
+        given = np.array([0.5, 2.0])
+        assert RadialProfile(ones, support_radius=2.0, knots=given).knots is given
 
     def test_sampled_records_knots(self):
         lam = np.linspace(0, 3, 16)
@@ -1695,7 +1699,7 @@ class TestLowerBounds:
     # leave the float range: the products are formed in log space there,
     # finite and without an overflow warning
     def test_tiny_constant_far_out_matches_mpmath(self):
-        tiny = RadialProfile.constant(1e-300)
+        tiny = RadialProfile(1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             large, small = lower_bound_I(tiny, 800.0, 700.0, tau0=1.0)
