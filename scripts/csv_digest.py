@@ -27,8 +27,9 @@ relative difference |a - b| / max(|a|, |b|) over the rows, share its
 largest |a - b| over the column's largest |a|. Rows where the column is
 near 0 can make rel large while the column as a whole moved by share.
 
-The runs write their configs and CSVs into csv_digest/<run>/ under the
-output directory (runs/ by default, or the first argument). They are:
+The runs write their CSVs, and their configs as <command>.ini, into
+csv_digest/<run>/ under the output directory (runs/ by default, or the
+first argument). They are:
 
 * the blowup benchmark's twelve commands, blowup and certify for p in
   {1.5, 2, 2.5} and eps in {0.1, 0.5} on its grids;
@@ -44,13 +45,14 @@ output directory (runs/ by default, or the first argument). They are:
   equation;
 * the contract benchmark's pair: contraction in threshold mode on its
   41 x 81 grid with target_ratio 0.9, then solve at half the epsilon0
-  that the contraction run wrote.
+  that the contraction run wrote;
+* on that grid, contraction in probe mode and solve of the linear
+  equation ([nonlinearity] kind = none), each with [data] k = 2.
 
 A run that exits other than 0 is named on stderr with its code.
 """
 
 import argparse
-import configparser
 import csv
 import hashlib
 import sys
@@ -103,26 +105,25 @@ RUNS += [
      dict(CONTRACT, contraction={"mode": "threshold", "n_pairs": 20,
                                  "n_steps": 20, "target_ratio": 0.9})),
     ("contract_solve", "solve", half_eps0),
+    ("contraction_probe_k2", "contraction",
+     dict(CONTRACT, data={"k": 2.0}, contraction={"mode": "probe"})),
+    ("solve_linear_k2", "solve",
+     dict(CONTRACT, solver=dict(CONTRACT["solver"], epsilon=0.01),
+          data={"k": 2.0}, nonlinearity={"kind": "none"})),
 ]
 
 
 def run(command, config, out):
-    """wavecli <command> on config (INI sections as dicts, or a function
-    of the runs' root directory that returns them) into out, a directory
+    """hypwave.cli.run of command on config (INI sections as dicts, or a
+    function of the runs' root directory that returns them) into out,
     emptied of CSVs first."""
-    from hypwave.cli import main as wavecli  # --compare runs without hypwave
+    from hypwave.cli import run as wavecli  # --compare runs without hypwave
 
     if callable(config):
         config = config(out.parent)
-    out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob("*.csv"):
         stale.unlink()
-    cp = configparser.ConfigParser()
-    cp.read_dict(config)
-    ini = out.parent / f"{out.name}.ini"
-    with open(ini, "w", encoding="utf-8") as fh:
-        cp.write(fh)
-    return wavecli([command, "--config", str(ini), "--out", str(out)])
+    return wavecli(command, config, out)
 
 
 def main(out_dir="runs"):

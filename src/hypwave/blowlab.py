@@ -74,8 +74,8 @@ class BlowupParams:
     def __post_init__(self):
         if not 1.0 < self.p < 3.0:
             raise DomainError(f"p must lie in (1, 3); got p = {self.p}")
-        if not self.q > 1.0:
-            raise DomainError(f"q must exceed 1; got q = {self.q}")
+        if not 1.0 < self.q < math.inf:
+            raise DomainError(f"q must exceed 1 and be finite; got q = {self.q}")
         if not self.tau0 > 0.0:
             raise DomainError("tau0 must be positive")
         if not self.tau0 <= 100.0:
@@ -396,8 +396,9 @@ def john_recursion(A0, D0, q, C0, delta0, m_max=20):
     negative and the tail comparison above (and the stop rule) would be
     invalid. Equality is fine; it makes term_0 vanish exactly.
     """
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1; the series for E diverges at q = {q}")
+    if not 1.0 < q < math.inf:
+        raise DomainError(f"q must exceed 1 and be finite for the series for "
+                          f"E; got q = {q}")
     if not D0 > 0.0:
         raise DomainError(f"D0 must be positive; got D0 = {D0}")
     if not (C0 > 0.0 and delta0 > 0.0):

@@ -385,23 +385,20 @@ def cmd_propagate(config, out, seed):
 def cmd_solve(config, out, seed):
     from .globalsolver import (ConvergenceError, SolverConfig, picard_solve,
                                weighted_norm)
-    from .hypgeo import DomainError, Grid, theta_k
-    from .meanprop import RadialProfile
+    from .hypgeo import DomainError, Grid
 
     solver = config["solver"]
-    data_k = config["data"]["k"]
     try:
         cfg = SolverConfig(**solver, grid=Grid(**config["grid"]))
         spec = _nonlin_spec(config["nonlinearity"], p=solver["p"])
     except DomainError as exc:
         raise ConfigError(str(exc))
 
-    u0 = RadialProfile(0.0)
-    u1 = RadialProfile(lambda r: theta_k(r, data_k))
-    # Exhausting max_iters is a reportable outcome (converged = false),
-    # not a crash; escape and quadrature trouble still exit with code 3.
+    # The data are (0, eps theta_k). Exhausting max_iters is a reportable
+    # outcome (converged = false), not a crash; escape and quadrature
+    # trouble still exit with code 3.
     try:
-        field, history = picard_solve(u0, u1, spec, cfg, data_k=data_k)
+        field, history = picard_solve(spec, cfg, config["data"]["k"])
         converged = True
     except ConvergenceError as exc:
         field, history, converged = None, exc.history, False

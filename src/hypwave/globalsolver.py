@@ -2,9 +2,10 @@
 
 The integral equation
 
-    u = eps u0 + int_0^t I(t - tau, r, F(u(tau, .))) dtau
+    u = eps u_lin + int_0^t I(t - tau, r, F(u(tau, .))) dtau,
 
-is solved by Picard iteration on a uniform (t, r) grid, with convergence
+where u_lin is the linear evolution of the data (0, theta_k), is solved
+by Picard iteration on a uniform (t, r) grid, with convergence
 measured in the norm ||Phi_h u||_inf, Phi_h = e^{r/2} <t-r>^h. The module
 also measures the contraction factor of the Duhamel-composed nonlinearity
 on random pairs from the ball of radius 2 eps N_h (the empirical content
@@ -45,12 +46,10 @@ from .meanprop import (
     _TWO_COSH,
     PropagatorTable,
     SpaceTimeField,
-    _as_profile,
     _kernel_sums,
     _lag_weights,
     _settle_sums,
     leggauss,
-    linear_field,
 )
 from .nonlin import NonlinearitySpec, _canonical, _generic, nonlinearity
 
@@ -102,6 +101,8 @@ class SolverConfig:
     fixed_point_tol: float = 1e-10
 
     def __post_init__(self):
+        if not np.isfinite(self.p):
+            raise DomainError(f"p must be finite, got {self.p}")
         if not self.p > 3 or not 1.0 < self.h < self.p - 2.0:
             raise DomainError(
                 f"h must lie in (1, p-2); got h = {self.h} with p = {self.p}")
@@ -116,16 +117,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ContractionReport:
+    """The ratios a contraction probe at epsilon measured, one per
+    nondegenerate pair; the count and the largest (0.0 for none) are
+    read from them."""
+
     epsilon: float
-    sampled_pairs: int
-    max_ratio: float
     ratios: tuple
 
-    def __post_init__(self):
-        if self.ratios and not np.isclose(self.max_ratio, max(self.ratios)):
-            raise DomainError("max_ratio must be the maximum of ratios")
-        if self.max_ratio < 0:
-            raise DomainError("max_ratio must be nonnegative")
+    sampled_pairs = property(lambda self: len(self.ratios))
+    max_ratio = property(lambda self: max(self.ratios, default=0.0))
 
 
 @dataclass(frozen=True)
@@ -176,52 +176,29 @@ def _grid_phi(grid, h):
     return phi
 
 
-def linear_data_field(u0, u1, grid):
-    """The linear evolution u0_lin of unit data (u0, u1) on the Grid grid.
-
-    For position data u0 = 0 (the common case) this is the gridded sine
-    propagation of u1 through the cached table. A nonzero u0 adds the time
-    derivative of its sine propagation, computed by centered differencing
-    with step dt/2; the t = 0 row is u0 itself.
+def linear_data_field(k, grid):
+    """The linear evolution u_lin of the unit data (0, theta_k) on the
+    Grid grid: the gridded sine propagation of theta_k through the
+    cached table, whose t = 0 row is 0.
 
     Data beyond r_max is treated as zero, so the values are exact only on
     the triangle t + r <= r_max; the solver's other consumers share this
     truncation, which keeps the fixed-point problem self-consistent.
     """
-    u0 = _as_profile(u0)
-    u1 = _as_profile(u1)
-    u0_samples = u0(grid.r)
-    out = _table(grid).apply_linear(u1(grid.r))
-    if np.any(u0_samples != 0.0):
-        delta = 0.5 * grid.dt
-        up = linear_field(u0, grid.t[1:] + delta, grid.r).values
-        dn = linear_field(u0, grid.t[1:] - delta, grid.r).values
-        out[1:] += (up - dn) / (2.0 * delta)
-        out[0] += u0_samples
-    return out
+    data = theta_k(grid.r, k)  # a bad k fails before the table is built
+    return _table(grid).apply_linear(data)
 
 
 @functools.cache
 def estimate_N_h(k, h, grid):
     """Empirical N_h on the Grid grid: sup of Phi_h times the linear
     evolution of data (0, theta_k), padded by 10 percent."""
-    vals = linear_data_field(0.0, lambda lam: theta_k(lam, k), grid)
+    vals = linear_data_field(k, grid)
     return 1.1 * float(np.max(_grid_phi(grid, h) * np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------
 # Picard iteration
-
-
-def _check_envelope(prof, name, k, r_grid):
-    vals = np.abs(_as_profile(prof)(r_grid))
-    env = theta_k(r_grid, k)
-    # written so that NaN data fail too; argmax takes the first NaN
-    if not np.all(vals <= env * (1.0 + 1e-9)):
-        j = int(np.argmax(vals - env))
-        raise DomainError(
-            f"{name} violates the data envelope theta_k at r = {r_grid[j]:.4g} "
-            f"(|{name}| = {vals[j]:.3e} > {env[j]:.3e}, k = {k})")
 
 
 def _check_p(spec, cfg):
@@ -245,8 +222,10 @@ def _iterate_sup(u, n, grid):
     return top
 
 
-def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
-    """Fixed-point iteration for the nonlinear integral equation.
+def picard_solve(spec, cfg: SolverConfig, data_k=1.0):
+    """Fixed-point iteration for the nonlinear integral equation with the
+    data (0, eps theta_k), eps = cfg.epsilon and k = data_k, which start
+    it from eps linear_data_field(data_k, cfg.grid).
 
     Returns (field, history) where history[n] is the weighted norm of the
     difference between iterates n+1 and n. spec = None solves the linear
@@ -258,10 +237,8 @@ def picard_solve(u0, u1, spec, cfg: SolverConfig, data_k=1.0):
     """
     grid = cfg.grid
     _check_p(spec, cfg)
-    _check_envelope(u0, "u0", data_k, grid.r)
-    _check_envelope(u1, "u1", data_k, grid.r)
+    lin = cfg.epsilon * linear_data_field(data_k, grid)
     table = _table(grid)
-    lin = cfg.epsilon * linear_data_field(u0, u1, grid)
     if spec is None:
         F = None
         cap = np.inf
@@ -386,10 +363,8 @@ def contraction_probe(spec: NonlinearitySpec, cfg: SolverConfig, n_pairs=20,
     ratios = _pair_ratios(_table(cfg.grid), nonlinearity(spec),
                           _grid_phi(cfg.grid, cfg.h), radius * quotients[:, 0],
                           radius * quotients[:, 1], radius * norms)
-    ratios = [r for r in ratios if r is not None]
-    max_ratio = max(ratios) if ratios else 0.0
-    return ContractionReport(epsilon=cfg.epsilon, sampled_pairs=len(ratios),
-                             max_ratio=max_ratio, ratios=tuple(ratios))
+    return ContractionReport(epsilon=cfg.epsilon,
+                             ratios=tuple(r for r in ratios if r is not None))
 
 
 def epsilon_threshold(spec: NonlinearitySpec, cfg: SolverConfig,

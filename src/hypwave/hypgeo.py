@@ -11,11 +11,11 @@ with curvature -1:
 
 with the Japanese bracket <s> = sqrt(1+s^2).  k and h are plain numbers,
 checked where they enter: log_theta_k and log_phi_weight (which theta_k
-and phi_weight go through) refuse k <= 0 and h <= 0, as K_factor refuses
-k <= 0.  cosh and sinh are also
-given in log form so that envelopes and weights can be evaluated far
-beyond the ~700 overflow threshold of cosh; the W operator's weights
-carry the product form of their differences (meanprop.MonotoneWeight.s).
+and phi_weight go through) refuse k and h that are not positive and
+finite, as K_factor refuses k <= 0.  cosh and sinh are also given in
+log form so that envelopes and weights can be evaluated far beyond
+the ~700 overflow threshold of cosh; the W operator's weights carry the
+product form of their differences (meanprop.MonotoneWeight.s).
 
 The quadrature helper ``cg_nodes`` builds the Chebyshev-Gauss rule for
 integrals carrying the paired endpoint weight ((c_hi-x)(x-c_lo))^(-1/2);
@@ -87,8 +87,8 @@ def bracket(s):
 
 
 def theta_k(r, k):
-    """Data envelope (cosh r)^(-k-1/2) for r >= 0 and k > 0 (log_theta_k
-    refuses the rest)."""
+    """Data envelope (cosh r)^(-k-1/2) for r >= 0 and finite k > 0
+    (log_theta_k refuses the rest)."""
     return np.exp(log_theta_k(r, k))
 
 
@@ -98,8 +98,9 @@ def log_theta_k(r, k):
     The 1/2 in the exponent is the spectral shift (n-1)/2 of the
     hyperbolic plane, n = 2.
     """
-    if not k > 0:
-        raise DomainError(f"envelope index k must be positive, got {k}")
+    if not 0 < k < np.inf:
+        raise DomainError(
+            f"envelope index k must be positive and finite, got {k}")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise DomainError("theta_k is defined for r >= 0")
@@ -123,13 +124,15 @@ def K_factor(s, k: float):
 
 
 def phi_weight(t, r, h):
-    """Weight Phi_h(t,r) = e^(r/2) <t-r>^h for r >= 0 and h > 0; always >= 1."""
+    """Weight Phi_h(t,r) = e^(r/2) <t-r>^h for r >= 0 and finite h > 0;
+    always >= 1."""
     return np.exp(log_phi_weight(t, r, h))
 
 
 def log_phi_weight(t, r, h):
-    if not h > 0:
-        raise DomainError(f"weight exponent h must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise DomainError(
+            f"weight exponent h must be positive and finite, got {h}")
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):

@@ -65,10 +65,10 @@ class NonlinearitySpec:
     A = cached_property(lambda self: fit_A(self))
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise DomainError("p must exceed 1")
-        if not self.q > 1:
-            raise DomainError("q must exceed 1")
+        for name, value in (("p", self.p), ("q", self.q)):
+            if not 1 < value < np.inf:
+                raise DomainError(
+                    f"{name} must exceed 1 and be finite, got {value}")
         if not 0 < self.delta0 < 1:
             raise DomainError("delta0 must lie in (0, 1)")
         if self.kind not in _KINDS:

@@ -175,7 +175,7 @@ def test_07_picard_convergence(eps0):
     """At eps0/2 the weighted difference norms contract with ratio <= 0.5
     from iterate 2 and the converged residual is <= 2 tol."""
     cfg = replace(CFG35, epsilon=eps0 / 2.0)
-    _, history = picard_solve(ZERO, THETA1, SPEC35, cfg)
+    _, history = picard_solve(SPEC35, cfg)
     assert len(history) >= 3
     for n in range(1, len(history) - 1):
         assert history[n + 1] <= 0.5 * history[n]

@@ -69,6 +69,13 @@ class TestBlowupParams:
         with pytest.raises(DomainError, match="delta0"):
             make_params(delta0=1.0)
 
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_nonfinite_q_rejected(self, q):
+        # inf would pass q > 1 and fail later in john_recursion
+        with pytest.raises(DomainError, match=(
+                f"^q must exceed 1 and be finite; got q = {q}$")):
+            make_params(q=q)
+
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_nonfinite_epsilon_rejected(self, eps):
         with pytest.raises(DomainError, match=(
@@ -354,6 +361,14 @@ class TestJohnRecursion:
         dense = sum((2.0 * math.log(j + 1.0) + 2.0 * j * math.log(2.0)
                      - math.log(0.125)) / 2.0 ** (j + 1) for j in range(200))
         assert seq.E == pytest.approx(-dense, abs=2.0 * seq.E_tail_bound + 1e-13)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_nonfinite_q_rejected(self, q):
+        # inf would pass q > 1 and end in the B_m closed-form check
+        with pytest.raises(DomainError, match=(
+                f"^q must exceed 1 and be finite for the series for E; "
+                f"got q = {q}$")):
+            john_recursion(1.0, 1.0, q, 1.0, 0.5, 5)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError, match="q must exceed 1"):

@@ -25,7 +25,7 @@ import hypwave
 from hypwave import fdoracle, globalsolver, meanprop
 from hypwave.cli import (_REQUIRED, _SCHEMA, _apply_thread_cap, _fmt,
                          _write_csv, _write_grid_csv, main)
-from hypwave.hypgeo import Grid
+from hypwave.hypgeo import Grid, theta_k
 from hypwave.nonlin import NonlinearitySpec
 
 
@@ -575,6 +575,20 @@ class TestSolve:
         _, row = read_csv(out / "report.csv")
         assert row[1] == "true"
         assert float(row[3]) > 0.0
+
+    def test_linear_solve_is_eps_times_the_table_evolution(self, tmp_path):
+        # kind = none: u = eps u_lin, u_lin the table's evolution of the
+        # data (0, theta_k) at the k of [data]
+        body = (SOLVER_35.replace("epsilon = 0.0", "epsilon = 0.01")
+                + "[data]\nk = 2\n[nonlinearity]\nkind = none\n")
+        code, out = run_cli(tmp_path, "solve", body)
+        assert code == 0
+        grid = Grid(1.0, 2.0, 0.25, 0.25)
+        want = 0.01 * meanprop.PropagatorTable(grid.t, grid.r).apply_linear(
+            theta_k(grid.r, 2.0))
+        _, *rows = read_csv(out / "field.csv")
+        got = np.array([float(row[2]) for row in rows]).reshape(want.shape)
+        assert np.array_equal(got, want)
 
     def test_huge_epsilon_escapes_with_exit_3(self, tmp_path, capsys):
         body = SOLVER_35.replace("epsilon = 0.0", "epsilon = 1000.0")

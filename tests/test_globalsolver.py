@@ -76,7 +76,7 @@ class TestSolverConfig:
             gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1)
 
     @pytest.mark.parametrize("run", [
-        lambda spec, cfg: gs.picard_solve(0.0, data_profile, spec, cfg),
+        gs.picard_solve,
         gs.contraction_probe, gs.epsilon_threshold],
         ids=["solve", "probe", "threshold"])
     def test_spec_p_must_be_the_solver_p(self, coarse_cfg, run):
@@ -104,6 +104,12 @@ class TestSolverConfig:
                 f"^epsilon must be nonnegative and finite, got {eps}$")):
             gs.SolverConfig(p=3.5, h=1.2, epsilon=eps, grid=SMALL)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_nonfinite_p_rejected(self, p):
+        # inf would pass p > 3 and open the window (1, p - 2) for every h
+        with pytest.raises(DomainError, match=f"^p must be finite, got {p}$"):
+            gs.SolverConfig(p=p, h=1.2, epsilon=0.1, grid=SMALL)
+
     def test_zero_epsilon_allowed(self):
         assert gs.SolverConfig(p=3.5, h=1.2, epsilon=0.0,
                                grid=SMALL).epsilon == 0.0
@@ -127,11 +133,6 @@ class TestSolverConfig:
 
 
 class TestReports:
-    def test_contraction_report_checks_max(self):
-        with pytest.raises(DomainError, match="max_ratio"):
-            gs.ContractionReport(epsilon=0.1, sampled_pairs=2, max_ratio=0.1,
-                                 ratios=(0.1, 0.4))
-
     def test_decay_report_requires_finite(self):
         with pytest.raises(DomainError, match="finite"):
             gs.DecayFitReport(slope_r=np.nan, slope_tr=-0.5, sup_weighted=1.0)
@@ -161,7 +162,8 @@ class TestWeightedNorm:
 
     def test_h_must_be_positive(self):
         u = SpaceTimeField([0.0], [0.0], [[1.0]])
-        with pytest.raises(DomainError, match="h must be positive, got 0.0"):
+        with pytest.raises(DomainError,
+                           match="h must be positive and finite, got 0.0"):
             gs.weighted_norm(u, 0.0)
 
 
@@ -169,29 +171,12 @@ class TestLinearDataField:
     def test_velocity_data_matches_pointwise_propagator(self, coarse_cfg):
         # points inside the triangle t + r <= r_max, where the gridded
         # propagation sees the whole cone of dependence
-        vals = gs.linear_data_field(0.0, data_profile, coarse_cfg.grid)
+        vals = gs.linear_data_field(1.0, coarse_cfg.grid)
         for (i, j) in [(5, 3), (10, 20), (30, 8)]:
             t = coarse_cfg.grid.t[i]
             r = coarse_cfg.grid.r[j]
             ref = sine_propagator(data_profile, t, r)
             assert vals[i, j] == pytest.approx(ref, rel=5e-5, abs=1e-12)
-
-    def test_position_data_row_zero_is_data(self, coarse_cfg):
-        vals = gs.linear_data_field(data_profile, 0.0, coarse_cfg.grid)
-        assert np.allclose(vals[0], data_profile(coarse_cfg.grid.r),
-                           rtol=1e-14)
-
-    def test_position_data_matches_fine_difference(self):
-        cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.1,
-                              grid=Grid(1.0, 4.0, 0.25, 0.1))
-        vals = gs.linear_data_field(data_profile, 0.0, cfg.grid)
-        t, r = 0.5, 0.7
-        i = np.argmin(np.abs(cfg.grid.t - t))
-        j = np.argmin(np.abs(cfg.grid.r - r))
-        d = 1e-4
-        ref = (sine_propagator(data_profile, t + d, r)
-               - sine_propagator(data_profile, t - d, r)) / (2 * d)
-        assert vals[i, j] == pytest.approx(ref, rel=5e-3)
 
     def test_n_h_is_cached_and_positive(self, coarse_cfg):
         gs.clear_caches()
@@ -203,34 +188,21 @@ class TestLinearDataField:
 class TestPicard:
     def test_zero_epsilon_converges_immediately(self, coarse_cfg):
         cfg = with_eps(coarse_cfg, 0.0)
-        u, history = gs.picard_solve(0.0, data_profile, SPEC, cfg)
+        u, history = gs.picard_solve(SPEC, cfg)
         assert len(history) == 1
         assert history[0] == 0.0
         assert np.all(u.values == 0.0)
 
     def test_linear_problem_returns_scaled_data_evolution(self, coarse_cfg):
-        u, history = gs.picard_solve(0.0, data_profile, None, coarse_cfg)
+        u, history = gs.picard_solve(None, coarse_cfg)
         assert len(history) == 1
-        base = gs.linear_data_field(0.0, data_profile, coarse_cfg.grid)
+        base = gs.linear_data_field(1.0, coarse_cfg.grid)
         assert np.allclose(u.values, coarse_cfg.epsilon * base, rtol=1e-15)
 
     def test_epsilon_scaling_is_exactly_linear(self, coarse_cfg):
-        ua, _ = gs.picard_solve(0.0, data_profile, None, with_eps(coarse_cfg, 0.01))
-        ub, _ = gs.picard_solve(0.0, data_profile, None, with_eps(coarse_cfg, 0.02))
+        ua, _ = gs.picard_solve(None, with_eps(coarse_cfg, 0.01))
+        ub, _ = gs.picard_solve(None, with_eps(coarse_cfg, 0.02))
         assert np.max(np.abs(ub.values - 2.0 * ua.values)) <= 1e-12
-
-    def test_envelope_violation_rejected(self, coarse_cfg):
-        with pytest.raises(DomainError, match="envelope"):
-            gs.picard_solve(0.0, lambda lam: 2.0 * theta_k(lam, 1.0),
-                            SPEC, coarse_cfg)
-
-    def test_nan_data_rejected_at_its_radius(self, coarse_cfg):
-        def u1(lam):
-            return np.where(np.isclose(lam, 1.5), np.nan, data_profile(lam))
-
-        with pytest.raises(
-                DomainError, match=r"u1 violates the data envelope .* r = 1\.5 "):
-            gs.picard_solve(0.0, u1, SPEC, coarse_cfg)
 
     def test_nan_iterate_stops_at_its_sweep(self, coarse_cfg, monkeypatch):
         # F turns NaN at one point on its second call, the sweep that
@@ -252,26 +224,25 @@ class TestPicard:
         with pytest.raises(gs.EscapeError,
                            match=r"^sweep 2 gave a non-finite iterate, "
                                  r"first at t = \S+, r = \S+$"):
-            gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
+            gs.picard_solve(SPEC, coarse_cfg)
         assert len(calls) == 2
 
     def test_convergence_history_contracts(self, coarse_cfg):
-        u, history = gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
+        u, history = gs.picard_solve(SPEC, coarse_cfg)
         assert history[-1] < coarse_cfg.fixed_point_tol
         for a, b in zip(history[1:-1], history[2:]):
             assert b <= 0.5 * a
 
     def test_fixed_point_residual_small(self, coarse_cfg, coarse_table):
-        u, _ = gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
+        u, _ = gs.picard_solve(SPEC, coarse_cfg)
         F = nonlinearity(SPEC)
-        lin = coarse_cfg.epsilon * gs.linear_data_field(0.0, data_profile,
-                                                        coarse_cfg.grid)
+        lin = coarse_cfg.epsilon * gs.linear_data_field(1.0, coarse_cfg.grid)
         resid = u.values - lin - coarse_table.duhamel_field(F(u.values))
         phi = phi_on(coarse_cfg.grid.t, coarse_cfg.grid.r, coarse_cfg.h)
         assert np.max(phi * np.abs(resid)) <= 2 * coarse_cfg.fixed_point_tol
 
     def test_solution_stays_in_ball(self, coarse_cfg):
-        u, _ = gs.picard_solve(0.0, data_profile, SPEC, coarse_cfg)
+        u, _ = gs.picard_solve(SPEC, coarse_cfg)
         radius = 2 * coarse_cfg.epsilon * gs.estimate_N_h(1.0, coarse_cfg.h,
                                                           coarse_cfg.grid)
         assert gs.weighted_norm(u, coarse_cfg.h) <= radius
@@ -280,12 +251,12 @@ class TestPicard:
         cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=0.02, grid=coarse_cfg.grid,
                               max_iters=2, fixed_point_tol=1e-14)
         with pytest.raises(gs.ConvergenceError) as err:
-            gs.picard_solve(0.0, data_profile, SPEC, cfg)
+            gs.picard_solve(SPEC, cfg)
         assert len(err.value.history) == 2
 
     def test_large_epsilon_escapes(self, coarse_cfg):
         with pytest.raises(gs.EscapeError, match="too large"):
-            gs.picard_solve(0.0, data_profile, SPEC, with_eps(coarse_cfg, 0.9))
+            gs.picard_solve(SPEC, with_eps(coarse_cfg, 0.9))
 
 
 class TestContraction:
@@ -356,6 +327,27 @@ class TestContraction:
             assert d == radius * np.max(np.abs(su - sv))
             assert d == pytest.approx(np.max(phi * np.abs(u_batch - v_batch)),
                                       rel=1e-14)
+
+    def test_ball_radius_reads_data_k(self, coarse_cfg, monkeypatch):
+        # the pairs fill the ball of radius 2 eps N_h, N_h that of the data
+        # (0, theta_k) at the probe's data_k
+        seen = []
+        pair_ratios = gs._pair_ratios
+
+        def spy(table, F, phi, U, V, denom):
+            seen.append(denom)
+            return pair_ratios(table, F, phi, U, V, denom)
+
+        monkeypatch.setattr(gs, "_pair_ratios", spy)
+        reports = [gs.contraction_probe(SPEC, coarse_cfg, n_pairs=3,
+                                        rng_seed=5, data_k=k)
+                   for k in (1.0, 2.0)]
+        _, norms = gs._pair_quotients(5, 3, coarse_cfg.grid, 1.2)
+        n_h = [gs.estimate_N_h(k, 1.2, coarse_cfg.grid) for k in (1.0, 2.0)]
+        for n, denom in zip(n_h, seen):
+            assert np.array_equal(denom, 2.0 * coarse_cfg.epsilon * n * norms)
+        assert n_h[1] < n_h[0]
+        assert reports[1].ratios != reports[0].ratios
 
 
 class TestThreshold:
@@ -675,7 +667,7 @@ class TestOracleConsistency:
         eps = 0.0375
         cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=eps,
                               grid=Grid(4.0, 8.0, 0.05, 0.05))
-        u_pic, _ = gs.picard_solve(0.0, data_profile, SPEC, cfg)
+        u_pic, _ = gs.picard_solve(SPEC, cfg)
         fd_cfg = FDConfig(Grid(4.0, 10.0, 0.01, 0.02), snapshot_every=5)
         u_fd = fd_solve(0.0, lambda lam: eps * theta_k(lam, 1.0),
                         nonlinearity(SPEC), fd_cfg)
@@ -691,7 +683,7 @@ class TestOracleConsistency:
 
         def interior_residual(grid):
             cfg = gs.SolverConfig(p=3.5, h=1.2, epsilon=eps, grid=grid)
-            u, _ = gs.picard_solve(0.0, data_profile, SPEC, cfg)
+            u, _ = gs.picard_solve(SPEC, cfg)
             t, r, U = u.t_grid, u.r_grid, u.values
             dt, dr = t[1] - t[0], r[1] - r[0]
             utt = (U[2:, 1:-1] - 2 * U[1:-1, 1:-1] + U[:-2, 1:-1]) / dt ** 2

@@ -56,10 +56,11 @@ class TestEnvelope:
         # theta_k leaves the check to log_theta_k, which makes it before
         # reading r
         for fn in (theta_k, log_theta_k):
-            for k in (0.0, -1.0, float("nan")):
+            # inf would pass k > 0 and make theta_k(0, inf) NaN (inf * 0)
+            for k in (0.0, -1.0, float("nan"), float("inf")):
                 with pytest.raises(DomainError, match=(
-                        r"^envelope index k must be positive, got "
-                        + str(k) + "$")):
+                        r"^envelope index k must be positive and finite, "
+                        r"got " + str(k) + "$")):
                     fn(np.array([0.5, -1.0]), k)
 
 
@@ -131,10 +132,12 @@ class TestPhiWeight:
         # phi_weight leaves the check to log_phi_weight, which makes it
         # before reading r
         for fn in (phi_weight, log_phi_weight):
-            for h in (0.0, -1.0, float("nan")):
+            # inf would pass h > 0 and make phi_weight(1, 1, inf) NaN
+            # (inf * log 1)
+            for h in (0.0, -1.0, float("nan"), float("inf")):
                 with pytest.raises(DomainError, match=(
-                        r"^weight exponent h must be positive, got "
-                        + str(h) + "$")):
+                        r"^weight exponent h must be positive and finite, "
+                        r"got " + str(h) + "$")):
                     fn(1.0, np.array([0.5, -1.0]), h)
 
     def test_negative_r_rejected(self):

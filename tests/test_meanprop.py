@@ -1220,7 +1220,7 @@ def nodes_by_point(chunks, n_points):
     return lam_of, w_of
 
 
-# t = 0 and its shifts by +-dt/2, as linear_data_field evaluates them;
+# t = 0 and its shifts by +-dt/2, times between the grid's own steps;
 # and on twice the radii, 671 points, three groups of _POINT_BLOCK
 _T = np.linspace(0.0, 2.0, 11)
 _DT = _T[1] - _T[0]

@@ -50,6 +50,16 @@ class TestSpec:
         with pytest.raises(DomainError):
             NonlinearitySpec(**kw)
 
+    @pytest.mark.parametrize("name", ["p", "q"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_exponent_rejected(self, name, value):
+        # q = inf would pass the blend's monotone check, whose comparisons
+        # with NaN are all false
+        kw = dict(p=2.0, q=2.0, delta0=0.45, kind="piecewise_generic")
+        with pytest.raises(DomainError, match=(
+                f"^{name} must exceed 1 and be finite, got {value}$")):
+            NonlinearitySpec(**{**kw, name: value})
+
 
 class TestFCanonical:
     def test_zero_at_zero(self):

@@ -101,7 +101,7 @@ def test_csv_digest_contract_pair_and_compare(tmp_path, capsys):
     capsys.readouterr()
     threshold = read_csv(old / "csv_digest" / "contract_threshold" / "threshold.csv")
     eps0 = float(threshold[1][0])
-    solve = (old / "csv_digest" / "contract_solve.ini").read_text()
+    solve = (old / "csv_digest" / "contract_solve" / "solve.ini").read_text()
     assert f"epsilon = {0.5 * eps0!r}" in solve
     assert script.compare(old, new) == [
         f"contract_{name} identical" for name in (
